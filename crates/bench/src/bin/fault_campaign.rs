@@ -18,7 +18,7 @@
 //! quarantined; either flag switches to the guarded summary format, so the
 //! classic (golden-pinned) JSON is untouched when neither is passed.
 
-use px_bench::experiments::fault::{run_campaign, run_campaign_guarded, run_case};
+use px_campaign::fault::{run_campaign, run_campaign_guarded, run_case};
 use px_campaign::{CaseOutcome, Watchdog};
 use px_mach::FaultMix;
 use px_util::ToJson;

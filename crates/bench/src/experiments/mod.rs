@@ -13,11 +13,6 @@ pub mod static_filter;
 pub mod tables;
 pub mod zoo;
 
-// The fault-injection machinery (E12) moved to `px_campaign::fault` so the
-// crash-safe campaign runner, `pxc campaign` and these binaries share one
-// implementation; the re-export keeps every historical import path working.
-pub use px_campaign::fault;
-
 pub use ablations::{ablation_nt_from_nt, ablation_sandbox};
 pub use campaign::{campaign_gate, CampaignGateReport, GATE_MANIFEST};
 pub use coverage::coverage;
@@ -25,7 +20,6 @@ pub use fig3::fig3;
 pub use memo::{memo_gate, MemoGateReport, MemoRow, MEMO_SCHEMA, MIN_NT_HEAVY_HIT_RATE};
 pub use overhead::overhead;
 pub use perf::{throughput_report, ThroughputReport, ThroughputRow};
-pub use px_campaign::fault::{run_campaign, run_case, CampaignSummary, FaultCase};
 pub use sensitivity::sensitivity;
 pub use static_filter::{static_filter, static_filter_summary, StaticFilterRow};
 pub use tables::{table3, table4, table5};

@@ -10,7 +10,6 @@ pub mod experiments;
 pub mod fmt;
 
 pub use experiments::{
-    ablation_nt_from_nt, ablation_sandbox, coverage,
-    fault::{run_campaign, run_case},
-    fig3, overhead, sensitivity, table3, table4, table5, throughput_report,
+    ablation_nt_from_nt, ablation_sandbox, coverage, fig3, overhead, sensitivity, table3, table4,
+    table5, throughput_report,
 };

@@ -14,7 +14,7 @@
 //!     --seed 1 --cases 256 --json
 //! ```
 
-use px_bench::experiments::fault::run_campaign;
+use px_campaign::fault::run_campaign;
 use px_mach::FaultMix;
 use px_util::ToJson;
 

@@ -4,7 +4,7 @@
 //!
 //! Runs on the in-tree `px_util` property harness (`px_prop!`).
 
-use px_bench::experiments::fault::{run_campaign, run_case, ENGINES};
+use px_campaign::fault::{run_campaign, run_case, ENGINES};
 use px_isa::asm::assemble;
 use px_mach::{FaultKind, FaultMix, FaultPlan, IoState, MachConfig, RunExit, FAULT_KINDS};
 use px_util::prop::{vec_of, Strategy};

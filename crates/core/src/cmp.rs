@@ -22,20 +22,17 @@
 //! with it, so the overhead the paper reports (< 9.9%) is spawn costs plus
 //! cache interference.
 
-use std::sync::Arc;
-
-use px_isa::{DecodedProgram, MicroOp, Program, SyscallCode, Width, UOP_KIND_COUNT};
+use px_isa::{DecodedProgram, Program, Width};
 use px_mach::{
-    memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, step_uop, uop_cost_table,
-    Btb, Checkpoint, CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig, MemView,
-    MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord,
-    PathCoverage, PathKind, PathPlan, PathTrail, RecordKind, RunExit, Sandbox, SandboxView,
-    SimError, StepEnv, StepEvent, UopProfile, WatchTable, COMMITTED, MAX_MEM_BYTES,
+    run_simple, simple_steps_until, step_uop, Checkpoint, CoreState, FaultHook, IoState,
+    MachConfig, MemView, MemoNote, MemoTable, Memory, PathKind, PathTrail, RunExit, Sandbox,
+    SandboxView, SimError, StepEnv, UopProfile, WatchTable, COMMITTED,
 };
 
 use crate::config::PxConfig;
-use crate::inject::{apply_deferred, CountingHook};
-use crate::stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
+use crate::inject::apply_deferred;
+use crate::nt::{self, Excursion, Grant, Replay, Run, Taken};
+use crate::stats::{NtStop, PxRunResult};
 
 /// Version tag for the primary core's speculative taken-path segment lines.
 const SEGMENT_VTAG: u8 = 255;
@@ -45,19 +42,9 @@ const SEGMENT_VTAG: u8 = 255;
 /// so their bundles must never mix.
 const MEMO_TAG_CMP: u8 = 1;
 
-/// A memo-hit path's replay position: the next recorded step, plus how far
-/// into the current batched run earlier grants already got.
-struct Replay {
-    entry: Arc<MemoEntry>,
-    step: usize,
-    run_off: u32,
-}
-
 /// A live or queued NT-path.
 struct NtPath {
     id: u8,
-    spawn_pc: u32,
-    executed: u32,
     core: Option<usize>,
     state: CoreState,
     sandbox: Sandbox,
@@ -70,15 +57,35 @@ struct NtPath {
     scratch_watches: WatchTable,
     /// Monotonic spawn order, used to pick the "oldest" for forced commits.
     seq: u64,
-    /// Prime-path trail, forked from the taken trail at spawn. `None` unless
-    /// the run carries a `PxConfig::path_plan`.
-    trail: Option<PathTrail>,
-    /// Memoization recorder (live paths under an active memo only).
-    rec: Option<MemoRecorder>,
+    ex: Excursion,
     /// Memo replay cursor: when set, the path replays its recorded bundle
     /// through the scheduler instead of simulating; its sandbox and watch
     /// clone go unused.
     replay: Option<Replay>,
+}
+
+/// A squashed path's recycled context: `clear` stales the sandbox's pages
+/// in O(1), the watch clone and the trail reuse their allocations.
+type Spare = (Sandbox, WatchTable, Option<PathTrail>);
+
+/// The CMP schedule: the path table, which cores host which paths, and
+/// the per-core clocks.
+struct Cores {
+    paths: Vec<NtPath>,
+    /// `(path index, core)` for every path currently ON a core, sorted by
+    /// path index: the per-instruction min-ready scan walks these few
+    /// entries in the path table's order (the tie-break order) instead of
+    /// striding over up to `max_outstanding` full `NtPath` structs, most of
+    /// them queued and irrelevant to the scan.
+    hosted: Vec<(usize, usize)>,
+    /// Per-core ready times (discrete event clock); index 0 = primary.
+    ready: Vec<u64>,
+    busy: Vec<bool>,
+    pool: Vec<Spare>,
+    next_id: u8,
+    next_seq: u64,
+    /// Counts spawns; versions the copy-on-write memo (see [`PrimaryView`]).
+    spawn_epoch: u64,
 }
 
 /// One slot of the copy-on-write memo (see [`PrimaryView`]).
@@ -154,9 +161,10 @@ impl MemView for PrimaryView<'_> {
 /// [`RunExit::EngineFault`].
 #[must_use]
 pub fn run_cmp(program: &Program, mach: &MachConfig, px: &PxConfig, io: IoState) -> PxRunResult {
+    let dp = DecodedProgram::decode(program);
     run_cmp_inner::<false>(
         program,
-        None,
+        &dp,
         mach,
         px,
         io,
@@ -181,7 +189,7 @@ pub fn run_cmp_decoded(
 ) -> PxRunResult {
     run_cmp_inner::<false>(
         program,
-        Some(dp),
+        dp,
         mach,
         px,
         io,
@@ -205,33 +213,15 @@ pub fn run_cmp_memo(
     io: IoState,
     memo: &mut MemoTable,
 ) -> PxRunResult {
-    run_cmp_inner::<false>(
-        program,
-        Some(dp),
-        mach,
-        px,
-        io,
-        None,
-        Some(memo),
-        &mut UopProfile::default(),
-    )
+    let profile = &mut UopProfile::default();
+    run_cmp_inner::<false>(program, dp, mach, px, io, None, Some(memo), profile)
 }
 
 /// An empty memo table bound to this program + configuration, for
 /// [`run_cmp_memo`].
 #[must_use]
 pub fn cmp_memo_table(program: &Program, mach: &MachConfig, px: &PxConfig) -> MemoTable {
-    MemoTable::new(
-        memo_fingerprint(
-            &program.code,
-            px.max_nt_path_len,
-            px.nt_watchdog,
-            px.apply_fixes,
-            &mach.costs,
-            MEMO_TAG_CMP,
-        ),
-        px.nt_memo_max_reads,
-    )
+    nt::memo_table(program, mach, px, MEMO_TAG_CMP)
 }
 
 /// [`run_cmp`] with an optional fault injector; the hook is consulted only
@@ -245,9 +235,10 @@ pub fn run_cmp_with(
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
 ) -> PxRunResult {
+    let dp = DecodedProgram::decode(program);
     run_cmp_inner::<false>(
         program,
-        None,
+        &dp,
         mach,
         px,
         io,
@@ -268,201 +259,75 @@ pub fn run_cmp_profiled(
     px: &PxConfig,
     io: IoState,
 ) -> (PxRunResult, UopProfile) {
+    let dp = DecodedProgram::decode(program);
     let mut profile = UopProfile::default();
-    let result = run_cmp_inner::<true>(program, None, mach, px, io, None, None, &mut profile);
+    // Memo replay skips the interpreter, so the histogram would under-count.
+    let px = &px.clone().with_nt_memo(false);
+    let result = run_cmp_inner::<true>(program, &dp, mach, px, io, None, None, &mut profile);
     (result, profile)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_cmp_inner<const PROFILE: bool>(
     program: &Program,
-    decoded: Option<&DecodedProgram>,
+    dp: &DecodedProgram,
     mach: &MachConfig,
     px: &PxConfig,
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
-    shared_memo: Option<&mut MemoTable>,
+    memo: Option<&mut MemoTable>,
     profile: &mut UopProfile,
 ) -> PxRunResult {
-    let fail = |e: SimError, io: IoState| PxRunResult {
-        exit: RunExit::EngineFault(e),
-        cycles: 0,
-        taken_coverage: Coverage::for_program(program),
-        total_coverage: Coverage::for_program(program),
-        monitor: MonitorArea::new(),
-        io,
-        memory: Memory::new(0),
-        core: CoreState::default(),
-        stats: PxStats::default(),
-        path_coverage: None,
-    };
     if mach.cores < 2 {
-        return fail(SimError::NeedsTwoCores, io);
+        return nt::engine_fault(program, SimError::NeedsTwoCores, io);
     }
-    if let Err(e) = mach.validate() {
-        return fail(e, io);
-    }
-    if program.mem_size > MAX_MEM_BYTES {
-        return fail(
-            SimError::ProgramTooLarge {
-                mem_size: program.mem_size,
-            },
-            io,
-        );
-    }
-    let mut memory = Memory::new(mach.mem_size.max(program.mem_size));
-    for item in &program.data {
-        if let Err(e) = memory.try_load_blob(item.addr, &item.bytes) {
-            return fail(e, io);
-        }
-    }
-    let mut fault = fault.map(|inner| CountingHook { inner, fired: 0 });
-    let mut primary = CoreState::at_entry(program.entry, memory.size());
-    let mut caches = Hierarchy::new(mach);
-    let mut btb = Btb::new(mach.btb_entries, mach.btb_assoc);
-    let mut taken_cov = Coverage::for_program(program);
-    let mut nt_cov = Coverage::for_program(program);
-    let mut monitor = MonitorArea::new();
-    let mut stats = PxStats::default();
-    let mut io = io;
-    // NT-paths must not mutate the real watch table; they get a disposable
-    // clone at spawn. The primary's table is authoritative.
-    let mut watches = WatchTable::new();
-    // Prime-path tracking (opt-in, purely observational): the taken trail
-    // follows the primary core; every NT-path carries its own trail, forked
-    // from the taken trail at spawn. All record into one shared coverage.
-    let mut tracking: Option<(&PathPlan, PathTrail, PathCoverage)> = px
-        .path_plan
-        .as_deref()
-        .map(|p| (p, PathTrail::for_plan(p), p.new_coverage()));
-    if let Some((p, taken_trail, cov)) = &mut tracking {
-        taken_trail.enter_pc(p, cov, program.entry);
-    }
-
-    // Decode once; every core dispatches pre-decoded micro-ops.
-    let owned_dp;
-    let dp: &DecodedProgram = match decoded {
-        Some(dp) => {
-            debug_assert_eq!(
-                dp.len(),
-                program.code.len(),
-                "decode of a different program"
-            );
-            dp
-        }
-        None => {
-            owned_dp = DecodedProgram::decode(program);
-            &owned_dp
-        }
+    let mut run = match Run::new(program, dp, mach, px, io, fault, memo, MEMO_TAG_CMP) {
+        Ok(run) => run,
+        Err(failed) => return *failed,
     };
-    let in_checker =
-        |pc: u32| -> bool { dp.op(pc).is_some_and(|u| u.a & MicroOp::BR_IN_CHECKER != 0) };
+    let mut primary = CoreState::at_entry(program.entry, run.memory.size());
     // Whether any primary L1 line may carry `SEGMENT_VTAG`: set on tagged
     // stores, cleared by every `commit_path(0, SEGMENT_VTAG)`. Skipping the
     // commit scan while clean is exact — committing a clean cache retags
     // nothing — and avoids a full L1 walk after every primary step.
     let mut segment_dirty = false;
-
-    let cost_table = uop_cost_table(&mach.costs);
-    // NT-paths may batch simple runs only in the production configuration:
-    // a fault hook must be consulted before every instruction. The primary
-    // core never sees the hook, so it always batches.
-    let nt_batching = fault.is_none();
-    // NT-path memoization (see `standard.rs` for the purity conditions).
-    // Profiled runs bypass it too: replay skips the interpreter, so the
-    // micro-op histogram would under-count.
-    let mut local_memo: Option<MemoTable> = None;
-    let mut memo: Option<&mut MemoTable> = if !PROFILE
-        && px.nt_memo
-        && fault.is_none()
-        && !px.os_sandbox_unsafe
-        && !px.explore_nt_from_nt
-    {
-        let fp = memo_fingerprint(
-            &program.code,
-            px.max_nt_path_len,
-            px.nt_watchdog,
-            px.apply_fixes,
-            &mach.costs,
-            MEMO_TAG_CMP,
-        );
-        match shared_memo {
-            Some(t) if t.fingerprint() == fp => Some(t),
-            // A mismatched shared table would replay another program's
-            // bundles; ignore it rather than corrupt the run.
-            Some(_) => None,
-            None => Some(local_memo.insert(MemoTable::new(fp, px.nt_memo_max_reads))),
-        }
-    } else {
-        None
+    let mut cores = Cores {
+        paths: Vec::new(),
+        hosted: Vec::new(),
+        ready: vec![0; mach.cores],
+        busy: vec![false; mach.cores],
+        pool: Vec::new(),
+        next_id: 1,
+        next_seq: 0,
+        spawn_epoch: 1,
     };
-    // Recycled per-path contexts: squashed sandboxes clear in O(1) (their
-    // shadow pages go stale by generation bump and are revived lazily), and
-    // pooled watch-table clones reuse their allocations. Architecturally
-    // identical to fresh allocations per spawn.
-    let mut pool: Vec<(Sandbox, WatchTable)> = Vec::new();
-
-    let mut paths: Vec<NtPath> = Vec::new();
-    // `(path index, core)` for every path currently ON a core, sorted by
-    // path index: the per-instruction min-ready scan walks these few entries
-    // in the path table's order (the tie-break order) instead of striding
-    // over up to `max_outstanding` full `NtPath` structs, most of them
-    // queued and irrelevant to the scan.
-    let mut hosted: Vec<(usize, usize)> = Vec::new();
-    // Counts spawns; versions the copy-on-write memo (see [`PrimaryView`]).
-    let mut spawn_epoch: u64 = 1;
+    cores.busy[0] = true;
     let mut cow_memo = [CowEntry {
         addr: 0,
         bytes: 0,
         epoch: 0,
     }; COW_SLOTS];
-    let mut core_busy: Vec<bool> = vec![false; mach.cores]; // index 0 = primary
-    core_busy[0] = true;
-    let mut next_seq: u64 = 0;
-    let mut next_id: u8 = 1;
-
-    // Per-core ready times (discrete event clock).
-    let mut ready: Vec<u64> = vec![0; mach.cores];
     let mut primary_done: Option<RunExit> = None;
-    let mut instructions: u64 = 0;
-    let mut taken_since_reset: u64 = 0;
-    let mut spawn_rng: u64 = 0x9E37_79B9_7F4A_7C15 ^ (program.code.len() as u64 + 1);
-    // Static NT-spawn veto mask (see `standard.rs`; `None` = paper mode).
-    let static_veto = px
-        .static_nt_filter
-        .map(|k| px_analyze::Analysis::of(program).veto_mask(program, k));
-    let vetoed = |mask: &Option<Vec<[bool; 2]>>, pc: u32, edge: Edge| -> bool {
-        mask.as_ref().is_some_and(|m| {
-            m.get(pc as usize)
-                .is_some_and(|e| e[usize::from(edge == Edge::NotTaken)])
-        })
-    };
 
-    'event_loop: loop {
-        if instructions >= px.max_instructions && primary_done.is_none() {
+    let exit = loop {
+        if run.instructions >= px.max_instructions && primary_done.is_none() {
             primary_done = Some(RunExit::BudgetExhausted);
         }
-        if primary_done.is_some() {
+        if let Some(exit) = primary_done {
             // Program over: cut the surviving NT-paths short.
-            for mut p in paths.drain(..) {
-                finish_path(
-                    &mut p,
-                    NtStop::RunCutShort,
-                    &mut caches,
-                    &mut stats,
-                    &mut pool,
-                    memo.as_deref_mut(),
-                );
+            for p in cores.paths.drain(..) {
+                finish(&mut run, &mut cores.pool, p, NtStop::RunCutShort);
             }
-            break 'event_loop;
+            break exit;
         }
 
         // Pick the lowest-ready-time active core (primary is always active),
         // remembering which path it hosts — one scan serves both decisions.
+        let ready = &cores.ready;
         let mut who: usize = 0;
         let mut who_path: Option<usize> = None;
         let mut best = ready[0];
-        for &(i, c) in &hosted {
+        for &(i, c) in &cores.hosted {
             if ready[c] < best {
                 best = ready[c];
                 who = c;
@@ -470,652 +335,366 @@ fn run_cmp_inner<const PROFILE: bool>(
             }
         }
 
-        match who_path {
-            None => {
-                // ---- Primary core: keep stepping while it keeps winning ----
-                //
-                // The primary wins the scan at ties, so it holds the slot while
-                // `ready[0]` stays at or below every hosted core's ready time.
-                // That bound is a constant for as long as no other core advances
-                // and the hosted set stays put, so the inner loop retires
-                // instruction after instruction against a fixed `deadline`
-                // instead of re-entering the scheduler per instruction — an
-                // identity transformation of the min-ready schedule. Any
-                // structural event (spawn, forced commit) edits the hosted set
-                // and breaks back out to a fresh scan.
-                let mut deadline = u64::MAX;
-                for &(_, c) in &hosted {
-                    deadline = deadline.min(ready[c]);
-                }
-                loop {
-                    // Simple micro-ops are register-only: they raise no events,
-                    // touch no memory or caches and contain no branches, so
-                    // batching them is invisible to every other core — provided
-                    // the batch covers only steps the scheduler would have
-                    // granted to the primary anyway; `simple_steps_until` cuts
-                    // the batch at the deadline.
-                    let run = dp.simple_run(primary.pc);
-                    if run > 0 {
-                        // A commit left pending by the last NT-path's death must
-                        // land here, exactly where the per-step epilogue would
-                        // have placed it: before the next cache access.
-                        if segment_dirty && paths.is_empty() {
-                            caches.commit_path(0, SEGMENT_VTAG);
-                            segment_dirty = false;
-                        }
-                        let max_n = u64::from(run).min(px.max_instructions - instructions) as u32;
-                        let n = simple_steps_until(
-                            dp,
-                            primary.pc,
-                            max_n,
-                            &cost_table,
-                            ready[0],
-                            deadline,
-                        );
-                        if PROFILE {
-                            profile.record_batch(dp, primary.pc, n, &cost_table);
-                        }
-                        let resets = crate::standard::catch_up_counter_resets(
-                            &mut taken_since_reset,
-                            px.counter_reset_interval,
-                            u64::from(n),
-                        );
-                        for _ in 0..resets {
-                            btb.reset_counters();
-                        }
-                        stats.counter_resets += resets;
-                        let pc0 = primary.pc;
-                        ready[0] += run_simple(dp, &mut primary, n, &cost_table);
-                        if let Some((p, taken_trail, cov)) = &mut tracking {
-                            taken_trail.enter_range(p, cov, pc0, n);
-                        }
-                        instructions += u64::from(n);
-                        stats.taken_instructions += u64::from(n);
-                        if n < run || instructions >= px.max_instructions || ready[0] > deadline {
-                            break;
-                        }
-                        continue;
-                    }
-
-                    instructions += 1;
-                    // ---- Primary core step ----
-                    // Set when this step edits the hosted set (spawn, forced
-                    // commit): the inner loop's deadline is stale then.
-                    let mut structural = false;
-                    if taken_since_reset >= px.counter_reset_interval {
-                        btb.reset_counters();
-                        stats.counter_resets += 1;
-                        taken_since_reset = 0;
-                    }
-                    let mut env = StepEnv {
-                        io: &mut io,
-                        watches: &mut watches,
-                        suppress_syscalls: false,
-                        now_cycles: ready[0],
-                        costs: &mach.costs,
-                        // The primary core is the containment reference: never
-                        // inject into it.
-                        fault: None,
-                    };
-                    let profiled_kind = if PROFILE {
-                        dp.op(primary.pc).map(|u| u.kind)
-                    } else {
-                        None
-                    };
-                    let s = {
-                        let mut view = PrimaryView {
-                            memory: &mut memory,
-                            live: &mut paths,
-                            cow_memo: &mut cow_memo,
-                            spawn_epoch,
-                        };
-                        step_uop(program, dp, &mut primary, &mut view, &mut env)
-                    };
-                    if let Some(kind) = profiled_kind {
-                        profile.record(kind, s.base_cost);
-                    }
-                    ready[0] += u64::from(s.base_cost);
-                    stats.taken_instructions += 1;
-                    taken_since_reset += 1;
-
-                    if let Some(access) = s.access {
-                        // Primary stores made while NT-paths are live are speculative
-                        // segment data (they still need their sibling's squash token).
-                        let vtag = if access.write && !paths.is_empty() {
-                            segment_dirty = true;
-                            SEGMENT_VTAG
-                        } else {
-                            COMMITTED
-                        };
-                        let a = caches.access(0, access.addr, access.write, vtag);
-                        ready[0] += u64::from(a.cycles);
-                        if a.volatile_evicted == Some(SEGMENT_VTAG) {
-                            // Forced commit: squash the oldest live NT-path, commit
-                            // the segment's lines.
-                            structural = true;
-                            if let Some(idx) = oldest_live(&paths) {
-                                let last = paths.len() - 1;
-                                let mut victim = paths.swap_remove(idx);
-                                hosted_after_swap_remove(&mut hosted, idx, last);
-                                finish_path(
-                                    &mut victim,
-                                    NtStop::ForcedCommit,
-                                    &mut caches,
-                                    &mut stats,
-                                    &mut pool,
-                                    memo.as_deref_mut(),
-                                );
-                                if let Some(c) = victim.core {
-                                    core_busy[c] = false;
-                                    if let Some(started) = start_queued(
-                                        &mut paths,
-                                        &mut core_busy,
-                                        &mut ready,
-                                        c,
-                                        mach,
-                                    ) {
-                                        hosted.push((started, c));
-                                        hosted.sort_unstable();
-                                    }
-                                }
-                            }
-                            caches.commit_path(0, SEGMENT_VTAG);
-                            segment_dirty = false;
-                        }
-                    }
-
-                    match s.event {
-                        StepEvent::Branch {
-                            pc,
-                            taken,
-                            taken_target,
-                            not_taken_target,
-                            ..
-                        } => {
-                            stats.dyn_branches += 1;
-                            let edge = Edge::from_taken(taken);
-                            btb.exercise(pc, edge);
-                            taken_cov.record(pc, edge);
-                            let nt_edge = edge.other();
-                            let hot = btb.edge_count(pc, nt_edge) >= px.counter_threshold;
-                            let random_admit = hot
-                                && px.random_factor.is_some_and(|n| {
-                                    spawn_rng ^= spawn_rng << 13;
-                                    spawn_rng ^= spawn_rng >> 7;
-                                    spawn_rng ^= spawn_rng << 17;
-                                    spawn_rng.is_multiple_of(u64::from(n))
-                                });
-                            if in_checker(pc) {
-                                stats.skipped_checker += 1;
-                            } else if vetoed(&static_veto, pc, nt_edge) {
-                                stats.skipped_static += 1;
-                            } else if hot && !random_admit {
-                                stats.skipped_hot += 1;
-                            } else if paths.len() as u32 >= px.max_outstanding {
-                                stats.skipped_outstanding += 1;
-                            } else {
-                                if random_admit {
-                                    stats.random_spawns += 1;
-                                }
-                                structural = true;
-                                btb.exercise(pc, nt_edge);
-                                nt_cov.record(pc, nt_edge);
-                                let nt_target = if taken {
-                                    not_taken_target
-                                } else {
-                                    taken_target
-                                };
-                                // Memo probe: a hit is admitted exactly like a
-                                // live path (id, core, sequencing, spawn
-                                // costs) but replays its recorded bundle.
-                                let hit = memo.as_deref_mut().and_then(|t| {
-                                    t.probe(pc, nt_target, &watches, &primary.regs, &memory)
-                                });
-                                admit_spawn(AdmitSpawn {
-                                    pc,
-                                    target: nt_target,
-                                    primary: &primary,
-                                    stats: &mut stats,
-                                    ready: &mut ready,
-                                    px,
-                                    mach,
-                                    io: &io,
-                                    watches: &watches,
-                                    pool: &mut pool,
-                                    paths: &mut paths,
-                                    hosted: &mut hosted,
-                                    core_busy: &mut core_busy,
-                                    next_id: &mut next_id,
-                                    next_seq: &mut next_seq,
-                                    spawn_epoch: &mut spawn_epoch,
-                                });
-                                if let Some(path) = paths.last_mut() {
-                                    match hit {
-                                        Some(entry) => {
-                                            path.replay = Some(Replay {
-                                                entry,
-                                                step: 0,
-                                                run_off: 0,
-                                            });
-                                        }
-                                        None => {
-                                            path.rec = memo.as_deref_mut().and_then(|t| {
-                                                t.should_record(pc, nt_target).then(|| {
-                                                    MemoRecorder::new(
-                                                        pc,
-                                                        nt_target,
-                                                        &watches,
-                                                        px.apply_fixes,
-                                                        t.max_reads(),
-                                                    )
-                                                })
-                                            });
-                                        }
-                                    }
-                                }
-                                if let Some((p, taken_trail, cov)) = &mut tracking {
-                                    if let Some(path) = paths.last_mut() {
-                                        // Fork the NT trail *at the branch*
-                                        // (before either successor block) and
-                                        // enter the redirected target; the
-                                        // uniform post-step entry below puts
-                                        // the architectural target on the
-                                        // taken trail.
-                                        let trail = path
-                                            .trail
-                                            .get_or_insert_with(|| PathTrail::for_plan(p));
-                                        trail.copy_from(taken_trail);
-                                        trail.enter_pc(p, cov, path.state.pc);
-                                    }
-                                }
-                            }
-                        }
-                        StepEvent::CheckFailed { kind, site, pc } => monitor.push(MonitorRecord {
-                            kind: RecordKind::Check(kind),
-                            site,
-                            pc,
-                            cycle: ready[0],
-                            path: PathKind::Taken,
-                        }),
-                        StepEvent::WatchHit {
-                            tag,
-                            addr,
-                            is_write,
-                            pc,
-                        } => monitor.push(MonitorRecord {
-                            kind: RecordKind::Watch {
-                                tag,
-                                addr,
-                                is_write,
-                            },
-                            site: tag,
-                            pc,
-                            cycle: ready[0],
-                            path: PathKind::Taken,
-                        }),
-                        StepEvent::Exit { code } => primary_done = Some(RunExit::Exited(code)),
-                        StepEvent::Crash { kind, .. } => {
-                            primary_done = Some(RunExit::Crashed(kind))
-                        }
-                        StepEvent::UnsafeEvent { .. } => {
-                            primary_done = Some(RunExit::EngineFault(SimError::Invariant(
-                                "primary never suppresses system calls",
-                            )));
-                        }
-                        StepEvent::Syscall { .. } | StepEvent::None => {}
-                    }
-                    // Control arrived at the primary's new pc, unless this
-                    // very step ended the program.
-                    if primary_done.is_none() {
-                        if let Some((p, taken_trail, cov)) = &mut tracking {
-                            taken_trail.enter_pc(p, cov, primary.pc);
-                        }
-                    }
-
-                    // When the last NT-path died earlier, the segment lines are no
-                    // longer speculative. The scan runs only when segment lines can
-                    // exist at all.
-                    if segment_dirty && paths.is_empty() {
-                        caches.commit_path(0, SEGMENT_VTAG);
+        let Some(idx) = who_path else {
+            // ---- Primary core: keep stepping while it keeps winning ----
+            //
+            // The primary wins the scan at ties, so it holds the slot while
+            // `ready[0]` stays at or below every hosted core's ready time.
+            // That bound is a constant for as long as no other core advances
+            // and the hosted set stays put, so the inner loop retires
+            // instruction after instruction against a fixed `deadline`
+            // instead of re-entering the scheduler per instruction — an
+            // identity transformation of the min-ready schedule. Any
+            // structural event (spawn, forced commit) edits the hosted set
+            // and breaks back out to a fresh scan.
+            let mut deadline = u64::MAX;
+            for &(_, c) in &cores.hosted {
+                deadline = deadline.min(ready[c]);
+            }
+            loop {
+                // Simple micro-ops are register-only: they raise no events,
+                // touch no memory or caches and contain no branches, so
+                // batching them is invisible to every other core — provided
+                // the batch covers only steps the scheduler would have
+                // granted to the primary anyway; `simple_steps_until` cuts
+                // the batch at the deadline.
+                let run_len = dp.simple_run(primary.pc);
+                if run_len > 0 {
+                    // A commit left pending by the last NT-path's death must
+                    // land here, exactly where the per-step epilogue would
+                    // have placed it: before the next cache access.
+                    if segment_dirty && cores.paths.is_empty() {
+                        run.caches.commit_path(0, SEGMENT_VTAG);
                         segment_dirty = false;
                     }
-                    if structural
-                        || primary_done.is_some()
-                        || instructions >= px.max_instructions
-                        || ready[0] > deadline
-                    {
+                    let max_n =
+                        u64::from(run_len).min(px.max_instructions - run.instructions) as u32;
+                    let pc0 = primary.pc;
+                    let clock = cores.ready[0];
+                    let n = simple_steps_until(dp, pc0, max_n, &run.cost_table, clock, deadline);
+                    if PROFILE {
+                        profile.record_batch(dp, pc0, n, &run.cost_table);
+                    }
+                    cores.ready[0] += run_simple(dp, &mut primary, n, &run.cost_table);
+                    run.taken_ran(pc0, n);
+                    if run.instructions >= px.max_instructions || cores.ready[0] > deadline {
                         break;
                     }
+                    continue;
                 }
-            }
-            // ---- NT-path on core `who`: keep stepping while it wins ----
-            //
-            // Selection tie-breaking is scan order (primary, then paths in
-            // table order): to keep winning, this core must stay strictly
-            // below everything scanned before it and at-or-below everything
-            // scanned after. That bound is a constant while only this core
-            // advances, so — exactly like the primary arm — the inner loop
-            // retires instructions against a fixed `deadline` and breaks out
-            // on the path's death (which edits the hosted set) or on losing
-            // the slot.
-            Some(idx) => {
-                let mut before = ready[0];
-                let mut after = u64::MAX;
-                for &(j, c) in &hosted {
-                    if j == idx {
-                        continue;
-                    }
-                    if j < idx {
-                        before = before.min(ready[c]);
+
+                // ---- Primary core step ----
+                run.taken_tick();
+                let profiled_kind = if PROFILE {
+                    dp.op(primary.pc).map(|u| u.kind)
+                } else {
+                    None
+                };
+                let s = {
+                    let mut env = StepEnv {
+                        io: &mut run.io,
+                        watches: &mut run.watches,
+                        suppress_syscalls: false,
+                        now_cycles: cores.ready[0],
+                        costs: &mach.costs,
+                        // The primary core is the containment reference:
+                        // never inject into it.
+                        fault: None,
+                    };
+                    let mut view = PrimaryView {
+                        memory: &mut run.memory,
+                        live: &mut cores.paths,
+                        cow_memo: &mut cow_memo,
+                        spawn_epoch: cores.spawn_epoch,
+                    };
+                    step_uop(program, dp, &mut primary, &mut view, &mut env)
+                };
+                if let Some(kind) = profiled_kind {
+                    profile.record(kind, s.base_cost);
+                }
+                cores.ready[0] += u64::from(s.base_cost);
+
+                // Set when this step edits the hosted set (spawn, forced
+                // commit): the inner loop's deadline is stale then.
+                let mut structural = false;
+                if let Some(access) = s.access {
+                    // Primary stores made while NT-paths are live are
+                    // speculative segment data (they still need their
+                    // sibling's squash token).
+                    let vtag = if access.write && !cores.paths.is_empty() {
+                        segment_dirty = true;
+                        SEGMENT_VTAG
                     } else {
-                        after = after.min(ready[c]);
+                        COMMITTED
+                    };
+                    let a = run.caches.access(0, access.addr, access.write, vtag);
+                    cores.ready[0] += u64::from(a.cycles);
+                    if a.volatile_evicted == Some(SEGMENT_VTAG) {
+                        // Forced commit: squash the oldest live NT-path,
+                        // commit the segment's lines.
+                        structural = true;
+                        if let Some(idx) = oldest_live(&cores.paths) {
+                            cores.retire(&mut run, idx, NtStop::ForcedCommit);
+                        }
+                        run.caches.commit_path(0, SEGMENT_VTAG);
+                        segment_dirty = false;
                     }
                 }
-                let deadline = before.saturating_sub(1).min(after);
-                if paths[idx].replay.is_some() {
-                    // ---- Memo replay on core `who` ----
-                    // Same deadline mathematics as the live arm below; cache
-                    // accesses, caps and overflow are recomputed against live
-                    // state in the recorded order (see `standard.rs`), so
-                    // every cycle lands where a real simulation would put it.
-                    loop {
-                        let (stop, lost) = replay_nt_step(
-                            dp,
-                            &mut paths[idx],
-                            who,
-                            &mut caches,
-                            &mut monitor,
-                            &mut nt_cov,
-                            &mut stats,
-                            px,
-                            mach,
-                            &cost_table,
-                            &mut ready[who],
-                            deadline,
-                            &mut instructions,
-                            tracking.as_mut().map(|(p, _, cov)| (*p, cov)),
-                        );
-                        if let Some(stop) = stop {
-                            let last = paths.len() - 1;
-                            let mut victim = paths.swap_remove(idx);
-                            hosted_after_swap_remove(&mut hosted, idx, last);
-                            finish_path(
-                                &mut victim,
-                                stop,
-                                &mut caches,
-                                &mut stats,
-                                &mut pool,
-                                memo.as_deref_mut(),
+
+                let full = cores.paths.len() as u32 >= px.max_outstanding;
+                match run.taken_event(s.event, &mut cores.ready[0], full) {
+                    Taken::Go => {}
+                    Taken::Exit(exit) => primary_done = Some(exit),
+                    Taken::Spawn { pc, target } => {
+                        structural = true;
+                        cores.admit(&mut run, pc, target, &primary);
+                    }
+                }
+                // Control arrived at the primary's new pc, unless this very
+                // step ended the program.
+                if primary_done.is_none() {
+                    run.taken_enter(primary.pc);
+                }
+
+                // When the last NT-path died earlier, the segment lines are
+                // no longer speculative. The scan runs only when segment
+                // lines can exist at all.
+                if segment_dirty && cores.paths.is_empty() {
+                    run.caches.commit_path(0, SEGMENT_VTAG);
+                    segment_dirty = false;
+                }
+                if structural
+                    || primary_done.is_some()
+                    || run.instructions >= px.max_instructions
+                    || cores.ready[0] > deadline
+                {
+                    break;
+                }
+            }
+            continue;
+        };
+
+        // ---- NT-path on core `who`: keep stepping while it wins ----
+        //
+        // Selection tie-breaking is scan order (primary, then paths in table
+        // order): to keep winning, this core must stay strictly below
+        // everything scanned before it and at-or-below everything scanned
+        // after. That bound is a constant while only this core advances, so
+        // — exactly like the primary arm — the inner loop retires
+        // instructions against a fixed `deadline` and breaks out on the
+        // path's death (which edits the hosted set) or on losing the slot.
+        // A replaying path takes the same grants: cache accesses, caps and
+        // overflow are recomputed against live state in the recorded order,
+        // so every cycle lands where a real simulation would put it.
+        let mut before = ready[0];
+        let mut after = u64::MAX;
+        for &(j, c) in &cores.hosted {
+            if j < idx {
+                before = before.min(ready[c]);
+            } else if j > idx {
+                after = after.min(ready[c]);
+            }
+        }
+        let deadline = before.saturating_sub(1).min(after);
+        loop {
+            let p = &mut cores.paths[idx];
+            let clock = &mut cores.ready[who];
+            let stop =
+                match run.advance(&mut p.ex, p.replay.as_mut(), &mut p.state, clock, deadline) {
+                    Grant::Ran { pc, n, stop } => {
+                        if PROFILE {
+                            profile.record_batch(dp, pc, n, &run.cost_table);
+                        }
+                        stop
+                    }
+                    Grant::One {
+                        base,
+                        next_pc,
+                        access,
+                        note,
+                    } => one(&mut run, p, who, clock, base, next_pc, access, note),
+                    Grant::Interpret => {
+                        // NT-paths run against their spawn-time clone of the
+                        // watch table (mutations must not leak; hits must still
+                        // fire); under the OS-sandbox extension their system
+                        // calls run against the path's I/O snapshot instead of
+                        // stopping the path.
+                        let now = *clock;
+                        p.ex.pre_step(dp, &p.state, &p.sandbox, &run.memory);
+                        let profiled_kind = if PROFILE {
+                            dp.op(p.state.pc).map(|u| u.kind)
+                        } else {
+                            None
+                        };
+                        let s = {
+                            let mut env = StepEnv {
+                                io: &mut p.scratch_io,
+                                watches: &mut p.scratch_watches,
+                                suppress_syscalls: !px.os_sandbox_unsafe,
+                                now_cycles: now,
+                                costs: &mach.costs,
+                                fault: run.fault.as_mut().map(|h| h as &mut dyn FaultHook),
+                            };
+                            let mut view = SandboxView::new(&run.memory, &mut p.sandbox);
+                            step_uop(program, dp, &mut p.state, &mut view, &mut env)
+                        };
+                        if let Some(kind) = profiled_kind {
+                            profile.record(kind, s.base_cost);
+                        }
+                        if let Some(action) = s.deferred {
+                            let path = PathKind::NtPath {
+                                spawn_pc: p.ex.spawn_pc,
+                            };
+                            apply_deferred(
+                                action,
+                                &mut run.caches,
+                                who,
+                                p.id,
+                                &mut run.monitor,
+                                now,
+                                path,
+                                p.state.pc,
                             );
-                            core_busy[who] = false;
-                            if let Some(started) =
-                                start_queued(&mut paths, &mut core_busy, &mut ready, who, mach)
-                            {
-                                hosted.push((started, who));
-                                hosted.sort_unstable();
-                            }
-                            break;
                         }
-                        if lost {
-                            break;
-                        }
+                        let (access, note) = run.interpreted(&mut p.ex, &s, &mut p.state.pc);
+                        let next_pc = p.state.pc;
+                        one(&mut run, p, who, clock, s.base_cost, next_pc, access, note)
                     }
-                    continue 'event_loop;
-                }
-                loop {
-                    if nt_batching {
-                        let run = dp.simple_run(paths[idx].state.pc);
-                        if run > 0 {
-                            let p = &mut paths[idx];
-                            let max_n = u64::from(run)
-                                .min(px.max_instructions - instructions)
-                                .min(px.nt_watchdog - u64::from(p.executed))
-                                .min(u64::from(px.max_nt_path_len.saturating_sub(p.executed)))
-                                as u32;
-                            if max_n > 0 {
-                                let n = simple_steps_until(
-                                    dp,
-                                    p.state.pc,
-                                    max_n,
-                                    &cost_table,
-                                    ready[who],
-                                    deadline,
-                                );
-                                if PROFILE {
-                                    profile.record_batch(dp, p.state.pc, n, &cost_table);
-                                }
-                                let pc0 = p.state.pc;
-                                if let Some(r) = p.rec.as_mut() {
-                                    r.note_run(dp, pc0, n, &p.state.regs);
-                                }
-                                ready[who] += run_simple(dp, &mut p.state, n, &cost_table);
-                                if let Some((plan, _, cov)) = &mut tracking {
-                                    if let Some(trail) = p.trail.as_mut() {
-                                        trail.enter_range(plan, cov, pc0, n);
-                                    }
-                                }
-                                instructions += u64::from(n);
-                                stats.nt_instructions += u64::from(n);
-                                p.executed += n;
-                                let stop = if u64::from(p.executed) >= px.nt_watchdog {
-                                    Some(NtStop::Watchdog)
-                                } else if p.executed >= px.max_nt_path_len {
-                                    Some(NtStop::MaxLength)
-                                } else {
-                                    None
-                                };
-                                if let Some(stop) = stop {
-                                    ready[who] += u64::from(mach.squash_cycles);
-                                    let last = paths.len() - 1;
-                                    let mut victim = paths.swap_remove(idx);
-                                    hosted_after_swap_remove(&mut hosted, idx, last);
-                                    finish_path(
-                                        &mut victim,
-                                        stop,
-                                        &mut caches,
-                                        &mut stats,
-                                        &mut pool,
-                                        memo.as_deref_mut(),
-                                    );
-                                    core_busy[who] = false;
-                                    if let Some(started) = start_queued(
-                                        &mut paths,
-                                        &mut core_busy,
-                                        &mut ready,
-                                        who,
-                                        mach,
-                                    ) {
-                                        hosted.push((started, who));
-                                        hosted.sort_unstable();
-                                    }
-                                    break;
-                                }
-                                if n < run
-                                    || instructions >= px.max_instructions
-                                    || ready[who] > deadline
-                                {
-                                    break;
-                                }
-                                continue;
-                            }
-                        }
-                    }
-
-                    instructions += 1;
-                    let (stop, cost) = step_nt_path::<PROFILE>(
-                        program,
-                        dp,
-                        &mut paths[idx],
-                        who,
-                        &memory,
-                        &mut caches,
-                        &mut monitor,
-                        &mut btb,
-                        &mut nt_cov,
-                        &mut stats,
-                        px,
-                        mach,
-                        ready[who],
-                        fault.as_mut().map(|h| h as &mut dyn FaultHook),
-                        static_veto.as_deref(),
-                        profile,
-                        tracking.as_mut().map(|(p, _, cov)| (*p, cov)),
-                    );
-                    ready[who] += u64::from(cost);
-                    stats.nt_instructions += 1;
-                    if let Some(stop) = stop {
-                        let last = paths.len() - 1;
-                        let mut victim = paths.swap_remove(idx);
-                        hosted_after_swap_remove(&mut hosted, idx, last);
-                        finish_path(
-                            &mut victim,
-                            stop,
-                            &mut caches,
-                            &mut stats,
-                            &mut pool,
-                            memo.as_deref_mut(),
-                        );
-                        core_busy[who] = false;
-                        if let Some(started) =
-                            start_queued(&mut paths, &mut core_busy, &mut ready, who, mach)
-                        {
-                            hosted.push((started, who));
-                            hosted.sort_unstable();
-                        }
-                        break;
-                    }
-                    if instructions >= px.max_instructions || ready[who] > deadline {
-                        break;
-                    }
-                }
+                };
+            if let Some(stop) = stop {
+                cores.ready[who] += u64::from(mach.squash_cycles);
+                cores.retire(&mut run, idx, stop);
+                break;
+            }
+            if run.instructions >= px.max_instructions || cores.ready[who] > deadline {
+                break;
             }
         }
-    }
-
-    let exit = primary_done.unwrap_or(RunExit::EngineFault(SimError::Invariant(
-        "loop exits only when done",
-    )));
-    if let Some(h) = &fault {
-        stats.faults_injected = h.fired;
-    }
-    let mut total_coverage = taken_cov.clone();
-    let exit = match total_coverage.merge(&nt_cov) {
-        Ok(()) => exit,
-        Err(e) => RunExit::EngineFault(e),
     };
-    PxRunResult {
-        exit,
-        cycles: ready[0],
-        taken_coverage: taken_cov,
-        total_coverage,
-        monitor,
-        io,
-        memory,
-        core: primary,
-        stats,
-        path_coverage: tracking.map(|(_, _, cov)| cov),
-    }
+    run.finish(exit, cores.ready[0], primary)
 }
 
-/// Updates the hosted-core list after `paths.swap_remove(removed)`: drops
-/// the removed path's entry (if hosted) and re-points the entry of the path
-/// that moved from index `last` into the hole, restoring path-index order.
-fn hosted_after_swap_remove(hosted: &mut Vec<(usize, usize)>, removed: usize, last: usize) {
-    hosted.retain(|&(i, _)| i != removed);
-    if removed != last {
-        for e in hosted.iter_mut() {
-            if e.0 == last {
-                e.0 = removed;
+/// Applies one non-simple NT step of path `p` on core `core`, interpreted
+/// or replayed, under the CMP conventions: monitor records carry the NT
+/// core's pre-step clock, and every step counts toward `executed`,
+/// including one that stops the path on its own event.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn one(
+    run: &mut Run<'_>,
+    p: &mut NtPath,
+    core: usize,
+    clock: &mut u64,
+    base: u32,
+    next_pc: u32,
+    access: Option<(u32, bool)>,
+    note: MemoNote,
+) -> Option<NtStop> {
+    let (cost, overflow) = run.nt_access(core, p.id, access);
+    let event = run.effects(&mut p.ex, note, next_pc, *clock);
+    *clock += u64::from(base) + u64::from(cost);
+    run.stats.nt_instructions += 1;
+    p.ex.executed += 1;
+    nt::stop(run.px, event, overflow, p.ex.executed)
+}
+
+impl Cores {
+    /// Admits a new NT-path: checkpoints the primary, allocates an id,
+    /// recycles a pooled context (or builds a fresh one), and hosts the
+    /// path on an idle core if any. Kept out of the hot primary-step loop
+    /// (`#[inline(never)]`) so its considerable frame — checkpoint copy,
+    /// pool bookkeeping — does not inflate the loop's register pressure;
+    /// spawns are rare relative to steps.
+    #[inline(never)]
+    fn admit(&mut self, run: &mut Run<'_>, pc: u32, target: u32, primary: &CoreState) {
+        let (sandbox, scratch_watches, trail) = match self.pool.pop() {
+            Some((mut sb, mut wt, trail)) => {
+                sb.clear();
+                wt.copy_from(&run.watches);
+                (sb, wt, trail)
             }
+            None => (Sandbox::new(), run.watches.clone(), None),
+        };
+        let (ex, replay) = run.spawn(pc, target, &primary.regs, trail);
+        let mut state = Checkpoint::take(primary).state();
+        state.pc = target;
+        state.pred = run.px.apply_fixes;
+        let id = self.next_id;
+        self.next_id = if id >= SEGMENT_VTAG - 1 { 1 } else { id + 1 };
+        let scratch_io = if run.px.os_sandbox_unsafe {
+            run.io.clone()
+        } else {
+            IoState::default()
+        };
+        let core = (1..self.busy.len()).find(|&c| !self.busy[c]);
+        if let Some(c) = core {
+            self.busy[c] = true;
+            // The register copy lands when the primary issued it; the idle
+            // core can start then.
+            self.ready[c] = self.ready[c].max(self.ready[0]);
+            // Appending the highest path index keeps `hosted` sorted.
+            self.hosted.push((self.paths.len(), c));
         }
-        hosted.sort_unstable();
+        self.paths.push(NtPath {
+            id,
+            core,
+            state,
+            sandbox,
+            scratch_io,
+            scratch_watches,
+            seq: self.next_seq,
+            ex,
+            replay,
+        });
+        self.next_seq += 1;
+        self.spawn_epoch += 1;
+    }
+
+    /// Squashes path `idx` with `stop` and hands its core, if any, to the
+    /// oldest queued path.
+    fn retire(&mut self, run: &mut Run<'_>, idx: usize, stop: NtStop) {
+        let last = self.paths.len() - 1;
+        let p = self.paths.swap_remove(idx);
+        // Drop the removed path's entry and re-point the entry of the path
+        // that moved from `last` into the hole, restoring path-index order.
+        self.hosted.retain(|&(i, _)| i != idx);
+        if idx != last {
+            for e in &mut self.hosted {
+                if e.0 == last {
+                    e.0 = idx;
+                }
+            }
+            self.hosted.sort_unstable();
+        }
+        let core = p.core;
+        finish(run, &mut self.pool, p, stop);
+        let Some(c) = core else {
+            return;
+        };
+        self.busy[c] = false;
+        let queued = self
+            .paths
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.core.is_none())
+            .min_by_key(|(_, p)| p.seq)
+            .map(|(i, _)| i);
+        if let Some(i) = queued {
+            self.paths[i].core = Some(c);
+            self.busy[c] = true;
+            // Register copy onto the freed core.
+            self.ready[c] += u64::from(run.mach.spawn_cycles);
+            self.hosted.push((i, c));
+            self.hosted.sort_unstable();
+        }
     }
 }
 
-/// Everything the spawn path needs from `run_cmp_inner`'s locals. Bundled in
-/// a struct so the call site stays one expression.
-struct AdmitSpawn<'a> {
-    pc: u32,
-    /// The not-taken target the new path starts from.
-    target: u32,
-    primary: &'a CoreState,
-    stats: &'a mut PxStats,
-    ready: &'a mut Vec<u64>,
-    px: &'a PxConfig,
-    mach: &'a MachConfig,
-    io: &'a IoState,
-    watches: &'a WatchTable,
-    pool: &'a mut Vec<(Sandbox, WatchTable)>,
-    paths: &'a mut Vec<NtPath>,
-    hosted: &'a mut Vec<(usize, usize)>,
-    core_busy: &'a mut Vec<bool>,
-    next_id: &'a mut u8,
-    next_seq: &'a mut u64,
-    spawn_epoch: &'a mut u64,
-}
-
-/// Admits a new NT-path: checkpoints the primary, allocates an id, recycles
-/// a pooled context (or builds a fresh one), and hosts the path on an idle
-/// core if any. Kept out of the hot primary-step loop (`#[inline(never)]`)
-/// so its considerable frame — checkpoint copy, pool bookkeeping — does not
-/// inflate the loop's register pressure; spawns are rare relative to steps.
-#[inline(never)]
-fn admit_spawn(s: AdmitSpawn<'_>) {
-    s.stats.spawns += 1;
-    s.ready[0] += u64::from(s.mach.spawn_cycles);
-    let mut state = Checkpoint::take(s.primary).state();
-    state.pc = s.target;
-    state.pred = s.px.apply_fixes;
-    let id = *s.next_id;
-    *s.next_id = if *s.next_id >= SEGMENT_VTAG - 1 {
-        1
-    } else {
-        *s.next_id + 1
-    };
-    let scratch_io = if s.px.os_sandbox_unsafe {
-        s.io.clone()
-    } else {
-        IoState::default()
-    };
-    // Recycle a squashed path's context when one exists: `clear` stales the
-    // sandbox's pages in O(1) and `copy_from` reuses the watch vectors'
-    // allocations.
-    let (sandbox, scratch_watches) = match s.pool.pop() {
-        Some((mut sb, mut wt)) => {
-            sb.clear();
-            wt.copy_from(s.watches);
-            (sb, wt)
-        }
-        None => (Sandbox::new(), s.watches.clone()),
-    };
-    let mut path = NtPath {
-        id,
-        spawn_pc: s.pc,
-        executed: 0,
-        core: None,
-        state,
-        sandbox,
-        scratch_io,
-        scratch_watches,
-        seq: *s.next_seq,
-        trail: None,
-        rec: None,
-        replay: None,
-    };
-    *s.next_seq += 1;
-    if let Some(c) = (1..s.mach.cores).find(|&c| !s.core_busy[c]) {
-        s.core_busy[c] = true;
-        path.core = Some(c);
-        // The register copy lands when the primary issued it; the idle core
-        // can start then.
-        s.ready[c] = s.ready[c].max(s.ready[0]);
-    }
-    if let Some(c) = path.core {
-        // Appending the highest path index keeps `hosted` sorted.
-        s.hosted.push((s.paths.len(), c));
-    }
-    s.paths.push(path);
-    *s.spawn_epoch += 1;
+/// Ends path `p` and returns its context to the spawn pool as-is (its
+/// pages are staled by the O(1) `clear` on reuse).
+fn finish(run: &mut Run<'_>, pool: &mut Vec<Spare>, p: NtPath, stop: NtStop) {
+    let trail = run.end(p.ex, stop, p.core.map(|c| (c, p.id)));
+    pool.push((p.sandbox, p.scratch_watches, trail));
 }
 
 fn oldest_live(paths: &[NtPath]) -> Option<usize> {
@@ -1125,455 +704,6 @@ fn oldest_live(paths: &[NtPath]) -> Option<usize> {
         .filter(|(_, p)| p.core.is_some())
         .min_by_key(|(_, p)| p.seq)
         .map(|(i, _)| i)
-}
-
-/// Starts the oldest queued path on `freed_core`, returning its index in the
-/// path table so callers can update the `path_cores` mirror.
-fn start_queued(
-    paths: &mut [NtPath],
-    core_busy: &mut [bool],
-    ready: &mut [u64],
-    freed_core: usize,
-    mach: &MachConfig,
-) -> Option<usize> {
-    let idx = paths
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.core.is_none())
-        .min_by_key(|(_, p)| p.seq)
-        .map(|(i, _)| i)?;
-    paths[idx].core = Some(freed_core);
-    core_busy[freed_core] = true;
-    // Register copy onto the freed core.
-    ready[freed_core] += u64::from(mach.spawn_cycles);
-    Some(idx)
-}
-
-fn finish_path(
-    path: &mut NtPath,
-    stop: NtStop,
-    caches: &mut Hierarchy,
-    stats: &mut PxStats,
-    pool: &mut Vec<(Sandbox, WatchTable)>,
-    memo: Option<&mut MemoTable>,
-) {
-    if let Some(c) = path.core {
-        caches.squash_path(c, path.id);
-    }
-    // Store the recorded bundle (or charge a bypass) before the context is
-    // recycled; replayed and unrecorded paths carry no recorder.
-    if let Some(rec) = path.rec.take() {
-        if let Some(t) = memo {
-            match stop.as_memo() {
-                Some(ms) => match rec.finish(path.executed, ms) {
-                    Some(e) => t.store(e),
-                    None => t.bypass(),
-                },
-                None => t.bypass(),
-            }
-        }
-    }
-    // The sandbox is returned to the spawn pool as-is (its pages are staled
-    // by the O(1) `clear` on reuse), along with the scratch watch table.
-    pool.push((
-        std::mem::take(&mut path.sandbox),
-        std::mem::take(&mut path.scratch_watches),
-    ));
-    stats.paths.push(NtPathRecord {
-        spawn_pc: path.spawn_pc,
-        executed: path.executed,
-        stop,
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn step_nt_path<const PROFILE: bool>(
-    program: &Program,
-    dp: &DecodedProgram,
-    path: &mut NtPath,
-    core: usize,
-    memory: &Memory,
-    caches: &mut Hierarchy,
-    monitor: &mut MonitorArea,
-    btb: &mut Btb,
-    nt_cov: &mut Coverage,
-    stats: &mut PxStats,
-    px: &PxConfig,
-    mach: &MachConfig,
-    now: u64,
-    fault: Option<&mut dyn FaultHook>,
-    static_veto: Option<&[[bool; 2]]>,
-    profile: &mut UopProfile,
-    tracking: Option<(&PathPlan, &mut PathCoverage)>,
-) -> (Option<NtStop>, u32) {
-    // NT-paths run against their spawn-time clone of the watch table
-    // (mutations must not leak; hits must still fire); under the OS-sandbox
-    // extension their system calls run against the path's I/O snapshot
-    // instead of stopping the path.
-    let mut env = StepEnv {
-        io: &mut path.scratch_io,
-        watches: &mut path.scratch_watches,
-        suppress_syscalls: !px.os_sandbox_unsafe,
-        now_cycles: now,
-        costs: &mach.costs,
-        fault,
-    };
-    let profiled_kind = if PROFILE {
-        dp.op(path.state.pc).map(|u| u.kind)
-    } else {
-        None
-    };
-    if let Some(r) = path.rec.as_mut() {
-        // Pre-step live-ins (see `standard.rs`): unwritten registers still
-        // hold spawn values; loads record the committed bytes they are
-        // about to read.
-        if let Some(u) = dp.op(path.state.pc) {
-            r.note_uop(u, &path.state.regs, &path.sandbox, memory);
-        }
-    }
-    let s = {
-        let mut view = SandboxView::new(memory, &mut path.sandbox);
-        step_uop(program, dp, &mut path.state, &mut view, &mut env)
-    };
-    if let Some(kind) = profiled_kind {
-        profile.record(kind, s.base_cost);
-    }
-    let mut cost = s.base_cost;
-    if let Some(action) = s.deferred {
-        apply_deferred(
-            action,
-            caches,
-            core,
-            path.id,
-            monitor,
-            now,
-            PathKind::NtPath {
-                spawn_pc: path.spawn_pc,
-            },
-            path.state.pc,
-        );
-    }
-    let mut overflow = false;
-    if let Some(access) = s.access {
-        if access.write {
-            stats.nt_writes += 1;
-        }
-        let vtag = if access.write { path.id } else { COMMITTED };
-        let a = caches.access(core, access.addr, access.write, vtag);
-        cost += a.cycles;
-        if a.volatile_evicted == Some(path.id) {
-            overflow = true;
-        }
-    }
-    path.executed += 1;
-
-    if let Some(r) = path.rec.as_mut() {
-        let note = match s.event {
-            StepEvent::Branch { pc, taken, .. } => MemoNote::Branch { pc, taken },
-            StepEvent::CheckFailed { kind, site, pc } => MemoNote::Check { kind, site, pc },
-            StepEvent::WatchHit {
-                tag,
-                addr,
-                is_write,
-                pc,
-            } => MemoNote::Watch {
-                tag,
-                addr,
-                is_write,
-                pc,
-            },
-            StepEvent::UnsafeEvent { code } => MemoNote::Stop(if code == SyscallCode::Exit {
-                px_mach::MemoStop::ProgramEnd
-            } else {
-                px_mach::MemoStop::Unsafe(code)
-            }),
-            StepEvent::Crash { kind, .. } => MemoNote::Stop(px_mach::MemoStop::Crash(kind)),
-            StepEvent::Exit { .. } => MemoNote::Stop(px_mach::MemoStop::ProgramEnd),
-            StepEvent::Syscall { .. } | StepEvent::None => MemoNote::None,
-        };
-        r.push_one(
-            s.base_cost,
-            path.state.pc,
-            s.access.map(|a| (a.addr, a.write)),
-            note,
-        );
-    }
-
-    let stop = match s.event {
-        StepEvent::Branch {
-            pc,
-            taken,
-            taken_target,
-            not_taken_target,
-            ..
-        } => {
-            stats.dyn_branches += 1;
-            let edge = Edge::from_taken(taken);
-            nt_cov.record(pc, edge);
-            if px.explore_nt_from_nt {
-                let other = edge.other();
-                if btb.edge_count(pc, other) < px.counter_threshold
-                    && dp.op(pc).is_none_or(|u| u.a & MicroOp::BR_IN_CHECKER == 0)
-                    && !static_veto.is_some_and(|m| {
-                        m.get(pc as usize)
-                            .is_some_and(|e| e[usize::from(other == Edge::NotTaken)])
-                    })
-                {
-                    btb.exercise(pc, other);
-                    nt_cov.record(pc, other);
-                    path.state.pc = if taken {
-                        not_taken_target
-                    } else {
-                        taken_target
-                    };
-                }
-            }
-            None
-        }
-        StepEvent::CheckFailed { kind, site, pc } => {
-            monitor.push(MonitorRecord {
-                kind: RecordKind::Check(kind),
-                site,
-                pc,
-                cycle: now,
-                path: PathKind::NtPath {
-                    spawn_pc: path.spawn_pc,
-                },
-            });
-            None
-        }
-        StepEvent::WatchHit {
-            tag,
-            addr,
-            is_write,
-            pc,
-        } => {
-            monitor.push(MonitorRecord {
-                kind: RecordKind::Watch {
-                    tag,
-                    addr,
-                    is_write,
-                },
-                site: tag,
-                pc,
-                cycle: now,
-                path: PathKind::NtPath {
-                    spawn_pc: path.spawn_pc,
-                },
-            });
-            None
-        }
-        StepEvent::UnsafeEvent { code } => Some(if code == SyscallCode::Exit {
-            NtStop::ProgramEnd
-        } else {
-            NtStop::Unsafe(code)
-        }),
-        StepEvent::Crash { kind, .. } => Some(NtStop::Crash(kind)),
-        StepEvent::Exit { .. } => Some(NtStop::ProgramEnd),
-        StepEvent::Syscall { .. } => {
-            stats.nt_syscalls_sandboxed += 1;
-            None
-        }
-        StepEvent::None => None,
-    };
-    // Control arrived at the path's new pc unless the step itself stopped it
-    // (crash, unsafe event, program end); length- and overflow-stops below
-    // still count the entry, mirroring the standard engine.
-    if stop.is_none() {
-        if let Some((p, cov)) = tracking {
-            if let Some(trail) = path.trail.as_mut() {
-                trail.enter_pc(p, cov, path.state.pc);
-            }
-        }
-    }
-    let stop = stop.or({
-        if overflow {
-            Some(NtStop::SandboxOverflow)
-        } else if u64::from(path.executed) >= px.nt_watchdog {
-            Some(NtStop::Watchdog)
-        } else if path.executed >= px.max_nt_path_len {
-            Some(NtStop::MaxLength)
-        } else {
-            None
-        }
-    });
-    if stop.is_some() {
-        cost += mach.squash_cycles;
-    }
-    (stop, cost)
-}
-
-/// One replay grant on core `core`: applies the path's next recorded step —
-/// or the scheduler-granted chunk of a batched run — against live caches,
-/// caps and budget. Mirrors the live arm exactly: the batch grant is cut by
-/// the same `deadline`, monitor records are stamped with the pre-step clock,
-/// `executed` ticks before the stop checks, and a squash is charged on
-/// death. Returns the stop (when the path dies here) and whether the slot
-/// loop must hand back to the scheduler.
-#[allow(clippy::too_many_arguments)]
-fn replay_nt_step(
-    dp: &DecodedProgram,
-    path: &mut NtPath,
-    core: usize,
-    caches: &mut Hierarchy,
-    monitor: &mut MonitorArea,
-    nt_cov: &mut Coverage,
-    stats: &mut PxStats,
-    px: &PxConfig,
-    mach: &MachConfig,
-    cost_table: &[u32; UOP_KIND_COUNT],
-    ready: &mut u64,
-    deadline: u64,
-    instructions: &mut u64,
-    tracking: Option<(&PathPlan, &mut PathCoverage)>,
-) -> (Option<NtStop>, bool) {
-    let r = path.replay.as_mut().expect("replay paths only");
-    let step = r.entry.steps.get(r.step).copied();
-    match step {
-        None => {
-            // Unreachable: every stored bundle ends on a stop, and the caps
-            // that could pre-empt it are part of the fingerprint. Kept as a
-            // defensive stop so a logic error cannot wedge the scheduler.
-            debug_assert!(false, "recorded bundles end on a stop");
-            *ready += u64::from(mach.squash_cycles);
-            (Some(NtStop::from_memo(r.entry.stop)), true)
-        }
-        Some(MemoStep::Run { pc, n: total }) => {
-            let pc0 = pc + r.run_off;
-            let run = dp.simple_run(pc0);
-            debug_assert!(run > 0, "recorded runs cover only simple micro-ops");
-            // Identical to the live arm's `max_n`: the cursor bound binds
-            // only when a cap would bind at the same count (a run ends at a
-            // non-simple op or at the path's recorded death).
-            let max_n = u64::from(run)
-                .min(u64::from(total - r.run_off))
-                .min(px.max_instructions - *instructions)
-                .min(px.nt_watchdog - u64::from(path.executed))
-                .min(u64::from(px.max_nt_path_len.saturating_sub(path.executed)))
-                as u32;
-            let (n, cost) = simple_cost_until(dp, pc0, max_n, cost_table, *ready, deadline);
-            *ready += cost;
-            if let Some((plan, cov)) = tracking {
-                if let Some(trail) = path.trail.as_mut() {
-                    trail.enter_range(plan, cov, pc0, n);
-                }
-            }
-            *instructions += u64::from(n);
-            stats.nt_instructions += u64::from(n);
-            path.executed += n;
-            r.run_off += n;
-            if r.run_off == total {
-                r.step += 1;
-                r.run_off = 0;
-            }
-            if u64::from(path.executed) >= px.nt_watchdog {
-                *ready += u64::from(mach.squash_cycles);
-                (Some(NtStop::Watchdog), true)
-            } else if path.executed >= px.max_nt_path_len {
-                *ready += u64::from(mach.squash_cycles);
-                (Some(NtStop::MaxLength), true)
-            } else {
-                (
-                    None,
-                    n < run || *instructions >= px.max_instructions || *ready > deadline,
-                )
-            }
-        }
-        Some(MemoStep::One {
-            base,
-            next_pc,
-            access,
-            note,
-        }) => {
-            *instructions += 1;
-            let now = *ready;
-            let mut cost = base;
-            let mut overflow = false;
-            if let Some((addr, write)) = access {
-                if write {
-                    stats.nt_writes += 1;
-                }
-                let vtag = if write { path.id } else { COMMITTED };
-                let a = caches.access(core, addr, write, vtag);
-                cost += a.cycles;
-                if a.volatile_evicted == Some(path.id) {
-                    overflow = true;
-                }
-            }
-            path.executed += 1;
-            let nt_kind = PathKind::NtPath {
-                spawn_pc: path.spawn_pc,
-            };
-            let mut stop = match note {
-                MemoNote::None => None,
-                MemoNote::Branch { pc, taken } => {
-                    stats.dyn_branches += 1;
-                    nt_cov.record(pc, Edge::from_taken(taken));
-                    None
-                }
-                MemoNote::Check { kind, site, pc } => {
-                    monitor.push(MonitorRecord {
-                        kind: RecordKind::Check(kind),
-                        site,
-                        pc,
-                        cycle: now,
-                        path: nt_kind,
-                    });
-                    None
-                }
-                MemoNote::Watch {
-                    tag,
-                    addr,
-                    is_write,
-                    pc,
-                } => {
-                    monitor.push(MonitorRecord {
-                        kind: RecordKind::Watch {
-                            tag,
-                            addr,
-                            is_write,
-                        },
-                        site: tag,
-                        pc,
-                        cycle: now,
-                        path: nt_kind,
-                    });
-                    None
-                }
-                MemoNote::Stop(ms) => Some(NtStop::from_memo(ms)),
-            };
-            if stop.is_none() {
-                if let Some((plan, cov)) = tracking {
-                    if let Some(trail) = path.trail.as_mut() {
-                        trail.enter_pc(plan, cov, next_pc);
-                    }
-                }
-            }
-            stop = stop.or(if overflow {
-                Some(NtStop::SandboxOverflow)
-            } else if u64::from(path.executed) >= px.nt_watchdog {
-                Some(NtStop::Watchdog)
-            } else if path.executed >= px.max_nt_path_len {
-                Some(NtStop::MaxLength)
-            } else {
-                None
-            });
-            r.step += 1;
-            if stop.is_some() {
-                cost += mach.squash_cycles;
-            }
-            *ready += u64::from(cost);
-            stats.nt_instructions += 1;
-            match stop {
-                Some(_) => (stop, true),
-                None => (
-                    None,
-                    *instructions >= px.max_instructions || *ready > deadline,
-                ),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! NT-path is stepping — faults land *inside* the sandbox, so the containment
 //! checker ([`crate::contain`]) can compare the committed state against a
 //! plain, un-faulted baseline run. Core-level faults are applied by
-//! [`px_mach::step`] itself; cache-level faults come back via
+//! [`px_mach::step_uop`] itself; cache-level faults come back via
 //! [`Step::deferred`](px_mach::Step) and are applied here.
 
 use px_mach::{
@@ -73,7 +73,7 @@ pub(crate) fn apply_deferred(
                 });
             }
         }
-        // Core-level faults were already applied inside `step`.
+        // Core-level faults were already applied inside `step_uop`.
         FaultAction::FlipMemBit { .. }
         | FaultAction::ForceCrash { .. }
         | FaultAction::RedirectBack { .. }

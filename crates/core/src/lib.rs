@@ -59,6 +59,7 @@ pub mod config;
 pub mod contain;
 pub mod feasibility;
 mod inject;
+mod nt;
 pub mod standard;
 pub mod stats;
 
@@ -78,7 +79,7 @@ pub use stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
 pub use px_mach::MemoTable;
 
 use px_analyze::PrimePathSet;
-use px_isa::{DecodedProgram, Program};
+use px_isa::Program;
 use px_mach::{FaultHook, IoState, MachConfig, PathPlan, SimError};
 
 /// Converts an enumerated [`PrimePathSet`] into the plain-data
@@ -113,23 +114,6 @@ pub fn plan_paths(set: &PrimePathSet) -> Result<PathPlan, SimError> {
 #[must_use]
 pub fn run(program: &Program, mach: &MachConfig, px: &PxConfig, io: IoState) -> PxRunResult {
     run_with(program, mach, px, io, None)
-}
-
-/// [`run`] against a pre-decoded program; `dp` must be the decode of
-/// `program`. Architecturally identical to [`run`] — see
-/// [`run_standard_decoded`] / [`run_cmp_decoded`].
-#[must_use]
-pub fn run_decoded(
-    program: &Program,
-    dp: &DecodedProgram,
-    mach: &MachConfig,
-    px: &PxConfig,
-    io: IoState,
-) -> PxRunResult {
-    match px.mode {
-        Mode::Standard => run_standard_decoded(program, dp, mach, px, io),
-        Mode::Cmp => run_cmp_decoded(program, dp, mach, px, io),
-    }
 }
 
 /// [`run`] with an optional fault injector (see [`run_standard_with`] /

@@ -1,0 +1,873 @@
+//! The NT-path excursion both engines share.
+//!
+//! The standard configuration (§4.2) runs an NT-path inline on the one
+//! core; the CMP optimisation (§4.3) runs it on an idle core. The lifecycle
+//! is the same — exercise-counter selection, sandboxed execution, stop on
+//! MaxNTPathLength, crash, unsafe event or overflow, squash — and this
+//! module owns every part of it the engines do identically: run set-up and
+//! result assembly ([`Run`]), spawn admission, the memo probe / record /
+//! store glue, a step's sandboxed cache traffic and coverage/monitor
+//! effects, stop precedence, and memo replay ([`Run::advance`]).
+//!
+//! Helpers take values — a core index, a volatile tag, the clock to charge
+//! or stamp, a scheduling deadline — never an engine identity. The
+//! conventions in which the engines differ stay in the engines (DESIGN.md
+//! §14): which clock stamps an NT monitor record, whether a step that stops
+//! the path on its own event counts toward `executed`, the watch table an
+//! NT-path runs against, and where squash cycles are charged.
+//!
+//! The per-step helpers are `#[inline(always)]`: left to the inliner,
+//! `advance` stayed out of line and the standard engine's replay loop ran
+//! about 1.5x slower per instruction on `nt-heavy`.
+
+use std::sync::Arc;
+
+use px_isa::{DecodedProgram, MicroOp, Program, UOP_KIND_COUNT};
+use px_mach::{
+    memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, uop_cost_table, Btb,
+    CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig, MemoEntry, MemoNote,
+    MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord, PathCoverage, PathKind,
+    PathPlan, PathTrail, RecordKind, Regs, RunExit, Sandbox, SimError, Step, StepEvent, WatchTable,
+    COMMITTED, MAX_MEM_BYTES,
+};
+
+use crate::config::PxConfig;
+use crate::inject::CountingHook;
+use crate::stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
+
+/// The result of a run that could not start.
+pub(crate) fn engine_fault(program: &Program, e: SimError, io: IoState) -> PxRunResult {
+    PxRunResult {
+        exit: RunExit::EngineFault(e),
+        cycles: 0,
+        taken_coverage: Coverage::for_program(program),
+        total_coverage: Coverage::for_program(program),
+        monitor: MonitorArea::new(),
+        io,
+        memory: Memory::new(0),
+        core: CoreState::default(),
+        stats: PxStats::default(),
+        path_coverage: None,
+    }
+}
+
+/// An empty memo table bound to `program` + configuration under an
+/// engine's memo tag (the engines count `executed` differently on
+/// event-terminated steps, so their bundles must never mix).
+pub(crate) fn memo_table(
+    program: &Program,
+    mach: &MachConfig,
+    px: &PxConfig,
+    tag: u8,
+) -> MemoTable {
+    MemoTable::new(fingerprint(program, mach, px, tag), px.nt_memo_max_reads)
+}
+
+fn fingerprint(program: &Program, mach: &MachConfig, px: &PxConfig, tag: u8) -> u64 {
+    memo_fingerprint(
+        &program.code,
+        px.max_nt_path_len,
+        px.nt_watchdog,
+        px.apply_fixes,
+        &mach.costs,
+        tag,
+    )
+}
+
+/// The run's memo table: none, one owned by the run, or the caller's.
+enum Memo<'a> {
+    Off,
+    Own(MemoTable),
+    Shared(&'a mut MemoTable),
+}
+
+impl Memo<'_> {
+    fn table(&mut self) -> Option<&mut MemoTable> {
+        match self {
+            Memo::Off => None,
+            Memo::Own(t) => Some(t),
+            Memo::Shared(t) => Some(t),
+        }
+    }
+}
+
+/// Prime-path tracking (opt-in, purely observational): the taken trail,
+/// plus the coverage every trail records into. Each NT-path carries its own
+/// trail, forked from the taken trail at spawn.
+struct Tracking<'a> {
+    plan: &'a PathPlan,
+    cov: PathCoverage,
+    taken: PathTrail,
+}
+
+/// Everything a run owns apart from the engine's cores and schedule.
+pub(crate) struct Run<'a> {
+    pub dp: &'a DecodedProgram,
+    pub mach: &'a MachConfig,
+    pub px: &'a PxConfig,
+    pub cost_table: [u32; UOP_KIND_COUNT],
+    pub memory: Memory,
+    pub io: IoState,
+    pub caches: Hierarchy,
+    pub btb: Btb,
+    /// The committed watch table.
+    pub watches: WatchTable,
+    pub monitor: MonitorArea,
+    pub stats: PxStats,
+    pub fault: Option<CountingHook<'a>>,
+    /// Instructions retired on every path, against `px.max_instructions`.
+    pub instructions: u64,
+    taken_cov: Coverage,
+    nt_cov: Coverage,
+    tracking: Option<Tracking<'a>>,
+    taken_since_reset: u64,
+    memo: Memo<'a>,
+    /// Static NT-spawn veto mask, precomputed once per run (the analysis
+    /// is pure; `None` keeps the paper's dynamic-only selection).
+    static_veto: Option<Vec<[bool; 2]>>,
+    /// Deterministic source for the §7.1(2) random spawn factor.
+    spawn_rng: u64,
+}
+
+/// What one interpreted taken-path step asks of the engine.
+pub(crate) enum Taken {
+    Go,
+    /// An NT-path was admitted at the branch at `pc`; it starts at `target`.
+    Spawn {
+        pc: u32,
+        target: u32,
+    },
+    Exit(RunExit),
+}
+
+/// One NT-path's lifecycle state.
+pub(crate) struct Excursion {
+    pub spawn_pc: u32,
+    pub executed: u32,
+    /// Memo recorder (live paths under an active memo only).
+    rec: Option<MemoRecorder>,
+    trail: Option<PathTrail>,
+}
+
+/// A memo hit's position in its recorded bundle: the next step, plus how
+/// far into the current batched run earlier grants already got.
+pub(crate) struct Replay {
+    entry: Arc<MemoEntry>,
+    step: usize,
+    run_off: u32,
+}
+
+/// One grant of [`Run::advance`].
+pub(crate) enum Grant {
+    /// A batch of `n` simple micro-ops from `pc` retired, perhaps stopping
+    /// the path.
+    Ran {
+        pc: u32,
+        n: u32,
+        stop: Option<NtStop>,
+    },
+    /// A recorded non-simple step for the engine to apply.
+    One {
+        base: u32,
+        next_pc: u32,
+        access: Option<(u32, bool)>,
+        note: MemoNote,
+    },
+    /// The engine must interpret the path's next micro-op.
+    Interpret,
+}
+
+impl<'a> Run<'a> {
+    /// Validates the configuration, loads the program and picks the memo
+    /// table: the caller's when its fingerprint matches, a fresh one when
+    /// the caller brings none. A mismatched table would replay another
+    /// program's bundles, so the run ignores it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new<'f: 'a>(
+        program: &'a Program,
+        dp: &'a DecodedProgram,
+        mach: &'a MachConfig,
+        px: &'a PxConfig,
+        io: IoState,
+        fault: Option<&'a mut (dyn FaultHook + 'f)>,
+        memo: Option<&'a mut MemoTable>,
+        memo_tag: u8,
+    ) -> Result<Run<'a>, Box<PxRunResult>> {
+        debug_assert_eq!(
+            dp.len(),
+            program.code.len(),
+            "decode of a different program"
+        );
+        if let Err(e) = mach.validate() {
+            return Err(Box::new(engine_fault(program, e, io)));
+        }
+        if program.mem_size > MAX_MEM_BYTES {
+            let e = SimError::ProgramTooLarge {
+                mem_size: program.mem_size,
+            };
+            return Err(Box::new(engine_fault(program, e, io)));
+        }
+        let mut memory = Memory::new(mach.mem_size.max(program.mem_size));
+        for item in &program.data {
+            if let Err(e) = memory.try_load_blob(item.addr, &item.bytes) {
+                return Err(Box::new(engine_fault(program, e, io)));
+            }
+        }
+        // NT-path memoization: only when every NT path is a pure function
+        // of its read set — no fault injector (faults key off absolute
+        // instruction counts), no OS-sandboxed syscalls (they mutate a
+        // scratch I/O state), no NT-from-NT exploration (it reads the BTB
+        // mid-path).
+        let memo =
+            if px.nt_memo && fault.is_none() && !px.os_sandbox_unsafe && !px.explore_nt_from_nt {
+                let fp = fingerprint(program, mach, px, memo_tag);
+                match memo {
+                    Some(t) if t.fingerprint() == fp => Memo::Shared(t),
+                    Some(_) => Memo::Off,
+                    None => Memo::Own(MemoTable::new(fp, px.nt_memo_max_reads)),
+                }
+            } else {
+                Memo::Off
+            };
+        let tracking = px.path_plan.as_deref().map(|plan| {
+            let mut t = Tracking {
+                plan,
+                cov: plan.new_coverage(),
+                taken: PathTrail::for_plan(plan),
+            };
+            t.taken.enter_pc(plan, &mut t.cov, program.entry);
+            t
+        });
+        Ok(Run {
+            dp,
+            mach,
+            px,
+            cost_table: uop_cost_table(&mach.costs),
+            memory,
+            io,
+            caches: Hierarchy::new(mach),
+            btb: Btb::new(mach.btb_entries, mach.btb_assoc),
+            watches: WatchTable::new(),
+            monitor: MonitorArea::new(),
+            stats: PxStats::default(),
+            fault: fault.map(|inner| CountingHook { inner, fired: 0 }),
+            instructions: 0,
+            taken_cov: Coverage::for_program(program),
+            nt_cov: Coverage::for_program(program),
+            tracking,
+            taken_since_reset: 0,
+            memo,
+            static_veto: px
+                .static_nt_filter
+                .map(|k| px_analyze::Analysis::of(program).veto_mask(program, k)),
+            spawn_rng: 0x9E37_79B9_7F4A_7C15 ^ (program.code.len() as u64 + 1),
+        })
+    }
+
+    /// Assembles the run's result.
+    pub(crate) fn finish(self, exit: RunExit, cycles: u64, core: CoreState) -> PxRunResult {
+        let mut stats = self.stats;
+        if let Some(h) = &self.fault {
+            stats.faults_injected = h.fired;
+        }
+        let mut total_coverage = self.taken_cov.clone();
+        let exit = match total_coverage.merge(&self.nt_cov) {
+            Ok(()) => exit,
+            Err(e) => RunExit::EngineFault(e),
+        };
+        PxRunResult {
+            exit,
+            cycles,
+            taken_coverage: self.taken_cov,
+            total_coverage,
+            monitor: self.monitor,
+            io: self.io,
+            memory: self.memory,
+            core,
+            stats,
+            path_coverage: self.tracking.map(|t| t.cov),
+        }
+    }
+
+    /// Counts one interpreted taken-path instruction, first applying the
+    /// periodic exercise-counter reset (per CounterResetInterval taken-path
+    /// instructions, §4.2(1)).
+    #[inline]
+    pub(crate) fn taken_tick(&mut self) {
+        if self.taken_since_reset >= self.px.counter_reset_interval {
+            self.btb.reset_counters();
+            self.stats.counter_resets += 1;
+            self.taken_since_reset = 0;
+        }
+        self.taken_since_reset += 1;
+        self.instructions += 1;
+        self.stats.taken_instructions += 1;
+    }
+
+    /// Counts `n` simple taken-path micro-ops batched from `pc0`, replaying
+    /// the per-instruction counter-reset protocol in closed form (simple
+    /// runs hold no branch, so no exercise can fall between the resets).
+    #[inline]
+    pub(crate) fn taken_ran(&mut self, pc0: u32, n: u32) {
+        let resets = catch_up_counter_resets(
+            &mut self.taken_since_reset,
+            self.px.counter_reset_interval,
+            u64::from(n),
+        );
+        for _ in 0..resets {
+            self.btb.reset_counters();
+        }
+        self.stats.counter_resets += resets;
+        if let Some(t) = &mut self.tracking {
+            t.taken.enter_range(t.plan, &mut t.cov, pc0, n);
+        }
+        self.instructions += u64::from(n);
+        self.stats.taken_instructions += u64::from(n);
+    }
+
+    /// Control arrived at `pc` on the taken path.
+    #[inline]
+    pub(crate) fn taken_enter(&mut self, pc: u32) {
+        if let Some(t) = &mut self.tracking {
+            t.taken.enter_pc(t.plan, &mut t.cov, pc);
+        }
+    }
+
+    /// Taken-path bookkeeping for one interpreted step's event, with
+    /// `clock` the taken path's clock after the step: branch coverage and
+    /// the spawn decision (charging the spawn to `clock`), monitor records,
+    /// and the events that end the run. `full` says no further NT-path fits.
+    #[inline(always)]
+    pub(crate) fn taken_event(&mut self, event: StepEvent, clock: &mut u64, full: bool) -> Taken {
+        match event {
+            StepEvent::Branch {
+                pc,
+                taken,
+                taken_target,
+                not_taken_target,
+                ..
+            } => {
+                self.stats.dyn_branches += 1;
+                let edge = Edge::from_taken(taken);
+                self.btb.exercise(pc, edge);
+                self.taken_cov.record(pc, edge);
+                if !self.admit(pc, edge.other(), full) {
+                    return Taken::Go;
+                }
+                *clock += u64::from(self.mach.spawn_cycles);
+                let target = if taken {
+                    not_taken_target
+                } else {
+                    taken_target
+                };
+                Taken::Spawn { pc, target }
+            }
+            StepEvent::CheckFailed { .. } | StepEvent::WatchHit { .. } => {
+                file(
+                    &mut self.monitor,
+                    MemoNote::of(&event),
+                    *clock,
+                    PathKind::Taken,
+                );
+                Taken::Go
+            }
+            StepEvent::UnsafeEvent { .. } => Taken::Exit(RunExit::EngineFault(
+                SimError::Invariant("the taken path never suppresses system calls"),
+            )),
+            StepEvent::Crash { kind, .. } => Taken::Exit(RunExit::Crashed(kind)),
+            StepEvent::Exit { code } => Taken::Exit(RunExit::Exited(code)),
+            StepEvent::Syscall { .. } | StepEvent::None => Taken::Go,
+        }
+    }
+
+    fn in_checker(&self, pc: u32) -> bool {
+        self.dp
+            .op(pc)
+            .is_some_and(|u| u.a & MicroOp::BR_IN_CHECKER != 0)
+    }
+
+    fn vetoed(&self, pc: u32, edge: Edge) -> bool {
+        self.static_veto.as_ref().is_some_and(|m| {
+            m.get(pc as usize)
+                .is_some_and(|e| e[usize::from(edge == Edge::NotTaken)])
+        })
+    }
+
+    /// The spawn decision for edge `nt_edge` of the branch at `pc`. Vetoes
+    /// apply in order: checker code, the static filter, a hot exercise
+    /// counter (unless the §7.1(2) random factor re-admits it), then no room
+    /// for another path. An admitted spawn bumps the edge's counter at NT
+    /// entry (§4.2(1)) and covers the edge.
+    fn admit(&mut self, pc: u32, nt_edge: Edge, full: bool) -> bool {
+        let hot = self.btb.edge_count(pc, nt_edge) >= self.px.counter_threshold;
+        let random_admit = hot
+            && self.px.random_factor.is_some_and(|n| {
+                self.spawn_rng ^= self.spawn_rng << 13;
+                self.spawn_rng ^= self.spawn_rng >> 7;
+                self.spawn_rng ^= self.spawn_rng << 17;
+                self.spawn_rng.is_multiple_of(u64::from(n))
+            });
+        if self.in_checker(pc) {
+            self.stats.skipped_checker += 1;
+        } else if self.vetoed(pc, nt_edge) {
+            self.stats.skipped_static += 1;
+        } else if hot && !random_admit {
+            self.stats.skipped_hot += 1;
+        } else if full {
+            self.stats.skipped_outstanding += 1;
+        } else {
+            if random_admit {
+                self.stats.random_spawns += 1;
+            }
+            self.btb.exercise(pc, nt_edge);
+            self.nt_cov.record(pc, nt_edge);
+            self.stats.spawns += 1;
+            return true;
+        }
+        false
+    }
+
+    /// Starts an admitted NT-path from the branch at `pc` toward `target`,
+    /// with `regs` the taken path's registers at the branch. A memo hit
+    /// returns the replay cursor; a miss may arm a recorder. The path's
+    /// trail (reusing `trail`'s allocation) forks from the taken trail *at
+    /// the branch*, before either successor block is entered.
+    pub(crate) fn spawn(
+        &mut self,
+        pc: u32,
+        target: u32,
+        regs: &Regs,
+        trail: Option<PathTrail>,
+    ) -> (Excursion, Option<Replay>) {
+        let trail = self.tracking.as_mut().map(|t| {
+            let mut trail = trail.unwrap_or_else(|| PathTrail::for_plan(t.plan));
+            trail.copy_from(&t.taken);
+            trail.enter_pc(t.plan, &mut t.cov, target);
+            trail
+        });
+        let mut ex = Excursion {
+            spawn_pc: pc,
+            executed: 0,
+            rec: None,
+            trail,
+        };
+        let Some(t) = self.memo.table() else {
+            return (ex, None);
+        };
+        if let Some(entry) = t.probe(pc, target, &self.watches, regs, &self.memory) {
+            let replay = Replay {
+                entry,
+                step: 0,
+                run_off: 0,
+            };
+            return (ex, Some(replay));
+        }
+        if t.should_record(pc, target) {
+            let rec = MemoRecorder::new(
+                pc,
+                target,
+                &self.watches,
+                self.px.apply_fixes,
+                t.max_reads(),
+            );
+            ex.rec = Some(rec);
+        }
+        (ex, None)
+    }
+
+    /// Advances NT-path `ex` by one grant, charging `clock`. A replaying
+    /// path takes its cursor's next step: a recorded batch is re-chunked
+    /// against the live caps and `deadline` exactly as the live path would
+    /// have been, a recorded single step goes back to the engine. A live
+    /// path batches a simple run when it can (never under a fault hook,
+    /// which must see every instruction) and otherwise asks the engine to
+    /// interpret one micro-op. `deadline` is the last clock at which the
+    /// path's core still holds the schedule; `u64::MAX` when nothing
+    /// competes for it.
+    #[inline(always)]
+    pub(crate) fn advance(
+        &mut self,
+        ex: &mut Excursion,
+        replay: Option<&mut Replay>,
+        state: &mut CoreState,
+        clock: &mut u64,
+        deadline: u64,
+    ) -> Grant {
+        if let Some(r) = replay {
+            match r.entry.steps.get(r.step).copied() {
+                Some(MemoStep::Run { pc, n: total }) => {
+                    let pc = pc + r.run_off;
+                    let max_n = grant(self.px, self.instructions, ex.executed, total - r.run_off);
+                    let (n, cost) =
+                        simple_cost_until(self.dp, pc, max_n, &self.cost_table, *clock, deadline);
+                    *clock += cost;
+                    r.run_off += n;
+                    if r.run_off == total {
+                        r.step += 1;
+                        r.run_off = 0;
+                    }
+                    let stop = self.ran(ex, pc, n);
+                    return Grant::Ran { pc, n, stop };
+                }
+                Some(MemoStep::One {
+                    base,
+                    next_pc,
+                    access,
+                    note,
+                }) => {
+                    r.step += 1;
+                    self.instructions += 1;
+                    return Grant::One {
+                        base,
+                        next_pc,
+                        access,
+                        note,
+                    };
+                }
+                None => {
+                    // Unreachable: every stored bundle ends on a stop, and
+                    // the caps that could pre-empt it are part of the
+                    // fingerprint. A defensive stop keeps a logic error
+                    // from wedging the engine.
+                    debug_assert!(false, "recorded bundles end on a stop");
+                    let stop = Some(NtStop::from_memo(r.entry.stop));
+                    return Grant::Ran { pc: 0, n: 0, stop };
+                }
+            }
+        }
+        if self.fault.is_none() {
+            let pc = state.pc;
+            let max_n = grant(
+                self.px,
+                self.instructions,
+                ex.executed,
+                self.dp.simple_run(pc),
+            );
+            if max_n > 0 {
+                let n = simple_steps_until(self.dp, pc, max_n, &self.cost_table, *clock, deadline);
+                if let Some(r) = ex.rec.as_mut() {
+                    r.note_run(self.dp, pc, n, &state.regs);
+                }
+                *clock += run_simple(self.dp, state, n, &self.cost_table);
+                let stop = self.ran(ex, pc, n);
+                return Grant::Ran { pc, n, stop };
+            }
+        }
+        self.instructions += 1;
+        Grant::Interpret
+    }
+
+    /// Bookkeeping for `n` simple micro-ops NT-path `ex` retired from `pc`.
+    #[inline(always)]
+    fn ran(&mut self, ex: &mut Excursion, pc: u32, n: u32) -> Option<NtStop> {
+        if let (Some(t), Some(trail)) = (&mut self.tracking, &mut ex.trail) {
+            trail.enter_range(t.plan, &mut t.cov, pc, n);
+        }
+        self.instructions += u64::from(n);
+        self.stats.nt_instructions += u64::from(n);
+        ex.executed += n;
+        stop(self.px, None, false, ex.executed)
+    }
+
+    /// The engine-independent side of one interpreted NT step: ablation
+    /// D2's NT-from-NT redirect of `pc` (force a never-exercised non-taken
+    /// edge from inside the path), the sandboxed-syscall count, and the
+    /// memo recording. Returns the step's access and note for the engine to
+    /// apply.
+    #[inline(always)]
+    pub(crate) fn interpreted(
+        &mut self,
+        ex: &mut Excursion,
+        s: &Step,
+        pc: &mut u32,
+    ) -> (Option<(u32, bool)>, MemoNote) {
+        match s.event {
+            StepEvent::Branch {
+                pc: at,
+                taken,
+                taken_target,
+                not_taken_target,
+                ..
+            } if self.px.explore_nt_from_nt => {
+                let other = Edge::from_taken(taken).other();
+                if self.btb.edge_count(at, other) < self.px.counter_threshold
+                    && !self.in_checker(at)
+                    && !self.vetoed(at, other)
+                {
+                    self.btb.exercise(at, other);
+                    self.nt_cov.record(at, other);
+                    *pc = if taken {
+                        not_taken_target
+                    } else {
+                        taken_target
+                    };
+                }
+            }
+            StepEvent::Syscall { .. } => self.stats.nt_syscalls_sandboxed += 1,
+            _ => {}
+        }
+        let access = s.access.map(|a| (a.addr, a.write));
+        let note = MemoNote::of(&s.event);
+        if let Some(r) = ex.rec.as_mut() {
+            r.push_one(s.base_cost, *pc, access, note);
+        }
+        (access, note)
+    }
+
+    /// An NT-path's data access on `core`: writes go to the sandbox under
+    /// `vtag`, reads to committed lines. Returns the cycles and whether one
+    /// of the path's volatile lines was displaced (sandbox overflow).
+    #[inline(always)]
+    pub(crate) fn nt_access(
+        &mut self,
+        core: usize,
+        vtag: u8,
+        access: Option<(u32, bool)>,
+    ) -> (u32, bool) {
+        let Some((addr, write)) = access else {
+            return (0, false);
+        };
+        if write {
+            self.stats.nt_writes += 1;
+        }
+        let a = self
+            .caches
+            .access(core, addr, write, if write { vtag } else { COMMITTED });
+        (a.cycles, a.volatile_evicted == Some(vtag))
+    }
+
+    /// Files a step's coverage and monitor effects for NT-path `ex`,
+    /// stamping monitor records at `stamp`, and enters the path's trail at
+    /// `next_pc` unless the step stopped the path on its own event (crash,
+    /// unsafe event, program end). Returns that event stop.
+    #[inline(always)]
+    pub(crate) fn effects(
+        &mut self,
+        ex: &mut Excursion,
+        note: MemoNote,
+        next_pc: u32,
+        stamp: u64,
+    ) -> Option<NtStop> {
+        match note {
+            MemoNote::None => {}
+            MemoNote::Branch { pc, taken } => {
+                self.stats.dyn_branches += 1;
+                self.nt_cov.record(pc, Edge::from_taken(taken));
+            }
+            MemoNote::Check { .. } | MemoNote::Watch { .. } => {
+                let path = PathKind::NtPath {
+                    spawn_pc: ex.spawn_pc,
+                };
+                file(&mut self.monitor, note, stamp, path);
+            }
+            MemoNote::Stop(ms) => return Some(NtStop::from_memo(ms)),
+        }
+        if let (Some(t), Some(trail)) = (&mut self.tracking, &mut ex.trail) {
+            trail.enter_pc(t.plan, &mut t.cov, next_pc);
+        }
+        None
+    }
+
+    /// Ends NT-path `ex` with `stop`: gang-invalidates its volatile lines
+    /// on `core` (a `(core, vtag)` pair; `None` for a path that never got a
+    /// core), stores its recorded bundle or charges a bypass, and logs the
+    /// path. Returns the path's trail for reuse.
+    pub(crate) fn end(
+        &mut self,
+        ex: Excursion,
+        stop: NtStop,
+        core: Option<(usize, u8)>,
+    ) -> Option<PathTrail> {
+        if let Some((c, vtag)) = core {
+            self.caches.squash_path(c, vtag);
+        }
+        if let (Some(rec), Some(t)) = (ex.rec, self.memo.table()) {
+            // Overflow, forced-commit and cut-short stops depend on live
+            // machine state and are never stored; a recorder that aborted
+            // over a cap falls back to simulation for this shape of path.
+            match stop.as_memo().and_then(|ms| rec.finish(ex.executed, ms)) {
+                Some(entry) => t.store(entry),
+                None => t.bypass(),
+            }
+        }
+        self.stats.paths.push(NtPathRecord {
+            spawn_pc: ex.spawn_pc,
+            executed: ex.executed,
+            stop,
+        });
+        ex.trail
+    }
+}
+
+impl Excursion {
+    /// Notes a live path's pre-step live-ins: an unwritten register still
+    /// holds its spawn value, so the current file supplies exact live-ins;
+    /// loads record the committed bytes they are about to read (none if
+    /// the access will crash).
+    #[inline]
+    pub(crate) fn pre_step(
+        &mut self,
+        dp: &DecodedProgram,
+        state: &CoreState,
+        sandbox: &Sandbox,
+        memory: &Memory,
+    ) {
+        if let (Some(r), Some(u)) = (self.rec.as_mut(), dp.op(state.pc)) {
+            r.note_uop(u, &state.regs, sandbox, memory);
+        }
+    }
+}
+
+/// Files the monitor record a checker or watch note produces.
+#[inline]
+fn file(monitor: &mut MonitorArea, note: MemoNote, cycle: u64, path: PathKind) {
+    let (kind, site, pc) = match note {
+        MemoNote::Check { kind, site, pc } => (RecordKind::Check(kind), site, pc),
+        MemoNote::Watch {
+            tag,
+            addr,
+            is_write,
+            pc,
+        } => (
+            RecordKind::Watch {
+                tag,
+                addr,
+                is_write,
+            },
+            tag,
+            pc,
+        ),
+        _ => return,
+    };
+    monitor.push(MonitorRecord {
+        kind,
+        site,
+        pc,
+        cycle,
+        path,
+    });
+}
+
+/// How many micro-ops of a `run`-long simple run an NT-path that has
+/// executed `executed` may batch: the cap keeps the instruction budget,
+/// the watchdog and MaxNTPathLength stops on their exact instruction.
+#[inline]
+pub(crate) fn grant(px: &PxConfig, instructions: u64, executed: u32, run: u32) -> u32 {
+    u64::from(run)
+        .min(px.max_instructions.saturating_sub(instructions))
+        .min(px.nt_watchdog.saturating_sub(u64::from(executed)))
+        .min(u64::from(px.max_nt_path_len.saturating_sub(executed))) as u32
+}
+
+/// Why an NT-path stops after a step, in precedence order: the step's own
+/// `event` stop, sandbox overflow, the watchdog, MaxNTPathLength. The
+/// watchdog outranks MaxLength when configured tighter: redirect faults
+/// can stretch a path's wall time, and the watchdog guarantees the taken
+/// path always regains the core.
+#[inline]
+pub(crate) fn stop(
+    px: &PxConfig,
+    event: Option<NtStop>,
+    overflow: bool,
+    executed: u32,
+) -> Option<NtStop> {
+    if event.is_some() {
+        event
+    } else if overflow {
+        Some(NtStop::SandboxOverflow)
+    } else if u64::from(executed) >= px.nt_watchdog {
+        Some(NtStop::Watchdog)
+    } else if executed >= px.max_nt_path_len {
+        Some(NtStop::MaxLength)
+    } else {
+        None
+    }
+}
+
+/// Advances the taken-path counter-reset protocol by `n` instructions in
+/// closed form, returning how many resets fired. Exactly equivalent to `n`
+/// iterations of the per-instruction protocol:
+///
+/// ```text
+/// if tsr >= interval { reset; tsr = 0 }
+/// <execute instruction>
+/// tsr += 1
+/// ```
+pub(crate) fn catch_up_counter_resets(tsr: &mut u64, interval: u64, n: u64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    if interval == 0 {
+        *tsr = 1;
+        return n;
+    }
+    if *tsr < interval {
+        // The first reset completes on iteration `gap + 1` (1-based); `gap`
+        // may be `u64::MAX` (interval `u64::MAX`, counter 0), so compare
+        // against it rather than materializing `gap + 1`.
+        let gap = interval - *tsr;
+        if n <= gap {
+            *tsr += n;
+            return 0;
+        }
+        let rest = n - gap - 1;
+        *tsr = (rest % interval) + 1;
+        1 + rest / interval
+    } else {
+        let rest = n - 1;
+        *tsr = (rest % interval) + 1;
+        1 + rest / interval
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn caps(budget: u64, watchdog: u64, max_len: u32) -> PxConfig {
+        PxConfig::default()
+            .with_max_instructions(budget)
+            .with_nt_watchdog(watchdog)
+            .with_max_nt_path_len(max_len)
+    }
+
+    #[test]
+    fn stop_precedence_when_several_fire_on_one_step() {
+        // Watchdog and MaxNTPathLength both reached at 10 executed.
+        let px = caps(1000, 10, 10);
+        let event = Some(NtStop::ProgramEnd);
+        assert_eq!(stop(&px, event, true, 10), event, "event over overflow");
+        assert_eq!(stop(&px, None, true, 10), Some(NtStop::SandboxOverflow));
+        assert_eq!(stop(&px, None, false, 10), Some(NtStop::Watchdog));
+        let px = caps(1000, 11, 10);
+        assert_eq!(stop(&px, None, false, 10), Some(NtStop::MaxLength));
+        assert_eq!(stop(&px, None, false, 9), None);
+    }
+
+    #[test]
+    fn batch_grant_never_crosses_a_cap() {
+        for (budget, watchdog, max_len) in [(0, 5, 5), (7, 5, 9), (1000, 9, 5), (1000, 64, 64)] {
+            let px = caps(budget, watchdog, max_len);
+            for instructions in [0, budget / 2, budget] {
+                for executed in 0..watchdog.min(u64::from(max_len)) as u32 {
+                    for run in [0, 1, 3, 64] {
+                        let n = grant(&px, instructions, executed, run);
+                        assert!(n <= run);
+                        assert!(instructions + u64::from(n) <= budget);
+                        assert!(u64::from(executed + n) <= watchdog);
+                        assert!(executed + n <= max_len);
+                        // The grant is the largest that fits: it stops at
+                        // the run's end or exactly on a cap, where the cap's
+                        // stop (or the budget) then fires.
+                        let capped = instructions + u64::from(n) == budget
+                            || stop(&px, None, false, executed + n).is_some();
+                        assert!(
+                            n == run || capped,
+                            "{budget} {watchdog} {max_len} {executed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -16,22 +16,19 @@
 //!    checkpoint and resumes the taken path.
 //!
 //! Checker records produced on the NT-path go to the monitor memory area and
-//! survive the squash.
+//! survive the squash. The excursion itself is [`crate::nt`]'s; this module
+//! keeps the modal taken/NT loops and the standard conventions.
 
-use std::sync::Arc;
-
-use px_isa::{DecodedProgram, MicroOp, Program, SyscallCode};
+use px_isa::{DecodedProgram, Program};
 use px_mach::{
-    memo_fingerprint, run_simple, simple_cost_until, step_uop, uop_cost_table, Btb, Checkpoint,
-    CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig, MemoEntry, MemoNote,
-    MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord, PathCoverage, PathKind,
-    PathPlan, PathTrail, RecordKind, RunExit, Sandbox, SandboxView, SimError, StepEnv, StepEvent,
-    WatchTable, COMMITTED, MAX_MEM_BYTES,
+    run_simple, step_uop, Checkpoint, CoreState, FaultHook, IoState, MachConfig, MemoNote,
+    MemoTable, PathKind, RunExit, Sandbox, SandboxView, StepEnv, COMMITTED,
 };
 
 use crate::config::PxConfig;
-use crate::inject::{apply_deferred, CountingHook};
-use crate::stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
+use crate::inject::apply_deferred;
+use crate::nt::{self, Excursion, Grant, Run, Taken};
+use crate::stats::{NtStop, PxRunResult};
 
 /// Volatile tag used for NT-path lines in the standard configuration — the
 /// paper's single-bit Vtag.
@@ -39,32 +36,7 @@ const NT_VTAG: u8 = 1;
 
 /// Engine tag folded into the memo fingerprint (the CMP engine uses its
 /// own, so tables are never shared across engine families).
-pub(crate) const MEMO_TAG_STANDARD: u8 = 0;
-
-struct NtContext {
-    spawn_pc: u32,
-    executed: u32,
-    checkpoint: Checkpoint,
-    /// §3.2 OS-sandbox extension: a disposable I/O snapshot the NT-path's
-    /// system calls run against (discarded at squash).
-    scratch_io: Option<IoState>,
-    /// Memoization recorder for this path (absent when the memo is off or
-    /// the spawn is not memoizable).
-    rec: Option<MemoRecorder>,
-}
-
-/// How the taken loop handed off: a live NT-path to simulate, or a memo hit
-/// to replay.
-// The Live variant is the hot path: boxing it to shrink the enum would add a
-// heap allocation per spawn, and the value lives only across the handoff.
-#[allow(clippy::large_enum_variant)]
-enum Spawned {
-    Live(NtContext),
-    Replay {
-        spawn_pc: u32,
-        entry: Arc<MemoEntry>,
-    },
-}
+const MEMO_TAG_STANDARD: u8 = 0;
 
 /// Runs `program` under the standard PathExpander configuration.
 ///
@@ -77,7 +49,8 @@ pub fn run_standard(
     px: &PxConfig,
     io: IoState,
 ) -> PxRunResult {
-    run_standard_inner(program, None, mach, px, io, None, None)
+    let dp = DecodedProgram::decode(program);
+    run_standard_inner(program, &dp, mach, px, io, None, None)
 }
 
 /// [`run_standard`] with a caller-supplied [`DecodedProgram`], so repeated
@@ -91,7 +64,7 @@ pub fn run_standard_decoded(
     px: &PxConfig,
     io: IoState,
 ) -> PxRunResult {
-    run_standard_inner(program, Some(dp), mach, px, io, None, None)
+    run_standard_inner(program, dp, mach, px, io, None, None)
 }
 
 /// [`run_standard_decoded`] with a caller-held NT-path memo table, so
@@ -108,24 +81,14 @@ pub fn run_standard_memo(
     io: IoState,
     memo: &mut MemoTable,
 ) -> PxRunResult {
-    run_standard_inner(program, Some(dp), mach, px, io, None, Some(memo))
+    run_standard_inner(program, dp, mach, px, io, None, Some(memo))
 }
 
 /// An empty memo table bound to this program + configuration, for
 /// [`run_standard_memo`].
 #[must_use]
 pub fn standard_memo_table(program: &Program, mach: &MachConfig, px: &PxConfig) -> MemoTable {
-    MemoTable::new(
-        memo_fingerprint(
-            &program.code,
-            px.max_nt_path_len,
-            px.nt_watchdog,
-            px.apply_fixes,
-            &mach.costs,
-            MEMO_TAG_STANDARD,
-        ),
-        px.nt_memo_max_reads,
-    )
+    nt::memo_table(program, mach, px, MEMO_TAG_STANDARD)
 }
 
 /// [`run_standard`] with an optional fault injector.
@@ -144,201 +107,57 @@ pub fn run_standard_with(
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
 ) -> PxRunResult {
-    run_standard_inner(program, None, mach, px, io, fault, None)
+    let dp = DecodedProgram::decode(program);
+    run_standard_inner(program, &dp, mach, px, io, fault, None)
 }
 
 fn run_standard_inner(
     program: &Program,
-    decoded: Option<&DecodedProgram>,
+    dp: &DecodedProgram,
     mach: &MachConfig,
     px: &PxConfig,
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
-    shared_memo: Option<&mut MemoTable>,
+    memo: Option<&mut MemoTable>,
 ) -> PxRunResult {
-    let fail = |e: SimError, io: IoState| PxRunResult {
-        exit: RunExit::EngineFault(e),
-        cycles: 0,
-        taken_coverage: Coverage::for_program(program),
-        total_coverage: Coverage::for_program(program),
-        monitor: MonitorArea::new(),
-        io,
-        memory: Memory::new(0),
-        core: CoreState::default(),
-        stats: PxStats::default(),
-        path_coverage: None,
+    let mut run = match Run::new(program, dp, mach, px, io, fault, memo, MEMO_TAG_STANDARD) {
+        Ok(run) => run,
+        Err(failed) => return *failed,
     };
-    if let Err(e) = mach.validate() {
-        return fail(e, io);
-    }
-    if program.mem_size > MAX_MEM_BYTES {
-        return fail(
-            SimError::ProgramTooLarge {
-                mem_size: program.mem_size,
-            },
-            io,
-        );
-    }
-    let mut memory = Memory::new(mach.mem_size.max(program.mem_size));
-    for item in &program.data {
-        if let Err(e) = memory.try_load_blob(item.addr, &item.bytes) {
-            return fail(e, io);
-        }
-    }
-    let mut fault = fault.map(|inner| CountingHook { inner, fired: 0 });
-    let mut core = CoreState::at_entry(program.entry, memory.size());
-    let mut caches = Hierarchy::new(mach);
-    let mut btb = Btb::new(mach.btb_entries, mach.btb_assoc);
-    let mut watches = WatchTable::new();
-    let mut taken_cov = Coverage::for_program(program);
-    let mut nt_cov = Coverage::for_program(program);
-    let mut monitor = MonitorArea::new();
-    let mut stats = PxStats::default();
-    let mut io = io;
+    let mut core = CoreState::at_entry(program.entry, run.memory.size());
     let mut sandbox = Sandbox::new();
-    // Prime-path tracking (opt-in, purely observational): one trail follows
-    // the taken path, a second follows the live NT-path, both recording into
-    // a single shared coverage.
-    let mut paths: Option<(&PathPlan, PathTrail, PathTrail, PathCoverage)> =
-        px.path_plan.as_deref().map(|p| {
-            (
-                p,
-                PathTrail::for_plan(p),
-                PathTrail::for_plan(p),
-                p.new_coverage(),
-            )
-        });
-    if let Some((p, taken_trail, _, cov)) = &mut paths {
-        taken_trail.enter_pc(p, cov, program.entry);
-    }
-
-    // Decode once (or take the caller's cached decode): the hot loops
-    // dispatch pre-decoded micro-ops and batch simple straight-line runs.
-    let owned_dp;
-    let dp: &DecodedProgram = match decoded {
-        Some(dp) => {
-            debug_assert_eq!(
-                dp.len(),
-                program.code.len(),
-                "decode of a different program"
-            );
-            dp
-        }
-        None => {
-            owned_dp = DecodedProgram::decode(program);
-            &owned_dp
-        }
-    };
-    let cost_table = uop_cost_table(&mach.costs);
-    // NT-path batching requires the production configuration: a fault hook
-    // must be consulted before every instruction. (The taken path never
-    // sees the hook, so it always batches.)
-    let nt_batching = fault.is_none();
-    let in_checker =
-        |pc: u32| -> bool { dp.op(pc).is_some_and(|u| u.a & MicroOp::BR_IN_CHECKER != 0) };
-
-    // NT-path memoization: only when every NT path is a pure function of
-    // its read set — no fault injector (faults key off absolute instruction
-    // counts), no OS-sandboxed syscalls (they mutate a scratch I/O state),
-    // no NT-from-NT exploration (it reads the BTB mid-path).
-    let mut local_memo: Option<MemoTable> = None;
-    let mut memo: Option<&mut MemoTable> =
-        if px.nt_memo && fault.is_none() && !px.os_sandbox_unsafe && !px.explore_nt_from_nt {
-            let fp = memo_fingerprint(
-                &program.code,
-                px.max_nt_path_len,
-                px.nt_watchdog,
-                px.apply_fixes,
-                &mach.costs,
-                MEMO_TAG_STANDARD,
-            );
-            match shared_memo {
-                Some(t) if t.fingerprint() == fp => Some(t),
-                // A mismatched shared table would replay another program's
-                // bundles; ignore it rather than corrupt the run.
-                Some(_) => None,
-                None => Some(local_memo.insert(MemoTable::new(fp, px.nt_memo_max_reads))),
-            }
-        } else {
-            None
-        };
-
     let mut cycles: u64 = 0;
-    let mut instructions: u64 = 0;
-    let mut taken_since_reset: u64 = 0;
-    // Deterministic source for the §7.1(2) random spawn factor.
-    let mut spawn_rng: u64 = 0x9E37_79B9_7F4A_7C15 ^ (program.code.len() as u64 + 1);
-    // Static NT-spawn veto mask, precomputed once per run (the analysis is
-    // pure; `None` keeps the paper's dynamic-only selection untouched).
-    let static_veto = px
-        .static_nt_filter
-        .map(|k| px_analyze::Analysis::of(program).veto_mask(program, k));
-    let vetoed = |mask: &Option<Vec<[bool; 2]>>, pc: u32, edge: Edge| -> bool {
-        mask.as_ref().is_some_and(|m| {
-            m.get(pc as usize)
-                .is_some_and(|e| e[usize::from(edge == Edge::NotTaken)])
-        })
-    };
+    let mut spare_trail = None;
 
     // The run alternates between two modal inner loops — taken-path and
     // NT-path — instead of re-deciding the mode on every instruction. Each
     // inner loop hoists everything its mode never needs (the taken loop has
-    // no sandbox, overflow or watchdog checks; the NT loop builds its
-    // sandbox view once per path and skips the counter-reset check), which
-    // is worth a double-digit percentage of the simulation's wall time.
-    //
-    // How an NT segment ended: either a normal stop (squash, resume taken
-    // path) or the instruction budget ran out mid-path (squash as cut
-    // short, then end the whole run).
-    enum SegEnd {
-        Stop(NtStop),
-        Budget,
-    }
-
+    // no sandbox, overflow or watchdog checks; the NT loop skips the
+    // counter-reset check), which is worth a double-digit percentage of the
+    // simulation's wall time.
     let exit = 'run: loop {
         // ---- Taken-path mode (no NT-path live). ----
-        let spawned = 'taken: loop {
-            if instructions >= px.max_instructions {
+        let (mut ex, mut replay, target) = 'taken: loop {
+            if run.instructions >= px.max_instructions {
                 break 'run RunExit::BudgetExhausted;
             }
 
             // Batch a simple straight-line run (no events, no memory, no
-            // branches): retire it in one tight loop, then replay the
-            // per-instruction counter-reset protocol in closed form. The
-            // taken path never sees the fault hook, so this is always safe.
-            let run = dp.simple_run(core.pc);
-            if run > 0 {
-                let n = u64::from(run).min(px.max_instructions - instructions);
-                instructions += n;
-                let resets =
-                    catch_up_counter_resets(&mut taken_since_reset, px.counter_reset_interval, n);
-                for _ in 0..resets {
-                    btb.reset_counters();
-                }
-                stats.counter_resets += resets;
+            // branches) in one tight loop. The taken path never sees the
+            // fault hook, so this is always safe.
+            let n = u64::from(dp.simple_run(core.pc)).min(px.max_instructions - run.instructions);
+            if n > 0 {
                 let pc0 = core.pc;
-                cycles += run_simple(dp, &mut core, n as u32, &cost_table);
-                if let Some((p, taken_trail, _, cov)) = &mut paths {
-                    taken_trail.enter_range(p, cov, pc0, n as u32);
-                }
-                stats.taken_instructions += n;
+                cycles += run_simple(dp, &mut core, n as u32, &run.cost_table);
+                run.taken_ran(pc0, n as u32);
                 continue;
             }
 
-            instructions += 1;
-
-            // Periodic exercise-counter reset (per CounterResetInterval
-            // taken-path instructions, §4.2(1)).
-            if taken_since_reset >= px.counter_reset_interval {
-                btb.reset_counters();
-                stats.counter_resets += 1;
-                taken_since_reset = 0;
-            }
-
+            run.taken_tick();
             let s = {
                 let mut env = StepEnv {
-                    io: &mut io,
-                    watches: &mut watches,
+                    io: &mut run.io,
+                    watches: &mut run.watches,
                     suppress_syscalls: false,
                     now_cycles: cycles,
                     costs: &mach.costs,
@@ -346,702 +165,154 @@ fn run_standard_inner(
                     // is the reference the containment checker diffs against.
                     fault: None,
                 };
-                step_uop(program, dp, &mut core, &mut memory, &mut env)
+                step_uop(program, dp, &mut core, &mut run.memory, &mut env)
             };
-
             cycles += u64::from(s.base_cost);
-            if let Some(action) = s.deferred {
-                apply_deferred(
-                    action,
-                    &mut caches,
-                    0,
-                    NT_VTAG,
-                    &mut monitor,
-                    cycles,
-                    PathKind::Taken,
-                    core.pc,
-                );
+            if let Some(a) = s.access {
+                cycles += u64::from(run.caches.access(0, a.addr, a.write, COMMITTED).cycles);
             }
-            if let Some(access) = s.access {
-                let a = caches.access(0, access.addr, access.write, COMMITTED);
-                cycles += u64::from(a.cycles);
-            }
-
-            stats.taken_instructions += 1;
-            taken_since_reset += 1;
-
-            match s.event {
-                StepEvent::Branch {
-                    pc,
-                    taken,
-                    taken_target,
-                    not_taken_target,
-                    ..
-                } => {
-                    stats.dyn_branches += 1;
-                    let edge = Edge::from_taken(taken);
-                    btb.exercise(pc, edge);
-                    taken_cov.record(pc, edge);
-                    // NT-path spawn decision.
-                    let nt_edge = edge.other();
-                    let hot = btb.edge_count(pc, nt_edge) >= px.counter_threshold;
-                    let random_admit = hot
-                        && px.random_factor.is_some_and(|n| {
-                            spawn_rng ^= spawn_rng << 13;
-                            spawn_rng ^= spawn_rng >> 7;
-                            spawn_rng ^= spawn_rng << 17;
-                            spawn_rng.is_multiple_of(u64::from(n))
-                        });
-                    if in_checker(pc) {
-                        stats.skipped_checker += 1;
-                    } else if vetoed(&static_veto, pc, nt_edge) {
-                        stats.skipped_static += 1;
-                    } else if hot && !random_admit {
-                        stats.skipped_hot += 1;
-                    } else {
-                        if random_admit {
-                            stats.random_spawns += 1;
-                        }
-                        // Spawn: counter bump at NT entry, checkpoint,
-                        // redirect.
-                        btb.exercise(pc, nt_edge);
-                        nt_cov.record(pc, nt_edge);
-                        stats.spawns += 1;
-                        cycles += u64::from(mach.spawn_cycles);
-                        let nt_target = if taken {
-                            not_taken_target
-                        } else {
-                            taken_target
-                        };
-                        debug_assert_eq!(sandbox.written_bytes(), 0);
-                        if let Some((p, taken_trail, nt_trail, cov)) = &mut paths {
-                            // The NT trail forks from the taken trail *at the
-                            // branch* (before either successor block), then
-                            // each trail enters its own target: the taken
-                            // trail the architectural one, the NT trail the
-                            // redirected pc.
-                            nt_trail.copy_from(taken_trail);
-                            let arch = if taken {
-                                taken_target
-                            } else {
-                                not_taken_target
-                            };
-                            taken_trail.enter_pc(p, cov, arch);
-                            nt_trail.enter_pc(p, cov, nt_target);
-                        }
-                        // Memo probe: a hit replays the recorded bundle
-                        // without checkpointing or redirecting the core —
-                        // the branch handler already left the pc on the
-                        // architectural successor.
-                        if let Some(entry) = memo
-                            .as_deref_mut()
-                            .and_then(|t| t.probe(pc, nt_target, &watches, &core.regs, &memory))
-                        {
-                            break 'taken Spawned::Replay {
-                                spawn_pc: pc,
-                                entry,
-                            };
-                        }
-                        let rec = memo.as_deref_mut().and_then(|t| {
-                            t.should_record(pc, nt_target).then(|| {
-                                MemoRecorder::new(
-                                    pc,
-                                    nt_target,
-                                    &watches,
-                                    px.apply_fixes,
-                                    t.max_reads(),
-                                )
-                            })
-                        });
-                        let checkpoint = Checkpoint::take(&core);
-                        core.pc = nt_target;
-                        core.pred = px.apply_fixes;
-                        watches.begin_log();
-                        let scratch_io = px.os_sandbox_unsafe.then(|| io.clone());
-                        break 'taken Spawned::Live(NtContext {
-                            spawn_pc: pc,
-                            executed: 0,
-                            checkpoint,
-                            scratch_io,
-                            rec,
-                        });
-                    }
+            let spawned = match run.taken_event(s.event, &mut cycles, false) {
+                Taken::Go => None,
+                Taken::Exit(exit) => break 'run exit,
+                Taken::Spawn { pc, target } => {
+                    debug_assert_eq!(sandbox.written_bytes(), 0);
+                    let (ex, replay) = run.spawn(pc, target, &core.regs, spare_trail.take());
+                    Some((ex, replay, target))
                 }
-                StepEvent::CheckFailed { kind, site, pc } => monitor.push(MonitorRecord {
-                    kind: RecordKind::Check(kind),
-                    site,
-                    pc,
-                    cycle: cycles,
-                    path: PathKind::Taken,
-                }),
-                StepEvent::WatchHit {
-                    tag,
-                    addr,
-                    is_write,
-                    pc,
-                } => monitor.push(MonitorRecord {
-                    kind: RecordKind::Watch {
-                        tag,
-                        addr,
-                        is_write,
-                    },
-                    site: tag,
-                    pc,
-                    cycle: cycles,
-                    path: PathKind::Taken,
-                }),
-                StepEvent::UnsafeEvent { .. } => {
-                    break 'run RunExit::EngineFault(SimError::Invariant(
-                        "unsafe events only occur in NT-paths",
-                    ));
-                }
-                StepEvent::Crash { kind, .. } => break 'run RunExit::Crashed(kind),
-                StepEvent::Exit { code } => break 'run RunExit::Exited(code),
-                StepEvent::Syscall { .. } | StepEvent::None => {}
-            }
-            // Control arrived at the new pc (surviving events fall through;
-            // crashes, exits and spawns broke out above — spawns record both
-            // successors themselves).
-            if let Some((p, taken_trail, _, cov)) = &mut paths {
-                taken_trail.enter_pc(p, cov, core.pc);
-            }
-        };
-        let mut ctx = match spawned {
-            Spawned::Live(ctx) => ctx,
-            Spawned::Replay { spawn_pc, entry } => {
-                // ---- Memo replay: re-apply the recorded bundle. ----
-                // Cache accesses, budget/watchdog/length caps and overflow
-                // are recomputed against *live* state, in the recorded
-                // order, so cycles and stops are byte-identical to a real
-                // simulation of this path — only the interpreter work is
-                // skipped. Core, sandbox, watch table and I/O are never
-                // touched, so no checkpoint/rollback is needed at the end.
-                let path = PathKind::NtPath { spawn_pc };
-                let mut executed: u32 = 0;
-                let mut end: Option<NtStop> = None;
-                let mut budget = false;
-                'replay: for step in entry.steps.iter() {
-                    match *step {
-                        MemoStep::Run { pc: pc0, n: total } => {
-                            // Re-chunk the batched region exactly as the NT
-                            // loop would: one grant per live-loop iteration,
-                            // capped by budget, watchdog and MaxLength.
-                            let mut off: u32 = 0;
-                            while off < total {
-                                if instructions >= px.max_instructions {
-                                    budget = true;
-                                    break 'replay;
-                                }
-                                let n = u64::from(total - off)
-                                    .min(px.max_instructions - instructions)
-                                    .min(px.nt_watchdog - u64::from(executed))
-                                    .min(u64::from(px.max_nt_path_len - executed));
-                                debug_assert!(n > 0, "caps would already have stopped the path");
-                                instructions += n;
-                                let (granted, cost) = simple_cost_until(
-                                    dp,
-                                    pc0 + off,
-                                    n as u32,
-                                    &cost_table,
-                                    0,
-                                    u64::MAX,
-                                );
-                                debug_assert_eq!(granted, n as u32);
-                                cycles += cost;
-                                if let Some((p, _, nt_trail, cov)) = &mut paths {
-                                    nt_trail.enter_range(p, cov, pc0 + off, n as u32);
-                                }
-                                stats.nt_instructions += n;
-                                executed += n as u32;
-                                if u64::from(executed) >= px.nt_watchdog {
-                                    end = Some(NtStop::Watchdog);
-                                    break 'replay;
-                                } else if executed >= px.max_nt_path_len {
-                                    end = Some(NtStop::MaxLength);
-                                    break 'replay;
-                                }
-                                off += n as u32;
-                            }
-                        }
-                        MemoStep::One {
-                            base,
-                            next_pc,
-                            access,
-                            note,
-                        } => {
-                            if instructions >= px.max_instructions {
-                                budget = true;
-                                break 'replay;
-                            }
-                            instructions += 1;
-                            cycles += u64::from(base);
-                            let mut overflow = false;
-                            if let Some((addr, write)) = access {
-                                let vtag = if write {
-                                    stats.nt_writes += 1;
-                                    NT_VTAG
-                                } else {
-                                    COMMITTED
-                                };
-                                let a = caches.access(0, addr, write, vtag);
-                                cycles += u64::from(a.cycles);
-                                if a.volatile_evicted == Some(NT_VTAG) {
-                                    overflow = true;
-                                }
-                            }
-                            stats.nt_instructions += 1;
-                            match note {
-                                MemoNote::None => {}
-                                MemoNote::Branch { pc, taken } => {
-                                    stats.dyn_branches += 1;
-                                    nt_cov.record(pc, Edge::from_taken(taken));
-                                }
-                                MemoNote::Check { kind, site, pc } => {
-                                    monitor.push(MonitorRecord {
-                                        kind: RecordKind::Check(kind),
-                                        site,
-                                        pc,
-                                        cycle: cycles,
-                                        path,
-                                    });
-                                }
-                                MemoNote::Watch {
-                                    tag,
-                                    addr,
-                                    is_write,
-                                    pc,
-                                } => monitor.push(MonitorRecord {
-                                    kind: RecordKind::Watch {
-                                        tag,
-                                        addr,
-                                        is_write,
-                                    },
-                                    site: tag,
-                                    pc,
-                                    cycle: cycles,
-                                    path,
-                                }),
-                                MemoNote::Stop(ms) => {
-                                    // Terminal step: no trail entry, no
-                                    // executed tick — exactly like the live
-                                    // loop's event-stop breaks.
-                                    end = Some(NtStop::from_memo(ms));
-                                    break 'replay;
-                                }
-                            }
-                            if let Some((p, _, nt_trail, cov)) = &mut paths {
-                                nt_trail.enter_pc(p, cov, next_pc);
-                            }
-                            executed += 1;
-                            if overflow {
-                                end = Some(NtStop::SandboxOverflow);
-                                break 'replay;
-                            } else if u64::from(executed) >= px.nt_watchdog {
-                                end = Some(NtStop::Watchdog);
-                                break 'replay;
-                            } else if executed >= px.max_nt_path_len {
-                                end = Some(NtStop::MaxLength);
-                                break 'replay;
-                            }
-                        }
-                    }
-                }
-                let stop = if budget {
-                    NtStop::RunCutShort
-                } else {
-                    debug_assert!(end.is_some(), "recorded bundles end on a stop");
-                    end.unwrap_or(NtStop::from_memo(entry.stop))
-                };
-                // Replay squash: the charged penalty and volatile-line
-                // invalidation of a real squash, without the (no-op)
-                // checkpoint restore, watch rollback and sandbox clear.
-                cycles += u64::from(mach.squash_cycles);
-                caches.squash_path(0, NT_VTAG);
-                stats.paths.push(NtPathRecord {
-                    spawn_pc,
-                    executed,
-                    stop,
-                });
-                if let Some((_, _, nt_trail, _)) = &mut paths {
-                    nt_trail.reset();
-                }
-                if budget {
-                    break 'run RunExit::BudgetExhausted;
-                }
-                continue 'run;
-            }
-        };
-
-        // ---- NT-path mode: one segment per spawned path. ----
-        let path = PathKind::NtPath {
-            spawn_pc: ctx.spawn_pc,
-        };
-        // Resolve the path's I/O once per segment, not once per
-        // instruction: the OS-sandbox scratch snapshot (when enabled) or
-        // the real I/O (which an NT-path can then only reach through
-        // suppressed system calls).
-        let mut scratch_io = ctx.scratch_io.take();
-        let end = 'nt: {
-            let mut view = SandboxView::new(&memory, &mut sandbox);
-            let io_ref: &mut IoState = match scratch_io.as_mut() {
-                Some(scratch) => scratch,
-                None => &mut io,
             };
-            loop {
-                if instructions >= px.max_instructions {
-                    // A budget hit mid-NT-path must not leave speculative
-                    // state behind: squash so the committed state is the
-                    // same one a shorter, NT-free run would have reached.
-                    break 'nt SegEnd::Budget;
-                }
+            run.taken_enter(core.pc);
+            if let Some(spawned) = spawned {
+                break 'taken spawned;
+            }
+        };
 
-                // Batch a simple run inside the NT-path. Simple micro-ops
-                // never touch the sandbox (no overflow), raise no events and
-                // are invisible to the watch log; the cap keeps the budget,
-                // watchdog and MaxLength stops on their exact instruction.
-                if nt_batching {
-                    let run = dp.simple_run(core.pc);
-                    if run > 0 {
-                        let n = u64::from(run)
-                            .min(px.max_instructions - instructions)
-                            .min(px.nt_watchdog - u64::from(ctx.executed))
-                            .min(u64::from(px.max_nt_path_len - ctx.executed));
-                        if n > 0 {
-                            instructions += n;
-                            let pc0 = core.pc;
-                            if let Some(r) = ctx.rec.as_mut() {
-                                r.note_run(dp, pc0, n as u32, &core.regs);
-                            }
-                            cycles += run_simple(dp, &mut core, n as u32, &cost_table);
-                            if let Some((p, _, nt_trail, cov)) = &mut paths {
-                                nt_trail.enter_range(p, cov, pc0, n as u32);
-                            }
-                            stats.nt_instructions += n;
-                            ctx.executed += n as u32;
-                            if u64::from(ctx.executed) >= px.nt_watchdog {
-                                break 'nt SegEnd::Stop(NtStop::Watchdog);
-                            } else if ctx.executed >= px.max_nt_path_len {
-                                break 'nt SegEnd::Stop(NtStop::MaxLength);
-                            }
-                            continue;
-                        }
-                    }
-                }
+        // A memo hit replays the recorded bundle without checkpointing or
+        // redirecting the core: the branch left the pc on the
+        // architectural successor, and replay never touches core, sandbox,
+        // watch table or I/O. A live path checkpoints and redirects, and
+        // resolves its I/O once: the OS-sandbox scratch snapshot (when
+        // enabled) or the real I/O (which an NT-path can then only reach
+        // through suppressed system calls).
+        let mut checkpoint = None;
+        let mut scratch_io = None;
+        if replay.is_none() {
+            checkpoint = Some(Checkpoint::take(&core));
+            core.pc = target;
+            core.pred = px.apply_fixes;
+            run.watches.begin_log();
+            scratch_io = px.os_sandbox_unsafe.then(|| run.io.clone());
+        }
 
-                instructions += 1;
-
-                if let Some(r) = ctx.rec.as_mut() {
-                    // Pre-step: an unwritten register still holds its spawn
-                    // value, so the current file supplies exact live-ins;
-                    // loads record the committed bytes they are about to
-                    // read (none if the access will crash).
-                    if let Some(u) = dp.op(core.pc) {
-                        r.note_uop(u, &core.regs, view.sandbox(), view.committed());
-                    }
-                }
-
-                let s = {
-                    let mut env = StepEnv {
-                        io: &mut *io_ref,
-                        watches: &mut watches,
-                        suppress_syscalls: !px.os_sandbox_unsafe,
-                        now_cycles: cycles,
-                        costs: &mach.costs,
-                        fault: fault.as_mut().map(|h| h as &mut dyn FaultHook),
+        // ---- NT-path mode: one excursion per spawned path. ----
+        let path = PathKind::NtPath {
+            spawn_pc: ex.spawn_pc,
+        };
+        let stop = loop {
+            if run.instructions >= px.max_instructions {
+                // A budget hit mid-NT-path must not leave speculative
+                // state behind: squash so the committed state is the
+                // same one a shorter, NT-free run would have reached.
+                break NtStop::RunCutShort;
+            }
+            let stop = match run.advance(&mut ex, replay.as_mut(), &mut core, &mut cycles, u64::MAX)
+            {
+                Grant::Ran { stop, .. } => stop,
+                Grant::One {
+                    base,
+                    next_pc,
+                    access,
+                    note,
+                } => one(&mut run, &mut ex, &mut cycles, base, next_pc, access, note),
+                Grant::Interpret => {
+                    ex.pre_step(dp, &core, &sandbox, &run.memory);
+                    let s = {
+                        let mut env = StepEnv {
+                            io: scratch_io.as_mut().unwrap_or(&mut run.io),
+                            watches: &mut run.watches,
+                            suppress_syscalls: !px.os_sandbox_unsafe,
+                            now_cycles: cycles,
+                            costs: &mach.costs,
+                            fault: run.fault.as_mut().map(|h| h as &mut dyn FaultHook),
+                        };
+                        let mut view = SandboxView::new(&run.memory, &mut sandbox);
+                        step_uop(program, dp, &mut core, &mut view, &mut env)
                     };
-                    step_uop(program, dp, &mut core, &mut view, &mut env)
-                };
-
-                cycles += u64::from(s.base_cost);
-                if let Some(action) = s.deferred {
-                    apply_deferred(
-                        action,
-                        &mut caches,
-                        0,
-                        NT_VTAG,
-                        &mut monitor,
-                        cycles,
-                        path,
-                        core.pc,
-                    );
-                }
-                let mut overflow = false;
-                if let Some(access) = s.access {
-                    let vtag = if access.write {
-                        stats.nt_writes += 1;
-                        NT_VTAG
-                    } else {
-                        COMMITTED
-                    };
-                    let a = caches.access(0, access.addr, access.write, vtag);
-                    cycles += u64::from(a.cycles);
-                    if a.volatile_evicted == Some(NT_VTAG) {
-                        overflow = true;
+                    if let Some(action) = s.deferred {
+                        let at = cycles + u64::from(s.base_cost);
+                        apply_deferred(
+                            action,
+                            &mut run.caches,
+                            0,
+                            NT_VTAG,
+                            &mut run.monitor,
+                            at,
+                            path,
+                            core.pc,
+                        );
                     }
-                }
-
-                stats.nt_instructions += 1;
-
-                if let Some(r) = ctx.rec.as_mut() {
-                    let note = match s.event {
-                        StepEvent::Branch { pc, taken, .. } => MemoNote::Branch { pc, taken },
-                        StepEvent::CheckFailed { kind, site, pc } => {
-                            MemoNote::Check { kind, site, pc }
-                        }
-                        StepEvent::WatchHit {
-                            tag,
-                            addr,
-                            is_write,
-                            pc,
-                        } => MemoNote::Watch {
-                            tag,
-                            addr,
-                            is_write,
-                            pc,
-                        },
-                        StepEvent::UnsafeEvent { code } => {
-                            MemoNote::Stop(if code == SyscallCode::Exit {
-                                px_mach::MemoStop::ProgramEnd
-                            } else {
-                                px_mach::MemoStop::Unsafe(code)
-                            })
-                        }
-                        StepEvent::Crash { kind, .. } => {
-                            MemoNote::Stop(px_mach::MemoStop::Crash(kind))
-                        }
-                        StepEvent::Exit { .. } => MemoNote::Stop(px_mach::MemoStop::ProgramEnd),
-                        StepEvent::Syscall { .. } | StepEvent::None => MemoNote::None,
-                    };
-                    r.push_one(
+                    let (access, note) = run.interpreted(&mut ex, &s, &mut core.pc);
+                    one(
+                        &mut run,
+                        &mut ex,
+                        &mut cycles,
                         s.base_cost,
                         core.pc,
-                        s.access.map(|a| (a.addr, a.write)),
+                        access,
                         note,
-                    );
+                    )
                 }
-
-                match s.event {
-                    StepEvent::Branch {
-                        pc,
-                        taken,
-                        taken_target,
-                        not_taken_target,
-                        ..
-                    } => {
-                        stats.dyn_branches += 1;
-                        let edge = Edge::from_taken(taken);
-                        nt_cov.record(pc, edge);
-                        // Ablation D2: force the non-taken edge from inside
-                        // an NT-path when it has never been exercised.
-                        if px.explore_nt_from_nt {
-                            let other = edge.other();
-                            if btb.edge_count(pc, other) < px.counter_threshold
-                                && !in_checker(pc)
-                                && !vetoed(&static_veto, pc, other)
-                            {
-                                btb.exercise(pc, other);
-                                nt_cov.record(pc, other);
-                                core.pc = if taken {
-                                    not_taken_target
-                                } else {
-                                    taken_target
-                                };
-                            }
-                        }
-                    }
-                    StepEvent::CheckFailed { kind, site, pc } => monitor.push(MonitorRecord {
-                        kind: RecordKind::Check(kind),
-                        site,
-                        pc,
-                        cycle: cycles,
-                        path,
-                    }),
-                    StepEvent::WatchHit {
-                        tag,
-                        addr,
-                        is_write,
-                        pc,
-                    } => monitor.push(MonitorRecord {
-                        kind: RecordKind::Watch {
-                            tag,
-                            addr,
-                            is_write,
-                        },
-                        site: tag,
-                        pc,
-                        cycle: cycles,
-                        path,
-                    }),
-                    StepEvent::UnsafeEvent { code } => {
-                        break 'nt SegEnd::Stop(if code == SyscallCode::Exit {
-                            NtStop::ProgramEnd
-                        } else {
-                            NtStop::Unsafe(code)
-                        });
-                    }
-                    StepEvent::Crash { kind, .. } => {
-                        break 'nt SegEnd::Stop(NtStop::Crash(kind));
-                    }
-                    StepEvent::Exit { .. } => {
-                        // Only reachable under the OS-sandbox extension: the
-                        // NT-path reached the end of the program.
-                        break 'nt SegEnd::Stop(NtStop::ProgramEnd);
-                    }
-                    StepEvent::Syscall { .. } => {
-                        if px.os_sandbox_unsafe {
-                            stats.nt_syscalls_sandboxed += 1;
-                        }
-                    }
-                    StepEvent::None => {}
-                }
-                if let Some((p, _, nt_trail, cov)) = &mut paths {
-                    nt_trail.enter_pc(p, cov, core.pc);
-                }
-
-                // NT-path bookkeeping: length limit, sandbox overflow and
-                // the watchdog (which outranks MaxLength when configured
-                // tighter — redirect faults can stretch a path's wall time,
-                // and the watchdog guarantees the taken path always regains
-                // the core).
-                ctx.executed += 1;
-                if overflow {
-                    break 'nt SegEnd::Stop(NtStop::SandboxOverflow);
-                } else if u64::from(ctx.executed) >= px.nt_watchdog {
-                    break 'nt SegEnd::Stop(NtStop::Watchdog);
-                } else if ctx.executed >= px.max_nt_path_len {
-                    break 'nt SegEnd::Stop(NtStop::MaxLength);
-                }
+            };
+            if let Some(stop) = stop {
+                break stop;
             }
         };
-        let stop = match end {
-            SegEnd::Stop(stop) => stop,
-            SegEnd::Budget => NtStop::RunCutShort,
-        };
-        if let Some(rec) = ctx.rec.take() {
-            if let Some(t) = memo.as_deref_mut() {
-                match stop.as_memo() {
-                    Some(ms) => match rec.finish(ctx.executed, ms) {
-                        Some(entry) => t.store(entry),
-                        // Recorder aborted over a cap: fall back to real
-                        // simulation for this shape of path.
-                        None => t.bypass(),
-                    },
-                    // Overflow / cut-short stops depend on live machine
-                    // state and are never stored.
-                    None => t.bypass(),
-                }
-            }
+
+        // Squash: the charged penalty and volatile-line invalidation, then
+        // (for a live path) the sandbox, watch-log and checkpoint rollback.
+        cycles += u64::from(mach.squash_cycles);
+        spare_trail = run.end(ex, stop, Some((0, NT_VTAG)));
+        if let Some(checkpoint) = checkpoint {
+            sandbox.clear();
+            run.watches.rollback();
+            checkpoint.restore(&mut core);
         }
-        squash(
-            ctx,
-            stop,
-            &mut core,
-            &mut caches,
-            &mut watches,
-            &mut sandbox,
-            &mut stats,
-            &mut cycles,
-            mach,
-        );
-        if let Some((_, _, nt_trail, _)) = &mut paths {
-            nt_trail.reset();
-        }
-        if matches!(end, SegEnd::Budget) {
+        if stop == NtStop::RunCutShort {
             break 'run RunExit::BudgetExhausted;
         }
     };
-
-    if let Some(h) = &fault {
-        stats.faults_injected = h.fired;
-    }
-    let mut total_coverage = taken_cov.clone();
-    let exit = match total_coverage.merge(&nt_cov) {
-        Ok(()) => exit,
-        Err(e) => RunExit::EngineFault(e),
-    };
-    PxRunResult {
-        exit,
-        cycles,
-        taken_coverage: taken_cov,
-        total_coverage,
-        monitor,
-        io,
-        memory,
-        core,
-        stats,
-        path_coverage: paths.map(|(_, _, _, cov)| cov),
-    }
+    run.finish(exit, cycles, core)
 }
 
-/// Advances the taken-path counter-reset protocol by `n` instructions in
-/// closed form, returning how many resets fired. Exactly equivalent to `n`
-/// iterations of the per-instruction protocol:
-///
-/// ```text
-/// if tsr >= interval { reset; tsr = 0 }
-/// <execute instruction>
-/// tsr += 1
-/// ```
-///
-/// Used by the simple-run batch path, where no `btb.exercise` can occur
-/// between resets (simple runs contain no branches), so replaying the
-/// resets after the batch is state-identical to interleaving them.
-pub(crate) fn catch_up_counter_resets(tsr: &mut u64, interval: u64, n: u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    if interval == 0 {
-        *tsr = 1;
-        return n;
-    }
-    if *tsr < interval {
-        // The first reset completes on iteration `gap + 1` (1-based); `gap`
-        // may be `u64::MAX` (interval `u64::MAX`, counter 0), so compare
-        // against it rather than materializing `gap + 1`.
-        let gap = interval - *tsr;
-        if n <= gap {
-            *tsr += n;
-            return 0;
-        }
-        let rest = n - gap - 1;
-        *tsr = (rest % interval) + 1;
-        1 + rest / interval
-    } else {
-        let rest = n - 1;
-        *tsr = (rest % interval) + 1;
-        1 + rest / interval
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn squash(
-    ctx: NtContext,
-    stop: NtStop,
-    core: &mut CoreState,
-    caches: &mut Hierarchy,
-    watches: &mut WatchTable,
-    sandbox: &mut Sandbox,
-    stats: &mut PxStats,
+/// Applies one non-simple NT step, interpreted or replayed, under the
+/// standard conventions: the step's cycles reach the single clock before
+/// its monitor records are stamped, and a step that stops the path on its
+/// own event does not count toward `executed`.
+#[inline(always)]
+fn one(
+    run: &mut Run<'_>,
+    ex: &mut Excursion,
     cycles: &mut u64,
-    mach: &MachConfig,
-) {
-    *cycles += u64::from(mach.squash_cycles);
-    caches.squash_path(0, NT_VTAG);
-    sandbox.clear();
-    watches.rollback();
-    ctx.checkpoint.restore(core);
-    stats.paths.push(NtPathRecord {
-        spawn_pc: ctx.spawn_pc,
-        executed: ctx.executed,
-        stop,
-    });
+    base: u32,
+    next_pc: u32,
+    access: Option<(u32, bool)>,
+    note: MemoNote,
+) -> Option<NtStop> {
+    let (cost, overflow) = run.nt_access(0, NT_VTAG, access);
+    *cycles += u64::from(base) + u64::from(cost);
+    run.stats.nt_instructions += 1;
+    let event = run.effects(ex, note, next_pc, *cycles);
+    if event.is_none() {
+        ex.executed += 1;
+    }
+    nt::stop(run.px, event, overflow, ex.executed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nt::catch_up_counter_resets;
     use px_isa::asm::assemble;
-    use px_mach::CrashKind;
+    use px_mach::{CrashKind, SimError};
 
     fn run(src: &str, px: &PxConfig) -> PxRunResult {
         let program = assemble(src).unwrap();

@@ -362,3 +362,47 @@ fn cmp_explicit_table_hits_and_stays_identical() {
     );
     assert_eq!(full_digest(&program, &first), full_digest(&program, &plain));
 }
+
+/// A table whose fingerprint does not match the run (another engine's
+/// table, or another program's) is ignored: it is never probed, filled or
+/// charged, and the run equals a memo-off run.
+#[test]
+fn mismatched_tables_are_ignored() {
+    let program = px_isa::asm::assemble(NT_HEAVY).expect("assembles");
+    let dp = DecodedProgram::decode(&program);
+
+    let mach = MachConfig::default();
+    let px = px_at(64, true).cmp();
+    let mut table = standard_memo_table(&program, &mach, &px);
+    let r = run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
+    let off = run_cmp(
+        &program,
+        &mach,
+        &px.clone().with_nt_memo(false),
+        IoState::default(),
+    );
+    assert_eq!(
+        table.counters,
+        Default::default(),
+        "standard table in a CMP run"
+    );
+    assert_eq!(full_digest(&program, &r), full_digest(&program, &off));
+
+    let other = soup_program(vec![Instruction::Nop; 3]);
+    let mach = MachConfig::single_core();
+    let px = px_at(64, true);
+    let mut table = standard_memo_table(&other, &mach, &px);
+    let r = run_standard_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
+    let off = run_standard(
+        &program,
+        &mach,
+        &px.clone().with_nt_memo(false),
+        IoState::default(),
+    );
+    assert_eq!(
+        table.counters,
+        Default::default(),
+        "another program's table"
+    );
+    assert_eq!(full_digest(&program, &r), full_digest(&program, &off));
+}

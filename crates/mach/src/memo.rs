@@ -38,6 +38,7 @@ use px_util::memo::{FixedMap, MemoCounters};
 
 use crate::config::CostModel;
 use crate::core::Regs;
+use crate::exec::StepEvent;
 use crate::memory::{CrashKind, Memory, Sandbox};
 use crate::watch::{WatchRange, WatchTable};
 
@@ -118,6 +119,37 @@ pub enum MemoNote {
     /// step files no trail entry and does not count toward the path-length
     /// caps (matching the live engines, which break before either).
     Stop(MemoStop),
+}
+
+impl MemoNote {
+    /// The recorded form of an NT-path step's event. A suppressed `exit`
+    /// and a reached program end both stop the path as `ProgramEnd`.
+    #[must_use]
+    #[inline]
+    pub fn of(event: &StepEvent) -> MemoNote {
+        match *event {
+            StepEvent::Branch { pc, taken, .. } => MemoNote::Branch { pc, taken },
+            StepEvent::CheckFailed { kind, site, pc } => MemoNote::Check { kind, site, pc },
+            StepEvent::WatchHit {
+                tag,
+                addr,
+                is_write,
+                pc,
+            } => MemoNote::Watch {
+                tag,
+                addr,
+                is_write,
+                pc,
+            },
+            StepEvent::UnsafeEvent {
+                code: SyscallCode::Exit,
+            }
+            | StepEvent::Exit { .. } => MemoNote::Stop(MemoStop::ProgramEnd),
+            StepEvent::UnsafeEvent { code } => MemoNote::Stop(MemoStop::Unsafe(code)),
+            StepEvent::Crash { kind, .. } => MemoNote::Stop(MemoStop::Crash(kind)),
+            StepEvent::Syscall { .. } | StepEvent::None => MemoNote::None,
+        }
+    }
 }
 
 /// One recorded step of an NT path.

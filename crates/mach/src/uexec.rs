@@ -945,6 +945,10 @@ pub fn simple_steps_until(
     deadline: u64,
 ) -> u32 {
     debug_assert!(max_n <= dp.simple_run(pc), "cap exceeds the simple run");
+    // No competing core: every step is granted, so skip the cost walk.
+    if deadline == u64::MAX {
+        return max_n;
+    }
     let ops = dp.ops();
     let mut clock = start;
     let mut n: u32 = 0;

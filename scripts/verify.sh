@@ -72,4 +72,10 @@ echo "==> bench-gate: schema + arch digest + per-CMP-row digests of BENCH_throug
 cargo run --release --offline -q -p px-bench --bin bench_report -- \
     --quick --verify BENCH_throughput.json
 
+# Benchmark self-test: perfbench imports the engine API directly, so a
+# change to an entry point it pins fails here rather than in the benchmark
+# run. Every workload at tiny size; every golden digest must match.
+echo "==> perfbench self-test"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "verify: OK"
