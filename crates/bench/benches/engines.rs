@@ -4,7 +4,7 @@
 //! feasibility harness and the software implementation — the code every
 //! experiment in the harness spends its time in.
 
-use pathexpander::{measure_latency, run_cmp, run_standard, PxConfig};
+use pathexpander::{measure_latency, run, PxConfig};
 use px_detect::Tool;
 use px_mach::{IoState, MachConfig};
 use px_util::bench::Bench;
@@ -21,11 +21,11 @@ fn engines(c: &mut Bench) {
     let mut group = c.benchmark_group("engines");
     group.sample_size(20);
     group.bench_function("standard_pt2", |b| {
-        b.iter(|| run_standard(&compiled.program, &MachConfig::single_core(), &px, io(&w)));
+        b.iter(|| run(&compiled.program, &MachConfig::single_core(), &px, io(&w)));
     });
     let cmp_cfg = px.clone().cmp();
     group.bench_function("cmp_pt2", |b| {
-        b.iter(|| run_cmp(&compiled.program, &MachConfig::default(), &cmp_cfg, io(&w)));
+        b.iter(|| run(&compiled.program, &MachConfig::default(), &cmp_cfg, io(&w)));
     });
     group.bench_function("feasibility_pt2", |b| {
         b.iter(|| {
@@ -35,6 +35,7 @@ fn engines(c: &mut Bench) {
                 io(&w),
                 1000,
                 50_000_000,
+                None,
             )
         });
     });
@@ -53,7 +54,7 @@ fn spawn_heavy(c: &mut Bench) {
     let mut group = c.benchmark_group("engines");
     group.sample_size(10);
     group.bench_function("standard_go_threshold15", |b| {
-        b.iter(|| run_standard(&compiled.program, &MachConfig::single_core(), &px, io(&w)));
+        b.iter(|| run(&compiled.program, &MachConfig::single_core(), &px, io(&w)));
     });
     group.finish();
 }

@@ -117,7 +117,7 @@ pub fn ablation_sandbox() -> Vec<SandboxPoint> {
                 .px_config()
                 .with_max_nt_path_len(10_000)
                 .with_max_instructions(BUDGET);
-            let r = pathexpander::run_standard(&compiled.program, &mach, &px, io_for(&w, SEED));
+            let r = pathexpander::run(&compiled.program, &mach, &px, io_for(&w, SEED));
             let total_paths = r.stats.paths.len().max(1);
             let overflows = r.stats.stops_of("sandbox-overflow");
             let mean_length = r
@@ -198,7 +198,7 @@ pub fn ablation_fix_strategy() -> Vec<FixStrategyResult> {
             .px_config()
             .with_fixes(fixes)
             .with_max_instructions(BUDGET);
-        let r = pathexpander::run_standard(
+        let r = pathexpander::run(
             &compiled.program,
             &MachConfig::single_core(),
             &px,
@@ -227,6 +227,7 @@ pub fn latency_profile_of(app: &str) -> pathexpander::LatencyProfile {
         io_for(&w, SEED),
         1000,
         BUDGET,
+        None,
     )
 }
 
@@ -276,7 +277,7 @@ pub fn extensions() -> ExtensionResults {
                     .with_os_sandbox(os)
                     .with_counter_reset_interval(u64::MAX)
                     .with_max_instructions(BUDGET);
-                let r = pathexpander::run_standard(
+                let r = pathexpander::run(
                     &compiled.program,
                     &MachConfig::single_core(),
                     &px,

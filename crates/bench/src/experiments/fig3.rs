@@ -63,6 +63,7 @@ pub fn fig3() -> Vec<Fig3Panel> {
                     io_for(&w, SEED + seed),
                     1000,
                     BUDGET,
+                    None,
                 );
                 match profile.as_mut() {
                     None => profile = Some(p),

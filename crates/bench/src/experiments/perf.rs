@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use pathexpander::{run_cmp, run_cmp_profiled, run_standard, PxConfig, PxRunResult};
+use pathexpander::{run, run_cmp_profiled, PxConfig, PxRunResult};
 use px_detect::Tool;
 use px_isa::asm::assemble;
 use px_isa::{Program, UopKind};
@@ -432,12 +432,12 @@ fn run_engine(engine: &str, program: &Program, input: &[u8], memo: bool) -> Arch
         }
         "standard" => {
             let px = px_config().with_nt_memo(memo);
-            let r = run_standard(program, &MachConfig::single_core(), &px, io);
+            let r = run(program, &MachConfig::single_core(), &px, io);
             ArchResult::from_px(program, &r)
         }
         "cmp" => {
             let px = px_config().with_nt_memo(memo).cmp();
-            let r = run_cmp(program, &MachConfig::default(), &px, io);
+            let r = run(program, &MachConfig::default(), &px, io);
             ArchResult::from_px(program, &r)
         }
         "software" => {
@@ -610,7 +610,7 @@ mod tests {
     #[test]
     fn nt_heavy_spends_most_instructions_in_nt_paths() {
         let program = assemble(NT_HEAVY).unwrap();
-        let r = run_standard(
+        let r = run(
             &program,
             &MachConfig::single_core(),
             &px_config(),

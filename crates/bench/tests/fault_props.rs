@@ -85,7 +85,7 @@ px_prop! {
         let mach = MachConfig::single_core();
         let mut plan = FaultPlan::uniform(seed, 2);
         let io = IoState::new(Vec::new(), seed);
-        let r = px_mach::run_baseline_with(&program, &mach, io, 5_000, Some(&mut plan));
+        let r = px_mach::run_baseline_with(&program, &mach, io, 5_000, Some(&mut plan), None);
         match r.exit {
             RunExit::Exited(_)
             | RunExit::Crashed(_)

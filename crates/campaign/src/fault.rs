@@ -25,7 +25,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pathexpander::{differential_run, measure_latency_with, PxConfig};
+use pathexpander::{differential_run, measure_latency, PxConfig};
 use px_isa::asm::assemble;
 use px_isa::Program;
 use px_mach::{run_baseline_with, CacheConfig, FaultMix, FaultPlan, IoState, MachConfig, RunExit};
@@ -335,7 +335,7 @@ pub fn run_case_budget(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> Fault
             // diverge; the property under test is that the *simulator*
             // never panics and never reports an engine fault.
             let mach = draw_mach(&mut rng, 1);
-            let r = run_baseline_with(&program, &mach, io, budget, Some(&mut plan));
+            let r = run_baseline_with(&program, &mach, io, budget, Some(&mut plan), None);
             let violations = match r.exit {
                 RunExit::EngineFault(e) => vec![format!("baseline engine fault: {e}")],
                 _ => Vec::new(),
@@ -344,7 +344,7 @@ pub fn run_case_budget(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> Fault
         }
         "feasibility" => {
             let mach = draw_mach(&mut rng, 1);
-            let profile = measure_latency_with(&program, &mach, io, 200, budget, Some(&mut plan));
+            let profile = measure_latency(&program, &mach, io, 200, budget, Some(&mut plan));
             (
                 "exited".to_owned(),
                 plan.stats.total(),

@@ -194,7 +194,7 @@ fn execute(
         .ok()
         .map(std::sync::Arc::new);
     if !with_px {
-        let r = px_mach::run_baseline_traced(
+        let r = px_mach::run_baseline_with(
             &compiled.program,
             &MachConfig::single_core(),
             io,

@@ -154,31 +154,15 @@ impl MemView for PrimaryView<'_> {
     }
 }
 
-/// Runs `program` under the CMP-optimized PathExpander.
+/// Runs `program` under the CMP-optimized PathExpander against a
+/// pre-decoded program (see [`DecodedProgram::decode`]); `dp` must be the
+/// decode of `program`. Decoding once matters when one program is run many
+/// times (fault campaigns, zoo rosters).
 ///
 /// A machine with fewer than 2 cores (the CMP option needs at least one idle
 /// core), a bad geometry, or a malformed program surfaces as
-/// [`RunExit::EngineFault`].
-#[must_use]
-pub fn run_cmp(program: &Program, mach: &MachConfig, px: &PxConfig, io: IoState) -> PxRunResult {
-    let dp = DecodedProgram::decode(program);
-    run_cmp_inner::<false>(
-        program,
-        &dp,
-        mach,
-        px,
-        io,
-        None,
-        None,
-        &mut UopProfile::default(),
-    )
-}
-
-/// [`run_cmp`] against a pre-decoded program (see
-/// [`DecodedProgram::decode`]); `dp` must be the decode of `program`.
-/// Architecturally identical to [`run_cmp`] — decoding is deterministic —
-/// but skips the per-run decode, which matters when one program is run many
-/// times (fault campaigns, zoo rosters).
+/// [`RunExit::EngineFault`]. `px.mode` is ignored — this function *is* the
+/// CMP engine; [`crate::run`] picks the engine from the mode.
 #[must_use]
 pub fn run_cmp_decoded(
     program: &Program,
@@ -187,16 +171,8 @@ pub fn run_cmp_decoded(
     px: &PxConfig,
     io: IoState,
 ) -> PxRunResult {
-    run_cmp_inner::<false>(
-        program,
-        dp,
-        mach,
-        px,
-        io,
-        None,
-        None,
-        &mut UopProfile::default(),
-    )
+    let profile = &mut UopProfile::default();
+    run_cmp_inner::<false>(program, dp, mach, px, io, None, None, profile)
 }
 
 /// [`run_cmp_decoded`] with a caller-held NT-path memo table, so repeated
@@ -224,34 +200,10 @@ pub fn cmp_memo_table(program: &Program, mach: &MachConfig, px: &PxConfig) -> Me
     nt::memo_table(program, mach, px, MEMO_TAG_CMP)
 }
 
-/// [`run_cmp`] with an optional fault injector; the hook is consulted only
-/// for NT-path steps, so every fault lands in some path's sandbox and the
-/// primary core's committed state stays bit-identical to a plain baseline.
-#[must_use]
-pub fn run_cmp_with(
-    program: &Program,
-    mach: &MachConfig,
-    px: &PxConfig,
-    io: IoState,
-    fault: Option<&mut dyn FaultHook>,
-) -> PxRunResult {
-    let dp = DecodedProgram::decode(program);
-    run_cmp_inner::<false>(
-        program,
-        &dp,
-        mach,
-        px,
-        io,
-        fault,
-        None,
-        &mut UopProfile::default(),
-    )
-}
-
-/// [`run_cmp`] plus a per-handler micro-op histogram (counts and charged
+/// The CMP engine plus a per-handler micro-op histogram (counts and charged
 /// base cycles per [`px_isa::UopKind`]), for `bench_report --profile`. The
-/// run itself is architecturally identical to [`run_cmp`]: the profile
-/// observes simulated work and feeds nothing back.
+/// run itself is architecturally identical to [`run_cmp_decoded`]: the
+/// profile observes simulated work and feeds nothing back.
 #[must_use]
 pub fn run_cmp_profiled(
     program: &Program,
@@ -267,8 +219,11 @@ pub fn run_cmp_profiled(
     (result, profile)
 }
 
+/// The CMP engine. An optional fault hook is consulted only for NT-path
+/// steps, so every fault lands in some path's sandbox and the primary
+/// core's committed state stays bit-identical to a plain baseline.
 #[allow(clippy::too_many_arguments)]
-fn run_cmp_inner<const PROFILE: bool>(
+pub(crate) fn run_cmp_inner<const PROFILE: bool>(
     program: &Program,
     dp: &DecodedProgram,
     mach: &MachConfig,
@@ -713,7 +668,7 @@ mod tests {
 
     fn run(src: &str, px: &PxConfig) -> PxRunResult {
         let program = assemble(src).unwrap();
-        run_cmp(&program, &MachConfig::default(), px, IoState::default())
+        crate::run(&program, &MachConfig::default(), px, IoState::default())
     }
 
     const HIDDEN_BUG: &str = r"
@@ -753,7 +708,7 @@ mod tests {
             IoState::default(),
             1_000_000,
         );
-        let std_r = crate::standard::run_standard(
+        let std_r = crate::run(
             &program,
             &MachConfig::single_core(),
             &PxConfig::default(),
@@ -902,9 +857,10 @@ mod tests {
             ..MachConfig::default()
         };
         let px = PxConfig::default()
+            .cmp()
             .with_max_nt_path_len(5_000)
             .with_counter_threshold(15);
-        let r = run_cmp(&program, &mach, &px, IoState::default());
+        let r = crate::run(&program, &mach, &px, IoState::default());
         assert!(r.exit.is_success());
         assert!(
             r.stats.stops_of("forced-commit") > 0,
@@ -936,10 +892,11 @@ mod tests {
             ";
         let program = px_isa::asm::assemble(src).unwrap();
         let px = PxConfig::default()
+            .cmp()
             .with_max_nt_path_len(400)
             .with_counter_threshold(3)
             .with_max_outstanding(8);
-        let r = run_cmp(&program, &MachConfig::default(), &px, IoState::default());
+        let r = crate::run(&program, &MachConfig::default(), &px, IoState::default());
         assert!(r.exit.is_success());
         assert_eq!(
             r.stats.paths.len() as u64,
@@ -970,14 +927,14 @@ mod tests {
                 exit
             ";
         let program = px_isa::asm::assemble(src).unwrap();
-        let plain = run_cmp(
+        let plain = crate::run(
             &program,
             &MachConfig::default(),
             &PxConfig::default().cmp(),
             IoState::default(),
         );
         assert_eq!(plain.monitor.len(), 0);
-        let os = run_cmp(
+        let os = crate::run(
             &program,
             &MachConfig::default(),
             &PxConfig::default().cmp().with_os_sandbox(true),
@@ -994,7 +951,7 @@ mod tests {
     #[test]
     fn one_core_machine_is_an_engine_fault_not_a_panic() {
         let program = assemble(HIDDEN_BUG).unwrap();
-        let r = run_cmp(
+        let r = crate::run(
             &program,
             &MachConfig::single_core(),
             &PxConfig::default().cmp(),
@@ -1036,7 +993,7 @@ mod tests {
         let clean = run(HIDDEN_BUG, &PxConfig::default().cmp());
         for seed in 0..8u64 {
             let mut plan = FaultPlan::new(seed, FaultMix::uniform(), 2);
-            let r = run_cmp_with(
+            let r = crate::run_with(
                 &program,
                 &MachConfig::default(),
                 &PxConfig::default().cmp(),

@@ -80,10 +80,6 @@ pub struct PxConfig {
     /// OS-sandbox extension, or NT-from-NT exploration, whose NT paths are
     /// not pure functions of their read sets.
     pub nt_memo: bool,
-    /// Read-set size cap for memoization: paths that read more than this
-    /// many distinct memory bytes are not recorded (probing such a set
-    /// would cost more than re-simulating the path).
-    pub nt_memo_max_reads: usize,
     /// Prime-path coverage plan (see px-analyze's `PrimePathSet` and
     /// `pathexpander::plan_paths`). `Some` makes the engines match block
     /// traces — taken and NT — against the enumerated prime paths and
@@ -109,7 +105,6 @@ impl Default for PxConfig {
             max_instructions: 500_000_000,
             nt_watchdog: 1_000_000,
             nt_memo: true,
-            nt_memo_max_reads: 1024,
             path_plan: None,
         }
     }
@@ -220,13 +215,6 @@ impl PxConfig {
         self
     }
 
-    /// Sets the memoization read-set cap (clamped to at least 1).
-    #[must_use]
-    pub fn with_nt_memo_max_reads(mut self, n: usize) -> PxConfig {
-        self.nt_memo_max_reads = n.max(1);
-        self
-    }
-
     /// Attaches (or removes) a prime-path coverage plan.
     #[must_use]
     pub fn with_path_plan(mut self, plan: Option<Arc<PathPlan>>) -> PxConfig {
@@ -249,7 +237,6 @@ mod tests {
         assert!(!c.explore_nt_from_nt);
         assert_eq!(c.static_nt_filter, None, "paper mode: no static veto");
         assert!(c.nt_memo, "memoization is on by default");
-        assert_eq!(c.nt_memo_max_reads, 1024);
         assert_eq!(PxConfig::siemens_defaults().max_nt_path_len, 100);
     }
 
@@ -265,7 +252,6 @@ mod tests {
             .with_counter_reset_interval(5)
             .with_static_nt_filter(Some(8))
             .with_nt_memo(false)
-            .with_nt_memo_max_reads(0)
             .with_max_instructions(99);
         assert_eq!(c.mode, Mode::Cmp);
         assert_eq!(c.max_nt_path_len, 10);
@@ -276,7 +262,6 @@ mod tests {
         assert_eq!(c.counter_reset_interval, 5);
         assert_eq!(c.static_nt_filter, Some(8));
         assert!(!c.nt_memo);
-        assert_eq!(c.nt_memo_max_reads, 1, "clamped to at least one");
         assert_eq!(
             PxConfig::default()
                 .with_static_nt_filter(Some(0))

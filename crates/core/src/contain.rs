@@ -25,7 +25,7 @@ use px_mach::{
     run_baseline, FaultHook, IoState, MachConfig, MonitorRecord, RecordKind, RunExit, RunResult,
 };
 
-use crate::config::{Mode, PxConfig};
+use crate::config::PxConfig;
 use crate::stats::PxRunResult;
 
 /// One way a PathExpander run diverged from its baseline.
@@ -230,10 +230,7 @@ pub fn differential_run(
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
 ) -> (PxRunResult, ContainmentReport) {
-    let result = match px.mode {
-        Mode::Standard => crate::standard::run_standard_with(program, mach, px, io.clone(), fault),
-        Mode::Cmp => crate::cmp::run_cmp_with(program, mach, px, io.clone(), fault),
-    };
+    let result = crate::run_with(program, mach, px, io.clone(), fault);
     // An engine-level rejection (bad config / malformed program) has no
     // architectural state to compare; it is contained by definition as long
     // as the baseline rejects it too. `NeedsTwoCores` is a CMP-only
@@ -347,7 +344,7 @@ mod tests {
             IoState::default(),
             1_000_000,
         );
-        let mut px = crate::standard::run_standard(
+        let mut px = crate::run(
             &program,
             &MachConfig::single_core(),
             &PxConfig::default(),
@@ -381,7 +378,7 @@ mod tests {
             1_000,
         );
         assert_eq!(base.monitor.len(), 1);
-        let mut px = crate::standard::run_standard(
+        let mut px = crate::run(
             &program,
             &MachConfig::single_core(),
             &PxConfig::default(),

@@ -11,7 +11,7 @@ use px_isa::Program;
 use px_mach::{FaultHook, IoState, MachConfig};
 
 use crate::config::PxConfig;
-use crate::standard::{run_standard, run_standard_with};
+use crate::run_with;
 use crate::stats::{NtStop, PxStats};
 
 /// Result of the feasibility measurement for one application.
@@ -78,30 +78,14 @@ impl LatencyProfile {
 }
 
 /// Runs the Figure 3 feasibility experiment: spawn at every zero-count
-/// non-taken edge, no variable fixing, `threshold`-instruction NT-paths.
+/// non-taken edge, no variable fixing, `threshold`-instruction NT-paths, on
+/// the standard engine.
+///
+/// An optional fault injector shows how the latency shapes shift when
+/// NT-paths are bombarded with injected faults (they must shift toward
+/// *earlier* stops, never corrupt the profile).
 #[must_use]
 pub fn measure_latency(
-    program: &Program,
-    mach: &MachConfig,
-    io: IoState,
-    threshold: u32,
-    max_instructions: u64,
-) -> LatencyProfile {
-    let px = PxConfig::default()
-        .with_counter_threshold(1)
-        .with_max_nt_path_len(threshold)
-        .with_fixes(false)
-        .with_counter_reset_interval(u64::MAX)
-        .with_max_instructions(max_instructions);
-    let result = run_standard(program, mach, &px, io);
-    profile_from_stats(&result.stats, threshold)
-}
-
-/// [`measure_latency`] with a fault injector: how the Figure 3 latency
-/// shapes shift when NT-paths are bombarded with injected faults (they must
-/// shift toward *earlier* stops, never corrupt the profile).
-#[must_use]
-pub fn measure_latency_with(
     program: &Program,
     mach: &MachConfig,
     io: IoState,
@@ -115,7 +99,7 @@ pub fn measure_latency_with(
         .with_fixes(false)
         .with_counter_reset_interval(u64::MAX)
         .with_max_instructions(max_instructions);
-    let result = run_standard_with(program, mach, &px, io, fault);
+    let result = run_with(program, mach, &px, io, fault);
     profile_from_stats(&result.stats, threshold)
 }
 
@@ -182,6 +166,7 @@ mod tests {
             IoState::default(),
             50,
             1_000_000,
+            None,
         );
         assert!(p.spawned > 0);
         assert!(
@@ -217,6 +202,7 @@ mod tests {
             IoState::default(),
             1000,
             1_000_000,
+            None,
         );
         assert!(p.spawned > 0);
         assert!(p.unsafe_cdf(1000) > 0.0, "some NT-paths must hit putc");

@@ -8,16 +8,19 @@
 //! hardware sandbox, so bugs on paths the test input never reaches are still
 //! exposed to the checker.
 //!
-//! Two engines implement the paper's two options:
+//! Two engines implement the paper's two options, picked by
+//! [`PxConfig::mode`]:
 //!
-//! * [`run_standard`] — the standard configuration (Figure 4(a)):
+//! * [`Mode::Standard`] — the standard configuration (Figure 4(a)):
 //!   checkpoint, run the NT-path inline on the same core, roll back.
-//! * [`run_cmp`] — the CMP optimization (Figure 4(b)): NT-paths run
+//! * [`Mode::Cmp`] — the CMP optimization (Figure 4(b)): NT-paths run
 //!   concurrently on idle cores with TLS-style tree data dependences and
 //!   commit/squash tokens, hiding nearly all of the overhead.
 //!
-//! [`run`] dispatches on [`Mode`]. The [`feasibility`] module reproduces the
-//! §3.2 Crash-/Unsafe-Latency analysis (Figure 3).
+//! [`run`] (and [`run_with`], which takes a fault injector) runs either
+//! engine. Callers that run one program many times decode it once and call
+//! an engine's `_decoded` or `_memo` entry point. The [`feasibility`]
+//! module reproduces the §3.2 Crash-/Unsafe-Latency analysis (Figure 3).
 //!
 //! ## Example
 //!
@@ -25,7 +28,7 @@
 //! caught by PathExpander:
 //!
 //! ```
-//! use pathexpander::{run_standard, PxConfig};
+//! use pathexpander::{run, PxConfig};
 //! use px_isa::asm::assemble;
 //! use px_mach::{IoState, MachConfig};
 //!
@@ -48,8 +51,8 @@
 //!                                  IoState::default(), 10_000);
 //! assert!(base.monitor.is_empty());
 //! // PathExpander: the NT-path exposes it.
-//! let px = run_standard(&program, &MachConfig::single_core(),
-//!                       &PxConfig::default(), IoState::default());
+//! let px = run(&program, &MachConfig::single_core(),
+//!              &PxConfig::default(), IoState::default());
 //! assert_eq!(px.monitor.nt_records().count(), 1);
 //! # Ok::<(), px_isa::asm::AsmError>(())
 //! ```
@@ -63,24 +66,20 @@ mod nt;
 pub mod standard;
 pub mod stats;
 
-pub use cmp::{
-    cmp_memo_table, run_cmp, run_cmp_decoded, run_cmp_memo, run_cmp_profiled, run_cmp_with,
-};
+pub use cmp::{cmp_memo_table, run_cmp_decoded, run_cmp_memo, run_cmp_profiled};
 pub use config::{Mode, PxConfig};
 pub use contain::{check_containment, differential_run, ContainmentReport, Violation};
-pub use feasibility::{measure_latency, measure_latency_with, profile_from_stats, LatencyProfile};
+pub use feasibility::{measure_latency, profile_from_stats, LatencyProfile};
 pub use inject::FAULT_WATCH_TAG;
-pub use standard::{
-    run_standard, run_standard_decoded, run_standard_memo, run_standard_with, standard_memo_table,
-};
+pub use standard::{run_standard_decoded, run_standard_memo, standard_memo_table};
 pub use stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
 
 // The NT-path memo table engines and campaigns share across runs.
 pub use px_mach::MemoTable;
 
 use px_analyze::PrimePathSet;
-use px_isa::Program;
-use px_mach::{FaultHook, IoState, MachConfig, PathPlan, SimError};
+use px_isa::{DecodedProgram, Program};
+use px_mach::{FaultHook, IoState, MachConfig, PathPlan, SimError, UopProfile};
 
 /// Converts an enumerated [`PrimePathSet`] into the plain-data
 /// [`PathPlan`] the engines consume (px-mach sits below px-analyze, so
@@ -116,8 +115,14 @@ pub fn run(program: &Program, mach: &MachConfig, px: &PxConfig, io: IoState) -> 
     run_with(program, mach, px, io, None)
 }
 
-/// [`run`] with an optional fault injector (see [`run_standard_with`] /
-/// [`run_cmp_with`]).
+/// [`run`] with an optional fault injector.
+///
+/// The hook is consulted only while an NT-path is stepping, so every
+/// injected fault lands inside a sandbox: the committed memory, register
+/// file and I/O must still match a plain baseline run (the containment
+/// property [`check_containment`] verifies). Bad configurations and
+/// malformed programs surface as [`px_mach::RunExit::EngineFault`] instead
+/// of panicking.
 #[must_use]
 pub fn run_with(
     program: &Program,
@@ -126,9 +131,13 @@ pub fn run_with(
     io: IoState,
     fault: Option<&mut dyn FaultHook>,
 ) -> PxRunResult {
+    let dp = DecodedProgram::decode(program);
     match px.mode {
-        Mode::Standard => run_standard_with(program, mach, px, io, fault),
-        Mode::Cmp => run_cmp_with(program, mach, px, io, fault),
+        Mode::Standard => standard::run_standard_inner(program, &dp, mach, px, io, fault, None),
+        Mode::Cmp => {
+            let profile = &mut UopProfile::default();
+            cmp::run_cmp_inner::<false>(program, &dp, mach, px, io, fault, None, profile)
+        }
     }
 }
 
@@ -152,21 +161,69 @@ mod tests {
             ",
         )
         .unwrap();
-        let std_r = run(
-            &program,
-            &MachConfig::single_core(),
-            &PxConfig::default(),
-            IoState::default(),
-        );
-        let cmp_r = run(
-            &program,
-            &MachConfig::default(),
-            &PxConfig::default().cmp(),
-            IoState::default(),
-        );
-        assert!(std_r.exit.is_success());
-        assert!(cmp_r.exit.is_success());
-        assert_eq!(std_r.stats.spawns, cmp_r.stats.spawns);
+        let dp = DecodedProgram::decode(&program);
+        let mach = MachConfig::default();
+        let standard = PxConfig::default();
+        let cmp = PxConfig::default().cmp();
+        let pinned_std = run_standard_decoded(&program, &dp, &mach, &standard, IoState::default());
+        let pinned_cmp = run_cmp_decoded(&program, &dp, &mach, &cmp, IoState::default());
+        // Routing is only observable if the two engines can be told apart.
+        assert_ne!(pinned_std.cycles, pinned_cmp.cycles);
+        assert_eq!(pinned_std.stats.spawns, pinned_cmp.stats.spawns);
+        for (px, pinned) in [(&standard, &pinned_std), (&cmp, &pinned_cmp)] {
+            let r = run(&program, &mach, px, IoState::default());
+            assert!(r.exit.is_success());
+            assert_eq!(r.exit, pinned.exit, "{:?}", px.mode);
+            assert_eq!(r.cycles, pinned.cycles, "{:?}", px.mode);
+            assert_eq!(
+                r.taken_path_digest(&program),
+                pinned.taken_path_digest(&program),
+                "{:?}",
+                px.mode
+            );
+            assert_eq!(r.stats.spawns, pinned.stats.spawns, "{:?}", px.mode);
+        }
+    }
+
+    #[test]
+    fn malformed_programs_fault_alike_on_every_engine() {
+        let exit_only = assemble(".code\nmain:\n  exit\n").unwrap();
+        let mut blob_past_end = exit_only.clone();
+        blob_past_end.data.push(px_isa::DataItem {
+            addr: u32::MAX - 2,
+            bytes: vec![1, 2, 3, 4],
+        });
+        let mut too_large = exit_only;
+        too_large.mem_size = px_mach::MAX_MEM_BYTES + 1;
+        let mach = MachConfig {
+            cores: 2,
+            ..MachConfig::default()
+        };
+        for (name, program, expected) in [
+            (
+                "blob past the end of memory",
+                blob_past_end,
+                SimError::BlobOutOfBounds {
+                    addr: u32::MAX - 2,
+                    len: 4,
+                },
+            ),
+            (
+                "mem_size over MAX_MEM_BYTES",
+                too_large,
+                SimError::ProgramTooLarge {
+                    mem_size: px_mach::MAX_MEM_BYTES + 1,
+                },
+            ),
+        ] {
+            let expected = px_mach::RunExit::EngineFault(expected);
+            let base = px_mach::run_baseline(&program, &mach, IoState::default(), 100);
+            assert_eq!(base.exit, expected, "baseline: {name}");
+            for px in [PxConfig::default(), PxConfig::default().cmp()] {
+                let r = run(&program, &mach, &px, IoState::default());
+                assert_eq!(r.exit, expected, "{:?}: {name}", px.mode);
+            }
+        }
     }
 
     #[test]

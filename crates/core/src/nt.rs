@@ -24,11 +24,11 @@ use std::sync::Arc;
 
 use px_isa::{DecodedProgram, MicroOp, Program, UOP_KIND_COUNT};
 use px_mach::{
-    memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, uop_cost_table, Btb,
-    CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig, MemoEntry, MemoNote,
-    MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord, PathCoverage, PathKind,
-    PathPlan, PathTrail, RecordKind, Regs, RunExit, Sandbox, SimError, Step, StepEvent, WatchTable,
-    COMMITTED, MAX_MEM_BYTES,
+    load_program, memo_fingerprint, run_simple, simple_cost_until, simple_steps_until,
+    uop_cost_table, Btb, CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig,
+    MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord,
+    PathCoverage, PathKind, PathPlan, PathTrail, RecordKind, Regs, RunExit, Sandbox, SimError,
+    Step, StepEvent, WatchTable, COMMITTED, MEMO_MAX_READS,
 };
 
 use crate::config::PxConfig;
@@ -60,7 +60,7 @@ pub(crate) fn memo_table(
     px: &PxConfig,
     tag: u8,
 ) -> MemoTable {
-    MemoTable::new(fingerprint(program, mach, px, tag), px.nt_memo_max_reads)
+    MemoTable::new(fingerprint(program, mach, px, tag))
 }
 
 fn fingerprint(program: &Program, mach: &MachConfig, px: &PxConfig, tag: u8) -> u64 {
@@ -198,21 +198,10 @@ impl<'a> Run<'a> {
             program.code.len(),
             "decode of a different program"
         );
-        if let Err(e) = mach.validate() {
-            return Err(Box::new(engine_fault(program, e, io)));
-        }
-        if program.mem_size > MAX_MEM_BYTES {
-            let e = SimError::ProgramTooLarge {
-                mem_size: program.mem_size,
-            };
-            return Err(Box::new(engine_fault(program, e, io)));
-        }
-        let mut memory = Memory::new(mach.mem_size.max(program.mem_size));
-        for item in &program.data {
-            if let Err(e) = memory.try_load_blob(item.addr, &item.bytes) {
-                return Err(Box::new(engine_fault(program, e, io)));
-            }
-        }
+        let memory = match load_program(program, mach) {
+            Ok(memory) => memory,
+            Err(e) => return Err(Box::new(engine_fault(program, e, io))),
+        };
         // NT-path memoization: only when every NT path is a pure function
         // of its read set — no fault injector (faults key off absolute
         // instruction counts), no OS-sandboxed syscalls (they mutate a
@@ -224,7 +213,7 @@ impl<'a> Run<'a> {
                 match memo {
                     Some(t) if t.fingerprint() == fp => Memo::Shared(t),
                     Some(_) => Memo::Off,
-                    None => Memo::Own(MemoTable::new(fp, px.nt_memo_max_reads)),
+                    None => Memo::Own(MemoTable::new(fp)),
                 }
             } else {
                 Memo::Off
@@ -468,7 +457,7 @@ impl<'a> Run<'a> {
                 target,
                 &self.watches,
                 self.px.apply_fixes,
-                t.max_reads(),
+                MEMO_MAX_READS,
             );
             ex.rec = Some(rec);
         }

@@ -16,8 +16,9 @@
 //!    checkpoint and resumes the taken path.
 //!
 //! Checker records produced on the NT-path go to the monitor memory area and
-//! survive the squash. The excursion itself is [`crate::nt`]'s; this module
-//! keeps the modal taken/NT loops and the standard conventions.
+//! survive the squash. The excursion itself is shared with the CMP engine
+//! (DESIGN.md §14); this module keeps the modal taken/NT loops and the
+//! standard conventions.
 
 use px_isa::{DecodedProgram, Program};
 use px_mach::{
@@ -38,24 +39,13 @@ const NT_VTAG: u8 = 1;
 /// own, so tables are never shared across engine families).
 const MEMO_TAG_STANDARD: u8 = 0;
 
-/// Runs `program` under the standard PathExpander configuration.
+/// Runs `program` under the standard PathExpander configuration with a
+/// caller-supplied [`DecodedProgram`], so repeated runs of the same program
+/// (campaigns, benchmarks) decode once. `dp` must be
+/// `DecodedProgram::decode(program)` — checked in debug builds.
 ///
-/// `cfg.mode` is ignored — this function *is* the standard engine; the
-/// [`crate::cmp`] module implements the CMP optimization.
-#[must_use]
-pub fn run_standard(
-    program: &Program,
-    mach: &MachConfig,
-    px: &PxConfig,
-    io: IoState,
-) -> PxRunResult {
-    let dp = DecodedProgram::decode(program);
-    run_standard_inner(program, &dp, mach, px, io, None, None)
-}
-
-/// [`run_standard`] with a caller-supplied [`DecodedProgram`], so repeated
-/// runs of the same program (campaigns, benchmarks) decode once. `dp` must
-/// be `DecodedProgram::decode(program)` — checked in debug builds.
+/// `px.mode` is ignored — this function *is* the standard engine;
+/// [`crate::run`] picks the engine from the mode.
 #[must_use]
 pub fn run_standard_decoded(
     program: &Program,
@@ -91,27 +81,14 @@ pub fn standard_memo_table(program: &Program, mach: &MachConfig, px: &PxConfig) 
     nt::memo_table(program, mach, px, MEMO_TAG_STANDARD)
 }
 
-/// [`run_standard`] with an optional fault injector.
-///
-/// The hook is consulted only while an NT-path is stepping, so every
-/// injected fault lands inside the sandbox: the committed memory, register
-/// file and I/O must still match a plain baseline run (the containment
-/// property [`crate::contain::check_containment`] verifies). Bad
-/// configurations and malformed programs surface as
-/// [`RunExit::EngineFault`] instead of panicking.
-#[must_use]
-pub fn run_standard_with(
-    program: &Program,
-    mach: &MachConfig,
-    px: &PxConfig,
-    io: IoState,
-    fault: Option<&mut dyn FaultHook>,
-) -> PxRunResult {
-    let dp = DecodedProgram::decode(program);
-    run_standard_inner(program, &dp, mach, px, io, fault, None)
-}
-
-fn run_standard_inner(
+/// The standard engine. An optional fault hook is consulted only while an
+/// NT-path is stepping, so every injected fault lands inside the sandbox:
+/// the committed memory, register file and I/O must still match a plain
+/// baseline run (the containment property
+/// [`crate::contain::check_containment`] verifies). Bad configurations and
+/// malformed programs surface as [`RunExit::EngineFault`] instead of
+/// panicking.
+pub(crate) fn run_standard_inner(
     program: &Program,
     dp: &DecodedProgram,
     mach: &MachConfig,
@@ -316,7 +293,7 @@ mod tests {
 
     fn run(src: &str, px: &PxConfig) -> PxRunResult {
         let program = assemble(src).unwrap();
-        run_standard(&program, &MachConfig::single_core(), px, IoState::default())
+        crate::run(&program, &MachConfig::single_core(), px, IoState::default())
     }
 
     /// A branch with one direction never exercised by the input, plus a loop
@@ -715,7 +692,7 @@ mod tests {
         let program = assemble(HIDDEN_BUG).unwrap();
         let mut mach = MachConfig::single_core();
         mach.l1.assoc = 0;
-        let r = run_standard(&program, &mach, &PxConfig::default(), IoState::default());
+        let r = crate::run(&program, &mach, &PxConfig::default(), IoState::default());
         assert_eq!(r.exit.class(), "engine-fault");
 
         let mut garbage = assemble(HIDDEN_BUG).unwrap();
@@ -723,7 +700,7 @@ mod tests {
             addr: u32::MAX - 1,
             bytes: vec![0xAA; 8],
         });
-        let r = run_standard(
+        let r = crate::run(
             &garbage,
             &MachConfig::single_core(),
             &PxConfig::default(),
@@ -736,7 +713,7 @@ mod tests {
 
         let mut huge = assemble(HIDDEN_BUG).unwrap();
         huge.mem_size = u32::MAX;
-        let r = run_standard(
+        let r = crate::run(
             &huge,
             &MachConfig::single_core(),
             &PxConfig::default(),
@@ -755,7 +732,7 @@ mod tests {
         for seed in [1u64, 7, 42] {
             let program = assemble(HIDDEN_BUG).unwrap();
             let mut plan = FaultPlan::new(seed, FaultMix::uniform(), 2);
-            let r = run_standard_with(
+            let r = crate::run_with(
                 &program,
                 &MachConfig::single_core(),
                 &PxConfig::default(),
@@ -804,7 +781,7 @@ mod tests {
         let program = assemble(HIDDEN_BUG).unwrap();
         let dp = px_isa::DecodedProgram::decode(&program);
         let px = PxConfig::default().with_max_nt_path_len(50);
-        let plain = run_standard(
+        let plain = crate::run(
             &program,
             &MachConfig::single_core(),
             &px,

@@ -11,8 +11,8 @@
 //! must not be served from memo entries).
 
 use pathexpander::{
-    cmp_memo_table, plan_paths, run_cmp, run_cmp_memo, run_standard, run_standard_memo,
-    run_standard_with, standard_memo_table, PxConfig, PxRunResult,
+    cmp_memo_table, plan_paths, run, run_cmp_memo, run_standard_memo, run_with,
+    standard_memo_table, PxConfig, PxRunResult,
 };
 use px_isa::{
     AluOp, BranchCond, CheckKind, DecodedProgram, Instruction, Program, Reg, SyscallCode, Width,
@@ -162,8 +162,8 @@ fn px_at(k: u8, memo: bool) -> PxConfig {
 
 fn assert_memo_identical(program: &Program, input: &[u8], k: u8) {
     let io = || IoState::new(input.to_vec(), 0xD1FF);
-    let on = run_standard(program, &MachConfig::single_core(), &px_at(k, true), io());
-    let off = run_standard(program, &MachConfig::single_core(), &px_at(k, false), io());
+    let on = run(program, &MachConfig::single_core(), &px_at(k, true), io());
+    let off = run(program, &MachConfig::single_core(), &px_at(k, false), io());
     assert_eq!(
         full_digest(program, &on),
         full_digest(program, &off),
@@ -172,8 +172,8 @@ fn assert_memo_identical(program: &Program, input: &[u8], k: u8) {
         (&off.exit, off.cycles, &off.stats),
     );
 
-    let c_on = run_cmp(program, &MachConfig::default(), &px_at(k, true).cmp(), io());
-    let c_off = run_cmp(
+    let c_on = run(program, &MachConfig::default(), &px_at(k, true).cmp(), io());
+    let c_off = run(
         program,
         &MachConfig::default(),
         &px_at(k, false).cmp(),
@@ -209,14 +209,14 @@ px_prop! {
         let io = || IoState::new(Vec::new(), 0xD1FF);
         let mut fa = FaultPlan::uniform(u64::from(seed), 3);
         let mut fb = FaultPlan::uniform(u64::from(seed), 3);
-        let on = run_standard_with(
+        let on = run_with(
             &program,
             &MachConfig::single_core(),
             &px_at(4, true),
             io(),
             Some(&mut fa),
         );
-        let off = run_standard_with(
+        let off = run_with(
             &program,
             &MachConfig::single_core(),
             &px_at(4, false),
@@ -260,13 +260,13 @@ fn nt_heavy_identical_with_hits_and_path_plan() {
     let plan = std::sync::Arc::new(plan_paths(&set).expect("unique digests"));
     for k in [1u8, 4, 16] {
         let px = px_at(k, true).with_path_plan(Some(plan.clone()));
-        let on = run_standard(
+        let on = run(
             &program,
             &MachConfig::single_core(),
             &px,
             IoState::default(),
         );
-        let off = run_standard(
+        let off = run(
             &program,
             &MachConfig::single_core(),
             &px.clone().with_nt_memo(false),
@@ -277,13 +277,13 @@ fn nt_heavy_identical_with_hits_and_path_plan() {
             full_digest(&program, &off),
             "nt-heavy memo on/off diverged (K={k})"
         );
-        let c_on = run_cmp(
+        let c_on = run(
             &program,
             &MachConfig::default(),
             &px.clone().cmp(),
             IoState::default(),
         );
-        let c_off = run_cmp(
+        let c_off = run(
             &program,
             &MachConfig::default(),
             &px.clone().cmp().with_nt_memo(false),
@@ -317,7 +317,7 @@ fn explicit_table_hits_and_reuses_across_runs() {
     // A second run against the same table starts hot: at least as many hits
     // per spawn, and the result is still byte-identical to a memo-off run.
     let second = run_standard_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
-    let plain = run_standard(
+    let plain = run(
         &program,
         &mach,
         &px.clone().with_nt_memo(false),
@@ -349,7 +349,7 @@ fn cmp_explicit_table_hits_and_stays_identical() {
     let hits_after_first = table.counters.hits;
 
     let second = run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
-    let plain = run_cmp(
+    let plain = run(
         &program,
         &mach,
         &px.clone().with_nt_memo(false),
@@ -375,7 +375,7 @@ fn mismatched_tables_are_ignored() {
     let px = px_at(64, true).cmp();
     let mut table = standard_memo_table(&program, &mach, &px);
     let r = run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
-    let off = run_cmp(
+    let off = run(
         &program,
         &mach,
         &px.clone().with_nt_memo(false),
@@ -393,7 +393,7 @@ fn mismatched_tables_are_ignored() {
     let px = px_at(64, true);
     let mut table = standard_memo_table(&other, &mach, &px);
     let r = run_standard_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
-    let off = run_standard(
+    let off = run(
         &program,
         &mach,
         &px.clone().with_nt_memo(false),

@@ -15,8 +15,10 @@
 
 use std::collections::HashMap;
 
-use px_isa::{Instruction, Program};
-use px_mach::{CoreState, IoState, MachConfig, Memory, StepEnv, StepEvent, WatchTable};
+use px_isa::{DecodedProgram, Instruction, Program};
+use px_mach::{
+    load_program, step_uop, CoreState, IoState, MachConfig, StepEnv, StepEvent, WatchTable,
+};
 
 use crate::ast::BinOp;
 use crate::codegen::{boundary_delta, satisfying_direction, CompiledProgram, OperandSide};
@@ -50,7 +52,7 @@ fn widen(r: &mut OperandRanges, a: i32, b: i32) {
 ///
 /// The profiling input should be a *general* input — the point is to learn
 /// normal value ranges, exactly like the invariant-inference tools the
-/// paper cites.
+/// paper cites. A program the machine cannot load yields an empty profile.
 #[must_use]
 pub fn collect_branch_profile(
     program: &Program,
@@ -58,10 +60,10 @@ pub fn collect_branch_profile(
     io: IoState,
     max_instructions: u64,
 ) -> BranchRanges {
-    let mut memory = Memory::new(mach.mem_size.max(program.mem_size));
-    for item in &program.data {
-        memory.load_blob(item.addr, &item.bytes);
-    }
+    let Ok(mut memory) = load_program(program, mach) else {
+        return BranchRanges::new();
+    };
+    let dp = DecodedProgram::decode(program);
     let mut core = CoreState::at_entry(program.entry, memory.size());
     let mut watches = WatchTable::new();
     let mut io = io;
@@ -76,7 +78,7 @@ pub fn collect_branch_profile(
             costs: &mach.costs,
             fault: None,
         };
-        let s = px_mach::step(program, &mut core, &mut memory, &mut env);
+        let s = step_uop(program, &dp, &mut core, &mut memory, &mut env);
         match s.event {
             StepEvent::Branch {
                 pc,

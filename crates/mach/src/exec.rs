@@ -1,18 +1,17 @@
-//! The instruction interpreter: one architectural step of one core.
+//! The interface of one architectural step: what a step reads
+//! ([`StepEnv`]) and what it reports ([`Step`], [`StepEvent`],
+//! [`DataAccess`]). The interpreter itself is [`crate::uexec::step_uop`].
 //!
-//! The interpreter is *pure* with respect to timing — it reports the
-//! instruction's base cost and any data access, and the caller (the baseline
-//! runner or a PathExpander engine) charges the memory hierarchy. This split
-//! lets every engine (baseline, standard, CMP, feasibility, software
-//! implementation) share one set of semantics.
+//! A step is *pure* with respect to timing — it reports the instruction's
+//! base cost and any data access, and the caller (the baseline runner or a
+//! PathExpander engine) charges the memory hierarchy.
 
-use px_isa::{CheckKind, Instruction, Program, Reg, SyscallCode, Width, DATA_BASE};
+use px_isa::{CheckKind, SyscallCode};
 
 use crate::config::CostModel;
-use crate::core::CoreState;
 use crate::fault::{FaultAction, FaultHook};
 use crate::io::IoState;
-use crate::memory::{CrashKind, MemView};
+use crate::memory::CrashKind;
 use crate::watch::WatchTable;
 
 /// A data-memory access performed by a step, for cache timing.
@@ -119,357 +118,20 @@ impl core::fmt::Debug for StepEnv<'_, '_> {
     }
 }
 
-/// Executes one instruction of `core` against `mem`.
-///
-/// On [`StepEvent::Crash`] and [`StepEvent::UnsafeEvent`] the core state is
-/// left unchanged (the caller squashes or faults); on every other event the
-/// core has advanced.
-///
-/// Generic over the memory view so each engine's hot loop monomorphizes —
-/// loads and stores inline instead of going through a vtable. `?Sized`
-/// keeps `&mut dyn MemView` callers working unchanged.
-#[inline]
-pub fn step<M: MemView + ?Sized>(
-    program: &Program,
-    core: &mut CoreState,
-    mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-) -> Step {
-    let pc = core.pc;
-    let Some(insn) = program.fetch(pc) else {
-        return Step {
-            event: StepEvent::Crash {
-                kind: CrashKind::BadPc { pc },
-                pc,
-            },
-            base_cost: env.costs.control,
-            access: None,
-            deferred: None,
-        };
-    };
-
-    // Fault injection: core-level faults apply right here (against whatever
-    // MemView this step runs on — an NT-path's faults land in its sandbox);
-    // cache-level faults are handed back to the engine via `deferred`.
-    let mut deferred: Option<FaultAction> = None;
-    let mut redirect: Option<u32> = None;
-    if let Some(hook) = env.fault.as_mut() {
-        if let Some(action) = hook.before_step(pc) {
-            match action {
-                FaultAction::ForceCrash { kind } => {
-                    return Step {
-                        event: StepEvent::Crash { kind, pc },
-                        base_cost: env.costs.control,
-                        access: None,
-                        deferred: None,
-                    };
-                }
-                FaultAction::FlipMemBit { entropy, bit } => {
-                    flip_mem_bit(program, mem, entropy, bit);
-                }
-                FaultAction::RedirectBack { max_back } => redirect = Some(max_back),
-                // When system calls are suppressed the step's IoState is the
-                // caller's *real* I/O that the path can never observe —
-                // failing it would leak the fault past a squash. Only paths
-                // that can actually read input (taken path, or an NT-path
-                // with an OS-sandbox scratch snapshot) take the error.
-                FaultAction::FailInput => {
-                    if !env.suppress_syscalls {
-                        env.io.fail_input();
-                    }
-                }
-                other => deferred = Some(other),
-            }
-        }
-    }
-
-    // Control transfers clear the NT-entry predicate (design decision D1):
-    // the variable-fixing window is the NT-path's entry basic block.
-    let mut next_pred = core.pred && !insn.is_control_transfer();
-    let costs = env.costs;
-    let mut base_cost = costs.alu;
-    let mut access = None;
-    let mut event = StepEvent::None;
-    let mut next_pc = pc.wrapping_add(1);
-
-    macro_rules! crash {
-        ($kind:expr) => {
-            return Step {
-                event: StepEvent::Crash { kind: $kind, pc },
-                base_cost,
-                access: None,
-                deferred,
-            }
-        };
-    }
-
-    match insn {
-        Instruction::Nop => {}
-        Instruction::Alu { op, rd, rs1, rs2 } => {
-            base_cost = alu_cost(op, costs);
-            let a = core.regs.get(rs1);
-            let b = core.regs.get(rs2);
-            match op.eval(a, b) {
-                Some(v) => core.regs.set(rd, v),
-                None => crash!(CrashKind::DivByZero),
-            }
-        }
-        Instruction::AluI { op, rd, rs1, imm } => {
-            base_cost = alu_cost(op, costs);
-            let a = core.regs.get(rs1);
-            match op.eval(a, imm) {
-                Some(v) => core.regs.set(rd, v),
-                None => crash!(CrashKind::DivByZero),
-            }
-        }
-        Instruction::Load {
-            width,
-            rd,
-            base,
-            offset,
-        } => {
-            let addr = (core.regs.get(base) as u32).wrapping_add(offset as u32);
-            match mem.load(addr, width) {
-                Ok(v) => {
-                    core.regs.set(rd, v);
-                    access = Some(DataAccess { addr, write: false });
-                    if let Some(tag) = env.watches.hit(addr, width.bytes()) {
-                        base_cost += costs.watch_hit;
-                        event = StepEvent::WatchHit {
-                            tag,
-                            addr,
-                            is_write: false,
-                            pc,
-                        };
-                    }
-                }
-                Err(kind) => crash!(kind),
-            }
-        }
-        Instruction::Store {
-            width,
-            rs,
-            base,
-            offset,
-        } => {
-            let addr = (core.regs.get(base) as u32).wrapping_add(offset as u32);
-            match mem.store(addr, core.regs.get(rs), width) {
-                Ok(()) => {
-                    access = Some(DataAccess { addr, write: true });
-                    if let Some(tag) = env.watches.hit(addr, width.bytes()) {
-                        base_cost += costs.watch_hit;
-                        event = StepEvent::WatchHit {
-                            tag,
-                            addr,
-                            is_write: true,
-                            pc,
-                        };
-                    }
-                }
-                Err(kind) => crash!(kind),
-            }
-        }
-        Instruction::Branch {
-            cond,
-            rs1,
-            rs2,
-            target,
-        } => {
-            base_cost = costs.control;
-            let a = core.regs.get(rs1);
-            let b = core.regs.get(rs2);
-            let taken = cond.eval(a, b);
-            let not_taken_target = pc + 1;
-            if taken {
-                if !program.valid_pc(target) {
-                    crash!(CrashKind::BadPc { pc: target });
-                }
-                next_pc = target;
-            }
-            event = StepEvent::Branch {
-                pc,
-                taken,
-                taken_target: target,
-                not_taken_target,
-                operands: (a, b),
-            };
-        }
-        Instruction::Jump { target } => {
-            base_cost = costs.control;
-            if !program.valid_pc(target) {
-                crash!(CrashKind::BadPc { pc: target });
-            }
-            next_pc = target;
-        }
-        Instruction::Call { target } => {
-            base_cost = costs.control;
-            if !program.valid_pc(target) {
-                crash!(CrashKind::BadPc { pc: target });
-            }
-            core.regs.set(Reg::RA, (pc + 1) as i32);
-            next_pc = target;
-        }
-        Instruction::Ret => {
-            base_cost = costs.control;
-            let target = core.regs.get(Reg::RA) as u32;
-            if !program.valid_pc(target) {
-                crash!(CrashKind::BadPc { pc: target });
-            }
-            next_pc = target;
-        }
-        Instruction::Syscall { code } => {
-            if env.suppress_syscalls {
-                return Step {
-                    event: StepEvent::UnsafeEvent { code },
-                    base_cost: costs.control,
-                    access: None,
-                    deferred,
-                };
-            }
-            base_cost = costs.syscall;
-            match code {
-                SyscallCode::Exit => {
-                    return Step {
-                        event: StepEvent::Exit {
-                            code: core.regs.get(Reg::A0),
-                        },
-                        base_cost,
-                        access: None,
-                        deferred,
-                    };
-                }
-                SyscallCode::PutChar => env.io.put_char(core.regs.get(Reg::A0) as u8),
-                SyscallCode::GetChar => {
-                    let v = env.io.get_char();
-                    core.regs.set(Reg::RV, v);
-                }
-                SyscallCode::PrintInt => env.io.print_int(core.regs.get(Reg::A0)),
-                SyscallCode::ReadInt => {
-                    let v = env.io.read_int();
-                    core.regs.set(Reg::RV, v);
-                }
-                SyscallCode::Rand => {
-                    let v = env.io.rand();
-                    core.regs.set(Reg::RV, v);
-                }
-                SyscallCode::Time => {
-                    core.regs
-                        .set(Reg::RV, (env.now_cycles & 0x7FFF_FFFF) as i32);
-                }
-            }
-            event = StepEvent::Syscall { code };
-        }
-        Instruction::Check { kind, cond, site } => {
-            base_cost = costs.check;
-            if core.regs.get(cond) == 0 {
-                event = StepEvent::CheckFailed { kind, site, pc };
-            }
-        }
-        Instruction::SetWatch { base, len, tag } => {
-            base_cost = costs.watch_op;
-            let lo = core.regs.get(base) as u32;
-            let len = core.regs.get(len).max(0) as u32;
-            env.watches.set(lo, len, tag);
-        }
-        Instruction::ClearWatch { tag } => {
-            base_cost = costs.watch_op;
-            env.watches.clear(tag);
-        }
-        Instruction::PMovI { rd, imm } => {
-            if core.pred {
-                core.regs.set(rd, imm);
-            }
-        }
-        Instruction::PMov { rd, rs } => {
-            if core.pred {
-                let v = core.regs.get(rs);
-                core.regs.set(rd, v);
-            }
-        }
-        Instruction::PAluI { op, rd, rs1, imm } => {
-            if core.pred {
-                base_cost = alu_cost(op, costs);
-                let a = core.regs.get(rs1);
-                match op.eval(a, imm) {
-                    Some(v) => core.regs.set(rd, v),
-                    None => crash!(CrashKind::DivByZero),
-                }
-            }
-        }
-        Instruction::PStore {
-            width,
-            rs,
-            base,
-            offset,
-        } => {
-            if core.pred {
-                let addr = (core.regs.get(base) as u32).wrapping_add(offset as u32);
-                match mem.store(addr, core.regs.get(rs), width) {
-                    Ok(()) => access = Some(DataAccess { addr, write: true }),
-                    Err(kind) => crash!(kind),
-                }
-            }
-        }
-    }
-
-    core.pc = next_pc;
-    // Re-read predicate decision: a control transfer clears it *after* the
-    // instruction executes.
-    if insn.is_control_transfer() {
-        next_pred = false;
-    }
-    core.pred = next_pred;
-
-    // A runaway fault drags the pc backwards *after* the instruction
-    // executed normally: every index at or below the current (valid) pc is
-    // itself valid, so the redirect always forms a loop rather than a crash.
-    if let Some(max_back) = redirect {
-        core.pc = pc.saturating_sub(max_back);
-    }
-
-    Step {
-        event,
-        base_cost,
-        access,
-        deferred,
-    }
-}
-
-/// Applies a bit-flip fault to the data segment visible through `mem`. The
-/// entropy is reduced to an address inside `[DATA_BASE, mem_size)`;
-/// addresses the program cannot itself reach are silently skipped, so a
-/// flip is never an engine error.
-pub(crate) fn flip_mem_bit<M: MemView + ?Sized>(
-    program: &Program,
-    mem: &mut M,
-    entropy: u64,
-    bit: u8,
-) {
-    let span = u64::from(program.mem_size.max(DATA_BASE + 1) - DATA_BASE);
-    let addr = DATA_BASE + (entropy % span) as u32;
-    if let Ok(v) = mem.load(addr, Width::Byte) {
-        let _ = mem.store(addr, v ^ (1 << (bit & 7)), Width::Byte);
-    }
-}
-
-pub(crate) fn alu_cost(op: px_isa::AluOp, costs: &CostModel) -> u32 {
-    use px_isa::AluOp;
-    match op {
-        AluOp::Mul => costs.mul,
-        AluOp::Div | AluOp::Rem => costs.div,
-        _ => costs.alu,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CostModel;
-    use crate::memory::Memory;
-    use px_isa::{asm::assemble, Width, DATA_BASE};
+    use crate::core::CoreState;
+    use crate::io::IoState;
+    use crate::memory::{MemView, Memory};
+    use crate::uexec::step_uop;
+    use crate::watch::WatchTable;
+    use px_isa::{asm::assemble, DecodedProgram, Reg, SyscallCode, Width, DATA_BASE};
 
     fn run_snippet(src: &str, input: &[u8]) -> (CoreState, Memory, IoState, StepEvent) {
         let program = assemble(src).unwrap();
+        let dp = DecodedProgram::decode(&program);
         let mut mem = Memory::new(px_isa::DEFAULT_MEM_SIZE);
         for item in &program.data {
             mem.load_blob(item.addr, &item.bytes);
@@ -487,10 +149,10 @@ mod tests {
                 costs: &costs,
                 fault: None,
             };
-            let step = step(&program, &mut core, &mut mem, &mut env);
-            match step.event {
+            let s = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
+            match s.event {
                 StepEvent::Exit { .. } | StepEvent::Crash { .. } => {
-                    return (core, mem, io, step.event)
+                    return (core, mem, io, s.event)
                 }
                 _ => {}
             }
@@ -605,6 +267,7 @@ mod tests {
             ",
         )
         .unwrap();
+        let dp = DecodedProgram::decode(&program);
         let mut mem = Memory::new(px_isa::DEFAULT_MEM_SIZE);
         let mut core = CoreState::at_entry(0, mem.size());
         core.pred = true; // as if spawned as NT-path
@@ -620,7 +283,7 @@ mod tests {
                 costs: &costs,
                 fault: None,
             };
-            let s = step(&program, &mut core, &mut mem, &mut env);
+            let s = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
             if s.event.is_terminal() {
                 break;
             }
@@ -637,6 +300,7 @@ mod tests {
     #[test]
     fn suppressed_syscall_reports_unsafe_event_without_side_effects() {
         let program = assemble(".code\nmain:\n  li r2, 65\n  putc\n  exit\n").unwrap();
+        let dp = DecodedProgram::decode(&program);
         let mut mem = Memory::new(px_isa::DEFAULT_MEM_SIZE);
         let mut core = CoreState::at_entry(0, mem.size());
         let mut io = IoState::default();
@@ -650,7 +314,7 @@ mod tests {
             costs: &costs,
             fault: None,
         };
-        let s1 = step(&program, &mut core, &mut mem, &mut env);
+        let s1 = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
         assert!(matches!(s1.event, StepEvent::None));
         let mut env = StepEnv {
             io: &mut io,
@@ -660,7 +324,7 @@ mod tests {
             costs: &costs,
             fault: None,
         };
-        let s2 = step(&program, &mut core, &mut mem, &mut env);
+        let s2 = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
         assert!(matches!(
             s2.event,
             StepEvent::UnsafeEvent {
@@ -678,6 +342,7 @@ mod tests {
         assert!(matches!(event, StepEvent::Exit { .. }));
 
         let program = assemble(".code\nmain:\n  assert r1, #3\n  exit\n").unwrap();
+        let dp = DecodedProgram::decode(&program);
         let mut mem = Memory::new(px_isa::DEFAULT_MEM_SIZE);
         let mut core = CoreState::at_entry(0, mem.size());
         let mut io = IoState::default();
@@ -691,7 +356,7 @@ mod tests {
             costs: &costs,
             fault: None,
         };
-        let s = step(&program, &mut core, &mut mem, &mut env);
+        let s = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
         assert!(matches!(
             s.event,
             StepEvent::CheckFailed {
@@ -717,6 +382,7 @@ mod tests {
             ",
         )
         .unwrap();
+        let dp = DecodedProgram::decode(&program);
         let mut mem = Memory::new(px_isa::DEFAULT_MEM_SIZE);
         let mut core = CoreState::at_entry(0, mem.size());
         let mut io = IoState::default();
@@ -732,7 +398,7 @@ mod tests {
                 costs: &costs,
                 fault: None,
             };
-            let s = step(&program, &mut core, &mut mem, &mut env);
+            let s = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
             if let StepEvent::WatchHit {
                 tag,
                 addr,
@@ -752,6 +418,7 @@ mod tests {
     #[test]
     fn branch_event_reports_both_targets() {
         let program = assemble(".code\nmain:\n  beq zero, zero, t\n  nop\nt:  exit\n").unwrap();
+        let dp = DecodedProgram::decode(&program);
         let mut mem = Memory::new(px_isa::DEFAULT_MEM_SIZE);
         let mut core = CoreState::at_entry(0, mem.size());
         let mut io = IoState::default();
@@ -765,7 +432,7 @@ mod tests {
             costs: &costs,
             fault: None,
         };
-        let s = step(&program, &mut core, &mut mem, &mut env);
+        let s = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
         assert_eq!(
             s.event,
             StepEvent::Branch {

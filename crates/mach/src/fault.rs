@@ -7,8 +7,8 @@
 //! purpose and at scale:
 //!
 //! * [`FaultHook`] — a step-granular injection point threaded through
-//!   [`crate::exec::step`]. Engines pass `None` for zero-cost production
-//!   runs and a hook during fault campaigns.
+//!   [`crate::uexec::step_uop`]. Engines pass `None` for zero-cost
+//!   production runs and a hook during fault campaigns.
 //! * [`FaultPlan`] — a seeded, replayable hook: given the same seed, mix
 //!   and rate it injects the identical fault sequence, so any containment
 //!   violation found by a campaign replays deterministically.
@@ -18,13 +18,13 @@
 //!
 //! Faults come in two delivery flavours. *Core-level* faults (forced
 //! crashes, data-memory bit flips, runaway redirects, I/O errors) are
-//! applied inside `step` itself, against whatever [`crate::memory::MemView`]
-//! the step executes on — so an NT-path's bit flips land in its sandbox and
-//! are squashed with it. *Cache-level* faults (L1 vtag flips, volatile-way
-//! exhaustion, monitor pressure) cannot be applied by `step`, which never
-//! touches the timing caches; they are returned to the engine as the step's
-//! `deferred` action, and the engine applies them to its
-//! [`crate::cache::Hierarchy`] / monitor area.
+//! applied inside `step_uop` itself, against whatever
+//! [`crate::memory::MemView`] the step executes on — so an NT-path's bit
+//! flips land in its sandbox and are squashed with it. *Cache-level* faults
+//! (L1 vtag flips, volatile-way exhaustion, monitor pressure) cannot be
+//! applied by `step_uop`, which never touches the timing caches; they are
+//! returned to the engine as the step's `deferred` action, and the engine
+//! applies them to its [`crate::cache::Hierarchy`] / monitor area.
 
 use px_util::{Rng, Xoshiro256};
 
@@ -195,7 +195,7 @@ impl FaultAction {
         }
     }
 
-    /// Whether the engine (not `step`) must apply this action.
+    /// Whether the engine (not `step_uop`) must apply this action.
     #[must_use]
     pub fn is_deferred(self) -> bool {
         matches!(

@@ -6,8 +6,9 @@
 //! structure PathExpander's hardware design touches:
 //!
 //! * an instruction interpreter with exact architectural semantics
-//!   ([`exec::step`]), shared by the baseline, both PathExpander hardware
-//!   engines, the feasibility harness and the software implementation;
+//!   ([`uexec::step_uop`]) over pre-decoded micro-ops, shared by the
+//!   baseline, both PathExpander hardware engines (and so the feasibility
+//!   harness and the software implementation) and fix refitting;
 //! * per-core L1 / shared L2 **timing caches with volatile version tags**
 //!   ([`cache::Hierarchy`]) implementing the L1 sandbox and its capacity
 //!   constraint (paper §4.2(2));
@@ -22,7 +23,8 @@
 //! * iWatcher-style **watch ranges** with NT-rollback ([`watch::WatchTable`]);
 //! * **branch coverage** tracking ([`coverage::Coverage`], the paper's §2
 //!   metric) and a **baseline runner** ([`runner::run_baseline`]) for the
-//!   paper's no-PathExpander columns.
+//!   paper's no-PathExpander columns, with the program loader
+//!   ([`runner::load_program`]) every engine shares.
 //!
 //! The default [`MachConfig`] reproduces the paper's Table 2 parameters.
 //!
@@ -53,7 +55,7 @@ pub use cache::{Access, Cache, Hierarchy, HierarchyStats, Lookup, COMMITTED};
 pub use config::{CacheConfig, CostModel, MachConfig};
 pub use core::{Checkpoint, CoreState, Regs};
 pub use coverage::Coverage;
-pub use exec::{step, DataAccess, Step, StepEnv, StepEvent};
+pub use exec::{DataAccess, Step, StepEnv, StepEvent};
 pub use fault::{
     FaultAction, FaultHook, FaultKind, FaultMix, FaultPlan, FaultStats, SimError, FAULT_KINDS,
     MAX_MEM_BYTES,
@@ -61,12 +63,12 @@ pub use fault::{
 pub use io::IoState;
 pub use memo::{
     memo_fingerprint, MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoStop, MemoTable,
-    MEMO_MAX_STEPS, MEMO_RETRY_PERIOD, MEMO_STRIKE_LIMIT,
+    MEMO_MAX_READS, MEMO_MAX_STEPS, MEMO_RETRY_PERIOD, MEMO_STRIKE_LIMIT,
 };
 pub use memory::{CrashKind, MemView, Memory, Sandbox, SandboxView};
 pub use monitor::{MonitorArea, MonitorRecord, PathKind, RecordKind};
 pub use paths::{PathCoverage, PathPlan, PathTrail};
-pub use runner::{run_baseline, run_baseline_traced, run_baseline_with, RunExit, RunResult};
+pub use runner::{load_program, run_baseline, run_baseline_with, RunExit, RunResult};
 pub use uexec::{
     run_simple, simple_cost_until, simple_steps_until, step_uop, uop_cost_table, UopHandler,
     UopProfile,

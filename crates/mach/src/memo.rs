@@ -48,6 +48,11 @@ use crate::watch::{WatchRange, WatchTable};
 /// come close.
 pub const MEMO_MAX_STEPS: usize = 4096;
 
+/// Read-set size cap for recording: paths that read more than this many
+/// distinct memory bytes are not memoized (probing such a set would cost
+/// more than re-simulating the path). Not part of the memo fingerprint.
+pub const MEMO_MAX_READS: usize = 1024;
+
 /// Slot count of the memo table (distinct (spawn pc, target) keys).
 pub const MEMO_SLOTS: usize = 512;
 
@@ -509,7 +514,6 @@ struct MemoSlot {
 pub struct MemoTable {
     map: FixedMap<MemoSlot>,
     fingerprint: u64,
-    max_reads: usize,
     /// Probe/store accounting (not part of `PxStats`, so memoization never
     /// perturbs architectural statistics).
     pub counters: MemoCounters,
@@ -518,11 +522,10 @@ pub struct MemoTable {
 impl MemoTable {
     /// Create an empty table bound to a configuration fingerprint.
     #[must_use]
-    pub fn new(fingerprint: u64, max_reads: usize) -> MemoTable {
+    pub fn new(fingerprint: u64) -> MemoTable {
         MemoTable {
             map: FixedMap::new(MEMO_SLOTS, fingerprint),
             fingerprint,
-            max_reads,
             counters: MemoCounters::default(),
         }
     }
@@ -532,12 +535,6 @@ impl MemoTable {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Read-set size cap handed to recorders.
-    #[must_use]
-    pub fn max_reads(&self) -> usize {
-        self.max_reads
     }
 
     /// Total evictions (slot-level and variant-level).
@@ -693,7 +690,7 @@ mod tests {
 
     #[test]
     fn probe_validates_reg_and_mem_live_ins() {
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         t.store(entry_with(vec![(5, 77)], vec![(4096, 9)]));
         let watches = WatchTable::default();
         let mut regs = Regs::default();
@@ -727,7 +724,7 @@ mod tests {
         let mut recorded = watches.ranges().to_vec();
         recorded.reverse();
         e.watch = recorded;
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         t.store(e);
         let regs = Regs::default();
         let mem = Memory::new(8192);
@@ -742,7 +739,7 @@ mod tests {
 
     #[test]
     fn variant_list_evicts_least_used() {
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         for i in 0..MEMO_VARIANTS as i32 {
             t.store(entry_with(vec![(5, i)], Vec::new()));
         }
@@ -768,7 +765,7 @@ mod tests {
 
     #[test]
     fn admission_mutes_striking_keys_and_retries_periodically() {
-        let mut t = MemoTable::new(1, 1024);
+        let mut t = MemoTable::new(1);
         let watches = WatchTable::default();
         let mem = Memory::new(8192);
         // Unknown keys always record.

@@ -73,7 +73,7 @@ pub struct RunResult {
     /// Final core state (registers and pc) — the committed register file
     /// the containment checker compares against PathExpander runs.
     pub core: CoreState,
-    /// Prime-path coverage, when [`run_baseline_traced`] was given a plan.
+    /// Prime-path coverage, when [`run_baseline_with`] was given a plan.
     pub path_coverage: Option<PathCoverage>,
 }
 
@@ -88,74 +88,75 @@ pub fn run_baseline(
     io: IoState,
     max_instructions: u64,
 ) -> RunResult {
-    run_baseline_with(program, cfg, io, max_instructions, None)
+    run_baseline_with(program, cfg, io, max_instructions, None, None)
 }
 
-/// [`run_baseline`] with an optional fault injector. Baseline has no
-/// sandbox, so injected core-level faults are *architectural* — they
-/// corrupt the run exactly as a real fault would; deferred (cache-level)
-/// faults are PathExpander-specific and are ignored here. Configuration
-/// and program problems surface as [`RunExit::EngineFault`].
+/// Validates `cfg` and loads `program` into a fresh memory image: the
+/// load policy the baseline and both PathExpander engines share. A bad
+/// configuration, a program larger than [`MAX_MEM_BYTES`], or a data blob
+/// outside memory is a typed [`SimError`], never a panic.
+///
+/// # Errors
+///
+/// Returns the first problem found, in that order.
+pub fn load_program(program: &Program, cfg: &MachConfig) -> Result<Memory, SimError> {
+    cfg.validate()?;
+    if program.mem_size > MAX_MEM_BYTES {
+        return Err(SimError::ProgramTooLarge {
+            mem_size: program.mem_size,
+        });
+    }
+    let mut memory = Memory::new(cfg.mem_size.max(program.mem_size));
+    for item in &program.data {
+        memory.try_load_blob(item.addr, &item.bytes)?;
+    }
+    Ok(memory)
+}
+
+/// [`run_baseline`] with an optional fault injector and an optional
+/// prime-path plan.
+///
+/// Baseline has no sandbox, so injected core-level faults are
+/// *architectural* — they corrupt the run exactly as a real fault would;
+/// deferred (cache-level) faults are PathExpander-specific and are ignored
+/// here. Configuration and program problems surface as
+/// [`RunExit::EngineFault`].
+///
+/// With a [`PathPlan`], the result carries a [`PathCoverage`] of the prime
+/// paths the taken path traversed. Tracking is purely observational — the
+/// architectural run (exit, coverage, cycles, digests) is byte-identical
+/// with or without a plan.
 #[must_use]
 pub fn run_baseline_with(
     program: &Program,
     cfg: &MachConfig,
-    io: IoState,
-    max_instructions: u64,
-    fault: Option<&mut dyn FaultHook>,
-) -> RunResult {
-    run_baseline_traced(program, cfg, io, max_instructions, fault, None)
-}
-
-/// [`run_baseline_with`] plus optional prime-path tracking: with a
-/// [`PathPlan`], the result carries a [`PathCoverage`] of the prime paths
-/// the taken path traversed. Tracking is purely observational — the
-/// architectural run (exit, coverage, cycles, digests) is byte-identical
-/// with or without a plan.
-#[must_use]
-pub fn run_baseline_traced(
-    program: &Program,
-    cfg: &MachConfig,
-    io: IoState,
+    mut io: IoState,
     max_instructions: u64,
     mut fault: Option<&mut dyn FaultHook>,
     plan: Option<&PathPlan>,
 ) -> RunResult {
-    let fail = |exit: SimError, io: IoState| RunResult {
-        exit: RunExit::EngineFault(exit),
-        instructions: 0,
-        cycles: 0,
-        coverage: Coverage::for_program(program),
-        monitor: MonitorArea::new(),
-        io,
-        memory: Memory::new(0),
-        core: CoreState::default(),
-        path_coverage: None,
-    };
-    if let Err(e) = cfg.validate() {
-        return fail(e, io);
-    }
-    if program.mem_size > MAX_MEM_BYTES {
-        return fail(
-            SimError::ProgramTooLarge {
-                mem_size: program.mem_size,
-            },
-            io,
-        );
-    }
-    let mut memory = Memory::new(cfg.mem_size.max(program.mem_size));
-    for item in &program.data {
-        if let Err(e) = memory.try_load_blob(item.addr, &item.bytes) {
-            return fail(e, io);
+    let mut memory = match load_program(program, cfg) {
+        Ok(memory) => memory,
+        Err(e) => {
+            return RunResult {
+                exit: RunExit::EngineFault(e),
+                instructions: 0,
+                cycles: 0,
+                coverage: Coverage::for_program(program),
+                monitor: MonitorArea::new(),
+                io,
+                memory: Memory::new(0),
+                core: CoreState::default(),
+                path_coverage: None,
+            }
         }
-    }
+    };
     let mut core = CoreState::at_entry(program.entry, memory.size());
     let mut caches = Hierarchy::new(cfg);
     let mut btb = Btb::new(cfg.btb_entries, cfg.btb_assoc);
     let mut watches = WatchTable::new();
     let mut coverage = Coverage::for_program(program);
     let mut monitor = MonitorArea::new();
-    let mut io = io;
     let mut tracking: Option<(&PathPlan, PathTrail, PathCoverage)> =
         plan.map(|p| (p, PathTrail::for_plan(p), p.new_coverage()));
     if let Some((p, trail, cov)) = &mut tracking {
@@ -415,6 +416,7 @@ mod tests {
                 IoState::default(),
                 10_000,
                 Some(&mut plan),
+                None,
             );
             assert!(
                 !matches!(r.exit, RunExit::EngineFault(_)),

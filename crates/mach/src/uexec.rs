@@ -1,34 +1,32 @@
-//! Micro-op execution: the jump-table interpreter behind the engine hot
-//! loops.
+//! Micro-op execution: the simulator's instruction interpreter.
 //!
-//! [`step_uop`] is drop-in equivalent to [`crate::exec::step`] — same
-//! [`Step`] contract, same fault-hook protocol, bit-identical architectural
-//! effects — but dispatches a pre-decoded [`MicroOp`] through a table of
-//! monomorphized handler functions indexed by [`UopKind`] instead of
-//! re-matching the architectural [`Instruction`] enum every step. Each
-//! handler is specialized to one kind: its ALU operation, branch condition,
-//! access width and base cost are compile-time constants, and statically
-//! validated control targets skip their range checks entirely
-//! (`UopKind::Jump` vs `UopKind::JumpBad`).
+//! [`step_uop`] executes one architectural step of one core: it dispatches
+//! a pre-decoded [`MicroOp`] through a table of monomorphized handler
+//! functions indexed by [`UopKind`]. Each handler is specialized to one
+//! kind: its ALU operation, branch condition, access width and base cost
+//! are compile-time constants, and statically validated control targets
+//! skip their range checks entirely (`UopKind::Jump` vs `UopKind::JumpBad`).
+//! The baseline runner, both PathExpander engines and the profiling run of
+//! fix refitting all step through it.
 //!
 //! [`run_simple`] is the batch fast path: it retires a run of *simple*
 //! micro-ops (see [`MicroOp::is_simple`]) in one tight loop, summing their
 //! base costs from a [`uop_cost_table`]. Simple runs raise no events, touch
 //! no memory, cannot crash and never read the cycle counter, so batching is
-//! observationally identical to stepping — the invariant the differential
-//! property suite (`tests/uop_differential.rs`) enforces.
+//! observationally identical to stepping.
 //!
-//! `step` in `exec.rs` remains the reference interpreter; this module must
-//! agree with it on every program, including invalid ones.
+//! `tests/uop_differential.rs` holds an independent byte-decode reference
+//! interpreter and checks that this module agrees with it on every program,
+//! including invalid ones, and that batching equals stepping.
 
 use px_isa::{
     AluOp, BranchCond, DecodedProgram, MicroOp, Program, Reg, SyscallCode, UopKind, Width,
-    UOP_KIND_COUNT,
+    DATA_BASE, UOP_KIND_COUNT,
 };
 
 use crate::config::CostModel;
 use crate::core::CoreState;
-use crate::exec::{alu_cost, flip_mem_bit, DataAccess, Step, StepEnv, StepEvent};
+use crate::exec::{DataAccess, Step, StepEnv, StepEvent};
 use crate::fault::FaultAction;
 use crate::memory::{CrashKind, MemView};
 
@@ -769,14 +767,18 @@ fn handler_for<M: MemView + ?Sized>(kind: UopKind) -> UopHandler<M> {
     }
 }
 
-/// Executes one micro-op of `core` against `mem`: the jump-table equivalent
-/// of [`crate::exec::step`]. `program` is only consulted by injected memory
-/// faults (for the data-segment span); all hot-path information comes from
-/// `dp`.
+/// Executes one micro-op of `core` against `mem`. `program` is only
+/// consulted by injected memory faults (for the data-segment span); all
+/// hot-path information comes from `dp`.
+///
+/// On [`StepEvent::Crash`] and [`StepEvent::UnsafeEvent`] the core state is
+/// left unchanged (the caller squashes or faults); on every other event the
+/// core has advanced.
 ///
 /// Equivalence contract (enforced by `tests/uop_differential.rs`): for every
-/// program and every `(core, mem, env)` state, `step_uop` and `step` return
-/// identical [`Step`]s and leave identical machine states.
+/// program and every `(core, mem, env)` state, `step_uop` and the reference
+/// interpreter there return identical [`Step`]s and leave identical machine
+/// states.
 #[inline]
 pub fn step_uop<M: MemView + ?Sized>(
     program: &Program,
@@ -798,7 +800,8 @@ pub fn step_uop<M: MemView + ?Sized>(
         };
     };
 
-    // Fault-injection prologue — identical protocol to `step`.
+    // Fault-injection prologue — identical protocol to the reference
+    // interpreter.
     let mut deferred: Option<FaultAction> = None;
     let mut redirect: Option<u32> = None;
     if let Some(hook) = env.fault.as_mut() {
@@ -840,6 +843,26 @@ pub fn step_uop<M: MemView + ?Sized>(
     }
 
     step
+}
+
+/// Applies a bit-flip fault to the data segment visible through `mem`. The
+/// entropy is reduced to an address inside `[DATA_BASE, mem_size)`;
+/// addresses the program cannot itself reach are silently skipped, so a
+/// flip is never an engine error.
+fn flip_mem_bit<M: MemView + ?Sized>(program: &Program, mem: &mut M, entropy: u64, bit: u8) {
+    let span = u64::from(program.mem_size.max(DATA_BASE + 1) - DATA_BASE);
+    let addr = DATA_BASE + (entropy % span) as u32;
+    if let Ok(v) = mem.load(addr, Width::Byte) {
+        let _ = mem.store(addr, v ^ (1 << (bit & 7)), Width::Byte);
+    }
+}
+
+fn alu_cost(op: AluOp, costs: &CostModel) -> u32 {
+    match op {
+        AluOp::Mul => costs.mul,
+        AluOp::Div | AluOp::Rem => costs.div,
+        _ => costs.alu,
+    }
 }
 
 /// Builds the per-kind base-cost table for a cost model. Entries for
@@ -1048,191 +1071,6 @@ impl UopProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CostModel;
-    use crate::exec::step;
-    use crate::io::IoState;
-    use crate::memory::Memory;
-    use crate::watch::WatchTable;
-    use px_isa::asm::assemble;
-
-    /// Steps `program` to completion twice — once with the reference
-    /// interpreter, once with the jump table — asserting identical Steps and
-    /// identical machine state after every instruction.
-    fn lockstep(src: &str, input: &[u8], suppress: bool) {
-        let program = assemble(src).unwrap();
-        let dp = DecodedProgram::decode(&program);
-        let costs = CostModel::default();
-
-        let mut mem_a = Memory::new(program.mem_size);
-        let mut mem_b = Memory::new(program.mem_size);
-        for item in &program.data {
-            mem_a.load_blob(item.addr, &item.bytes);
-            mem_b.load_blob(item.addr, &item.bytes);
-        }
-        let mut core_a = CoreState::at_entry(program.entry, mem_a.size());
-        let mut core_b = core_a;
-        core_a.pred = true;
-        core_b.pred = true;
-        let mut io_a = IoState::new(input.to_vec(), 7);
-        let mut io_b = IoState::new(input.to_vec(), 7);
-        let mut w_a = WatchTable::new();
-        let mut w_b = WatchTable::new();
-
-        for step_no in 0..10_000 {
-            let mut env_a = StepEnv {
-                io: &mut io_a,
-                watches: &mut w_a,
-                suppress_syscalls: suppress,
-                now_cycles: step_no,
-                costs: &costs,
-                fault: None,
-            };
-            let a = step(&program, &mut core_a, &mut mem_a, &mut env_a);
-            let mut env_b = StepEnv {
-                io: &mut io_b,
-                watches: &mut w_b,
-                suppress_syscalls: suppress,
-                now_cycles: step_no,
-                costs: &costs,
-                fault: None,
-            };
-            let b = step_uop(&program, &dp, &mut core_b, &mut mem_b, &mut env_b);
-            assert_eq!(a, b, "step {step_no} diverged");
-            assert_eq!(core_a, core_b, "core state diverged at step {step_no}");
-            assert_eq!(io_a.output(), io_b.output(), "io diverged at {step_no}");
-            if a.event.is_terminal() {
-                return;
-            }
-        }
-        panic!("program did not terminate");
-    }
-
-    #[test]
-    fn lockstep_covers_every_instruction_family() {
-        lockstep(
-            r"
-            .data
-            buf: .space 64
-            .code
-            main:
-                pli r1, 5            ; predicated fixes at entry
-                pmov r2, r1
-                paddi r3, r2, 2
-                la r4, buf
-                psw r3, 0(r4)
-                li r5, 10
-                watch r4, r5, #3
-            loop:
-                lw r6, 0(r4)         ; watch hit
-                addi r6, r6, 1
-                sw r6, 0(r4)
-                muli r7, r6, 3
-                div r8, r7, r6
-                remi r9, r7, 5
-                slt r10, r9, r7
-                assert r10, #1
-                subi r5, r5, 1
-                bgt r5, zero, loop
-                unwatch #3
-                call leaf
-                sb r6, 1(r4)
-                lb r11, 1(r4)
-                mv r2, r11
-                printi
-                rand
-                time
-                exit
-            leaf:
-                xor r12, r7, r9
-                shli r12, r12, 2
-                sar r12, r12, r10
-                ret
-            ",
-            b"",
-            false,
-        );
-    }
-
-    #[test]
-    fn lockstep_suppressed_syscall_and_crashes() {
-        // Suppressed path: the putc becomes an unsafe event.
-        lockstep(".code\nmain:\n  li r2, 65\n  putc\n  exit\n", b"", true);
-        // Crash paths: div-by-zero, bad load, bad jump, bad branch target,
-        // bad ret, immediate div-by-zero.
-        for src in [
-            ".code\nmain:\n  li r1, 4\n  li r2, 0\n  div r3, r1, r2\n  exit\n",
-            ".code\nmain:\n  lw r1, 0(zero)\n  exit\n",
-            ".code\nmain:\n  jmp @99\n  exit\n",
-            ".code\nmain:\n  beq zero, zero, @99\n  exit\n",
-            ".code\nmain:\n  li r31, 1000\n  ret\n  exit\n",
-            ".code\nmain:\n  divi r1, r2, 0\n  exit\n",
-            ".code\nmain:\n  call @77\n  exit\n",
-        ] {
-            lockstep(src, b"", false);
-        }
-    }
-
-    #[test]
-    fn lockstep_io_paths() {
-        lockstep(
-            ".code\nmain:\n  getc\n  mv r2, r1\n  putc\n  readi\n  mv r2, r1\n  printi\n  exit\n",
-            b"A42 ",
-            false,
-        );
-    }
-
-    #[test]
-    fn batch_equals_stepping() {
-        let program = assemble(
-            r"
-            .code
-            main:
-                li r1, 7
-                addi r2, r1, 3
-                mul r3, r2, r1
-                divi r4, r3, 2
-                xori r5, r4, 0x55
-                slti r6, r5, 100
-                pli r7, 9
-                exit
-            ",
-        )
-        .unwrap();
-        let dp = DecodedProgram::decode(&program);
-        let costs = CostModel::default();
-        let table = uop_cost_table(&costs);
-        let n = dp.simple_run(0);
-        assert_eq!(n, 7, "everything before exit batches");
-
-        // Reference: step one by one.
-        let mut mem = Memory::new(program.mem_size);
-        let mut core_ref = CoreState::at_entry(0, mem.size());
-        core_ref.pred = true;
-        let mut io = IoState::default();
-        let mut watches = WatchTable::new();
-        let mut ref_cost = 0u64;
-        for _ in 0..n {
-            let mut env = StepEnv {
-                io: &mut io,
-                watches: &mut watches,
-                suppress_syscalls: false,
-                now_cycles: 0,
-                costs: &costs,
-                fault: None,
-            };
-            let s = step(&program, &mut core_ref, &mut mem, &mut env);
-            assert!(matches!(s.event, StepEvent::None));
-            assert!(s.access.is_none());
-            ref_cost += u64::from(s.base_cost);
-        }
-
-        // Batch: one call.
-        let mut core_batch = CoreState::at_entry(0, mem.size());
-        core_batch.pred = true;
-        let batch_cost = run_simple(&dp, &mut core_batch, n, &table);
-        assert_eq!(batch_cost, ref_cost);
-        assert_eq!(core_batch, core_ref);
-    }
 
     #[test]
     fn profile_records_counts_and_cycles() {

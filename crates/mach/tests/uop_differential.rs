@@ -3,8 +3,10 @@
 //!
 //! Three layers of lock:
 //!
-//! * **step level** — [`step_uop`] against the reference [`step`], in
-//!   lockstep on random byte-soup programs (every instruction family,
+//! * **step level** — [`step_uop`] against the reference [`step`] (in
+//!   `tests/reference/`, outside the release build), in lockstep on
+//!   hand-written programs covering every instruction family and on random
+//!   byte-soup programs (every instruction family,
 //!   mostly-invalid targets, random checker regions), asserting identical
 //!   [`Step`]s, register files and I/O after every instruction;
 //! * **stream level** — the same lockstep on programs reconstructed from
@@ -14,25 +16,26 @@
 //! * **engine level** — all four engines (baseline, standard, CMP,
 //!   software) produce bit-identical architectural results on a program
 //!   and on its encode→decode round-trip, and the `*_decoded` entry
-//!   points match their decode-per-run counterparts, across spawn
+//!   points match the decode-per-run `pathexpander::run`, across spawn
 //!   thresholds K∈{1,4,16}.
 //!
 //! Runs on the in-tree `px_util` property harness (`px_prop!`).
 
-use pathexpander::{
-    run_cmp, run_cmp_decoded, run_standard, run_standard_decoded, PxConfig, PxRunResult,
-};
+mod reference;
+
+use pathexpander::{run, run_cmp_decoded, run_standard_decoded, PxConfig, PxRunResult};
 use px_isa::{
-    decode_program, encode_program, AluOp, BranchCond, CheckKind, DecodedProgram, Instruction,
-    Program, Reg, SyscallCode, Width,
+    asm::assemble, decode_program, encode_program, AluOp, BranchCond, CheckKind, DecodedProgram,
+    Instruction, Program, Reg, SyscallCode, Width,
 };
 use px_mach::{
-    run_baseline, step, step_uop, CoreState, CostModel, IoState, MachConfig, Memory, StepEnv,
-    WatchTable,
+    run_baseline, run_simple, step_uop, uop_cost_table, CoreState, CostModel, IoState, MachConfig,
+    Memory, StepEnv, StepEvent, WatchTable,
 };
 use px_soft::{run_soft, SoftConfig};
 use px_util::prop::{any_i32, any_u32, any_u8, just, vec_of, BoxedStrategy, Strategy};
 use px_util::{px_oneof, px_prop};
+use reference::step;
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(Reg::new)
@@ -185,13 +188,16 @@ fn soup_program(code: Vec<Instruction>, checker: Option<(u32, u32)>) -> Program 
 /// Steps `program` under the reference interpreter and the micro-op
 /// interpreter in lockstep, asserting identical [`Step`]s, register files
 /// and I/O after every instruction. Bounded, since byte-soup programs can
-/// loop forever.
-fn lockstep(program: &Program, input: &[u8], steps: u64) {
+/// loop forever; returns whether the program ended within `steps`.
+fn lockstep(program: &Program, input: &[u8], steps: u64, suppress: bool) -> bool {
     let dp = DecodedProgram::decode(program);
     let costs = CostModel::default();
 
     let mut mem_a = Memory::new(program.mem_size);
-    let mut mem_b = Memory::new(program.mem_size);
+    for item in &program.data {
+        mem_a.load_blob(item.addr, &item.bytes);
+    }
+    let mut mem_b = mem_a.clone();
     let mut core_a = CoreState::at_entry(program.entry, mem_a.size());
     core_a.pred = true;
     let mut core_b = core_a;
@@ -204,7 +210,7 @@ fn lockstep(program: &Program, input: &[u8], steps: u64) {
         let mut env_a = StepEnv {
             io: &mut io_a,
             watches: &mut w_a,
-            suppress_syscalls: false,
+            suppress_syscalls: suppress,
             now_cycles: step_no,
             costs: &costs,
             fault: None,
@@ -213,7 +219,7 @@ fn lockstep(program: &Program, input: &[u8], steps: u64) {
         let mut env_b = StepEnv {
             io: &mut io_b,
             watches: &mut w_b,
-            suppress_syscalls: false,
+            suppress_syscalls: suppress,
             now_cycles: step_no,
             costs: &costs,
             fault: None,
@@ -227,9 +233,10 @@ fn lockstep(program: &Program, input: &[u8], steps: u64) {
             "io diverged at step {step_no}"
         );
         if a.event.is_terminal() {
-            return;
+            return true;
         }
     }
+    false
 }
 
 /// Architectural summary of a PathExpander run — every field two identical
@@ -276,7 +283,7 @@ fn engines_agree(program: &Program, round: &Program, input: &[u8], k: u8) {
     let dp = DecodedProgram::decode(program);
     let dr = DecodedProgram::decode(round);
 
-    let s = run_standard(program, &MachConfig::single_core(), &px, io());
+    let s = run(program, &MachConfig::single_core(), &px, io());
     for (name, other) in [
         (
             "decoded",
@@ -295,7 +302,7 @@ fn engines_agree(program: &Program, round: &Program, input: &[u8], k: u8) {
     }
 
     let cpx = px.clone().cmp();
-    let c = run_cmp(program, &MachConfig::default(), &cpx, io());
+    let c = run(program, &MachConfig::default(), &cpx, io());
     for (name, other) in [
         (
             "decoded",
@@ -331,7 +338,7 @@ px_prop! {
             (any_u32(), any_u32()).prop_map(Some).boxed()
         ],
     ) {
-        lockstep(&soup_program(code, checker), &input, 2_000);
+        lockstep(&soup_program(code, checker), &input, 2_000, false);
     }
 
     fn decoded_program_reencodes_exactly(code in vec_of(arb_instruction(), 0..48)) {
@@ -354,7 +361,7 @@ px_prop! {
         let pos = pos as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
         if let Ok(mutated) = decode_program(&bytes) {
-            lockstep(&soup_program(mutated, None), &input, 1_000);
+            lockstep(&soup_program(mutated, None), &input, 1_000, false);
         }
     }
 
@@ -370,7 +377,7 @@ px_prop! {
         let cut = (cut as usize % bytes.len()) / px_isa::ENCODED_LEN * px_isa::ENCODED_LEN;
         let prefix = decode_program(&bytes[..cut]).unwrap();
         if !prefix.is_empty() {
-            lockstep(&soup_program(prefix, None), &input, 1_000);
+            lockstep(&soup_program(prefix, None), &input, 1_000, false);
         }
     }
 }
@@ -389,4 +396,140 @@ px_prop! {
             engines_agree(&program, &round, &input, k);
         }
     }
+}
+
+/// [`lockstep`] on an assembled program that must run to its end.
+fn lockstep_source(src: &str, input: &[u8], suppress: bool) {
+    let program = assemble(src).unwrap();
+    assert!(
+        lockstep(&program, input, 10_000, suppress),
+        "program did not terminate"
+    );
+}
+
+#[test]
+fn lockstep_covers_every_instruction_family() {
+    lockstep_source(
+        r"
+        .data
+        buf: .space 64
+        .code
+        main:
+            pli r1, 5            ; predicated fixes at entry
+            pmov r2, r1
+            paddi r3, r2, 2
+            la r4, buf
+            psw r3, 0(r4)
+            li r5, 10
+            watch r4, r5, #3
+        loop:
+            lw r6, 0(r4)         ; watch hit
+            addi r6, r6, 1
+            sw r6, 0(r4)
+            muli r7, r6, 3
+            div r8, r7, r6
+            remi r9, r7, 5
+            slt r10, r9, r7
+            assert r10, #1
+            subi r5, r5, 1
+            bgt r5, zero, loop
+            unwatch #3
+            call leaf
+            sb r6, 1(r4)
+            lb r11, 1(r4)
+            mv r2, r11
+            printi
+            rand
+            time
+            exit
+        leaf:
+            xor r12, r7, r9
+            shli r12, r12, 2
+            sar r12, r12, r10
+            ret
+        ",
+        b"",
+        false,
+    );
+}
+
+#[test]
+fn lockstep_suppressed_syscall_and_crashes() {
+    // Suppressed path: the putc becomes an unsafe event.
+    lockstep_source(".code\nmain:\n  li r2, 65\n  putc\n  exit\n", b"", true);
+    // Crash paths: div-by-zero, bad load, bad jump, bad branch target,
+    // bad ret, immediate div-by-zero.
+    for src in [
+        ".code\nmain:\n  li r1, 4\n  li r2, 0\n  div r3, r1, r2\n  exit\n",
+        ".code\nmain:\n  lw r1, 0(zero)\n  exit\n",
+        ".code\nmain:\n  jmp @99\n  exit\n",
+        ".code\nmain:\n  beq zero, zero, @99\n  exit\n",
+        ".code\nmain:\n  li r31, 1000\n  ret\n  exit\n",
+        ".code\nmain:\n  divi r1, r2, 0\n  exit\n",
+        ".code\nmain:\n  call @77\n  exit\n",
+    ] {
+        lockstep_source(src, b"", false);
+    }
+}
+
+#[test]
+fn lockstep_io_paths() {
+    lockstep_source(
+        ".code\nmain:\n  getc\n  mv r2, r1\n  putc\n  readi\n  mv r2, r1\n  printi\n  exit\n",
+        b"A42 ",
+        false,
+    );
+}
+
+#[test]
+fn batch_equals_stepping() {
+    let program = assemble(
+        r"
+        .code
+        main:
+            li r1, 7
+            addi r2, r1, 3
+            mul r3, r2, r1
+            divi r4, r3, 2
+            xori r5, r4, 0x55
+            slti r6, r5, 100
+            pli r7, 9
+            exit
+        ",
+    )
+    .unwrap();
+    let dp = DecodedProgram::decode(&program);
+    let costs = CostModel::default();
+    let table = uop_cost_table(&costs);
+    let n = dp.simple_run(0);
+    assert_eq!(n, 7, "everything before exit batches");
+
+    // Reference: step one by one.
+    let mut mem = Memory::new(program.mem_size);
+    let mut core_ref = CoreState::at_entry(0, mem.size());
+    core_ref.pred = true;
+    let mut io = IoState::default();
+    let mut watches = WatchTable::new();
+    let mut ref_cost = 0u64;
+    for _ in 0..n {
+        let mut env = StepEnv {
+            io: &mut io,
+            watches: &mut watches,
+            suppress_syscalls: false,
+            now_cycles: 0,
+            costs: &costs,
+            fault: None,
+        };
+        let s = step(&program, &mut core_ref, &mut mem, &mut env);
+        assert!(matches!(s.event, StepEvent::None));
+        assert!(s.access.is_none());
+        ref_cost += u64::from(s.base_cost);
+    }
+
+    // Batch: one call.
+    let mut core_batch = CoreState::at_entry(0, mem.size());
+    core_batch.pred = true;
+    let batch_cost = run_simple(&dp, &mut core_batch, n, &table);
+    assert_eq!(batch_cost, ref_cost);
+    assert_eq!(core_batch, core_ref);
 }

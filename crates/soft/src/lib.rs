@@ -25,7 +25,7 @@
 //! every NT write (restore-log), putting it at the heavy end on top of the
 //! serialized NT-path work.
 
-use pathexpander::{run_standard, PxConfig, PxRunResult};
+use pathexpander::{run, Mode, PxConfig, PxRunResult};
 use px_isa::Program;
 use px_mach::{IoState, MachConfig};
 
@@ -98,13 +98,19 @@ impl SoftResult {
 
 /// Runs the software PathExpander: same exploration as the hardware
 /// standard configuration, costed with the instrumentation model.
+/// `px.mode` is ignored — the software implementation is always the
+/// standard configuration.
 #[must_use]
 pub fn run_soft(program: &Program, px: &PxConfig, soft: &SoftConfig, io: IoState) -> SoftResult {
     // The functional engine is shared with the hardware implementation; the
     // Table 2 machine parameters only matter for *its* cycle counts, which
     // are discarded here in favour of the instrumentation cost model.
     let mach = MachConfig::single_core();
-    let run = run_standard(program, &mach, px, io);
+    let px = PxConfig {
+        mode: Mode::Standard,
+        ..px.clone()
+    };
+    let run = run(program, &mach, &px, io);
     let s = &run.stats;
 
     let native_cycles = s.taken_instructions as f64 * soft.native_cpi;
@@ -164,16 +170,19 @@ pub fn compare_hw_sw(
     io: &IoState,
 ) -> HwSwComparison {
     let baseline = px_mach::run_baseline(program, mach, io.clone(), px.max_instructions);
-    let hw_std = run_standard(
+    let hw_std = run(
         program,
         &MachConfig {
             cores: 1,
             ..mach.clone()
         },
-        px,
+        &PxConfig {
+            mode: Mode::Standard,
+            ..px.clone()
+        },
         io.clone(),
     );
-    let hw_cmp = pathexpander::run_cmp(program, mach, &px.clone().cmp(), io.clone());
+    let hw_cmp = run(program, mach, &px.clone().cmp(), io.clone());
     let sw = run_soft(program, px, soft, io.clone());
     let base = baseline.cycles.max(1) as f64;
     HwSwComparison {
@@ -214,7 +223,7 @@ mod tests {
     fn software_run_is_functionally_identical_to_hardware() {
         let compiled = sample();
         let px = PxConfig::default();
-        let hw = run_standard(
+        let hw = run(
             &compiled.program,
             &MachConfig::single_core(),
             &px,

@@ -4,7 +4,7 @@
 //! Mirrors the slice of the `criterion` API the bench targets used
 //! (`benchmark_group`, `sample_size`, `throughput`, `bench_function`), so
 //! `cargo bench` keeps working with `harness = false` targets whose `main`
-//! is generated by [`px_bench_main!`].
+//! is generated by [`px_bench_main!`](crate::px_bench_main).
 
 use std::time::Instant;
 

@@ -19,7 +19,7 @@
 //! * [`json`] — a hand-rolled JSON value model, emitter **and parser** with
 //!   deterministic float formatting (replaces `serde` for typed result
 //!   rows and the campaign journal reader).
-//! * [`bench`] — a self-timing warmup + median-of-N bench harness with
+//! * [`bench`](mod@bench) — a self-timing warmup + median-of-N bench harness with
 //!   JSON output (replaces `criterion`).
 //! * [`digest`] — the chainable FNV-1a-64 every determinism gate hashes
 //!   architectural results with.

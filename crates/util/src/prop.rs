@@ -3,7 +3,7 @@
 //! The shape mirrors the slice of `proptest` the workspace used: a
 //! [`Strategy`] describes how to generate a value from a seeded RNG at a
 //! given *size* (0 = simplest possible, [`MAX_SIZE`] = fully general), the
-//! [`px_prop!`] macro turns `fn name(x in strategy) { body }` items into
+//! [`px_prop!`](crate::px_prop) macro turns `fn name(x in strategy) { body }` items into
 //! `#[test]` functions, and failures shrink by regenerating the failing
 //! case at progressively smaller sizes ("shrinking-lite") before reporting
 //! the smallest reproduction together with the seed that replays it.

@@ -2,7 +2,7 @@
 //! claims — invisible to the baseline monitored run, and under PathExpander
 //! detected if and only if its escape class is `Helped`.
 
-use pathexpander::run_standard;
+use pathexpander::run;
 use px_detect::{classify, report, Tool};
 use px_mach::{run_baseline, IoState, MachConfig, RunExit};
 use px_workloads::{buggy, spec_kernels, Workload};
@@ -69,7 +69,7 @@ fn pathexpander_detects_exactly_the_helped_bugs() {
     for w in buggy() {
         for &tool in &w.tools {
             let compiled = w.compile_for(tool).unwrap();
-            let r = run_standard(
+            let r = run(
                 &compiled.program,
                 &MachConfig::single_core(),
                 &w.px_config().with_max_instructions(BUDGET),
@@ -126,7 +126,7 @@ fn detection_is_stable_across_inputs() {
         }
         let compiled = w.compile_for(Tool::Assertions).unwrap();
         for seed in [7u64, 8, 9] {
-            let r = run_standard(
+            let r = run(
                 &compiled.program,
                 &MachConfig::single_core(),
                 &w.px_config().with_max_instructions(BUDGET),
@@ -158,7 +158,7 @@ fn man_bug_needs_consistency_fixing() {
         let compiled = w.compile_for(tool).unwrap();
         let bug_lines = w.bug_lines_for(tool);
 
-        let unfixed = run_standard(
+        let unfixed = run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config()
@@ -175,7 +175,7 @@ fn man_bug_needs_consistency_fixing() {
             tool.name(),
         );
 
-        let fixed = run_standard(
+        let fixed = run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config().with_max_instructions(BUDGET),
@@ -201,7 +201,7 @@ fn bc_hot_entry_bug_appears_with_higher_threshold() {
     let compiled = w.compile_for(Tool::Ccured).unwrap();
     let bug_line = w.marker_line("/*BUG:bc-2*/");
 
-    let default_run = run_standard(
+    let default_run = run(
         &compiled.program,
         &MachConfig::single_core(),
         &w.px_config().with_max_instructions(BUDGET),
@@ -213,7 +213,7 @@ fn bc_hot_entry_bug_appears_with_higher_threshold() {
         "bc-2 must escape at the default threshold",
     );
 
-    let high = run_standard(
+    let high = run(
         &compiled.program,
         &MachConfig::single_core(),
         &w.px_config()
@@ -241,7 +241,7 @@ fn false_positive_sites_behave() {
 
         let mut fp = [0usize; 2];
         for (i, fixes) in [false, true].into_iter().enumerate() {
-            let r = run_standard(
+            let r = run(
                 &compiled.program,
                 &MachConfig::single_core(),
                 &w.px_config()

@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pathexpander::run_standard;
+use pathexpander::run;
 use px_mach::{IoState, MachConfig};
 use px_util::prop::{run_prop, PropConfig};
 use px_util::px_prop;
@@ -63,7 +63,7 @@ px_prop! {
         let run = |w: &px_workloads::Workload| {
             let compiled = w.compile_for(w.tools[0]).unwrap();
             let io = IoState::new(w.general_input(11), 11);
-            run_standard(
+            run(
                 &compiled.program,
                 &MachConfig::single_core(),
                 &w.px_config(),

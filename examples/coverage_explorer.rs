@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example coverage_explorer [app]`
 //! (default app: 099.go)
 
-use pathexpander::run_standard;
+use pathexpander::run;
 use px_mach::{IoState, MachConfig};
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
         "length", "coverage", "spawns", "NT insns", "stop breakdown"
     );
     for len in [10u32, 50, 100, 500, 1000, 5000] {
-        let r = run_standard(
+        let r = run(
             &compiled.program,
             &MachConfig::single_core(),
             &workload.px_config().with_max_nt_path_len(len),
@@ -63,7 +63,7 @@ fn main() {
         workload.max_nt_path_len
     );
     for threshold in [1u8, 2, 5, 10, 15] {
-        let r = run_standard(
+        let r = run(
             &compiled.program,
             &MachConfig::single_core(),
             &workload.px_config().with_counter_threshold(threshold),
@@ -80,7 +80,7 @@ fn main() {
 
     println!("\nOS-sandbox extension (paper §3.2):");
     for os in [false, true] {
-        let r = run_standard(
+        let r = run(
             &compiled.program,
             &MachConfig::single_core(),
             &workload.px_config().with_os_sandbox(os),

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example custom_assembly`
 
-use pathexpander::{run_standard, PxConfig};
+use pathexpander::{run, PxConfig};
 use px_isa::asm::assemble;
 use px_mach::{IoState, MachConfig};
 
@@ -45,7 +45,7 @@ fn main() {
     let program = assemble(PROGRAM).expect("assembles");
     println!("disassembly:\n{}", program.disassemble());
 
-    let result = run_standard(
+    let result = run(
         &program,
         &MachConfig::single_core(),
         // Threshold 1: explore each never-exercised edge exactly once.

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example debugging_session`
 
-use pathexpander::run_standard;
+use pathexpander::run;
 use px_detect::{classify, report};
 use px_mach::{run_baseline, IoState, MachConfig};
 use px_workloads::EscapeClass;
@@ -36,7 +36,7 @@ fn main() {
                 .map(|d| d.line)
                 .collect();
 
-            let px = run_standard(
+            let px = run(
                 &compiled.program,
                 &MachConfig::single_core(),
                 &workload.px_config(),

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pathexpander::run_standard;
+use pathexpander::run;
 use px_detect::{report, Tool};
 use px_mach::{run_baseline, IoState, MachConfig};
 
@@ -54,7 +54,7 @@ fn main() {
     );
 
     // 4. The same run under PathExpander (standard configuration).
-    let px = run_standard(
+    let px = run(
         &compiled.program,
         &MachConfig::single_core(),
         &workload.px_config(),

@@ -24,6 +24,11 @@ else
     echo "==> cargo clippy: not installed, skipping"
 fi
 
+# Doc gate: rustdoc warning-free, so a doc link to a removed or private
+# item fails here rather than rotting silently.
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --offline --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> fault-smoke: 64-case fault-injection campaign"
 cargo run --release --offline -q -p px-bench --bin fault_campaign -- --seed 1 --cases 64
 

@@ -344,7 +344,7 @@ fn baseline_prime_coverage_is_a_subset_of_px_coverage() {
         let program = random_forward_program(&mut rng, n);
         let set = Analysis::of(&program).prime_paths(&program);
         let plan = std::sync::Arc::new(pathexpander::plan_paths(&set).unwrap());
-        let base = px_mach::run_baseline_traced(
+        let base = px_mach::run_baseline_with(
             &program,
             &machine(Mode::Standard),
             io(case),

@@ -3,7 +3,7 @@
 //! find (paper §7: "results of different PathExpander implementations are
 //! similar").
 
-use pathexpander::{run_cmp, run_standard};
+use pathexpander::run;
 use px_detect::{classify, report};
 use px_mach::{IoState, MachConfig};
 
@@ -18,7 +18,7 @@ fn cmp_and_standard_find_the_same_workload_bugs() {
         let tool = w.tools[0];
         let compiled = w.compile_for(tool).unwrap();
         let io = || IoState::new(w.general_input(12345), 12345);
-        let std_r = run_standard(
+        let std_r = run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config(),
@@ -28,7 +28,7 @@ fn cmp_and_standard_find_the_same_workload_bugs() {
         let std_tp =
             classify(&report(&compiled, &std_r.monitor, tool), &lines, false).true_positives();
 
-        let ample = run_cmp(
+        let ample = run(
             &compiled.program,
             &MachConfig::default(),
             &w.px_config().cmp().with_max_outstanding(512),
@@ -42,7 +42,7 @@ fn cmp_and_standard_find_the_same_workload_bugs() {
             w.name
         );
 
-        let capped = run_cmp(
+        let capped = run(
             &compiled.program,
             &MachConfig::default(),
             &w.px_config().cmp(),
@@ -66,7 +66,7 @@ fn software_and_hardware_standard_agree_everywhere() {
         let tool = w.tools[0];
         let compiled = w.compile_for(tool).unwrap();
         let io = || IoState::new(w.general_input(777), 777);
-        let hw = run_standard(
+        let hw = run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config(),
@@ -114,13 +114,13 @@ fn zoo_engines_agree_on_taken_path_digests() {
         for &tool in &w.tools {
             let compiled = w.compile_for(tool).unwrap();
             let io = || IoState::new(w.general_input(12345), 12345);
-            let std_r = run_standard(
+            let std_r = run(
                 &compiled.program,
                 &MachConfig::single_core(),
                 &w.px_config(),
                 io(),
             );
-            let cmp_r = run_cmp(
+            let cmp_r = run(
                 &compiled.program,
                 &MachConfig::default(),
                 &w.px_config().cmp().with_max_outstanding(512),

@@ -3,7 +3,7 @@
 //! removes false positives, and (c) blank data structures let NT-paths cross
 //! null-pointer branches to reach real bugs — the `man` scenario of Table 5.
 
-use pathexpander::{run_cmp, run_standard, PxConfig};
+use pathexpander::{run, PxConfig};
 use px_isa::CheckKind;
 use px_lang::{compile, CompileOptions};
 use px_mach::{IoState, MachConfig, RecordKind, RunExit};
@@ -46,7 +46,7 @@ fn boundary_fixing_prunes_false_positives() {
     let mach = MachConfig::single_core();
     let io = || IoState::new(b"100".to_vec(), 1);
 
-    let unfixed = run_standard(
+    let unfixed = run(
         &compiled.program,
         &mach,
         &PxConfig::default().with_fixes(false),
@@ -59,7 +59,7 @@ fn boundary_fixing_prunes_false_positives() {
         "without fixing, the NT-path writes a[100] and trips the check"
     );
 
-    let fixed = run_standard(
+    let fixed = run(
         &compiled.program,
         &mach,
         &PxConfig::default().with_fixes(true),
@@ -108,7 +108,7 @@ fn hidden_overflow_found_only_with_pathexpander() {
         "baseline never executes the buggy path"
     );
 
-    let px = run_standard(
+    let px = run(
         &compiled.program,
         &mach,
         &PxConfig::default(),
@@ -131,7 +131,7 @@ fn hidden_overflow_found_only_with_pathexpander() {
 #[test]
 fn hidden_overflow_found_by_cmp_option_too() {
     let compiled = ccured(HIDDEN_OVERFLOW);
-    let px = run_cmp(
+    let px = run(
         &compiled.program,
         &MachConfig::default(),
         &PxConfig::default().cmp(),
@@ -170,7 +170,7 @@ fn blank_structure_lets_nt_path_reach_the_bug() {
     let mach = MachConfig::single_core();
     let io = || IoState::new(b"10".to_vec(), 1);
 
-    let unfixed = run_standard(
+    let unfixed = run(
         &compiled.program,
         &mach,
         &PxConfig::default().with_fixes(false),
@@ -182,7 +182,7 @@ fn blank_structure_lets_nt_path_reach_the_bug() {
     );
     assert!(unfixed.stats.stops_of("crash") > 0, "the NT-path did crash");
 
-    let fixed = run_standard(
+    let fixed = run(
         &compiled.program,
         &mach,
         &PxConfig::default().with_fixes(true),
@@ -198,7 +198,7 @@ fn blank_structure_lets_nt_path_reach_the_bug() {
 fn coverage_improves_on_compiled_programs() {
     let compiled = ccured(HIDDEN_OVERFLOW);
     let mach = MachConfig::single_core();
-    let px = run_standard(
+    let px = run(
         &compiled.program,
         &mach,
         &PxConfig::default(),

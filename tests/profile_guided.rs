@@ -8,7 +8,7 @@
 //! profiling run learns that whenever the guard actually held, `slot` was
 //! at most 15; refitting moves the fix value there.
 
-use pathexpander::{run_standard, PxConfig};
+use pathexpander::{run, PxConfig};
 use px_detect::{classify, report, Tool};
 use px_lang::refit::collect_branch_profile;
 use px_lang::{compile, refit_fixes, CompileOptions};
@@ -59,13 +59,13 @@ fn refitting_removes_the_loose_guard_false_positive() {
     // 1. Boundary fixing: NT-paths into the cold `slot < 64` edge run with
     //    slot pinned to 63 and overrun the 16-entry table.
     let compiled = compile(src, &opts).unwrap();
-    let run = run_standard(
+    let result = run(
         &compiled.program,
         &MachConfig::single_core(),
         &px_cfg,
         input(),
     );
-    let dets = report(&compiled, &run.monitor, Tool::Ccured);
+    let dets = report(&compiled, &result.monitor, Tool::Ccured);
     let before = classify(&dets, &[bug], true);
     assert_eq!(
         before.true_positives(),
@@ -88,13 +88,13 @@ fn refitting_removes_the_loose_guard_false_positive() {
     let patched = refit_fixes(&mut refitted, &profile);
     assert!(patched > 0, "some fix values moved into observed ranges");
 
-    let run = run_standard(
+    let result = run(
         &refitted.program,
         &MachConfig::single_core(),
         &px_cfg,
         input(),
     );
-    let dets = report(&refitted, &run.monitor, Tool::Ccured);
+    let dets = report(&refitted, &result.monitor, Tool::Ccured);
     let after = classify(&dets, &[bug], true);
     assert_eq!(
         after.true_positives(),
@@ -136,8 +136,8 @@ fn profile_and_refit_work_on_the_real_workloads() {
         let px_cfg = w.px_config().with_max_instructions(20_000_000);
 
         let plain = w.compile_for(tool).unwrap();
-        let run = run_standard(&plain.program, &MachConfig::single_core(), &px_cfg, io());
-        let dets = report(&plain, &run.monitor, tool);
+        let result = run(&plain.program, &MachConfig::single_core(), &px_cfg, io());
+        let dets = report(&plain, &result.monitor, tool);
         let plain_c = classify(&dets, &w.bug_lines_for(tool), true);
 
         let mut refitted = w.compile_for(tool).unwrap();
@@ -148,8 +148,8 @@ fn profile_and_refit_work_on_the_real_workloads() {
             20_000_000,
         );
         let _ = refit_fixes(&mut refitted, &profile);
-        let run = run_standard(&refitted.program, &MachConfig::single_core(), &px_cfg, io());
-        let dets = report(&refitted, &run.monitor, tool);
+        let result = run(&refitted.program, &MachConfig::single_core(), &px_cfg, io());
+        let dets = report(&refitted, &result.monitor, tool);
         let refit_c = classify(&dets, &w.bug_lines_for(tool), true);
 
         assert!(

@@ -4,7 +4,7 @@
 //! final behaviour must be bit-identical to a plain run — NT-path side
 //! effects never leak (paper §3.1: "silently, without side effects").
 
-use pathexpander::{run_cmp, run_standard, PxConfig};
+use pathexpander::{run, PxConfig};
 use px_mach::{run_baseline, IoState, MachConfig, RunExit};
 
 const BUDGET: u64 = 30_000_000;
@@ -44,7 +44,7 @@ fn every_engine_and_option_is_transparent_on_every_workload() {
                     ),
                 ];
                 for (label, cfg) in configs {
-                    let r = run_standard(
+                    let r = run(
                         &compiled.program,
                         &MachConfig::single_core(),
                         &cfg.clone().with_max_instructions(BUDGET),
@@ -59,7 +59,7 @@ fn every_engine_and_option_is_transparent_on_every_workload() {
                     );
                 }
 
-                let cmp_r = run_cmp(
+                let cmp_r = run(
                     &compiled.program,
                     &MachConfig::default(),
                     &w.px_config().cmp().with_max_instructions(BUDGET),
@@ -83,13 +83,13 @@ fn runs_are_bit_deterministic() {
         let tool = w.tools[0];
         let compiled = w.compile_for(tool).expect("compiles");
         let io = || IoState::new(w.general_input(5), 5);
-        let once = run_standard(
+        let once = run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config(),
             io(),
         );
-        let twice = run_standard(
+        let twice = run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config(),
@@ -115,7 +115,7 @@ fn taken_coverage_equals_baseline_coverage() {
         let compiled = w.compile_for(tool).expect("compiles");
         let io = || IoState::new(w.general_input(11), 11);
         let base = run_baseline(&compiled.program, &MachConfig::single_core(), io(), BUDGET);
-        let px = run_standard(
+        let px = run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config(),
