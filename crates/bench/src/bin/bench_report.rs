@@ -1,103 +1,66 @@
-//! Measures simulated instructions/second per engine (experiment E13) and
-//! emits `BENCH_throughput.json` — the repo's perf trajectory.
+//! Runs the engine × workload matrix (experiments E13 and E18) and emits
+//! the `BENCH_throughput.json` report: exit, simulated instructions and
+//! cycles, NT-paths and digest per row, plus the replay-cache counters and
+//! the cache on/off identity of every standard and CMP row.
 //!
 //! ```text
-//! bench_report [--quick] [--json] [--out PATH] [--verify PATH]
+//! bench_report [--json] [--out PATH] [--verify PATH]
+//! bench_report --profile [--out PATH]
 //! ```
 //!
-//! `--quick` lowers the timed repetitions (1 instead of 3); the
-//! architectural digests are identical in both modes. `--verify PATH`
-//! checks that an existing report (the committed `BENCH_throughput.json`)
-//! carries the current schema tag and the same architectural digest as a
-//! fresh run — the CI gate. Wall-clock numbers are never compared.
+//! `--verify PATH` is the CI gate: the fresh report must equal `PATH` byte
+//! for byte, and every row that differs is named. A report whose replay
+//! cache drifted or missed its `nt-heavy` hit-rate floor is never written
+//! and always fails. Host timing is `perfbench/`'s job, not this binary's.
 
-use px_bench::experiments::memo::memo_gate;
-use px_bench::experiments::perf::{profile_report, throughput_report, SCHEMA};
+use px_bench::experiments::perf::{profile_report, throughput_report, MIN_NT_HEAVY_HIT_RATE};
 use px_bench::fmt::render_table;
 use px_util::ToJson;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_report [--quick] [--no-memo] [--json] [--out PATH] [--verify PATH]\n\
-         \x20      bench_report --engine cmp --profile [--out PATH]\n\
-         \x20      bench_report --memo [--json] [--out PATH]\n\
+        "usage: bench_report [--json] [--out PATH] [--verify PATH]\n\
+         \x20      bench_report --profile [--out PATH]\n\
          \n\
-         --quick        one timed repetition per row instead of three\n\
-         --no-memo      disable the NT-path replay cache for the\n\
-                        standard/cmp rows (digests are identical either\n\
-                        way; only the wall-clock columns move)\n\
          --json         print the report as JSON to stdout\n\
-         --out PATH     write the JSON report to PATH\n\
-                        (default BENCH_throughput.json unless --verify)\n\
-         --verify PATH  gate: require PATH to carry the current schema and\n\
-                        this run's architectural digest (never wall-clock)\n\
-         --engine NAME  engine for --profile (only `cmp` is profiled)\n\
-         --profile      emit a per-handler micro-op count/cycle histogram\n\
-                        (deterministic JSON; no wall-clock, no gating)\n\
-         --memo         emit the px-bench/memo-v1 replay-cache report:\n\
-                        per-row hit rates + on/off digest identity\n\
-                        (deterministic JSON; the gated form is memo_gate)"
+         --out PATH     write the report to PATH\n\
+         --verify PATH  gate: require PATH to equal this run's report byte for byte\n\
+         --profile      emit the CMP engine's micro-op histogram (deterministic JSON)"
     );
     std::process::exit(2);
 }
 
+fn write(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut memo = true;
-    let mut memo_report_only = false;
     let mut json = false;
     let mut profile = false;
-    let mut engine: Option<String> = None;
     let mut out: Option<String> = None;
     let mut verify: Option<String> = None;
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--no-memo" => {
-                memo = false;
-                i += 1;
-            }
-            "--memo" => {
-                memo_report_only = true;
-                i += 1;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--profile" => {
-                profile = true;
-                i += 1;
-            }
-            "--engine" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("error: --engine requires a value");
-                    usage();
-                };
-                engine = Some(name.clone());
-                i += 2;
-            }
-            "--out" => {
+            "--json" => json = true,
+            "--profile" => profile = true,
+            flag @ ("--out" | "--verify") => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("error: --out requires a value");
+                    eprintln!("error: {flag} requires a value");
                     usage();
                 };
-                out = Some(path.clone());
-                i += 2;
-            }
-            "--verify" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("error: --verify requires a value");
-                    usage();
-                };
-                verify = Some(path.clone());
-                i += 2;
+                if flag == "--out" {
+                    out = Some(path.clone());
+                } else {
+                    verify = Some(path.clone());
+                }
+                i += 1;
             }
             "--help" | "-h" => usage(),
             other => {
@@ -105,89 +68,50 @@ fn main() {
                 usage();
             }
         }
+        i += 1;
     }
 
-    if memo_report_only {
-        let report = memo_gate();
-        if json {
-            println!("{}", report.to_json().dump());
-        } else {
-            for r in &report.rows {
-                println!(
-                    "memo {:>8}/{:<20} spawns {:>6}  hit-rate {:>7.2}%  \
-                     (hits {} misses {} invalidations {} bypasses {})  digest {} {}",
-                    r.engine,
-                    r.workload,
-                    r.spawns,
-                    r.hit_rate * 100.0,
-                    r.hits,
-                    r.misses,
-                    r.invalidations,
-                    r.bypasses,
-                    r.digest,
-                    if r.identical { "identical" } else { "DRIFTED" },
-                );
-            }
-            println!(
-                "memo gate: {} (nt-heavy hit-rate {:.2}%)",
-                if report.passed() { "PASS" } else { "FAIL" },
-                report.nt_heavy_hit_rate * 100.0
-            );
-        }
-        if let Some(path) = &out {
-            let dumped = report.to_json().dump();
-            if let Err(e) = std::fs::write(path, format!("{dumped}\n")) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {path}");
-        }
-        return;
-    }
-
-    if profile || engine.is_some() {
-        if !profile {
-            eprintln!("error: --engine only selects the target of --profile");
+    if profile {
+        if json || verify.is_some() {
+            eprintln!("error: --profile takes only --out");
             usage();
         }
-        let engine = engine.unwrap_or_else(|| {
-            eprintln!("error: --profile requires --engine (only `cmp` is profiled)");
-            usage();
-        });
-        if engine != "cmp" {
-            eprintln!("error: only the cmp engine has a profiled entry point (got {engine:?})");
-            std::process::exit(2);
-        }
-        let dumped = profile_report(&engine).dump();
+        let dumped = profile_report().dump();
         println!("{dumped}");
         if let Some(path) = &out {
-            if let Err(e) = std::fs::write(path, format!("{dumped}\n")) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {path}");
+            write(path, &format!("{dumped}\n"));
         }
         return;
     }
 
-    let report = throughput_report(quick, memo);
-    let dumped = report.to_json().dump();
+    let report = throughput_report();
+    let text = report.render();
 
     if json {
-        println!("{dumped}");
+        print!("{text}");
     } else {
         let rows: Vec<Vec<String>> = report
             .rows
             .iter()
             .map(|r| {
+                let (hit_rate, identical) = r.memo.as_ref().map_or_else(
+                    || ("-".to_owned(), "-".to_owned()),
+                    |m| {
+                        (
+                            format!("{:.2}%", m.counters.hit_rate() * 100.0),
+                            if m.identical { "yes" } else { "DRIFTED" }.to_owned(),
+                        )
+                    },
+                );
                 vec![
                     r.engine.clone(),
                     r.workload.clone(),
+                    r.exit.clone(),
                     r.instructions.to_string(),
                     r.sim_cycles.to_string(),
                     r.nt_paths.to_string(),
-                    format!("{:.3}", r.wall_ns as f64 / 1e6),
-                    format!("{:.3}", r.mips),
+                    hit_rate,
+                    identical,
                     r.digest.clone(),
                 ]
             })
@@ -198,11 +122,12 @@ fn main() {
                 &[
                     "engine",
                     "workload",
+                    "exit",
                     "sim-instr",
                     "sim-cycles",
                     "nt-paths",
-                    "wall-ms",
-                    "mips",
+                    "memo-hit-rate",
+                    "memo-identical",
                     "digest",
                 ],
                 &rows,
@@ -211,17 +136,16 @@ fn main() {
         println!("arch digest: {}", report.arch_digest);
     }
 
-    // Default output path only when not gating an existing file, and never
-    // for a --no-memo run — the committed trajectory is the default
-    // configuration (replay cache on).
-    let out =
-        out.or_else(|| (verify.is_none() && memo).then(|| "BENCH_throughput.json".to_owned()));
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{dumped}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
+    let failures = report.failures();
+    if !failures.is_empty() {
+        for r in failures {
+            eprintln!(
+                "FAILED: {}/{} breaks the replay-cache contract (cache-off digest \
+                 identical, nt-heavy hit rate >= {MIN_NT_HEAVY_HIT_RATE})",
+                r.engine, r.workload
+            );
         }
-        eprintln!("wrote {path}");
+        std::process::exit(1);
     }
 
     if let Some(path) = &verify {
@@ -232,72 +156,25 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let schema_tag = format!(r#""schema":"{SCHEMA}""#);
-        if !committed.contains(&schema_tag) {
-            eprintln!("verify FAILED: {path} does not carry schema {SCHEMA:?}");
-            std::process::exit(1);
-        }
-        let digest_tag = format!(r#""arch_digest":"{}""#, report.arch_digest);
-        if !committed.contains(&digest_tag) {
+        if committed != text {
+            for r in &report.rows {
+                if !committed.contains(&r.to_json().dump()) {
+                    eprintln!(
+                        "verify FAILED: row {}/{} differs from {path}",
+                        r.engine, r.workload
+                    );
+                }
+            }
             eprintln!(
-                "verify FAILED: {path} architectural digest differs from this run \
-                 (expected {}) — the simulation's architectural results changed; \
-                 regenerate with `bench_report --out {path}` if the change is intended",
-                report.arch_digest
+                "verify FAILED: {path} is not byte-identical to this run's report; \
+                 regenerate with `bench_report --out {path}` if the change is intended"
             );
             std::process::exit(1);
         }
-        // Per-CMP-row digest gate. The overall arch digest already covers
-        // every row; naming each CMP row turns "something changed" into
-        // "this workload changed" — and the CMP engine's digests are the
-        // riskiest (scheduler interleaving × cache simulation).
-        for row in report.rows.iter().filter(|r| r.engine == "cmp") {
-            let head = format!(r#""engine":"cmp","workload":"{}""#, row.workload);
-            let Some(pos) = committed.find(&head) else {
-                eprintln!(
-                    "verify FAILED: {path} has no cmp/{} row — regenerate with \
-                     `bench_report --out {path}`",
-                    row.workload
-                );
-                std::process::exit(1);
-            };
-            let obj = &committed[pos..committed[pos..]
-                .find('}')
-                .map_or(committed.len(), |e| pos + e)];
-            let row_digest = format!(r#""digest":"{}""#, row.digest);
-            if !obj.contains(&row_digest) {
-                eprintln!(
-                    "verify FAILED: cmp/{} digest differs from this run (expected {}) — \
-                     the CMP engine's architectural results changed; regenerate with \
-                     `bench_report --out {path}` if the change is intended",
-                    row.workload, row.digest
-                );
-                std::process::exit(1);
-            }
-        }
-        // Advisory (never fails): warn when this machine's CMP throughput
-        // has fallen below the recorded floor. Wall clock is machine- and
-        // load-specific, so a hard gate here would flake — but a silent
-        // regression of the engine this rewrite rescued deserves a line.
-        if let Some(pos) = committed.find(r#""cmp_mips_floor":"#) {
-            let tail = &committed[pos + r#""cmp_mips_floor":"#.len()..];
-            let end = tail.find([',', '}']).unwrap_or(tail.len());
-            if let Ok(floor) = tail[..end].trim().parse::<f64>() {
-                if let Some(row) = report
-                    .rows
-                    .iter()
-                    .find(|r| r.engine == "cmp" && r.workload == "nt-heavy")
-                {
-                    if row.mips < floor {
-                        eprintln!(
-                            "verify advisory: cmp/nt-heavy ran at {:.1} MIPS, below the \
-                             recorded floor {floor:.1} (machine-specific; not gated)",
-                            row.mips
-                        );
-                    }
-                }
-            }
-        }
-        println!("verify OK: schema, architectural digest and per-CMP-row digests match {path}");
+        println!("verify OK: {path} matches this run byte for byte");
+    }
+
+    if let Some(path) = &out {
+        write(path, &text);
     }
 }

@@ -1,247 +1,60 @@
-//! NT-path memoization differential gate (experiment E18).
-//!
-//! The replay cache's contract is absolute: a memoized run must be
-//! architecturally byte-identical to an unmemoized one — same exit, same
-//! instruction and cycle counts, same monitor records, same coverage.
-//! This module runs the full throughput workload matrix through both
-//! PathExpander engines twice (replay cache on / off), compares the same
-//! architectural digest `BENCH_throughput.json` gates on, and reads the
-//! cache's own counters to prove the cache actually engaged (a gate that
-//! passes because the cache never fired proves nothing).
-//!
-//! Everything here is deterministic — counters and digests, no wall clock —
-//! so the emitted JSON is byte-stable and safe to diff in CI.
-
-use pathexpander::{cmp_memo_table, run_cmp_memo, run_standard_memo, standard_memo_table};
-use px_isa::asm::assemble;
-use px_isa::{DecodedProgram, Program};
-use px_mach::{IoState, MachConfig};
-use px_util::{Json, ToJson};
-
-use super::perf::{px_arch_digest, px_config, zoo_program, WORKLOADS, ZOO_WORKLOADS};
-
-/// Schema tag of the memo report (`bench_report --memo`). Bump on any
-/// shape change.
-pub const MEMO_SCHEMA: &str = "px-bench/memo-v1";
-
-/// Minimum replay-cache hit rate the gate demands on `nt-heavy` per engine.
-/// The workload re-spawns one cold edge with a constant-register live-in
-/// set, so nearly every spawn after the first must replay; in practice both
-/// engines sit above 0.99, and anything under this floor means the read-set
-/// validation or the fingerprint went wrong.
-pub const MIN_NT_HEAVY_HIT_RATE: f64 = 0.90;
-
-/// One engine × workload differential measurement.
-#[derive(Debug, Clone)]
-pub struct MemoRow {
-    pub engine: String,
-    pub workload: String,
-    /// NT-paths spawned (memoized run).
-    pub spawns: u64,
-    /// Replay-cache counters of the memoized run.
-    pub hits: u64,
-    pub misses: u64,
-    pub invalidations: u64,
-    pub stores: u64,
-    pub evictions: u64,
-    pub bypasses: u64,
-    /// Recordings declined by the strike-based admission policy.
-    pub skips: u64,
-    /// `hits / (hits + misses + invalidations)`, 0 when nothing probed.
-    pub hit_rate: f64,
-    /// Architectural digest of the memoized run.
-    pub digest: String,
-    /// Whether the unmemoized run produced the same digest — the contract.
-    pub identical: bool,
-}
-
-impl ToJson for MemoRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("engine", self.engine.to_json()),
-            ("workload", self.workload.to_json()),
-            ("spawns", self.spawns.to_json()),
-            ("hits", self.hits.to_json()),
-            ("misses", self.misses.to_json()),
-            ("invalidations", self.invalidations.to_json()),
-            ("stores", self.stores.to_json()),
-            ("evictions", self.evictions.to_json()),
-            ("bypasses", self.bypasses.to_json()),
-            ("skips", self.skips.to_json()),
-            (
-                "hit_rate",
-                Json::Float((self.hit_rate * 10_000.0).round() / 10_000.0),
-            ),
-            ("digest", self.digest.to_json()),
-            ("identical", self.identical.to_json()),
-        ])
-    }
-}
-
-/// The E18 gate verdict over all rows.
-#[derive(Debug, Clone)]
-pub struct MemoGateReport {
-    pub rows: Vec<MemoRow>,
-    /// Lowest `nt-heavy` hit rate across engines.
-    pub nt_heavy_hit_rate: f64,
-}
-
-impl MemoGateReport {
-    /// Every digest identical, and the cache demonstrably engaged.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.rows.iter().all(|r| r.identical) && self.nt_heavy_hit_rate >= MIN_NT_HEAVY_HIT_RATE
-    }
-}
-
-impl ToJson for MemoGateReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", MEMO_SCHEMA.to_json()),
-            (
-                "rows",
-                Json::Arr(self.rows.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "nt_heavy_hit_rate",
-                Json::Float((self.nt_heavy_hit_rate * 10_000.0).round() / 10_000.0),
-            ),
-            ("min_nt_heavy_hit_rate", Json::Float(MIN_NT_HEAVY_HIT_RATE)),
-            ("passed", self.passed().to_json()),
-        ])
-    }
-}
-
-/// Runs one workload through `engine` twice — replay cache on (explicit
-/// table, so the counters are readable) and off — and renders the
-/// differential row.
-fn memo_row(engine: &str, workload: &str, program: &Program, input: &[u8]) -> MemoRow {
-    let dp = DecodedProgram::decode(program);
-    let io = || IoState::new(input.to_vec(), 0xC0FFEE);
-    let (on, off, counters) = match engine {
-        "standard" => {
-            let mach = MachConfig::single_core();
-            let px = px_config();
-            let mut table = standard_memo_table(program, &mach, &px);
-            let on = run_standard_memo(program, &dp, &mach, &px, io(), &mut table);
-            let off = pathexpander::run_standard_decoded(
-                program,
-                &dp,
-                &mach,
-                &px.clone().with_nt_memo(false),
-                io(),
-            );
-            (on, off, table.counters)
-        }
-        "cmp" => {
-            let mach = MachConfig::default();
-            let px = px_config().cmp();
-            let mut table = cmp_memo_table(program, &mach, &px);
-            let on = run_cmp_memo(program, &dp, &mach, &px, io(), &mut table);
-            let off = pathexpander::run_cmp_decoded(
-                program,
-                &dp,
-                &mach,
-                &px.clone().with_nt_memo(false),
-                io(),
-            );
-            (on, off, table.counters)
-        }
-        other => panic!("unknown memo engine {other:?}"),
-    };
-    let digest = px_arch_digest(program, &on);
-    MemoRow {
-        engine: engine.to_owned(),
-        workload: workload.to_owned(),
-        spawns: on.stats.spawns,
-        hits: counters.hits,
-        misses: counters.misses,
-        invalidations: counters.invalidations,
-        stores: counters.stores,
-        evictions: counters.evictions,
-        bypasses: counters.bypasses,
-        skips: counters.skips,
-        hit_rate: counters.hit_rate(),
-        digest,
-        identical: px_arch_digest(program, &on) == px_arch_digest(program, &off),
-    }
-}
-
-/// The engines the differential gate covers (the two with NT-path memo).
-pub const MEMO_ENGINES: [&str; 2] = ["standard", "cmp"];
-
-/// Runs the full differential matrix: every throughput workload × both
-/// PathExpander engines, replay cache on vs off.
-#[must_use]
-pub fn memo_gate() -> MemoGateReport {
-    let mut rows = Vec::new();
-    for (wname, src) in WORKLOADS {
-        let program = assemble(src).unwrap_or_else(|e| panic!("perf workload {wname}: {e}"));
-        for engine in MEMO_ENGINES {
-            rows.push(memo_row(engine, wname, &program, &[]));
-        }
-    }
-    for spec in ZOO_WORKLOADS {
-        let (program, input) = zoo_program(spec);
-        for engine in MEMO_ENGINES {
-            rows.push(memo_row(engine, spec, &program, &input));
-        }
-    }
-    let nt_heavy_hit_rate = rows
-        .iter()
-        .filter(|r| r.workload == "nt-heavy")
-        .map(|r| r.hit_rate)
-        .fold(f64::INFINITY, f64::min);
-    MemoGateReport {
-        rows,
-        nt_heavy_hit_rate,
-    }
-}
+//! Replay-cache checks over the standard and CMP rows of the throughput
+//! matrix (experiment E18). The matrix itself lives in [`super::perf`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::perf::{matrix, COMMITTED, MIN_NT_HEAVY_HIT_RATE};
+    use px_util::ToJson;
 
     #[test]
     fn memo_gate_passes_and_is_deterministic() {
-        let a = memo_gate();
+        let report = matrix();
         assert!(
-            a.passed(),
+            report.passed(),
             "digests must be identical and nt-heavy must replay: {:?}",
-            a.rows
+            report
+                .failures()
                 .iter()
-                .map(|r| (
-                    r.engine.clone(),
-                    r.workload.clone(),
-                    r.identical,
-                    r.hit_rate
-                ))
+                .map(|r| format!("{}/{}", r.engine, r.workload))
                 .collect::<Vec<_>>()
         );
-        assert!(a.nt_heavy_hit_rate >= MIN_NT_HEAVY_HIT_RATE);
-        let b = memo_gate();
-        assert_eq!(
-            a.to_json().dump(),
-            b.to_json().dump(),
-            "memo report must be byte-deterministic"
-        );
-        assert!(a
-            .to_json()
-            .dump()
-            .starts_with(&format!(r#"{{"schema":"{MEMO_SCHEMA}""#)));
+        for r in report.rows.iter().filter(|r| r.workload == "nt-heavy") {
+            if let Some(m) = &r.memo {
+                assert!(
+                    m.counters.hit_rate() >= MIN_NT_HEAVY_HIT_RATE,
+                    "{}/nt-heavy hit rate {}",
+                    r.engine,
+                    m.counters.hit_rate()
+                );
+            }
+        }
+        // Determinism across runs: every memo row, counters included, is
+        // byte-identical to the row in the committed file, which an earlier
+        // process produced.
+        for r in report.rows.iter().filter(|r| r.memo.is_some()) {
+            let row = r.to_json().dump();
+            assert!(
+                COMMITTED.contains(&row),
+                "{}/{} differs from the committed row: {row}",
+                r.engine,
+                r.workload
+            );
+        }
     }
 
     #[test]
     fn every_row_actually_probes_the_cache() {
-        for r in memo_gate().rows {
+        for r in matrix().rows.iter() {
+            let Some(m) = &r.memo else { continue };
+            let c = &m.counters;
             assert!(
-                r.spawns > 0,
+                r.nt_paths > 0,
                 "{}/{} must spawn NT-paths",
                 r.engine,
                 r.workload
             );
             assert!(
-                r.hits + r.misses + r.invalidations + r.bypasses > 0,
+                c.hits + c.misses + c.invalidations + c.bypasses > 0,
                 "{}/{} never touched the cache",
                 r.engine,
                 r.workload

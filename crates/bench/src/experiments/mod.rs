@@ -4,7 +4,7 @@ pub mod ablations;
 pub mod campaign;
 pub mod coverage;
 pub mod fig3;
-pub mod memo;
+mod memo;
 pub mod overhead;
 pub mod perf;
 pub mod prime;
@@ -17,7 +17,6 @@ pub use ablations::{ablation_nt_from_nt, ablation_sandbox};
 pub use campaign::{campaign_gate, CampaignGateReport, GATE_MANIFEST};
 pub use coverage::coverage;
 pub use fig3::fig3;
-pub use memo::{memo_gate, MemoGateReport, MemoRow, MEMO_SCHEMA, MIN_NT_HEAVY_HIT_RATE};
 pub use overhead::overhead;
 pub use perf::{throughput_report, ThroughputReport, ThroughputRow};
 pub use sensitivity::sensitivity;

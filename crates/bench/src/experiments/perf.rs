@@ -1,97 +1,46 @@
-//! Simulation-throughput measurement (experiment E13): how many simulated
-//! instructions per second each engine sustains on fixed workloads.
+//! The engine × workload matrix behind `BENCH_throughput.json`
+//! (experiments E13 and E18): what each engine computes on fixed hot-loop
+//! workloads, and proof that the NT-path replay cache never changes it.
 //!
-//! This is the repo's perf trajectory. Every row carries two kinds of
-//! numbers with very different trust levels:
+//! Every field is architectural — exit, simulated instruction and cycle
+//! counts, NT-paths, a determinism digest, replay-cache counters — so the
+//! report is byte-deterministic and `bench_report --verify` compares it
+//! byte for byte. How fast the host computes it is `perfbench/`'s job.
 //!
-//! * **architectural** — simulated instruction count, simulated cycles and a
-//!   determinism digest of the run's committed results. These are
-//!   bit-deterministic and CI gates on them (schema + digest).
-//! * **wall-clock** — nanoseconds and MIPS (millions of simulated
-//!   instructions per host second). Machine-specific; recorded for the
-//!   trajectory, never gated.
+//! The standard and CMP rows run twice: with an explicit replay-cache
+//! table (the row's numbers and counters) and with the cache off. The two
+//! digests must be identical, and `nt-heavy` must replay at least
+//! [`MIN_NT_HEAVY_HIT_RATE`] of its probes on each engine — a differential
+//! that passes because the cache never fired proves nothing.
 //!
 //! The workloads are deliberately hot-loop shaped: `nt-heavy` keeps an
 //! NT-path live most of the time and hammers the sandbox with loads and
 //! stores (the paged-sandbox fast path), `taken-stride` sweeps committed
 //! memory with no NT work at all (the `Memory`/`Cache` fast path).
 
-use std::time::Instant;
-
-use pathexpander::{run, run_cmp_profiled, PxConfig, PxRunResult};
+use pathexpander::{
+    cmp_memo_table, run_cmp_decoded, run_cmp_memo, run_cmp_profiled, run_standard_decoded,
+    run_standard_memo, standard_memo_table, PxConfig, PxRunResult,
+};
 use px_detect::Tool;
 use px_isa::asm::assemble;
-use px_isa::{Program, UopKind};
+use px_isa::{DecodedProgram, Program, UopKind};
 use px_mach::{run_baseline, IoState, MachConfig, RunExit};
-use px_soft::{run_soft, SoftConfig};
-use px_util::{fnv1a64, Json, ToJson};
+use px_util::{fnv1a64, Json, MemoCounters, ToJson};
 use px_workloads::zoo::{self, ZooSpec};
 
 /// Schema tag of `BENCH_throughput.json`. Bump on any shape change.
-pub const SCHEMA: &str = "px-bench/throughput-v1";
+pub const SCHEMA: &str = "px-bench/throughput-v2";
 
-/// Instruction budget per run — identical in `--quick` and full mode so the
-/// determinism digest never depends on the mode.
+/// Instruction budget per run.
 pub const RUN_BUDGET: u64 = 1_500_000;
 
-/// Pre-rewrite standard-engine MIPS on `nt-heavy`, measured on the machine
-/// that authored the paged-sandbox rewrite (PR 3). Machine-specific
-/// reference for the recorded speedup; never gated.
-///
-/// Methodology: the pre-rewrite commit and the rewritten tree were built
-/// side by side and timed *interleaved* in the same session (20
-/// alternations of best-of-5 runs each, minimum taken) — the only protocol
-/// that survives this host's frequency drift. 1.5 M simulated instructions
-/// in 23.49 ms before vs 10.92 ms after.
-pub const PRE_REWRITE_STANDARD_NT_HEAVY_MIPS: f64 = 63.86;
-
-/// Post-rewrite counterpart of [`PRE_REWRITE_STANDARD_NT_HEAVY_MIPS`],
-/// same interleaved protocol: 2.15x.
-pub const POST_REWRITE_STANDARD_NT_HEAVY_MIPS: f64 = 137.36;
-
-/// CMP-engine MIPS on `nt-heavy` *before* the pre-decoded micro-op dispatch
-/// rewrite (jump-table handlers, per-block timing batches, inner winner
-/// loops, pooled NT contexts), measured with the same interleaved best-of
-/// protocol as the PR-3 constants: 10 alternations against a clean pre-PR
-/// build on the authoring machine, minima taken. Machine-specific reference
-/// for the recorded trajectory; the *digest* is gated, the MIPS floor is
-/// advisory (see `bench_report --verify`).
-pub const PRE_UOP_CMP_NT_HEAVY_MIPS: f64 = 27.11;
-
-/// Post-rewrite counterpart of [`PRE_UOP_CMP_NT_HEAVY_MIPS`]: 1.89x.
-pub const POST_UOP_CMP_NT_HEAVY_MIPS: f64 = 51.37;
-
-/// Standard-engine MIPS on `nt-heavy` before the micro-op dispatch rewrite,
-/// same protocol and machine as [`PRE_UOP_CMP_NT_HEAVY_MIPS`].
-pub const PRE_UOP_STANDARD_NT_HEAVY_MIPS: f64 = 101.63;
-
-/// Post-rewrite counterpart of [`PRE_UOP_STANDARD_NT_HEAVY_MIPS`]: 1.07x on
-/// the asm hot loop (already rewritten in PR 3); the zoo rows gained more
-/// (1.30–1.37x interleaved minima).
-pub const POST_UOP_STANDARD_NT_HEAVY_MIPS: f64 = 108.25;
-
-/// CMP-engine MIPS on `nt-heavy` *without* the NT-path replay cache
-/// (`--no-memo`), measured with the interleaved best-of protocol of the
-/// earlier constants: the same binary alternated `--no-memo` and default
-/// runs (10 alternations, best-of-5 each, minima taken) so both sides see
-/// the same thermal state. Machine-specific (same host as the PR-8
-/// constants); the digests are gated, the MIPS are a recorded trajectory.
-pub const PRE_MEMO_CMP_NT_HEAVY_MIPS: f64 = 39.51;
-
-/// Post-memoization counterpart of [`PRE_MEMO_CMP_NT_HEAVY_MIPS`]: the
-/// default run replays recorded NT-path effect bundles instead of
-/// re-simulating them. 1.35x over the same-session `--no-memo` minimum —
-/// bounded because CMP replay still re-issues every cache access for
-/// timing identity — and 1.97x over the PR-8 floor of 27.11.
-pub const POST_MEMO_CMP_NT_HEAVY_MIPS: f64 = 53.30;
-
-/// Standard-engine MIPS on `nt-heavy` without the replay cache, same
-/// protocol and machine as [`PRE_MEMO_CMP_NT_HEAVY_MIPS`].
-pub const PRE_MEMO_STANDARD_NT_HEAVY_MIPS: f64 = 98.32;
-
-/// Post-memoization counterpart of [`PRE_MEMO_STANDARD_NT_HEAVY_MIPS`]:
-/// 2.09x (standard-mode replay skips the excursion entirely).
-pub const POST_MEMO_STANDARD_NT_HEAVY_MIPS: f64 = 205.46;
+/// Minimum replay-cache hit rate the report demands on `nt-heavy` per
+/// engine. The workload re-spawns one cold edge with a constant-register
+/// live-in set, so nearly every spawn after the first must replay; in
+/// practice both engines sit above 0.99, and anything under this floor
+/// means the read-set validation or the fingerprint went wrong.
+pub const MIN_NT_HEAVY_HIT_RATE: f64 = 0.90;
 
 /// An NT-path-dominated workload: a spawn edge that stays cold (tiny
 /// counter-reset interval), whose NT-path runs a long store/load sweep
@@ -156,8 +105,8 @@ const TAKEN_STRIDE: &str = r"
         exit
     ";
 
-/// The engines measured, in row order.
-pub const ENGINES: [&str; 4] = ["baseline", "standard", "cmp", "software"];
+/// The engines of the matrix, in row order.
+pub const ENGINES: [&str; 3] = ["baseline", "standard", "cmp"];
 
 /// The workloads measured, in row order.
 pub const WORKLOADS: [(&str, &str); 2] = [("nt-heavy", NT_HEAVY), ("taken-stride", TAKEN_STRIDE)];
@@ -166,172 +115,120 @@ pub const WORKLOADS: [(&str, &str); 2] = [("nt-heavy", NT_HEAVY), ("taken-stride
 /// profile is distinct from both: a dispatch loop with frequent short
 /// NT-paths that stop at the next `readint` (unsafe event) — syscall-bounded
 /// NT work rather than sandbox-bounded. The op stream is long enough that
-/// every engine runs to `RUN_BUDGET`, so instruction counts stay
-/// mode-independent.
+/// every engine runs to `RUN_BUDGET`.
 pub const ZOO_WORKLOADS: [&str; 2] = ["zoo:interpreter:1", "zoo:state-machine:1"];
 
 /// Common-op count of the zoo perf input stream (budget-saturating).
 const ZOO_PERF_OPS: u32 = 60_000;
 
-/// One engine × workload measurement.
+/// Replay-cache differential of a standard or CMP row.
+#[derive(Debug, Clone)]
+pub struct MemoDiff {
+    /// Counters of the run with an explicit replay-cache table.
+    pub counters: MemoCounters,
+    /// Whether the run with the cache off produced the same digest — the
+    /// replay cache's contract.
+    pub identical: bool,
+}
+
+/// One engine × workload row.
 #[derive(Debug, Clone)]
 pub struct ThroughputRow {
     pub engine: String,
     pub workload: String,
-    /// Simulated instructions executed (taken + NT) — deterministic.
+    /// Exit class of the run.
+    pub exit: String,
+    /// Simulated instructions executed (taken + NT).
     pub instructions: u64,
-    /// Simulated cycles of the run — deterministic.
+    /// Simulated cycles of the run.
     pub sim_cycles: u64,
-    /// NT-paths completed — deterministic (0 for baseline).
+    /// NT-paths completed (0 for baseline).
     pub nt_paths: u64,
-    /// FNV-1a-64 digest of the run's architectural results — deterministic.
+    /// FNV-1a-64 digest of the run's architectural results.
     pub digest: String,
-    /// Median wall nanoseconds per run — machine-specific, never gated.
-    pub wall_ns: u64,
-    /// Millions of simulated instructions per host second at the median.
-    pub mips: f64,
+    /// `None` for baseline, which has no replay cache.
+    pub memo: Option<MemoDiff>,
 }
 
 impl ToJson for ThroughputRow {
     fn to_json(&self) -> Json {
-        Json::obj([
+        let mut fields = vec![
             ("engine", self.engine.to_json()),
             ("workload", self.workload.to_json()),
+            ("exit", self.exit.to_json()),
             ("instructions", self.instructions.to_json()),
             ("sim_cycles", self.sim_cycles.to_json()),
             ("nt_paths", self.nt_paths.to_json()),
             ("digest", self.digest.to_json()),
-            ("wall_ns", self.wall_ns.to_json()),
-            ("mips", Json::Float((self.mips * 1000.0).round() / 1000.0)),
-        ])
+        ];
+        if let Some(m) = &self.memo {
+            let c = &m.counters;
+            fields.push((
+                "memo",
+                Json::obj([
+                    ("hits", c.hits.to_json()),
+                    ("misses", c.misses.to_json()),
+                    ("invalidations", c.invalidations.to_json()),
+                    ("stores", c.stores.to_json()),
+                    ("evictions", c.evictions.to_json()),
+                    ("bypasses", c.bypasses.to_json()),
+                    ("skips", c.skips.to_json()),
+                    (
+                        "hit_rate",
+                        Json::Float((c.hit_rate() * 10_000.0).round() / 10_000.0),
+                    ),
+                    ("identical", m.identical.to_json()),
+                ]),
+            ));
+        }
+        Json::obj(fields)
     }
 }
 
 /// The full report emitted as `BENCH_throughput.json`.
 #[derive(Debug, Clone)]
 pub struct ThroughputReport {
-    pub quick: bool,
-    /// Whether the NT-path replay cache was enabled for the standard/CMP
-    /// rows. The architectural digests are identical either way (that is
-    /// the memo contract, and `memo_gate` enforces it); only the wall-clock
-    /// columns move.
-    pub memo: bool,
     pub rows: Vec<ThroughputRow>,
-    /// Digest over every row's architectural digest — the one CI gates on.
+    /// Digest over every row's architectural digest.
     pub arch_digest: String,
+}
+
+impl ThroughputReport {
+    /// The rows that break the replay-cache contract: a memo row whose
+    /// cache-off digest drifted, or an `nt-heavy` row that hit under
+    /// [`MIN_NT_HEAVY_HIT_RATE`].
+    #[must_use]
+    pub fn failures(&self) -> Vec<&ThroughputRow> {
+        self.rows
+            .iter()
+            .filter(|r| {
+                r.memo.as_ref().is_some_and(|m| {
+                    !m.identical
+                        || (r.workload == "nt-heavy"
+                            && m.counters.hit_rate() < MIN_NT_HEAVY_HIT_RATE)
+                })
+            })
+            .collect()
+    }
+
+    /// Every memo row identical and the cache demonstrably engaged.
+    #[must_use]
+    pub fn passed(&self) -> bool {
+        self.failures().is_empty()
+    }
+
+    /// The report exactly as `BENCH_throughput.json` holds it.
+    #[must_use]
+    pub fn render(&self) -> String {
+        format!("{}\n", self.to_json().dump())
+    }
 }
 
 impl ToJson for ThroughputReport {
     fn to_json(&self) -> Json {
         Json::obj([
             ("schema", SCHEMA.to_json()),
-            ("quick", self.quick.to_json()),
-            ("memo", self.memo.to_json()),
             ("budget", RUN_BUDGET.to_json()),
-            (
-                "reference",
-                Json::obj([
-                    (
-                        "note",
-                        "MIPS are machine-specific (dev machine of the PR-3 rewrite); \
-                         only schema and arch_digest are gated"
-                            .to_json(),
-                    ),
-                    (
-                        "pre_rewrite_standard_nt_heavy_mips",
-                        Json::Float(PRE_REWRITE_STANDARD_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "post_rewrite_standard_nt_heavy_mips",
-                        Json::Float(POST_REWRITE_STANDARD_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "speedup",
-                        Json::Float(
-                            ((POST_REWRITE_STANDARD_NT_HEAVY_MIPS
-                                / PRE_REWRITE_STANDARD_NT_HEAVY_MIPS.max(1e-9))
-                                * 100.0)
-                                .round()
-                                / 100.0,
-                        ),
-                    ),
-                    (
-                        "pre_uop_cmp_nt_heavy_mips",
-                        Json::Float(PRE_UOP_CMP_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "post_uop_cmp_nt_heavy_mips",
-                        Json::Float(POST_UOP_CMP_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "uop_cmp_speedup",
-                        Json::Float(
-                            ((POST_UOP_CMP_NT_HEAVY_MIPS / PRE_UOP_CMP_NT_HEAVY_MIPS.max(1e-9))
-                                * 100.0)
-                                .round()
-                                / 100.0,
-                        ),
-                    ),
-                    (
-                        "pre_uop_standard_nt_heavy_mips",
-                        Json::Float(PRE_UOP_STANDARD_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "post_uop_standard_nt_heavy_mips",
-                        Json::Float(POST_UOP_STANDARD_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "uop_standard_speedup",
-                        Json::Float(
-                            ((POST_UOP_STANDARD_NT_HEAVY_MIPS
-                                / PRE_UOP_STANDARD_NT_HEAVY_MIPS.max(1e-9))
-                                * 100.0)
-                                .round()
-                                / 100.0,
-                        ),
-                    ),
-                    (
-                        "pre_memo_cmp_nt_heavy_mips",
-                        Json::Float(PRE_MEMO_CMP_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "post_memo_cmp_nt_heavy_mips",
-                        Json::Float(POST_MEMO_CMP_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "memo_cmp_speedup",
-                        Json::Float(
-                            ((POST_MEMO_CMP_NT_HEAVY_MIPS / PRE_MEMO_CMP_NT_HEAVY_MIPS.max(1e-9))
-                                * 100.0)
-                                .round()
-                                / 100.0,
-                        ),
-                    ),
-                    (
-                        "pre_memo_standard_nt_heavy_mips",
-                        Json::Float(PRE_MEMO_STANDARD_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "post_memo_standard_nt_heavy_mips",
-                        Json::Float(POST_MEMO_STANDARD_NT_HEAVY_MIPS),
-                    ),
-                    (
-                        "memo_standard_speedup",
-                        Json::Float(
-                            ((POST_MEMO_STANDARD_NT_HEAVY_MIPS
-                                / PRE_MEMO_STANDARD_NT_HEAVY_MIPS.max(1e-9))
-                                * 100.0)
-                                .round()
-                                / 100.0,
-                        ),
-                    ),
-                    // The advisory floor `bench_report --verify` warns under:
-                    // with the replay cache on by default, cmp/nt-heavy must
-                    // not fall back to its own pre-memo measurement. Never a
-                    // hard failure — wall clock is machine-specific.
-                    ("cmp_mips_floor", Json::Float(PRE_MEMO_CMP_NT_HEAVY_MIPS)),
-                ]),
-            ),
             (
                 "rows",
                 Json::Arr(self.rows.iter().map(ToJson::to_json).collect()),
@@ -354,7 +251,7 @@ struct ArchResult {
 }
 
 impl ArchResult {
-    fn digest(&self) -> u64 {
+    fn digest(&self) -> String {
         let mut h = fnv1a64(0, self.exit.as_bytes());
         for n in [
             self.instructions,
@@ -366,7 +263,7 @@ impl ArchResult {
         ] {
             h = fnv1a64(h, &n.to_le_bytes());
         }
-        fnv1a64(h, &self.io_output)
+        format!("{:016x}", fnv1a64(h, &self.io_output))
     }
 
     fn from_px(program: &Program, r: &PxRunResult) -> ArchResult {
@@ -383,14 +280,7 @@ impl ArchResult {
     }
 }
 
-/// FNV digest of a PathExpander run's architectural results, exactly as the
-/// throughput rows record it — shared with the memo experiment (E18) so the
-/// differential gate compares the same quantity CI already gates on.
-pub(crate) fn px_arch_digest(program: &Program, r: &PxRunResult) -> String {
-    format!("{:016x}", ArchResult::from_px(program, r).digest())
-}
-
-pub(crate) fn px_config() -> PxConfig {
+fn px_config() -> PxConfig {
     PxConfig::default()
         .with_max_instructions(RUN_BUDGET)
         .with_counter_threshold(1)
@@ -398,8 +288,8 @@ pub(crate) fn px_config() -> PxConfig {
         .with_max_nt_path_len(2_000)
 }
 
-/// Builds `(program, input stream)` for a zoo throughput workload.
-pub(crate) fn zoo_program(spec_str: &str) -> (Program, Vec<u8>) {
+/// Builds `(program, input stream)` for a zoo workload.
+fn zoo_program(spec_str: &str) -> (Program, Vec<u8>) {
     let spec = ZooSpec::parse(spec_str).unwrap_or_else(|e| panic!("perf zoo spec {spec_str}: {e}"));
     let w = zoo::generate(&spec);
     let compiled = w
@@ -411,12 +301,27 @@ pub(crate) fn zoo_program(spec_str: &str) -> (Program, Vec<u8>) {
     )
 }
 
-fn run_engine(engine: &str, program: &Program, input: &[u8], memo: bool) -> ArchResult {
-    let io = IoState::new(input.to_vec(), 0xC0FFEE);
-    match engine {
+/// Every workload of the matrix as `(name, program, input)`, in row order.
+fn workloads() -> Vec<(&'static str, Program, Vec<u8>)> {
+    let asm = WORKLOADS.into_iter().map(|(name, src)| {
+        let program = assemble(src).unwrap_or_else(|e| panic!("perf workload {name}: {e}"));
+        (name, program, Vec::new())
+    });
+    let zoo = ZOO_WORKLOADS.into_iter().map(|spec| {
+        let (program, input) = zoo_program(spec);
+        (spec, program, input)
+    });
+    asm.chain(zoo).collect()
+}
+
+/// Runs one engine on one workload. The standard and CMP engines run with
+/// an explicit replay-cache table and again with the cache off.
+fn measure(engine: &str, workload: &str, program: &Program, input: &[u8]) -> ThroughputRow {
+    let io = || IoState::new(input.to_vec(), 0xC0FFEE);
+    let (arch, memo) = match engine {
         "baseline" => {
-            let r = run_baseline(program, &MachConfig::single_core(), io, RUN_BUDGET);
-            ArchResult {
+            let r = run_baseline(program, &MachConfig::single_core(), io(), RUN_BUDGET);
+            let arch = ArchResult {
                 exit: match r.exit {
                     RunExit::Exited(_) => "exited".to_owned(),
                     other => other.class().to_owned(),
@@ -428,87 +333,73 @@ fn run_engine(engine: &str, program: &Program, input: &[u8], memo: bool) -> Arch
                 monitor_len: 0,
                 spawns: 0,
                 covered_edges: r.coverage.covered_edges(program),
-            }
+            };
+            (arch, None)
         }
-        "standard" => {
-            let px = px_config().with_nt_memo(memo);
-            let r = run(program, &MachConfig::single_core(), &px, io);
-            ArchResult::from_px(program, &r)
-        }
-        "cmp" => {
-            let px = px_config().with_nt_memo(memo).cmp();
-            let r = run(program, &MachConfig::default(), &px, io);
-            ArchResult::from_px(program, &r)
-        }
-        "software" => {
-            let r = run_soft(program, &px_config(), &SoftConfig::default(), io);
-            ArchResult::from_px(program, &r.run)
+        "standard" | "cmp" => {
+            let dp = DecodedProgram::decode(program);
+            let (on, off, counters) = if engine == "standard" {
+                let mach = MachConfig::single_core();
+                let px = px_config();
+                let mut table = standard_memo_table(program, &mach, &px);
+                let on = run_standard_memo(program, &dp, &mach, &px, io(), &mut table);
+                let px = px.with_nt_memo(false);
+                let off = run_standard_decoded(program, &dp, &mach, &px, io());
+                (on, off, table.counters)
+            } else {
+                let mach = MachConfig::default();
+                let px = px_config().cmp();
+                let mut table = cmp_memo_table(program, &mach, &px);
+                let on = run_cmp_memo(program, &dp, &mach, &px, io(), &mut table);
+                let px = px.with_nt_memo(false);
+                let off = run_cmp_decoded(program, &dp, &mach, &px, io());
+                (on, off, table.counters)
+            };
+            let arch = ArchResult::from_px(program, &on);
+            let identical = arch.digest() == ArchResult::from_px(program, &off).digest();
+            (
+                arch,
+                Some(MemoDiff {
+                    counters,
+                    identical,
+                }),
+            )
         }
         other => panic!("unknown engine {other:?}"),
-    }
-}
-
-/// Measures one engine on one workload: `reps` timed runs, median wall time.
-fn measure(
-    engine: &str,
-    workload: &str,
-    program: &Program,
-    input: &[u8],
-    reps: u32,
-    memo: bool,
-) -> ThroughputRow {
-    let arch = run_engine(engine, program, input, memo);
-    let mut samples: Vec<u64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(run_engine(engine, program, input, memo));
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-        .collect();
-    samples.sort_unstable();
-    let wall_ns = samples[samples.len() / 2];
-    let mips = if wall_ns == 0 {
-        0.0
-    } else {
-        arch.instructions as f64 * 1e3 / wall_ns as f64
     };
     ThroughputRow {
         engine: engine.to_owned(),
         workload: workload.to_owned(),
+        digest: arch.digest(),
+        exit: arch.exit,
         instructions: arch.instructions,
         sim_cycles: arch.sim_cycles,
         nt_paths: arch.nt_paths,
-        digest: format!("{:016x}", arch.digest()),
-        wall_ns,
-        mips,
+        memo,
     }
 }
 
-/// Schema tag of the `--profile` histogram (`bench_report --engine cmp
-/// --profile`). Bump on any shape change.
+/// Schema tag of the `--profile` histogram (`bench_report --profile`).
+/// Bump on any shape change.
 pub const PROFILE_SCHEMA: &str = "px-bench/uop-profile-v1";
 
-/// Per-handler micro-op histogram of one engine across the full workload
+/// Per-handler micro-op histogram of the CMP engine across the workload
 /// matrix. Entirely architectural — retired counts and charged base cycles
 /// per [`UopKind`], no wall clock — so the emitted JSON is byte-deterministic
 /// run to run and safe to diff in CI.
 ///
-/// Only the CMP engine has a profiled entry point today
-/// ([`run_cmp_profiled`] threads a `PROFILE` const through the dispatch
-/// loops so the unprofiled build pays nothing); other engine names panic.
+/// Only the CMP engine has a profiled entry point ([`run_cmp_profiled`]
+/// threads a `PROFILE` const through the dispatch loops so the unprofiled
+/// build pays nothing).
 #[must_use]
-pub fn profile_report(engine: &str) -> Json {
-    assert_eq!(
-        engine, "cmp",
-        "only the cmp engine has a profiled entry point (got {engine:?})"
-    );
-    let mut workloads: Vec<Json> = Vec::new();
+pub fn profile_report() -> Json {
+    let mut rows: Vec<Json> = Vec::new();
     let mut h = 0u64;
-    let mut profiled = |name: &str, program: &Program, input: &[u8]| {
-        let io = IoState::new(input.to_vec(), 0xC0FFEE);
-        let (r, prof) = run_cmp_profiled(program, &MachConfig::default(), &px_config().cmp(), io);
-        let arch = ArchResult::from_px(program, &r);
-        let rows: Vec<Json> = UopKind::ALL
+    for (name, program, input) in workloads() {
+        let io = IoState::new(input, 0xC0FFEE);
+        let (r, prof) = run_cmp_profiled(&program, &MachConfig::default(), &px_config().cmp(), io);
+        let digest = ArchResult::from_px(&program, &r).digest();
+        let handlers: Vec<Json> = UopKind::ALL
             .iter()
             .filter(|&&k| prof.count[k as usize] > 0)
             .map(|&k| {
@@ -519,54 +410,34 @@ pub fn profile_report(engine: &str) -> Json {
                 ])
             })
             .collect();
-        h = fnv1a64(h, format!("{:016x}", arch.digest()).as_bytes());
+        h = fnv1a64(h, digest.as_bytes());
         for (c, y) in prof.count.iter().zip(&prof.cycles) {
             h = fnv1a64(fnv1a64(h, &c.to_le_bytes()), &y.to_le_bytes());
         }
-        workloads.push(Json::obj([
+        rows.push(Json::obj([
             ("workload", name.to_json()),
-            ("digest", format!("{:016x}", arch.digest()).to_json()),
+            ("digest", digest.to_json()),
             ("uops_retired", prof.total_count().to_json()),
             ("base_cycles", prof.total_cycles().to_json()),
-            ("handlers", Json::Arr(rows)),
+            ("handlers", Json::Arr(handlers)),
         ]));
-    };
-    for (wname, src) in WORKLOADS {
-        let program = assemble(src).unwrap_or_else(|e| panic!("perf workload {wname}: {e}"));
-        profiled(wname, &program, &[]);
-    }
-    for spec in ZOO_WORKLOADS {
-        let (program, input) = zoo_program(spec);
-        profiled(spec, &program, &input);
     }
     Json::obj([
         ("schema", PROFILE_SCHEMA.to_json()),
-        ("engine", engine.to_json()),
+        ("engine", "cmp".to_json()),
         ("budget", RUN_BUDGET.to_json()),
-        ("workloads", Json::Arr(workloads)),
+        ("workloads", Json::Arr(rows)),
         ("profile_digest", format!("{h:016x}").to_json()),
     ])
 }
 
-/// Runs the full throughput matrix. `quick` only lowers the number of timed
-/// repetitions — budgets and digests are identical in both modes. `memo`
-/// toggles the NT-path replay cache for the standard/CMP rows
-/// (`bench_report --no-memo`); the digests are identical either way, so a
-/// `--no-memo` run still passes `--verify` against the committed report.
+/// Runs the full matrix: every workload × [`ENGINES`].
 #[must_use]
-pub fn throughput_report(quick: bool, memo: bool) -> ThroughputReport {
-    let reps = if quick { 1 } else { 3 };
+pub fn throughput_report() -> ThroughputReport {
     let mut rows = Vec::new();
-    for (wname, src) in WORKLOADS {
-        let program = assemble(src).unwrap_or_else(|e| panic!("perf workload {wname}: {e}"));
+    for (name, program, input) in workloads() {
         for engine in ENGINES {
-            rows.push(measure(engine, wname, &program, &[], reps, memo));
-        }
-    }
-    for spec in ZOO_WORKLOADS {
-        let (program, input) = zoo_program(spec);
-        for engine in ENGINES {
-            rows.push(measure(engine, spec, &program, &input, reps, memo));
+            rows.push(measure(engine, name, &program, &input));
         }
     }
     let mut h = 0u64;
@@ -574,37 +445,36 @@ pub fn throughput_report(quick: bool, memo: bool) -> ThroughputReport {
         h = fnv1a64(h, row.digest.as_bytes());
     }
     ThroughputReport {
-        quick,
-        memo,
         rows,
         arch_digest: format!("{h:016x}"),
     }
 }
 
+/// The committed report the matrix must reproduce byte for byte.
+#[cfg(test)]
+pub(crate) const COMMITTED: &str = include_str!("../../../../BENCH_throughput.json");
+
+/// The matrix, simulated once per test binary and shared by every test that
+/// inspects it (it is the slowest thing in px-bench's unit tests).
+#[cfg(test)]
+pub(crate) fn matrix() -> &'static ThroughputReport {
+    static MATRIX: std::sync::OnceLock<ThroughputReport> = std::sync::OnceLock::new();
+    MATRIX.get_or_init(throughput_report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathexpander::run;
 
     #[test]
     fn digests_are_deterministic_and_mode_independent() {
         let program = assemble(NT_HEAVY).unwrap();
-        let a = run_engine("standard", &program, &[], true);
-        let b = run_engine("standard", &program, &[], true);
-        assert_eq!(a.digest(), b.digest());
+        let a = measure("standard", "nt-heavy", &program, &[]);
+        let b = measure("standard", "nt-heavy", &program, &[]);
+        assert_eq!(a.digest, b.digest);
         assert!(a.instructions > 0);
         assert!(a.nt_paths > 0, "nt-heavy must actually spawn NT-paths");
-    }
-
-    #[test]
-    fn memo_never_moves_a_row_digest() {
-        // The replay-cache contract at the bench layer: every gated digest
-        // is identical with the cache on and off.
-        let program = assemble(NT_HEAVY).unwrap();
-        for engine in ["standard", "cmp"] {
-            let on = run_engine(engine, &program, &[], true);
-            let off = run_engine(engine, &program, &[], false);
-            assert_eq!(on.digest(), off.digest(), "{engine}/nt-heavy");
-        }
     }
 
     #[test]
@@ -629,27 +499,9 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_produces_a_row_with_nonzero_work() {
-        for (wname, src) in WORKLOADS {
-            let program = assemble(src).unwrap();
-            for engine in ENGINES {
-                let arch = run_engine(engine, &program, &[], true);
-                assert!(arch.instructions > 0, "{engine}/{wname}");
-            }
-        }
-        for spec in ZOO_WORKLOADS {
-            let (program, input) = zoo_program(spec);
-            for engine in ENGINES {
-                let arch = run_engine(engine, &program, &input, true);
-                assert!(arch.instructions > 0, "{engine}/{spec}");
-            }
-        }
-    }
-
-    #[test]
     fn profile_report_is_deterministic_and_consistent() {
-        let a = profile_report("cmp").dump();
-        let b = profile_report("cmp").dump();
+        let a = profile_report().dump();
+        let b = profile_report().dump();
         assert_eq!(a, b, "profile JSON must be byte-deterministic");
         assert!(a.starts_with(&format!(r#"{{"schema":"{PROFILE_SCHEMA}""#)));
         // Branch handlers must appear on nt-heavy (a branch-driven loop).
@@ -659,19 +511,54 @@ mod tests {
 
     #[test]
     fn report_json_has_schema_and_digest() {
-        // One quick row set is enough to pin the shape (uses the real
-        // budgets, so keep it out of the default loop in debug? — it runs
-        // in a few seconds and is the tier-1 guard for the emitter shape).
-        let report = throughput_report(true, true);
-        let dumped = report.to_json().dump();
-        assert!(
-            dumped.starts_with(&format!(r#"{{"schema":"{SCHEMA}""#)),
-            "{dumped}"
+        let report = matrix();
+        assert_eq!(
+            report.render(),
+            COMMITTED,
+            "the matrix no longer reproduces the committed BENCH_throughput.json"
         );
+        let dumped = report.to_json().dump();
+        assert!(dumped.starts_with(&format!(r#"{{"schema":"{SCHEMA}""#)));
         assert!(dumped.contains(r#""arch_digest":""#));
         assert_eq!(
             report.rows.len(),
             ENGINES.len() * (WORKLOADS.len() + ZOO_WORKLOADS.len())
         );
+    }
+
+    #[test]
+    fn every_engine_produces_a_row_with_nonzero_work() {
+        let report = matrix();
+        let workloads = WORKLOADS.iter().map(|(w, _)| *w).chain(ZOO_WORKLOADS);
+        for workload in workloads {
+            for engine in ENGINES {
+                let row = report
+                    .rows
+                    .iter()
+                    .find(|r| r.engine == engine && r.workload == workload)
+                    .unwrap_or_else(|| panic!("no {engine}/{workload} row"));
+                assert!(row.instructions > 0, "{engine}/{workload} did no work");
+                assert_eq!(
+                    row.memo.is_some(),
+                    engine != "baseline",
+                    "{engine}/{workload}: only baseline lacks replay-cache counters"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_never_moves_a_row_digest() {
+        // The replay-cache contract at the bench layer: every memo row's
+        // digest is identical with the cache on and off.
+        for r in &matrix().rows {
+            if let Some(m) = &r.memo {
+                assert!(
+                    m.identical,
+                    "{}/{}: cache-off digest drifted",
+                    r.engine, r.workload
+                );
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! One module (and one binary) per table or figure of the paper's
 //! evaluation; see `DESIGN.md` §5 for the experiment index. Each experiment
 //! is a plain function returning typed rows, so the same code runs from the
-//! regenerator binaries, the integration tests that pin the paper's shape
-//! claims, and the self-timing benches (`px_util::bench`).
+//! regenerator binaries and the integration tests that pin the paper's shape
+//! claims. Host timing lives in the separate `perfbench/` package.
 
 pub mod experiments;
 pub mod fmt;

@@ -1,6 +1,6 @@
 //! FNV-1a-64 digests for architectural results.
 //!
-//! Every determinism gate in the workspace (the E13 throughput rows, the
+//! Every determinism gate in the workspace (the E13/E18 matrix rows, the
 //! static-filter taken-path comparison, the zoo differential suite) hashes
 //! architectural state — exit status, output bytes, coverage bitmaps — with
 //! the same chainable FNV-1a-64. It lives here so the bench crate, the core

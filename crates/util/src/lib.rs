@@ -19,8 +19,6 @@
 //! * [`json`] — a hand-rolled JSON value model, emitter **and parser** with
 //!   deterministic float formatting (replaces `serde` for typed result
 //!   rows and the campaign journal reader).
-//! * [`bench`](mod@bench) — a self-timing warmup + median-of-N bench harness with
-//!   JSON output (replaces `criterion`).
 //! * [`digest`] — the chainable FNV-1a-64 every determinism gate hashes
 //!   architectural results with.
 //! * [`memo`] — a fixed-capacity seeded-hash memo map with least-used
@@ -29,7 +27,6 @@
 //! Nothing in here depends on any other workspace crate, so every crate —
 //! including `px-isa` at the bottom of the graph — can use it from tests.
 
-pub mod bench;
 pub mod digest;
 pub mod json;
 pub mod memo;

@@ -60,22 +60,13 @@ if [ "$a" != "$b" ]; then
     exit 1
 fi
 
-# Memo gate (E18): every engine×workload architectural digest must be
-# byte-identical with the NT-path replay cache on and off, and the cache
-# must demonstrably engage on nt-heavy (minimum hit rate) — a differential
-# that passes because the cache never fired proves nothing.
-echo "==> memo-gate: E18 replay-cache on/off digest identity + nt-heavy hit rate"
-cargo run --release --offline -q -p px-bench --bin memo_gate -- --check
-
-# Throughput gate: the committed BENCH_throughput.json must carry the
-# current schema, this machine's freshly-computed *architectural* digest,
-# and a matching digest for every CMP-engine row (the scheduler-interleaving
-# digests the micro-op rewrite must never move). Wall-clock numbers are
-# machine-specific: the CMP MIPS floor in the reference block is advisory
-# (a warning, never a failure).
-echo "==> bench-gate: schema + arch digest + per-CMP-row digests of BENCH_throughput.json"
-cargo run --release --offline -q -p px-bench --bin bench_report -- \
-    --quick --verify BENCH_throughput.json
+# Bench gate (E13/E18): the engine x workload matrix must reproduce the
+# committed BENCH_throughput.json byte for byte (every row named on a
+# mismatch), every standard/CMP row must be digest-identical with the
+# NT-path replay cache on and off, and the cache must demonstrably engage
+# on nt-heavy (minimum hit rate). No wall clock: timing is perfbench's job.
+echo "==> bench-gate: BENCH_throughput.json byte identity + replay-cache on/off identity"
+cargo run --release --offline -q -p px-bench --bin bench_report -- --verify BENCH_throughput.json
 
 # Benchmark self-test: perfbench imports the engine API directly, so a
 # change to an entry point it pins fails here rather than in the benchmark
