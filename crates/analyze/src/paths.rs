@@ -77,8 +77,8 @@ pub struct PrimePath {
     /// block as its last.
     pub blocks: Vec<u32>,
     /// FNV-1a-64 over the block indices as little-endian `u32`s, folded
-    /// one block at a time from seed 0 — exactly the fold the runtime
-    /// matcher computes incrementally.
+    /// one block at a time from seed 0: a compact per-path identity for
+    /// reports.
     pub digest: u64,
     /// Whether constant propagation considers every block and every
     /// branch edge on the path statically feasible.
@@ -292,7 +292,7 @@ impl PrimePathSet {
         self.truncated
     }
 
-    /// Longest kept path, in blocks (the runtime matcher's window bound).
+    /// Longest kept path, in blocks.
     #[must_use]
     pub fn max_len(&self) -> usize {
         self.max_len

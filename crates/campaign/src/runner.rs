@@ -104,7 +104,7 @@ fn decoded_cache(program: &Program) -> Arc<DecodedProgram> {
 /// Enumerating prime paths (and proving their feasibility) is pure per
 /// program, and the campaign pool replays each zoo program once per tool
 /// and worker — so the plan is built once and every case matches against
-/// the same digest table, which is what makes shards mergeable.
+/// the same automaton, which is what makes shards mergeable.
 fn path_plan_cache(program: &Program) -> Option<Arc<PathPlan>> {
     static CACHE: OnceLock<Mutex<HashMap<u64, Option<Arc<PathPlan>>>>> = OnceLock::new();
     let key = fnv1a64(

@@ -25,8 +25,8 @@
 use px_isa::{DecodedProgram, Program, Width};
 use px_mach::{
     run_simple, simple_steps_until, step_uop, Checkpoint, CoreState, FaultHook, IoState,
-    MachConfig, MemView, MemoNote, MemoTable, Memory, PathKind, PathTrail, RunExit, Sandbox,
-    SandboxView, SimError, StepEnv, UopProfile, WatchTable, COMMITTED,
+    MachConfig, MemView, MemoNote, MemoTable, Memory, PathKind, RunExit, Sandbox, SandboxView,
+    SimError, StepEnv, UopProfile, WatchTable, COMMITTED,
 };
 
 use crate::config::PxConfig;
@@ -65,8 +65,8 @@ struct NtPath {
 }
 
 /// A squashed path's recycled context: `clear` stales the sandbox's pages
-/// in O(1), the watch clone and the trail reuse their allocations.
-type Spare = (Sandbox, WatchTable, Option<PathTrail>);
+/// in O(1), the watch clone reuses its allocation.
+type Spare = (Sandbox, WatchTable);
 
 /// The CMP schedule: the path table, which cores host which paths, and
 /// the per-core clocks.
@@ -562,15 +562,15 @@ impl Cores {
     /// spawns are rare relative to steps.
     #[inline(never)]
     fn admit(&mut self, run: &mut Run<'_>, pc: u32, target: u32, primary: &CoreState) {
-        let (sandbox, scratch_watches, trail) = match self.pool.pop() {
-            Some((mut sb, mut wt, trail)) => {
+        let (sandbox, scratch_watches) = match self.pool.pop() {
+            Some((mut sb, mut wt)) => {
                 sb.clear();
                 wt.copy_from(&run.watches);
-                (sb, wt, trail)
+                (sb, wt)
             }
-            None => (Sandbox::new(), run.watches.clone(), None),
+            None => (Sandbox::new(), run.watches.clone()),
         };
-        let (ex, replay) = run.spawn(pc, target, &primary.regs, trail);
+        let (ex, replay) = run.spawn(pc, target, &primary.regs);
         let mut state = Checkpoint::take(primary).state();
         state.pc = target;
         state.pred = run.px.apply_fixes;
@@ -648,8 +648,8 @@ impl Cores {
 /// Ends path `p` and returns its context to the spawn pool as-is (its
 /// pages are staled by the O(1) `clear` on reuse).
 fn finish(run: &mut Run<'_>, pool: &mut Vec<Spare>, p: NtPath, stop: NtStop) {
-    let trail = run.end(p.ex, stop, p.core.map(|c| (c, p.id)));
-    pool.push((p.sandbox, p.scratch_watches, trail));
+    run.end(p.ex, stop, p.core.map(|c| (c, p.id)));
+    pool.push((p.sandbox, p.scratch_watches));
 }
 
 fn oldest_live(paths: &[NtPath]) -> Option<usize> {

@@ -75,8 +75,9 @@ pub struct PxConfig {
     /// each NT path's live-in read set and effect bundle, and replay the
     /// bundle — skipping re-simulation — when a later spawn's live-ins
     /// match. Purely a simulator-performance lever: every architectural
-    /// digest is byte-identical with it on or off (`memo_gate` enforces
-    /// this). Automatically bypassed for runs with a fault injector, the
+    /// digest is byte-identical with it on or off
+    /// (`bench_report --verify BENCH_throughput.json` enforces this).
+    /// Automatically bypassed for runs with a fault injector, the
     /// OS-sandbox extension, or NT-from-NT exploration, whose NT paths are
     /// not pure functions of their read sets.
     pub nt_memo: bool,

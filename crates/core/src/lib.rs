@@ -85,12 +85,13 @@ use px_mach::{FaultHook, IoState, MachConfig, PathPlan, SimError, UopProfile};
 /// [`PathPlan`] the engines consume (px-mach sits below px-analyze, so
 /// the conversion lives here). Attach the plan with
 /// [`PxConfig::with_path_plan`]. Only feasible paths enter the matcher's
-/// digest table: covered ⊆ feasible holds by construction.
+/// automaton: covered ⊆ feasible holds by construction.
 ///
 /// # Errors
 ///
-/// Returns a typed [`SimError`] when the set's feasible paths do not
-/// have unique digests (matching would be ambiguous).
+/// Returns a typed [`SimError`] when a feasible path is empty, names a
+/// block the program lacks, or repeats another's block sequence
+/// (matching would be ambiguous).
 pub fn plan_paths(set: &PrimePathSet) -> Result<PathPlan, SimError> {
     PathPlan::new(
         set.code_len(),
@@ -99,13 +100,12 @@ pub fn plan_paths(set: &PrimePathSet) -> Result<PathPlan, SimError> {
         set.block_starts().to_vec(),
         set.len() as u32,
         set.feasible_count() as u32,
-        set.max_len() as u32,
         set.truncated(),
         set.paths()
             .iter()
             .enumerate()
             .filter(|(_, p)| p.feasible)
-            .map(|(i, p)| (p.digest, i as u32)),
+            .map(|(i, p)| (p.blocks.as_slice(), i as u32)),
     )
 }
 

@@ -93,7 +93,7 @@ impl Memo<'_> {
 
 /// Prime-path tracking (opt-in, purely observational): the taken trail,
 /// plus the coverage every trail records into. Each NT-path carries its own
-/// trail, forked from the taken trail at spawn.
+/// trail, a copy of the taken trail at spawn.
 struct Tracking<'a> {
     plan: &'a PathPlan,
     cov: PathCoverage,
@@ -419,18 +419,16 @@ impl<'a> Run<'a> {
     /// Starts an admitted NT-path from the branch at `pc` toward `target`,
     /// with `regs` the taken path's registers at the branch. A memo hit
     /// returns the replay cursor; a miss may arm a recorder. The path's
-    /// trail (reusing `trail`'s allocation) forks from the taken trail *at
-    /// the branch*, before either successor block is entered.
+    /// trail forks from the taken trail *at the branch*, before either
+    /// successor block is entered.
     pub(crate) fn spawn(
         &mut self,
         pc: u32,
         target: u32,
         regs: &Regs,
-        trail: Option<PathTrail>,
     ) -> (Excursion, Option<Replay>) {
         let trail = self.tracking.as_mut().map(|t| {
-            let mut trail = trail.unwrap_or_else(|| PathTrail::for_plan(t.plan));
-            trail.copy_from(&t.taken);
+            let mut trail = t.taken;
             trail.enter_pc(t.plan, &mut t.cov, target);
             trail
         });
@@ -660,13 +658,8 @@ impl<'a> Run<'a> {
     /// Ends NT-path `ex` with `stop`: gang-invalidates its volatile lines
     /// on `core` (a `(core, vtag)` pair; `None` for a path that never got a
     /// core), stores its recorded bundle or charges a bypass, and logs the
-    /// path. Returns the path's trail for reuse.
-    pub(crate) fn end(
-        &mut self,
-        ex: Excursion,
-        stop: NtStop,
-        core: Option<(usize, u8)>,
-    ) -> Option<PathTrail> {
+    /// path.
+    pub(crate) fn end(&mut self, ex: Excursion, stop: NtStop, core: Option<(usize, u8)>) {
         if let Some((c, vtag)) = core {
             self.caches.squash_path(c, vtag);
         }
@@ -684,7 +677,6 @@ impl<'a> Run<'a> {
             executed: ex.executed,
             stop,
         });
-        ex.trail
     }
 }
 

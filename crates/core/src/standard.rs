@@ -104,7 +104,6 @@ pub(crate) fn run_standard_inner(
     let mut core = CoreState::at_entry(program.entry, run.memory.size());
     let mut sandbox = Sandbox::new();
     let mut cycles: u64 = 0;
-    let mut spare_trail = None;
 
     // The run alternates between two modal inner loops — taken-path and
     // NT-path — instead of re-deciding the mode on every instruction. Each
@@ -153,7 +152,7 @@ pub(crate) fn run_standard_inner(
                 Taken::Exit(exit) => break 'run exit,
                 Taken::Spawn { pc, target } => {
                     debug_assert_eq!(sandbox.written_bytes(), 0);
-                    let (ex, replay) = run.spawn(pc, target, &core.regs, spare_trail.take());
+                    let (ex, replay) = run.spawn(pc, target, &core.regs);
                     Some((ex, replay, target))
                 }
             };
@@ -247,7 +246,7 @@ pub(crate) fn run_standard_inner(
         // Squash: the charged penalty and volatile-line invalidation, then
         // (for a live path) the sandbox, watch-log and checkpoint rollback.
         cycles += u64::from(mach.squash_cycles);
-        spare_trail = run.end(ex, stop, Some((0, NT_VTAG)));
+        run.end(ex, stop, Some((0, NT_VTAG)));
         if let Some(checkpoint) = checkpoint {
             sandbox.clear();
             run.watches.rollback();

@@ -226,13 +226,21 @@ impl Coverage {
     /// # Errors
     ///
     /// Returns [`SimError::CoverageSizeMismatch`] when `bytes` is not the
-    /// packed size for `code_len` (a corrupt or foreign shard).
+    /// packed size for `code_len` (a corrupt or foreign shard), and
+    /// [`SimError::NonZeroPadding`] when the last byte sets bits past
+    /// `code_len`: only the canonical encoding decodes, so
+    /// `pack_bits(unpack_bits(b)) == b`.
     pub fn unpack_bits(code_len: usize, bytes: &[u8]) -> Result<Coverage, SimError> {
         if bytes.len() != code_len.div_ceil(4) {
             return Err(SimError::CoverageSizeMismatch {
                 left: code_len,
                 right: bytes.len() * 4,
             });
+        }
+        if let (Some(&last), tail @ 1..) = (bytes.last(), code_len % 4) {
+            if last >> (tail * 2) != 0 {
+                return Err(SimError::NonZeroPadding { last });
+            }
         }
         let mut cov = Coverage::new(code_len);
         for (pc, e) in cov.edges.iter_mut().enumerate() {
@@ -397,6 +405,21 @@ mod tests {
             Coverage::unpack_bits(8, &[0u8; 3]),
             Err(crate::fault::SimError::CoverageSizeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn unpack_is_canonical_every_byte_string_round_trips_or_fails() {
+        for code_len in [1usize, 2, 3, 4, 5, 7] {
+            let len = code_len.div_ceil(4);
+            for last in 0..=u8::MAX {
+                let mut bytes = vec![0b1001_0110; len];
+                bytes[len - 1] = last;
+                match Coverage::unpack_bits(code_len, &bytes) {
+                    Ok(c) => assert_eq!(c.pack_bits(), bytes, "code_len {code_len}"),
+                    Err(e) => assert_eq!(e, crate::fault::SimError::NonZeroPadding { last }),
+                }
+            }
+        }
     }
 
     #[test]

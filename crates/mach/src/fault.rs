@@ -60,6 +60,20 @@ pub enum SimError {
     /// Two prime-path coverage shards from different enumerations (their
     /// set digests differ) were merged.
     PathSetMismatch { left: u64, right: u64 },
+    /// A packed coverage shard sets padding bits in its last byte; a
+    /// canonical writer leaves them zero, so the encoding is corrupt.
+    NonZeroPadding { last: u8 },
+    /// A path plan was handed an empty prime path (`path` is its index).
+    EmptyPrimePath { path: u32 },
+    /// A prime path names a block the program does not have.
+    PrimePathBlockOutOfRange {
+        path: u32,
+        block: u32,
+        n_blocks: u32,
+    },
+    /// Two feasible prime paths share one block sequence, so runtime
+    /// matching could not tell them apart.
+    DuplicatePrimePath { first: u32, second: u32 },
     /// An internal invariant did not hold (the message names it).
     Invariant(&'static str),
 }
@@ -84,6 +98,27 @@ impl core::fmt::Display for SimError {
                 write!(
                     f,
                     "prime-path shard mismatch: set {left:016x} vs {right:016x}"
+                )
+            }
+            SimError::NonZeroPadding { last } => {
+                write!(
+                    f,
+                    "coverage shard padding bits set in last byte {last:#04x}"
+                )
+            }
+            SimError::EmptyPrimePath { path } => write!(f, "prime path {path} is empty"),
+            SimError::PrimePathBlockOutOfRange {
+                path,
+                block,
+                n_blocks,
+            } => write!(
+                f,
+                "prime path {path} names block {block} of a {n_blocks}-block program"
+            ),
+            SimError::DuplicatePrimePath { first, second } => {
+                write!(
+                    f,
+                    "prime paths {first} and {second} share one block sequence"
                 )
             }
             SimError::Invariant(m) => write!(f, "engine invariant violated: {m}"),

@@ -17,7 +17,8 @@
 //! is the interpreter itself — operand reads, ALU work, sandbox writes,
 //! watch lookups — which is where the wall-clock time goes. Every
 //! architectural digest (taken-path, coverage, timing, campaign aggregate)
-//! is byte-identical with the cache on or off; `memo_gate` enforces this
+//! is byte-identical with the cache on or off;
+//! `bench_report --verify BENCH_throughput.json` enforces this
 //! differentially in CI.
 //!
 //! Cache state is deliberately **not** part of the validated read set:

@@ -6,19 +6,19 @@
 //! plain data handed down by px-core:
 //!
 //! * [`PathPlan`] — the immutable lookup side: the sorted block-start
-//!   table (pc → block index) and an FNV-digest → path-index map over the
-//!   *feasible* enumerated paths only. Covered ⊆ feasible holds by
-//!   construction — an NT-path can physically traverse a
-//!   statically-infeasible path, but it can never be *counted*, mirroring
-//!   `Coverage::branch_coverage_feasible`.
-//! * [`PathTrail`] — a sliding window of candidate path suffixes over the
-//!   stream of block entries. Each live window is a *simple* segment of
-//!   the recent trace; entering a block kills every window in which it
-//!   would repeat an interior block (this pruning is the loop collapse:
-//!   a hot loop's second iteration kills all windows spanning the first,
-//!   so windows never grow past one unrolling), closes windows that start
-//!   with the entered block as prime-cycle candidates, and bounds window
-//!   length by the plan's longest path.
+//!   table (pc → block index) and an Aho–Corasick automaton over the
+//!   block sequences of the *feasible* enumerated paths only. Covered ⊆
+//!   feasible holds by construction — an NT-path can physically traverse
+//!   a statically-infeasible path, but it can never be *counted*,
+//!   mirroring `Coverage::branch_coverage_feasible`.
+//! * [`PathTrail`] — one automaton state for one execution path: the
+//!   longest suffix of the blocks entered since the trail began that is a
+//!   prefix of some feasible path. Entering a block follows one goto (or
+//!   a few fail links) and credits every feasible path that ends there,
+//!   so the trail credits exactly the feasible paths occurring as
+//!   contiguous block subsequences of its stream. The state is a `u32`:
+//!   forking a trail at an NT spawn is a copy and squashing it is a reset
+//!   to the root, both O(1).
 //! * [`PathCoverage`] — the mergeable covered-path bitmap, shard-shippable
 //!   exactly like `Coverage` (`pack_bits`/`unpack_bits`, commutative
 //!   [`PathCoverage::merge`]) but keyed by the enumeration digest:
@@ -32,15 +32,20 @@
 //! [`PathCoverage`], so taken-path and timing digests are byte-identical
 //! with or without a plan.
 
-use std::collections::{HashMap, VecDeque};
-
 use px_util::fnv1a64;
 
 use crate::fault::SimError;
 
+/// The automaton's root state: no block of any feasible path matched yet.
+const ROOT: u32 = 0;
+/// "No path" in [`PathPlan::terminal`] and [`PathPlan::output`].
+const NONE: u32 = u32::MAX;
+
 /// The immutable matcher input: everything the engines need to map a
 /// stream of pcs onto enumerated prime paths. Built by px-core from a
-/// `PrimePathSet` (px-mach cannot see that type).
+/// `PrimePathSet` (px-mach cannot see that type). The automaton's trie
+/// is numbered breadth-first, so each node's children are one run of ids
+/// sorted by block and `label` itself is the child table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathPlan {
     /// Instruction count of the program the plan describes.
@@ -54,60 +59,154 @@ pub struct PathPlan {
     pub n_paths: u32,
     /// Statically-feasible prime paths — the coverage denominator.
     pub feasible_total: u32,
-    /// Longest enumerated path in blocks — the matcher's window bound.
-    pub max_len: u32,
     /// Whether enumeration was truncated (denominators are lower bounds).
     pub truncated: bool,
     block_starts: Vec<u32>,
-    table: HashMap<u64, u32>,
+    /// Per node: the block on the trie edge into it (unused for the root).
+    label: Vec<u32>,
+    /// Per node, plus a sentinel: its children are ids
+    /// `first_child[v]..first_child[v + 1]`.
+    first_child: Vec<u32>,
+    /// Per block: the root's child for it, or [`ROOT`].
+    root_row: Vec<u32>,
+    /// Per node: the node of its longest proper suffix in the trie.
+    fail: Vec<u32>,
+    /// Per node: the index of the path ending there, or [`NONE`].
+    terminal: Vec<u32>,
+    /// Per node: the nearest node on its fail chain where a path ends
+    /// (the dictionary link), or [`NONE`].
+    output: Vec<u32>,
 }
 
 impl PathPlan {
     /// Builds a plan from enumeration output. `feasible` yields
-    /// `(path digest, path index)` for the feasible paths only.
+    /// `(path blocks, path index)` for the feasible paths only. The build
+    /// costs O(total path length) when the paths arrive in lexicographic
+    /// order, as enumeration emits them.
     ///
     /// # Errors
     ///
     /// Returns a typed [`SimError`] when `block_starts` is not strictly
-    /// ascending or two feasible paths share a digest (either would make
-    /// runtime matching ambiguous).
+    /// ascending, a path is empty ([`SimError::EmptyPrimePath`]) or names
+    /// a block outside the program ([`SimError::PrimePathBlockOutOfRange`]),
+    /// two feasible paths share a block sequence
+    /// ([`SimError::DuplicatePrimePath`]: matching would be ambiguous), or
+    /// `feasible_total` disagrees with the paths given.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub fn new<'p>(
         code_len: usize,
         program_digest: u64,
         set_digest: u64,
         block_starts: Vec<u32>,
         n_paths: u32,
         feasible_total: u32,
-        max_len: u32,
         truncated: bool,
-        feasible: impl IntoIterator<Item = (u64, u32)>,
+        feasible: impl IntoIterator<Item = (&'p [u32], u32)>,
     ) -> Result<PathPlan, SimError> {
         if !block_starts.windows(2).all(|w| w[0] < w[1]) {
             return Err(SimError::Invariant("path plan block starts not ascending"));
         }
-        let mut table = HashMap::new();
-        for (digest, index) in feasible {
-            if table.insert(digest, index).is_some() {
-                return Err(SimError::Invariant("duplicate prime-path digest in plan"));
-            }
-        }
-        if table.len() as u32 != feasible_total {
+        let n_blocks = block_starts.len();
+        let mut paths: Vec<(&[u32], u32)> = feasible.into_iter().collect();
+        if paths.len() as u32 != feasible_total {
             return Err(SimError::Invariant(
-                "path plan feasible count disagrees with its table",
+                "path plan feasible count disagrees with its paths",
             ));
         }
-        Ok(PathPlan {
+        if let Some(&(_, path)) = paths.iter().find(|p| p.0.is_empty()) {
+            return Err(SimError::EmptyPrimePath { path });
+        }
+        // A no-op pass over already-sorted input.
+        paths.sort_by(|a, b| a.0.cmp(b.0));
+
+        // The trie, one depth at a time. At depth d the paths longer than
+        // d are visited in sorted order, so paths sharing their first
+        // d + 1 blocks arrive back to back: each opens a node unless the
+        // last node opened has the same parent and block. Parents are
+        // visited in id order, so each node's children get consecutive
+        // ids in ascending block order.
+        let mut label = vec![0u32];
+        let mut terminal = vec![NONE];
+        let mut child_count = vec![0u32];
+        let mut last_parent = NONE;
+        let mut at = vec![ROOT; paths.len()];
+        let mut live: Vec<usize> = (0..paths.len()).collect();
+        let mut depth = 0;
+        while !live.is_empty() {
+            for &i in &live {
+                let (blocks, path) = paths[i];
+                let block = blocks[depth];
+                if block as usize >= n_blocks {
+                    return Err(SimError::PrimePathBlockOutOfRange {
+                        path,
+                        block,
+                        n_blocks: n_blocks as u32,
+                    });
+                }
+                if last_parent != at[i] || label.last() != Some(&block) {
+                    last_parent = at[i];
+                    child_count[at[i] as usize] += 1;
+                    label.push(block);
+                    terminal.push(NONE);
+                    child_count.push(0);
+                }
+                at[i] = label.len() as u32 - 1;
+                if blocks.len() == depth + 1 {
+                    let t = &mut terminal[at[i] as usize];
+                    if *t != NONE {
+                        let (first, second) = (path.min(*t), path.max(*t));
+                        return Err(SimError::DuplicatePrimePath { first, second });
+                    }
+                    *t = path;
+                }
+            }
+            depth += 1;
+            live.retain(|&i| paths[i].0.len() > depth);
+        }
+        let n_nodes = label.len();
+        // Children counts become offsets: the root's children start at 1.
+        let mut first_child = child_count;
+        let mut next = 1;
+        for c in &mut first_child {
+            (*c, next) = (next, next + *c);
+        }
+        first_child.push(next);
+        let mut root_row = vec![ROOT; n_blocks];
+        for c in first_child[0]..first_child[1] {
+            root_row[label[c as usize] as usize] = c;
+        }
+
+        let mut plan = PathPlan {
             code_len,
             program_digest,
             set_digest,
             n_paths,
             feasible_total,
-            max_len,
             truncated,
             block_starts,
-            table,
-        })
+            label,
+            first_child,
+            root_row,
+            fail: vec![ROOT; n_nodes],
+            terminal,
+            output: vec![NONE; n_nodes],
+        };
+        // Fail and dictionary links in id (breadth-first) order: a node's
+        // fail target is shallower, so its own links are already final.
+        // The root's children keep the root as their fail target.
+        for v in 1..n_nodes {
+            let v = v as u32;
+            for c in plan.children(v) {
+                let f = plan.step(plan.fail[v as usize], plan.label[c as usize]);
+                plan.fail[c as usize] = f;
+                plan.output[c as usize] = if plan.terminal[f as usize] == NONE {
+                    plan.output[f as usize]
+                } else {
+                    f
+                };
+            }
+        }
+        Ok(plan)
     }
 
     /// Number of basic blocks.
@@ -134,12 +233,6 @@ impl PathPlan {
         lo..hi
     }
 
-    /// The enumerated path index matching `digest`, if any.
-    #[must_use]
-    pub fn lookup(&self, digest: u64) -> Option<u32> {
-        self.table.get(&digest).copied()
-    }
-
     /// A fresh, empty coverage tracker for this plan.
     #[must_use]
     pub fn new_coverage(&self) -> PathCoverage {
@@ -149,108 +242,72 @@ impl PathPlan {
             covered: vec![false; self.n_paths as usize],
         }
     }
+
+    /// Node ids of `v`'s children.
+    fn children(&self, v: u32) -> std::ops::Range<u32> {
+        self.first_child[v as usize]..self.first_child[v as usize + 1]
+    }
+
+    /// The automaton transition: the state after entering `block` from
+    /// state `v`. `block` must be below [`PathPlan::n_blocks`].
+    #[inline]
+    fn step(&self, mut v: u32, block: u32) -> u32 {
+        loop {
+            if v == ROOT {
+                return self.root_row[block as usize];
+            }
+            let kids = self.children(v);
+            let row = &self.label[kids.start as usize..kids.end as usize];
+            if let Ok(i) = row.binary_search(&block) {
+                return kids.start + i as u32;
+            }
+            v = self.fail[v as usize];
+        }
+    }
 }
 
-/// Sliding-window matcher state for one execution path (the taken path,
-/// or one NT-path). Windows are `(start position, running digest)` pairs;
-/// every live window is a simple (no-repeat) segment of the recent block
-/// trace, sorted by start position, so kills are always a front prefix
-/// of the deque.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Matcher state for one execution path (the taken path, or one NT-path):
+/// a state of its plan's automaton, meaningful only with that plan. An
+/// NT-path spawn copies the taken trail, so prime paths spanning the
+/// divergence point still match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathTrail {
-    /// `(start_pos, digest)` — window length is `pos - start_pos` after
-    /// the entry at position `pos - 1` was processed.
-    windows: VecDeque<(u64, u64)>,
-    /// Most recent position at which each block was entered
-    /// (`u64::MAX` = never). Never reset: `pos` is monotonic across
-    /// [`PathTrail::reset`], so stale values are older than every live
-    /// window and are harmless.
-    last_pos: Vec<u64>,
-    /// Monotonic count of blocks entered over the trail's lifetime.
-    pos: u64,
+    state: u32,
 }
 
 impl PathTrail {
-    /// A trail for `plan`'s block universe.
+    /// A trail at the start of `plan`'s automaton. Allocates nothing.
     #[must_use]
-    pub fn for_plan(plan: &PathPlan) -> PathTrail {
-        PathTrail {
-            windows: VecDeque::new(),
-            last_pos: vec![u64::MAX; plan.n_blocks()],
-            pos: 0,
-        }
+    pub fn for_plan(_plan: &PathPlan) -> PathTrail {
+        PathTrail { state: ROOT }
     }
 
-    /// Drops all live windows (an NT-path squash). O(1): the position
-    /// counter keeps running, so per-block history needs no clearing.
+    /// Forgets every partial match (an NT-path squash).
     pub fn reset(&mut self) {
-        self.windows.clear();
+        self.state = ROOT;
     }
 
-    /// Becomes a copy of `other`, reusing allocations — an NT-path spawn
-    /// inherits the taken trail so prime paths spanning the divergence
-    /// point still match.
+    /// Becomes a copy of `other` (an NT-path spawn).
     pub fn copy_from(&mut self, other: &PathTrail) {
-        self.windows.clone_from(&other.windows);
-        self.last_pos.clone_from(&other.last_pos);
-        self.pos = other.pos;
+        *self = *other;
     }
 
-    /// Records that control arrived at block `block`, extending or
-    /// killing windows and crediting any matched prime path to `cov`.
+    /// Records that control arrived at block `block`, crediting every
+    /// feasible path that ends here to `cov`. A block outside the plan's
+    /// universe is ignored.
+    #[inline]
     pub fn enter_block(&mut self, plan: &PathPlan, cov: &mut PathCoverage, block: u32) {
-        let b = block as usize;
-        if b >= self.last_pos.len() {
+        if block as usize >= plan.n_blocks() {
             return;
         }
-        let q = self.pos;
-        self.pos += 1;
-        let prev = self.last_pos[b];
-        self.last_pos[b] = q;
-
-        if prev != u64::MAX {
-            // Windows that *contain* an earlier entry of this block
-            // strictly inside them would repeat an interior node: dead
-            // without a check.
-            while self.windows.front().is_some_and(|&(start, _)| start < prev) {
-                self.windows.pop_front();
-            }
-            // A window that *starts* at the previous entry closes a prime
-            // cycle [b, ..., b]: check it, then kill it (any further
-            // growth repeats b strictly inside).
-            if let Some(&(start, h)) = self.windows.front() {
-                if start == prev {
-                    let h = fnv1a64(h, &block.to_le_bytes());
-                    if let Some(idx) = plan.lookup(h) {
-                        cov.record(idx);
-                    }
-                    self.windows.pop_front();
-                }
-            }
+        self.state = plan.step(self.state, block);
+        let mut v = self.state;
+        if plan.terminal[v as usize] == NONE {
+            v = plan.output[v as usize];
         }
-        // Every surviving window extends by this block and stays simple.
-        for w in &mut self.windows {
-            w.1 = fnv1a64(w.1, &block.to_le_bytes());
-            if let Some(idx) = plan.lookup(w.1) {
-                cov.record(idx);
-            }
-        }
-        // And a fresh single-block window opens here.
-        let h1 = fnv1a64(0, &block.to_le_bytes());
-        if let Some(idx) = plan.lookup(h1) {
-            cov.record(idx);
-        }
-        self.windows.push_back((q, h1));
-        // Length bound: a window of max_len blocks can only match paths
-        // longer than anything enumerated. Lengths decrease front-to-back
-        // (every surviving window extends every step), so this is a
-        // front-prefix pop too.
-        while self
-            .windows
-            .front()
-            .is_some_and(|&(start, _)| self.pos - start >= u64::from(plan.max_len))
-        {
-            self.windows.pop_front();
+        while v != NONE {
+            cov.record(plan.terminal[v as usize]);
+            v = plan.output[v as usize];
         }
     }
 
@@ -383,7 +440,9 @@ impl PathCoverage {
     /// # Errors
     ///
     /// Returns [`SimError::CoverageSizeMismatch`] when `bytes` is not the
-    /// packed size for `n_paths`.
+    /// packed size for `n_paths`, and [`SimError::NonZeroPadding`] when
+    /// the last byte sets bits past `n_paths`: only the canonical
+    /// encoding decodes, so `pack_bits(unpack_bits(b)) == b`.
     pub fn unpack_bits(
         set_digest: u64,
         feasible_total: u32,
@@ -395,6 +454,11 @@ impl PathCoverage {
                 left: n_paths as usize,
                 right: bytes.len() * 8,
             });
+        }
+        if let (Some(&last), tail @ 1..) = (bytes.last(), n_paths % 8) {
+            if last >> tail != 0 {
+                return Err(SimError::NonZeroPadding { last });
+            }
         }
         let covered = (0..n_paths as usize)
             .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
@@ -420,147 +484,249 @@ impl PathCoverage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use px_util::{Rng as _, Xoshiro256};
 
-    /// A plan over a hand-made block graph: `paths` lists every prime
-    /// path (cycles repeat their first block); all are feasible.
-    fn plan_of(n_blocks: usize, paths: &[&[u32]]) -> PathPlan {
-        let digest_of = |p: &[u32]| {
-            let mut h = 0u64;
-            for &b in p {
-                h = fnv1a64(h, &b.to_le_bytes());
-            }
-            h
-        };
-        let max_len = paths.iter().map(|p| p.len()).max().unwrap_or(0) as u32;
+    /// A plan over a hand-made block graph (one instruction per block,
+    /// starts `0..n_blocks`): path `i` is `paths[i]`, feasible when
+    /// `feasible[i]`.
+    fn plan_with(n_blocks: usize, paths: &[Vec<u32>], feasible: &[bool]) -> PathPlan {
         PathPlan::new(
-            n_blocks, // one instruction per block, starts 0..n
+            n_blocks,
             0x1234,
             0x5678,
             (0..n_blocks as u32).collect(),
             paths.len() as u32,
-            paths.len() as u32,
-            max_len,
+            feasible.iter().filter(|&&f| f).count() as u32,
             false,
             paths
                 .iter()
+                .zip(feasible)
                 .enumerate()
-                .map(|(i, p)| (digest_of(p), i as u32)),
+                .filter(|(_, (_, &f))| f)
+                .map(|(i, (p, _))| (p.as_slice(), i as u32)),
         )
         .unwrap()
     }
 
+    /// [`plan_with`] with every path feasible.
+    fn plan_of(n_blocks: usize, paths: &[&[u32]]) -> PathPlan {
+        let owned: Vec<Vec<u32>> = paths.iter().map(|p| p.to_vec()).collect();
+        plan_with(n_blocks, &owned, &vec![true; paths.len()])
+    }
+
     /// Brute-force oracle: which paths occur as contiguous subsequences
     /// of `trace`?
-    fn oracle(paths: &[&[u32]], trace: &[u32]) -> Vec<bool> {
+    fn oracle(paths: &[Vec<u32>], trace: &[u32]) -> Vec<bool> {
         paths
             .iter()
-            .map(|p| {
-                !p.is_empty() && trace.len() >= p.len() && trace.windows(p.len()).any(|w| w == *p)
+            .map(|p| !p.is_empty() && trace.windows(p.len()).any(|w| w == p.as_slice()))
+            .collect()
+    }
+
+    /// Every prime path of the block graph `succs` by brute force: all
+    /// maximal simple paths and simple cycles (a cycle repeats its first
+    /// block), minus those that are contiguous subpaths of another.
+    fn prime_paths(succs: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        let mut candidates: Vec<Vec<u32>> = Vec::new();
+        let mut work: Vec<Vec<u32>> = (0..succs.len() as u32).map(|b| vec![b]).collect();
+        while let Some(p) = work.pop() {
+            let last = *p.last().unwrap() as usize;
+            let mut extended = false;
+            for &s in &succs[last] {
+                if s == p[0] {
+                    let mut c = p.clone();
+                    c.push(s);
+                    candidates.push(c);
+                    extended = true;
+                } else if !p.contains(&s) {
+                    let mut q = p.clone();
+                    q.push(s);
+                    work.push(q);
+                    extended = true;
+                }
+            }
+            if !extended {
+                candidates.push(p);
+            }
+        }
+        candidates.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        let mut kept: Vec<Vec<u32>> = Vec::new();
+        for c in candidates {
+            if !kept
+                .iter()
+                .any(|k| k.windows(c.len()).any(|w| w == c.as_slice()))
+            {
+                kept.push(c);
+            }
+        }
+        kept.sort();
+        kept
+    }
+
+    /// A random block graph on `n` blocks: ~40% edge density, self-loops
+    /// allowed, every block with at least one successor.
+    fn random_graph(rng: &mut Xoshiro256, n: usize) -> Vec<Vec<u32>> {
+        (0..n)
+            .map(|b| {
+                let mut s: Vec<u32> = (0..n as u32).filter(|_| rng.chance(4, 10)).collect();
+                if s.is_empty() {
+                    s.push((b as u32 + 1) % n as u32);
+                }
+                s
             })
             .collect()
     }
 
-    fn run_trail(plan: &PathPlan, trace: &[u32]) -> PathCoverage {
-        let mut cov = plan.new_coverage();
-        let mut trail = PathTrail::for_plan(plan);
-        for &b in trace {
-            trail.enter_block(plan, &mut cov, b);
-        }
-        cov
+    /// One execution path under test: the trail, the blocks it entered
+    /// since its last reset or fork (inherited blocks included), and the
+    /// block it sits at.
+    struct Walker {
+        trail: PathTrail,
+        seen: Vec<u32>,
+        at: u32,
     }
 
-    #[test]
-    fn matcher_agrees_with_brute_force_on_random_walks() {
-        // Random graphs: enumerate all simple paths + cycles by brute
-        // force, keep the maximal ones, then compare matcher vs oracle
-        // on random walks.
-        let mut rng = px_util::Xoshiro256::seeded(42);
-        use px_util::Rng as _;
-        for case in 0..200 {
-            let n = 2 + (rng.next_u64() % 5) as usize; // 2..=6 blocks
-            let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for (b, s) in succs.iter_mut().enumerate() {
-                for t in 0..n as u32 {
-                    // ~40% edge density, self-loops allowed.
-                    if rng.next_u64() % 10 < 4 {
-                        s.push(t);
-                    }
-                }
-                if s.is_empty() {
-                    s.push(((b as u32) + 1) % n as u32);
-                }
-            }
-            // Brute-force prime paths: all terminal candidates, filtered.
-            let mut candidates: Vec<Vec<u32>> = Vec::new();
-            let mut work: Vec<Vec<u32>> = (0..n as u32).map(|b| vec![b]).collect();
-            while let Some(p) = work.pop() {
-                let last = *p.last().unwrap() as usize;
-                let mut extended = false;
-                for &s in &succs[last] {
-                    if s == p[0] {
-                        let mut c = p.clone();
-                        c.push(s);
-                        candidates.push(c);
-                        extended = true;
-                    } else if !p.contains(&s) {
-                        let mut q = p.clone();
-                        q.push(s);
-                        work.push(q);
-                        extended = true;
-                    }
-                }
-                if !extended {
-                    candidates.push(p);
-                }
-            }
-            candidates.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-            let mut kept: Vec<Vec<u32>> = Vec::new();
-            for c in candidates {
-                if !kept
-                    .iter()
-                    .any(|k| k.windows(c.len()).any(|w| w == c.as_slice()))
-                {
-                    kept.push(c);
-                }
-            }
-            kept.sort();
-            let paths: Vec<&[u32]> = kept.iter().map(Vec::as_slice).collect();
-            let plan = plan_of(n, &paths);
+    impl Walker {
+        fn enter(&mut self, plan: &PathPlan, cov: &mut PathCoverage, block: u32) {
+            self.trail.enter_block(plan, cov, block);
+            self.seen.push(block);
+            self.at = block;
+        }
+    }
 
-            // A random walk along real edges.
-            let mut trace = vec![(rng.next_u64() % n as u64) as u32];
-            for _ in 0..40 {
-                let cur = *trace.last().unwrap() as usize;
-                let s = &succs[cur];
-                trace.push(s[(rng.next_u64() % s.len() as u64) as usize]);
+    px_util::px_prop! {
+        /// The automaton credits exactly what the brute-force oracle
+        /// finds in every stream, across the NT lifecycle: walkers step
+        /// along graph edges, squash (reset to the root), and spawn (a copy
+        /// that diverges from its parent at the next block). Half the cases
+        /// use the graph's prime paths with a random infeasible subset
+        /// (an antichain, as enumeration yields); the other half use
+        /// arbitrary short block strings in arbitrary order, so paths nest
+        /// and the dictionary links carry the credit.
+        fn matcher_agrees_with_brute_force_on_random_walks(
+            n in 1usize..7,
+            seed in px_util::prop::any_u64(),
+            primes in px_util::prop::any_bool(),
+            events in 0usize..400,
+        ) {
+            // Event kinds come from the seeded stream rather than a sized
+            // strategy, so spawns and squashes occur at every size and
+            // shrinking cuts the graph and the event count.
+            let mut rng = Xoshiro256::seeded(seed);
+            let succs = random_graph(&mut rng, n);
+            let paths: Vec<Vec<u32>> = if primes {
+                prime_paths(&succs)
+            } else {
+                // Unsorted, so the plan's own sort is exercised too.
+                let mut p: Vec<Vec<u32>> = Vec::new();
+                for _ in 0..1 + rng.below(12) {
+                    let q = (0..1 + rng.below(4)).map(|_| rng.below(n as u64) as u32).collect();
+                    if !p.contains(&q) {
+                        p.push(q);
+                    }
+                }
+                p
+            };
+            let feasible: Vec<bool> = paths.iter().map(|_| rng.chance(3, 4)).collect();
+            let plan = plan_with(n, &paths, &feasible);
+            let mut cov = plan.new_coverage();
+            let mut want = vec![false; paths.len()];
+            let settle = |seen: &[u32], want: &mut Vec<bool>| {
+                for (w, o) in want.iter_mut().zip(oracle(&paths, seen)) {
+                    *w |= o;
+                }
+            };
+
+            let mut walkers = vec![Walker {
+                trail: PathTrail::for_plan(&plan),
+                seen: Vec::new(),
+                at: 0,
+            }];
+            walkers[0].enter(&plan, &mut cov, 0);
+            for _ in 0..events {
+                let (kind, pick) = (rng.below(10), rng.next_u32());
+                let w = pick as usize % walkers.len();
+                let next = |at: u32, salt: u32| {
+                    let s = &succs[at as usize];
+                    s[(pick >> 8).wrapping_add(salt) as usize % s.len()]
+                };
+                match kind {
+                    0..=5 => {
+                        let b = next(walkers[w].at, 0);
+                        walkers[w].enter(&plan, &mut cov, b);
+                    }
+                    6 => {
+                        settle(&walkers[w].seen, &mut want);
+                        walkers[w].trail.reset();
+                        walkers[w].seen.clear();
+                    }
+                    7 | 8 if walkers.len() < 4 => {
+                        let parent = &walkers[w];
+                        let mut child = Walker {
+                            trail: PathTrail::for_plan(&plan),
+                            seen: parent.seen.clone(),
+                            at: parent.at,
+                        };
+                        child.trail.copy_from(&parent.trail);
+                        let (to_child, to_parent) = (next(parent.at, 1), next(parent.at, 0));
+                        child.enter(&plan, &mut cov, to_child);
+                        walkers[w].enter(&plan, &mut cov, to_parent);
+                        walkers.push(child);
+                    }
+                    _ if walkers.len() > 1 => {
+                        let gone = walkers.swap_remove(w);
+                        settle(&gone.seen, &mut want);
+                    }
+                    _ => {}
+                }
             }
-            let cov = run_trail(&plan, &trace);
-            let want = oracle(&paths, &trace);
-            for (i, &w) in want.iter().enumerate() {
+            for w in &walkers {
+                settle(&w.seen, &mut want);
+            }
+            for (i, p) in paths.iter().enumerate() {
                 assert_eq!(
                     cov.is_covered(i as u32),
-                    w,
-                    "case {case}: path {:?} in trace {trace:?}",
-                    paths[i]
+                    want[i] && feasible[i],
+                    "path {i} {p:?} (feasible {}) over graph {succs:?}",
+                    feasible[i],
                 );
             }
         }
     }
 
     #[test]
-    fn loop_collapse_bounds_live_windows() {
-        // One self-loop block: a million iterations keep O(1) windows.
-        let plan = plan_of(2, &[&[0, 0], &[0, 1], &[1, 0]]);
+    fn long_self_loop_with_many_forks_credits_exactly_the_oracle() {
+        // A million trips round a self-loop keep the trail one `u32`;
+        // every 100th trip forks an NT trail that diverges to block 1
+        // and then block 2. Paths span at most three blocks, so each
+        // fork's new matches lie in its parent's last two blocks plus its
+        // own two.
+        let paths: Vec<Vec<u32>> = vec![vec![0, 0], vec![0, 1, 2], vec![1, 0], vec![2, 2]];
+        let plan = plan_with(3, &paths, &[true; 4]);
+        assert_eq!(std::mem::size_of::<PathTrail>(), 4);
         let mut cov = plan.new_coverage();
-        let mut trail = PathTrail::for_plan(&plan);
-        for _ in 0..1000 {
-            trail.enter_block(&plan, &mut cov, 0);
-            assert!(trail.windows.len() <= 2, "windows stay collapsed");
+        let mut want = vec![false; paths.len()];
+        let mut taken = PathTrail::for_plan(&plan);
+        let mut forks = 0;
+        for i in 0..1_000_000u32 {
+            taken.enter_block(&plan, &mut cov, 0);
+            if i % 100 == 99 {
+                let mut nt = PathTrail::for_plan(&plan);
+                nt.copy_from(&taken);
+                nt.enter_block(&plan, &mut cov, 1);
+                nt.enter_block(&plan, &mut cov, 2);
+                for (w, o) in want.iter_mut().zip(oracle(&paths, &[0, 0, 1, 2])) {
+                    *w |= o;
+                }
+                forks += 1;
+            }
         }
-        trail.enter_block(&plan, &mut cov, 1);
-        assert!(cov.is_covered(0), "[0,0] cycle");
-        assert!(cov.is_covered(1), "[0,1]");
-        assert!(!cov.is_covered(2), "[1,0] never ran");
+        for (w, o) in want.iter_mut().zip(oracle(&paths, &[0, 0])) {
+            *w |= o;
+        }
+        assert_eq!(forks, 10_000);
+        assert_eq!(cov.covered(), want.as_slice());
+        assert_eq!(want, [true, true, false, false]);
     }
 
     #[test]
@@ -572,7 +738,7 @@ mod tests {
         trail.enter_block(&plan, &mut cov, 1);
         trail.reset();
         trail.enter_block(&plan, &mut cov, 2);
-        assert!(!cov.is_covered(0), "squash broke the window");
+        assert!(!cov.is_covered(0), "squash broke the match");
         trail.enter_block(&plan, &mut cov, 0);
         trail.enter_block(&plan, &mut cov, 1);
         trail.enter_block(&plan, &mut cov, 2);
@@ -638,13 +804,55 @@ mod tests {
     }
 
     #[test]
-    fn plan_rejects_duplicate_digests_and_bad_starts() {
-        let r = PathPlan::new(2, 1, 2, vec![0, 1], 2, 2, 2, false, [(9, 0), (9, 1)]);
+    fn unpack_is_canonical_every_byte_string_round_trips_or_fails() {
+        for n in [1u32, 3, 7, 8, 9, 13] {
+            let len = (n as usize).div_ceil(8);
+            for last in 0..=u8::MAX {
+                let mut bytes = vec![0b1001_0110; len];
+                bytes[len - 1] = last;
+                match PathCoverage::unpack_bits(7, n, n, &bytes) {
+                    Ok(cov) => assert_eq!(cov.pack_bits(), bytes, "n {n}"),
+                    Err(e) => assert_eq!(e, SimError::NonZeroPadding { last }),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_rejects_malformed_paths_with_typed_errors() {
+        let new = |paths: &[(&[u32], u32)]| {
+            PathPlan::new(
+                3,
+                1,
+                2,
+                vec![0, 1, 2],
+                4,
+                paths.len() as u32,
+                false,
+                paths.iter().copied(),
+            )
+        };
         assert_eq!(
-            r,
-            Err(SimError::Invariant("duplicate prime-path digest in plan"))
+            new(&[(&[0, 1], 0), (&[], 3)]),
+            Err(SimError::EmptyPrimePath { path: 3 })
         );
-        let r = PathPlan::new(2, 1, 2, vec![1, 0], 0, 0, 0, false, []);
+        assert_eq!(
+            new(&[(&[0, 1], 0), (&[2, 3, 0], 1)]),
+            Err(SimError::PrimePathBlockOutOfRange {
+                path: 1,
+                block: 3,
+                n_blocks: 3
+            })
+        );
+        assert_eq!(
+            new(&[(&[0, 1], 2), (&[1, 2], 1), (&[0, 1], 0)]),
+            Err(SimError::DuplicatePrimePath {
+                first: 0,
+                second: 2
+            })
+        );
+        assert!(new(&[(&[0, 1], 0), (&[1, 2], 1)]).is_ok());
+        let r = PathPlan::new(2, 1, 2, vec![1, 0], 0, 0, false, []);
         assert_eq!(
             r,
             Err(SimError::Invariant("path plan block starts not ascending"))

@@ -48,6 +48,14 @@ cargo run --release --offline -q -p px-bench --bin campaign_gate -- --check
 echo "==> prime-path-gate: E17 enumeration determinism + shard digest identity"
 cargo run --release --offline -q -p px-bench --bin prime_path_gate -- --check
 
+# Matcher oracle: the prime-path automaton must credit exactly what a
+# brute-force substring oracle finds, over random block graphs whose
+# walks interleave NT spawns (trail copies that diverge) and squashes
+# (resets), at 5000 cases rather than the default 96.
+echo "==> matcher-oracle: prime-path automaton vs brute force, 5000 cases"
+PX_PROP_CASES=5000 cargo test --release --offline -q -p px-mach --lib \
+    paths::tests::matcher_agrees_with_brute_force_on_random_walks
+
 # Zoo smoke: the quick E15 roster must meet the acceptance criteria
 # (every expected bug detected on some engine, zero NT-only false
 # positives), and the zoo CLI must be byte-deterministic.

@@ -264,26 +264,32 @@ fn zoo_infeasible_edges_are_never_taken_dynamically() {
 // against the runtime matcher, in both directions of trust.
 // ---------------------------------------------------------------------------
 
-/// Every runtime-observable digest must map to exactly one enumerated
-/// prime path: feasible paths' digests look up to their own index (the
-/// plan table is injective by construction — `PathPlan::new` rejects
-/// duplicates — so this pins the digests to the *right* indices), and
-/// infeasible paths' digests must not be in the table at all, which is
-/// what makes covered ⊆ feasible hold by construction.
+/// Every enumerated path, driven block by block through a fresh
+/// `PathTrail`, must credit exactly one thing: a feasible path its own
+/// index and nothing else (prime paths form an antichain under
+/// "contiguous subpath", so no other path can occur inside it — this pins
+/// the automaton's terminals to the *right* indices), an infeasible path
+/// nothing at all, which is what makes covered ⊆ feasible hold by
+/// construction.
 fn assert_lookup_unambiguous(spec: &str, set: &px_analyze::PrimePathSet) {
     let plan = pathexpander::plan_paths(set).expect("plan from enumeration");
     for (idx, path) in set.paths().iter().enumerate() {
+        let mut cov = plan.new_coverage();
+        let mut trail = px_mach::PathTrail::for_plan(&plan);
+        for &b in &path.blocks {
+            trail.enter_block(&plan, &mut cov, b);
+        }
+        let credited: Vec<u32> = (0..plan.n_paths).filter(|&i| cov.is_covered(i)).collect();
         if path.feasible {
             assert_eq!(
-                plan.lookup(path.digest),
-                Some(idx as u32),
-                "{spec}: feasible path {idx} digest maps to a different path"
+                credited,
+                [idx as u32],
+                "{spec}: feasible path {idx} credits other paths than itself"
             );
         } else {
             assert_eq!(
-                plan.lookup(path.digest),
-                None,
-                "{spec}: infeasible path {idx} digest is matchable at runtime"
+                credited, [0u32; 0],
+                "{spec}: infeasible path {idx} is matchable at runtime"
             );
         }
     }
