@@ -1,14 +1,19 @@
 //! Property tests on the fault-injection campaign: for any seed and mix,
 //! every engine survives injection without a panic, the sandbox contains
-//! every PathExpander case, and campaigns replay byte-identically.
+//! every PathExpander case, and campaigns replay byte-identically. Every
+//! campaign runs through the one driver, [`px_campaign::run`].
 //!
 //! Runs on the in-tree `px_util` property harness (`px_prop!`).
 
-use px_campaign::fault::{run_campaign, run_case, ENGINES};
+mod common;
+
+use common::campaign;
+use px_campaign::fault::{self, ENGINES};
+use px_campaign::{run_only, CaseOutcome, Manifest, Watchdog};
 use px_isa::asm::assemble;
 use px_mach::{FaultKind, FaultMix, FaultPlan, IoState, MachConfig, RunExit, FAULT_KINDS};
 use px_util::prop::{vec_of, Strategy};
-use px_util::{px_prop, ToJson};
+use px_util::px_prop;
 
 fn arb_kind() -> impl Strategy<Value = usize> + Clone + 'static {
     0usize..FAULT_KINDS.len()
@@ -21,14 +26,15 @@ px_prop! {
         kind in arb_kind(),
     ) {
         // A focused mix stresses one fault kind at a time; every case of a
-        // small campaign must stay contained and panic-free.
+        // small campaign must be `Done`, which is stricter than "no
+        // violation": it also rules out panics and watchdog trips.
         let mix = FaultMix::only(FAULT_KINDS[kind]);
-        let summary = run_campaign(seed, 8, &mix);
-        assert!(
-            summary.all_contained(),
-            "seed {seed} kind {:?}: {:?}",
+        let (agg, quarantined) = campaign(&format!("fault:{seed}:8:{mix}"), "contained");
+        assert_eq!(
+            agg.of(CaseOutcome::Done),
+            8,
+            "seed {seed} kind {:?}: {quarantined:?}",
             FAULT_KINDS[kind],
-            summary.violating
         );
     }
 }
@@ -37,9 +43,10 @@ px_prop! {
     cases = 8;
     fn campaigns_replay_byte_identically(seed in 0u64..u64::MAX) {
         let mix = FaultMix::uniform();
-        let a = run_campaign(seed, 6, &mix).to_json().dump();
-        let b = run_campaign(seed, 6, &mix).to_json().dump();
-        assert_eq!(a, b, "campaign for seed {seed} is not replayable");
+        let spec = format!("fault:{seed}:6:{mix}");
+        let (a, _) = campaign(&spec, "replay-a");
+        let (b, _) = campaign(&spec, "replay-b");
+        assert_eq!(a.digest(), b.digest(), "campaign for seed {seed} is not replayable");
     }
 }
 
@@ -49,14 +56,12 @@ px_prop! {
         seed in 0u64..u64::MAX,
         id in 0u64..64,
     ) {
-        let mix = FaultMix::uniform();
-        let a = run_case(seed, id, &mix);
-        let b = run_case(seed, id, &mix);
-        assert_eq!(a.fault_seed, b.fault_seed);
-        assert_eq!(a.exit, b.exit);
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.engine, ENGINES[(id % 4) as usize]);
+        let m = Manifest::parse(&format!("fault:{seed}:64")).unwrap();
+        let a = run_only(&m, Watchdog::DEFAULT_TIMEOUT, id);
+        let b = run_only(&m, Watchdog::DEFAULT_TIMEOUT, id);
+        assert_eq!(a, b, "case {id} of seed {seed} is not replayable");
+        let case = fault::run_case(seed, id, &FaultMix::uniform(), fault::CASE_BUDGET);
+        assert_eq!(case.engine, ENGINES[(id % 4) as usize]);
     }
 }
 
@@ -101,7 +106,7 @@ px_prop! {
         // Forced crashes inside NT-paths are the harshest containment test:
         // the committed run must still match the fault-free baseline.
         let mix = FaultMix::only(FaultKind::Crash);
-        let summary = run_campaign(seed, 8, &mix);
-        assert!(summary.all_contained(), "{:?}", summary.violating);
+        let (agg, quarantined) = campaign(&format!("fault:{seed}:8:{mix}"), "crash-only");
+        assert_eq!(agg.of(CaseOutcome::Violated), 0, "{quarantined:?}");
     }
 }

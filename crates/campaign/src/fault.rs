@@ -11,28 +11,19 @@
 //! I/O errors), the committed run is bit-identical to one without
 //! PathExpander, and no engine ever panics.
 //!
-//! Every case is replayable: the summary records the per-case fault seed,
-//! and [`run_case`] regenerates case `i` of campaign seed `s` exactly.
-//!
-//! This module lives in `px-campaign` (it moved here from the bench
-//! harness) so the crash-safe campaign runner, the `fault_campaign` binary
-//! and `pxc campaign` all share one implementation; `px_bench::experiments::
-//! fault` re-exports it, so existing import paths keep working. The
-//! watchdog-guarded entry points ([`run_case_guarded`],
-//! [`run_campaign_guarded`]) wrap the same case logic — the RNG draw stream
-//! is untouched by the budget parameter, so the classic summary stays
-//! byte-identical to its pinned golden.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! This module holds only the per-case function, [`run_case`]. Campaigns
+//! run through the one driver, [`crate::run`] (`pxc campaign --cases
+//! fault:<seed>:<n>[:<mix>]`): manifest entry `fault:<seed>:<n>` maps case
+//! `i` to `run_case(seed, i, mix, budget)`, and the runner classifies its
+//! outcome, journals it and folds it into the aggregate. Every case is
+//! replayable alone (`pxc campaign --cases … --only <id>`), because each
+//! derives its own RNG from `seed` and its index.
 
 use pathexpander::{differential_run, measure_latency, PxConfig};
 use px_isa::asm::assemble;
 use px_isa::Program;
 use px_mach::{run_baseline_with, CacheConfig, FaultMix, FaultPlan, IoState, MachConfig, RunExit};
-use px_util::{Json, Rng, SplitMix64, ToJson};
-
-use crate::outcome::CaseOutcome;
-use crate::watchdog::Watchdog;
+use px_util::{Rng, SplitMix64};
 
 /// Instruction budget per campaign case — small enough that 256 cases stay
 /// in test-suite time, large enough that NT-paths spawn and faults land.
@@ -193,77 +184,6 @@ pub struct FaultCase {
     pub violations: Vec<String>,
 }
 
-impl ToJson for FaultCase {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", self.id.to_json()),
-            ("engine", self.engine.to_json()),
-            ("program", self.program.to_json()),
-            ("fault_seed", self.fault_seed.to_json()),
-            ("period", self.period.to_json()),
-            ("exit", self.exit.to_json()),
-            ("faults", self.faults.to_json()),
-            ("nt_paths", self.nt_paths.to_json()),
-            ("violations", self.violations.to_json()),
-        ])
-    }
-}
-
-/// Aggregate result of a campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignSummary {
-    /// Campaign seed.
-    pub seed: u64,
-    /// Cases run.
-    pub cases: u64,
-    /// The fault mix, in its canonical spec form.
-    pub mix: String,
-    /// Total faults injected across all cases.
-    pub faults_injected: u64,
-    /// Cases whose containment check passed (or that only assert
-    /// panic-freedom and returned).
-    pub contained: u64,
-    /// `(exit class, count)` histogram across cases.
-    pub exits: Vec<(String, u64)>,
-    /// Cases that violated containment, with full replay coordinates.
-    pub violating: Vec<FaultCase>,
-}
-
-impl CampaignSummary {
-    /// Whether the sandbox contained every case.
-    #[must_use]
-    pub fn all_contained(&self) -> bool {
-        self.violating.is_empty()
-    }
-}
-
-impl ToJson for CampaignSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", self.seed.to_json()),
-            ("cases", self.cases.to_json()),
-            ("mix", self.mix.to_json()),
-            ("faults_injected", self.faults_injected.to_json()),
-            ("contained", self.contained.to_json()),
-            (
-                "exits",
-                Json::Arr(
-                    self.exits
-                        .iter()
-                        .map(|(class, n)| {
-                            Json::obj([("class", class.to_json()), ("n", n.to_json())])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "violating",
-                Json::Arr(self.violating.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 fn assemble_template(idx: usize) -> (&'static str, Program, IoState) {
     let (name, src, input) = PROGRAMS[idx % PROGRAMS.len()];
     let program = assemble(src).unwrap_or_else(|e| panic!("campaign template {name}: {e}"));
@@ -309,19 +229,14 @@ fn draw_px(rng: &mut SplitMix64) -> PxConfig {
     px
 }
 
-/// Runs case `id` of the campaign with `seed` and `mix` — exactly what
-/// [`run_campaign`] runs, exposed so a violating case can be replayed alone.
+/// Runs case `id` of the fault campaign with `seed` and `mix` under an
+/// instruction `budget` ([`CASE_BUDGET`], or less when the campaign
+/// watchdog clamps it). The budget does **not** enter the per-case RNG draw
+/// stream: the program, engine, configuration and fault plan a case draws
+/// are the same under every budget, so a watchdog never changes *which*
+/// case runs, only how far it gets.
 #[must_use]
-pub fn run_case(seed: u64, id: u64, mix: &FaultMix) -> FaultCase {
-    run_case_budget(seed, id, mix, CASE_BUDGET)
-}
-
-/// [`run_case`] with an explicit instruction budget (the campaign runner's
-/// watchdog clamp). The budget does **not** enter the per-case RNG draw
-/// stream: a case run under `budget == CASE_BUDGET` is bit-identical to the
-/// historical [`run_case`], which the pinned campaign golden relies on.
-#[must_use]
-pub fn run_case_budget(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> FaultCase {
+pub fn run_case(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> FaultCase {
     let mut rng = SplitMix64::new(seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let fault_seed = rng.next_u64();
     let period = rng.range_u64(2, 9) as u32;
@@ -383,276 +298,49 @@ pub fn run_case_budget(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> Fault
     }
 }
 
-/// Runs a whole campaign: `cases` cases derived from `seed`, injecting
-/// faults drawn from `mix`.
-///
-/// Cases are seeded independently (each derives its own RNG from
-/// `seed ^ id`), so they run on the [`px_util::par_map`] worker pool;
-/// aggregation walks the results in case-id order, keeping the summary —
-/// and its JSON — byte-identical to a sequential run.
-#[must_use]
-pub fn run_campaign(seed: u64, cases: u64, mix: &FaultMix) -> CampaignSummary {
-    let ids: Vec<u64> = (0..cases).collect();
-    let results = px_util::par_map(&ids, |&id| run_case(seed, id, mix));
-
-    let mut faults_injected = 0;
-    let mut contained = 0;
-    let mut exits: Vec<(String, u64)> = Vec::new();
-    let mut violating = Vec::new();
-    for case in results {
-        faults_injected += case.faults;
-        if case.violations.is_empty() {
-            contained += 1;
-        }
-        match exits.iter_mut().find(|(class, _)| *class == case.exit) {
-            Some((_, n)) => *n += 1,
-            None => exits.push((case.exit.clone(), 1)),
-        }
-        if !case.violations.is_empty() {
-            violating.push(case);
-        }
-    }
-    exits.sort();
-    CampaignSummary {
-        seed,
-        cases,
-        mix: mix.to_string(),
-        faults_injected,
-        contained,
-        exits,
-        violating,
-    }
-}
-
-/// One case of a watchdog-guarded campaign: the classic [`FaultCase`] (when
-/// its closure returned) plus the campaign-runner outcome classification.
-#[derive(Debug, Clone)]
-pub struct GuardedCase {
-    /// Case index within the campaign.
-    pub id: u64,
-    /// How the case ended.
-    pub outcome: CaseOutcome,
-    /// Exit class (`-` when the case panicked before producing a run).
-    pub exit: String,
-    /// Panic message / violation list rendering (empty for clean cases).
-    pub detail: String,
-}
-
-impl ToJson for GuardedCase {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", self.id.to_json()),
-            ("outcome", self.outcome.name().to_json()),
-            ("exit", self.exit.to_json()),
-            ("detail", self.detail.to_json()),
-        ])
-    }
-}
-
-/// Aggregate result of a watchdog-guarded campaign — what `fault_campaign
-/// --case-timeout/--max-quarantine` prints. A separate type from
-/// [`CampaignSummary`] so the classic JSON (and its golden) is untouched.
-#[derive(Debug, Clone)]
-pub struct GuardedSummary {
-    /// Campaign seed.
-    pub seed: u64,
-    /// Cases in the campaign.
-    pub cases: u64,
-    /// Cases actually run (smaller than `cases` after a quarantine abort).
-    pub ran: u64,
-    /// The fault mix, in its canonical spec form.
-    pub mix: String,
-    /// Watchdog timeout (instructions).
-    pub timeout: u64,
-    /// Total faults injected across run cases.
-    pub faults_injected: u64,
-    /// Count per outcome, [`CaseOutcome::ALL`] order.
-    pub outcomes: [u64; 4],
-    /// `(exit class, count)` histogram across run cases.
-    pub exits: Vec<(String, u64)>,
-    /// Every quarantined case, with replay coordinates.
-    pub quarantined: Vec<GuardedCase>,
-    /// Whether the `--max-quarantine` limit aborted the campaign.
-    pub aborted: bool,
-}
-
-impl GuardedSummary {
-    /// Count for one outcome.
-    #[must_use]
-    pub fn of(&self, outcome: CaseOutcome) -> u64 {
-        let slot = CaseOutcome::ALL
-            .iter()
-            .position(|o| *o == outcome)
-            .expect("every outcome is in ALL");
-        self.outcomes[slot]
-    }
-}
-
-impl ToJson for GuardedSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", "px-campaign/guarded-fault-v1".to_json()),
-            ("seed", self.seed.to_json()),
-            ("cases", self.cases.to_json()),
-            ("ran", self.ran.to_json()),
-            ("mix", self.mix.to_json()),
-            ("timeout", self.timeout.to_json()),
-            ("faults_injected", self.faults_injected.to_json()),
-            ("done", self.of(CaseOutcome::Done).to_json()),
-            ("panicked", self.of(CaseOutcome::Panicked).to_json()),
-            ("timed_out", self.of(CaseOutcome::TimedOut).to_json()),
-            ("violated", self.of(CaseOutcome::Violated).to_json()),
-            (
-                "exits",
-                Json::Arr(
-                    self.exits
-                        .iter()
-                        .map(|(class, n)| {
-                            Json::obj([("class", class.to_json()), ("n", n.to_json())])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "quarantined",
-                Json::Arr(self.quarantined.iter().map(ToJson::to_json).collect()),
-            ),
-            ("aborted", self.aborted.to_json()),
-        ])
-    }
-}
-
-/// Runs one campaign case under a watchdog with panic containment and
-/// classifies its outcome. The [`FaultCase`] is `None` only for
-/// [`CaseOutcome::Panicked`].
-#[must_use]
-pub fn run_case_guarded(
-    seed: u64,
-    id: u64,
-    mix: &FaultMix,
-    wd: &Watchdog,
-) -> (Option<FaultCase>, GuardedCase) {
-    let budget = wd.clamp(CASE_BUDGET);
-    match catch_unwind(AssertUnwindSafe(|| run_case_budget(seed, id, mix, budget))) {
-        Ok(case) => {
-            let (outcome, detail) = if !case.violations.is_empty() {
-                (CaseOutcome::Violated, case.violations.join("; "))
-            } else if wd.tripped(CASE_BUDGET, &case.exit) {
-                (CaseOutcome::TimedOut, String::new())
-            } else {
-                (CaseOutcome::Done, String::new())
-            };
-            let exit = case.exit.clone();
-            (
-                Some(case),
-                GuardedCase {
-                    id,
-                    outcome,
-                    exit,
-                    detail,
-                },
-            )
-        }
-        Err(payload) => (
-            None,
-            GuardedCase {
-                id,
-                outcome: CaseOutcome::Panicked,
-                exit: "-".to_owned(),
-                detail: px_util::panic_message(payload.as_ref()),
-            },
-        ),
-    }
-}
-
-/// Runs a watchdog-guarded campaign: every case under [`run_case_guarded`],
-/// aggregated in case-id order; when `max_quarantine` is exceeded the
-/// campaign aborts deterministically at that case.
-#[must_use]
-pub fn run_campaign_guarded(
-    seed: u64,
-    cases: u64,
-    mix: &FaultMix,
-    wd: &Watchdog,
-    max_quarantine: Option<u64>,
-) -> GuardedSummary {
-    let ids: Vec<u64> = (0..cases).collect();
-    let results = px_util::par_map(&ids, |&id| run_case_guarded(seed, id, mix, wd));
-
-    let mut summary = GuardedSummary {
-        seed,
-        cases,
-        ran: 0,
-        mix: mix.to_string(),
-        timeout: wd.timeout,
-        faults_injected: 0,
-        outcomes: [0; 4],
-        exits: Vec::new(),
-        quarantined: Vec::new(),
-        aborted: false,
-    };
-    for (case, guarded) in results {
-        if max_quarantine.is_some_and(|limit| summary.quarantined.len() as u64 > limit) {
-            summary.aborted = true;
-            break;
-        }
-        summary.ran += 1;
-        let slot = CaseOutcome::ALL
-            .iter()
-            .position(|o| *o == guarded.outcome)
-            .expect("every outcome is in ALL");
-        summary.outcomes[slot] += 1;
-        if let Some(case) = &case {
-            summary.faults_injected += case.faults;
-            match summary
-                .exits
-                .iter_mut()
-                .find(|(class, _)| *class == case.exit)
-            {
-                Some((_, n)) => *n += 1,
-                None => summary.exits.push((case.exit.clone(), 1)),
-            }
-        }
-        if guarded.outcome.quarantines() {
-            summary.quarantined.push(guarded);
-        }
-    }
-    summary.exits.sort();
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watchdog::Watchdog;
+    use crate::{run_only, CaseOutcome, Manifest};
 
     #[test]
     fn small_campaign_is_contained_and_deterministic() {
-        let mix = FaultMix::uniform();
-        let a = run_campaign(7, 16, &mix);
-        assert!(a.all_contained(), "violations: {:?}", a.violating);
-        assert_eq!(a.contained, 16);
-        assert!(a.faults_injected > 0, "the mix must actually fire");
-        let b = run_campaign(7, 16, &mix);
-        assert_eq!(a.to_json().dump(), b.to_json().dump());
+        let m = Manifest::parse("fault:7:16").unwrap();
+        let run = || -> Vec<_> {
+            (0..16)
+                .map(|id| run_only(&m, Watchdog::DEFAULT_TIMEOUT, id))
+                .collect()
+        };
+        let a = run();
+        assert!(
+            a.iter().all(|r| r.outcome == CaseOutcome::Done),
+            "every case contained: {a:?}"
+        );
+        assert!(a.iter().any(|r| r.faults > 0), "the mix must actually fire");
+        assert_eq!(a, run());
     }
 
     #[test]
     fn case_replay_matches_campaign() {
         let mix = FaultMix::parse("bitflip,crash=2,runaway").unwrap();
-        let from_campaign = run_campaign(11, 8, &mix);
-        let replayed = run_case(11, 5, &mix);
-        assert_eq!(from_campaign.cases, 8);
-        // Replaying case 5 alone reproduces its coordinates exactly.
-        let direct = run_case(11, 5, &mix);
-        assert_eq!(replayed.fault_seed, direct.fault_seed);
-        assert_eq!(replayed.exit, direct.exit);
-        assert_eq!(replayed.faults, direct.faults);
+        let m = Manifest::parse(&format!("fault:11:8:{mix}")).unwrap();
+        // The runner's record of case 5 is exactly the per-case function's
+        // run at the unclamped budget.
+        let rec = run_only(&m, Watchdog::DEFAULT_TIMEOUT, 5);
+        let direct = run_case(11, 5, &mix, CASE_BUDGET);
+        assert_eq!(rec.case, format!("fault:11:8:{mix}#5"));
+        assert_eq!(rec.exit, direct.exit);
+        assert_eq!(rec.faults, direct.faults);
+        assert_eq!(rec.nt_paths, direct.nt_paths);
     }
 
     #[test]
     fn all_four_engines_appear() {
         let mix = FaultMix::uniform();
-        let mut seen: Vec<String> = (0..4).map(|id| run_case(3, id, &mix).engine).collect();
+        let mut seen: Vec<String> = (0..4)
+            .map(|id| run_case(3, id, &mix, CASE_BUDGET).engine)
+            .collect();
         seen.sort();
         let mut want: Vec<String> = ENGINES.iter().map(|s| (*s).to_owned()).collect();
         want.sort();
@@ -660,40 +348,15 @@ mod tests {
     }
 
     #[test]
-    fn default_budget_matches_the_classic_case() {
+    fn budget_never_enters_the_draw_stream() {
         let mix = FaultMix::uniform();
         for id in 0..4 {
-            let classic = run_case(21, id, &mix);
-            let budgeted = run_case_budget(21, id, &mix, CASE_BUDGET);
-            assert_eq!(classic.to_json().dump(), budgeted.to_json().dump());
+            let full = run_case(21, id, &mix, CASE_BUDGET);
+            let clamped = run_case(21, id, &mix, 500);
+            assert_eq!(full.engine, clamped.engine);
+            assert_eq!(full.program, clamped.program);
+            assert_eq!(full.fault_seed, clamped.fault_seed);
+            assert_eq!(full.period, clamped.period);
         }
-    }
-
-    #[test]
-    fn tight_watchdog_times_cases_out() {
-        let mix = FaultMix::uniform();
-        let wd = Watchdog { timeout: 500 };
-        let summary = run_campaign_guarded(7, 16, &mix, &wd, None);
-        assert_eq!(summary.ran, 16);
-        assert!(
-            summary.of(CaseOutcome::TimedOut) > 0,
-            "a 500-instruction watchdog must trip: {summary:?}"
-        );
-        assert_eq!(summary.of(CaseOutcome::Panicked), 0);
-        assert_eq!(summary.of(CaseOutcome::Violated), 0);
-        // Guarded campaigns are deterministic too.
-        let again = run_campaign_guarded(7, 16, &mix, &wd, None);
-        assert_eq!(summary.to_json().dump(), again.to_json().dump());
-    }
-
-    #[test]
-    fn generous_watchdog_changes_nothing() {
-        let mix = FaultMix::uniform();
-        let wd = Watchdog::default_budget();
-        let summary = run_campaign_guarded(9, 8, &mix, &wd, None);
-        assert_eq!(summary.of(CaseOutcome::Done), 8);
-        assert_eq!(summary.quarantined.len(), 0);
-        let classic = run_campaign(9, 8, &mix);
-        assert_eq!(summary.faults_injected, classic.faults_injected);
     }
 }

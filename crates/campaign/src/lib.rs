@@ -22,9 +22,8 @@
 //!   containment, quarantine file with replay commands, SIGINT drain,
 //!   checkpoint cadence, and an in-process crash simulator (`kill_after`)
 //!   the resume tests are built on.
-//! * **[`fault`]** — experiment E12's fault-injection campaign (moved here
-//!   from the bench harness so the CLI, the bench binaries and the runner
-//!   share one implementation).
+//! * **[`fault`]** — experiment E12's per-case fault-injection function;
+//!   fault campaigns are `fault:…` manifests run by [`run`] like any other.
 //! * **[`signal`]** — a zero-dependency SIGINT binding (first hit drains,
 //!   second kills).
 

@@ -63,7 +63,7 @@ impl CaseGen {
                 return Err(format!("`{s}`: expected fault:<seed>:<n>[:<mix>]"));
             }
             let seed = parse_u64(parts[0], "fault seed")?;
-            let n = parse_u64(parts[1], "fault case count")?;
+            let n = parse_count(parts[1], "fault case count")?;
             let mix = match parts.get(2) {
                 Some(m) => FaultMix::parse(m).map_err(|e| format!("`{s}`: {e}"))?,
                 None => FaultMix::uniform(),
@@ -77,7 +77,7 @@ impl CaseGen {
             }
             return Ok(CaseGen::Chaos {
                 seed: parse_u64(parts[0], "chaos seed")?,
-                n: parse_u64(parts[1], "chaos case count")?,
+                n: parse_count(parts[1], "chaos case count")?,
             });
         }
         if s == "zoo-roster" {
@@ -88,11 +88,13 @@ impl CaseGen {
         }
         if s.starts_with("zoo:") {
             let (spec_str, seeds) = match s.rsplit_once('*') {
-                Some((head, k)) => (head, parse_u64(k, "zoo seed count")?),
+                Some((head, k)) => (head, parse_count(k, "zoo seed count")?),
                 None => (s, 1),
             };
-            if seeds == 0 {
-                return Err(format!("`{s}`: zoo seed count must be at least 1"));
+            if seeds.checked_mul(Tool::ALL.len() as u64).is_none() {
+                return Err(format!(
+                    "`{s}`: zoo seed count {seeds} overflows the case count"
+                ));
             }
             let spec = ZooSpec::parse(spec_str)?;
             return Ok(CaseGen::Zoo { spec, seeds });
@@ -154,7 +156,10 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Parses a `gen+gen+...` manifest spec.
+    /// Parses a `gen+gen+...` manifest spec. Every generator contributes at
+    /// least one case, and the total must fit in a `u64`, so case ids,
+    /// [`total`](Manifest::total) and [`locate`](Manifest::locate) never
+    /// overflow.
     ///
     /// # Errors
     ///
@@ -167,6 +172,9 @@ impl Manifest {
             .split('+')
             .map(CaseGen::parse)
             .collect::<Result<Vec<_>, _>>()?;
+        gens.iter()
+            .try_fold(0u64, |total, gen| total.checked_add(gen.count()))
+            .ok_or_else(|| format!("`{s}`: total case count overflows a u64"))?;
         Ok(Manifest { gens })
     }
 
@@ -217,6 +225,15 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
         .map_err(|_| format!("`{s}`: {what} must be a non-negative integer"))
 }
 
+/// A case count: like [`parse_u64`], but zero is rejected — a generator
+/// that contributes no cases is a typo, not a campaign.
+fn parse_count(s: &str, what: &str) -> Result<u64, String> {
+    match parse_u64(s, what)? {
+        0 => Err(format!("`{s}`: {what} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +266,10 @@ mod tests {
             "zoo:quux:1",
             "wedge:1:2",
             "fault:1:2+",
+            "fault:1:0",
+            "chaos:1:0",
+            "fault:1:18446744073709551615+chaos:1:2",
+            "zoo:parser:3*6148914691236517206",
         ] {
             assert!(Manifest::parse(s).is_err(), "`{s}` should be rejected");
         }

@@ -182,6 +182,8 @@ fn with_zoo_memo<R>(
     })
 }
 
+/// Runs one fault case under the watchdog and classifies it: the only
+/// place a fault case's outcome is decided.
 fn run_fault(
     id: u64,
     case: String,
@@ -190,7 +192,7 @@ fn run_fault(
     mix: &px_mach::FaultMix,
     wd: &Watchdog,
 ) -> CaseRecord {
-    let fc = fault::run_case_budget(seed, local, mix, wd.clamp(fault::CASE_BUDGET));
+    let fc = fault::run_case(seed, local, mix, wd.clamp(fault::CASE_BUDGET));
     let (outcome, detail) = if !fc.violations.is_empty() {
         (CaseOutcome::Violated, fc.violations.join("; "))
     } else if wd.tripped(fault::CASE_BUDGET, &fc.exit) {
@@ -391,6 +393,35 @@ mod tests {
         // Records are pure: the same id renders byte-identically.
         let again = run_case(&m, &Watchdog::default_budget(), 3);
         assert_eq!(rec.to_line(), again.to_line());
+    }
+
+    #[test]
+    fn tight_watchdog_times_cases_out() {
+        let m = Manifest::parse("fault:7:16").unwrap();
+        let run = || -> Vec<CaseRecord> { (0..16).map(|id| run_case(&m, &wd(500), id)).collect() };
+        let recs = run();
+        let count = |o: CaseOutcome| recs.iter().filter(|r| r.outcome == o).count();
+        assert!(
+            count(CaseOutcome::TimedOut) > 0,
+            "a 500-instruction watchdog must trip: {recs:?}"
+        );
+        assert_eq!(count(CaseOutcome::Panicked), 0);
+        assert_eq!(count(CaseOutcome::Violated), 0);
+        // Watchdog-clamped cases are deterministic too.
+        assert_eq!(recs, run());
+    }
+
+    #[test]
+    fn generous_watchdog_changes_nothing() {
+        let mix = px_mach::FaultMix::uniform();
+        let m = Manifest::parse("fault:9:8").unwrap();
+        for id in 0..8 {
+            let rec = run_case(&m, &Watchdog::default_budget(), id);
+            assert_eq!(rec.outcome, CaseOutcome::Done, "case {id}");
+            let unclamped = fault::run_case(9, id, &mix, fault::CASE_BUDGET);
+            assert_eq!(rec.faults, unclamped.faults, "case {id}");
+            assert_eq!(rec.exit, unclamped.exit, "case {id}");
+        }
     }
 
     #[test]

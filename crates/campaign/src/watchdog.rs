@@ -13,8 +13,8 @@
 //! A fault-campaign case with a 60 000-instruction native budget under a
 //! 2 M watchdog keeps its historical behaviour bit-for-bit.
 
-/// An instruction-budget watchdog shared by the campaign runner and the
-/// `fault_campaign --case-timeout` flag.
+/// An instruction-budget watchdog: `pxc campaign --timeout` and
+/// [`CampaignConfig::timeout`](crate::CampaignConfig::timeout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watchdog {
     /// Maximum instructions a single case may retire.

@@ -11,11 +11,12 @@
 //! * [`prop`] — a minimal property-testing harness (replaces `proptest`):
 //!   seeded case generation, size ramping, shrinking-lite, and the
 //!   [`px_prop!`] macro.
-//! * [`par`] — a scoped-thread parallel map on `std::thread::scope`
-//!   (replaces `crossbeam::thread::scope` in the bench sweep harness),
-//!   with per-item panic containment ([`try_par_map`], [`par_map_catch`]).
 //! * [`pool`] — a work-stealing job pool (per-worker deques, block refill,
-//!   bounded streaming results) — the campaign runner's scheduler.
+//!   bounded streaming results) — the one scheduler: the campaign driver
+//!   and the bench sweeps both run on it.
+//! * [`par`] — [`par_map`], an order-preserving parallel map over [`pool`]
+//!   with per-item panic containment (replaces `crossbeam::thread::scope`
+//!   in the bench sweep harness).
 //! * [`json`] — a hand-rolled JSON value model, emitter **and parser** with
 //!   deterministic float formatting (replaces `serde` for typed result
 //!   rows and the campaign journal reader).
@@ -38,7 +39,7 @@ pub mod rng;
 pub use digest::{fnv1a64, from_hex, hex64, parse_hex64, to_hex};
 pub use json::{Json, ToJson};
 pub use memo::{FixedMap, MemoCounters};
-pub use par::{panic_message, par_map, par_map_catch, try_par_map, WorkerPanic};
+pub use par::{panic_message, par_map};
 pub use pool::{run_stealing, PoolConfig, PoolRun};
 pub use prop::{any_bool, any_i32, any_i64, any_u32, any_u8, just, vec_exact, vec_of, Strategy};
 pub use rng::{Rng, SplitMix64, XorShift64Star, Xoshiro256};

@@ -1,38 +1,17 @@
-//! Scoped-thread parallelism on plain `std::thread::scope`.
+//! An order-preserving parallel map over the work-stealing pool.
 //!
-//! `crossbeam::thread::scope` predates the standard library's scoped
-//! threads; the bench sweep harness needs nothing more than a fork-join
-//! map, so this is the whole replacement. Work is distributed over a
-//! bounded pool (one worker per available core) instead of one thread
-//! per item: a 10 000-case fault campaign costs ~10 thread spawns, not
-//! 10 000, and each worker amortises its stack over many items.
-//!
-//! Panics are contained per *item*, not per worker: `f` runs under
-//! `catch_unwind`, so one panicking item never takes down a worker's whole
-//! share of the sweep. [`par_map`] still panics afterwards (with the first
-//! item's panic message and index), while [`try_par_map`] returns the
-//! failure as a typed [`WorkerPanic`] and [`par_map_catch`] hands back a
-//! per-item `Result` — the campaign runner's quarantine path.
+//! The bench sweep harness needs nothing more than a fork-join map, so
+//! [`par_map`] is a thin wrapper over [`run_stealing`]: items are claimed
+//! one at a time (`block: 1`), each runs under `catch_unwind`, and the
+//! results are put back into input order once every item has finished.
+//! Panics are contained per *item*, not per worker, so one panicking item
+//! never takes down the rest of the sweep; [`par_map`] re-panics afterwards
+//! with the lowest-index item's message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 
-/// A panic captured from one item of a parallel map.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Index of the item whose closure panicked.
-    pub index: usize,
-    /// The panic payload, if it was a string (the common `panic!` case).
-    pub message: String,
-}
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "item {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
+use crate::pool::{run_stealing, PoolConfig};
 
 /// Renders a `catch_unwind` payload as a message.
 #[must_use]
@@ -46,119 +25,49 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Applies `f` to every item on a bounded worker pool and collects the
-/// results in input order.
-///
-/// Workers claim items one at a time from a shared atomic cursor, so
-/// uneven per-item cost load-balances naturally. Results are merged back
-/// into input order after the scope joins — callers observe exactly the
-/// same output as a sequential `items.iter().map(f).collect()`.
+/// Applies `f` to every item on the work-stealing pool (one worker per
+/// available core) and collects the results in input order — exactly the
+/// output of a sequential `items.iter().map(f).collect()`.
 ///
 /// # Panics
 ///
-/// If `f` panicked for any item, re-panics with the lowest-index
-/// [`WorkerPanic`]'s message — but only after every *other* item has
+/// If `f` panicked for any item, re-panics with `item {i} panicked: …` for
+/// the lowest such index — but only after every *other* item has
 /// completed, so one bad item cannot poison unrelated work.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    match try_par_map(items, f) {
-        Ok(out) => out,
-        Err(p) => panic!("par_map {p}"),
-    }
-}
-
-/// [`par_map`] with worker panics propagated as a typed error instead of a
-/// re-panic: returns the lowest-index [`WorkerPanic`] if any item's closure
-/// panicked. All other items still run to completion first.
-///
-/// # Errors
-///
-/// The first (lowest-index) captured panic.
-pub fn try_par_map<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Result<Vec<R>, WorkerPanic> {
-    let mut first: Option<WorkerPanic> = None;
-    let mut out = Vec::with_capacity(items.len());
-    for (i, r) in par_map_catch(items, f).into_iter().enumerate() {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => {
-                if first.as_ref().is_none_or(|w| i < w.index) {
-                    first = Some(p);
-                }
-            }
-        }
-    }
-    match first {
-        None => Ok(out),
-        Some(p) => Err(p),
-    }
-}
-
-/// Per-item panic containment: every item maps to `Ok(f(item))` or to the
-/// [`WorkerPanic`] its closure raised, in input order. No panic escapes.
-pub fn par_map_catch<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<Result<R, WorkerPanic>> {
-    let run_one = |i: usize| -> Result<R, WorkerPanic> {
-        // `f` is shared by reference across workers; catching a panic
-        // cannot observe broken invariants in it (it is `Fn`, not `FnMut`),
-        // so the unwind-safety assertion is sound.
-        catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|payload| WorkerPanic {
-            index: i,
-            message: panic_message(payload.as_ref()),
-        })
+    let pool = PoolConfig {
+        block: 1,
+        ..PoolConfig::default()
     };
-
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items.len());
-    if workers <= 1 {
-        return (0..items.len()).map(run_one).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut chunks: Vec<Vec<(usize, Result<R, WorkerPanic>)>> = std::thread::scope(|s| {
-        let next = &next;
-        let run_one = &run_one;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            return local;
-                        }
-                        local.push((i, run_one(i)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map workers never panic themselves"))
-            .collect()
-    });
-
-    let mut out: Vec<Option<Result<R, WorkerPanic>>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    for (i, r) in chunks.drain(..).flatten() {
-        out[i] = Some(r);
-    }
+    let mut out: Vec<Option<std::thread::Result<R>>> = (0..items.len()).map(|_| None).collect();
+    // `f` is `Fn`, shared by reference: catching a panic cannot observe
+    // broken invariants in it, so the unwind-safety assertion is sound.
+    run_stealing(
+        items.len(),
+        &pool,
+        &AtomicBool::new(false),
+        |i| catch_unwind(AssertUnwindSafe(|| f(&items[i]))),
+        |i, r| out[i] = Some(r),
+    );
     out.into_iter()
-        .map(|r| r.expect("par_map covered every index"))
+        .enumerate()
+        .map(|(i, r)| match r.expect("the pool runs every item") {
+            Ok(v) => v,
+            Err(p) => panic!("par_map item {i} panicked: {}", panic_message(p.as_ref())),
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// Runs `par_map` and returns its panic message.
+    fn panic_of(items: &[u32], f: impl Fn(&u32) -> u32 + Sync) -> String {
+        let caught = catch_unwind(AssertUnwindSafe(|| par_map(items, f))).unwrap_err();
+        panic_message(caught.as_ref())
+    }
 
     #[test]
     fn maps_in_input_order() {
@@ -176,7 +85,6 @@ mod tests {
 
     #[test]
     fn workers_actually_run_concurrently_on_shared_state() {
-        use std::sync::atomic::AtomicU32;
         let counter = AtomicU32::new(0);
         let items = [1u32; 8];
         let out = par_map(&items, |_| counter.fetch_add(1, Ordering::SeqCst));
@@ -196,19 +104,15 @@ mod tests {
 
     #[test]
     fn one_panicking_item_does_not_poison_the_rest() {
-        use std::sync::atomic::AtomicU32;
         let completed = AtomicU32::new(0);
         let items: Vec<u32> = (0..64).collect();
-        let err = try_par_map(&items, |&x| {
-            if x == 13 {
-                panic!("injected panic on item {x}");
-            }
+        let msg = panic_of(&items, |&x| {
+            assert!(x != 13, "injected panic on item {x}");
             completed.fetch_add(1, Ordering::SeqCst);
             x
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 13);
-        assert!(err.message.contains("injected panic on item 13"), "{err}");
+        });
+        assert!(msg.contains("item 13 panicked"), "{msg}");
+        assert!(msg.contains("injected panic on item 13"), "{msg}");
         assert_eq!(
             completed.load(Ordering::SeqCst),
             63,
@@ -217,45 +121,41 @@ mod tests {
     }
 
     #[test]
-    fn catch_variant_returns_per_item_results() {
+    fn every_other_item_runs_when_several_panic() {
+        let ran: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
         let items: Vec<u32> = (0..8).collect();
-        let out = par_map_catch(&items, |&x| {
+        let msg = panic_of(&items, |&x| {
             assert!(x % 3 != 1, "boom {x}");
+            ran[x as usize].fetch_add(1, Ordering::SeqCst);
             x * 2
         });
-        for (i, r) in out.iter().enumerate() {
-            if i % 3 == 1 {
-                let p = r.as_ref().unwrap_err();
-                assert_eq!(p.index, i);
-                assert!(p.message.contains(&format!("boom {i}")));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), (i as u32) * 2);
-            }
+        assert!(msg.contains("item 1 panicked: boom 1"), "{msg}");
+        for (i, n) in ran.iter().enumerate() {
+            let want = u32::from(i % 3 != 1);
+            assert_eq!(
+                n.load(Ordering::SeqCst),
+                want,
+                "item {i} ran once or not at all"
+            );
         }
     }
 
     #[test]
-    fn try_par_map_reports_the_lowest_index_panic() {
+    fn par_map_reports_the_lowest_index_panic() {
         let items: Vec<u32> = (0..32).collect();
-        let err = try_par_map(&items, |&x| {
+        let msg = panic_of(&items, |&x| {
             assert!(!(x == 5 || x == 20), "first is {x}");
             x
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 5, "deterministic: lowest index wins");
+        });
+        assert!(msg.contains("item 5 panicked: first is 5"), "{msg}");
     }
 
     #[test]
     fn par_map_still_panics_with_context() {
-        let items = [0u32, 1];
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map(&items, |&x| {
-                assert!(x == 0, "only zero survives");
-                x
-            })
-        }))
-        .unwrap_err();
-        let msg = panic_message(caught.as_ref());
+        let msg = panic_of(&[0, 1], |&x| {
+            assert!(x == 0, "only zero survives");
+            x
+        });
         assert!(msg.contains("item 1 panicked"), "{msg}");
     }
 }

@@ -1,9 +1,10 @@
-//! A work-stealing job pool — `par_map` grown into a scheduler.
+//! The work-stealing job pool — the one scheduler in the workspace.
 //!
-//! [`par_map`](crate::par_map) hands items out one at a time from a single
-//! atomic cursor; that is perfect for a fork-join map but gives the caller
-//! no backpressure, no cancellation and no way to stream results out while
-//! the sweep runs. This module is the campaign runner's substrate:
+//! Every parallel loop runs on [`run_stealing`]: the campaign driver
+//! streams case records through it into its journal, and
+//! [`par_map`](crate::par_map) is an order-restoring wrapper over it for
+//! the bench sweeps. Beyond a fork-join map it gives the caller
+//! backpressure, cancellation and results streamed out while the run goes:
 //!
 //! * **Per-worker deques with stealing.** Each worker owns a deque of item
 //!   indices and refills it in blocks from a global cursor; when both are
@@ -79,8 +80,8 @@ pub struct PoolRun {
 /// streaming `(index, result)` pairs into `sink` on the caller's thread.
 ///
 /// `work` runs on pool workers and must be panic-free (wrap fallible work
-/// in `catch_unwind` and make the panic part of `R` — see
-/// [`crate::par::par_map_catch`] for the pattern). `sink` observes every
+/// in `catch_unwind` and make the panic part of `R`, as
+/// [`par_map`](crate::par_map) does). `sink` observes every
 /// completed item exactly once, in completion order.
 ///
 /// Setting `stop` (from the sink, a signal handler, any thread) makes

@@ -29,8 +29,14 @@ fi
 echo "==> RUSTDOCFLAGS=-D warnings cargo doc --offline --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
+# Fault smoke (E12): inject faults into NT-paths across all four engines
+# through the campaign driver. --max-quarantine 0 exits 1 on any
+# violated (sandbox escape), panicked or timed-out case.
 echo "==> fault-smoke: 64-case fault-injection campaign"
-cargo run --release --offline -q -p px-bench --bin fault_campaign -- --seed 1 --cases 64
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cargo run --release --offline -q -p px-cli --bin pxc -- campaign --cases fault:1:64 \
+    --max-quarantine 0 --no-resume --journal "$tmp/fault-smoke.ndjson"
 
 # Campaign gate (E16): a 512-case manifest with deliberately panicking and
 # runaway chaos cases is run straight through, killed mid-flight (torn
