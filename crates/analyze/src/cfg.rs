@@ -24,42 +24,6 @@ use px_isa::{Instruction, Program, Reg};
 /// a crash, or falling off the end of the code.
 pub const EXIT: u32 = u32::MAX;
 
-/// One of the two out-edges of a conditional branch.
-///
-/// The slot convention (`Taken` = 0, `NotTaken` = 1) matches the dynamic
-/// coverage tracker's `edges[pc][slot]` layout, so masks computed here index
-/// directly into coverage bitmaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchEdge {
-    /// The branch condition held; control went to `target`.
-    Taken,
-    /// The condition failed; control fell through to `pc + 1`.
-    NotTaken,
-}
-
-impl BranchEdge {
-    /// Both edges, in slot order.
-    pub const ALL: [BranchEdge; 2] = [BranchEdge::Taken, BranchEdge::NotTaken];
-
-    /// The edge's slot in `[taken, not_taken]` pairs.
-    #[must_use]
-    pub fn slot(self) -> usize {
-        match self {
-            BranchEdge::Taken => 0,
-            BranchEdge::NotTaken => 1,
-        }
-    }
-
-    /// Short lowercase name used in reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            BranchEdge::Taken => "taken",
-            BranchEdge::NotTaken => "not-taken",
-        }
-    }
-}
-
 /// A basic block: a maximal straight-line run of instructions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {

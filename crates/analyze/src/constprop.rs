@@ -26,9 +26,9 @@
 //! edges and why the feasible-coverage metric intersects the numerator with
 //! the feasible set.
 
-use px_isa::{Instruction, Program, Reg, SyscallCode, DATA_BASE};
+use px_isa::{Edge, Instruction, Program, Reg, SyscallCode, DATA_BASE};
 
-use crate::cfg::{BranchEdge, Cfg, EXIT};
+use crate::cfg::{Cfg, EXIT};
 
 /// One register's lattice value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,11 +233,7 @@ impl ConstProp {
                     let succs = cfg.succs(pc);
                     match decide_branch(cond, rs1, rs2, a, b) {
                         Some(taken) => {
-                            let e = if taken {
-                                BranchEdge::Taken
-                            } else {
-                                BranchEdge::NotTaken
-                            };
+                            let e = Edge::from_taken(taken);
                             branch_executable[pc as usize][e.slot()] = true;
                             // A decidedly-taken branch to an invalid target
                             // crashes; the not-taken edge executes even when
@@ -246,7 +242,7 @@ impl ConstProp {
                             flow(&mut states, &mut work, succs[e.slot()], &out);
                         }
                         None => {
-                            for e in BranchEdge::ALL {
+                            for e in Edge::ALL {
                                 branch_executable[pc as usize][e.slot()] = true;
                                 flow(&mut states, &mut work, succs[e.slot()], &out);
                             }
@@ -327,7 +323,7 @@ impl ConstProp {
     /// Whether an edge of the branch at `pc` is executable (feasible).
     /// Always `false` for non-branches and unreachable branches.
     #[must_use]
-    pub fn edge_feasible(&self, pc: u32, edge: BranchEdge) -> bool {
+    pub fn edge_feasible(&self, pc: u32, edge: Edge) -> bool {
         self.branch_executable
             .get(pc as usize)
             .is_some_and(|e| e[edge.slot()])
@@ -368,8 +364,8 @@ mod tests {
                 exit                  ; 4
             ",
         );
-        assert!(!cp.edge_feasible(1, BranchEdge::Taken));
-        assert!(cp.edge_feasible(1, BranchEdge::NotTaken));
+        assert!(!cp.edge_feasible(1, Edge::Taken));
+        assert!(cp.edge_feasible(1, Edge::NotTaken));
         assert!(!cp.reachable(3), "the dead arm is unreachable");
         assert!(cp.reachable(4));
     }
@@ -389,10 +385,10 @@ mod tests {
                 exit                  ; 4
             ",
         );
-        assert!(cp.edge_feasible(1, BranchEdge::Taken));
-        assert!(!cp.edge_feasible(1, BranchEdge::NotTaken));
-        assert!(!cp.edge_feasible(2, BranchEdge::Taken));
-        assert!(cp.edge_feasible(2, BranchEdge::NotTaken));
+        assert!(cp.edge_feasible(1, Edge::Taken));
+        assert!(!cp.edge_feasible(1, Edge::NotTaken));
+        assert!(!cp.edge_feasible(2, Edge::Taken));
+        assert!(cp.edge_feasible(2, Edge::NotTaken));
     }
 
     #[test]
@@ -408,8 +404,8 @@ mod tests {
                 exit                  ; 3
             ",
         );
-        assert!(cp.edge_feasible(1, BranchEdge::Taken));
-        assert!(cp.edge_feasible(1, BranchEdge::NotTaken));
+        assert!(cp.edge_feasible(1, Edge::Taken));
+        assert!(cp.edge_feasible(1, Edge::NotTaken));
     }
 
     #[test]
@@ -434,8 +430,8 @@ mod tests {
         // r2 meets 1 ∧ 2 = Bottom at the join: the pass cannot refute the
         // edge (a range analysis could; the constant lattice stays sound by
         // keeping it feasible).
-        assert!(cp.edge_feasible(5, BranchEdge::Taken));
-        assert!(cp.edge_feasible(5, BranchEdge::NotTaken));
+        assert!(cp.edge_feasible(5, Edge::Taken));
+        assert!(cp.edge_feasible(5, Edge::NotTaken));
         assert_eq!(cp.state(5).unwrap().get(px_isa::Reg::RV), Value::Bottom);
     }
 
@@ -499,7 +495,7 @@ mod tests {
                 exit                  ; 3
             ",
         );
-        assert!(cp.edge_feasible(2, BranchEdge::Taken));
-        assert!(cp.edge_feasible(2, BranchEdge::NotTaken));
+        assert!(cp.edge_feasible(2, Edge::Taken));
+        assert!(cp.edge_feasible(2, Edge::NotTaken));
     }
 }

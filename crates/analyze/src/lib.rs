@@ -38,13 +38,13 @@ pub mod lint;
 pub mod paths;
 pub mod safety;
 
-pub use cfg::{Block, BranchEdge, Cfg, EXIT};
+pub use cfg::{Block, Cfg, EXIT};
 pub use constprop::{ConstProp, RegState, Value};
 pub use lint::{lint, Diagnostic, LintKind};
 pub use paths::{CoverPick, PathCover, PathLimits, PrimePath, PrimePathSet};
 pub use safety::Safety;
 
-use px_isa::{Instruction, Program};
+use px_isa::{Edge, Instruction, Program};
 
 /// The full static-analysis pipeline over one program: CFG construction,
 /// constant propagation, NT-safety classification and lint, computed once
@@ -123,19 +123,14 @@ impl Analysis {
 
     /// Whether the given edge of the branch at `pc` is statically feasible.
     #[must_use]
-    pub fn edge_feasible(&self, pc: u32, edge: BranchEdge) -> bool {
+    pub fn edge_feasible(&self, pc: u32, edge: Edge) -> bool {
         self.constprop.edge_feasible(pc, edge)
     }
 
     /// Shortest static distance from the given branch edge to an unsafe
     /// event — the lower bound on an NT-path's Unsafe-Latency (§3.2).
     #[must_use]
-    pub fn edge_unsafe_distance(
-        &self,
-        program: &Program,
-        pc: u32,
-        edge: BranchEdge,
-    ) -> Option<u32> {
+    pub fn edge_unsafe_distance(&self, program: &Program, pc: u32, edge: Edge) -> Option<u32> {
         self.safety.edge_unsafe_distance(program, pc, edge)
     }
 
@@ -204,18 +199,18 @@ mod tests {
         assert_eq!(p.static_edge_count(), 4);
         assert_eq!(a.feasible_edge_count(), 3);
         assert_eq!(a.decided_branch_count(&p), 1);
-        assert!(!a.edge_feasible(1, BranchEdge::Taken));
-        assert!(a.edge_feasible(1, BranchEdge::NotTaken));
+        assert!(!a.edge_feasible(1, Edge::Taken));
+        assert!(a.edge_feasible(1, Edge::NotTaken));
         // The dead arm generates an unreachable-code diagnostic.
         assert!(a
             .diagnostics()
             .iter()
             .any(|d| d.kind == LintKind::UnreachableCode && d.pc == 6));
         // Safety: the not-taken edge of branch 3 runs one nop then exits.
-        assert_eq!(a.edge_unsafe_distance(&p, 3, BranchEdge::NotTaken), Some(1));
+        assert_eq!(a.edge_unsafe_distance(&p, 3, Edge::NotTaken), Some(1));
         // Veto mask with a large threshold vetoes everything that must
         // terminate; the infeasible branch's edges still get classified.
         let mask = a.veto_mask(&p, 1000);
-        assert!(mask[3][BranchEdge::NotTaken.slot()]);
+        assert!(mask[3][Edge::NotTaken.slot()]);
     }
 }

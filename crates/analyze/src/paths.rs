@@ -40,10 +40,10 @@
 
 use std::collections::VecDeque;
 
-use px_isa::{encode_program, Instruction, Program};
+use px_isa::{encode_program, Edge, Instruction, Program};
 use px_util::{fnv1a64, hex64, Json};
 
-use crate::cfg::{Block, BranchEdge, EXIT};
+use crate::cfg::{Block, EXIT};
 use crate::Analysis;
 
 /// Bounds on prime-path enumeration. All three caps truncate the result
@@ -381,7 +381,7 @@ impl PrimePathSet {
     /// branch's taken target equals its fall-through both edges reach the
     /// successor, and both are attributed.
     #[must_use]
-    pub fn branch_edges_of(&self, program: &Program, path: &PrimePath) -> Vec<(u32, BranchEdge)> {
+    pub fn branch_edges_of(&self, program: &Program, path: &PrimePath) -> Vec<(u32, Edge)> {
         let mut out = Vec::new();
         for w in path.blocks.windows(2) {
             let a = &self.block_starts; // block start of w[1]
@@ -389,10 +389,10 @@ impl PrimePathSet {
             let last = self.block_end(w[0]) - 1;
             if let Some(&Instruction::Branch { target, .. }) = program.code.get(last as usize) {
                 if target == bstart {
-                    out.push((last, BranchEdge::Taken));
+                    out.push((last, Edge::Taken));
                 }
                 if last + 1 == bstart {
-                    out.push((last, BranchEdge::NotTaken));
+                    out.push((last, Edge::NotTaken));
                 }
             }
         }
@@ -419,7 +419,7 @@ impl PrimePathSet {
         use std::collections::{BTreeMap, BTreeSet};
         let mut remaining: BTreeSet<u32> = BTreeSet::new();
         let mut residual = Vec::new();
-        let mut edge_map: BTreeMap<(u32, u8), Vec<u32>> = BTreeMap::new();
+        let mut edge_map: BTreeMap<(u32, Edge), Vec<u32>> = BTreeMap::new();
         for (i, p) in self.paths.iter().enumerate() {
             if !p.feasible || covered.get(i).copied().unwrap_or(false) {
                 continue;
@@ -431,15 +431,12 @@ impl PrimePathSet {
             }
             remaining.insert(i as u32);
             for (pc, e) in edges {
-                edge_map
-                    .entry((pc, e.slot() as u8))
-                    .or_default()
-                    .push(i as u32);
+                edge_map.entry((pc, e)).or_default().push(i as u32);
             }
         }
         let mut picks = Vec::new();
         while !remaining.is_empty() {
-            let mut best: Option<((u32, u8), Vec<u32>)> = None;
+            let mut best: Option<((u32, Edge), Vec<u32>)> = None;
             for (&key, paths) in &edge_map {
                 let hits: Vec<u32> = paths
                     .iter()
@@ -450,7 +447,7 @@ impl PrimePathSet {
                     best = Some((key, hits));
                 }
             }
-            let Some(((pc, slot), hits)) = best else {
+            let Some(((pc, edge), hits)) = best else {
                 break;
             };
             for i in &hits {
@@ -458,11 +455,7 @@ impl PrimePathSet {
             }
             picks.push(CoverPick {
                 pc,
-                edge: if slot == 0 {
-                    BranchEdge::Taken
-                } else {
-                    BranchEdge::NotTaken
-                },
+                edge,
                 paths: hits,
             });
         }
@@ -476,7 +469,7 @@ pub struct CoverPick {
     /// Branch instruction index.
     pub pc: u32,
     /// Which of its edges to exercise.
-    pub edge: BranchEdge,
+    pub edge: Edge,
     /// Indices (into [`PrimePathSet::paths`]) of the uncovered feasible
     /// paths this pick touches, ascending.
     pub paths: Vec<u32>,
@@ -548,8 +541,8 @@ fn path_feasible(program: &Program, analysis: &Analysis, blocks: &[Block], path:
         let last = blocks[w[0] as usize].end - 1;
         let bstart = blocks[w[1] as usize].start;
         if let Some(&Instruction::Branch { target, .. }) = program.code.get(last as usize) {
-            let taken_ok = target == bstart && analysis.edge_feasible(last, BranchEdge::Taken);
-            let nt_ok = last + 1 == bstart && analysis.edge_feasible(last, BranchEdge::NotTaken);
+            let taken_ok = target == bstart && analysis.edge_feasible(last, Edge::Taken);
+            let nt_ok = last + 1 == bstart && analysis.edge_feasible(last, Edge::NotTaken);
             if !taken_ok && !nt_ok {
                 return false;
             }
@@ -770,10 +763,7 @@ mod tests {
             .find(|q| q.blocks.len() == 2)
             .expect("two-block path");
         let edges = s.branch_edges_of(&p, path);
-        assert_eq!(
-            edges,
-            vec![(0, BranchEdge::Taken), (0, BranchEdge::NotTaken)]
-        );
+        assert_eq!(edges, vec![(0, Edge::Taken), (0, Edge::NotTaken)]);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! path from the edge reaches an unsafe event within `d` instructions, so a
 //! veto never suppresses an NT-path that could have run usefully long.
 
-use px_isa::{Instruction, Program};
+use px_isa::{Edge, Instruction, Program};
 
-use crate::cfg::{BranchEdge, Cfg, EXIT};
+use crate::cfg::{Cfg, EXIT};
 use crate::constprop::ConstProp;
 
 /// Per-instruction and per-edge unsafe-distance classification.
@@ -162,12 +162,7 @@ impl Safety {
     /// given edge of the branch at `pc` — the static analogue of the
     /// paper's per-path Unsafe-Latency lower bound.
     #[must_use]
-    pub fn edge_unsafe_distance(
-        &self,
-        program: &Program,
-        pc: u32,
-        edge: BranchEdge,
-    ) -> Option<u32> {
+    pub fn edge_unsafe_distance(&self, program: &Program, pc: u32, edge: Edge) -> Option<u32> {
         self.edge_target(program, pc, edge)
             .and_then(|t| self.unsafe_distance(t))
     }
@@ -177,18 +172,18 @@ impl Safety {
     /// event within `d` instructions. This is the sound basis for vetoing
     /// spawns — such a path cannot possibly survive longer than `d`.
     #[must_use]
-    pub fn edge_unsafe_ceiling(&self, program: &Program, pc: u32, edge: BranchEdge) -> Option<u32> {
+    pub fn edge_unsafe_ceiling(&self, program: &Program, pc: u32, edge: Edge) -> Option<u32> {
         self.edge_target(program, pc, edge)
             .and_then(|t| self.max_dist.get(t as usize).copied().flatten())
     }
 
-    fn edge_target(&self, program: &Program, pc: u32, edge: BranchEdge) -> Option<u32> {
+    fn edge_target(&self, program: &Program, pc: u32, edge: Edge) -> Option<u32> {
         let Some(Instruction::Branch { target, .. }) = program.fetch(pc) else {
             return None;
         };
         let t = match edge {
-            BranchEdge::Taken => target,
-            BranchEdge::NotTaken => pc + 1,
+            Edge::Taken => target,
+            Edge::NotTaken => pc + 1,
         };
         program.valid_pc(t).then_some(t)
     }
@@ -206,7 +201,7 @@ impl Safety {
             if !matches!(program.fetch(pc), Some(Instruction::Branch { .. })) {
                 continue;
             }
-            for edge in BranchEdge::ALL {
+            for edge in Edge::ALL {
                 mask[pc as usize][edge.slot()] = self
                     .edge_unsafe_ceiling(program, pc, edge)
                     .is_some_and(|d| d < k);
@@ -263,9 +258,9 @@ mod tests {
             ",
         );
         // Taken edge lands directly on an exit syscall: distance 0.
-        assert_eq!(s.edge_unsafe_distance(&p, 1, BranchEdge::Taken), Some(0));
+        assert_eq!(s.edge_unsafe_distance(&p, 1, Edge::Taken), Some(0));
         // Not-taken edge runs two nops first.
-        assert_eq!(s.edge_unsafe_distance(&p, 1, BranchEdge::NotTaken), Some(2));
+        assert_eq!(s.edge_unsafe_distance(&p, 1, Edge::NotTaken), Some(2));
     }
 
     #[test]
@@ -284,10 +279,10 @@ mod tests {
         );
         // The not-taken edge leads to the safe infinite loop: min distance
         // is None and so is the ceiling — never veto.
-        assert_eq!(s.edge_unsafe_distance(&p, 1, BranchEdge::NotTaken), None);
-        assert_eq!(s.edge_unsafe_ceiling(&p, 1, BranchEdge::NotTaken), None);
+        assert_eq!(s.edge_unsafe_distance(&p, 1, Edge::NotTaken), None);
+        assert_eq!(s.edge_unsafe_ceiling(&p, 1, Edge::NotTaken), None);
         // The taken edge must hit the syscall immediately.
-        assert_eq!(s.edge_unsafe_ceiling(&p, 1, BranchEdge::Taken), Some(0));
+        assert_eq!(s.edge_unsafe_ceiling(&p, 1, Edge::Taken), Some(0));
     }
 
     #[test]
@@ -307,14 +302,14 @@ mod tests {
         );
         // From pc 2 both paths reach the exit; min is 3, ceiling is 3 too
         // (straight line). From the branch's taken edge min = ceiling = 0.
-        assert_eq!(s.edge_unsafe_distance(&p, 1, BranchEdge::NotTaken), Some(3));
-        assert_eq!(s.edge_unsafe_ceiling(&p, 1, BranchEdge::NotTaken), Some(3));
+        assert_eq!(s.edge_unsafe_distance(&p, 1, Edge::NotTaken), Some(3));
+        assert_eq!(s.edge_unsafe_ceiling(&p, 1, Edge::NotTaken), Some(3));
         // veto_mask with k=4 vetoes both edges; with k=1 only the taken one.
         let m4 = s.veto_mask(&p, 4);
         assert_eq!(m4[1], [true, true]);
         let m1 = s.veto_mask(&p, 1);
-        assert!(m1[1][BranchEdge::Taken.slot()]);
-        assert!(!m1[1][BranchEdge::NotTaken.slot()]);
+        assert!(m1[1][Edge::Taken.slot()]);
+        assert!(!m1[1][Edge::NotTaken.slot()]);
     }
 
     #[test]

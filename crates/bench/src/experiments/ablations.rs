@@ -1,6 +1,5 @@
 //! Ablations of the design decisions the paper itself evaluated.
 
-use pathexpander::measure_latency;
 use px_detect::Tool;
 use px_mach::{CacheConfig, MachConfig};
 use px_util::{Json, ToJson};
@@ -213,22 +212,6 @@ pub fn ablation_fix_strategy() -> Vec<FixStrategyResult> {
         });
     }
     results
-}
-
-/// Crash-latency sanity helper exposed for the binary: the feasibility
-/// profile of an arbitrary workload.
-#[must_use]
-pub fn latency_profile_of(app: &str) -> pathexpander::LatencyProfile {
-    let w = by_name(app).expect("known workload");
-    let compiled = compile(&w, Tool::Assertions);
-    measure_latency(
-        &compiled.program,
-        &MachConfig::single_core(),
-        io_for(&w, SEED),
-        1000,
-        BUDGET,
-        None,
-    )
 }
 
 /// Results of the two forward-looking extensions the paper sketches.

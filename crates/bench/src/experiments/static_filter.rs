@@ -10,7 +10,7 @@
 
 use pathexpander::PxRunResult;
 use px_analyze::Analysis;
-use px_mach::Edge;
+use px_isa::Edge;
 use px_util::{par_map, Json, ToJson};
 use px_workloads::buggy;
 

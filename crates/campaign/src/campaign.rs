@@ -38,14 +38,10 @@ pub struct CampaignConfig {
     pub manifest: Manifest,
     /// Journal path (created, or resumed when it exists).
     pub journal: PathBuf,
-    /// Quarantine NDJSON path (`<journal>.quarantine` by default).
-    pub quarantine: Option<PathBuf>,
     /// Worker threads (0 = one per available core).
     pub workers: usize,
     /// Deque refill block size.
     pub block: usize,
-    /// Bounded result-channel depth (backpressure).
-    pub queue_bound: usize,
     /// Per-case watchdog timeout, in instructions.
     pub timeout: u64,
     /// Checkpoint cadence, in case records.
@@ -66,10 +62,8 @@ impl CampaignConfig {
         CampaignConfig {
             manifest,
             journal,
-            quarantine: None,
             workers: 0,
             block: 16,
-            queue_bound: 256,
             timeout: Watchdog::DEFAULT_TIMEOUT,
             checkpoint_every: 64,
             max_quarantine: None,
@@ -78,15 +72,12 @@ impl CampaignConfig {
         }
     }
 
-    /// The quarantine file path: `quarantine` if set, else
-    /// `<journal>.quarantine`.
+    /// The quarantine NDJSON path: `<journal>.quarantine`.
     #[must_use]
     pub fn quarantine_path(&self) -> PathBuf {
-        self.quarantine.clone().unwrap_or_else(|| {
-            let mut s = self.journal.as_os_str().to_owned();
-            s.push(".quarantine");
-            PathBuf::from(s)
-        })
+        let mut s = self.journal.as_os_str().to_owned();
+        s.push(".quarantine");
+        PathBuf::from(s)
     }
 }
 
@@ -254,10 +245,11 @@ pub fn run_with_shutdown(
     let mut torn_written = false;
     let mut quarantine_limit_hit = false;
     let mut sink_err: Option<CampaignError> = None;
+    // The result channel keeps the pool's default backpressure depth.
     let pool = PoolConfig {
         workers: cfg.workers,
         block: cfg.block,
-        queue_bound: cfg.queue_bound,
+        ..PoolConfig::default()
     };
     let pool_run = px_util::run_stealing(pending.len(), &pool, &stop, work, |_, rec| {
         if sink_err.is_some() {

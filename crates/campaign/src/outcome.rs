@@ -508,14 +508,14 @@ mod tests {
         a.program_key = "zoo:parser:1/ccured".to_owned();
         a.code_len = 8;
         let mut cov_a = Coverage::new(8);
-        cov_a.record(0, px_mach::Edge::Taken);
+        cov_a.record(0, px_isa::Edge::Taken);
         a.cov_bits = cov_a.pack_bits();
 
         let mut b = record(1, CaseOutcome::Done);
         b.program_key = a.program_key.clone();
         b.code_len = 8;
         let mut cov_b = Coverage::new(8);
-        cov_b.record(3, px_mach::Edge::NotTaken);
+        cov_b.record(3, px_isa::Edge::NotTaken);
         b.cov_bits = cov_b.pack_bits();
 
         let mut agg = Aggregate::default();

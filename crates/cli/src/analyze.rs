@@ -5,8 +5,8 @@
 //! emitter: insertion-ordered keys, byte-identical across runs) so the
 //! golden test in `tests/analyze_golden.rs` can gate the format.
 
-use px_analyze::{Analysis, BranchEdge, PrimePathSet};
-use px_isa::{Instruction, Program};
+use px_analyze::{Analysis, PrimePathSet};
+use px_isa::{Edge, Instruction, Program};
 use px_util::Json;
 
 /// Per-branch summary row used by both renderers.
@@ -26,14 +26,14 @@ fn branch_rows(program: &Program, analysis: &Analysis) -> Vec<BranchRow> {
         .filter(|(_, insn)| matches!(insn, Instruction::Branch { .. }))
         .map(|(pc, _)| {
             let pc = pc as u32;
-            let per_edge = |edge: BranchEdge| {
+            let per_edge = |edge: Edge| {
                 (
                     analysis.edge_feasible(pc, edge),
                     analysis.edge_unsafe_distance(program, pc, edge),
                 )
             };
-            let (ft, dt) = per_edge(BranchEdge::Taken);
-            let (fn_, dn) = per_edge(BranchEdge::NotTaken);
+            let (ft, dt) = per_edge(Edge::Taken);
+            let (fn_, dn) = per_edge(Edge::NotTaken);
             BranchRow {
                 pc,
                 line: program.source_line(pc),

@@ -16,8 +16,10 @@ pub enum Mode {
 }
 
 /// PathExpander's tunable parameters. `PxConfig::default()` reproduces the
-/// paper's defaults for large applications (§6.3); use
-/// [`PxConfig::siemens_defaults`] for the small Siemens benchmarks.
+/// paper's defaults for large applications (§6.3); the small Siemens
+/// benchmarks use `MaxNTPathLength` = 100 instead, via
+/// [`PxConfig::with_max_nt_path_len`] (each workload carries its own
+/// length).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PxConfig {
     /// Standard configuration or CMP optimization.
@@ -112,16 +114,6 @@ impl Default for PxConfig {
 }
 
 impl PxConfig {
-    /// The paper's defaults for the small Siemens benchmarks
-    /// (`MaxNTPathLength` = 100, §6.3).
-    #[must_use]
-    pub fn siemens_defaults() -> PxConfig {
-        PxConfig {
-            max_nt_path_len: 100,
-            ..PxConfig::default()
-        }
-    }
-
     /// Switches to the CMP optimization.
     #[must_use]
     pub fn cmp(mut self) -> PxConfig {
@@ -238,7 +230,6 @@ mod tests {
         assert!(!c.explore_nt_from_nt);
         assert_eq!(c.static_nt_filter, None, "paper mode: no static veto");
         assert!(c.nt_memo, "memoization is on by default");
-        assert_eq!(PxConfig::siemens_defaults().max_nt_path_len, 100);
     }
 
     #[test]

@@ -207,7 +207,7 @@ pub fn check_containment(
 
     // Total coverage must contain everything the taken path covered.
     let superset = (0..program.code.len() as u32).all(|pc| {
-        [px_mach::Edge::Taken, px_mach::Edge::NotTaken]
+        px_isa::Edge::ALL
             .into_iter()
             .all(|e| !px.taken_coverage.covered(pc, e) || px.total_coverage.covered(pc, e))
     });

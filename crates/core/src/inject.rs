@@ -7,9 +7,7 @@
 //! [`px_mach::step_uop`] itself; cache-level faults come back via
 //! [`Step::deferred`](px_mach::Step) and are applied here.
 
-use px_mach::{
-    FaultAction, FaultHook, Hierarchy, MonitorArea, MonitorRecord, PathKind, RecordKind,
-};
+use px_mach::{FaultAction, FaultHook, Hierarchy, MemoNote, MonitorArea, PathKind};
 
 /// Watch tag used for synthetic monitor-pressure records, far outside the
 /// range any real watchpoint uses, so tests and the containment checker can
@@ -60,17 +58,13 @@ pub(crate) fn apply_deferred(
         }
         FaultAction::MonitorPressure { records } => {
             for i in 0..records {
-                monitor.push(MonitorRecord {
-                    kind: RecordKind::Watch {
-                        tag: FAULT_WATCH_TAG,
-                        addr: u32::from(i),
-                        is_write: true,
-                    },
-                    site: FAULT_WATCH_TAG,
+                let note = MemoNote::Watch {
+                    tag: FAULT_WATCH_TAG,
+                    addr: u32::from(i),
+                    is_write: true,
                     pc,
-                    cycle,
-                    path,
-                });
+                };
+                monitor.file(note, cycle, path);
             }
         }
         // Core-level faults were already applied inside `step_uop`.

@@ -22,13 +22,13 @@
 
 use std::sync::Arc;
 
-use px_isa::{DecodedProgram, MicroOp, Program, UOP_KIND_COUNT};
+use px_isa::{DecodedProgram, Edge, MicroOp, Program, UOP_KIND_COUNT};
 use px_mach::{
     load_program, memo_fingerprint, run_simple, simple_cost_until, simple_steps_until,
-    uop_cost_table, Btb, CoreState, Coverage, Edge, FaultHook, Hierarchy, IoState, MachConfig,
-    MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, MonitorRecord,
-    PathCoverage, PathKind, PathPlan, PathTrail, RecordKind, Regs, RunExit, Sandbox, SimError,
-    Step, StepEvent, WatchTable, COMMITTED, MEMO_MAX_READS,
+    uop_cost_table, Btb, CoreState, Coverage, FaultHook, Hierarchy, IoState, MachConfig, MemoEntry,
+    MemoNote, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, PathCoverage, PathKind,
+    PathPlan, PathTrail, Regs, RunExit, Sandbox, SimError, Step, StepEvent, WatchTable, COMMITTED,
+    MEMO_MAX_READS,
 };
 
 use crate::config::PxConfig;
@@ -222,7 +222,7 @@ impl<'a> Run<'a> {
             let mut t = Tracking {
                 plan,
                 cov: plan.new_coverage(),
-                taken: PathTrail::for_plan(plan),
+                taken: PathTrail::default(),
             };
             t.taken.enter_pc(plan, &mut t.cov, program.entry);
             t
@@ -352,12 +352,8 @@ impl<'a> Run<'a> {
                 Taken::Spawn { pc, target }
             }
             StepEvent::CheckFailed { .. } | StepEvent::WatchHit { .. } => {
-                file(
-                    &mut self.monitor,
-                    MemoNote::of(&event),
-                    *clock,
-                    PathKind::Taken,
-                );
+                self.monitor
+                    .file(MemoNote::of(&event), *clock, PathKind::Taken);
                 Taken::Go
             }
             StepEvent::UnsafeEvent { .. } => Taken::Exit(RunExit::EngineFault(
@@ -376,10 +372,9 @@ impl<'a> Run<'a> {
     }
 
     fn vetoed(&self, pc: u32, edge: Edge) -> bool {
-        self.static_veto.as_ref().is_some_and(|m| {
-            m.get(pc as usize)
-                .is_some_and(|e| e[usize::from(edge == Edge::NotTaken)])
-        })
+        self.static_veto
+            .as_ref()
+            .is_some_and(|m| m.get(pc as usize).is_some_and(|e| e[edge.slot()]))
     }
 
     /// The spawn decision for edge `nt_edge` of the branch at `pc`. Vetoes
@@ -517,7 +512,7 @@ impl<'a> Run<'a> {
                     // fingerprint. A defensive stop keeps a logic error
                     // from wedging the engine.
                     debug_assert!(false, "recorded bundles end on a stop");
-                    let stop = Some(NtStop::from_memo(r.entry.stop));
+                    let stop = Some(r.entry.stop);
                     return Grant::Ran { pc: 0, n: 0, stop };
                 }
             }
@@ -645,9 +640,9 @@ impl<'a> Run<'a> {
                 let path = PathKind::NtPath {
                     spawn_pc: ex.spawn_pc,
                 };
-                file(&mut self.monitor, note, stamp, path);
+                self.monitor.file(note, stamp, path);
             }
-            MemoNote::Stop(ms) => return Some(NtStop::from_memo(ms)),
+            MemoNote::Stop(stop) => return Some(stop),
         }
         if let (Some(t), Some(trail)) = (&mut self.tracking, &mut ex.trail) {
             trail.enter_pc(t.plan, &mut t.cov, next_pc);
@@ -664,10 +659,10 @@ impl<'a> Run<'a> {
             self.caches.squash_path(c, vtag);
         }
         if let (Some(rec), Some(t)) = (ex.rec, self.memo.table()) {
-            // Overflow, forced-commit and cut-short stops depend on live
-            // machine state and are never stored; a recorder that aborted
-            // over a cap falls back to simulation for this shape of path.
-            match stop.as_memo().and_then(|ms| rec.finish(ex.executed, ms)) {
+            // A stop that depends on live machine state, or a recorder that
+            // aborted over a cap, falls back to simulation for this shape
+            // of path (`NtStop::memoizable`).
+            match rec.finish(ex.executed, stop) {
                 Some(entry) => t.store(entry),
                 None => t.bypass(),
             }
@@ -697,36 +692,6 @@ impl Excursion {
             r.note_uop(u, &state.regs, sandbox, memory);
         }
     }
-}
-
-/// Files the monitor record a checker or watch note produces.
-#[inline]
-fn file(monitor: &mut MonitorArea, note: MemoNote, cycle: u64, path: PathKind) {
-    let (kind, site, pc) = match note {
-        MemoNote::Check { kind, site, pc } => (RecordKind::Check(kind), site, pc),
-        MemoNote::Watch {
-            tag,
-            addr,
-            is_write,
-            pc,
-        } => (
-            RecordKind::Watch {
-                tag,
-                addr,
-                is_write,
-            },
-            tag,
-            pc,
-        ),
-        _ => return,
-    };
-    monitor.push(MonitorRecord {
-        kind,
-        site,
-        pc,
-        cycle,
-        path,
-    });
 }
 
 /// How many micro-ops of a `run`-long simple run an NT-path that has

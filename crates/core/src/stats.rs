@@ -1,81 +1,8 @@
 //! Run statistics and results shared by the standard and CMP engines.
 
-use px_isa::{Program, SyscallCode};
-use px_mach::{
-    CoreState, Coverage, CrashKind, IoState, MemoStop, Memory, MonitorArea, PathCoverage, RunExit,
-};
-
-/// Why an NT-path terminated (paper §4.2(3), plus the implicit sandbox
-/// capacity limit of buffering in L1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NtStop {
-    /// Executed `MaxNTPathLength` instructions.
-    MaxLength,
-    /// Crashed (exception swallowed, not delivered to the OS).
-    Crash(CrashKind),
-    /// Reached an unsafe event — a system call the sandbox cannot contain.
-    Unsafe(SyscallCode),
-    /// Reached the program's `exit` call.
-    ProgramEnd,
-    /// A volatile line was displaced from L1: the sandbox overflowed.
-    SandboxOverflow,
-    /// CMP option only: squashed early because its sibling taken-path
-    /// segment was forced to commit (dirty-line displacement, paper §4.3).
-    ForcedCommit,
-    /// Still running when the program (or its budget) finished.
-    RunCutShort,
-    /// Squashed by the per-cascade watchdog (`nt_watchdog`): the path's
-    /// spawn cascade exceeded its wall-instruction budget. A belt-and-braces
-    /// bound on runaway NT work (fault injection makes this reachable).
-    Watchdog,
-}
-
-impl NtStop {
-    /// Coarse class used in histograms.
-    #[must_use]
-    pub fn class(&self) -> &'static str {
-        match self {
-            NtStop::MaxLength => "max-length",
-            NtStop::Crash(_) => "crash",
-            NtStop::Unsafe(_) => "unsafe",
-            NtStop::ProgramEnd => "program-end",
-            NtStop::SandboxOverflow => "sandbox-overflow",
-            NtStop::ForcedCommit => "forced-commit",
-            NtStop::RunCutShort => "cut-short",
-            NtStop::Watchdog => "watchdog",
-        }
-    }
-}
-
-impl NtStop {
-    /// The memoizable stop reasons — those that are pure functions of the
-    /// path itself. Stops that depend on live machine state (sandbox
-    /// overflow, forced commit, budget cut) return `None`: paths ending
-    /// that way are never stored, and replay recomputes those stops live.
-    #[must_use]
-    pub fn as_memo(self) -> Option<MemoStop> {
-        match self {
-            NtStop::MaxLength => Some(MemoStop::MaxLength),
-            NtStop::Watchdog => Some(MemoStop::Watchdog),
-            NtStop::Crash(k) => Some(MemoStop::Crash(k)),
-            NtStop::Unsafe(c) => Some(MemoStop::Unsafe(c)),
-            NtStop::ProgramEnd => Some(MemoStop::ProgramEnd),
-            NtStop::SandboxOverflow | NtStop::ForcedCommit | NtStop::RunCutShort => None,
-        }
-    }
-
-    /// The engine-level stop a recorded [`MemoStop`] maps back to.
-    #[must_use]
-    pub fn from_memo(ms: MemoStop) -> NtStop {
-        match ms {
-            MemoStop::MaxLength => NtStop::MaxLength,
-            MemoStop::Watchdog => NtStop::Watchdog,
-            MemoStop::Crash(k) => NtStop::Crash(k),
-            MemoStop::Unsafe(c) => NtStop::Unsafe(c),
-            MemoStop::ProgramEnd => NtStop::ProgramEnd,
-        }
-    }
-}
+use px_isa::Program;
+pub use px_mach::NtStop;
+use px_mach::{CoreState, Coverage, IoState, Memory, MonitorArea, PathCoverage, RunExit};
 
 /// One completed NT-path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,21 +65,6 @@ impl PxStats {
             .filter(|p| p.stop.class() == class)
             .count()
     }
-
-    /// Fraction of NT-paths that stopped before executing `n` instructions
-    /// for a reason in `classes` — the paper's Figure 3 CDF.
-    #[must_use]
-    pub fn stopped_before(&self, n: u32, classes: &[&str]) -> f64 {
-        if self.paths.is_empty() {
-            return 0.0;
-        }
-        let stopped = self
-            .paths
-            .iter()
-            .filter(|p| p.executed < n && classes.contains(&p.stop.class()))
-            .count();
-        stopped as f64 / self.paths.len() as f64
-    }
 }
 
 /// Result of a PathExpander-monitored run.
@@ -201,6 +113,9 @@ impl PxRunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feasibility::profile_from_stats;
+    use px_isa::SyscallCode;
+    use px_mach::CrashKind;
 
     fn rec(executed: u32, stop: NtStop) -> NtPathRecord {
         NtPathRecord {
@@ -221,16 +136,17 @@ mod tests {
             ],
             ..PxStats::default()
         };
-        assert_eq!(s.stopped_before(1000, &["crash"]), 0.25);
-        assert_eq!(s.stopped_before(1000, &["crash", "unsafe"]), 0.5);
-        assert_eq!(s.stopped_before(11, &["crash"]), 0.25);
-        assert_eq!(s.stopped_before(10, &["crash"]), 0.0);
+        let profile = profile_from_stats(&s, 1000);
+        assert_eq!(profile.crash_cdf(1000), 0.25);
+        assert_eq!(profile.stopped_cdf(1000), 0.5);
+        assert_eq!(profile.crash_cdf(11), 0.25);
+        assert_eq!(profile.crash_cdf(10), 0.0);
         assert_eq!(s.stops_of("max-length"), 2);
     }
 
     #[test]
     fn empty_stats_cdf_is_zero() {
-        let s = PxStats::default();
-        assert_eq!(s.stopped_before(1000, &["crash"]), 0.0);
+        let profile = profile_from_stats(&PxStats::default(), 1000);
+        assert_eq!(profile.crash_cdf(1000), 0.0);
     }
 }

@@ -204,6 +204,61 @@ impl BranchCond {
     }
 }
 
+/// One of a conditional branch's two edges.
+///
+/// The discriminant is the edge's slot in every `[taken, not_taken]` pair
+/// of the workspace — BTB exercise counters, coverage bitmaps and static
+/// feasibility masks all index by [`Edge::slot`], and edges order by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Edge {
+    /// The branch condition held and control went to the target.
+    Taken = 0,
+    /// The condition failed and control fell through to `pc + 1`.
+    NotTaken = 1,
+}
+
+impl Edge {
+    /// Both edges, in slot order.
+    pub const ALL: [Edge; 2] = [Edge::Taken, Edge::NotTaken];
+
+    /// The edge's slot in `[taken, not_taken]` pairs.
+    #[must_use]
+    #[inline]
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+
+    /// Short lowercase name used in reports.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Edge::Taken => "taken",
+            Edge::NotTaken => "not-taken",
+        }
+    }
+
+    /// The edge a dynamic branch outcome followed.
+    #[must_use]
+    #[inline]
+    pub fn from_taken(taken: bool) -> Edge {
+        if taken {
+            Edge::Taken
+        } else {
+            Edge::NotTaken
+        }
+    }
+
+    /// The other edge of the same branch.
+    #[must_use]
+    #[inline]
+    pub fn other(self) -> Edge {
+        match self {
+            Edge::Taken => Edge::NotTaken,
+            Edge::NotTaken => Edge::Taken,
+        }
+    }
+}
+
 /// System calls. Every system call is an *unsafe event* for an NT-path
 /// (paper §4.2): the sandbox cannot contain its side effects, so the NT-path
 /// is squashed when it reaches one.

@@ -56,7 +56,7 @@ pub mod uop;
 pub use encode::{
     decode, decode_program, encode, encode_program, DecodeError, ProgramDecodeError, ENCODED_LEN,
 };
-pub use insn::{AluOp, BranchCond, CheckKind, Instruction, SyscallCode, Width};
+pub use insn::{AluOp, BranchCond, CheckKind, Edge, Instruction, SyscallCode, Width};
 pub use program::{
     DataItem, Program, ProgramBuilder, SourceLoc, SymbolTable, DATA_BASE, DEFAULT_MEM_SIZE,
     NULL_GUARD_END,

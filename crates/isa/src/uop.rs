@@ -261,13 +261,6 @@ impl UopKind {
         let d = self as u8;
         (ALU_RR_BASE..ALU_RR_BASE + 16).contains(&d)
     }
-
-    /// Whether this is a register-immediate ALU kind.
-    #[must_use]
-    pub fn is_alu_ri(self) -> bool {
-        let d = self as u8;
-        (ALU_RI_BASE..ALU_RI_BASE + 16).contains(&d)
-    }
 }
 
 /// One pre-decoded micro-op: a dense kind plus resolved operand fields.

@@ -2,44 +2,9 @@
 //! counters (paper §4.1: "extending the BTB with 2 four-bit exercise
 //! counters, one for each edge").
 
+use px_isa::Edge;
+
 use crate::fault::SimError;
-
-/// One of a branch's two edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Edge {
-    /// The branch condition held and control went to the target.
-    Taken,
-    /// The branch fell through.
-    NotTaken,
-}
-
-impl Edge {
-    /// Edge from a dynamic outcome.
-    #[must_use]
-    pub fn from_taken(taken: bool) -> Edge {
-        if taken {
-            Edge::Taken
-        } else {
-            Edge::NotTaken
-        }
-    }
-
-    /// The other edge of the same branch.
-    #[must_use]
-    pub fn other(self) -> Edge {
-        match self {
-            Edge::Taken => Edge::NotTaken,
-            Edge::NotTaken => Edge::Taken,
-        }
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            Edge::Taken => 0,
-            Edge::NotTaken => 1,
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BtbEntry {
@@ -75,8 +40,6 @@ pub struct Btb {
     clock: u64,
     /// Current counter-reset epoch.
     epoch: u64,
-    /// Dynamic branches observed since the last counter reset.
-    since_reset: u64,
 }
 
 impl Btb {
@@ -113,7 +76,6 @@ impl Btb {
             set_bits: sets.trailing_zeros(),
             clock: 0,
             epoch: 0,
-            since_reset: 0,
         })
     }
 
@@ -135,7 +97,7 @@ impl Btb {
             .find(|e| e.valid && e.tag == tag)
             .map_or(0, |e| {
                 if e.epoch == self.epoch {
-                    e.counters[edge.idx()]
+                    e.counters[edge.slot()]
                 } else {
                     0
                 }
@@ -147,7 +109,6 @@ impl Btb {
     #[inline]
     pub fn exercise(&mut self, pc: u32, edge: Edge) {
         self.clock += 1;
-        self.since_reset += 1;
         let clock = self.clock;
         let epoch = self.epoch;
         let (set, tag) = self.index(pc);
@@ -161,7 +122,7 @@ impl Btb {
                 e.counters = [0, 0];
                 e.epoch = epoch;
             }
-            let c = &mut e.counters[edge.idx()];
+            let c = &mut e.counters[edge.slot()];
             *c = (*c + 1).min(COUNTER_MAX);
             return;
         }
@@ -180,14 +141,8 @@ impl Btb {
             counters: [0, 0],
             epoch,
         };
-        entry.counters[edge.idx()] = 1;
+        entry.counters[edge.slot()] = 1;
         set[victim] = entry;
-    }
-
-    /// Dynamic branch count since the last [`Btb::reset_counters`].
-    #[must_use]
-    pub fn exercises_since_reset(&self) -> u64 {
-        self.since_reset
     }
 
     /// Clears all exercise counters (the paper's periodic
@@ -198,7 +153,6 @@ impl Btb {
     /// replaced preserved them.
     pub fn reset_counters(&mut self) {
         self.epoch += 1;
-        self.since_reset = 0;
     }
 }
 
@@ -245,10 +199,8 @@ mod tests {
     fn reset_clears_counters() {
         let mut btb = Btb::new(16, 2);
         btb.exercise(7, Edge::Taken);
-        assert_eq!(btb.exercises_since_reset(), 1);
         btb.reset_counters();
         assert_eq!(btb.edge_count(7, Edge::Taken), 0);
-        assert_eq!(btb.exercises_since_reset(), 0);
     }
 
     #[test]

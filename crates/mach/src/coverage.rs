@@ -1,8 +1,8 @@
 //! Branch-edge coverage tracking — the paper's evaluation metric (§2, §6.3).
 
-use px_isa::Program;
+use px_isa::{Edge, Program};
 
-use crate::btb::Edge;
+use crate::bits;
 use crate::fault::SimError;
 
 /// Tracks which static branch edges have been executed.
@@ -32,24 +32,17 @@ impl Coverage {
     }
 
     /// Records execution of one edge of the branch at `pc`.
+    #[inline]
     pub fn record(&mut self, pc: u32, edge: Edge) {
-        let slot = match edge {
-            Edge::Taken => 0,
-            Edge::NotTaken => 1,
-        };
         if let Some(e) = self.edges.get_mut(pc as usize) {
-            e[slot] = true;
+            e[edge.slot()] = true;
         }
     }
 
     /// Whether a specific edge has been covered.
     #[must_use]
     pub fn covered(&self, pc: u32, edge: Edge) -> bool {
-        let slot = match edge {
-            Edge::Taken => 0,
-            Edge::NotTaken => 1,
-        };
-        self.edges.get(pc as usize).is_some_and(|e| e[slot])
+        self.edges.get(pc as usize).is_some_and(|e| e[edge.slot()])
     }
 
     /// Number of covered edges outside checker regions.
@@ -82,17 +75,7 @@ impl Coverage {
     /// Returns [`SimError::CoverageSizeMismatch`] — leaving `self`
     /// untouched — if the trackers were built for different code sizes.
     pub fn merge(&mut self, other: &Coverage) -> Result<(), SimError> {
-        if self.edges.len() != other.edges.len() {
-            return Err(SimError::CoverageSizeMismatch {
-                left: self.edges.len(),
-                right: other.edges.len(),
-            });
-        }
-        for (a, b) in self.edges.iter_mut().zip(&other.edges) {
-            a[0] |= b[0];
-            a[1] |= b[1];
-        }
-        Ok(())
+        bits::union(self.edges.as_flattened_mut(), other.edges.as_flattened(), 2)
     }
 
     /// Number of covered edges outside checker regions that are also in
@@ -164,13 +147,8 @@ impl Coverage {
                 'T'
             } else if total.covered(pc, edge) {
                 'N'
-            } else if feasible.is_some_and(|f| {
-                let slot = match edge {
-                    Edge::Taken => 0,
-                    Edge::NotTaken => 1,
-                };
-                !f.get(pc as usize).is_some_and(|e| e[slot])
-            }) {
+            } else if feasible.is_some_and(|f| !f.get(pc as usize).is_some_and(|e| e[edge.slot()]))
+            {
                 '-'
             } else {
                 '.'
@@ -206,19 +184,15 @@ impl Coverage {
         h
     }
 
-    /// Packs the edge bitmap into bytes — 2 bits per instruction (bit 0 =
-    /// taken seen, bit 1 = not-taken seen), four instructions per byte,
-    /// low bits first. The campaign journal stores coverage shards in this
-    /// form so a resumed run can rebuild and [`Coverage::merge`] them
-    /// exactly; [`Coverage::unpack_bits`] is the inverse.
+    /// Packs the edge bitmap into bytes — 2 bits per instruction (bit
+    /// `2·pc` = taken seen, bit `2·pc + 1` = not-taken seen), low bits
+    /// first: `PathCoverage`'s layout over the flattened pairs. The
+    /// campaign journal stores coverage shards in this form so a resumed
+    /// run can rebuild and [`Coverage::merge`] them exactly;
+    /// [`Coverage::unpack_bits`] is the inverse.
     #[must_use]
     pub fn pack_bits(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.edges.len().div_ceil(4)];
-        for (pc, e) in self.edges.iter().enumerate() {
-            let bits = u8::from(e[0]) | (u8::from(e[1]) << 1);
-            out[pc / 4] |= bits << ((pc % 4) * 2);
-        }
-        out
+        bits::pack(self.edges.as_flattened())
     }
 
     /// Rebuilds a tracker from [`Coverage::pack_bits`] output.
@@ -231,36 +205,9 @@ impl Coverage {
     /// `code_len`: only the canonical encoding decodes, so
     /// `pack_bits(unpack_bits(b)) == b`.
     pub fn unpack_bits(code_len: usize, bytes: &[u8]) -> Result<Coverage, SimError> {
-        if bytes.len() != code_len.div_ceil(4) {
-            return Err(SimError::CoverageSizeMismatch {
-                left: code_len,
-                right: bytes.len() * 4,
-            });
-        }
-        if let (Some(&last), tail @ 1..) = (bytes.last(), code_len % 4) {
-            if last >> (tail * 2) != 0 {
-                return Err(SimError::NonZeroPadding { last });
-            }
-        }
         let mut cov = Coverage::new(code_len);
-        for (pc, e) in cov.edges.iter_mut().enumerate() {
-            let bits = bytes[pc / 4] >> ((pc % 4) * 2);
-            e[0] = bits & 1 != 0;
-            e[1] = bits & 2 != 0;
-        }
+        bits::unpack(cov.edges.as_flattened_mut(), 2, bytes)?;
         Ok(cov)
-    }
-
-    /// Edges covered in `self` but not in `other` (what NT-paths added).
-    #[must_use]
-    pub fn newly_covered(&self, other: &Coverage, program: &Program) -> u32 {
-        self.edges
-            .iter()
-            .zip(&other.edges)
-            .enumerate()
-            .filter(|&(pc, _)| !program.in_checker_region(pc as u32))
-            .map(|(_, (a, b))| u32::from(a[0] && !b[0]) + u32::from(a[1] && !b[1]))
-            .sum()
     }
 }
 
@@ -307,10 +254,12 @@ mod tests {
         nt.record(0, Edge::Taken);
         nt.record(0, Edge::NotTaken);
         nt.record(1, Edge::Taken);
-        assert_eq!(nt.newly_covered(&taken, &p), 2);
         let mut merged = taken.clone();
         merged.merge(&nt).unwrap();
         assert_eq!(merged.covered_edges(&p), 3);
+        // The NT tracker's two edges beyond the taken path are the gain.
+        assert_eq!(merged.covered_edges(&p) - taken.covered_edges(&p), 2);
+        assert!(merged.covered(0, Edge::NotTaken) && merged.covered(1, Edge::Taken));
     }
 
     #[test]

@@ -122,12 +122,6 @@ impl IoState {
     pub fn output_string(&self) -> String {
         String::from_utf8_lossy(&self.output).into_owned()
     }
-
-    /// Bytes of input not yet consumed.
-    #[must_use]
-    pub fn remaining_input(&self) -> usize {
-        self.input.len() - self.pos
-    }
 }
 
 #[cfg(test)]

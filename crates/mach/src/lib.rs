@@ -34,6 +34,7 @@
 //! penalties and memory latency, all of which are modeled with the paper's
 //! own parameters. See `DESIGN.md` for the full substitution argument.
 
+mod bits;
 pub mod btb;
 pub mod cache;
 pub mod config;
@@ -50,7 +51,7 @@ pub mod runner;
 pub mod uexec;
 pub mod watch;
 
-pub use btb::{Btb, Edge, COUNTER_MAX};
+pub use btb::{Btb, COUNTER_MAX};
 pub use cache::{Access, Cache, Hierarchy, HierarchyStats, Lookup, COMMITTED};
 pub use config::{CacheConfig, CostModel, MachConfig};
 pub use core::{Checkpoint, CoreState, Regs};
@@ -62,7 +63,7 @@ pub use fault::{
 };
 pub use io::IoState;
 pub use memo::{
-    memo_fingerprint, MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoStop, MemoTable,
+    memo_fingerprint, MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoTable, NtStop,
     MEMO_MAX_READS, MEMO_MAX_STEPS, MEMO_RETRY_PERIOD, MEMO_STRIKE_LIMIT,
 };
 pub use memory::{CrashKind, MemView, Memory, Sandbox, SandboxView};

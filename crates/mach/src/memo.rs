@@ -70,22 +70,63 @@ pub const MEMO_STRIKE_LIMIT: u8 = 3;
 /// anyway, so a key whose live-ins stabilize later can re-enter the cache.
 pub const MEMO_RETRY_PERIOD: u32 = 64;
 
-/// Why a memoized NT path stopped. Mirrors the engine-level `NtStop`
-/// variants that are pure functions of the path itself; stops that depend
-/// on live machine state (sandbox overflow, budget exhaustion, forced
-/// commit) are never stored — replay recomputes those live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoStop {
+/// Why an NT-path terminated (paper §4.2(3), plus the implicit sandbox
+/// capacity limit of buffering in L1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NtStop {
     /// Executed `MaxNTPathLength` instructions.
     MaxLength,
-    /// Hit the per-cascade watchdog.
-    Watchdog,
-    /// Crashed inside the sandbox.
+    /// Crashed (exception swallowed, not delivered to the OS).
     Crash(CrashKind),
-    /// Reached an unsafe event (uncontainable syscall).
+    /// Reached an unsafe event — a system call the sandbox cannot contain.
     Unsafe(SyscallCode),
-    /// Reached the program's exit.
+    /// Reached the program's `exit` call.
     ProgramEnd,
+    /// A volatile line was displaced from L1: the sandbox overflowed.
+    SandboxOverflow,
+    /// CMP option only: squashed early because its sibling taken-path
+    /// segment was forced to commit (dirty-line displacement, paper §4.3).
+    ForcedCommit,
+    /// Still running when the program (or its budget) finished.
+    RunCutShort,
+    /// Squashed by the per-cascade watchdog (`nt_watchdog`): the path's
+    /// spawn cascade exceeded its wall-instruction budget. A belt-and-braces
+    /// bound on runaway NT work (fault injection makes this reachable).
+    Watchdog,
+}
+
+impl NtStop {
+    /// Coarse class used in histograms.
+    #[must_use]
+    pub fn class(&self) -> &'static str {
+        match self {
+            NtStop::MaxLength => "max-length",
+            NtStop::Crash(_) => "crash",
+            NtStop::Unsafe(_) => "unsafe",
+            NtStop::ProgramEnd => "program-end",
+            NtStop::SandboxOverflow => "sandbox-overflow",
+            NtStop::ForcedCommit => "forced-commit",
+            NtStop::RunCutShort => "cut-short",
+            NtStop::Watchdog => "watchdog",
+        }
+    }
+
+    /// Whether a path ending this way may be memoized: the stop must be a
+    /// pure function of the path itself. Sandbox overflow, forced commit
+    /// and cut-short depend on live machine state (cache contents, the
+    /// sibling schedule, the run budget), so paths ending that way are
+    /// never stored, and replay recomputes those stops live.
+    #[must_use]
+    pub fn memoizable(self) -> bool {
+        match self {
+            NtStop::MaxLength
+            | NtStop::Watchdog
+            | NtStop::Crash(_)
+            | NtStop::Unsafe(_)
+            | NtStop::ProgramEnd => true,
+            NtStop::SandboxOverflow | NtStop::ForcedCommit | NtStop::RunCutShort => false,
+        }
+    }
 }
 
 /// A coverage/monitor side effect of one recorded step.
@@ -121,10 +162,12 @@ pub enum MemoNote {
         /// Accessing pc.
         pc: u32,
     },
-    /// The path terminated on this step with a recorded stop reason. A stop
-    /// step files no trail entry and does not count toward the path-length
-    /// caps (matching the live engines, which break before either).
-    Stop(MemoStop),
+    /// The path terminated on this step with a stop reason the step
+    /// itself decides (always a [memoizable](NtStop::memoizable) one). A
+    /// stop step files no trail entry and does not count toward the
+    /// path-length caps (matching the live engines, which break before
+    /// either).
+    Stop(NtStop),
 }
 
 impl MemoNote {
@@ -150,9 +193,9 @@ impl MemoNote {
             StepEvent::UnsafeEvent {
                 code: SyscallCode::Exit,
             }
-            | StepEvent::Exit { .. } => MemoNote::Stop(MemoStop::ProgramEnd),
-            StepEvent::UnsafeEvent { code } => MemoNote::Stop(MemoStop::Unsafe(code)),
-            StepEvent::Crash { kind, .. } => MemoNote::Stop(MemoStop::Crash(kind)),
+            | StepEvent::Exit { .. } => MemoNote::Stop(NtStop::ProgramEnd),
+            StepEvent::UnsafeEvent { code } => MemoNote::Stop(NtStop::Unsafe(code)),
+            StepEvent::Crash { kind, .. } => MemoNote::Stop(NtStop::Crash(kind)),
             StepEvent::Syscall { .. } | StepEvent::None => MemoNote::None,
         }
     }
@@ -206,8 +249,8 @@ pub struct MemoEntry {
     /// Instructions the recording engine counted (advisory; replay counts
     /// live by its own engine's rules).
     pub executed: u32,
-    /// Stop reason as recorded.
-    pub stop: MemoStop,
+    /// Stop reason as recorded (always [memoizable](NtStop::memoizable)).
+    pub stop: NtStop,
 }
 
 /// Records one NT path's read set and effect bundle as it executes.
@@ -459,10 +502,12 @@ impl MemoRecorder {
         self.steps.push(step);
     }
 
-    /// Finish recording. Returns `None` if the recorder aborted.
+    /// Finish recording a path that ended with `stop`. Returns `None` —
+    /// nothing to store — if the recorder aborted over a cap or the stop
+    /// is not [memoizable](NtStop::memoizable).
     #[must_use]
-    pub fn finish(self, executed: u32, stop: MemoStop) -> Option<MemoEntry> {
-        if self.aborted {
+    pub fn finish(self, executed: u32, stop: NtStop) -> Option<MemoEntry> {
+        if self.aborted || !stop.memoizable() {
             return None;
         }
         Some(MemoEntry {
@@ -685,7 +730,7 @@ mod tests {
             mem_reads,
             steps: vec![MemoStep::Run { pc: 9, n: 3 }],
             executed: 3,
-            stop: MemoStop::MaxLength,
+            stop: NtStop::MaxLength,
         }
     }
 
@@ -810,11 +855,33 @@ mod tests {
             .expect("assembles");
         let dp = DecodedProgram::decode(&program);
         r.note_run(&dp, 0, 2, &regs);
-        let e = r.finish(2, MemoStop::MaxLength).expect("recorder live");
+        let e = r.finish(2, NtStop::MaxLength).expect("recorder live");
         // r3 and r4 recorded once each with pre-batch values; the second
         // op's r3 read is of a written register, not a live-in.
         assert_eq!(e.reg_reads, vec![(3, 30), (4, 40)]);
         assert_eq!(e.steps, vec![MemoStep::Run { pc: 0, n: 2 }]);
+    }
+
+    #[test]
+    fn stops_that_depend_on_live_state_are_never_stored() {
+        let watches = WatchTable::default();
+        let record = |stop| MemoRecorder::new(0, 1, &watches, false, 8).finish(3, stop);
+        for stop in [
+            NtStop::SandboxOverflow,
+            NtStop::ForcedCommit,
+            NtStop::RunCutShort,
+        ] {
+            assert!(!stop.memoizable() && record(stop).is_none(), "{stop:?}");
+        }
+        for stop in [
+            NtStop::MaxLength,
+            NtStop::Watchdog,
+            NtStop::Crash(CrashKind::DivByZero),
+            NtStop::Unsafe(SyscallCode::PutChar),
+            NtStop::ProgramEnd,
+        ] {
+            assert_eq!(record(stop).map(|e| e.stop), Some(stop));
+        }
     }
 
     #[test]
@@ -827,7 +894,7 @@ mod tests {
         r.read_mem(4096, 4, &sandbox, &mem);
         // 4098 was self-written: only 3 live-in bytes recorded, at the cap.
         assert!(r.live());
-        let e = r.finish(1, MemoStop::MaxLength).expect("at cap, not over");
+        let e = r.finish(1, NtStop::MaxLength).expect("at cap, not over");
         assert_eq!(
             e.mem_reads,
             vec![(4096, 0), (4097, 0), (4099, 0)],
@@ -837,7 +904,7 @@ mod tests {
         let mut r2 = MemoRecorder::new(0, 1, &watches, false, 3);
         r2.read_mem(4096, 8, &sandbox, &mem);
         assert!(!r2.live(), "over the read cap must abort");
-        assert!(r2.finish(1, MemoStop::MaxLength).is_none());
+        assert!(r2.finish(1, NtStop::MaxLength).is_none());
     }
 
     #[test]
@@ -852,7 +919,7 @@ mod tests {
         r.note_run(&dp, 3, 2, &regs);
         r.push_one(1, 9, None, MemoNote::None);
         r.note_run(&dp, 0, 2, &regs);
-        let e = r.finish(8, MemoStop::MaxLength).expect("live");
+        let e = r.finish(8, NtStop::MaxLength).expect("live");
         assert_eq!(
             e.steps,
             vec![

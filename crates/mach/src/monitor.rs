@@ -5,6 +5,8 @@
 
 use px_isa::CheckKind;
 
+use crate::memo::MemoNote;
+
 /// Where a record was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathKind {
@@ -64,6 +66,40 @@ impl MonitorArea {
     /// of the monitor memory area.
     pub fn push(&mut self, record: MonitorRecord) {
         self.records.push(record);
+    }
+
+    /// Files the record a checker or watch note produces, stamped at
+    /// `cycle` with provenance `path`; any other note files nothing. The
+    /// one note-to-record mapping for the baseline runner, both
+    /// PathExpander engines (live or replayed) and injected monitor
+    /// pressure.
+    #[inline]
+    pub fn file(&mut self, note: MemoNote, cycle: u64, path: PathKind) {
+        let (kind, site, pc) = match note {
+            MemoNote::Check { kind, site, pc } => (RecordKind::Check(kind), site, pc),
+            MemoNote::Watch {
+                tag,
+                addr,
+                is_write,
+                pc,
+            } => (
+                RecordKind::Watch {
+                    tag,
+                    addr,
+                    is_write,
+                },
+                tag,
+                pc,
+            ),
+            _ => return,
+        };
+        self.push(MonitorRecord {
+            kind,
+            site,
+            pc,
+            cycle,
+            path,
+        });
     }
 
     /// All records, in program order.

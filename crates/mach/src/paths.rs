@@ -34,6 +34,7 @@
 
 use px_util::fnv1a64;
 
+use crate::bits;
 use crate::fault::SimError;
 
 /// The automaton's root state: no block of any feasible path matched yet.
@@ -267,31 +268,17 @@ impl PathPlan {
 }
 
 /// Matcher state for one execution path (the taken path, or one NT-path):
-/// a state of its plan's automaton, meaningful only with that plan. An
-/// NT-path spawn copies the taken trail, so prime paths spanning the
-/// divergence point still match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// a state of its plan's automaton, meaningful only with that plan.
+/// `PathTrail::default()` is the root, with no partial match: a new trail,
+/// or one squashed by assigning it. An NT-path spawn copies the taken
+/// trail, so prime paths spanning the divergence point still match.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathTrail {
+    /// Automaton state; the derived default `0` is [`ROOT`].
     state: u32,
 }
 
 impl PathTrail {
-    /// A trail at the start of `plan`'s automaton. Allocates nothing.
-    #[must_use]
-    pub fn for_plan(_plan: &PathPlan) -> PathTrail {
-        PathTrail { state: ROOT }
-    }
-
-    /// Forgets every partial match (an NT-path squash).
-    pub fn reset(&mut self) {
-        self.state = ROOT;
-    }
-
-    /// Becomes a copy of `other` (an NT-path spawn).
-    pub fn copy_from(&mut self, other: &PathTrail) {
-        *self = *other;
-    }
-
     /// Records that control arrived at block `block`, crediting every
     /// feasible path that ends here to `cov`. A block outside the plan's
     /// universe is ignored.
@@ -409,29 +396,14 @@ impl PathCoverage {
                 right: other.set_digest,
             });
         }
-        if self.covered.len() != other.covered.len() {
-            return Err(SimError::CoverageSizeMismatch {
-                left: self.covered.len(),
-                right: other.covered.len(),
-            });
-        }
-        for (a, &b) in self.covered.iter_mut().zip(&other.covered) {
-            *a |= b;
-        }
-        Ok(())
+        bits::union(&mut self.covered, &other.covered, 1)
     }
 
     /// Packs the covered bitmap into bytes, one bit per path (low bits
     /// first) — the campaign journal's shard form.
     #[must_use]
     pub fn pack_bits(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.covered.len().div_ceil(8)];
-        for (i, &c) in self.covered.iter().enumerate() {
-            if c {
-                out[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out
+        bits::pack(&self.covered)
     }
 
     /// Rebuilds a tracker from [`PathCoverage::pack_bits`] output plus the
@@ -449,20 +421,8 @@ impl PathCoverage {
         n_paths: u32,
         bytes: &[u8],
     ) -> Result<PathCoverage, SimError> {
-        if bytes.len() != (n_paths as usize).div_ceil(8) {
-            return Err(SimError::CoverageSizeMismatch {
-                left: n_paths as usize,
-                right: bytes.len() * 8,
-            });
-        }
-        if let (Some(&last), tail @ 1..) = (bytes.last(), n_paths % 8) {
-            if last >> tail != 0 {
-                return Err(SimError::NonZeroPadding { last });
-            }
-        }
-        let covered = (0..n_paths as usize)
-            .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
-            .collect();
+        let mut covered = vec![false; n_paths as usize];
+        bits::unpack(&mut covered, 1, bytes)?;
         Ok(PathCoverage {
             set_digest,
             feasible_total,
@@ -638,7 +598,7 @@ mod tests {
             };
 
             let mut walkers = vec![Walker {
-                trail: PathTrail::for_plan(&plan),
+                trail: PathTrail::default(),
                 seen: Vec::new(),
                 at: 0,
             }];
@@ -657,17 +617,16 @@ mod tests {
                     }
                     6 => {
                         settle(&walkers[w].seen, &mut want);
-                        walkers[w].trail.reset();
+                        walkers[w].trail = PathTrail::default();
                         walkers[w].seen.clear();
                     }
                     7 | 8 if walkers.len() < 4 => {
                         let parent = &walkers[w];
                         let mut child = Walker {
-                            trail: PathTrail::for_plan(&plan),
+                            trail: parent.trail,
                             seen: parent.seen.clone(),
                             at: parent.at,
                         };
-                        child.trail.copy_from(&parent.trail);
                         let (to_child, to_parent) = (next(parent.at, 1), next(parent.at, 0));
                         child.enter(&plan, &mut cov, to_child);
                         walkers[w].enter(&plan, &mut cov, to_parent);
@@ -706,13 +665,12 @@ mod tests {
         assert_eq!(std::mem::size_of::<PathTrail>(), 4);
         let mut cov = plan.new_coverage();
         let mut want = vec![false; paths.len()];
-        let mut taken = PathTrail::for_plan(&plan);
+        let mut taken = PathTrail::default();
         let mut forks = 0;
         for i in 0..1_000_000u32 {
             taken.enter_block(&plan, &mut cov, 0);
             if i % 100 == 99 {
-                let mut nt = PathTrail::for_plan(&plan);
-                nt.copy_from(&taken);
+                let mut nt = taken;
                 nt.enter_block(&plan, &mut cov, 1);
                 nt.enter_block(&plan, &mut cov, 2);
                 for (w, o) in want.iter_mut().zip(oracle(&paths, &[0, 0, 1, 2])) {
@@ -733,10 +691,10 @@ mod tests {
     fn reset_squashes_windows_but_not_coverage() {
         let plan = plan_of(3, &[&[0, 1, 2]]);
         let mut cov = plan.new_coverage();
-        let mut trail = PathTrail::for_plan(&plan);
+        let mut trail = PathTrail::default();
         trail.enter_block(&plan, &mut cov, 0);
         trail.enter_block(&plan, &mut cov, 1);
-        trail.reset();
+        trail = PathTrail::default();
         trail.enter_block(&plan, &mut cov, 2);
         assert!(!cov.is_covered(0), "squash broke the match");
         trail.enter_block(&plan, &mut cov, 0);
@@ -749,12 +707,11 @@ mod tests {
     fn copy_from_lets_spawned_trails_match_across_the_divergence() {
         let plan = plan_of(4, &[&[0, 1, 2], &[0, 1, 3]]);
         let mut cov = plan.new_coverage();
-        let mut taken = PathTrail::for_plan(&plan);
+        let mut taken = PathTrail::default();
         taken.enter_block(&plan, &mut cov, 0);
         taken.enter_block(&plan, &mut cov, 1);
         // Spawn: NT inherits [0,1] then diverges to 3; taken goes to 2.
-        let mut nt = PathTrail::for_plan(&plan);
-        nt.copy_from(&taken);
+        let mut nt = taken;
         nt.enter_block(&plan, &mut cov, 3);
         taken.enter_block(&plan, &mut cov, 2);
         assert!(cov.is_covered(0), "taken side [0,1,2]");

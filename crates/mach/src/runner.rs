@@ -4,9 +4,9 @@
 //! core with full timing, coverage tracking and checker monitoring, but no
 //! NT-path exploration.
 
-use px_isa::{DecodedProgram, Program};
+use px_isa::{DecodedProgram, Edge, Program};
 
-use crate::btb::{Btb, Edge};
+use crate::btb::Btb;
 use crate::cache::{Hierarchy, COMMITTED};
 use crate::config::MachConfig;
 use crate::core::CoreState;
@@ -14,8 +14,9 @@ use crate::coverage::Coverage;
 use crate::exec::{StepEnv, StepEvent};
 use crate::fault::{FaultHook, SimError, MAX_MEM_BYTES};
 use crate::io::IoState;
+use crate::memo::MemoNote;
 use crate::memory::{CrashKind, Memory};
-use crate::monitor::{MonitorArea, MonitorRecord, PathKind, RecordKind};
+use crate::monitor::{MonitorArea, PathKind};
 use crate::paths::{PathCoverage, PathPlan, PathTrail};
 use crate::uexec::{run_simple, step_uop, uop_cost_table};
 use crate::watch::WatchTable;
@@ -158,7 +159,7 @@ pub fn run_baseline_with(
     let mut coverage = Coverage::for_program(program);
     let mut monitor = MonitorArea::new();
     let mut tracking: Option<(&PathPlan, PathTrail, PathCoverage)> =
-        plan.map(|p| (p, PathTrail::for_plan(p), p.new_coverage()));
+        plan.map(|p| (p, PathTrail::default(), p.new_coverage()));
     if let Some((p, trail, cov)) = &mut tracking {
         trail.enter_pc(p, cov, program.entry);
     }
@@ -209,29 +210,9 @@ pub fn run_baseline_with(
                 btb.exercise(pc, edge);
                 coverage.record(pc, edge);
             }
-            StepEvent::CheckFailed { kind, site, pc } => monitor.push(MonitorRecord {
-                kind: RecordKind::Check(kind),
-                site,
-                pc,
-                cycle: cycles,
-                path: PathKind::Taken,
-            }),
-            StepEvent::WatchHit {
-                tag,
-                addr,
-                is_write,
-                pc,
-            } => monitor.push(MonitorRecord {
-                kind: RecordKind::Watch {
-                    tag,
-                    addr,
-                    is_write,
-                },
-                site: tag,
-                pc,
-                cycle: cycles,
-                path: PathKind::Taken,
-            }),
+            StepEvent::CheckFailed { .. } | StepEvent::WatchHit { .. } => {
+                monitor.file(MemoNote::of(&s.event), cycles, PathKind::Taken);
+            }
             StepEvent::Exit { code } => break RunExit::Exited(code),
             StepEvent::Crash { kind, .. } => break RunExit::Crashed(kind),
             StepEvent::Syscall { .. } | StepEvent::None => {}

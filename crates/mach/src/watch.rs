@@ -93,14 +93,6 @@ impl WatchTable {
         self.logging = false;
     }
 
-    /// Discards the log, keeping all changes (leaving an NT-path is never a
-    /// commit in PathExpander, but the detectors use this for taken-path
-    /// scopes).
-    pub fn commit_log(&mut self) {
-        self.log.clear();
-        self.logging = false;
-    }
-
     /// Registers a watch on `[lo, lo+len)` with the given tag.
     pub fn set(&mut self, lo: u32, len: u32, tag: u32) {
         if len == 0 {
@@ -197,15 +189,5 @@ mod tests {
         assert_eq!(w.hit(0x100, 1), Some(1), "removed range restored");
         assert_eq!(w.hit(0x200, 1), None, "added range dropped");
         assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn commit_keeps_changes() {
-        let mut w = WatchTable::new();
-        w.begin_log();
-        w.set(0x100, 4, 1);
-        w.commit_log();
-        w.rollback(); // no-op: log is empty
-        assert_eq!(w.hit(0x100, 1), Some(1));
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! Runs on the in-tree `px_util` property harness (`px_prop!`).
 
-use px_isa::{Width, DATA_BASE};
+use px_isa::{Edge, Width, DATA_BASE};
 use px_mach::{
-    Btb, Cache, CacheConfig, Coverage, Edge, Hierarchy, MachConfig, MemView, Memory, Sandbox,
+    Btb, Cache, CacheConfig, Coverage, Hierarchy, MachConfig, MemView, Memory, Sandbox,
     SandboxView, WatchTable, COMMITTED,
 };
 use px_util::prop::{any_bool, any_i32, vec_of, Strategy};

@@ -152,12 +152,6 @@ impl HwSwComparison {
     pub fn orders_vs_cmp(&self) -> f64 {
         (self.soft_overhead / self.hw_cmp_overhead.max(0.01)).log10()
     }
-
-    /// log10 of software overhead over standard-configuration overhead.
-    #[must_use]
-    pub fn orders_vs_standard(&self) -> f64 {
-        (self.soft_overhead / self.hw_standard_overhead.max(1e-6)).log10()
-    }
 }
 
 /// Runs all three implementations on one program and input.

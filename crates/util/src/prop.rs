@@ -20,6 +20,10 @@ use crate::rng::{Rng, Xoshiro256, GOLDEN_GAMMA};
 /// The largest generation size; case sizes ramp from 1 up to this.
 pub const MAX_SIZE: u32 = 100;
 
+/// Cases per property when neither the block nor `PX_PROP_CASES` sets a
+/// count.
+pub const DEFAULT_CASES: u32 = 96;
+
 /// Harness configuration, overridable from the environment.
 #[derive(Debug, Clone)]
 pub struct PropConfig {
@@ -30,19 +34,53 @@ pub struct PropConfig {
 }
 
 impl PropConfig {
-    /// The default configuration with `PX_PROP_CASES` / `PX_PROP_SEED`
-    /// environment overrides applied.
+    /// `cases` cases at the default seed, with the `PX_PROP_CASES` /
+    /// `PX_PROP_SEED` environment overrides applied: a set
+    /// `PX_PROP_CASES` wins over `cases`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when either variable is
+    /// set but malformed.
     #[must_use]
-    pub fn from_env() -> PropConfig {
-        let cases = std::env::var("PX_PROP_CASES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(96);
-        let seed = std::env::var("PX_PROP_SEED")
-            .ok()
-            .and_then(|s| parse_seed(&s))
-            .unwrap_or(GOLDEN_GAMMA);
-        PropConfig { cases, seed }
+    pub fn from_env(cases: u32) -> PropConfig {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        PropConfig::from_vars(
+            cases,
+            var("PX_PROP_CASES").as_deref(),
+            var("PX_PROP_SEED").as_deref(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// `cases` cases at the default seed, overridden by the values of
+    /// `PX_PROP_CASES` (a positive decimal count; it wins over a block's
+    /// `cases = N;`) and `PX_PROP_SEED` (decimal or `0x` hex), each `None`
+    /// when unset.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable and its value when a set value does
+    /// not parse, so a typo never silently runs the default.
+    fn from_vars(
+        cases: u32,
+        cases_var: Option<&str>,
+        seed_var: Option<&str>,
+    ) -> Result<PropConfig, String> {
+        let cases = match cases_var {
+            None => cases,
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("PX_PROP_CASES={v:?} is not a positive integer"))?,
+        };
+        let seed = match seed_var {
+            None => GOLDEN_GAMMA,
+            Some(v) => parse_seed(v)
+                .ok_or_else(|| format!("PX_PROP_SEED={v:?} is not a decimal or 0x-hex u64"))?,
+        };
+        Ok(PropConfig { cases, seed })
     }
 }
 
@@ -401,15 +439,16 @@ fn shrink<S: Strategy>(
 /// }
 /// ```
 ///
-/// An optional leading `cases = N;` overrides the case count for every
-/// property in the block.
+/// An optional leading `cases = N;` sets the case count for every property
+/// in the block in place of [`DEFAULT_CASES`]; `PX_PROP_CASES`, when set,
+/// wins over both.
 #[macro_export]
 macro_rules! px_prop {
     (cases = $n:expr; $($rest:tt)*) => {
         $crate::__px_prop_items!($n; $($rest)*);
     };
     ($($rest:tt)*) => {
-        $crate::__px_prop_items!(0; $($rest)*);
+        $crate::__px_prop_items!($crate::prop::DEFAULT_CASES; $($rest)*);
     };
 }
 
@@ -421,11 +460,7 @@ macro_rules! __px_prop_items {
         $(#[$meta])*
         #[test]
         fn $name() {
-            let mut __cfg = $crate::prop::PropConfig::from_env();
-            #[allow(unused_comparisons)]
-            if $cases > 0 {
-                __cfg.cases = $cases;
-            }
+            let __cfg = $crate::prop::PropConfig::from_env($cases);
             $crate::prop::run_prop(
                 stringify!($name),
                 &__cfg,
@@ -465,6 +500,30 @@ mod tests {
         cases = 17;
         fn case_override_applies(_x in any_bool()) {
             // Counted via the seed determinism test below; body just runs.
+        }
+    }
+
+    #[test]
+    fn env_values_override_and_malformed_ones_are_rejected() {
+        let cfg = |cases, seed| PropConfig::from_vars(17, cases, seed);
+        let unset = cfg(None, None).unwrap();
+        assert_eq!((unset.cases, unset.seed), (17, GOLDEN_GAMMA));
+        let set = cfg(Some("5000"), Some("0x2a")).unwrap();
+        assert_eq!((set.cases, set.seed), (5000, 42));
+        assert_eq!(cfg(None, Some("42")).unwrap().seed, 42);
+        for bad in ["", "5k", "-1", "0", "0x10"] {
+            let e = cfg(Some(bad), None).unwrap_err();
+            assert!(
+                e.contains("PX_PROP_CASES") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
+        for bad in ["", "seed", "0xzz", "-3"] {
+            let e = cfg(None, Some(bad)).unwrap_err();
+            assert!(
+                e.contains("PX_PROP_SEED") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
         }
     }
 

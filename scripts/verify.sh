@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full offline verification gate — exactly what CI runs.
+# Full offline verification gate. CI runs this script and nothing else
+# (.github/workflows/ci.yml), so a gate is added or changed here only.
 #
 # The workspace is zero-dependency (every crate is an in-tree path crate),
 # so everything here must succeed with no network and no registry.

@@ -16,12 +16,12 @@
 //! the instruction budget.
 
 use pathexpander::{differential_run, Mode, PxConfig};
-use px_analyze::{Analysis, BranchEdge};
+use px_analyze::Analysis;
 use px_isa::{
-    AluOp, BranchCond, CheckKind, Instruction, Program, ProgramBuilder, Reg, SyscallCode, Width,
-    DATA_BASE,
+    AluOp, BranchCond, CheckKind, Edge, Instruction, Program, ProgramBuilder, Reg, SyscallCode,
+    Width, DATA_BASE,
 };
-use px_mach::{Edge, IoState, MachConfig};
+use px_mach::{IoState, MachConfig};
 use px_util::{Rng, Xoshiro256};
 
 /// Generates a terminating program with `n` instructions: random ALU work,
@@ -149,11 +149,8 @@ fn infeasible_edges_are_never_taken_dynamically() {
             report.violations
         );
         for pc in 0..program.code.len() as u32 {
-            for (edge, slot) in [
-                (BranchEdge::Taken, Edge::Taken),
-                (BranchEdge::NotTaken, Edge::NotTaken),
-            ] {
-                if r.taken_coverage.covered(pc, slot) {
+            for edge in Edge::ALL {
+                if r.taken_coverage.covered(pc, edge) {
                     assert!(
                         analysis.edge_feasible(pc, edge),
                         "case {case}: taken path covered pc {pc} {} but the \
@@ -240,11 +237,8 @@ fn zoo_infeasible_edges_are_never_taken_dynamically() {
                 report.violations
             );
             for pc in 0..compiled.program.code.len() as u32 {
-                for (edge, slot) in [
-                    (BranchEdge::Taken, Edge::Taken),
-                    (BranchEdge::NotTaken, Edge::NotTaken),
-                ] {
-                    if r.taken_coverage.covered(pc, slot) {
+                for edge in Edge::ALL {
+                    if r.taken_coverage.covered(pc, edge) {
                         assert!(
                             analysis.edge_feasible(pc, edge),
                             "{spec}/{}: taken path covered pc {pc} {} but the \
@@ -275,7 +269,7 @@ fn assert_lookup_unambiguous(spec: &str, set: &px_analyze::PrimePathSet) {
     let plan = pathexpander::plan_paths(set).expect("plan from enumeration");
     for (idx, path) in set.paths().iter().enumerate() {
         let mut cov = plan.new_coverage();
-        let mut trail = px_mach::PathTrail::for_plan(&plan);
+        let mut trail = px_mach::PathTrail::default();
         for &b in &path.blocks {
             trail.enter_block(&plan, &mut cov, b);
         }
