@@ -1,20 +1,20 @@
 //! Regenerates the hardware-vs-software implementation comparison
-//! (experiment E9, the paper's "3-4 orders of magnitude").
+//! (experiment E9, the paper's "3-4 orders of magnitude") from E8's
+//! overhead rows.
 
-use px_bench::experiments::overhead::hw_vs_sw;
 use px_bench::fmt::{pct, render_table};
 
 fn main() {
-    let rows = hw_vs_sw();
+    let rows = px_bench::overhead();
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
                 r.app.clone(),
-                pct(r.hw_standard),
-                pct(r.hw_cmp),
+                pct(r.standard),
+                pct(r.cmp),
                 format!("{:.0}x", r.software + 1.0),
-                format!("{:.1}", r.orders_vs_cmp),
+                format!("{:.1}", r.orders_vs_cmp()),
             ]
         })
         .collect();
@@ -32,6 +32,6 @@ fn main() {
             &cells
         )
     );
-    let avg: f64 = rows.iter().map(|r| r.orders_vs_cmp).sum::<f64>() / rows.len() as f64;
+    let avg: f64 = rows.iter().map(|r| r.orders_vs_cmp()).sum::<f64>() / rows.len() as f64;
     println!("Average separation: {avg:.1} orders of magnitude (paper: 3-4)");
 }

@@ -27,7 +27,7 @@ pub use zoo::{zoo_report, ZooReport, ZooRow};
 use pathexpander::{PxConfig, PxRunResult};
 use px_detect::Tool;
 use px_lang::CompiledProgram;
-use px_mach::{IoState, MachConfig};
+use px_mach::IoState;
 use px_workloads::Workload;
 
 /// The fixed seed used throughout the evaluation (all experiments are
@@ -54,14 +54,7 @@ pub(crate) fn run_px(
     tweak: impl FnOnce(PxConfig) -> PxConfig,
 ) -> PxRunResult {
     let px = tweak(w.px_config().with_max_instructions(BUDGET));
-    pathexpander::run(&compiled.program, &machine_for(&px), &px, io_for(w, seed))
-}
-
-pub(crate) fn machine_for(px: &PxConfig) -> MachConfig {
-    match px.mode {
-        pathexpander::Mode::Standard => MachConfig::single_core(),
-        pathexpander::Mode::Cmp => MachConfig::default(),
-    }
+    pathexpander::run(&compiled.program, &px.mode.machine(), &px, io_for(w, seed))
 }
 
 /// The tool a workload's overhead/latency runs use (its first listed tool).

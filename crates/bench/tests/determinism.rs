@@ -49,10 +49,7 @@ fn budget_truncated_rows_are_byte_identical_across_runs() {
         let tool = w.tools[0];
         let compiled = w.compile_for(tool).expect("workload compiles");
         let px = w.px_config().with_max_instructions(TIGHT);
-        let mach = match px.mode {
-            pathexpander::Mode::Standard => px_mach::MachConfig::single_core(),
-            pathexpander::Mode::Cmp => px_mach::MachConfig::default(),
-        };
+        let mach = px.mode.machine();
         let io = px_mach::IoState::new(w.general_input(12345), 12345);
         let r = pathexpander::run(&compiled.program, &mach, &px, io);
         if matches!(r.exit, px_mach::RunExit::BudgetExhausted) {

@@ -8,7 +8,7 @@ use px_bench::experiments::ablations::{
 use px_bench::experiments::coverage::{
     coverage_averages, coverage_cumulative, cumulative_improvement,
 };
-use px_bench::experiments::overhead::{hw_vs_sw, overhead_averages};
+use px_bench::experiments::overhead::overhead_averages;
 use px_bench::experiments::tables::{table4, table4_totals, table5, table5_averages};
 
 #[test]
@@ -128,8 +128,8 @@ fn cmp_overhead_below_9_9_percent() {
 
 #[test]
 fn software_implementation_3_to_4_orders_worse() {
-    let rows = hw_vs_sw();
-    let avg: f64 = rows.iter().map(|r| r.orders_vs_cmp).sum::<f64>() / rows.len() as f64;
+    let rows = px_bench::overhead();
+    let avg: f64 = rows.iter().map(|r| r.orders_vs_cmp()).sum::<f64>() / rows.len() as f64;
     assert!(
         (2.5..=5.0).contains(&avg),
         "software vs CMP hardware ≈ 3-4 orders of magnitude (paper), got {avg:.1}"

@@ -14,14 +14,14 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use pathexpander::{run_standard_memo, standard_memo_table, MemoTable, PxConfig};
 use px_detect::{classify, report, Tool};
 use px_isa::asm::assemble;
-use px_isa::{encode_program, DecodedProgram, Program};
+use px_isa::{DecodedProgram, Program};
 use px_mach::{run_baseline, IoState, MachConfig, PathPlan};
-use px_util::{fnv1a64, Rng, SplitMix64};
+use px_util::{Rng, SplitMix64};
 use px_workloads::zoo::{self, ZooSpec};
 use px_workloads::{CompiledProgram, Workload};
 
@@ -75,110 +75,86 @@ fn tool_at(local: u64) -> Tool {
     Tool::ALL[(local % Tool::ALL.len() as u64) as usize]
 }
 
-/// Process-wide decoded-program cache, keyed by the program's encoded-bytes
-/// digest. A zoo roster re-runs each family's program once per tool and the
-/// campaign pool re-runs it once per worker resume — decoding (selector
-/// splits, target validation, run-length measurement) is pure per program,
-/// so every case after the first reuses the same [`DecodedProgram`].
-///
-/// Keyed by content digest rather than family name so two specs that compile
-/// to identical bytes share an entry and a spec change can never alias a
-/// stale decode.
-fn decoded_cache(program: &Program) -> Arc<DecodedProgram> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<DecodedProgram>>>> = OnceLock::new();
-    let key = fnv1a64(
-        fnv1a64(0, &encode_program(&program.code)),
-        &program.entry.to_le_bytes(),
-    );
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("decoded-program cache poisoned");
-    Arc::clone(
-        map.entry(key)
-            .or_insert_with(|| Arc::new(DecodedProgram::decode(program))),
-    )
+/// Everything a zoo case needs that is pure per `(spec, tool)`: the
+/// generated workload, its compile for the tool, the decoded program and
+/// the prime-path plan (enumerating prime paths and proving their
+/// feasibility is the costliest set-up step, and every case of the program
+/// must match against the same automaton for shards to merge).
+struct ZooSubject {
+    /// `"{spec}/{tool}"`: the record's program key and the memo-table key.
+    key: String,
+    workload: Workload,
+    compiled: CompiledProgram,
+    decoded: DecodedProgram,
+    plan: Option<Arc<PathPlan>>,
 }
 
-/// Process-wide prime-path plan cache, keyed like [`decoded_cache`].
-/// Enumerating prime paths (and proving their feasibility) is pure per
-/// program, and the campaign pool replays each zoo program once per tool
-/// and worker — so the plan is built once and every case matches against
-/// the same automaton, which is what makes shards mergeable.
-fn path_plan_cache(program: &Program) -> Option<Arc<PathPlan>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Option<Arc<PathPlan>>>>> = OnceLock::new();
-    let key = fnv1a64(
-        fnv1a64(0, &encode_program(&program.code)),
-        &program.entry.to_le_bytes(),
-    );
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("path-plan cache poisoned");
-    map.entry(key)
-        .or_insert_with(|| {
-            let set = px_analyze::Analysis::of(program).prime_paths(program);
-            pathexpander::plan_paths(&set).ok().map(Arc::new)
-        })
-        .clone()
+/// The prime-path plan of `program`, or `None` when enumeration fails.
+fn prime_path_plan(program: &Program) -> Option<Arc<PathPlan>> {
+    let set = px_analyze::Analysis::of(program).prime_paths(program);
+    pathexpander::plan_paths(&set).ok().map(Arc::new)
 }
 
-/// Process-wide compiled-workload cache, keyed by the `(spec, tool)` pair
+/// Process-wide zoo-subject cache, keyed by the `(spec, tool)` pair
 /// [`run_zoo`] is asked to run. A `zoo:<spec>*K` manifest entry repeats the
 /// same spec across `K` input seeds, and a roster replays each family once
-/// per tool and per worker resume — but generating the workload and
-/// compiling it for a tool is pure per `(spec, tool)`, so every repetition
-/// after the first reuses the same artifacts instead of rebuilding them.
+/// per tool and per worker resume — every repetition after the first reuses
+/// the same subject instead of rebuilding it.
 ///
-/// The build runs *outside* the lock: a failing compile panics into the
-/// case's quarantine record without poisoning the cache for sibling
-/// workers. Two threads racing on a cold key both build; first insert wins.
-fn compiled_zoo(spec: &ZooSpec, tool: Tool) -> Arc<(Workload, CompiledProgram)> {
-    type Cache = Mutex<HashMap<String, Arc<(Workload, CompiledProgram)>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+/// Subjects are built one at a time, under the lock: prime-path
+/// enumeration's working set is a cold pass's peak memory, and two workers
+/// enumerating at once would hold two. A build that panics (a failing
+/// compile) inserts nothing, so the poisoned lock is recovered and the
+/// panic reaches only its own case's quarantine record.
+fn zoo_subject(spec: &ZooSpec, tool: Tool) -> Arc<ZooSubject> {
+    static CACHE: OnceLock<Mutex<HashMap<String, Arc<ZooSubject>>>> = OnceLock::new();
     let key = format!("{spec}/{}", tool.name());
-    if let Some(hit) = cache
+    let mut cache = CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
-        .expect("compiled-workload cache poisoned")
-        .get(&key)
-    {
-        return Arc::clone(hit);
-    }
-    let w = zoo::generate(spec);
-    let compiled = w
-        .compile_for(tool)
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", w.name, tool.name()));
-    Arc::clone(
-        cache
-            .lock()
-            .expect("compiled-workload cache poisoned")
-            .entry(key)
-            .or_insert_with(|| Arc::new((w, compiled))),
-    )
+        .unwrap_or_else(PoisonError::into_inner);
+    let subject = cache.entry(key).or_insert_with_key(|key| {
+        let workload = zoo::generate(spec);
+        let compiled = workload
+            .compile_for(tool)
+            .unwrap_or_else(|e| panic!("{} ({}): {e}", workload.name, tool.name()));
+        Arc::new(ZooSubject {
+            decoded: DecodedProgram::decode(&compiled.program),
+            plan: prime_path_plan(&compiled.program),
+            key: key.clone(),
+            workload,
+            compiled,
+        })
+    });
+    Arc::clone(subject)
 }
 
-/// Runs `f` against this worker's NT-path memo table for
-/// `(program, mach, px)`, creating the table on first use. `*K` repetitions
-/// of a zoo spec re-simulate the same not-taken excursions under every
-/// input seed; sharing the table across repetitions lets later cases replay
-/// them. Thread-local so workers never contend — and safe by construction:
-/// a replay is validated against the spawn's live-ins and is
-/// architecturally byte-identical to a cold simulation, so records stay
-/// pure regardless of which earlier cases warmed the table.
+/// Runs `f` against this worker's NT-path memo table for `subject`,
+/// creating the table on the worker's first case of the subject. `*K`
+/// repetitions of a zoo spec re-simulate the same not-taken excursions
+/// under every input seed; sharing the table across repetitions lets later
+/// cases replay them. Every case of a subject runs one program under one
+/// machine and memo-relevant configuration, and the engine still refuses a
+/// table whose fingerprint does not match. Thread-local so workers never
+/// contend — and safe by construction: a replay is validated against the
+/// spawn's live-ins and is architecturally byte-identical to a cold
+/// simulation, so records stay pure regardless of which earlier cases
+/// warmed the table.
 fn with_zoo_memo<R>(
-    program: &Program,
+    subject: &ZooSubject,
     mach: &MachConfig,
     px: &PxConfig,
     f: impl FnOnce(&mut MemoTable) -> R,
 ) -> R {
     thread_local! {
-        static TABLES: RefCell<HashMap<u64, MemoTable>> = RefCell::new(HashMap::new());
+        static TABLES: RefCell<HashMap<String, MemoTable>> = RefCell::new(HashMap::new());
     }
     TABLES.with(|tables| {
         let mut map = tables.borrow_mut();
-        let fresh = standard_memo_table(program, mach, px);
-        f(map.entry(fresh.fingerprint()).or_insert(fresh))
+        let table = map
+            .entry(subject.key.clone())
+            .or_insert_with(|| standard_memo_table(&subject.compiled.program, mach, px));
+        f(table)
     })
 }
 
@@ -228,18 +204,16 @@ fn run_zoo(
     tool: Tool,
     wd: &Watchdog,
 ) -> CaseRecord {
-    let shared = compiled_zoo(spec, tool);
-    let (w, compiled) = (&shared.0, &shared.1);
-    let plan = path_plan_cache(&compiled.program);
+    let subject = zoo_subject(spec, tool);
+    let (w, compiled) = (&subject.workload, &subject.compiled);
     let px = PxConfig::default()
         .with_max_nt_path_len(w.max_nt_path_len)
         .with_max_instructions(wd.clamp(ZOO_BUDGET))
-        .with_path_plan(plan);
+        .with_path_plan(subject.plan.clone());
     let io = IoState::new(w.general_input(input_seed), input_seed);
-    let dp = decoded_cache(&compiled.program);
     let mach = MachConfig::single_core();
-    let r = with_zoo_memo(&compiled.program, &mach, &px, |memo| {
-        run_standard_memo(&compiled.program, &dp, &mach, &px, io, memo)
+    let r = with_zoo_memo(&subject, &mach, &px, |memo| {
+        run_standard_memo(&compiled.program, &subject.decoded, &mach, &px, io, memo)
     });
 
     let all_lines: Vec<u32> = w.bugs.iter().map(|b| w.marker_line(&b.marker)).collect();
@@ -260,7 +234,7 @@ fn run_zoo(
         nt_paths: r.stats.spawns,
         detections: c.true_positive_lines.len() as u64,
         covered_edges: u64::from(r.total_coverage.covered_edges(&compiled.program)),
-        program_key: format!("{spec}/{}", tool.name()),
+        program_key: subject.key.clone(),
         code_len: compiled.program.code.len() as u64,
         cov_bits: r.total_coverage.pack_bits(),
         path_set: r.path_coverage.as_ref().map_or(0, |c| c.set_digest()),
@@ -480,26 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn decoded_cache_shares_byte_identical_programs() {
-        let src = r"
-            .code
-            main:
-                li r2, 0
-                exit
-            ";
-        let a = assemble(src).unwrap();
-        let b = assemble(src).unwrap();
-        let da = decoded_cache(&a);
-        let db = decoded_cache(&b);
-        assert!(Arc::ptr_eq(&da, &db), "same bytes must share one decode");
-        // A different entry point is a different program.
-        let mut c = assemble(src).unwrap();
-        c.entry = c.entry.wrapping_add(1);
-        let dc = decoded_cache(&c);
-        assert!(!Arc::ptr_eq(&da, &dc));
-    }
-
-    #[test]
     fn zoo_repetitions_share_compiled_artifacts() {
         let m = Manifest::parse("zoo:parser:3*2").unwrap();
         let (gen, _) = m.locate(0).unwrap();
@@ -507,13 +461,18 @@ mod tests {
             panic!("zoo manifest must locate to a zoo generator")
         };
         // Every `*K` repetition of the same (spec, tool) resolves to one
-        // generated-and-compiled workload.
-        let a = compiled_zoo(spec, tool_at(0));
-        let b = compiled_zoo(spec, tool_at(0));
-        assert!(Arc::ptr_eq(&a, &b), "repetitions must share one compile");
-        // A different tool compiles separately (markers differ per tool).
-        let c = compiled_zoo(spec, tool_at(1));
+        // generated-and-compiled workload, one decode and one plan.
+        let a = zoo_subject(spec, tool_at(0));
+        let b = zoo_subject(spec, tool_at(0));
+        assert!(Arc::ptr_eq(&a, &b), "repetitions must share one subject");
+        assert_eq!(a.decoded.len(), a.compiled.program.code.len());
+        let plan = a.plan.as_ref().expect("zoo programs enumerate prime paths");
+        assert!(Arc::ptr_eq(plan, b.plan.as_ref().unwrap()));
+        // A different tool compiles separately (markers differ per tool),
+        // so it decodes and plans its own program.
+        let c = zoo_subject(spec, tool_at(1));
         assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!Arc::ptr_eq(plan, c.plan.as_ref().unwrap()));
         // And the warmed caches never perturb records: the same case
         // renders byte-identically however hot the tables are.
         let cold = run_case(&m, &Watchdog::default_budget(), 0);
@@ -544,7 +503,7 @@ mod tests {
                 let px = PxConfig::default()
                     .with_max_nt_path_len(w.max_nt_path_len)
                     .with_max_instructions(wd.clamp(ZOO_BUDGET))
-                    .with_path_plan(path_plan_cache(&compiled.program))
+                    .with_path_plan(prime_path_plan(&compiled.program))
                     .with_nt_memo(false);
                 let seed = local / tools + 1;
                 let io = IoState::new(w.general_input(seed), seed);

@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use pathexpander::{Mode, PxConfig};
+use pathexpander::PxConfig;
 use px_detect::Tool;
 use px_lang::{CompileOptions, CompiledProgram};
 use px_mach::{IoState, MachConfig};
@@ -208,10 +208,7 @@ fn execute(
         }
         return Ok(exit_code(matches!(r.exit, px_mach::RunExit::Exited(0))));
     }
-    let mach = match opts.px.mode {
-        Mode::Standard => MachConfig::single_core(),
-        Mode::Cmp => MachConfig::default(),
-    };
+    let mach = opts.px.mode.machine();
     let px = opts.px.clone().with_path_plan(path_plan);
     let r = pathexpander::run_with(
         &compiled.program,

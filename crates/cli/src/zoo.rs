@@ -155,10 +155,7 @@ pub fn run(spec_str: &str, opts: &Options) -> Result<String, String> {
     if px.max_nt_path_len == pathexpander::PxConfig::default().max_nt_path_len {
         px.max_nt_path_len = w.max_nt_path_len;
     }
-    let mach = match px.mode {
-        Mode::Standard => MachConfig::single_core(),
-        Mode::Cmp => MachConfig::default(),
-    };
+    let mach = px.mode.machine();
     let engine = match px.mode {
         Mode::Standard => "standard",
         Mode::Cmp => "cmp",

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use px_mach::PathPlan;
+use px_mach::{MachConfig, PathPlan};
 
 /// Which PathExpander implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,6 +13,18 @@ pub enum Mode {
     /// CMP optimization (paper Figure 4(b)): NT-paths execute on idle cores
     /// concurrently with the taken path.
     Cmp,
+}
+
+impl Mode {
+    /// The machine this mode runs on: the standard configuration on a
+    /// single core, the CMP option on the default four-core CMP (Table 2).
+    #[must_use]
+    pub fn machine(self) -> MachConfig {
+        match self {
+            Mode::Standard => MachConfig::single_core(),
+            Mode::Cmp => MachConfig::default(),
+        }
+    }
 }
 
 /// PathExpander's tunable parameters. `PxConfig::default()` reproduces the

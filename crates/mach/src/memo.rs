@@ -583,10 +583,11 @@ impl MemoTable {
         self.fingerprint
     }
 
-    /// Total evictions (slot-level and variant-level).
+    /// Total evictions (slot-level and variant-level), the same number as
+    /// `counters.evictions`.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.map.evictions() + self.counters.evictions
+        self.counters.evictions
     }
 
     fn key(spawn_pc: u32, target: u32) -> u64 {
@@ -674,14 +675,14 @@ impl MemoTable {
             }
             slot.variants.push(variant);
         } else {
-            self.map.insert(
-                key,
-                MemoSlot {
-                    variants: vec![variant],
-                    strikes: 0,
-                    denied: 0,
-                },
-            );
+            let slot = MemoSlot {
+                variants: vec![variant],
+                strikes: 0,
+                denied: 0,
+            };
+            if self.map.insert(key, slot) {
+                self.counters.evictions += 1;
+            }
         }
     }
 
@@ -807,6 +808,24 @@ mod tests {
         );
         regs.set(Reg::new(5), 100);
         assert!(t.probe(4, 9, &watches, &regs, &mem).is_some());
+    }
+
+    #[test]
+    fn slot_evictions_are_counted_with_variant_evictions() {
+        // More distinct keys than slots: probe windows fill, and every key
+        // that finds its window full displaces another key's slot.
+        let mut t = MemoTable::new(1);
+        let keys = MEMO_SLOTS as u32 + 64;
+        for spawn_pc in 0..keys {
+            t.store(MemoEntry {
+                spawn_pc,
+                ..entry_with(Vec::new(), Vec::new())
+            });
+        }
+        let evicted = u64::from(keys) - t.map.len() as u64;
+        assert!(evicted >= 64, "a full table must evict");
+        assert_eq!(t.counters.evictions, evicted);
+        assert_eq!(t.evictions(), t.counters.evictions);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   *mutated* and *truncated* encoded streams (the PR-4 robustness
 //!   surface): whenever `decode_program` accepts the bytes, the decoded
 //!   program must execute identically under both interpreters;
-//! * **engine level** — all four engines (baseline, standard, CMP,
-//!   software) produce bit-identical architectural results on a program
+//! * **engine level** — all three engines (baseline, standard, CMP)
+//!   produce bit-identical architectural results on a program
 //!   and on its encode→decode round-trip, and the `*_decoded` entry
 //!   points match the decode-per-run `pathexpander::run`, across spawn
 //!   thresholds K∈{1,4,16}.
@@ -32,7 +32,6 @@ use px_mach::{
     run_baseline, run_simple, step_uop, uop_cost_table, CoreState, CostModel, IoState, MachConfig,
     Memory, StepEnv, StepEvent, WatchTable,
 };
-use px_soft::{run_soft, SoftConfig};
 use px_util::prop::{any_i32, any_u32, any_u8, just, vec_of, BoxedStrategy, Strategy};
 use px_util::{px_oneof, px_prop};
 use reference::step;
@@ -265,7 +264,7 @@ fn engine_px(k: u8) -> PxConfig {
         .with_max_nt_path_len(500)
 }
 
-/// Runs all four engines on `program` and `round` (its encode→decode
+/// Runs all three engines on `program` and `round` (its encode→decode
 /// round-trip) at spawn threshold `k`, asserting bit-identical architectural
 /// results — and that the `*_decoded` entry points match the decode-per-run
 /// ones on both.
@@ -319,14 +318,6 @@ fn engines_agree(program: &Program, round: &Program, input: &[u8], k: u8) {
             "cmp vs {name} (K={k})"
         );
     }
-
-    let w = run_soft(program, &px, &SoftConfig::default(), io());
-    let w2 = run_soft(round, &px, &SoftConfig::default(), io());
-    assert_eq!(
-        arch(program, &w.run),
-        arch(round, &w2.run),
-        "software round-trip (K={k})"
-    );
 }
 
 px_prop! {

@@ -79,7 +79,6 @@ pub struct FixedMap<V> {
     mask: u64,
     seed: u64,
     len: usize,
-    evictions: u64,
 }
 
 impl<V> FixedMap<V> {
@@ -93,7 +92,6 @@ impl<V> FixedMap<V> {
             mask: (cap - 1) as u64,
             seed,
             len: 0,
-            evictions: 0,
         }
     }
 
@@ -113,12 +111,6 @@ impl<V> FixedMap<V> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Entries displaced by inserts into full probe windows.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     fn home(&self, key: u64) -> usize {
@@ -149,11 +141,11 @@ impl<V> FixedMap<V> {
         None
     }
 
-    /// Insert `value` under `key`, returning a reference to the stored
-    /// value. Replaces an existing entry for the same key; otherwise takes
-    /// the first empty slot in the window, or displaces the least-used slot
-    /// (counted in [`FixedMap::evictions`]).
-    pub fn insert(&mut self, key: u64, value: V) -> &mut V {
+    /// Insert `value` under `key`. Replaces an existing entry for the same
+    /// key; otherwise takes the first empty slot in the window, or displaces
+    /// the least-used slot. Returns whether another key's entry was
+    /// displaced, so the owner can count evictions.
+    pub fn insert(&mut self, key: u64, value: V) -> bool {
         let home = self.home(key);
         let mut empty: Option<usize> = None;
         let mut victim = home;
@@ -165,7 +157,7 @@ impl<V> FixedMap<V> {
                     let s = self.slots[idx].as_mut().expect("slot just matched");
                     s.value = value;
                     s.uses += 1;
-                    return &mut s.value;
+                    return false;
                 }
                 Some(s) => {
                     if s.uses < victim_uses {
@@ -180,25 +172,22 @@ impl<V> FixedMap<V> {
                 }
             }
         }
-        let idx = match empty {
+        let (idx, evicted) = match empty {
             Some(idx) => {
                 self.len += 1;
-                idx
+                (idx, false)
             }
-            None => {
-                self.evictions += 1;
-                victim
-            }
+            None => (victim, true),
         };
         self.slots[idx] = Some(Slot {
             key,
             uses: 0,
             value,
         });
-        &mut self.slots[idx].as_mut().expect("slot just filled").value
+        evicted
     }
 
-    /// Drop every entry, keeping capacity and the eviction count.
+    /// Drop every entry, keeping capacity.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
             *s = None;
@@ -226,11 +215,10 @@ mod tests {
     #[test]
     fn insert_same_key_replaces() {
         let mut m: FixedMap<u32> = FixedMap::new(16, 7);
-        m.insert(5, 1);
-        m.insert(5, 2);
+        assert!(!m.insert(5, 1));
+        assert!(!m.insert(5, 2), "replacing a key evicts nothing");
         assert_eq!(m.len(), 1);
         assert_eq!(m.get_mut(5).copied(), Some(2));
-        assert_eq!(m.evictions(), 0);
     }
 
     #[test]
@@ -239,7 +227,7 @@ mod tests {
         // circular window, so window pressure is easy to stage.
         let mut m: FixedMap<u64> = FixedMap::new(PROBE_WINDOW, 99);
         for k in 0..PROBE_WINDOW as u64 {
-            m.insert(k, k);
+            assert!(!m.insert(k, k));
         }
         assert_eq!(m.len(), PROBE_WINDOW);
         // Touch every key except 3 so key 3 is the least-used victim.
@@ -248,8 +236,7 @@ mod tests {
                 assert!(m.get_mut(k).is_some());
             }
         }
-        m.insert(1000, 1000);
-        assert_eq!(m.evictions(), 1);
+        assert!(m.insert(1000, 1000), "a full window displaces an entry");
         assert_eq!(m.get_mut(1000).copied(), Some(1000));
         assert_eq!(m.get_mut(3), None, "least-used entry was displaced");
         for k in 0..PROBE_WINDOW as u64 {
@@ -263,13 +250,14 @@ mod tests {
     fn deterministic_across_clones_of_history() {
         let run = |seed: u64| {
             let mut m: FixedMap<u64> = FixedMap::new(32, seed);
+            let mut evictions = 0;
             for k in 0..100 {
-                m.insert(k * 3, k);
+                evictions += u64::from(m.insert(k * 3, k));
                 m.get_mut(k);
             }
             let mut alive: Vec<u64> = (0..100).filter(|k| m.get_mut(k * 3).is_some()).collect();
             alive.sort_unstable();
-            (alive, m.evictions())
+            (alive, evictions)
         };
         assert_eq!(run(42), run(42), "same seed, same history, same survivors");
     }

@@ -7,11 +7,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --offline"
-cargo build --release --offline
+# --locked: a Cargo.lock that no longer matches the manifests (a crate
+# added, removed or re-wired without committing the rewritten lock) fails
+# here instead of being silently regenerated.
+echo "==> cargo build --release --offline --locked"
+cargo build --release --offline --locked
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --offline --locked"
+cargo test -q --offline --locked
 
 echo "==> cargo fmt --check"
 cargo fmt --check

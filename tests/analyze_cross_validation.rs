@@ -21,7 +21,7 @@ use px_isa::{
     AluOp, BranchCond, CheckKind, Edge, Instruction, Program, ProgramBuilder, Reg, SyscallCode,
     Width, DATA_BASE,
 };
-use px_mach::{IoState, MachConfig};
+use px_mach::IoState;
 use px_util::{Rng, Xoshiro256};
 
 /// Generates a terminating program with `n` instructions: random ALU work,
@@ -122,13 +122,6 @@ fn config(mode: Mode) -> PxConfig {
     }
 }
 
-fn machine(mode: Mode) -> MachConfig {
-    match mode {
-        Mode::Standard => MachConfig::single_core(),
-        Mode::Cmp => MachConfig::default(),
-    }
-}
-
 #[test]
 fn infeasible_edges_are_never_taken_dynamically() {
     let mut rng = Xoshiro256::seeded(0xA11A_57A7);
@@ -138,7 +131,7 @@ fn infeasible_edges_are_never_taken_dynamically() {
         let analysis = Analysis::of(&program);
         let (r, report) = differential_run(
             &program,
-            &machine(Mode::Standard),
+            &Mode::Standard.machine(),
             &config(Mode::Standard),
             io(case),
             None,
@@ -172,11 +165,11 @@ fn static_filter_preserves_containment_and_taken_coverage() {
         let program = random_forward_program(&mut rng, n);
         for mode in [Mode::Standard, Mode::Cmp] {
             let (plain, _) =
-                differential_run(&program, &machine(mode), &config(mode), io(case), None);
+                differential_run(&program, &mode.machine(), &config(mode), io(case), None);
             for k in [1u32, 4, 16] {
                 let px = config(mode).with_static_nt_filter(Some(k));
                 let (filtered, report) =
-                    differential_run(&program, &machine(mode), &px, io(case), None);
+                    differential_run(&program, &mode.machine(), &px, io(case), None);
                 assert!(
                     report.is_contained(),
                     "case {case} k={k} {mode:?}: filter broke containment: {:?}",
@@ -225,7 +218,7 @@ fn zoo_infeasible_edges_are_never_taken_dynamically() {
             let analysis = Analysis::of(&compiled.program);
             let (r, report) = differential_run(
                 &compiled.program,
-                &machine(Mode::Standard),
+                &Mode::Standard.machine(),
                 &w.px_config(),
                 IoState::new(w.general_input(42), 42),
                 None,
@@ -324,7 +317,7 @@ fn prime_path_matching_is_unambiguous_and_feasibility_honest() {
         let plan = std::sync::Arc::new(pathexpander::plan_paths(&set).unwrap());
         for mode in [Mode::Standard, Mode::Cmp] {
             let px = config(mode).with_path_plan(Some(plan.clone()));
-            let (r, report) = differential_run(&program, &machine(mode), &px, io(case), None);
+            let (r, report) = differential_run(&program, &mode.machine(), &px, io(case), None);
             assert!(report.is_contained(), "{spec} {mode:?}: contained");
             let cov = r.path_coverage.as_ref().expect("plan attached");
             assert_covered_is_feasible(&format!("{spec} {mode:?}"), &set, cov);
@@ -346,14 +339,14 @@ fn baseline_prime_coverage_is_a_subset_of_px_coverage() {
         let plan = std::sync::Arc::new(pathexpander::plan_paths(&set).unwrap());
         let base = px_mach::run_baseline_with(
             &program,
-            &machine(Mode::Standard),
+            &Mode::Standard.machine(),
             io(case),
             500_000,
             None,
             Some(&plan),
         );
         let px = config(Mode::Standard).with_path_plan(Some(plan.clone()));
-        let (r, _) = differential_run(&program, &machine(Mode::Standard), &px, io(case), None);
+        let (r, _) = differential_run(&program, &Mode::Standard.machine(), &px, io(case), None);
         let base_cov = base.path_coverage.as_ref().expect("baseline shard");
         let px_cov = r.path_coverage.as_ref().expect("px shard");
         for (idx, &b) in base_cov.covered().iter().enumerate() {
@@ -378,7 +371,7 @@ fn zoo_prime_paths_are_unambiguous_and_feasibility_honest() {
             let px = w.px_config().with_path_plan(Some(plan.clone()));
             let (r, report) = differential_run(
                 &compiled.program,
-                &machine(Mode::Standard),
+                &Mode::Standard.machine(),
                 &px,
                 IoState::new(w.general_input(42), 42),
                 None,

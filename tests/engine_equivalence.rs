@@ -58,37 +58,6 @@ fn cmp_and_standard_find_the_same_workload_bugs() {
     }
 }
 
-#[test]
-fn software_and_hardware_standard_agree_everywhere() {
-    // The software implementation shares the exploration engine; its
-    // functional results must be identical, not merely similar.
-    for w in px_workloads::buggy().into_iter().take(4) {
-        let tool = w.tools[0];
-        let compiled = w.compile_for(tool).unwrap();
-        let io = || IoState::new(w.general_input(777), 777);
-        let hw = run(
-            &compiled.program,
-            &MachConfig::single_core(),
-            &w.px_config(),
-            io(),
-        );
-        let sw = px_soft::run_soft(
-            &compiled.program,
-            &w.px_config(),
-            &px_soft::SoftConfig::default(),
-            io(),
-        );
-        assert_eq!(hw.monitor.len(), sw.run.monitor.len(), "{}", w.name);
-        assert_eq!(hw.stats.spawns, sw.run.stats.spawns, "{}", w.name);
-        assert_eq!(
-            hw.io.output_string(),
-            sw.run.io.output_string(),
-            "{}",
-            w.name
-        );
-    }
-}
-
 /// A cross-shape sample of the generated zoo — small enough for tier-1,
 /// wide enough to hit every shape and both deep-loop variants.
 fn zoo_sample() -> Vec<px_workloads::Workload> {
@@ -108,8 +77,8 @@ fn zoo_engines_agree_on_taken_path_digests() {
     // The generated programs exercise the engines differently from the
     // hand-written workloads (dense dispatch chains, syscall-bounded
     // NT-paths), but the transparency contract is the same: the committed
-    // (taken-path) results must be identical under standard, CMP-with-ample-
-    // queue, and the software implementation.
+    // (taken-path) results must be identical under standard and
+    // CMP-with-ample-queue.
     for w in zoo_sample() {
         for &tool in &w.tools {
             let compiled = w.compile_for(tool).unwrap();
@@ -126,24 +95,10 @@ fn zoo_engines_agree_on_taken_path_digests() {
                 &w.px_config().cmp().with_max_outstanding(512),
                 io(),
             );
-            let sw = px_soft::run_soft(
-                &compiled.program,
-                &w.px_config(),
-                &px_soft::SoftConfig::default(),
-                io(),
-            );
-            let std_d = std_r.taken_path_digest(&compiled.program);
             assert_eq!(
-                std_d,
+                std_r.taken_path_digest(&compiled.program),
                 cmp_r.taken_path_digest(&compiled.program),
                 "{}/{}: standard and CMP taken-path digests",
-                w.name,
-                tool.name()
-            );
-            assert_eq!(
-                std_d,
-                sw.run.taken_path_digest(&compiled.program),
-                "{}/{}: standard and software taken-path digests",
                 w.name,
                 tool.name()
             );
