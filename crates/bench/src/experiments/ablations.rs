@@ -2,7 +2,6 @@
 
 use px_detect::Tool;
 use px_mach::{CacheConfig, MachConfig};
-use px_util::{Json, ToJson};
 use px_workloads::by_name;
 
 use super::{compile, io_for, run_px, BUDGET, SEED};
@@ -21,18 +20,6 @@ pub struct NtFromNtResult {
     pub crash_ratio_off: f64,
     /// Same, ablation on (the paper saw 5% → 16%).
     pub crash_ratio_on: f64,
-}
-
-impl ToJson for NtFromNtResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app", self.app.to_json()),
-            ("coverage_off", self.coverage_off.to_json()),
-            ("coverage_on", self.coverage_on.to_json()),
-            ("crash_ratio_off", self.crash_ratio_off.to_json()),
-            ("crash_ratio_on", self.crash_ratio_on.to_json()),
-        ])
-    }
 }
 
 /// Reproduces the paper's experiment: following non-taken edges from
@@ -79,17 +66,6 @@ pub struct SandboxPoint {
     pub mean_length: f64,
     /// PathExpander branch coverage at this capacity.
     pub coverage: f64,
-}
-
-impl ToJson for SandboxPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("capacity_bytes", self.capacity_bytes.to_json()),
-            ("overflow_ratio", self.overflow_ratio.to_json()),
-            ("mean_length", self.mean_length.to_json()),
-            ("coverage", self.coverage.to_json()),
-        ])
-    }
 }
 
 /// Sweeps the sandbox capacity from store-buffer-sized (256 B) up to the
@@ -147,16 +123,6 @@ pub struct FixStrategyResult {
     pub false_positives: usize,
     /// Seeded bugs detected.
     pub bugs: usize,
-}
-
-impl ToJson for FixStrategyResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("strategy", self.strategy.to_json()),
-            ("false_positives", self.false_positives.to_json()),
-            ("bugs", self.bugs.to_json()),
-        ])
-    }
 }
 
 /// Runs the fix-strategy ablation.
@@ -226,17 +192,6 @@ pub struct ExtensionResults {
     pub bc2_plain: bool,
     /// Whether it is detected with the §7.1(2) random spawn factor.
     pub bc2_random: bool,
-}
-
-impl ToJson for ExtensionResults {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("survival_plain", self.survival_plain.to_json()),
-            ("survival_os", self.survival_os.to_json()),
-            ("bc2_plain", self.bc2_plain.to_json()),
-            ("bc2_random", self.bc2_random.to_json()),
-        ])
-    }
 }
 
 /// Measures the §3.2 OS-sandbox and §7.1(2) random-factor extensions.

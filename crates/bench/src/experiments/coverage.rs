@@ -20,16 +20,6 @@ pub struct CoverageRow {
     pub pathexpander: f64,
 }
 
-impl ToJson for CoverageRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app", self.app.to_json()),
-            ("baseline", self.baseline.to_json()),
-            ("pathexpander", self.pathexpander.to_json()),
-        ])
-    }
-}
-
 /// One application's cumulative-coverage series over multiple inputs.
 #[derive(Debug, Clone)]
 pub struct CumulativeRow {

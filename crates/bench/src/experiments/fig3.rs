@@ -3,7 +3,6 @@
 
 use pathexpander::measure_latency;
 use px_detect::Tool;
-use px_util::{Json, ToJson};
 use px_workloads::by_name;
 
 use super::{io_for, BUDGET, SEED};
@@ -23,17 +22,6 @@ pub struct Fig3Panel {
     /// Fraction of NT-paths that executed the full 1000 instructions (or
     /// reached the end of the program).
     pub survived: f64,
-}
-
-impl ToJson for Fig3Panel {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app", self.app.to_json()),
-            ("spawned", self.spawned.to_json()),
-            ("points", self.points.to_json()),
-            ("survived", self.survived.to_json()),
-        ])
-    }
 }
 
 /// Inputs aggregated per application (the paper runs the full SPEC inputs;

@@ -3,7 +3,7 @@
 //! coverage and overhead.
 
 use px_mach::{run_baseline, MachConfig};
-use px_util::{par_map, Json, ToJson};
+use px_util::par_map;
 use px_workloads::{by_name, Workload};
 
 use super::{compile, io_for, primary_tool, run_px, BUDGET, SEED};
@@ -28,19 +28,6 @@ pub struct SweepPoint {
     pub overhead: f64,
     /// NT-paths spawned.
     pub spawns: u64,
-}
-
-impl ToJson for SweepPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app", self.app.to_json()),
-            ("param", self.param.to_json()),
-            ("value", self.value.to_json()),
-            ("coverage", self.coverage.to_json()),
-            ("overhead", self.overhead.to_json()),
-            ("spawns", self.spawns.to_json()),
-        ])
-    }
 }
 
 /// Runs all three parameter sweeps.

@@ -2,7 +2,6 @@
 
 use px_detect::{classify, report, Tool};
 use px_mach::run_baseline;
-use px_util::{Json, ToJson};
 use px_workloads::{buggy, by_name, Workload};
 
 use super::{compile, io_for, run_px, BUDGET, SEED};
@@ -18,17 +17,6 @@ pub struct Table3Row {
     pub bugs: usize,
     /// Detection tools.
     pub tools: String,
-}
-
-impl ToJson for Table3Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app", self.app.to_json()),
-            ("loc", self.loc.to_json()),
-            ("bugs", self.bugs.to_json()),
-            ("tools", self.tools.to_json()),
-        ])
-    }
 }
 
 /// Regenerates Table 3.
@@ -63,18 +51,6 @@ pub struct Table4Row {
     pub baseline: usize,
     /// Detected with PathExpander.
     pub pathexpander: usize,
-}
-
-impl ToJson for Table4Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tool", self.tool.to_json()),
-            ("app", self.app.to_json()),
-            ("tested", self.tested.to_json()),
-            ("baseline", self.baseline.to_json()),
-            ("pathexpander", self.pathexpander.to_json()),
-        ])
-    }
 }
 
 /// Regenerates Table 4 by actually running every (tool, application) pair
@@ -144,19 +120,6 @@ pub struct Table5Row {
     pub bugs_before: usize,
     /// Seeded bugs detected after fixing.
     pub bugs_after: usize,
-}
-
-impl ToJson for Table5Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tool", self.tool.to_json()),
-            ("app", self.app.to_json()),
-            ("fp_before", self.fp_before.to_json()),
-            ("fp_after", self.fp_after.to_json()),
-            ("bugs_before", self.bugs_before.to_json()),
-            ("bugs_after", self.bugs_after.to_json()),
-        ])
-    }
 }
 
 /// Regenerates Table 5: the memory-checked applications, with fixing off

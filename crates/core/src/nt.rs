@@ -662,7 +662,7 @@ impl<'a> Run<'a> {
             // A stop that depends on live machine state, or a recorder that
             // aborted over a cap, falls back to simulation for this shape
             // of path (`NtStop::memoizable`).
-            match rec.finish(ex.executed, stop) {
+            match rec.finish(stop) {
                 Some(entry) => t.store(entry),
                 None => t.bypass(),
             }

@@ -71,7 +71,6 @@ pub use monitor::{MonitorArea, MonitorRecord, PathKind, RecordKind};
 pub use paths::{PathCoverage, PathPlan, PathTrail};
 pub use runner::{load_program, run_baseline, run_baseline_with, RunExit, RunResult};
 pub use uexec::{
-    run_simple, simple_cost_until, simple_steps_until, step_uop, uop_cost_table, UopHandler,
-    UopProfile,
+    run_simple, simple_cost_until, simple_steps_until, step_uop, uop_cost_table, UopProfile,
 };
 pub use watch::{WatchRange, WatchTable};

@@ -246,9 +246,6 @@ pub struct MemoEntry {
     pub mem_reads: Vec<(u32, u8)>,
     /// The step-exact effect bundle.
     pub steps: Vec<MemoStep>,
-    /// Instructions the recording engine counted (advisory; replay counts
-    /// live by its own engine's rules).
-    pub executed: u32,
     /// Stop reason as recorded (always [memoizable](NtStop::memoizable)).
     pub stop: NtStop,
 }
@@ -352,15 +349,46 @@ impl MemoRecorder {
         }
     }
 
+    /// Notes the register reads and writes of a kind that only computes
+    /// registers: `Nop`, the ALU kinds and the predicated register fixes
+    /// (squashed ones touch no architectural state). Returns `false`,
+    /// noting nothing, for any other kind.
+    fn note_reg_op(&mut self, u: &MicroOp, regs: &Regs) -> bool {
+        let k = u.kind;
+        match k {
+            UopKind::Nop => {}
+            UopKind::PMovI | UopKind::PMov | UopKind::PAluI if !self.pred => {}
+            UopKind::PMovI => self.write_reg(u.a),
+            UopKind::PMov | UopKind::PAluI => {
+                self.read_reg(u.b, regs);
+                self.write_reg(u.a);
+            }
+            _ if in_kind_range(k, UopKind::AddRR, UopKind::SneRR) => {
+                self.read_reg(u.b, regs);
+                self.read_reg(u.c, regs);
+                self.write_reg(u.a);
+            }
+            _ if in_kind_range(k, UopKind::AddRI, UopKind::SneRI) => {
+                self.read_reg(u.b, regs);
+                self.write_reg(u.a);
+            }
+            _ => return false,
+        }
+        true
+    }
+
     /// Note the register reads/writes of one micro-op *before* it executes,
     /// and for loads that will succeed, the memory bytes it will read.
     pub fn note_uop(&mut self, u: &MicroOp, regs: &Regs, sandbox: &Sandbox, memory: &Memory) {
         if self.aborted {
             return;
         }
+        if self.note_reg_op(u, regs) {
+            return;
+        }
         let k = u.kind;
         match k {
-            UopKind::Nop | UopKind::ClearWatch | UopKind::Jump | UopKind::JumpBad => {}
+            UopKind::ClearWatch | UopKind::Jump | UopKind::JumpBad => {}
             UopKind::LoadByte | UopKind::LoadWord => {
                 self.read_reg(u.b, regs);
                 let addr = (regs.get(Reg::new(u.b)) as u32).wrapping_add(u.imm as u32);
@@ -394,22 +422,6 @@ impl MemoRecorder {
                 self.read_reg(u.a, regs);
                 self.read_reg(u.b, regs);
             }
-            UopKind::PMovI if self.pred => self.write_reg(u.a),
-            UopKind::PMov | UopKind::PAluI if self.pred => {
-                self.read_reg(u.b, regs);
-                self.write_reg(u.a);
-            }
-            // Squashed predicated ops touch no architectural state.
-            UopKind::PMovI | UopKind::PMov | UopKind::PAluI => {}
-            _ if in_kind_range(k, UopKind::AddRR, UopKind::SneRR) => {
-                self.read_reg(u.b, regs);
-                self.read_reg(u.c, regs);
-                self.write_reg(u.a);
-            }
-            _ if in_kind_range(k, UopKind::AddRI, UopKind::SneRI) => {
-                self.read_reg(u.b, regs);
-                self.write_reg(u.a);
-            }
             _ if in_kind_range(k, UopKind::BranchEq, UopKind::BranchGt) => {
                 self.read_reg(u.b, regs);
                 self.read_reg(u.c, regs);
@@ -431,36 +443,8 @@ impl MemoRecorder {
         for i in 0..n {
             let u = &ops[(pc + i) as usize];
             debug_assert!(u.is_simple(), "batched region must be simple");
-            match u.kind {
-                UopKind::Nop => {}
-                UopKind::PMovI => {
-                    if self.pred {
-                        self.write_reg(u.a);
-                    }
-                }
-                UopKind::PMov => {
-                    if self.pred {
-                        self.read_reg(u.b, regs);
-                        self.write_reg(u.a);
-                    }
-                }
-                UopKind::PAluI => {
-                    if self.pred {
-                        self.read_reg(u.b, regs);
-                        self.write_reg(u.a);
-                    }
-                }
-                k if in_kind_range(k, UopKind::AddRR, UopKind::SneRR) => {
-                    self.read_reg(u.b, regs);
-                    self.read_reg(u.c, regs);
-                    self.write_reg(u.a);
-                }
-                k if in_kind_range(k, UopKind::AddRI, UopKind::SneRI) => {
-                    self.read_reg(u.b, regs);
-                    self.write_reg(u.a);
-                }
-                _ => debug_assert!(false, "non-simple kind in simple region"),
-            }
+            let noted = self.note_reg_op(u, regs);
+            debug_assert!(noted, "non-simple kind in simple region");
         }
         // Why pre-batch regs are correct for every op in the walk: a
         // register is recorded only if neither read nor written yet, and an
@@ -506,7 +490,7 @@ impl MemoRecorder {
     /// nothing to store — if the recorder aborted over a cap or the stop
     /// is not [memoizable](NtStop::memoizable).
     #[must_use]
-    pub fn finish(self, executed: u32, stop: NtStop) -> Option<MemoEntry> {
+    pub fn finish(self, stop: NtStop) -> Option<MemoEntry> {
         if self.aborted || !stop.memoizable() {
             return None;
         }
@@ -517,7 +501,6 @@ impl MemoRecorder {
             reg_reads: self.reg_reads,
             mem_reads: self.mem_reads,
             steps: self.steps,
-            executed,
             stop,
         })
     }
@@ -730,7 +713,6 @@ mod tests {
             reg_reads,
             mem_reads,
             steps: vec![MemoStep::Run { pc: 9, n: 3 }],
-            executed: 3,
             stop: NtStop::MaxLength,
         }
     }
@@ -874,7 +856,7 @@ mod tests {
             .expect("assembles");
         let dp = DecodedProgram::decode(&program);
         r.note_run(&dp, 0, 2, &regs);
-        let e = r.finish(2, NtStop::MaxLength).expect("recorder live");
+        let e = r.finish(NtStop::MaxLength).expect("recorder live");
         // r3 and r4 recorded once each with pre-batch values; the second
         // op's r3 read is of a written register, not a live-in.
         assert_eq!(e.reg_reads, vec![(3, 30), (4, 40)]);
@@ -884,7 +866,7 @@ mod tests {
     #[test]
     fn stops_that_depend_on_live_state_are_never_stored() {
         let watches = WatchTable::default();
-        let record = |stop| MemoRecorder::new(0, 1, &watches, false, 8).finish(3, stop);
+        let record = |stop| MemoRecorder::new(0, 1, &watches, false, 8).finish(stop);
         for stop in [
             NtStop::SandboxOverflow,
             NtStop::ForcedCommit,
@@ -913,7 +895,7 @@ mod tests {
         r.read_mem(4096, 4, &sandbox, &mem);
         // 4098 was self-written: only 3 live-in bytes recorded, at the cap.
         assert!(r.live());
-        let e = r.finish(1, NtStop::MaxLength).expect("at cap, not over");
+        let e = r.finish(NtStop::MaxLength).expect("at cap, not over");
         assert_eq!(
             e.mem_reads,
             vec![(4096, 0), (4097, 0), (4099, 0)],
@@ -923,7 +905,7 @@ mod tests {
         let mut r2 = MemoRecorder::new(0, 1, &watches, false, 3);
         r2.read_mem(4096, 8, &sandbox, &mem);
         assert!(!r2.live(), "over the read cap must abort");
-        assert!(r2.finish(1, NtStop::MaxLength).is_none());
+        assert!(r2.finish(NtStop::MaxLength).is_none());
     }
 
     #[test]
@@ -938,7 +920,7 @@ mod tests {
         r.note_run(&dp, 3, 2, &regs);
         r.push_one(1, 9, None, MemoNote::None);
         r.note_run(&dp, 0, 2, &regs);
-        let e = r.finish(8, NtStop::MaxLength).expect("live");
+        let e = r.finish(NtStop::MaxLength).expect("live");
         assert_eq!(
             e.steps,
             vec![

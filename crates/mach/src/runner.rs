@@ -6,7 +6,6 @@
 
 use px_isa::{DecodedProgram, Edge, Program};
 
-use crate::btb::Btb;
 use crate::cache::{Hierarchy, COMMITTED};
 use crate::config::MachConfig;
 use crate::core::CoreState;
@@ -154,7 +153,6 @@ pub fn run_baseline_with(
     };
     let mut core = CoreState::at_entry(program.entry, memory.size());
     let mut caches = Hierarchy::new(cfg);
-    let mut btb = Btb::new(cfg.btb_entries, cfg.btb_assoc);
     let mut watches = WatchTable::new();
     let mut coverage = Coverage::for_program(program);
     let mut monitor = MonitorArea::new();
@@ -205,11 +203,7 @@ pub fn run_baseline_with(
             cycles += u64::from(a.cycles);
         }
         match s.event {
-            StepEvent::Branch { pc, taken, .. } => {
-                let edge = Edge::from_taken(taken);
-                btb.exercise(pc, edge);
-                coverage.record(pc, edge);
-            }
+            StepEvent::Branch { pc, taken, .. } => coverage.record(pc, Edge::from_taken(taken)),
             StepEvent::CheckFailed { .. } | StepEvent::WatchHit { .. } => {
                 monitor.file(MemoNote::of(&s.event), cycles, PathKind::Taken);
             }

@@ -1,23 +1,26 @@
 //! Micro-op execution: the simulator's instruction interpreter.
 //!
-//! [`step_uop`] executes one architectural step of one core: it dispatches
-//! a pre-decoded [`MicroOp`] through a table of monomorphized handler
-//! functions indexed by [`UopKind`]. Each handler is specialized to one
-//! kind: its ALU operation, branch condition, access width and base cost
-//! are compile-time constants, and statically validated control targets
-//! skip their range checks entirely (`UopKind::Jump` vs `UopKind::JumpBad`).
-//! The baseline runner, both PathExpander engines and the profiling run of
-//! fix refitting all step through it.
+//! [`step_uop`] executes one architectural step of one core: after the
+//! fault-injection prologue it dispatches a pre-decoded [`MicroOp`] through
+//! one `match` on its [`UopKind`]. Each arm names its ALU operation, branch
+//! condition, access width or system call as a literal and calls a small
+//! always-inlined helper per family, so every arm is specialized to its
+//! kind; statically validated control targets skip their range checks
+//! entirely (`UopKind::Jump` vs `UopKind::JumpBad`). The baseline runner,
+//! both PathExpander engines and the profiling run of fix refitting all step
+//! through it.
 //!
 //! [`run_simple`] is the batch fast path: it retires a run of *simple*
-//! micro-ops (see [`MicroOp::is_simple`]) in one tight loop, summing their
-//! base costs from a [`uop_cost_table`]. Simple runs raise no events, touch
-//! no memory, cannot crash and never read the cycle counter, so batching is
-//! observationally identical to stepping.
+//! micro-ops (see [`MicroOp::is_simple`]) in one tight loop through the same
+//! ALU and predicated-fix helpers, summing their base costs from a
+//! [`uop_cost_table`]. Simple runs raise no events, touch no memory, cannot
+//! crash and never read the cycle counter, so batching is observationally
+//! identical to stepping.
 //!
 //! `tests/uop_differential.rs` holds an independent byte-decode reference
 //! interpreter and checks that this module agrees with it on every program,
-//! including invalid ones, and that batching equals stepping.
+//! including invalid ones and under injected faults, and that batching
+//! equals stepping.
 
 use px_isa::{
     AluOp, BranchCond, DecodedProgram, MicroOp, Program, Reg, SyscallCode, UopKind, Width,
@@ -30,741 +33,203 @@ use crate::exec::{DataAccess, Step, StepEnv, StepEvent};
 use crate::fault::FaultAction;
 use crate::memory::{CrashKind, MemView};
 
-/// One micro-op handler: executes the op against the core/memory/environment
-/// and returns the step result. `deferred` is threaded through so crash
-/// results still carry cache-level faults back to the engine.
-pub type UopHandler<M> = fn(
-    &DecodedProgram,
-    MicroOp,
-    u32,
-    &mut CoreState,
-    &mut M,
-    &mut StepEnv<'_, '_>,
-    Option<FaultAction>,
-) -> Step;
+use self::Rhs::{Imm, Rs2};
 
-#[inline]
+#[inline(always)]
+fn step(event: StepEvent, base_cost: u32, access: Option<DataAccess>) -> Step {
+    Step {
+        event,
+        base_cost,
+        access,
+        deferred: None,
+    }
+}
+
+#[inline(always)]
+fn plain(base_cost: u32) -> Step {
+    step(StepEvent::None, base_cost, None)
+}
+
+#[inline(always)]
+fn crash(kind: CrashKind, pc: u32, base_cost: u32) -> Step {
+    step(StepEvent::Crash { kind, pc }, base_cost, None)
+}
+
+#[inline(always)]
 fn advance(core: &mut CoreState, pc: u32) {
     core.pc = pc.wrapping_add(1);
 }
 
-#[inline]
-fn plain(base_cost: u32, deferred: Option<FaultAction>) -> Step {
-    Step {
-        event: StepEvent::None,
-        base_cost,
-        access: None,
-        deferred,
+/// Ends a register-only step: the core advances, or — when the op divided
+/// by zero (`ok == false`) — the step crashes with the core untouched.
+#[inline(always)]
+fn retire(ok: bool, core: &mut CoreState, pc: u32, base_cost: u32) -> Step {
+    if ok {
+        advance(core, pc);
+        plain(base_cost)
+    } else {
+        crash(CrashKind::DivByZero, pc, base_cost)
     }
 }
 
-#[inline]
-fn crash(kind: CrashKind, pc: u32, base_cost: u32, deferred: Option<FaultAction>) -> Step {
-    Step {
-        event: StepEvent::Crash { kind, pc },
-        base_cost,
-        access: None,
-        deferred,
+/// The second ALU operand: register `rs2` (`*RR` kinds) or the immediate
+/// (`*RI` kinds and `PAluI`).
+#[derive(Clone, Copy)]
+enum Rhs {
+    Rs2,
+    Imm,
+}
+
+/// `rd := op(rs1, rhs)`. Returns `false`, leaving `rd` untouched, on a zero
+/// divisor — the only `None` of [`AluOp::eval`], so for every other `op`
+/// the check folds away.
+#[inline(always)]
+fn alu(core: &mut CoreState, u: MicroOp, op: AluOp, rhs: Rhs) -> bool {
+    let a = core.regs.get(Reg::new(u.b));
+    let b = match rhs {
+        Rs2 => core.regs.get(Reg::new(u.c)),
+        Imm => u.imm,
+    };
+    let Some(v) = op.eval(a, b) else {
+        return false;
+    };
+    core.regs.set(Reg::new(u.a), v);
+    true
+}
+
+/// The predicated register fixes (`PMovI`, `PMov`, `PAluI`): each writes its
+/// register only while the fix predicate is set. Returns `false` only when
+/// a `PAluI` divides by zero, with the register file untouched.
+#[inline(always)]
+fn pfix(core: &mut CoreState, u: MicroOp) -> bool {
+    if !core.pred {
+        return true;
     }
+    match u.kind {
+        UopKind::PMovI => core.regs.set(Reg::new(u.a), u.imm),
+        UopKind::PMov => core.regs.set(Reg::new(u.a), core.regs.get(Reg::new(u.b))),
+        UopKind::PAluI => return alu(core, u, u.palu_op(), Imm),
+        kind => unreachable!("{kind:?} is not a predicated fix"),
+    }
+    true
 }
 
-fn h_nop<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    _u: MicroOp,
-    pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    advance(core, pc);
-    plain(env.costs.alu, deferred)
+#[inline(always)]
+fn effective_addr(core: &CoreState, u: MicroOp) -> u32 {
+    (core.regs.get(Reg::new(u.b)) as u32).wrapping_add(u.imm as u32)
 }
 
-/// Total (never-crashing) register-register ALU handler.
-macro_rules! alu_rr_total {
-    ($name:ident, $op:ident, $cost:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            _mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            let a = core.regs.get(Reg::new(u.b));
-            let b = core.regs.get(Reg::new(u.c));
-            let Some(v) = AluOp::$op.eval(a, b) else {
-                unreachable!("{:?} is total", AluOp::$op)
-            };
-            core.regs.set(Reg::new(u.a), v);
-            advance(core, pc);
-            plain(env.costs.$cost, deferred)
-        }
-    };
-}
-
-/// Register-register divide/remainder: crashes on a runtime zero divisor.
-macro_rules! alu_rr_div {
-    ($name:ident, $op:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            _mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            let a = core.regs.get(Reg::new(u.b));
-            let b = core.regs.get(Reg::new(u.c));
-            match AluOp::$op.eval(a, b) {
-                Some(v) => {
-                    core.regs.set(Reg::new(u.a), v);
-                    advance(core, pc);
-                    plain(env.costs.div, deferred)
-                }
-                None => crash(CrashKind::DivByZero, pc, env.costs.div, deferred),
-            }
-        }
-    };
-}
-
-/// Total register-immediate ALU handler.
-macro_rules! alu_ri_total {
-    ($name:ident, $op:ident, $cost:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            _mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            let a = core.regs.get(Reg::new(u.b));
-            let Some(v) = AluOp::$op.eval(a, u.imm) else {
-                unreachable!("{:?} is total", AluOp::$op)
-            };
-            core.regs.set(Reg::new(u.a), v);
-            advance(core, pc);
-            plain(env.costs.$cost, deferred)
-        }
-    };
-}
-
-/// Register-immediate divide/remainder: crashes iff the immediate is zero
-/// (statically known, but the handler still checks — `DecodedProgram` marks
-/// such ops non-simple rather than unrepresentable).
-macro_rules! alu_ri_div {
-    ($name:ident, $op:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            _mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            let a = core.regs.get(Reg::new(u.b));
-            match AluOp::$op.eval(a, u.imm) {
-                Some(v) => {
-                    core.regs.set(Reg::new(u.a), v);
-                    advance(core, pc);
-                    plain(env.costs.div, deferred)
-                }
-                None => crash(CrashKind::DivByZero, pc, env.costs.div, deferred),
-            }
-        }
-    };
-}
-
-alu_rr_total!(h_add_rr, Add, alu);
-alu_rr_total!(h_sub_rr, Sub, alu);
-alu_rr_total!(h_mul_rr, Mul, mul);
-alu_rr_div!(h_div_rr, Div);
-alu_rr_div!(h_rem_rr, Rem);
-alu_rr_total!(h_and_rr, And, alu);
-alu_rr_total!(h_or_rr, Or, alu);
-alu_rr_total!(h_xor_rr, Xor, alu);
-alu_rr_total!(h_shl_rr, Shl, alu);
-alu_rr_total!(h_shr_rr, Shr, alu);
-alu_rr_total!(h_sar_rr, Sar, alu);
-alu_rr_total!(h_slt_rr, Slt, alu);
-alu_rr_total!(h_sltu_rr, Sltu, alu);
-alu_rr_total!(h_sle_rr, Sle, alu);
-alu_rr_total!(h_seq_rr, Seq, alu);
-alu_rr_total!(h_sne_rr, Sne, alu);
-
-alu_ri_total!(h_add_ri, Add, alu);
-alu_ri_total!(h_sub_ri, Sub, alu);
-alu_ri_total!(h_mul_ri, Mul, mul);
-alu_ri_div!(h_div_ri, Div);
-alu_ri_div!(h_rem_ri, Rem);
-alu_ri_total!(h_and_ri, And, alu);
-alu_ri_total!(h_or_ri, Or, alu);
-alu_ri_total!(h_xor_ri, Xor, alu);
-alu_ri_total!(h_shl_ri, Shl, alu);
-alu_ri_total!(h_shr_ri, Shr, alu);
-alu_ri_total!(h_sar_ri, Sar, alu);
-alu_ri_total!(h_slt_ri, Slt, alu);
-alu_ri_total!(h_sltu_ri, Sltu, alu);
-alu_ri_total!(h_sle_ri, Sle, alu);
-alu_ri_total!(h_seq_ri, Seq, alu);
-alu_ri_total!(h_sne_ri, Sne, alu);
-
-/// Load handler, width pre-selected.
-macro_rules! load_handler {
-    ($name:ident, $width:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            let addr = (core.regs.get(Reg::new(u.b)) as u32).wrapping_add(u.imm as u32);
-            match mem.load(addr, Width::$width) {
-                Ok(v) => {
-                    core.regs.set(Reg::new(u.a), v);
-                    let mut base_cost = env.costs.alu;
-                    let mut event = StepEvent::None;
-                    if let Some(tag) = env.watches.hit(addr, Width::$width.bytes()) {
-                        base_cost += env.costs.watch_hit;
-                        event = StepEvent::WatchHit {
-                            tag,
-                            addr,
-                            is_write: false,
-                            pc,
-                        };
-                    }
-                    advance(core, pc);
-                    Step {
-                        event,
-                        base_cost,
-                        access: Some(DataAccess { addr, write: false }),
-                        deferred,
-                    }
-                }
-                Err(kind) => crash(kind, pc, env.costs.alu, deferred),
-            }
-        }
-    };
-}
-
-/// Store handler, width pre-selected.
-macro_rules! store_handler {
-    ($name:ident, $width:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            let addr = (core.regs.get(Reg::new(u.b)) as u32).wrapping_add(u.imm as u32);
-            match mem.store(addr, core.regs.get(Reg::new(u.a)), Width::$width) {
-                Ok(()) => {
-                    let mut base_cost = env.costs.alu;
-                    let mut event = StepEvent::None;
-                    if let Some(tag) = env.watches.hit(addr, Width::$width.bytes()) {
-                        base_cost += env.costs.watch_hit;
-                        event = StepEvent::WatchHit {
-                            tag,
-                            addr,
-                            is_write: true,
-                            pc,
-                        };
-                    }
-                    advance(core, pc);
-                    Step {
-                        event,
-                        base_cost,
-                        access: Some(DataAccess { addr, write: true }),
-                        deferred,
-                    }
-                }
-                Err(kind) => crash(kind, pc, env.costs.alu, deferred),
-            }
-        }
-    };
-}
-
-load_handler!(h_load_byte, Byte);
-load_handler!(h_load_word, Word);
-store_handler!(h_store_byte, Byte);
-store_handler!(h_store_word, Word);
-
-/// Conditional branch handler, condition pre-selected. The taken target was
-/// validated at decode time: only micro-ops carrying [`MicroOp::BR_BAD_TARGET`]
-/// pay a range check, and then only to crash.
-macro_rules! branch_handler {
-    ($name:ident, $cond:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            _mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            let a = core.regs.get(Reg::new(u.b));
-            let b = core.regs.get(Reg::new(u.c));
-            let taken = BranchCond::$cond.eval(a, b);
-            let not_taken_target = pc + 1;
-            if taken {
-                if u.a & MicroOp::BR_BAD_TARGET != 0 {
-                    return crash(
-                        CrashKind::BadPc { pc: u.ext },
-                        pc,
-                        env.costs.control,
-                        deferred,
-                    );
-                }
-                core.pc = u.ext;
-            } else {
-                core.pc = not_taken_target;
-            }
-            core.pred = false;
-            Step {
-                event: StepEvent::Branch {
-                    pc,
-                    taken,
-                    taken_target: u.ext,
-                    not_taken_target,
-                    operands: (a, b),
-                },
-                base_cost: env.costs.control,
-                access: None,
-                deferred,
-            }
-        }
-    };
-}
-
-branch_handler!(h_branch_eq, Eq);
-branch_handler!(h_branch_ne, Ne);
-branch_handler!(h_branch_lt, Lt);
-branch_handler!(h_branch_ge, Ge);
-branch_handler!(h_branch_le, Le);
-branch_handler!(h_branch_gt, Gt);
-
-fn h_jump<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    _pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    core.pc = u.ext;
-    core.pred = false;
-    plain(env.costs.control, deferred)
-}
-
-fn h_jump_bad<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    pc: u32,
-    _core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    crash(
-        CrashKind::BadPc { pc: u.ext },
-        pc,
-        env.costs.control,
-        deferred,
-    )
-}
-
-fn h_call<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
+/// A load (`rd := mem[rs1 + imm]`) or, when `write`, a store
+/// (`mem[rs1 + imm] := rs`) of `width`, reporting a hit on a watched range.
+#[inline(always)]
+fn access<M: MemView + ?Sized>(
+    width: Width,
+    write: bool,
     u: MicroOp,
     pc: u32,
     core: &mut CoreState,
-    _mem: &mut M,
+    mem: &mut M,
     env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
 ) -> Step {
-    core.regs.set(Reg::RA, (pc + 1) as i32);
-    core.pc = u.ext;
-    core.pred = false;
-    plain(env.costs.control, deferred)
-}
-
-fn h_call_bad<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    pc: u32,
-    _core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    // The target check precedes the RA write in the reference interpreter:
-    // a bad call leaves the register file untouched.
-    crash(
-        CrashKind::BadPc { pc: u.ext },
-        pc,
-        env.costs.control,
-        deferred,
-    )
-}
-
-fn h_ret<M: MemView + ?Sized>(
-    dp: &DecodedProgram,
-    _u: MicroOp,
-    pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    let target = core.regs.get(Reg::RA) as u32;
-    if (target as usize) >= dp.len() {
-        return crash(
-            CrashKind::BadPc { pc: target },
+    let addr = effective_addr(core, u);
+    let done = if write {
+        mem.store(addr, core.regs.get(Reg::new(u.a)), width)
+    } else {
+        mem.load(addr, width)
+            .map(|v| core.regs.set(Reg::new(u.a), v))
+    };
+    if let Err(kind) = done {
+        return crash(kind, pc, env.costs.alu);
+    }
+    let mut base_cost = env.costs.alu;
+    let mut event = StepEvent::None;
+    if let Some(tag) = env.watches.hit(addr, width.bytes()) {
+        base_cost += env.costs.watch_hit;
+        event = StepEvent::WatchHit {
+            tag,
+            addr,
+            is_write: write,
             pc,
-            env.costs.control,
-            deferred,
-        );
-    }
-    core.pc = target;
-    core.pred = false;
-    plain(env.costs.control, deferred)
-}
-
-fn h_sys_exit<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    _u: MicroOp,
-    _pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    if env.suppress_syscalls {
-        return Step {
-            event: StepEvent::UnsafeEvent {
-                code: SyscallCode::Exit,
-            },
-            base_cost: env.costs.control,
-            access: None,
-            deferred,
         };
     }
-    Step {
-        event: StepEvent::Exit {
-            code: core.regs.get(Reg::A0),
-        },
-        base_cost: env.costs.syscall,
-        access: None,
-        deferred,
-    }
-}
-
-/// Non-exit system call handler, code pre-selected. Suppression (NT-path
-/// execution) reports the unsafe event with the core untouched.
-macro_rules! sys_handler {
-    ($name:ident, $code:ident, |$core:ident, $env:ident| $body:expr) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            _u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            _mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            if env.suppress_syscalls {
-                return Step {
-                    event: StepEvent::UnsafeEvent {
-                        code: SyscallCode::$code,
-                    },
-                    base_cost: env.costs.control,
-                    access: None,
-                    deferred,
-                };
-            }
-            {
-                let $core = &mut *core;
-                let $env = &mut *env;
-                $body;
-            }
-            advance(core, pc);
-            Step {
-                event: StepEvent::Syscall {
-                    code: SyscallCode::$code,
-                },
-                base_cost: env.costs.syscall,
-                access: None,
-                deferred,
-            }
-        }
-    };
-}
-
-sys_handler!(h_sys_putc, PutChar, |core, env| env
-    .io
-    .put_char(core.regs.get(Reg::A0) as u8));
-sys_handler!(h_sys_getc, GetChar, |core, env| {
-    let v = env.io.get_char();
-    core.regs.set(Reg::RV, v);
-});
-sys_handler!(h_sys_printi, PrintInt, |core, env| env
-    .io
-    .print_int(core.regs.get(Reg::A0)));
-sys_handler!(h_sys_readi, ReadInt, |core, env| {
-    let v = env.io.read_int();
-    core.regs.set(Reg::RV, v);
-});
-sys_handler!(h_sys_rand, Rand, |core, env| {
-    let v = env.io.rand();
-    core.regs.set(Reg::RV, v);
-});
-sys_handler!(h_sys_time, Time, |core, env| {
-    core.regs
-        .set(Reg::RV, (env.now_cycles & 0x7FFF_FFFF) as i32);
-});
-
-fn h_check<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    let event = if core.regs.get(Reg::new(u.b)) == 0 {
-        StepEvent::CheckFailed {
-            kind: u.check_kind(),
-            site: u.ext,
-            pc,
-        }
-    } else {
-        StepEvent::None
-    };
     advance(core, pc);
-    Step {
-        event,
-        base_cost: env.costs.check,
-        access: None,
-        deferred,
-    }
+    step(event, base_cost, Some(DataAccess { addr, write }))
 }
 
-fn h_set_watch<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
+/// A predicated store: a store of `width` while the fix predicate is set
+/// (watch ranges are not consulted), a no-op otherwise.
+#[inline(always)]
+fn pstore<M: MemView + ?Sized>(
+    width: Width,
     u: MicroOp,
     pc: u32,
     core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    let lo = core.regs.get(Reg::new(u.a)) as u32;
-    let len = core.regs.get(Reg::new(u.b)).max(0) as u32;
-    env.watches.set(lo, len, u.ext);
-    advance(core, pc);
-    plain(env.costs.watch_op, deferred)
-}
-
-fn h_clear_watch<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    env.watches.clear(u.ext);
-    advance(core, pc);
-    plain(env.costs.watch_op, deferred)
-}
-
-fn h_pmovi<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    if core.pred {
-        core.regs.set(Reg::new(u.a), u.imm);
-    }
-    advance(core, pc);
-    plain(env.costs.alu, deferred)
-}
-
-fn h_pmov<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
-) -> Step {
-    if core.pred {
-        let v = core.regs.get(Reg::new(u.b));
-        core.regs.set(Reg::new(u.a), v);
-    }
-    advance(core, pc);
-    plain(env.costs.alu, deferred)
-}
-
-fn h_palui<M: MemView + ?Sized>(
-    _dp: &DecodedProgram,
-    u: MicroOp,
-    pc: u32,
-    core: &mut CoreState,
-    _mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
-    deferred: Option<FaultAction>,
+    mem: &mut M,
+    costs: &CostModel,
 ) -> Step {
     if !core.pred {
         advance(core, pc);
-        return plain(env.costs.alu, deferred);
+        return plain(costs.alu);
     }
-    let op = u.palu_op();
-    let base_cost = alu_cost(op, env.costs);
-    let a = core.regs.get(Reg::new(u.b));
-    match op.eval(a, u.imm) {
-        Some(v) => {
-            core.regs.set(Reg::new(u.a), v);
-            advance(core, pc);
-            plain(base_cost, deferred)
-        }
-        None => crash(CrashKind::DivByZero, pc, base_cost, deferred),
+    let addr = effective_addr(core, u);
+    if let Err(kind) = mem.store(addr, core.regs.get(Reg::new(u.a)), width) {
+        return crash(kind, pc, costs.alu);
     }
+    advance(core, pc);
+    step(
+        StepEvent::None,
+        costs.alu,
+        Some(DataAccess { addr, write: true }),
+    )
 }
 
-/// Predicated store handler, width pre-selected.
-macro_rules! pstore_handler {
-    ($name:ident, $width:ident) => {
-        fn $name<M: MemView + ?Sized>(
-            _dp: &DecodedProgram,
-            u: MicroOp,
-            pc: u32,
-            core: &mut CoreState,
-            mem: &mut M,
-            env: &mut StepEnv<'_, '_>,
-            deferred: Option<FaultAction>,
-        ) -> Step {
-            if !core.pred {
-                advance(core, pc);
-                return plain(env.costs.alu, deferred);
-            }
-            let addr = (core.regs.get(Reg::new(u.b)) as u32).wrapping_add(u.imm as u32);
-            match mem.store(addr, core.regs.get(Reg::new(u.a)), Width::$width) {
-                Ok(()) => {
-                    advance(core, pc);
-                    Step {
-                        event: StepEvent::None,
-                        base_cost: env.costs.alu,
-                        access: Some(DataAccess { addr, write: true }),
-                        deferred,
-                    }
-                }
-                Err(kind) => crash(kind, pc, env.costs.alu, deferred),
-            }
-        }
+/// A conditional branch on `cond`. The taken target was validated at
+/// decode time: only micro-ops carrying [`MicroOp::BR_BAD_TARGET`] pay a
+/// range check, and then only to crash.
+#[inline(always)]
+fn branch(cond: BranchCond, u: MicroOp, pc: u32, core: &mut CoreState, costs: &CostModel) -> Step {
+    let operands = (core.regs.get(Reg::new(u.b)), core.regs.get(Reg::new(u.c)));
+    let taken = cond.eval(operands.0, operands.1);
+    if taken && u.a & MicroOp::BR_BAD_TARGET != 0 {
+        return crash(CrashKind::BadPc { pc: u.ext }, pc, costs.control);
+    }
+    let not_taken_target = pc + 1;
+    core.pc = if taken { u.ext } else { not_taken_target };
+    core.pred = false;
+    let event = StepEvent::Branch {
+        pc,
+        taken,
+        taken_target: u.ext,
+        not_taken_target,
+        operands,
     };
+    step(event, costs.control, None)
 }
 
-pstore_handler!(h_pstore_byte, Byte);
-pstore_handler!(h_pstore_word, Word);
-
-/// The per-memory-view handler dispatch, selected by [`UopKind`].
-///
-/// Written as an exhaustive `match` rather than a `[UopHandler<M>; 63]`
-/// associated const on purpose: naming a const array in an index expression
-/// materializes the whole table onto the stack (a ~500-byte memcpy per
-/// dispatch), and the array cannot be promoted to a `'static` behind a
-/// reference because `M` — the sandbox views — carries borrow lifetimes.
-/// LLVM lowers this match to a `.rodata` lookup table per monomorphization,
-/// which is exactly the jump table the design calls for.
-#[inline]
-fn handler_for<M: MemView + ?Sized>(kind: UopKind) -> UopHandler<M> {
-    match kind {
-        UopKind::Nop => h_nop::<M>,
-        UopKind::AddRR => h_add_rr::<M>,
-        UopKind::SubRR => h_sub_rr::<M>,
-        UopKind::MulRR => h_mul_rr::<M>,
-        UopKind::DivRR => h_div_rr::<M>,
-        UopKind::RemRR => h_rem_rr::<M>,
-        UopKind::AndRR => h_and_rr::<M>,
-        UopKind::OrRR => h_or_rr::<M>,
-        UopKind::XorRR => h_xor_rr::<M>,
-        UopKind::ShlRR => h_shl_rr::<M>,
-        UopKind::ShrRR => h_shr_rr::<M>,
-        UopKind::SarRR => h_sar_rr::<M>,
-        UopKind::SltRR => h_slt_rr::<M>,
-        UopKind::SltuRR => h_sltu_rr::<M>,
-        UopKind::SleRR => h_sle_rr::<M>,
-        UopKind::SeqRR => h_seq_rr::<M>,
-        UopKind::SneRR => h_sne_rr::<M>,
-        UopKind::AddRI => h_add_ri::<M>,
-        UopKind::SubRI => h_sub_ri::<M>,
-        UopKind::MulRI => h_mul_ri::<M>,
-        UopKind::DivRI => h_div_ri::<M>,
-        UopKind::RemRI => h_rem_ri::<M>,
-        UopKind::AndRI => h_and_ri::<M>,
-        UopKind::OrRI => h_or_ri::<M>,
-        UopKind::XorRI => h_xor_ri::<M>,
-        UopKind::ShlRI => h_shl_ri::<M>,
-        UopKind::ShrRI => h_shr_ri::<M>,
-        UopKind::SarRI => h_sar_ri::<M>,
-        UopKind::SltRI => h_slt_ri::<M>,
-        UopKind::SltuRI => h_sltu_ri::<M>,
-        UopKind::SleRI => h_sle_ri::<M>,
-        UopKind::SeqRI => h_seq_ri::<M>,
-        UopKind::SneRI => h_sne_ri::<M>,
-        UopKind::LoadByte => h_load_byte::<M>,
-        UopKind::LoadWord => h_load_word::<M>,
-        UopKind::StoreByte => h_store_byte::<M>,
-        UopKind::StoreWord => h_store_word::<M>,
-        UopKind::BranchEq => h_branch_eq::<M>,
-        UopKind::BranchNe => h_branch_ne::<M>,
-        UopKind::BranchLt => h_branch_lt::<M>,
-        UopKind::BranchGe => h_branch_ge::<M>,
-        UopKind::BranchLe => h_branch_le::<M>,
-        UopKind::BranchGt => h_branch_gt::<M>,
-        UopKind::Jump => h_jump::<M>,
-        UopKind::JumpBad => h_jump_bad::<M>,
-        UopKind::Call => h_call::<M>,
-        UopKind::CallBad => h_call_bad::<M>,
-        UopKind::Ret => h_ret::<M>,
-        UopKind::SysExit => h_sys_exit::<M>,
-        UopKind::SysPutChar => h_sys_putc::<M>,
-        UopKind::SysGetChar => h_sys_getc::<M>,
-        UopKind::SysPrintInt => h_sys_printi::<M>,
-        UopKind::SysReadInt => h_sys_readi::<M>,
-        UopKind::SysRand => h_sys_rand::<M>,
-        UopKind::SysTime => h_sys_time::<M>,
-        UopKind::Check => h_check::<M>,
-        UopKind::SetWatch => h_set_watch::<M>,
-        UopKind::ClearWatch => h_clear_watch::<M>,
-        UopKind::PMovI => h_pmovi::<M>,
-        UopKind::PMov => h_pmov::<M>,
-        UopKind::PAluI => h_palui::<M>,
-        UopKind::PStoreByte => h_pstore_byte::<M>,
-        UopKind::PStoreWord => h_pstore_word::<M>,
+/// System call `code`. Suppression (NT-path execution) reports the unsafe
+/// event with the core untouched; `exit` reports the exit code and leaves
+/// the core where it is.
+#[inline(always)]
+fn syscall(code: SyscallCode, pc: u32, core: &mut CoreState, env: &mut StepEnv<'_, '_>) -> Step {
+    if env.suppress_syscalls {
+        return step(StepEvent::UnsafeEvent { code }, env.costs.control, None);
     }
+    let a0 = core.regs.get(Reg::A0);
+    match code {
+        SyscallCode::Exit => {
+            return step(StepEvent::Exit { code: a0 }, env.costs.syscall, None);
+        }
+        SyscallCode::PutChar => env.io.put_char(a0 as u8),
+        SyscallCode::PrintInt => env.io.print_int(a0),
+        SyscallCode::GetChar => core.regs.set(Reg::RV, env.io.get_char()),
+        SyscallCode::ReadInt => core.regs.set(Reg::RV, env.io.read_int()),
+        SyscallCode::Rand => core.regs.set(Reg::RV, env.io.rand()),
+        SyscallCode::Time => core
+            .regs
+            .set(Reg::RV, (env.now_cycles & 0x7FFF_FFFF) as i32),
+    }
+    advance(core, pc);
+    step(StepEvent::Syscall { code }, env.costs.syscall, None)
 }
 
 /// Executes one micro-op of `core` against `mem`. `program` is only
@@ -776,9 +241,9 @@ fn handler_for<M: MemView + ?Sized>(kind: UopKind) -> UopHandler<M> {
 /// core has advanced.
 ///
 /// Equivalence contract (enforced by `tests/uop_differential.rs`): for every
-/// program and every `(core, mem, env)` state, `step_uop` and the reference
-/// interpreter there return identical [`Step`]s and leave identical machine
-/// states.
+/// program, every `(core, mem, env)` state and every fault-hook decision,
+/// `step_uop` and the reference interpreter there return identical
+/// [`Step`]s and leave identical machine states.
 #[inline]
 pub fn step_uop<M: MemView + ?Sized>(
     program: &Program,
@@ -787,17 +252,10 @@ pub fn step_uop<M: MemView + ?Sized>(
     mem: &mut M,
     env: &mut StepEnv<'_, '_>,
 ) -> Step {
+    let costs = env.costs;
     let pc = core.pc;
-    let Some(&uop) = dp.op(pc) else {
-        return Step {
-            event: StepEvent::Crash {
-                kind: CrashKind::BadPc { pc },
-                pc,
-            },
-            base_cost: env.costs.control,
-            access: None,
-            deferred: None,
-        };
+    let Some(&u) = dp.op(pc) else {
+        return crash(CrashKind::BadPc { pc }, pc, costs.control);
     };
 
     // Fault-injection prologue — identical protocol to the reference
@@ -807,14 +265,7 @@ pub fn step_uop<M: MemView + ?Sized>(
     if let Some(hook) = env.fault.as_mut() {
         if let Some(action) = hook.before_step(pc) {
             match action {
-                FaultAction::ForceCrash { kind } => {
-                    return Step {
-                        event: StepEvent::Crash { kind, pc },
-                        base_cost: env.costs.control,
-                        access: None,
-                        deferred: None,
-                    };
-                }
+                FaultAction::ForceCrash { kind } => return crash(kind, pc, costs.control),
                 FaultAction::FlipMemBit { entropy, bit } => {
                     flip_mem_bit(program, mem, entropy, bit);
                 }
@@ -829,20 +280,130 @@ pub fn step_uop<M: MemView + ?Sized>(
         }
     }
 
-    let step = handler_for::<M>(uop.kind)(dp, uop, pc, core, mem, env, deferred);
+    // A dense match on the kind lowers to one indexed jump; no arm may
+    // `return`, so every step carries the deferred fault and the redirect.
+    let mut out = match u.kind {
+        UopKind::Nop => retire(true, core, pc, costs.alu),
+        UopKind::AddRR => retire(alu(core, u, AluOp::Add, Rs2), core, pc, costs.alu),
+        UopKind::SubRR => retire(alu(core, u, AluOp::Sub, Rs2), core, pc, costs.alu),
+        UopKind::MulRR => retire(alu(core, u, AluOp::Mul, Rs2), core, pc, costs.mul),
+        UopKind::DivRR => retire(alu(core, u, AluOp::Div, Rs2), core, pc, costs.div),
+        UopKind::RemRR => retire(alu(core, u, AluOp::Rem, Rs2), core, pc, costs.div),
+        UopKind::AndRR => retire(alu(core, u, AluOp::And, Rs2), core, pc, costs.alu),
+        UopKind::OrRR => retire(alu(core, u, AluOp::Or, Rs2), core, pc, costs.alu),
+        UopKind::XorRR => retire(alu(core, u, AluOp::Xor, Rs2), core, pc, costs.alu),
+        UopKind::ShlRR => retire(alu(core, u, AluOp::Shl, Rs2), core, pc, costs.alu),
+        UopKind::ShrRR => retire(alu(core, u, AluOp::Shr, Rs2), core, pc, costs.alu),
+        UopKind::SarRR => retire(alu(core, u, AluOp::Sar, Rs2), core, pc, costs.alu),
+        UopKind::SltRR => retire(alu(core, u, AluOp::Slt, Rs2), core, pc, costs.alu),
+        UopKind::SltuRR => retire(alu(core, u, AluOp::Sltu, Rs2), core, pc, costs.alu),
+        UopKind::SleRR => retire(alu(core, u, AluOp::Sle, Rs2), core, pc, costs.alu),
+        UopKind::SeqRR => retire(alu(core, u, AluOp::Seq, Rs2), core, pc, costs.alu),
+        UopKind::SneRR => retire(alu(core, u, AluOp::Sne, Rs2), core, pc, costs.alu),
+        UopKind::AddRI => retire(alu(core, u, AluOp::Add, Imm), core, pc, costs.alu),
+        UopKind::SubRI => retire(alu(core, u, AluOp::Sub, Imm), core, pc, costs.alu),
+        UopKind::MulRI => retire(alu(core, u, AluOp::Mul, Imm), core, pc, costs.mul),
+        UopKind::DivRI => retire(alu(core, u, AluOp::Div, Imm), core, pc, costs.div),
+        UopKind::RemRI => retire(alu(core, u, AluOp::Rem, Imm), core, pc, costs.div),
+        UopKind::AndRI => retire(alu(core, u, AluOp::And, Imm), core, pc, costs.alu),
+        UopKind::OrRI => retire(alu(core, u, AluOp::Or, Imm), core, pc, costs.alu),
+        UopKind::XorRI => retire(alu(core, u, AluOp::Xor, Imm), core, pc, costs.alu),
+        UopKind::ShlRI => retire(alu(core, u, AluOp::Shl, Imm), core, pc, costs.alu),
+        UopKind::ShrRI => retire(alu(core, u, AluOp::Shr, Imm), core, pc, costs.alu),
+        UopKind::SarRI => retire(alu(core, u, AluOp::Sar, Imm), core, pc, costs.alu),
+        UopKind::SltRI => retire(alu(core, u, AluOp::Slt, Imm), core, pc, costs.alu),
+        UopKind::SltuRI => retire(alu(core, u, AluOp::Sltu, Imm), core, pc, costs.alu),
+        UopKind::SleRI => retire(alu(core, u, AluOp::Sle, Imm), core, pc, costs.alu),
+        UopKind::SeqRI => retire(alu(core, u, AluOp::Seq, Imm), core, pc, costs.alu),
+        UopKind::SneRI => retire(alu(core, u, AluOp::Sne, Imm), core, pc, costs.alu),
+        UopKind::LoadByte => access(Width::Byte, false, u, pc, core, mem, env),
+        UopKind::LoadWord => access(Width::Word, false, u, pc, core, mem, env),
+        UopKind::StoreByte => access(Width::Byte, true, u, pc, core, mem, env),
+        UopKind::StoreWord => access(Width::Word, true, u, pc, core, mem, env),
+        UopKind::BranchEq => branch(BranchCond::Eq, u, pc, core, costs),
+        UopKind::BranchNe => branch(BranchCond::Ne, u, pc, core, costs),
+        UopKind::BranchLt => branch(BranchCond::Lt, u, pc, core, costs),
+        UopKind::BranchGe => branch(BranchCond::Ge, u, pc, core, costs),
+        UopKind::BranchLe => branch(BranchCond::Le, u, pc, core, costs),
+        UopKind::BranchGt => branch(BranchCond::Gt, u, pc, core, costs),
+        UopKind::Jump => {
+            core.pc = u.ext;
+            core.pred = false;
+            plain(costs.control)
+        }
+        UopKind::Call => {
+            core.regs.set(Reg::RA, (pc + 1) as i32);
+            core.pc = u.ext;
+            core.pred = false;
+            plain(costs.control)
+        }
+        // The target check precedes the RA write in the reference
+        // interpreter: a bad call leaves the register file untouched.
+        UopKind::JumpBad | UopKind::CallBad => {
+            crash(CrashKind::BadPc { pc: u.ext }, pc, costs.control)
+        }
+        UopKind::Ret => {
+            let target = core.regs.get(Reg::RA) as u32;
+            if (target as usize) < dp.len() {
+                core.pc = target;
+                core.pred = false;
+                plain(costs.control)
+            } else {
+                crash(CrashKind::BadPc { pc: target }, pc, costs.control)
+            }
+        }
+        UopKind::SysExit => syscall(SyscallCode::Exit, pc, core, env),
+        UopKind::SysPutChar => syscall(SyscallCode::PutChar, pc, core, env),
+        UopKind::SysGetChar => syscall(SyscallCode::GetChar, pc, core, env),
+        UopKind::SysPrintInt => syscall(SyscallCode::PrintInt, pc, core, env),
+        UopKind::SysReadInt => syscall(SyscallCode::ReadInt, pc, core, env),
+        UopKind::SysRand => syscall(SyscallCode::Rand, pc, core, env),
+        UopKind::SysTime => syscall(SyscallCode::Time, pc, core, env),
+        UopKind::Check => {
+            let event = if core.regs.get(Reg::new(u.b)) == 0 {
+                StepEvent::CheckFailed {
+                    kind: u.check_kind(),
+                    site: u.ext,
+                    pc,
+                }
+            } else {
+                StepEvent::None
+            };
+            advance(core, pc);
+            step(event, costs.check, None)
+        }
+        UopKind::SetWatch => {
+            let lo = core.regs.get(Reg::new(u.a)) as u32;
+            let len = core.regs.get(Reg::new(u.b)).max(0) as u32;
+            env.watches.set(lo, len, u.ext);
+            retire(true, core, pc, costs.watch_op)
+        }
+        UopKind::ClearWatch => {
+            env.watches.clear(u.ext);
+            retire(true, core, pc, costs.watch_op)
+        }
+        UopKind::PMovI | UopKind::PMov => retire(pfix(core, u), core, pc, costs.alu),
+        UopKind::PAluI => {
+            let base_cost = if core.pred {
+                alu_cost(u.palu_op(), costs)
+            } else {
+                costs.alu
+            };
+            retire(pfix(core, u), core, pc, base_cost)
+        }
+        UopKind::PStoreByte => pstore(Width::Byte, u, pc, core, mem, costs),
+        UopKind::PStoreWord => pstore(Width::Word, u, pc, core, mem, costs),
+    };
+    out.deferred = deferred;
 
     // A runaway redirect drags the pc backwards only when the instruction
     // completed (crash / unsafe-event / exit leave the core untouched).
     if let Some(max_back) = redirect {
-        if !matches!(
-            step.event,
-            StepEvent::Crash { .. } | StepEvent::UnsafeEvent { .. } | StepEvent::Exit { .. }
-        ) {
+        if !out.event.is_terminal() {
             core.pc = pc.saturating_sub(max_back);
         }
     }
-
-    step
+    out
 }
 
 /// Applies a bit-flip fault to the data segment visible through `mem`. The
@@ -857,6 +418,7 @@ fn flip_mem_bit<M: MemView + ?Sized>(program: &Program, mem: &mut M, entropy: u6
     }
 }
 
+#[inline]
 fn alu_cost(op: AluOp, costs: &CostModel) -> u32 {
     match op {
         AluOp::Mul => costs.mul,
@@ -911,40 +473,17 @@ pub fn run_simple(
     debug_assert!(n <= dp.simple_run(core.pc), "batch exceeds the simple run");
     let start = core.pc as usize;
     let mut cost = 0u64;
-    for u in &dp.ops()[start..start + n as usize] {
+    for &u in &dp.ops()[start..start + n as usize] {
         cost += u64::from(cost_table[u.kind as usize]);
-        match u.kind {
-            UopKind::Nop => {}
-            UopKind::PMovI => {
-                if core.pred {
-                    core.regs.set(Reg::new(u.a), u.imm);
-                }
-            }
-            UopKind::PMov => {
-                if core.pred {
-                    let v = core.regs.get(Reg::new(u.b));
-                    core.regs.set(Reg::new(u.a), v);
-                }
-            }
-            UopKind::PAluI => {
-                if core.pred {
-                    let a = core.regs.get(Reg::new(u.b));
-                    let v = u.palu_op().eval(a, u.imm).expect("simple PAluI is total");
-                    core.regs.set(Reg::new(u.a), v);
-                }
-            }
+        let total = match u.kind {
+            UopKind::Nop => true,
+            UopKind::PMovI | UopKind::PMov | UopKind::PAluI => pfix(core, u),
             kind => {
                 let op = kind.alu_op().expect("simple run holds only ALU/fix ops");
-                let a = core.regs.get(Reg::new(u.b));
-                let b = if kind.is_alu_rr() {
-                    core.regs.get(Reg::new(u.c))
-                } else {
-                    u.imm
-                };
-                let v = op.eval(a, b).expect("simple ALU op is total here");
-                core.regs.set(Reg::new(u.a), v);
+                alu(core, u, op, if kind.is_alu_rr() { Rs2 } else { Imm })
             }
-        }
+        };
+        assert!(total, "simple ops never divide by zero");
     }
     core.pc += n;
     cost
@@ -972,17 +511,7 @@ pub fn simple_steps_until(
     if deadline == u64::MAX {
         return max_n;
     }
-    let ops = dp.ops();
-    let mut clock = start;
-    let mut n: u32 = 0;
-    while n < max_n {
-        if n > 0 && clock > deadline {
-            break;
-        }
-        clock += u64::from(cost_table[ops[pc as usize + n as usize].kind as usize]);
-        n += 1;
-    }
-    n
+    simple_cost_until(dp, pc, max_n, cost_table, start, deadline).0
 }
 
 /// [`simple_steps_until`] without a core: grants the same step count *and*

@@ -8,7 +8,10 @@
 //!   hand-written programs covering every instruction family and on random
 //!   byte-soup programs (every instruction family,
 //!   mostly-invalid targets, random checker regions), asserting identical
-//!   [`Step`]s, register files and I/O after every instruction;
+//!   [`Step`]s, register files and I/O after every instruction and
+//!   identical memory at the end — also under identically seeded fault
+//!   plans, which drive every fault kind through both interpreters'
+//!   injection prologue, with and without suppressed system calls;
 //! * **stream level** — the same lockstep on programs reconstructed from
 //!   *mutated* and *truncated* encoded streams (the PR-4 robustness
 //!   surface): whenever `decode_program` accepts the bytes, the decoded
@@ -29,10 +32,12 @@ use px_isa::{
     Instruction, Program, Reg, SyscallCode, Width,
 };
 use px_mach::{
-    run_baseline, run_simple, step_uop, uop_cost_table, CoreState, CostModel, IoState, MachConfig,
-    Memory, StepEnv, StepEvent, WatchTable,
+    run_baseline, run_simple, step_uop, uop_cost_table, CoreState, CostModel, FaultHook, FaultMix,
+    FaultPlan, IoState, MachConfig, Memory, StepEnv, StepEvent, WatchTable,
 };
-use px_util::prop::{any_i32, any_u32, any_u8, just, vec_of, BoxedStrategy, Strategy};
+use px_util::prop::{
+    any_bool, any_i32, any_u32, any_u64, any_u8, just, vec_of, BoxedStrategy, Strategy,
+};
 use px_util::{px_oneof, px_prop};
 use reference::step;
 
@@ -186,9 +191,18 @@ fn soup_program(code: Vec<Instruction>, checker: Option<(u32, u32)>) -> Program 
 
 /// Steps `program` under the reference interpreter and the micro-op
 /// interpreter in lockstep, asserting identical [`Step`]s, register files
-/// and I/O after every instruction. Bounded, since byte-soup programs can
-/// loop forever; returns whether the program ended within `steps`.
-fn lockstep(program: &Program, input: &[u8], steps: u64, suppress: bool) -> bool {
+/// and I/O after every instruction and identical memory and input-fault
+/// state at the end. With
+/// `faults`, each interpreter consults its own copy of the plan, so both see
+/// the same injection sequence. Bounded, since byte-soup programs can loop
+/// forever; returns whether the program ended within `steps`.
+fn lockstep(
+    program: &Program,
+    input: &[u8],
+    steps: u64,
+    suppress: bool,
+    faults: Option<FaultPlan>,
+) -> bool {
     let dp = DecodedProgram::decode(program);
     let costs = CostModel::default();
 
@@ -204,7 +218,10 @@ fn lockstep(program: &Program, input: &[u8], steps: u64, suppress: bool) -> bool
     let mut io_b = IoState::new(input.to_vec(), 7);
     let mut w_a = WatchTable::new();
     let mut w_b = WatchTable::new();
+    let mut plan_a = faults.clone();
+    let mut plan_b = faults;
 
+    let mut ended = false;
     for step_no in 0..steps {
         let mut env_a = StepEnv {
             io: &mut io_a,
@@ -212,7 +229,7 @@ fn lockstep(program: &Program, input: &[u8], steps: u64, suppress: bool) -> bool
             suppress_syscalls: suppress,
             now_cycles: step_no,
             costs: &costs,
-            fault: None,
+            fault: plan_a.as_mut().map(|p| p as &mut dyn FaultHook),
         };
         let a = step(program, &mut core_a, &mut mem_a, &mut env_a);
         let mut env_b = StepEnv {
@@ -221,7 +238,7 @@ fn lockstep(program: &Program, input: &[u8], steps: u64, suppress: bool) -> bool
             suppress_syscalls: suppress,
             now_cycles: step_no,
             costs: &costs,
-            fault: None,
+            fault: plan_b.as_mut().map(|p| p as &mut dyn FaultHook),
         };
         let b = step_uop(program, &dp, &mut core_b, &mut mem_b, &mut env_b);
         assert_eq!(a, b, "step {step_no} diverged");
@@ -232,10 +249,17 @@ fn lockstep(program: &Program, input: &[u8], steps: u64, suppress: bool) -> bool
             "io diverged at step {step_no}"
         );
         if a.event.is_terminal() {
-            return true;
+            ended = true;
+            break;
         }
     }
-    false
+    assert!(mem_a == mem_b, "memory diverged");
+    assert_eq!(
+        io_a.input_failed(),
+        io_b.input_failed(),
+        "input fault diverged"
+    );
+    ended
 }
 
 /// Architectural summary of a PathExpander run — every field two identical
@@ -329,7 +353,26 @@ px_prop! {
             (any_u32(), any_u32()).prop_map(Some).boxed()
         ],
     ) {
-        lockstep(&soup_program(code, checker), &input, 2_000, false);
+        lockstep(&soup_program(code, checker), &input, 2_000, false, None);
+    }
+
+    fn step_uop_matches_reference_under_faults(
+        code in vec_of(arb_instruction(), 1..48),
+        input in vec_of(any_u8(), 0..8),
+        checker in px_oneof![
+            just(None),
+            (any_u32(), any_u32()).prop_map(Some).boxed()
+        ],
+        fault in (any_u64(), 2u32..9, any_bool()),
+    ) {
+        let (seed, period, suppress) = fault;
+        // Every fault kind through the prologue: forced crashes, bit flips
+        // (a data page, so they land), runaway redirects, failed input and
+        // the deferred cache-level actions, with and without suppression.
+        let mut program = soup_program(code, checker);
+        program.mem_size = 2 * px_isa::DATA_BASE;
+        let plan = FaultPlan::new(seed, FaultMix::uniform(), period);
+        lockstep(&program, &input, 2_000, suppress, Some(plan));
     }
 
     fn decoded_program_reencodes_exactly(code in vec_of(arb_instruction(), 0..48)) {
@@ -352,7 +395,7 @@ px_prop! {
         let pos = pos as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
         if let Ok(mutated) = decode_program(&bytes) {
-            lockstep(&soup_program(mutated, None), &input, 1_000, false);
+            lockstep(&soup_program(mutated, None), &input, 1_000, false, None);
         }
     }
 
@@ -368,7 +411,7 @@ px_prop! {
         let cut = (cut as usize % bytes.len()) / px_isa::ENCODED_LEN * px_isa::ENCODED_LEN;
         let prefix = decode_program(&bytes[..cut]).unwrap();
         if !prefix.is_empty() {
-            lockstep(&soup_program(prefix, None), &input, 1_000, false);
+            lockstep(&soup_program(prefix, None), &input, 1_000, false, None);
         }
     }
 }
@@ -393,7 +436,7 @@ px_prop! {
 fn lockstep_source(src: &str, input: &[u8], suppress: bool) {
     let program = assemble(src).unwrap();
     assert!(
-        lockstep(&program, input, 10_000, suppress),
+        lockstep(&program, input, 10_000, suppress, None),
         "program did not terminate"
     );
 }

@@ -66,6 +66,14 @@ echo "==> matcher-oracle: prime-path automaton vs brute force, 5000 cases"
 PX_PROP_CASES=5000 cargo test --release --offline -q -p px-mach --lib \
     paths::tests::matcher_agrees_with_brute_force_on_random_walks
 
+# Interpreter oracle: step_uop must match the byte-decode reference
+# interpreter step for step on random byte-soup programs, plainly and under
+# identically seeded fault plans (every fault kind, suppressed system calls
+# on and off), at 2000 cases rather than the default 96.
+echo "==> uop-oracle: step_uop vs reference interpreter, 2000 cases"
+PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --test uop_differential \
+    step_uop_matches_reference
+
 # Zoo smoke: the quick E15 roster must meet the acceptance criteria
 # (every expected bug detected on some engine, zero NT-only false
 # positives), and the zoo CLI must be byte-deterministic.
