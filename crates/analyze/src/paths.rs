@@ -24,7 +24,9 @@
 //! * hard **caps** on worklist steps, candidates and kept paths truncate
 //!   enumeration deterministically, with an explicit
 //!   [`PrimePathSet::truncated`] flag so downstream consumers know the
-//!   denominator is a lower bound.
+//!   denominator is approximate. A truncated count is no bound either
+//!   way: the run misses prime paths it never reached, and can keep paths
+//!   that only a longer, never-collected candidate would have subsumed.
 //!
 //! Feasibility is intersected with sparse constant propagation: a prime
 //! path is *feasible* only if every block on it is constprop-reachable and
@@ -47,9 +49,11 @@ use crate::cfg::{Block, EXIT};
 use crate::Analysis;
 
 /// Bounds on prime-path enumeration. All three caps truncate the result
-/// deterministically (the kept set is always the lexicographically
-/// smallest prefix of what unbounded enumeration would keep) and set
-/// [`PrimePathSet::truncated`].
+/// deterministically and set [`PrimePathSet::truncated`]. The kept set is
+/// then not a subset of what unbounded enumeration would keep — a path
+/// can survive because the longer path subsuming it was never collected —
+/// but every kept path is a contiguous subpath of some path the unbounded
+/// enumeration keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathLimits {
     /// Maximum prime paths kept after the maximality filter.

@@ -10,6 +10,8 @@
 //!   soup, including branches and jumps whose targets fall outside the
 //!   code (mutated/truncated streams), never panic the enumerator, and
 //!   every structural invariant of the resulting [`PrimePathSet`] holds.
+//! * **Truncation** — a run cut short by its caps keeps only contiguous
+//!   subpaths of what the unbounded run keeps.
 
 use px_analyze::{Analysis, PathLimits, PrimePathSet};
 use px_isa::{AluOp, BranchCond, Instruction, Program, ProgramBuilder, Reg, SyscallCode};
@@ -165,9 +167,33 @@ px_prop! {
         assert_eq!(a.to_json().dump(), b.to_json().dump());
         assert!(a.len() <= limits.max_paths);
         check_invariants(&a);
-        // A truncated set is a prefix-bounded subset: never *more* paths
-        // than the unbounded enumeration of the same program.
+        // A truncated set is no subset of the unbounded one (it can keep
+        // paths the full run drops as non-prime), but at these caps it
+        // never keeps more paths than the unbounded enumeration.
         let unbounded = PrimePathSet::enumerate(&program, &analysis);
         assert!(a.len() <= unbounded.len());
+    }
+
+    fn truncated_paths_are_subpaths_of_the_full_set(
+        words in vec_of((any_u32(), any_u32()), 1..64),
+        max_work in 1u64..200,
+    ) {
+        let program = build(&words);
+        let analysis = Analysis::of(&program);
+        let full = PrimePathSet::enumerate(&program, &analysis);
+        if full.truncated() {
+            return;
+        }
+        let limits = PathLimits { max_work, ..PathLimits::default() };
+        let cut = PrimePathSet::enumerate_with(&program, &analysis, &limits);
+        for p in cut.paths() {
+            assert!(
+                full.paths()
+                    .iter()
+                    .any(|f| f.blocks.windows(p.blocks.len()).any(|w| w == p.blocks)),
+                "max_work {max_work}: {:?} is no subpath of a full-set path",
+                p.blocks
+            );
+        }
     }
 }

@@ -100,12 +100,8 @@ fn main() {
                 .saturating_sub(report.resumed_from_journal + report.resumed_ran)
         );
         println!(
-            "  quarantined {} (chaos mismatches {}), violations {}, steals {}, torn tail {}",
-            report.quarantined,
-            report.chaos_mismatches,
-            report.violated,
-            report.steals,
-            report.torn_tail_seen
+            "  quarantined {} (chaos mismatches {}), violations {}, torn tail {}",
+            report.quarantined, report.chaos_mismatches, report.violated, report.torn_tail_seen
         );
         println!("  gate: {}", if report.passed() { "PASS" } else { "FAIL" });
     }

@@ -52,8 +52,6 @@ pub struct CampaignGateReport {
     pub resumed_from_journal: u64,
     /// Cases the resume leg ran itself.
     pub resumed_ran: u64,
-    /// Work steals across both legs.
-    pub steals: u64,
     /// Quarantined cases (kill+resume leg).
     pub quarantined: u64,
     /// Chaos cases whose outcome disagreed with [`chaos_truth`].
@@ -78,14 +76,13 @@ impl CampaignGateReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("schema", "px-bench/campaign-gate-v1".to_json()),
+            ("schema", "px-bench/campaign-gate-v2".to_json()),
             ("manifest", self.manifest.to_json()),
             ("total", self.total.to_json()),
             ("digest_straight", Json::Str(hex64(self.digest_straight))),
             ("digest_resumed", Json::Str(hex64(self.digest_resumed))),
             ("resumed_from_journal", self.resumed_from_journal.to_json()),
             ("resumed_ran", self.resumed_ran.to_json()),
-            ("steals", self.steals.to_json()),
             ("quarantined", self.quarantined.to_json()),
             ("chaos_mismatches", self.chaos_mismatches.to_json()),
             ("violated", self.violated.to_json()),
@@ -168,7 +165,6 @@ pub fn campaign_gate_with(manifest_spec: &str, kill_after: u64) -> CampaignGateR
         digest_resumed: resumed.digest(),
         resumed_from_journal: resumed.resumed,
         resumed_ran: resumed.ran,
-        steals: straight.steals + killed.steals + resumed.steals,
         quarantined: resumed.quarantined.len() as u64,
         chaos_mismatches,
         violated: resumed.aggregate.of(CaseOutcome::Violated)

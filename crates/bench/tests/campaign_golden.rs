@@ -3,7 +3,7 @@
 //! pinned by its aggregate — the case counts, the exit histogram and the
 //! aggregate digest, which folds every case record. The campaign exercises
 //! every layer of the simulator — engines, caches, sandboxes, the fault
-//! planner and the work-stealing pool — so this one digest catches any
+//! planner and the job pool — so this one digest catches any
 //! accidental behavioural drift from a performance change.
 //!
 //! If this test fails after an *intended* architectural change, regenerate

@@ -1,12 +1,12 @@
-//! The campaign driver: work-stealing execution + journal + quarantine.
+//! The campaign driver: pooled execution + journal + quarantine.
 //!
-//! [`run`] shards the manifest's pending cases (everything minus what a
-//! resumed journal already holds) across [`px_util::run_stealing`]'s
-//! per-worker deques, wraps every case in `catch_unwind` so panicking and
-//! runaway cases become quarantine records instead of a dead campaign,
-//! streams each finished [`CaseRecord`] through the bounded result channel
-//! onto the caller's thread — the only thread that touches the journal —
-//! and folds them into the commutative [`Aggregate`]. Every
+//! [`run`] hands the manifest's pending cases (everything minus what a
+//! resumed journal already holds) to [`px_util::run_pool`]'s workers one
+//! at a time, runs every case through [`run_only`]'s `catch_unwind` so
+//! panicking and runaway cases become quarantine records instead of a dead
+//! campaign, streams each finished [`CaseRecord`] through the bounded
+//! result channel onto the caller's thread — the only thread that touches
+//! the journal — and folds them into the commutative [`Aggregate`]. Every
 //! `checkpoint_every` records it appends an fsynced checkpoint; a SIGINT
 //! (or any trip of the shutdown flag) drains in-flight cases, writes a
 //! final checkpoint and exits resumable.
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 
-use px_util::{hex64, Json, PoolConfig, ToJson};
+use px_util::{hex64, Json, ToJson};
 
 use crate::journal::{self, Journal, JournalMeta};
 use crate::manifest::Manifest;
@@ -40,8 +40,6 @@ pub struct CampaignConfig {
     pub journal: PathBuf,
     /// Worker threads (0 = one per available core).
     pub workers: usize,
-    /// Deque refill block size.
-    pub block: usize,
     /// Per-case watchdog timeout, in instructions.
     pub timeout: u64,
     /// Checkpoint cadence, in case records.
@@ -63,7 +61,6 @@ impl CampaignConfig {
             manifest,
             journal,
             workers: 0,
-            block: 16,
             timeout: Watchdog::DEFAULT_TIMEOUT,
             checkpoint_every: 64,
             max_quarantine: None,
@@ -92,7 +89,8 @@ pub struct CampaignReport {
     pub resumed: u64,
     /// Cases run by this invocation.
     pub ran: u64,
-    /// Work steals the pool performed.
+    /// Always 0: the pool no longer steals work. Kept only because
+    /// perfbench's zoo-campaign trace still reads it.
     pub steals: u64,
     /// The run stopped early (SIGINT, `kill_after`, or quarantine limit).
     pub interrupted: bool,
@@ -121,12 +119,11 @@ impl CampaignReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("schema", "px-campaign/report-v1".to_json()),
+            ("schema", "px-campaign/report-v2".to_json()),
             ("manifest", self.manifest.to_json()),
             ("total", self.total.to_json()),
             ("resumed", self.resumed.to_json()),
             ("ran", self.ran.to_json()),
-            ("steals", self.steals.to_json()),
             ("interrupted", self.interrupted.to_json()),
             ("quarantine_limit_hit", self.quarantine_limit_hit.to_json()),
             ("complete", self.complete().to_json()),
@@ -217,26 +214,8 @@ pub fn run_with_shutdown(
     let resumed = records.len() as u64;
 
     let pending: Vec<u64> = (0..total).filter(|id| !done.contains(id)).collect();
-    let wd = Watchdog {
-        timeout: cfg.timeout,
-    };
-    let manifest = &cfg.manifest;
     let stop = AtomicBool::new(false);
-
-    let work = |i: usize| -> CaseRecord {
-        let id = pending[i];
-        quiet_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| runner::run_case(manifest, &wd, id))).unwrap_or_else(
-                |payload| {
-                    CaseRecord::panicked(
-                        id,
-                        manifest.label(id),
-                        px_util::panic_message(payload.as_ref()),
-                    )
-                },
-            )
-        })
-    };
+    let work = |i: usize| run_only(&cfg.manifest, cfg.timeout, pending[i]);
 
     let mut ran = 0u64;
     let mut since_ckpt = 0u64;
@@ -245,13 +224,7 @@ pub fn run_with_shutdown(
     let mut torn_written = false;
     let mut quarantine_limit_hit = false;
     let mut sink_err: Option<CampaignError> = None;
-    // The result channel keeps the pool's default backpressure depth.
-    let pool = PoolConfig {
-        workers: cfg.workers,
-        block: cfg.block,
-        ..PoolConfig::default()
-    };
-    let pool_run = px_util::run_stealing(pending.len(), &pool, &stop, work, |_, rec| {
+    let pool_run = px_util::run_pool(pending.len(), cfg.workers, &stop, work, |_, rec| {
         if sink_err.is_some() {
             return;
         }
@@ -325,7 +298,7 @@ pub fn run_with_shutdown(
         total,
         resumed,
         ran,
-        steals: pool_run.steals,
+        steals: 0,
         interrupted,
         quarantine_limit_hit,
         aggregate,
@@ -366,8 +339,8 @@ fn write_quarantine(cfg: &CampaignConfig, records: &[CaseRecord]) -> Result<(), 
     })
 }
 
-/// Replays one case by global id, with the same panic containment the
-/// campaign applies — the quarantine file's `replay` command.
+/// Runs one case by global id under panic containment: the campaign's
+/// per-case wrapper, and the quarantine file's `replay` command.
 #[must_use]
 pub fn run_only(manifest: &Manifest, timeout: u64, id: u64) -> CaseRecord {
     let wd = Watchdog { timeout };

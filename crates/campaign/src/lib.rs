@@ -18,7 +18,7 @@
 //! * **[`journal`]** — the append-only NDJSON source of truth: meta line,
 //!   case records, fsynced checkpoints; torn tails truncated, anything
 //!   else corrupt loudly.
-//! * **[`campaign`]** — the driver: work-stealing pool, `catch_unwind`
+//! * **[`campaign`]** — the driver: self-scheduling pool, `catch_unwind`
 //!   containment, quarantine file with replay commands, SIGINT drain,
 //!   checkpoint cadence, and an in-process crash simulator (`kill_after`)
 //!   the resume tests are built on.

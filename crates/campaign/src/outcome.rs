@@ -6,7 +6,7 @@
 //! as a [`CaseRecord`], and folds into the [`Aggregate`] through commutative
 //! operations only (counts, XOR/sum of per-case digests, bitmap-union
 //! coverage merges) — so the final [`Aggregate::digest`] is byte-identical
-//! no matter how the work-stealing pool interleaved the cases, and a
+//! no matter how the pool's workers interleaved the cases, and a
 //! killed-and-resumed run reproduces an uninterrupted run's digest exactly.
 
 use std::collections::BTreeMap;

@@ -1,5 +1,5 @@
-//! Scheduler-determinism properties: whatever the worker count, block size
-//! or (seeded) kill point, the same manifest produces the same set of case
+//! Scheduler-determinism properties: whatever the worker count or (seeded)
+//! kill point, the same manifest produces the same set of case
 //! records — identical NDJSON modulo ordering — and the same merged
 //! coverage/aggregate digest.
 
@@ -17,14 +17,13 @@ fn journal_case_lines(cfg: &CampaignConfig) -> Vec<String> {
     lines
 }
 
-fn cfg_for(name: &str, manifest: &str, workers: usize, block: usize) -> CampaignConfig {
+fn cfg_for(name: &str, manifest: &str, workers: usize) -> CampaignConfig {
     let journal =
         std::env::temp_dir().join(format!("px-sched-{}-{name}.ndjson", std::process::id()));
     let _ = std::fs::remove_file(&journal);
     let mut c = CampaignConfig::new(Manifest::parse(manifest).unwrap(), journal);
     c.timeout = 10_000;
     c.workers = workers;
-    c.block = block;
     c.checkpoint_every = 7;
     c
 }
@@ -41,17 +40,11 @@ px_prop! {
 
     fn same_manifest_same_records_any_schedule(
         workers in 1u32..5,
-        block in 1u32..9,
         chaos_seed in 1u64..50,
     ) {
         let manifest = format!("chaos:{chaos_seed}:12+fault:2:6");
-        let a = cfg_for(&format!("a{workers}-{block}-{chaos_seed}"), &manifest, 1, 4);
-        let b = cfg_for(
-            &format!("b{workers}-{block}-{chaos_seed}"),
-            &manifest,
-            workers as usize,
-            block as usize,
-        );
+        let a = cfg_for(&format!("a{workers}-{chaos_seed}"), &manifest, 1);
+        let b = cfg_for(&format!("b{workers}-{chaos_seed}"), &manifest, workers as usize);
         let ra = run(&a).unwrap();
         let rb = run(&b).unwrap();
         assert!(ra.complete() && rb.complete());
@@ -68,11 +61,11 @@ px_prop! {
         workers in 1u32..4,
     ) {
         let manifest = "chaos:9:18";
-        let straight = cfg_for(&format!("s{kill}-{workers}"), manifest, 2, 4);
+        let straight = cfg_for(&format!("s{kill}-{workers}"), manifest, 2);
         let want = run(&straight).unwrap();
         assert!(want.complete());
 
-        let mut c = cfg_for(&format!("k{kill}-{workers}"), manifest, workers as usize, 4);
+        let mut c = cfg_for(&format!("k{kill}-{workers}"), manifest, workers as usize);
         c.kill_after = Some(kill);
         let partial = run(&c).unwrap();
         assert!(partial.interrupted);
@@ -91,8 +84,8 @@ px_prop! {
 #[test]
 fn zoo_coverage_merges_identically_across_schedules() {
     let manifest = "zoo:parser:3*2+zoo:state-machine:1";
-    let a = cfg_for("zoo-seq", manifest, 1, 1);
-    let b = cfg_for("zoo-par", manifest, 3, 2);
+    let a = cfg_for("zoo-seq", manifest, 1);
+    let b = cfg_for("zoo-par", manifest, 3);
     let ra = run(&a).unwrap();
     let rb = run(&b).unwrap();
     assert!(ra.complete() && rb.complete());

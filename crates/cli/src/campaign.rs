@@ -1,6 +1,6 @@
 //! `pxc campaign` — the crash-safe campaign runner as a CLI verb.
 //!
-//! Drives [`px_campaign`] over a deterministic case manifest: work-stealing
+//! Drives [`px_campaign`] over a deterministic case manifest: pooled
 //! workers, per-case instruction watchdogs, panic quarantine, an
 //! append-only NDJSON journal with checkpoints, and SIGINT drain. A killed
 //! or interrupted campaign resumes from its journal with a byte-identical
@@ -88,8 +88,8 @@ fn print_human(cfg: &CampaignConfig, r: &CampaignReport, o: &CampaignOpts) {
     };
     println!("campaign `{}`: {}", r.manifest, state);
     println!(
-        "  cases:      {}/{} journaled ({} resumed, {} run now, {} steals)",
-        r.aggregate.total, r.total, r.resumed, r.ran, r.steals
+        "  cases:      {}/{} journaled ({} resumed, {} run now)",
+        r.aggregate.total, r.total, r.resumed, r.ran
     );
     let [done, panicked, timed_out, violated] = r.aggregate.outcomes;
     println!(

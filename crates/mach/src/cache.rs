@@ -14,7 +14,6 @@
 //! option with one mechanism.
 
 use crate::config::{CacheConfig, MachConfig};
-use crate::fault::SimError;
 
 /// Volatile tag value for committed (non-speculative) data.
 pub const COMMITTED: u8 = 0;
@@ -350,8 +349,8 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent cache geometry (use [`Hierarchy::try_new`]
-    /// for untrusted configurations).
+    /// Panics on inconsistent cache geometry (check untrusted
+    /// configurations with [`MachConfig::validate`] first).
     #[must_use]
     pub fn new(cfg: &MachConfig) -> Hierarchy {
         Hierarchy {
@@ -360,17 +359,6 @@ impl Hierarchy {
             mem_cycles: cfg.mem_cycles,
             stats: HierarchyStats::default(),
         }
-    }
-
-    /// Builds the hierarchy after validating the configuration, so bad
-    /// geometry surfaces as a [`SimError`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first geometry rule `cfg` violates.
-    pub fn try_new(cfg: &MachConfig) -> Result<Hierarchy, SimError> {
-        cfg.validate()?;
-        Ok(Hierarchy::new(cfg))
     }
 
     /// Number of per-core L1 caches.
@@ -477,6 +465,7 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::SimError;
 
     fn small_cache() -> Cache {
         // 4 lines of 32B, 2-way => 2 sets.
@@ -623,19 +612,16 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_geometry() {
+    fn validate_rejects_bad_hierarchy_geometry() {
         let mut cfg = MachConfig::default();
         cfg.l1.line_bytes = 24;
-        assert!(matches!(
-            Hierarchy::try_new(&cfg),
-            Err(SimError::BadCacheGeometry(_))
-        ));
+        assert!(matches!(cfg.validate(), Err(SimError::BadCacheGeometry(_))));
         let cfg = MachConfig {
             cores: 0,
             ..MachConfig::default()
         };
-        assert_eq!(Hierarchy::try_new(&cfg).unwrap_err(), SimError::NoCores);
-        assert!(Hierarchy::try_new(&MachConfig::default()).is_ok());
+        assert_eq!(cfg.validate().unwrap_err(), SimError::NoCores);
+        assert!(MachConfig::default().validate().is_ok());
     }
 
     #[test]

@@ -134,7 +134,7 @@ mod tests {
         let dp = DecodedProgram::decode(&program);
         let mut mem = Memory::new(px_isa::DEFAULT_MEM_SIZE);
         for item in &program.data {
-            mem.load_blob(item.addr, &item.bytes);
+            mem.try_load_blob(item.addr, &item.bytes).unwrap();
         }
         let mut core = CoreState::at_entry(program.entry, mem.size());
         let mut io = IoState::new(input.to_vec(), 7);

@@ -127,17 +127,6 @@ impl Memory {
         }
     }
 
-    /// Copies a blob into memory (program loading).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blob does not fit (use [`Memory::try_load_blob`] for
-    /// untrusted programs).
-    pub fn load_blob(&mut self, addr: u32, blob: &[u8]) {
-        self.try_load_blob(addr, blob)
-            .expect("blob must fit in memory");
-    }
-
     /// Reads `len` bytes (for inspecting program output buffers in tests).
     ///
     /// # Panics

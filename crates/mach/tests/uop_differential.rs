@@ -196,6 +196,22 @@ fn soup_program(code: Vec<Instruction>, checker: Option<(u32, u32)>) -> Program 
 /// `faults`, each interpreter consults its own copy of the plan, so both see
 /// the same injection sequence. Bounded, since byte-soup programs can loop
 /// forever; returns whether the program ended within `steps`.
+/// A cost model whose classes are pairwise distinct, so a step charged to
+/// the wrong class shows up as a cost mismatch (in the default model `alu`
+/// and `control` are both 1).
+fn distinct_costs() -> CostModel {
+    CostModel {
+        alu: 1,
+        mul: 3,
+        div: 12,
+        control: 2,
+        syscall: 50,
+        check: 5,
+        watch_op: 7,
+        watch_hit: 20,
+    }
+}
+
 fn lockstep(
     program: &Program,
     input: &[u8],
@@ -204,11 +220,11 @@ fn lockstep(
     faults: Option<FaultPlan>,
 ) -> bool {
     let dp = DecodedProgram::decode(program);
-    let costs = CostModel::default();
+    let costs = distinct_costs();
 
     let mut mem_a = Memory::new(program.mem_size);
     for item in &program.data {
-        mem_a.load_blob(item.addr, &item.bytes);
+        mem_a.try_load_blob(item.addr, &item.bytes).unwrap();
     }
     let mut mem_b = mem_a.clone();
     let mut core_a = CoreState::at_entry(program.entry, mem_a.size());
@@ -533,7 +549,7 @@ fn batch_equals_stepping() {
     )
     .unwrap();
     let dp = DecodedProgram::decode(&program);
-    let costs = CostModel::default();
+    let costs = distinct_costs();
     let table = uop_cost_table(&costs);
     let n = dp.simple_run(0);
     assert_eq!(n, 7, "everything before exit batches");

@@ -11,9 +11,9 @@
 //! * [`prop`] — a minimal property-testing harness (replaces `proptest`):
 //!   seeded case generation, size ramping, shrinking-lite, and the
 //!   [`px_prop!`] macro.
-//! * [`pool`] — a work-stealing job pool (per-worker deques, block refill,
-//!   bounded streaming results) — the one scheduler: the campaign driver
-//!   and the bench sweeps both run on it.
+//! * [`pool`] — a self-scheduling job pool (workers claim indices from one
+//!   shared cursor and stream results through a bounded channel) — the one
+//!   scheduler: the campaign driver and the bench sweeps both run on it.
 //! * [`par`] — [`par_map`], an order-preserving parallel map over [`pool`]
 //!   with per-item panic containment (replaces `crossbeam::thread::scope`
 //!   in the bench sweep harness).
@@ -40,6 +40,6 @@ pub use digest::{fnv1a64, from_hex, hex64, parse_hex64, to_hex};
 pub use json::{Json, ToJson};
 pub use memo::{FixedMap, MemoCounters};
 pub use par::{panic_message, par_map};
-pub use pool::{run_stealing, PoolConfig, PoolRun};
+pub use pool::{run_pool, PoolRun};
 pub use prop::{any_bool, any_i32, any_i64, any_u32, any_u8, just, vec_exact, vec_of, Strategy};
 pub use rng::{Rng, SplitMix64, XorShift64Star, Xoshiro256};

@@ -1,9 +1,9 @@
-//! An order-preserving parallel map over the work-stealing pool.
+//! An order-preserving parallel map over the job pool.
 //!
 //! The bench sweep harness needs nothing more than a fork-join map, so
-//! [`par_map`] is a thin wrapper over [`run_stealing`]: items are claimed
-//! one at a time (`block: 1`), each runs under `catch_unwind`, and the
-//! results are put back into input order once every item has finished.
+//! [`par_map`] is a thin wrapper over [`run_pool`]: each item runs under
+//! `catch_unwind`, and the results are put back into input order once
+//! every item has finished.
 //! Panics are contained per *item*, not per worker, so one panicking item
 //! never takes down the rest of the sweep; [`par_map`] re-panics afterwards
 //! with the lowest-index item's message.
@@ -11,7 +11,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 
-use crate::pool::{run_stealing, PoolConfig};
+use crate::pool::run_pool;
 
 /// Renders a `catch_unwind` payload as a message.
 #[must_use]
@@ -25,7 +25,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Applies `f` to every item on the work-stealing pool (one worker per
+/// Applies `f` to every item on the job pool (one worker per
 /// available core) and collects the results in input order — exactly the
 /// output of a sequential `items.iter().map(f).collect()`.
 ///
@@ -35,16 +35,12 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the lowest such index — but only after every *other* item has
 /// completed, so one bad item cannot poison unrelated work.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let pool = PoolConfig {
-        block: 1,
-        ..PoolConfig::default()
-    };
     let mut out: Vec<Option<std::thread::Result<R>>> = (0..items.len()).map(|_| None).collect();
     // `f` is `Fn`, shared by reference: catching a panic cannot observe
     // broken invariants in it, so the unwind-safety assertion is sound.
-    run_stealing(
+    run_pool(
         items.len(),
-        &pool,
+        0,
         &AtomicBool::new(false),
         |i| catch_unwind(AssertUnwindSafe(|| f(&items[i]))),
         |i, r| out[i] = Some(r),
