@@ -96,7 +96,6 @@ pub struct PrimePathSet {
     block_starts: Vec<u32>,
     block_path_counts: Vec<u32>,
     code_len: usize,
-    program_digest: u64,
     truncated: bool,
     feasible_count: usize,
     max_len: usize,
@@ -256,7 +255,6 @@ impl PrimePathSet {
             block_starts: blocks.iter().map(|b| b.start).collect(),
             block_path_counts,
             code_len,
-            program_digest,
             truncated,
             feasible_count,
             max_len,
@@ -289,8 +287,9 @@ impl PrimePathSet {
         self.feasible_count
     }
 
-    /// Whether any enumeration cap fired. When set, the kept paths are a
-    /// deterministic prefix and coverage denominators are lower bounds.
+    /// Whether any enumeration cap fired. When set, the kept paths are
+    /// deterministic but their count is no bound either way (see
+    /// [`PathLimits`]).
     #[must_use]
     pub fn truncated(&self) -> bool {
         self.truncated
@@ -314,18 +313,6 @@ impl PrimePathSet {
     #[must_use]
     pub fn block_path_counts(&self) -> &[u32] {
         &self.block_path_counts
-    }
-
-    /// Instruction count of the program the set was enumerated over.
-    #[must_use]
-    pub fn code_len(&self) -> usize {
-        self.code_len
-    }
-
-    /// FNV-1a-64 of the program's encoded instruction stream.
-    #[must_use]
-    pub fn program_digest(&self) -> u64 {
-        self.program_digest
     }
 
     /// Deterministic digest of the whole set (program, structure, every

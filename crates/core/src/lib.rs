@@ -94,13 +94,10 @@ use px_mach::{FaultHook, IoState, MachConfig, PathPlan, SimError, UopProfile};
 /// (matching would be ambiguous).
 pub fn plan_paths(set: &PrimePathSet) -> Result<PathPlan, SimError> {
     PathPlan::new(
-        set.code_len(),
-        set.program_digest(),
         set.digest(),
         set.block_starts().to_vec(),
         set.len() as u32,
         set.feasible_count() as u32,
-        set.truncated(),
         set.paths()
             .iter()
             .enumerate()

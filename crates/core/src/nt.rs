@@ -26,9 +26,9 @@ use px_isa::{DecodedProgram, Edge, MicroOp, Program, UOP_KIND_COUNT};
 use px_mach::{
     load_program, memo_fingerprint, run_simple, simple_cost_until, simple_steps_until,
     uop_cost_table, Btb, CoreState, Coverage, FaultHook, Hierarchy, IoState, MachConfig, MemoEntry,
-    MemoNote, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, PathCoverage, PathKind,
-    PathPlan, PathTrail, Regs, RunExit, Sandbox, SimError, Step, StepEvent, WatchTable, COMMITTED,
-    MEMO_MAX_READS,
+    MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, PathCoverage,
+    PathKind, PathPlan, PathTrail, Regs, RunExit, Sandbox, SimError, Step, StepEvent, WatchTable,
+    COMMITTED, MEMO_MAX_READS,
 };
 
 use crate::config::PxConfig;
@@ -413,7 +413,7 @@ impl<'a> Run<'a> {
 
     /// Starts an admitted NT-path from the branch at `pc` toward `target`,
     /// with `regs` the taken path's registers at the branch. A memo hit
-    /// returns the replay cursor; a miss may arm a recorder. The path's
+    /// returns the replay cursor; an unknown key arms a recorder. The path's
     /// trail forks from the taken trail *at the branch*, before either
     /// successor block is entered.
     pub(crate) fn spawn(
@@ -436,25 +436,25 @@ impl<'a> Run<'a> {
         let Some(t) = self.memo.table() else {
             return (ex, None);
         };
-        if let Some(entry) = t.probe(pc, target, &self.watches, regs, &self.memory) {
-            let replay = Replay {
+        let replay = match t.probe(pc, target, &self.watches, regs, &self.memory) {
+            MemoProbe::Hit(entry) => Some(Replay {
                 entry,
                 step: 0,
                 run_off: 0,
-            };
-            return (ex, Some(replay));
-        }
-        if t.should_record(pc, target) {
-            let rec = MemoRecorder::new(
-                pc,
-                target,
-                &self.watches,
-                self.px.apply_fixes,
-                MEMO_MAX_READS,
-            );
-            ex.rec = Some(rec);
-        }
-        (ex, None)
+            }),
+            MemoProbe::Record => {
+                ex.rec = Some(MemoRecorder::new(
+                    pc,
+                    target,
+                    &self.watches,
+                    self.px.apply_fixes,
+                    MEMO_MAX_READS,
+                ));
+                None
+            }
+            MemoProbe::Skip => None,
+        };
+        (ex, replay)
     }
 
     /// Advances NT-path `ex` by one grant, charging `clock`. A replaying

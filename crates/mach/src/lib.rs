@@ -63,8 +63,8 @@ pub use fault::{
 };
 pub use io::IoState;
 pub use memo::{
-    memo_fingerprint, MemoEntry, MemoNote, MemoRecorder, MemoStep, MemoTable, NtStop,
-    MEMO_MAX_READS, MEMO_MAX_STEPS, MEMO_RETRY_PERIOD, MEMO_STRIKE_LIMIT,
+    memo_fingerprint, MemoEntry, MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, NtStop,
+    MEMO_MAX_READS, MEMO_MAX_STEPS,
 };
 pub use memory::{CrashKind, MemView, Memory, Sandbox, SandboxView};
 pub use monitor::{MonitorArea, MonitorRecord, PathKind, RecordKind};

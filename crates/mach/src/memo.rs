@@ -7,7 +7,10 @@
 //! it reads plus the watch table at spawn. This module records that live-in
 //! read set alongside a step-exact effect bundle the first time a path runs;
 //! later spawns at the same (spawn pc, NT target) whose live-ins still match
-//! *replay* the bundle instead of re-simulating, step for step.
+//! *replay* the bundle instead of re-simulating, step for step. A key
+//! records once: the first probe whose live-ins fail its entry's
+//! validation marks the key dead, and a dead key is never recorded again
+//! ([`MemoTable`]).
 //!
 //! Replay is *simulation-timing identical*: the engines re-issue every cache
 //! access of the recorded path in the same global order (so cycle charges,
@@ -56,19 +59,6 @@ pub const MEMO_MAX_READS: usize = 1024;
 
 /// Slot count of the memo table (distinct (spawn pc, target) keys).
 pub const MEMO_SLOTS: usize = 512;
-
-/// Entries retained per key: paths from one branch with different live-ins
-/// (e.g. loop iterations touching different data) coexist up to this many.
-pub const MEMO_VARIANTS: usize = 4;
-
-/// Consecutive validation failures (with no intervening hit) after which a
-/// key stops admitting new recordings: its live-ins evidently differ on
-/// every spawn, so recording is pure overhead.
-pub const MEMO_STRIKE_LIMIT: u8 = 3;
-
-/// While a key is muted, every this-many-th declined recording is admitted
-/// anyway, so a key whose live-ins stabilize later can re-enter the cache.
-pub const MEMO_RETRY_PERIOD: u32 = 64;
 
 /// Why an NT-path terminated (paper §4.2(3), plus the implicit sandbox
 /// capacity limit of buffering in L1).
@@ -519,29 +509,31 @@ fn watch_multiset_eq(recorded: &[WatchRange], live: &[WatchRange]) -> bool {
     })
 }
 
+/// What a [`MemoTable::probe`] tells the spawning engine to do.
 #[derive(Debug)]
-struct MemoVariant {
-    entry: Arc<MemoEntry>,
-    uses: u64,
-}
-
-#[derive(Debug)]
-struct MemoSlot {
-    variants: Vec<MemoVariant>,
-    /// Consecutive failed validations since the last hit. At
-    /// [`MEMO_STRIKE_LIMIT`] the key stops admitting new recordings.
-    strikes: u8,
-    /// Recordings declined while muted; resets when the periodic retry
-    /// re-admits one.
-    denied: u32,
+pub enum MemoProbe {
+    /// The key's entry validated against the live state: replay it.
+    Hit(Arc<MemoEntry>),
+    /// The key is unknown: simulate the path and record it.
+    Record,
+    /// The key is dead: simulate the path without recording it.
+    Skip,
 }
 
 /// The per-run (or, via the campaign runner, per-program) NT-path replay
-/// cache: a fixed-capacity map from (spawn pc, NT target) to up to
-/// [`MEMO_VARIANTS`] read-set-validated entries.
+/// cache: a fixed-capacity map from (spawn pc, NT target) to one
+/// read-set-validated entry.
+///
+/// One rule decides what is recorded: a key keeps the first entry stored
+/// for it, and the first probe whose live state fails that entry's
+/// validation marks the key dead. A dead key is never recorded again in
+/// this table unless `FixedMap` evicts its slot. The exercise counters
+/// (paper §4.2(1)) allow an edge only a few spawns per reset interval, so
+/// a key whose live-ins differ once is not worth another recording.
 #[derive(Debug)]
 pub struct MemoTable {
-    map: FixedMap<MemoSlot>,
+    /// `None` marks a dead key.
+    map: FixedMap<Option<Arc<MemoEntry>>>,
     fingerprint: u64,
     /// Probe/store accounting (not part of `PxStats`, so memoization never
     /// perturbs architectural statistics).
@@ -566,8 +558,7 @@ impl MemoTable {
         self.fingerprint
     }
 
-    /// Total evictions (slot-level and variant-level), the same number as
-    /// `counters.evictions`.
+    /// Slot evictions, the same number as `counters.evictions`.
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.counters.evictions
@@ -577,9 +568,13 @@ impl MemoTable {
         (u64::from(spawn_pc) << 32) | u64::from(target)
     }
 
-    /// Probe for a replayable entry: same (spawn pc, target), watch-table
-    /// multiset equal, and every recorded register/memory live-in matching
-    /// the live machine state.
+    /// Probe the key (spawn pc, target). Its entry hits when the watch
+    /// table multiset is equal and every recorded register and memory
+    /// live-in matches the live machine state. An unknown key is a miss
+    /// and asks for a recording; an entry that fails validation marks the
+    /// key dead, and a dead key counts an invalidation and a declined
+    /// recording (a skip). Whether a spawn is recorded never changes what
+    /// the simulation computes.
     pub fn probe(
         &mut self,
         spawn_pc: u32,
@@ -587,90 +582,45 @@ impl MemoTable {
         watches: &WatchTable,
         regs: &Regs,
         memory: &Memory,
-    ) -> Option<Arc<MemoEntry>> {
+    ) -> MemoProbe {
         let Some(slot) = self.map.get_mut(Self::key(spawn_pc, target)) else {
             self.counters.misses += 1;
-            return None;
+            return MemoProbe::Record;
         };
-        let hit = slot.variants.iter().position(|v| {
-            let e = &v.entry;
-            watch_multiset_eq(&e.watch, watches.ranges())
+        if let Some(e) = slot {
+            if watch_multiset_eq(&e.watch, watches.ranges())
                 && e.reg_reads
                     .iter()
                     .all(|&(r, want)| regs.get(Reg::new(r)) == want)
                 && e.mem_reads.iter().all(|&(a, want)| memory.byte(a) == want)
-        });
-        if let Some(i) = hit {
-            slot.strikes = 0;
-            let v = &mut slot.variants[i];
-            v.uses += 1;
-            self.counters.hits += 1;
-            return Some(Arc::clone(&v.entry));
+            {
+                self.counters.hits += 1;
+                return MemoProbe::Hit(Arc::clone(e));
+            }
+            *slot = None;
         }
-        slot.strikes = slot.strikes.saturating_add(1);
         self.counters.invalidations += 1;
-        None
-    }
-
-    /// Admission policy, consulted after a failed [`MemoTable::probe`]: is
-    /// recording this spawn worth the cost? Unknown keys always are. A key
-    /// whose entries failed validation [`MEMO_STRIKE_LIMIT`] times in a row
-    /// without a hit is effectively unique-per-spawn (live-ins differ every
-    /// time), so recording it is pure overhead — decline, but re-admit every
-    /// [`MEMO_RETRY_PERIOD`]th decline so a key whose live-ins stabilize
-    /// later can re-enter. Purely a wall-clock decision: whether a spawn is
-    /// recorded never changes what the simulation computes.
-    pub fn should_record(&mut self, spawn_pc: u32, target: u32) -> bool {
-        let Some(slot) = self.map.get_mut(Self::key(spawn_pc, target)) else {
-            return true;
-        };
-        if slot.strikes < MEMO_STRIKE_LIMIT {
-            return true;
-        }
-        slot.denied += 1;
-        if slot.denied >= MEMO_RETRY_PERIOD {
-            slot.denied = 0;
-            return true;
-        }
         self.counters.skips += 1;
-        false
+        MemoProbe::Skip
     }
 
-    /// Store a freshly recorded entry, displacing the least-used variant of
-    /// its key when the variant list is full.
+    /// Store a freshly recorded entry. A key already present (live or
+    /// dead) keeps what it has: a second recording that finishes for it,
+    /// as concurrent CMP paths can, is dropped and counted as a bypass.
     pub fn store(&mut self, entry: MemoEntry) {
         let key = Self::key(entry.spawn_pc, entry.target);
-        let variant = MemoVariant {
-            entry: Arc::new(entry),
-            uses: 0,
-        };
+        if self.map.get_mut(key).is_some() {
+            self.bypass();
+            return;
+        }
         self.counters.stores += 1;
-        if let Some(slot) = self.map.get_mut(key) {
-            if slot.variants.len() >= MEMO_VARIANTS {
-                let (victim, _) = slot
-                    .variants
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, v)| (v.uses, *i))
-                    .expect("variant list is non-empty");
-                slot.variants.remove(victim);
-                self.counters.evictions += 1;
-            }
-            slot.variants.push(variant);
-        } else {
-            let slot = MemoSlot {
-                variants: vec![variant],
-                strikes: 0,
-                denied: 0,
-            };
-            if self.map.insert(key, slot) {
-                self.counters.evictions += 1;
-            }
+        if self.map.insert(key, Some(Arc::new(entry))) {
+            self.counters.evictions += 1;
         }
     }
 
-    /// Count a spawn that could not use the memo (recorder aborted or the
-    /// stop reason is not memoizable).
+    /// Count a finished recording that is not stored (recorder aborted,
+    /// the stop reason is not memoizable, or the key was stored meanwhile).
     pub fn bypass(&mut self) {
         self.counters.bypasses += 1;
     }
@@ -717,30 +667,41 @@ mod tests {
         }
     }
 
+    fn hits(t: &mut MemoTable, watches: &WatchTable, regs: &Regs, mem: &Memory) -> bool {
+        matches!(t.probe(4, 9, watches, regs, mem), MemoProbe::Hit(_))
+    }
+
     #[test]
     fn probe_validates_reg_and_mem_live_ins() {
-        let mut t = MemoTable::new(1);
-        t.store(entry_with(vec![(5, 77)], vec![(4096, 9)]));
         let watches = WatchTable::default();
         let mut regs = Regs::default();
         let mut mem = Memory::new(8192);
         regs.set(Reg::new(5), 77);
         mem.set_byte(4096, 9);
-        assert!(t.probe(4, 9, &watches, &regs, &mem).is_some());
+        let table = || {
+            let mut t = MemoTable::new(1);
+            t.store(entry_with(vec![(5, 77)], vec![(4096, 9)]));
+            t
+        };
+        let mut t = table();
+        assert!(hits(&mut t, &watches, &regs, &mem));
         assert_eq!(t.counters.hits, 1);
 
         regs.set(Reg::new(5), 78);
-        assert!(t.probe(4, 9, &watches, &regs, &mem).is_none());
-        assert_eq!(t.counters.invalidations, 1);
+        assert!(!hits(&mut table(), &watches, &regs, &mem));
 
         regs.set(Reg::new(5), 77);
         mem.set_byte(4096, 10);
-        assert!(t.probe(4, 9, &watches, &regs, &mem).is_none());
+        assert!(!hits(&mut t, &watches, &regs, &mem));
+        assert_eq!(t.counters.invalidations, 1);
 
         // Unknown key: a miss, not an invalidation.
-        assert!(t.probe(4, 10, &watches, &regs, &mem).is_none());
+        assert!(matches!(
+            t.probe(4, 10, &watches, &regs, &mem),
+            MemoProbe::Record
+        ));
         assert_eq!(t.counters.misses, 1);
-        assert_eq!(t.counters.invalidations, 2);
+        assert_eq!(t.counters.invalidations, 1);
     }
 
     #[test]
@@ -757,43 +718,17 @@ mod tests {
         t.store(e);
         let regs = Regs::default();
         let mem = Memory::new(8192);
-        assert!(t.probe(4, 9, &watches, &regs, &mem).is_some());
+        assert!(hits(&mut t, &watches, &regs, &mem));
 
         watches.set(300, 4, 3);
         assert!(
-            t.probe(4, 9, &watches, &regs, &mem).is_none(),
+            !hits(&mut t, &watches, &regs, &mem),
             "extra live range must invalidate"
         );
     }
 
     #[test]
-    fn variant_list_evicts_least_used() {
-        let mut t = MemoTable::new(1);
-        for i in 0..MEMO_VARIANTS as i32 {
-            t.store(entry_with(vec![(5, i)], Vec::new()));
-        }
-        let watches = WatchTable::default();
-        let mem = Memory::new(8192);
-        // Touch every variant except live-in value 0.
-        for i in 1..MEMO_VARIANTS as i32 {
-            let mut regs = Regs::default();
-            regs.set(Reg::new(5), i);
-            assert!(t.probe(4, 9, &watches, &regs, &mem).is_some());
-        }
-        t.store(entry_with(vec![(5, 100)], Vec::new()));
-        assert_eq!(t.counters.evictions, 1);
-        let mut regs = Regs::default();
-        regs.set(Reg::new(5), 0);
-        assert!(
-            t.probe(4, 9, &watches, &regs, &mem).is_none(),
-            "least-used variant was displaced"
-        );
-        regs.set(Reg::new(5), 100);
-        assert!(t.probe(4, 9, &watches, &regs, &mem).is_some());
-    }
-
-    #[test]
-    fn slot_evictions_are_counted_with_variant_evictions() {
+    fn slot_evictions_are_counted() {
         // More distinct keys than slots: probe windows fill, and every key
         // that finds its window full displaces another key's slot.
         let mut t = MemoTable::new(1);
@@ -811,37 +746,51 @@ mod tests {
     }
 
     #[test]
-    fn admission_mutes_striking_keys_and_retries_periodically() {
+    fn a_key_is_never_rerecorded_after_its_first_failed_validation() {
         let mut t = MemoTable::new(1);
         let watches = WatchTable::default();
         let mem = Memory::new(8192);
-        // Unknown keys always record.
-        assert!(t.should_record(4, 9));
-        t.store(entry_with(vec![(5, 0)], Vec::new()));
-        // Live-ins differ on every spawn: strikes accumulate, and recording
-        // stays admitted until the limit.
         let mut regs = Regs::default();
-        for i in 1..=i32::from(MEMO_STRIKE_LIMIT) {
-            regs.set(Reg::new(5), i);
-            assert!(t.probe(4, 9, &watches, &regs, &mem).is_none());
-            if i < i32::from(MEMO_STRIKE_LIMIT) {
-                assert!(t.should_record(4, 9), "below the strike limit");
-            }
-        }
-        // Muted now; the periodic retry re-admits exactly one recording
-        // after MEMO_RETRY_PERIOD - 1 declines.
-        let mut declined = 0u32;
-        while !t.should_record(4, 9) {
-            declined += 1;
-            assert!(declined <= MEMO_RETRY_PERIOD, "retry never happened");
-        }
-        assert_eq!(declined, MEMO_RETRY_PERIOD - 1);
-        assert_eq!(t.counters.skips, u64::from(declined));
-        // A hit clears the strikes and recording resumes immediately.
+        // An unknown key asks for a recording.
+        assert!(matches!(
+            t.probe(4, 9, &watches, &regs, &mem),
+            MemoProbe::Record
+        ));
+        t.store(entry_with(vec![(5, 0)], Vec::new()));
+        // A second recording of a present key is dropped as a bypass.
+        t.store(entry_with(vec![(5, 1)], Vec::new()));
+        assert_eq!((t.counters.stores, t.counters.bypasses), (1, 1));
+        assert!(hits(&mut t, &watches, &regs, &mem));
+        // The first failed validation kills the key: from then on every
+        // probe is an invalidation and a declined recording, even with
+        // the recorded live-ins back in place.
+        regs.set(Reg::new(5), 1);
+        assert!(matches!(
+            t.probe(4, 9, &watches, &regs, &mem),
+            MemoProbe::Skip
+        ));
         regs.set(Reg::new(5), 0);
-        assert!(t.probe(4, 9, &watches, &regs, &mem).is_some());
-        assert!(t.should_record(4, 9));
-        assert!(t.should_record(4, 9), "no decline counting after a hit");
+        assert!(matches!(
+            t.probe(4, 9, &watches, &regs, &mem),
+            MemoProbe::Skip
+        ));
+        t.store(entry_with(vec![(5, 0)], Vec::new()));
+        assert!(matches!(
+            t.probe(4, 9, &watches, &regs, &mem),
+            MemoProbe::Skip
+        ));
+        let c = t.counters;
+        assert_eq!(
+            (
+                c.hits,
+                c.misses,
+                c.invalidations,
+                c.skips,
+                c.stores,
+                c.bypasses
+            ),
+            (1, 1, 3, 3, 1, 2)
+        );
     }
 
     #[test]

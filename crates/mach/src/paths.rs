@@ -49,10 +49,6 @@ const NONE: u32 = u32::MAX;
 /// sorted by block and `label` itself is the child table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathPlan {
-    /// Instruction count of the program the plan describes.
-    pub code_len: usize,
-    /// FNV-1a-64 of the program's encoded instruction stream.
-    pub program_digest: u64,
     /// Digest of the full enumeration (paths + feasibility + truncation):
     /// the shard-identity key for [`PathCoverage::merge`].
     pub set_digest: u64,
@@ -60,8 +56,6 @@ pub struct PathPlan {
     pub n_paths: u32,
     /// Statically-feasible prime paths — the coverage denominator.
     pub feasible_total: u32,
-    /// Whether enumeration was truncated (denominators are lower bounds).
-    pub truncated: bool,
     block_starts: Vec<u32>,
     /// Per node: the block on the trie edge into it (unused for the root).
     label: Vec<u32>,
@@ -93,15 +87,11 @@ impl PathPlan {
     /// two feasible paths share a block sequence
     /// ([`SimError::DuplicatePrimePath`]: matching would be ambiguous), or
     /// `feasible_total` disagrees with the paths given.
-    #[allow(clippy::too_many_arguments)]
     pub fn new<'p>(
-        code_len: usize,
-        program_digest: u64,
         set_digest: u64,
         block_starts: Vec<u32>,
         n_paths: u32,
         feasible_total: u32,
-        truncated: bool,
         feasible: impl IntoIterator<Item = (&'p [u32], u32)>,
     ) -> Result<PathPlan, SimError> {
         if !block_starts.windows(2).all(|w| w[0] < w[1]) {
@@ -178,12 +168,9 @@ impl PathPlan {
         }
 
         let mut plan = PathPlan {
-            code_len,
-            program_digest,
             set_digest,
             n_paths,
             feasible_total,
-            truncated,
             block_starts,
             label,
             first_child,
@@ -451,13 +438,10 @@ mod tests {
     /// `feasible[i]`.
     fn plan_with(n_blocks: usize, paths: &[Vec<u32>], feasible: &[bool]) -> PathPlan {
         PathPlan::new(
-            n_blocks,
-            0x1234,
             0x5678,
             (0..n_blocks as u32).collect(),
             paths.len() as u32,
             feasible.iter().filter(|&&f| f).count() as u32,
-            false,
             paths
                 .iter()
                 .zip(feasible)
@@ -779,13 +763,10 @@ mod tests {
     fn plan_rejects_malformed_paths_with_typed_errors() {
         let new = |paths: &[(&[u32], u32)]| {
             PathPlan::new(
-                3,
-                1,
                 2,
                 vec![0, 1, 2],
                 4,
                 paths.len() as u32,
-                false,
                 paths.iter().copied(),
             )
         };
@@ -809,7 +790,7 @@ mod tests {
             })
         );
         assert!(new(&[(&[0, 1], 0), (&[1, 2], 1)]).is_ok());
-        let r = PathPlan::new(2, 1, 2, vec![1, 0], 0, 0, false, []);
+        let r = PathPlan::new(2, vec![1, 0], 0, 0, []);
         assert_eq!(
             r,
             Err(SimError::Invariant("path plan block starts not ascending"))

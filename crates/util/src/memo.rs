@@ -19,20 +19,19 @@ pub struct MemoCounters {
     pub hits: u64,
     /// Probes that found no entry under the key.
     pub misses: u64,
-    /// Probes that found entries under the key but none whose recorded
-    /// read set matched the live machine state.
+    /// Probes that found the key's entry failing validation against the
+    /// live machine state, or the key already dead from such a failure.
     pub invalidations: u64,
     /// Entries stored.
     pub stores: u64,
-    /// Entries displaced to make room (slot or variant evictions).
+    /// Slots displaced to make room for another key.
     pub evictions: u64,
-    /// Spawns that skipped the memo entirely (recorder aborted over a cap,
-    /// non-memoizable stop reason, or memoization structurally disabled for
-    /// the path).
+    /// Finished recordings that were not stored (recorder aborted over a
+    /// cap, non-memoizable stop reason, or the key stored meanwhile by a
+    /// concurrent path).
     pub bypasses: u64,
-    /// Recordings declined by the admission policy: the key kept
-    /// invalidating without hitting, so the table stopped paying the
-    /// recording cost for it (retried periodically).
+    /// Recordings declined because the key is dead: its entry once failed
+    /// validation, and a dead key is never recorded again.
     pub skips: u64,
 }
 

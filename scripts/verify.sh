@@ -74,6 +74,13 @@ echo "==> uop-oracle: step_uop vs reference interpreter, 2000 cases"
 PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --test uop_differential \
     step_uop_matches_reference
 
+# Replay-cache oracle: the standard and CMP engines must compute
+# byte-identical results with the NT-path replay cache on and off over
+# random byte-soup programs, at 2000 cases rather than the default 48.
+echo "==> memo-oracle: replay cache on/off identity on byte soup, 2000 cases"
+PX_PROP_CASES=2000 cargo test --release --offline -q -p pathexpander --test memo_identity \
+    memo_identity_on_byte_soup
+
 # Zoo smoke: the quick E15 roster must meet the acceptance criteria
 # (every expected bug detected on some engine, zero NT-only false
 # positives), and the zoo CLI must be byte-deterministic.

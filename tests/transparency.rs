@@ -129,3 +129,41 @@ fn taken_coverage_equals_baseline_coverage() {
         );
     }
 }
+
+#[test]
+fn spawn_free_standard_run_is_the_baseline() {
+    // With every exercise counter hot from the start (threshold 0, no
+    // random factor) no NT-path is ever spawned, so the standard engine
+    // must be the baseline machine, down to the simulated cycle.
+    for w in px_workloads::all() {
+        for &tool in &w.tools {
+            let compiled = w.compile_for(tool).expect("compiles");
+            for seed in [3u64, 99] {
+                let io = || IoState::new(w.general_input(seed), seed);
+                let base =
+                    run_baseline(&compiled.program, &MachConfig::single_core(), io(), BUDGET);
+                let cfg = w
+                    .px_config()
+                    .with_counter_threshold(0)
+                    .with_max_instructions(BUDGET);
+                let r = run(&compiled.program, &MachConfig::single_core(), &cfg, io());
+                let at = format!("{} ({}) seed {seed}", w.name, tool.name());
+                assert_eq!(r.stats.spawns, 0, "{at}: spawned");
+                assert_eq!(r.exit, base.exit, "{at}: exit");
+                assert_eq!(r.io.output(), base.io.output(), "{at}: output");
+                assert_eq!(r.taken_coverage, base.coverage, "{at}: taken coverage");
+                assert_eq!(
+                    r.monitor.records(),
+                    base.monitor.records(),
+                    "{at}: monitor records"
+                );
+                assert_eq!(r.core, base.core, "{at}: register file");
+                assert_eq!(r.cycles, base.cycles, "{at}: cycles");
+                assert_eq!(
+                    r.stats.taken_instructions, base.instructions,
+                    "{at}: taken instructions"
+                );
+            }
+        }
+    }
+}
