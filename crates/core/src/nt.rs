@@ -28,7 +28,7 @@ use px_mach::{
     uop_cost_table, Btb, CoreState, Coverage, FaultHook, Hierarchy, IoState, MachConfig, MemoEntry,
     MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, PathCoverage,
     PathKind, PathPlan, PathTrail, Regs, RunExit, Sandbox, SimError, Step, StepEvent, WatchTable,
-    COMMITTED, MEMO_MAX_READS,
+    COMMITTED,
 };
 
 use crate::config::PxConfig;
@@ -448,7 +448,6 @@ impl<'a> Run<'a> {
                     target,
                     &self.watches,
                     self.px.apply_fixes,
-                    MEMO_MAX_READS,
                 ));
                 None
             }
@@ -659,13 +658,7 @@ impl<'a> Run<'a> {
             self.caches.squash_path(c, vtag);
         }
         if let (Some(rec), Some(t)) = (ex.rec, self.memo.table()) {
-            // A stop that depends on live machine state, or a recorder that
-            // aborted over a cap, falls back to simulation for this shape
-            // of path (`NtStop::memoizable`).
-            match rec.finish(stop) {
-                Some(entry) => t.store(entry),
-                None => t.bypass(),
-            }
+            t.finish(rec, stop);
         }
         self.stats.paths.push(NtPathRecord {
             spawn_pc: ex.spawn_pc,

@@ -186,6 +186,23 @@ fn assert_memo_identical(program: &Program, input: &[u8], k: u8) {
         (&c_on.exit, c_on.cycles, &c_on.stats),
         (&c_off.exit, c_off.cycles, &c_off.stats),
     );
+
+    // Two runs against one shared table: the second starts from whatever
+    // key states the first left (live, dead, or forgotten because the run
+    // ended while its recording path was still running).
+    let dp = DecodedProgram::decode(program);
+    let mach = MachConfig::default();
+    let px = px_at(k, true).cmp();
+    let mut table = cmp_memo_table(program, &mach, &px);
+    for pass in 0..2 {
+        let shared = run_cmp_memo(program, &dp, &mach, &px, io(), &mut table);
+        assert_eq!(
+            full_digest(program, &shared),
+            full_digest(program, &c_off),
+            "cmp shared-table pass {pass} diverged from memo off (K={k}): {:?}",
+            table.counters,
+        );
+    }
 }
 
 px_prop! {
@@ -251,6 +268,38 @@ heavy:
     sb   r10, 4(r9)
     addi r10, r10, 1
     jmp  heavy
+";
+
+/// A cold edge into a ~600-instruction sandboxed sweep that the taken
+/// path re-arms every few iterations, so under CMP a spawn often finds an
+/// earlier path at the same key still running. (`NT_HEAVY`'s body crashes
+/// on its first store, so its paths never overlap.)
+const NT_OVERLAP: &str = r"
+    .data
+    buf: .word 0
+    .code
+main:
+    li   r1, 1
+    la   r9, buf
+    li   r4, 2000
+loop:
+    bne  r1, zero, cont  ; always taken: the fall-through is the cold edge
+    li   r6, 96
+    mv   r10, r9
+sweep:
+    sw   r6, 0(r10)
+    lw   r7, 0(r10)
+    sb   r6, 2(r10)
+    addi r10, r10, 4
+    subi r6, r6, 1
+    bgt  r6, zero, sweep
+    li   r2, 0
+    exit
+cont:
+    subi r4, r4, 1
+    bgt  r4, zero, loop
+    li   r2, 0
+    exit
 ";
 
 #[test]
@@ -361,6 +410,28 @@ fn cmp_explicit_table_hits_and_stays_identical() {
         full_digest(&program, &plain)
     );
     assert_eq!(full_digest(&program, &first), full_digest(&program, &plain));
+
+    // Concurrent paths at one key record it once: every miss is a stored
+    // recording or a spawn that simulated unrecorded while another path
+    // recorded its key, and no recording is thrown away.
+    let program = px_isa::asm::assemble(NT_OVERLAP).expect("assembles");
+    let dp = DecodedProgram::decode(&program);
+    let mut table = cmp_memo_table(&program, &mach, &px);
+    let r = run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
+    let plain = run(
+        &program,
+        &mach,
+        &px.clone().with_nt_memo(false),
+        IoState::default(),
+    );
+    assert_eq!(full_digest(&program, &r), full_digest(&program, &plain));
+    let c = table.counters;
+    assert_eq!(c.bypasses, 0, "{c:?}");
+    assert_eq!(c.misses, c.stores + c.skips - c.invalidations, "{c:?}");
+    assert!(
+        c.skips > c.invalidations,
+        "paths must overlap at a key: {c:?}"
+    );
 }
 
 /// A table whose fingerprint does not match the run (another engine's

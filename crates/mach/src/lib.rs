@@ -64,7 +64,7 @@ pub use fault::{
 pub use io::IoState;
 pub use memo::{
     memo_fingerprint, MemoEntry, MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, NtStop,
-    MEMO_MAX_READS, MEMO_MAX_STEPS,
+    MEMO_MAX_STEPS,
 };
 pub use memory::{CrashKind, MemView, Memory, Sandbox, SandboxView};
 pub use monitor::{MonitorArea, MonitorRecord, PathKind, RecordKind};

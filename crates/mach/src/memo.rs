@@ -8,9 +8,10 @@
 //! read set alongside a step-exact effect bundle the first time a path runs;
 //! later spawns at the same (spawn pc, NT target) whose live-ins still match
 //! *replay* the bundle instead of re-simulating, step for step. A key
-//! records once: the first probe whose live-ins fail its entry's
-//! validation marks the key dead, and a dead key is never recorded again
-//! ([`MemoTable`]).
+//! records once: while one path records it, concurrent spawns at the key
+//! simulate without a recorder; the first probe whose live-ins fail its
+//! entry's validation marks the key dead, and a dead key is never recorded
+//! again ([`MemoTable`]).
 //!
 //! Replay is *simulation-timing identical*: the engines re-issue every cache
 //! access of the recorded path in the same global order (so cycle charges,
@@ -32,13 +33,14 @@
 //! state), when the OS-sandbox extension lets syscalls mutate I/O state, or
 //! when NT-from-NT exploration reads the BTB mid-path.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use px_isa::{
     encode_program, CheckKind, DecodedProgram, Instruction, MicroOp, Reg, SyscallCode, UopKind,
 };
-use px_util::memo::{FixedMap, MemoCounters};
+use px_util::memo::MemoCounters;
 
 use crate::config::CostModel;
 use crate::core::Regs;
@@ -57,8 +59,14 @@ pub const MEMO_MAX_STEPS: usize = 4096;
 /// more than re-simulating the path). Not part of the memo fingerprint.
 pub const MEMO_MAX_READS: usize = 1024;
 
-/// Slot count of the memo table (distinct (spawn pc, target) keys).
-pub const MEMO_SLOTS: usize = 512;
+/// Keys a table's map has room for when the table is made. The map grows
+/// past this and never evicts; the room only keeps a long-lived table's
+/// storage (the campaign keeps one per worker and program) from being
+/// re-allocated mid-run between large transient allocations, which
+/// fragments glibc's per-thread arenas: grown from empty, those tables
+/// raised perfbench zoo-campaign's peak RSS from about 105 MB to 136 MB
+/// (2-vCPU x86-64 Linux host).
+const INITIAL_KEYS: usize = 512;
 
 /// Why an NT-path terminated (paper §4.2(3), plus the implicit sandbox
 /// capacity limit of buffering in L1).
@@ -259,7 +267,6 @@ pub struct MemoRecorder {
     mem_reads: Vec<(u32, u8)>,
     mem_seen: HashSet<u32>,
     steps: Vec<MemoStep>,
-    max_reads: usize,
     aborted: bool,
 }
 
@@ -271,13 +278,7 @@ impl MemoRecorder {
     /// Start recording a path spawned at `spawn_pc` toward `target`, with
     /// the given watch table and initial NT predicate.
     #[must_use]
-    pub fn new(
-        spawn_pc: u32,
-        target: u32,
-        watches: &WatchTable,
-        pred: bool,
-        max_reads: usize,
-    ) -> MemoRecorder {
+    pub fn new(spawn_pc: u32, target: u32, watches: &WatchTable, pred: bool) -> MemoRecorder {
         MemoRecorder {
             spawn_pc,
             target,
@@ -289,15 +290,8 @@ impl MemoRecorder {
             mem_reads: Vec::new(),
             mem_seen: HashSet::new(),
             steps: Vec::new(),
-            max_reads,
             aborted: false,
         }
-    }
-
-    /// Whether the recorder is still collecting (not aborted over a cap).
-    #[must_use]
-    pub fn live(&self) -> bool {
-        !self.aborted
     }
 
     fn read_reg(&mut self, idx: u8, regs: &Regs) {
@@ -334,7 +328,7 @@ impl MemoRecorder {
             let v = sandbox.snapshot_byte(b).unwrap_or_else(|| memory.byte(b));
             self.mem_reads.push((b, v));
         }
-        if self.mem_reads.len() > self.max_reads {
+        if self.mem_reads.len() > MEMO_MAX_READS {
             self.aborted = true;
         }
     }
@@ -479,8 +473,7 @@ impl MemoRecorder {
     /// Finish recording a path that ended with `stop`. Returns `None` —
     /// nothing to store — if the recorder aborted over a cap or the stop
     /// is not [memoizable](NtStop::memoizable).
-    #[must_use]
-    pub fn finish(self, stop: NtStop) -> Option<MemoEntry> {
+    fn finish(self, stop: NtStop) -> Option<MemoEntry> {
         if self.aborted || !stop.memoizable() {
             return None;
         }
@@ -516,24 +509,41 @@ pub enum MemoProbe {
     Hit(Arc<MemoEntry>),
     /// The key is unknown: simulate the path and record it.
     Record,
-    /// The key is dead: simulate the path without recording it.
+    /// The key is dead or being recorded: simulate the path without
+    /// recording it.
     Skip,
 }
 
+/// What a [`MemoTable`] knows about one key.
+#[derive(Debug)]
+enum KeyState {
+    /// A live path holds the key's recorder.
+    Recording,
+    /// The stored entry.
+    Live(Arc<MemoEntry>),
+    /// The entry once failed validation.
+    Dead,
+}
+
 /// The per-run (or, via the campaign runner, per-program) NT-path replay
-/// cache: a fixed-capacity map from (spawn pc, NT target) to one
-/// read-set-validated entry.
+/// cache: a map from (spawn pc, NT target) to that key's state.
 ///
 /// One rule decides what is recorded: a key keeps the first entry stored
 /// for it, and the first probe whose live state fails that entry's
 /// validation marks the key dead. A dead key is never recorded again in
-/// this table unless `FixedMap` evicts its slot. The exercise counters
-/// (paper §4.2(1)) allow an edge only a few spawns per reset interval, so
-/// a key whose live-ins differ once is not worth another recording.
+/// this table. The exercise counters (paper §4.2(1)) allow an edge only a
+/// few spawns per reset interval, so a key whose live-ins differ once is
+/// not worth another recording. While one path records a key, concurrent
+/// spawns at it (CMP) simulate without a recorder.
+///
+/// The table has no capacity limit: paths spawn only from taken-path
+/// branches, so a program has at most two keys per static conditional
+/// branch, and each entry is capped by [`MEMO_MAX_STEPS`] and
+/// [`MEMO_MAX_READS`]. A run that panics partway through a path can leave
+/// its key recording; that key is then never recorded in this table.
 #[derive(Debug)]
 pub struct MemoTable {
-    /// `None` marks a dead key.
-    map: FixedMap<Option<Arc<MemoEntry>>>,
+    map: HashMap<u64, KeyState>,
     fingerprint: u64,
     /// Probe/store accounting (not part of `PxStats`, so memoization never
     /// perturbs architectural statistics).
@@ -545,7 +555,7 @@ impl MemoTable {
     #[must_use]
     pub fn new(fingerprint: u64) -> MemoTable {
         MemoTable {
-            map: FixedMap::new(MEMO_SLOTS, fingerprint),
+            map: HashMap::with_capacity(INITIAL_KEYS),
             fingerprint,
             counters: MemoCounters::default(),
         }
@@ -558,7 +568,8 @@ impl MemoTable {
         self.fingerprint
     }
 
-    /// Slot evictions, the same number as `counters.evictions`.
+    /// Always 0, like `counters.evictions`: the table evicts nothing. Kept
+    /// only because the benchmark harness reports it.
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.counters.evictions
@@ -571,10 +582,12 @@ impl MemoTable {
     /// Probe the key (spawn pc, target). Its entry hits when the watch
     /// table multiset is equal and every recorded register and memory
     /// live-in matches the live machine state. An unknown key is a miss
-    /// and asks for a recording; an entry that fails validation marks the
-    /// key dead, and a dead key counts an invalidation and a declined
-    /// recording (a skip). Whether a spawn is recorded never changes what
-    /// the simulation computes.
+    /// and asks for a recording, after which the key is recording until
+    /// [`finish`](MemoTable::finish). A recording key is a miss and a
+    /// declined recording (a skip). An entry that fails validation marks
+    /// the key dead, and a dead key counts an invalidation and a skip.
+    /// Whether a spawn is recorded never changes what the simulation
+    /// computes.
     pub fn probe(
         &mut self,
         spawn_pc: u32,
@@ -583,46 +596,56 @@ impl MemoTable {
         regs: &Regs,
         memory: &Memory,
     ) -> MemoProbe {
-        let Some(slot) = self.map.get_mut(Self::key(spawn_pc, target)) else {
-            self.counters.misses += 1;
-            return MemoProbe::Record;
-        };
-        if let Some(e) = slot {
-            if watch_multiset_eq(&e.watch, watches.ranges())
-                && e.reg_reads
-                    .iter()
-                    .all(|&(r, want)| regs.get(Reg::new(r)) == want)
-                && e.mem_reads.iter().all(|&(a, want)| memory.byte(a) == want)
-            {
-                self.counters.hits += 1;
-                return MemoProbe::Hit(Arc::clone(e));
+        let state = match self.map.entry(Self::key(spawn_pc, target)) {
+            Entry::Vacant(v) => {
+                v.insert(KeyState::Recording);
+                self.counters.misses += 1;
+                return MemoProbe::Record;
             }
-            *slot = None;
+            Entry::Occupied(o) => o.into_mut(),
+        };
+        match state {
+            KeyState::Recording => {
+                self.counters.misses += 1;
+                self.counters.skips += 1;
+                return MemoProbe::Skip;
+            }
+            KeyState::Live(e) => {
+                if watch_multiset_eq(&e.watch, watches.ranges())
+                    && e.reg_reads
+                        .iter()
+                        .all(|&(r, want)| regs.get(Reg::new(r)) == want)
+                    && e.mem_reads.iter().all(|&(a, want)| memory.byte(a) == want)
+                {
+                    self.counters.hits += 1;
+                    return MemoProbe::Hit(Arc::clone(e));
+                }
+                *state = KeyState::Dead;
+            }
+            KeyState::Dead => {}
         }
         self.counters.invalidations += 1;
         self.counters.skips += 1;
         MemoProbe::Skip
     }
 
-    /// Store a freshly recorded entry. A key already present (live or
-    /// dead) keeps what it has: a second recording that finishes for it,
-    /// as concurrent CMP paths can, is dropped and counted as a bypass.
-    pub fn store(&mut self, entry: MemoEntry) {
-        let key = Self::key(entry.spawn_pc, entry.target);
-        if self.map.get_mut(key).is_some() {
-            self.bypass();
-            return;
+    /// Ends the recording `rec` of a path that stopped with `stop`: its
+    /// key becomes live with the recorded entry, or, when the recorder
+    /// aborted over a cap or the stop is not
+    /// [memoizable](NtStop::memoizable), the key is forgotten and the
+    /// recording counts as a bypass.
+    pub fn finish(&mut self, rec: MemoRecorder, stop: NtStop) {
+        let key = Self::key(rec.spawn_pc, rec.target);
+        match rec.finish(stop) {
+            Some(entry) => {
+                self.counters.stores += 1;
+                self.map.insert(key, KeyState::Live(Arc::new(entry)));
+            }
+            None => {
+                self.counters.bypasses += 1;
+                self.map.remove(&key);
+            }
         }
-        self.counters.stores += 1;
-        if self.map.insert(key, Some(Arc::new(entry))) {
-            self.counters.evictions += 1;
-        }
-    }
-
-    /// Count a finished recording that is not stored (recorder aborted,
-    /// the stop reason is not memoizable, or the key was stored meanwhile).
-    pub fn bypass(&mut self) {
-        self.counters.bypasses += 1;
     }
 }
 
@@ -655,20 +678,43 @@ mod tests {
     use super::*;
     use crate::config::MachConfig;
 
-    fn entry_with(reg_reads: Vec<(u8, i32)>, mem_reads: Vec<(u32, u8)>) -> MemoEntry {
-        MemoEntry {
-            spawn_pc: 4,
-            target: 9,
-            watch: Vec::new(),
-            reg_reads,
-            mem_reads,
-            steps: vec![MemoStep::Run { pc: 9, n: 3 }],
-            stop: NtStop::MaxLength,
-        }
+    /// A finished recording at key (`spawn_pc`, 9) with the given live-ins.
+    fn recording(
+        spawn_pc: u32,
+        reg_reads: Vec<(u8, i32)>,
+        mem_reads: Vec<(u32, u8)>,
+    ) -> MemoRecorder {
+        let mut r = MemoRecorder::new(spawn_pc, 9, &WatchTable::default(), false);
+        r.reg_reads = reg_reads;
+        r.mem_reads = mem_reads;
+        r.steps.push(MemoStep::Run { pc: 9, n: 3 });
+        r
+    }
+
+    fn probe(t: &mut MemoTable, spawn_pc: u32, regs: &Regs) -> MemoProbe {
+        t.probe(
+            spawn_pc,
+            9,
+            &WatchTable::default(),
+            regs,
+            &Memory::new(8192),
+        )
     }
 
     fn hits(t: &mut MemoTable, watches: &WatchTable, regs: &Regs, mem: &Memory) -> bool {
         matches!(t.probe(4, 9, watches, regs, mem), MemoProbe::Hit(_))
+    }
+
+    fn counts(t: &MemoTable) -> [u64; 6] {
+        let c = t.counters;
+        [
+            c.hits,
+            c.misses,
+            c.invalidations,
+            c.skips,
+            c.stores,
+            c.bypasses,
+        ]
     }
 
     #[test]
@@ -680,7 +726,10 @@ mod tests {
         mem.set_byte(4096, 9);
         let table = || {
             let mut t = MemoTable::new(1);
-            t.store(entry_with(vec![(5, 77)], vec![(4096, 9)]));
+            t.finish(
+                recording(4, vec![(5, 77)], vec![(4096, 9)]),
+                NtStop::MaxLength,
+            );
             t
         };
         let mut t = table();
@@ -709,13 +758,12 @@ mod tests {
         let mut watches = WatchTable::default();
         watches.set(100, 4, 1);
         watches.set(200, 4, 2);
-        let mut e = entry_with(Vec::new(), Vec::new());
+        let mut r = recording(4, Vec::new(), Vec::new());
         // Record the ranges in the opposite order.
-        let mut recorded = watches.ranges().to_vec();
-        recorded.reverse();
-        e.watch = recorded;
+        r.watch = watches.ranges().to_vec();
+        r.watch.reverse();
         let mut t = MemoTable::new(1);
-        t.store(e);
+        t.finish(r, NtStop::MaxLength);
         let regs = Regs::default();
         let mem = Memory::new(8192);
         assert!(hits(&mut t, &watches, &regs, &mem));
@@ -728,69 +776,62 @@ mod tests {
     }
 
     #[test]
-    fn slot_evictions_are_counted() {
-        // More distinct keys than slots: probe windows fill, and every key
-        // that finds its window full displaces another key's slot.
+    fn the_program_bounds_the_table_and_nothing_is_evicted() {
+        // More distinct keys than any fixed-capacity table this cache has
+        // had (512 slots): every one is kept.
         let mut t = MemoTable::new(1);
-        let keys = MEMO_SLOTS as u32 + 64;
-        for spawn_pc in 0..keys {
-            t.store(MemoEntry {
-                spawn_pc,
-                ..entry_with(Vec::new(), Vec::new())
-            });
+        let regs = Regs::default();
+        for spawn_pc in 0..576 {
+            assert!(matches!(probe(&mut t, spawn_pc, &regs), MemoProbe::Record));
+            t.finish(
+                recording(spawn_pc, Vec::new(), Vec::new()),
+                NtStop::MaxLength,
+            );
         }
-        let evicted = u64::from(keys) - t.map.len() as u64;
-        assert!(evicted >= 64, "a full table must evict");
-        assert_eq!(t.counters.evictions, evicted);
-        assert_eq!(t.evictions(), t.counters.evictions);
+        for spawn_pc in 0..576 {
+            assert!(
+                matches!(probe(&mut t, spawn_pc, &regs), MemoProbe::Hit(_)),
+                "key {spawn_pc} was lost"
+            );
+        }
+        assert_eq!(counts(&t), [576, 576, 0, 0, 576, 0]);
+        assert_eq!((t.counters.evictions, t.evictions()), (0, 0));
     }
 
     #[test]
     fn a_key_is_never_rerecorded_after_its_first_failed_validation() {
         let mut t = MemoTable::new(1);
-        let watches = WatchTable::default();
-        let mem = Memory::new(8192);
         let mut regs = Regs::default();
         // An unknown key asks for a recording.
-        assert!(matches!(
-            t.probe(4, 9, &watches, &regs, &mem),
-            MemoProbe::Record
-        ));
-        t.store(entry_with(vec![(5, 0)], Vec::new()));
-        // A second recording of a present key is dropped as a bypass.
-        t.store(entry_with(vec![(5, 1)], Vec::new()));
-        assert_eq!((t.counters.stores, t.counters.bypasses), (1, 1));
-        assert!(hits(&mut t, &watches, &regs, &mem));
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Record));
+        t.finish(recording(4, vec![(5, 0)], Vec::new()), NtStop::MaxLength);
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Hit(_)));
         // The first failed validation kills the key: from then on every
         // probe is an invalidation and a declined recording, even with
         // the recorded live-ins back in place.
         regs.set(Reg::new(5), 1);
-        assert!(matches!(
-            t.probe(4, 9, &watches, &regs, &mem),
-            MemoProbe::Skip
-        ));
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Skip));
         regs.set(Reg::new(5), 0);
-        assert!(matches!(
-            t.probe(4, 9, &watches, &regs, &mem),
-            MemoProbe::Skip
-        ));
-        t.store(entry_with(vec![(5, 0)], Vec::new()));
-        assert!(matches!(
-            t.probe(4, 9, &watches, &regs, &mem),
-            MemoProbe::Skip
-        ));
-        let c = t.counters;
-        assert_eq!(
-            (
-                c.hits,
-                c.misses,
-                c.invalidations,
-                c.skips,
-                c.stores,
-                c.bypasses
-            ),
-            (1, 1, 3, 3, 1, 2)
-        );
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Skip));
+        assert_eq!(counts(&t), [1, 1, 2, 2, 1, 0]);
+    }
+
+    #[test]
+    fn a_recording_key_is_skipped_and_an_unstored_recording_is_forgotten() {
+        let mut t = MemoTable::new(1);
+        let regs = Regs::default();
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Record));
+        // A concurrent spawn at a key being recorded simulates unrecorded:
+        // a miss and a skip.
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Skip));
+        assert_eq!(counts(&t), [0, 2, 0, 1, 0, 0]);
+        // A recording that cannot be stored is a bypass, and its key is
+        // unknown again: the next spawn records it.
+        t.finish(recording(4, Vec::new(), Vec::new()), NtStop::ForcedCommit);
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Record));
+        t.finish(recording(4, Vec::new(), Vec::new()), NtStop::MaxLength);
+        assert!(matches!(probe(&mut t, 4, &regs), MemoProbe::Hit(_)));
+        assert_eq!(counts(&t), [1, 3, 0, 1, 1, 1]);
     }
 
     #[test]
@@ -799,7 +840,7 @@ mod tests {
         regs.set(Reg::new(3), 30);
         regs.set(Reg::new(4), 40);
         let watches = WatchTable::default();
-        let mut r = MemoRecorder::new(0, 1, &watches, false, 1024);
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
         // First op reads r3, r4 and writes r3; the second re-reads r3.
         let program = px_isa::asm::assemble(".code\nmain:\n  add r3, r3, r4\n  add r5, r3, r4\n")
             .expect("assembles");
@@ -815,7 +856,7 @@ mod tests {
     #[test]
     fn stops_that_depend_on_live_state_are_never_stored() {
         let watches = WatchTable::default();
-        let record = |stop| MemoRecorder::new(0, 1, &watches, false, 8).finish(stop);
+        let record = |stop| MemoRecorder::new(0, 1, &watches, false).finish(stop);
         for stop in [
             NtStop::SandboxOverflow,
             NtStop::ForcedCommit,
@@ -840,21 +881,25 @@ mod tests {
         let mem = Memory::new(8192);
         let mut sandbox = Sandbox::default();
         sandbox.write_byte(4098, 7);
-        let mut r = MemoRecorder::new(0, 1, &watches, false, 3);
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
         r.read_mem(4096, 4, &sandbox, &mem);
-        // 4098 was self-written: only 3 live-in bytes recorded, at the cap.
-        assert!(r.live());
-        let e = r.finish(NtStop::MaxLength).expect("at cap, not over");
+        let e = r.finish(NtStop::MaxLength).expect("under the cap");
         assert_eq!(
             e.mem_reads,
             vec![(4096, 0), (4097, 0), (4099, 0)],
             "self-written byte excluded"
         );
 
-        let mut r2 = MemoRecorder::new(0, 1, &watches, false, 3);
-        r2.read_mem(4096, 8, &sandbox, &mem);
-        assert!(!r2.live(), "over the read cap must abort");
-        assert!(r2.finish(NtStop::MaxLength).is_none());
+        // One byte of each span is self-written, so the first span reads
+        // exactly the cap and the second one byte over it.
+        let cap = MEMO_MAX_READS as u32;
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
+        r.read_mem(4096, cap + 1, &sandbox, &mem);
+        assert!(!r.aborted, "at the read cap is not over it");
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
+        r.read_mem(4096, cap + 2, &sandbox, &mem);
+        assert!(r.aborted, "over the read cap must abort");
+        assert!(r.finish(NtStop::MaxLength).is_none());
     }
 
     #[test]
@@ -864,7 +909,7 @@ mod tests {
         let program = px_isa::asm::assemble(&format!(".code\nmain:\n{}", "  nop\n".repeat(10)))
             .expect("assembles");
         let dp = DecodedProgram::decode(&program);
-        let mut r = MemoRecorder::new(0, 1, &watches, false, 1024);
+        let mut r = MemoRecorder::new(0, 1, &watches, false);
         r.note_run(&dp, 0, 3, &regs);
         r.note_run(&dp, 3, 2, &regs);
         r.push_one(1, 9, None, MemoNote::None);

@@ -22,8 +22,7 @@
 //!   rows and the campaign journal reader).
 //! * [`digest`] — the chainable FNV-1a-64 every determinism gate hashes
 //!   architectural results with.
-//! * [`memo`] — a fixed-capacity seeded-hash memo map with least-used
-//!   eviction and hit/miss counters (the NT-path replay cache's store).
+//! * [`memo`] — the NT-path replay cache's hit/miss counters.
 //!
 //! Nothing in here depends on any other workspace crate, so every crate —
 //! including `px-isa` at the bottom of the graph — can use it from tests.
@@ -38,7 +37,7 @@ pub mod rng;
 
 pub use digest::{fnv1a64, from_hex, hex64, parse_hex64, to_hex};
 pub use json::{Json, ToJson};
-pub use memo::{FixedMap, MemoCounters};
+pub use memo::MemoCounters;
 pub use par::{panic_message, par_map};
 pub use pool::{run_pool, PoolRun};
 pub use prop::{any_bool, any_i32, any_i64, any_u32, any_u8, just, vec_exact, vec_of, Strategy};

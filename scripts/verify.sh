@@ -77,6 +77,9 @@ PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --test uop_diffe
 # Replay-cache oracle: the standard and CMP engines must compute
 # byte-identical results with the NT-path replay cache on and off over
 # random byte-soup programs, at 2000 cases rather than the default 48.
+# Each CMP case also runs twice against one shared table, so the second
+# run meets every key state the first left: live, dead, or forgotten
+# because its recording path was still running when the run ended.
 echo "==> memo-oracle: replay cache on/off identity on byte soup, 2000 cases"
 PX_PROP_CASES=2000 cargo test --release --offline -q -p pathexpander --test memo_identity \
     memo_identity_on_byte_soup
