@@ -8,9 +8,12 @@
 //! ```
 //!
 //! `--check` exits non-zero unless every acceptance criterion holds — the
-//! form scripts/verify.sh and CI run.
+//! form scripts/verify.sh and CI run. On the default manifest that includes
+//! the aggregate digest matching the pinned `GATE_DIGEST`.
 
-use px_bench::experiments::campaign::{campaign_gate_with, GATE_KILL_AFTER, GATE_MANIFEST};
+use px_bench::experiments::campaign::{
+    campaign_gate_with, GATE_DIGEST, GATE_KILL_AFTER, GATE_MANIFEST,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -103,9 +106,20 @@ fn main() {
             "  quarantined {} (chaos mismatches {}), violations {}, torn tail {}",
             report.quarantined, report.chaos_mismatches, report.violated, report.torn_tail_seen
         );
-        println!("  gate: {}", if report.passed() { "PASS" } else { "FAIL" });
     }
-    if check && !report.passed() {
+    // The pin holds only for the default manifest.
+    let drifted = manifest == GATE_MANIFEST && report.digest_straight != GATE_DIGEST;
+    if drifted {
+        eprintln!(
+            "  pinned digest drifted: {GATE_DIGEST:016x} -> {:016x}",
+            report.digest_straight
+        );
+    }
+    let passed = report.passed() && !drifted;
+    if !json {
+        println!("  gate: {}", if passed { "PASS" } else { "FAIL" });
+    }
+    if check && !passed {
         std::process::exit(1);
     }
 }

@@ -9,9 +9,12 @@
 //! ```
 //!
 //! `--check` exits non-zero unless every acceptance criterion holds — the
-//! form scripts/verify.sh and CI run.
+//! form scripts/verify.sh and CI run. On the default manifest that includes
+//! the aggregate digest matching the pinned `GATE_DIGEST`.
 
-use px_bench::experiments::prime::{prime_path_gate_with, ENUM_BUDGET_MS, GATE_MANIFEST};
+use px_bench::experiments::prime::{
+    prime_path_gate_with, ENUM_BUDGET_MS, GATE_DIGEST, GATE_MANIFEST,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -115,9 +118,20 @@ fn main() {
                 "DO NOT COMMUTE"
             }
         );
-        println!("  gate: {}", if report.passed() { "PASS" } else { "FAIL" });
     }
-    if check && !report.passed() {
+    // The pin holds only for the default manifest.
+    let drifted = manifest == GATE_MANIFEST && report.digest_serial != GATE_DIGEST;
+    if drifted {
+        eprintln!(
+            "  pinned digest drifted: {GATE_DIGEST:016x} -> {:016x}",
+            report.digest_serial
+        );
+    }
+    let passed = report.passed() && !drifted;
+    if !json {
+        println!("  gate: {}", if passed { "PASS" } else { "FAIL" });
+    }
+    if check && !passed {
         std::process::exit(1);
     }
 }

@@ -28,6 +28,12 @@ use px_util::{hex64, Json, ToJson};
 /// The gate manifest: 400 chaos + 64 fault + 2×24 zoo = 512 cases.
 pub const GATE_MANIFEST: &str = "chaos:11:400+fault:1:64+zoo:parser:3*8+zoo:recursive:4*8";
 
+/// The aggregate digest [`GATE_MANIFEST`] folds to. `campaign_gate --check`
+/// on the default manifest fails when a run drifts from it and prints
+/// old → new; only an intended architectural change may move it, and
+/// CHANGES.md then records both values.
+pub const GATE_DIGEST: u64 = 0x87b6_9969_cb2d_4f09;
+
 /// Gate watchdog: above the fault cases' 60k native budget (so they keep
 /// their historical behaviour) and cheap enough that 100 runaway chaos
 /// cases cost ~10M simulated instructions.

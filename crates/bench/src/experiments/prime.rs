@@ -32,6 +32,13 @@ use px_workloads::zoo;
 /// The gate manifest: every quick-roster family through the campaign pool.
 pub const GATE_MANIFEST: &str = "zoo-roster:quick";
 
+/// The aggregate digest [`GATE_MANIFEST`] folds to. `prime_path_gate
+/// --check` on the default manifest fails when a run drifts from it and
+/// prints old → new; only an intended change may move it, and CHANGES.md
+/// then records both values. ROADMAP item 1 (prime paths over per-function
+/// graphs) changes it once, on purpose.
+pub const GATE_DIGEST: u64 = 0x82e8_4b6c_5307_29ac;
+
 /// Hard wall-time budget for enumerating the whole roster **twice**, in
 /// milliseconds. `PathLimits` caps per-program work, so the sweep cost is
 /// linear in roster size; this bound is generous for release builds and is

@@ -24,14 +24,13 @@
 
 use px_isa::{DecodedProgram, Program, Width};
 use px_mach::{
-    run_simple, simple_steps_until, step_uop, Checkpoint, CoreState, FaultHook, IoState,
-    MachConfig, MemView, MemoNote, MemoTable, Memory, PathKind, RunExit, Sandbox, SandboxView,
-    SimError, StepEnv, UopProfile, WatchTable, COMMITTED,
+    run_simple, simple_steps_until, step_uop, CoreState, FaultHook, IoState, MachConfig, MemView,
+    MemoTable, Memory, PathKind, RunExit, SimError, StepEnv, UopProfile, COMMITTED,
 };
 
 use crate::config::PxConfig;
 use crate::inject::apply_deferred;
-use crate::nt::{self, Excursion, Grant, Replay, Run, Taken};
+use crate::nt::{self, Grant, OneStep, Path, Run, Taken};
 use crate::stats::{NtStop, PxRunResult};
 
 /// Version tag for the primary core's speculative taken-path segment lines.
@@ -42,31 +41,15 @@ const SEGMENT_VTAG: u8 = 255;
 /// so their bundles must never mix.
 const MEMO_TAG_CMP: u8 = 1;
 
-/// A live or queued NT-path.
+/// A live or queued NT-path: the shared [`Path`] plus its place in the
+/// schedule.
 struct NtPath {
     id: u8,
     core: Option<usize>,
-    state: CoreState,
-    sandbox: Sandbox,
-    /// §3.2 OS-sandbox extension: the NT-path's disposable I/O snapshot.
-    scratch_io: IoState,
-    /// The path's disposable view of the watch table, cloned at spawn:
-    /// watch hits must fire on NT-paths exactly as on the taken path
-    /// (iWatcher's whole mechanism), but registrations made inside the
-    /// path must not leak into committed state.
-    scratch_watches: WatchTable,
     /// Monotonic spawn order, used to pick the "oldest" for forced commits.
     seq: u64,
-    ex: Excursion,
-    /// Memo replay cursor: when set, the path replays its recorded bundle
-    /// through the scheduler instead of simulating; its sandbox and watch
-    /// clone go unused.
-    replay: Option<Replay>,
+    path: Path,
 }
-
-/// A squashed path's recycled context: `clear` stales the sandbox's pages
-/// in O(1), the watch clone reuses its allocation.
-type Spare = (Sandbox, WatchTable);
 
 /// The CMP schedule: the path table, which cores host which paths, and
 /// the per-core clocks.
@@ -76,12 +59,14 @@ struct Cores {
     /// path index: the per-instruction min-ready scan walks these few
     /// entries in the path table's order (the tie-break order) instead of
     /// striding over up to `max_outstanding` full `NtPath` structs, most of
-    /// them queued and irrelevant to the scan.
+    /// them queued and irrelevant to the scan. A core other than the
+    /// primary (core 0) is idle exactly when no entry names it.
     hosted: Vec<(usize, usize)>,
     /// Per-core ready times (discrete event clock); index 0 = primary.
     ready: Vec<u64>,
-    busy: Vec<bool>,
-    pool: Vec<Spare>,
+    /// Squashed paths, recycled by the next spawns (their sandboxes and
+    /// watch tables keep their allocations).
+    pool: Vec<Path>,
     next_id: u8,
     next_seq: u64,
     /// Counts spawns; versions the copy-on-write memo (see [`PrimaryView`]).
@@ -139,8 +124,8 @@ impl MemView for PrimaryView<'_> {
                     // Replaying paths never read their sandbox (their reads
                     // were validated at spawn), so the preserve sweep skips
                     // them.
-                    if p.replay.is_none() {
-                        p.sandbox.preserve_span(addr, &old[..n]);
+                    if p.path.replay.is_none() {
+                        p.path.sandbox.preserve_span(addr, &old[..n]);
                     }
                 }
                 self.cow_memo[slot] = CowEntry {
@@ -250,13 +235,11 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
         paths: Vec::new(),
         hosted: Vec::new(),
         ready: vec![0; mach.cores],
-        busy: vec![false; mach.cores],
         pool: Vec::new(),
         next_id: 1,
         next_seq: 0,
         spawn_epoch: 1,
     };
-    cores.busy[0] = true;
     let mut cow_memo = [CowEntry {
         addr: 0,
         bytes: 0,
@@ -454,68 +437,25 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
         loop {
             let p = &mut cores.paths[idx];
             let clock = &mut cores.ready[who];
-            let stop =
-                match run.advance(&mut p.ex, p.replay.as_mut(), &mut p.state, clock, deadline) {
-                    Grant::Ran { pc, n, stop } => {
-                        if PROFILE {
-                            profile.record_batch(dp, pc, n, &run.cost_table);
-                        }
-                        stop
+            let pc0 = p.path.state.pc;
+            let stop = match run.advance(&mut p.path, clock, deadline) {
+                Grant::Ran { pc, n, stop } => {
+                    if PROFILE {
+                        profile.record_batch(dp, pc, n, &run.cost_table);
                     }
-                    Grant::One {
-                        base,
-                        next_pc,
-                        access,
-                        note,
-                    } => one(&mut run, p, who, clock, base, next_pc, access, note),
-                    Grant::Interpret => {
-                        // NT-paths run against their spawn-time clone of the
-                        // watch table (mutations must not leak; hits must still
-                        // fire); under the OS-sandbox extension their system
-                        // calls run against the path's I/O snapshot instead of
-                        // stopping the path.
-                        let now = *clock;
-                        p.ex.pre_step(dp, &p.state, &p.sandbox, &run.memory);
-                        let profiled_kind = if PROFILE {
-                            dp.op(p.state.pc).map(|u| u.kind)
-                        } else {
-                            None
-                        };
-                        let s = {
-                            let mut env = StepEnv {
-                                io: &mut p.scratch_io,
-                                watches: &mut p.scratch_watches,
-                                suppress_syscalls: !px.os_sandbox_unsafe,
-                                now_cycles: now,
-                                costs: &mach.costs,
-                                fault: run.fault.as_mut().map(|h| h as &mut dyn FaultHook),
-                            };
-                            let mut view = SandboxView::new(&run.memory, &mut p.sandbox);
-                            step_uop(program, dp, &mut p.state, &mut view, &mut env)
-                        };
-                        if let Some(kind) = profiled_kind {
-                            profile.record(kind, s.base_cost);
+                    stop
+                }
+                Grant::One(step) => {
+                    // Profiled runs have the replay cache off, so every
+                    // step here was interpreted from `pc0`.
+                    if PROFILE {
+                        if let Some(u) = dp.op(pc0) {
+                            profile.record(u.kind, step.base);
                         }
-                        if let Some(action) = s.deferred {
-                            let path = PathKind::NtPath {
-                                spawn_pc: p.ex.spawn_pc,
-                            };
-                            apply_deferred(
-                                action,
-                                &mut run.caches,
-                                who,
-                                p.id,
-                                &mut run.monitor,
-                                now,
-                                path,
-                                p.state.pc,
-                            );
-                        }
-                        let (access, note) = run.interpreted(&mut p.ex, &s, &mut p.state.pc);
-                        let next_pc = p.state.pc;
-                        one(&mut run, p, who, clock, s.base_cost, next_pc, access, note)
                     }
-                };
+                    one(&mut run, p, who, clock, step)
+                }
+            };
             if let Some(stop) = stop {
                 cores.ready[who] += u64::from(mach.squash_cycles);
                 cores.retire(&mut run, idx, stop);
@@ -530,60 +470,58 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
 }
 
 /// Applies one non-simple NT step of path `p` on core `core`, interpreted
-/// or replayed, under the CMP conventions: monitor records carry the NT
-/// core's pre-step clock, and every step counts toward `executed`,
-/// including one that stops the path on its own event.
-#[allow(clippy::too_many_arguments)]
+/// or replayed, under the CMP conventions: a deferred fault and the step's
+/// monitor records carry the NT core's pre-step clock, and every step
+/// counts toward `executed`, including one that stops the path on its own
+/// event.
 #[inline(always)]
 fn one(
     run: &mut Run<'_>,
     p: &mut NtPath,
     core: usize,
     clock: &mut u64,
-    base: u32,
-    next_pc: u32,
-    access: Option<(u32, bool)>,
-    note: MemoNote,
+    step: OneStep,
 ) -> Option<NtStop> {
-    let (cost, overflow) = run.nt_access(core, p.id, access);
-    let event = run.effects(&mut p.ex, note, next_pc, *clock);
-    *clock += u64::from(base) + u64::from(cost);
+    let ex = &mut p.path.ex;
+    if let Some((action, pc)) = step.deferred {
+        let path = PathKind::NtPath {
+            spawn_pc: ex.spawn_pc,
+        };
+        apply_deferred(
+            action,
+            &mut run.caches,
+            core,
+            p.id,
+            &mut run.monitor,
+            *clock,
+            path,
+            pc,
+        );
+    }
+    let (cost, overflow) = run.nt_access(core, p.id, step.access);
+    let event = run.effects(ex, step.note, step.next_pc, *clock);
+    *clock += u64::from(step.base) + u64::from(cost);
     run.stats.nt_instructions += 1;
-    p.ex.executed += 1;
-    nt::stop(run.px, event, overflow, p.ex.executed)
+    ex.executed += 1;
+    nt::stop(run.px, event, overflow, ex.executed)
 }
 
 impl Cores {
-    /// Admits a new NT-path: checkpoints the primary, allocates an id,
-    /// recycles a pooled context (or builds a fresh one), and hosts the
-    /// path on an idle core if any. Kept out of the hot primary-step loop
-    /// (`#[inline(never)]`) so its considerable frame — checkpoint copy,
-    /// pool bookkeeping — does not inflate the loop's register pressure;
-    /// spawns are rare relative to steps.
+    /// Admits a new NT-path: arms a pooled path (or a fresh one) from the
+    /// primary, allocates an id, and hosts the path on an idle core if any.
+    /// Kept out of the hot primary-step loop (`#[inline(never)]`) so its
+    /// considerable frame — the register copy, pool bookkeeping — does not
+    /// inflate the loop's register pressure; spawns are rare relative to
+    /// steps.
     #[inline(never)]
     fn admit(&mut self, run: &mut Run<'_>, pc: u32, target: u32, primary: &CoreState) {
-        let (sandbox, scratch_watches) = match self.pool.pop() {
-            Some((mut sb, mut wt)) => {
-                sb.clear();
-                wt.copy_from(&run.watches);
-                (sb, wt)
-            }
-            None => (Sandbox::new(), run.watches.clone()),
-        };
-        let (ex, replay) = run.spawn(pc, target, &primary.regs);
-        let mut state = Checkpoint::take(primary).state();
-        state.pc = target;
-        state.pred = run.px.apply_fixes;
+        let mut path = self.pool.pop().unwrap_or_default();
+        run.spawn(&mut path, pc, target, primary);
         let id = self.next_id;
         self.next_id = if id >= SEGMENT_VTAG - 1 { 1 } else { id + 1 };
-        let scratch_io = if run.px.os_sandbox_unsafe {
-            run.io.clone()
-        } else {
-            IoState::default()
-        };
-        let core = (1..self.busy.len()).find(|&c| !self.busy[c]);
+        let hosted = &self.hosted;
+        let core = (1..self.ready.len()).find(|&c| hosted.iter().all(|&(_, h)| h != c));
         if let Some(c) = core {
-            self.busy[c] = true;
             // The register copy lands when the primary issued it; the idle
             // core can start then.
             self.ready[c] = self.ready[c].max(self.ready[0]);
@@ -593,13 +531,8 @@ impl Cores {
         self.paths.push(NtPath {
             id,
             core,
-            state,
-            sandbox,
-            scratch_io,
-            scratch_watches,
             seq: self.next_seq,
-            ex,
-            replay,
+            path,
         });
         self.next_seq += 1;
         self.spawn_epoch += 1;
@@ -626,7 +559,6 @@ impl Cores {
         let Some(c) = core else {
             return;
         };
-        self.busy[c] = false;
         let queued = self
             .paths
             .iter()
@@ -636,7 +568,6 @@ impl Cores {
             .map(|(i, _)| i);
         if let Some(i) = queued {
             self.paths[i].core = Some(c);
-            self.busy[c] = true;
             // Register copy onto the freed core.
             self.ready[c] += u64::from(run.mach.spawn_cycles);
             self.hosted.push((i, c));
@@ -645,11 +576,11 @@ impl Cores {
     }
 }
 
-/// Ends path `p` and returns its context to the spawn pool as-is (its
-/// pages are staled by the O(1) `clear` on reuse).
-fn finish(run: &mut Run<'_>, pool: &mut Vec<Spare>, p: NtPath, stop: NtStop) {
-    run.end(p.ex, stop, p.core.map(|c| (c, p.id)));
-    pool.push((p.sandbox, p.scratch_watches));
+/// Ends path `p` and returns it to the spawn pool (a live spawn stales its
+/// sandbox's pages with the O(1) `clear`).
+fn finish(run: &mut Run<'_>, pool: &mut Vec<Path>, mut p: NtPath, stop: NtStop) {
+    run.end(&mut p.path, stop, p.core.map(|c| (c, p.id)));
+    pool.push(p.path);
 }
 
 fn oldest_live(paths: &[NtPath]) -> Option<usize> {

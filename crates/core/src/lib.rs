@@ -153,6 +153,10 @@ mod tests {
             loop:
                 subi r4, r4, 1
                 bgt r4, zero, loop
+                li r4, 40           ; a tail long enough for every NT-path to finish
+            tail:
+                subi r4, r4, 1
+                bgt r4, zero, tail
                 li r2, 0
                 exit
             ",
@@ -271,6 +275,114 @@ mod tests {
                 cov.covered_count() > 0,
                 "a completed run traverses at least one prime path"
             );
+        }
+    }
+
+    /// An NT-path that `unwatch`es a committed range and `watch`es a new one
+    /// changes only its own view of the watch table: its own store still
+    /// hits its own registration, and the taken path afterwards hits the
+    /// committed range and not the NT-path's. Checked on both engines with
+    /// the replay cache off and on (replayed paths file the recorded hits).
+    #[test]
+    fn nt_watch_registrations_stay_on_their_path() {
+        let program = assemble(
+            r"
+            .data
+            committed: .space 8
+            fresh: .space 8
+            .code
+            main:
+                la r5, committed
+                la r7, fresh
+                li r6, 4
+                watch r5, r6, #3
+                li r4, 4
+            loop:
+                bne r6, zero, body  ; always taken: the fall-through is the NT-path
+                unwatch #3
+                watch r7, r6, #5
+                sw r6, 0(r7)        ; NT-path: hits its own tag 5
+                sw r6, 0(r5)        ; NT-path: no hit, tag 3 is gone here
+                li r2, 0
+                exit
+            body:
+                sw r6, 0(r5)        ; taken path: hits the committed tag 3
+                sw r6, 0(r7)        ; taken path: no hit, tag 5 never committed
+                subi r4, r4, 1
+                bgt r4, zero, loop
+                li r4, 40           ; a tail long enough for every NT-path to finish
+            tail:
+                subi r4, r4, 1
+                bgt r4, zero, tail
+                li r2, 0
+                exit
+            ",
+        )
+        .unwrap();
+        let dp = DecodedProgram::decode(&program);
+        // The watch tags hit on the taken path, or on NT-paths spawned at
+        // the `bne` (pc 5) or at any other branch.
+        let watch_hits = |r: &PxRunResult, path: Option<bool>| -> Vec<u32> {
+            r.monitor
+                .records()
+                .iter()
+                .filter(|rec| match rec.path {
+                    px_mach::PathKind::Taken => path.is_none(),
+                    px_mach::PathKind::NtPath { spawn_pc } => path == Some(spawn_pc == 5),
+                })
+                .map(|rec| rec.site)
+                .collect()
+        };
+        for (mach, px) in [
+            (MachConfig::single_core(), PxConfig::default()),
+            (MachConfig::default(), PxConfig::default().cmp()),
+        ] {
+            let px = px.with_counter_threshold(16);
+            let off = run(
+                &program,
+                &mach,
+                &px.clone().with_nt_memo(false),
+                IoState::default(),
+            );
+            let mut table = match px.mode {
+                Mode::Standard => standard_memo_table(&program, &mach, &px),
+                Mode::Cmp => cmp_memo_table(&program, &mach, &px),
+            };
+            let on = match px.mode {
+                Mode::Standard => {
+                    run_standard_memo(&program, &dp, &mach, &px, IoState::default(), &mut table)
+                }
+                Mode::Cmp => {
+                    run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table)
+                }
+            };
+            for r in [&off, &on] {
+                assert_eq!(r.exit, px_mach::RunExit::Exited(0), "{:?}", px.mode);
+                assert_eq!(watch_hits(r, None), [3; 4], "{:?}: taken hits", px.mode);
+                let spawns_into_nt_body = r.stats.paths.iter().filter(|p| p.spawn_pc == 5).count();
+                assert!(spawns_into_nt_body > 1, "{:?}", px.mode);
+                assert_eq!(
+                    watch_hits(r, Some(true)),
+                    vec![5; spawns_into_nt_body],
+                    "{:?}: NT hits after the unwatch",
+                    px.mode
+                );
+                // The loop exit's NT-path re-enters the loop body, where
+                // the committed range is still watched.
+                let others = watch_hits(r, Some(false));
+                assert!(
+                    !others.is_empty() && others.iter().all(|&t| t == 3),
+                    "{:?}: {others:?}",
+                    px.mode
+                );
+            }
+            assert!(
+                table.counters.hits > 0,
+                "{:?}: {:?}",
+                px.mode,
+                table.counters
+            );
+            assert_eq!(on.monitor.records(), off.monitor.records(), "{:?}", px.mode);
         }
     }
 }

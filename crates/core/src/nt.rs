@@ -5,16 +5,23 @@
 //! is the same — exercise-counter selection, sandboxed execution, stop on
 //! MaxNTPathLength, crash, unsafe event or overflow, squash — and this
 //! module owns every part of it the engines do identically: run set-up and
-//! result assembly ([`Run`]), spawn admission, the memo probe / record /
-//! store glue, a step's sandboxed cache traffic and coverage/monitor
-//! effects, stop precedence, and memo replay ([`Run::advance`]).
+//! result assembly ([`Run`]), spawn admission, the NT-path itself
+//! ([`Path`]: its copy of the spawning core's registers, its sandbox, watch
+//! table and I/O), the memo probe / record / store glue, a step's
+//! interpretation, sandboxed cache traffic and coverage/monitor effects,
+//! stop precedence, and memo replay ([`Run::advance`]).
+//!
+//! §4.2's checkpoint-and-rollback and §4.3's register copy onto an idle
+//! core come to the same thing here: a path runs on its own copy of the
+//! core state, so its squash restores nothing, and its watch registrations
+//! and I/O die with it.
 //!
 //! Helpers take values — a core index, a volatile tag, the clock to charge
 //! or stamp, a scheduling deadline — never an engine identity. The
 //! conventions in which the engines differ stay in the engines (DESIGN.md
-//! §14): which clock stamps an NT monitor record, whether a step that stops
-//! the path on its own event counts toward `executed`, the watch table an
-//! NT-path runs against, and where squash cycles are charged.
+//! §14): which clock stamps an NT monitor record or a deferred fault,
+//! whether a step that stops the path on its own event counts toward
+//! `executed`, and where squash cycles are charged.
 //!
 //! The per-step helpers are `#[inline(always)]`: left to the inliner,
 //! `advance` stayed out of line and the standard engine's replay loop ran
@@ -24,11 +31,11 @@ use std::sync::Arc;
 
 use px_isa::{DecodedProgram, Edge, MicroOp, Program, UOP_KIND_COUNT};
 use px_mach::{
-    load_program, memo_fingerprint, run_simple, simple_cost_until, simple_steps_until,
-    uop_cost_table, Btb, CoreState, Coverage, FaultHook, Hierarchy, IoState, MachConfig, MemoEntry,
-    MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, PathCoverage,
-    PathKind, PathPlan, PathTrail, Regs, RunExit, Sandbox, SimError, Step, StepEvent, WatchTable,
-    COMMITTED,
+    load_program, memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, step_uop,
+    uop_cost_table, Btb, CoreState, Coverage, FaultAction, FaultHook, Hierarchy, IoState,
+    MachConfig, MemoEntry, MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, Memory,
+    MonitorArea, PathCoverage, PathKind, PathPlan, PathTrail, RunExit, Sandbox, SandboxView,
+    SimError, Step, StepEnv, StepEvent, WatchTable, COMMITTED,
 };
 
 use crate::config::PxConfig;
@@ -102,6 +109,7 @@ struct Tracking<'a> {
 
 /// Everything a run owns apart from the engine's cores and schedule.
 pub(crate) struct Run<'a> {
+    program: &'a Program,
     pub dp: &'a DecodedProgram,
     pub mach: &'a MachConfig,
     pub px: &'a PxConfig,
@@ -141,6 +149,7 @@ pub(crate) enum Taken {
 }
 
 /// One NT-path's lifecycle state.
+#[derive(Default)]
 pub(crate) struct Excursion {
     pub spawn_pc: u32,
     pub executed: u32,
@@ -157,6 +166,40 @@ pub(crate) struct Replay {
     run_off: u32,
 }
 
+/// One NT-path: its own copy of the spawning core's registers and pc, its
+/// sandbox, its copy of the watch table and its I/O, plus the lifecycle
+/// state and, for a memo hit, the replay cursor. An engine keeps paths
+/// for reuse: [`Run::spawn`] re-arms one, [`Run::end`] squashes it.
+#[derive(Default)]
+pub(crate) struct Path {
+    pub state: CoreState,
+    pub sandbox: Sandbox,
+    /// The path's view of the watch table, copied at spawn: watch hits
+    /// fire on NT-paths exactly as on the taken path (iWatcher's whole
+    /// mechanism), but registrations made inside the path die with it.
+    watches: WatchTable,
+    /// §3.2 OS-sandbox extension: the path's disposable I/O snapshot.
+    /// Without it every system call is suppressed and the I/O is unused.
+    io: IoState,
+    pub ex: Excursion,
+    /// Memo replay cursor: when set, the path replays its recorded bundle
+    /// and its core state, sandbox, watch table and I/O go unused.
+    pub replay: Option<Replay>,
+}
+
+/// One non-simple NT step, interpreted or replayed, for the engine to
+/// apply.
+pub(crate) struct OneStep {
+    pub base: u32,
+    pub next_pc: u32,
+    pub access: Option<(u32, bool)>,
+    pub note: MemoNote,
+    /// An injected cache- or monitor-level fault the engine applies before
+    /// the step's access, with the pc it is filed at: where the step left
+    /// the path, before any NT-from-NT redirect (interpreted steps only).
+    pub deferred: Option<(FaultAction, u32)>,
+}
+
 /// One grant of [`Run::advance`].
 pub(crate) enum Grant {
     /// A batch of `n` simple micro-ops from `pc` retired, perhaps stopping
@@ -166,15 +209,8 @@ pub(crate) enum Grant {
         n: u32,
         stop: Option<NtStop>,
     },
-    /// A recorded non-simple step for the engine to apply.
-    One {
-        base: u32,
-        next_pc: u32,
-        access: Option<(u32, bool)>,
-        note: MemoNote,
-    },
-    /// The engine must interpret the path's next micro-op.
-    Interpret,
+    /// A non-simple step for the engine to apply.
+    One(OneStep),
 }
 
 impl<'a> Run<'a> {
@@ -228,6 +264,7 @@ impl<'a> Run<'a> {
             t
         });
         Ok(Run {
+            program,
             dp,
             mach,
             px,
@@ -411,74 +448,76 @@ impl<'a> Run<'a> {
         false
     }
 
-    /// Starts an admitted NT-path from the branch at `pc` toward `target`,
-    /// with `regs` the taken path's registers at the branch. A memo hit
-    /// returns the replay cursor; an unknown key arms a recorder. The path's
-    /// trail forks from the taken trail *at the branch*, before either
-    /// successor block is entered.
-    pub(crate) fn spawn(
-        &mut self,
-        pc: u32,
-        target: u32,
-        regs: &Regs,
-    ) -> (Excursion, Option<Replay>) {
+    /// Arms `p` as an admitted NT-path from the branch at `pc` toward
+    /// `target`, with `taken` the taken path's core at the branch. A memo
+    /// hit sets the replay cursor; otherwise (arming a recorder when the
+    /// key is unknown) the path copies the core with its pc redirected to
+    /// `target` and the NT-entry predicate set, clears its sandbox, copies
+    /// the watch table, and under the OS-sandbox extension snapshots the
+    /// I/O. The path's trail forks from the taken trail *at the branch*,
+    /// before either successor block is entered.
+    pub(crate) fn spawn(&mut self, p: &mut Path, pc: u32, target: u32, taken: &CoreState) {
         let trail = self.tracking.as_mut().map(|t| {
             let mut trail = t.taken;
             trail.enter_pc(t.plan, &mut t.cov, target);
             trail
         });
-        let mut ex = Excursion {
+        p.ex = Excursion {
             spawn_pc: pc,
             executed: 0,
             rec: None,
             trail,
         };
-        let Some(t) = self.memo.table() else {
-            return (ex, None);
-        };
-        let replay = match t.probe(pc, target, &self.watches, regs, &self.memory) {
-            MemoProbe::Hit(entry) => Some(Replay {
-                entry,
-                step: 0,
-                run_off: 0,
-            }),
-            MemoProbe::Record => {
-                ex.rec = Some(MemoRecorder::new(
-                    pc,
-                    target,
-                    &self.watches,
-                    self.px.apply_fixes,
-                ));
-                None
+        if let Some(t) = self.memo.table() {
+            match t.probe(pc, target, &self.watches, &taken.regs, &self.memory) {
+                MemoProbe::Hit(entry) => {
+                    p.replay = Some(Replay {
+                        entry,
+                        step: 0,
+                        run_off: 0,
+                    });
+                    return;
+                }
+                MemoProbe::Record => {
+                    p.ex.rec = Some(MemoRecorder::new(
+                        pc,
+                        target,
+                        &self.watches,
+                        self.px.apply_fixes,
+                    ));
+                }
+                MemoProbe::Skip => {}
             }
-            MemoProbe::Skip => None,
+        }
+        p.state = CoreState {
+            pc: target,
+            pred: self.px.apply_fixes,
+            ..*taken
         };
-        (ex, replay)
+        p.sandbox.clear();
+        p.watches.copy_from(&self.watches);
+        if self.px.os_sandbox_unsafe {
+            p.io.clone_from(&self.io);
+        }
     }
 
-    /// Advances NT-path `ex` by one grant, charging `clock`. A replaying
+    /// Advances NT-path `p` by one grant, charging `clock`. A replaying
     /// path takes its cursor's next step: a recorded batch is re-chunked
     /// against the live caps and `deadline` exactly as the live path would
     /// have been, a recorded single step goes back to the engine. A live
     /// path batches a simple run when it can (never under a fault hook,
-    /// which must see every instruction) and otherwise asks the engine to
-    /// interpret one micro-op. `deadline` is the last clock at which the
-    /// path's core still holds the schedule; `u64::MAX` when nothing
-    /// competes for it.
+    /// which must see every instruction) and otherwise interprets one
+    /// micro-op against its own state, sandbox, watch table and I/O, with
+    /// system calls suppressed unless the OS-sandbox extension is on.
+    /// `deadline` is the last clock at which the path's core still holds
+    /// the schedule; `u64::MAX` when nothing competes for it.
     #[inline(always)]
-    pub(crate) fn advance(
-        &mut self,
-        ex: &mut Excursion,
-        replay: Option<&mut Replay>,
-        state: &mut CoreState,
-        clock: &mut u64,
-        deadline: u64,
-    ) -> Grant {
-        if let Some(r) = replay {
+    pub(crate) fn advance(&mut self, p: &mut Path, clock: &mut u64, deadline: u64) -> Grant {
+        if let Some(r) = p.replay.as_mut() {
             match r.entry.steps.get(r.step).copied() {
                 Some(MemoStep::Run { pc, n: total }) => {
                     let pc = pc + r.run_off;
-                    let max_n = grant(self.px, self.instructions, ex.executed, total - r.run_off);
+                    let max_n = grant(self.px, self.instructions, p.ex.executed, total - r.run_off);
                     let (n, cost) =
                         simple_cost_until(self.dp, pc, max_n, &self.cost_table, *clock, deadline);
                     *clock += cost;
@@ -487,7 +526,7 @@ impl<'a> Run<'a> {
                         r.step += 1;
                         r.run_off = 0;
                     }
-                    let stop = self.ran(ex, pc, n);
+                    let stop = self.ran(&mut p.ex, pc, n);
                     return Grant::Ran { pc, n, stop };
                 }
                 Some(MemoStep::One {
@@ -498,12 +537,13 @@ impl<'a> Run<'a> {
                 }) => {
                     r.step += 1;
                     self.instructions += 1;
-                    return Grant::One {
+                    return Grant::One(OneStep {
                         base,
                         next_pc,
                         access,
                         note,
-                    };
+                        deferred: None,
+                    });
                 }
                 None => {
                     // Unreachable: every stored bundle ends on a stop, and
@@ -516,26 +556,54 @@ impl<'a> Run<'a> {
                 }
             }
         }
+        let state = &mut p.state;
         if self.fault.is_none() {
             let pc = state.pc;
             let max_n = grant(
                 self.px,
                 self.instructions,
-                ex.executed,
+                p.ex.executed,
                 self.dp.simple_run(pc),
             );
             if max_n > 0 {
                 let n = simple_steps_until(self.dp, pc, max_n, &self.cost_table, *clock, deadline);
-                if let Some(r) = ex.rec.as_mut() {
+                if let Some(r) = p.ex.rec.as_mut() {
                     r.note_run(self.dp, pc, n, &state.regs);
                 }
                 *clock += run_simple(self.dp, state, n, &self.cost_table);
-                let stop = self.ran(ex, pc, n);
+                let stop = self.ran(&mut p.ex, pc, n);
                 return Grant::Ran { pc, n, stop };
             }
         }
         self.instructions += 1;
-        Grant::Interpret
+        // The memo's pre-step live-ins: an unwritten register still holds
+        // its spawn value, so the current file supplies exact live-ins;
+        // loads record the committed bytes they are about to read (none if
+        // the access will crash).
+        if let (Some(r), Some(u)) = (p.ex.rec.as_mut(), self.dp.op(state.pc)) {
+            r.note_uop(u, &state.regs, &p.sandbox, &self.memory);
+        }
+        let s = {
+            let mut env = StepEnv {
+                io: &mut p.io,
+                watches: &mut p.watches,
+                suppress_syscalls: !self.px.os_sandbox_unsafe,
+                now_cycles: *clock,
+                costs: &self.mach.costs,
+                fault: self.fault.as_mut().map(|h| h as &mut dyn FaultHook),
+            };
+            let mut view = SandboxView::new(&self.memory, &mut p.sandbox);
+            step_uop(self.program, self.dp, state, &mut view, &mut env)
+        };
+        let filed_at = state.pc;
+        let (access, note) = self.interpreted(&mut p.ex, &s, &mut state.pc);
+        Grant::One(OneStep {
+            base: s.base_cost,
+            next_pc: state.pc,
+            access,
+            note,
+            deferred: s.deferred.map(|action| (action, filed_at)),
+        })
     }
 
     /// Bookkeeping for `n` simple micro-ops NT-path `ex` retired from `pc`.
@@ -550,13 +618,13 @@ impl<'a> Run<'a> {
         stop(self.px, None, false, ex.executed)
     }
 
-    /// The engine-independent side of one interpreted NT step: ablation
-    /// D2's NT-from-NT redirect of `pc` (force a never-exercised non-taken
-    /// edge from inside the path), the sandboxed-syscall count, and the
-    /// memo recording. Returns the step's access and note for the engine to
+    /// The bookkeeping of one interpreted NT step: ablation D2's
+    /// NT-from-NT redirect of `pc` (force a never-exercised non-taken edge
+    /// from inside the path), the sandboxed-syscall count, and the memo
+    /// recording. Returns the step's access and note for the engine to
     /// apply.
     #[inline(always)]
-    pub(crate) fn interpreted(
+    fn interpreted(
         &mut self,
         ex: &mut Excursion,
         s: &Step,
@@ -649,41 +717,23 @@ impl<'a> Run<'a> {
         None
     }
 
-    /// Ends NT-path `ex` with `stop`: gang-invalidates its volatile lines
-    /// on `core` (a `(core, vtag)` pair; `None` for a path that never got a
-    /// core), stores its recorded bundle or charges a bypass, and logs the
-    /// path.
-    pub(crate) fn end(&mut self, ex: Excursion, stop: NtStop, core: Option<(usize, u8)>) {
+    /// Squashes NT-path `p` with `stop`: gang-invalidates its volatile
+    /// lines on `core` (a `(core, vtag)` pair; `None` for a path that never
+    /// got a core), stores its recorded bundle or charges a bypass, and
+    /// logs the path.
+    pub(crate) fn end(&mut self, p: &mut Path, stop: NtStop, core: Option<(usize, u8)>) {
         if let Some((c, vtag)) = core {
             self.caches.squash_path(c, vtag);
         }
-        if let (Some(rec), Some(t)) = (ex.rec, self.memo.table()) {
+        if let (Some(rec), Some(t)) = (p.ex.rec.take(), self.memo.table()) {
             t.finish(rec, stop);
         }
+        p.replay = None;
         self.stats.paths.push(NtPathRecord {
-            spawn_pc: ex.spawn_pc,
-            executed: ex.executed,
+            spawn_pc: p.ex.spawn_pc,
+            executed: p.ex.executed,
             stop,
         });
-    }
-}
-
-impl Excursion {
-    /// Notes a live path's pre-step live-ins: an unwritten register still
-    /// holds its spawn value, so the current file supplies exact live-ins;
-    /// loads record the committed bytes they are about to read (none if
-    /// the access will crash).
-    #[inline]
-    pub(crate) fn pre_step(
-        &mut self,
-        dp: &DecodedProgram,
-        state: &CoreState,
-        sandbox: &Sandbox,
-        memory: &Memory,
-    ) {
-        if let (Some(r), Some(u)) = (self.rec.as_mut(), dp.op(state.pc)) {
-            r.note_uop(u, &state.regs, sandbox, memory);
-        }
     }
 }
 

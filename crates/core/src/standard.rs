@@ -5,15 +5,17 @@
 //!
 //! 1. bumps the non-taken edge's counter (counters are updated "during
 //!    taken-path execution and at the entry of an NT-Path", §4.2(1)),
-//! 2. checkpoints the registers and program counter,
-//! 3. sets the NT-entry predicate (so the compiler's variable-fixing
-//!    instructions at the edge head execute) and redirects the PC to the
+//! 2. copies the registers and program counter into an NT-path (the
+//!    paper's checkpoint: the taken core itself is never touched, so there
+//!    is nothing to restore),
+//! 3. sets the path's NT-entry predicate (so the compiler's variable-fixing
+//!    instructions at the edge head execute) and points its PC at the
 //!    non-taken target,
 //! 4. runs the NT-path with memory writes sandboxed in L1 (volatile tag) and
 //!    system calls suppressed,
 //! 5. on termination — `MaxNTPathLength`, crash, unsafe event, program end,
-//!    or sandbox overflow — gang-invalidates the volatile lines, restores the
-//!    checkpoint and resumes the taken path.
+//!    or sandbox overflow — gang-invalidates the volatile lines, discards the
+//!    path and resumes the taken path where the branch left it.
 //!
 //! Checker records produced on the NT-path go to the monitor memory area and
 //! survive the squash. The excursion itself is shared with the CMP engine
@@ -22,13 +24,13 @@
 
 use px_isa::{DecodedProgram, Program};
 use px_mach::{
-    run_simple, step_uop, Checkpoint, CoreState, FaultHook, IoState, MachConfig, MemoNote,
-    MemoTable, PathKind, RunExit, Sandbox, SandboxView, StepEnv, COMMITTED,
+    run_simple, step_uop, CoreState, FaultHook, IoState, MachConfig, MemoTable, PathKind, RunExit,
+    StepEnv, COMMITTED,
 };
 
 use crate::config::PxConfig;
 use crate::inject::apply_deferred;
-use crate::nt::{self, Excursion, Grant, Run, Taken};
+use crate::nt::{self, Excursion, Grant, OneStep, Path, Run, Taken};
 use crate::stats::{NtStop, PxRunResult};
 
 /// Volatile tag used for NT-path lines in the standard configuration — the
@@ -102,7 +104,8 @@ pub(crate) fn run_standard_inner(
         Err(failed) => return *failed,
     };
     let mut core = CoreState::at_entry(program.entry, run.memory.size());
-    let mut sandbox = Sandbox::new();
+    // The one NT-path, re-armed at every spawn.
+    let mut path = Path::default();
     let mut cycles: u64 = 0;
 
     // The run alternates between two modal inner loops — taken-path and
@@ -113,7 +116,7 @@ pub(crate) fn run_standard_inner(
     // simulation's wall time.
     let exit = 'run: loop {
         // ---- Taken-path mode (no NT-path live). ----
-        let (mut ex, mut replay, target) = 'taken: loop {
+        'taken: loop {
             if run.instructions >= px.max_instructions {
                 break 'run RunExit::BudgetExhausted;
             }
@@ -148,41 +151,20 @@ pub(crate) fn run_standard_inner(
                 cycles += u64::from(run.caches.access(0, a.addr, a.write, COMMITTED).cycles);
             }
             let spawned = match run.taken_event(s.event, &mut cycles, false) {
-                Taken::Go => None,
+                Taken::Go => false,
                 Taken::Exit(exit) => break 'run exit,
                 Taken::Spawn { pc, target } => {
-                    debug_assert_eq!(sandbox.written_bytes(), 0);
-                    let (ex, replay) = run.spawn(pc, target, &core.regs);
-                    Some((ex, replay, target))
+                    run.spawn(&mut path, pc, target, &core);
+                    true
                 }
             };
             run.taken_enter(core.pc);
-            if let Some(spawned) = spawned {
-                break 'taken spawned;
+            if spawned {
+                break 'taken;
             }
-        };
-
-        // A memo hit replays the recorded bundle without checkpointing or
-        // redirecting the core: the branch left the pc on the
-        // architectural successor, and replay never touches core, sandbox,
-        // watch table or I/O. A live path checkpoints and redirects, and
-        // resolves its I/O once: the OS-sandbox scratch snapshot (when
-        // enabled) or the real I/O (which an NT-path can then only reach
-        // through suppressed system calls).
-        let mut checkpoint = None;
-        let mut scratch_io = None;
-        if replay.is_none() {
-            checkpoint = Some(Checkpoint::take(&core));
-            core.pc = target;
-            core.pred = px.apply_fixes;
-            run.watches.begin_log();
-            scratch_io = px.os_sandbox_unsafe.then(|| run.io.clone());
         }
 
         // ---- NT-path mode: one excursion per spawned path. ----
-        let path = PathKind::NtPath {
-            spawn_pc: ex.spawn_pc,
-        };
         let stop = loop {
             if run.instructions >= px.max_instructions {
                 // A budget hit mid-NT-path must not leave speculative
@@ -190,68 +172,18 @@ pub(crate) fn run_standard_inner(
                 // same one a shorter, NT-free run would have reached.
                 break NtStop::RunCutShort;
             }
-            let stop = match run.advance(&mut ex, replay.as_mut(), &mut core, &mut cycles, u64::MAX)
-            {
+            let stop = match run.advance(&mut path, &mut cycles, u64::MAX) {
                 Grant::Ran { stop, .. } => stop,
-                Grant::One {
-                    base,
-                    next_pc,
-                    access,
-                    note,
-                } => one(&mut run, &mut ex, &mut cycles, base, next_pc, access, note),
-                Grant::Interpret => {
-                    ex.pre_step(dp, &core, &sandbox, &run.memory);
-                    let s = {
-                        let mut env = StepEnv {
-                            io: scratch_io.as_mut().unwrap_or(&mut run.io),
-                            watches: &mut run.watches,
-                            suppress_syscalls: !px.os_sandbox_unsafe,
-                            now_cycles: cycles,
-                            costs: &mach.costs,
-                            fault: run.fault.as_mut().map(|h| h as &mut dyn FaultHook),
-                        };
-                        let mut view = SandboxView::new(&run.memory, &mut sandbox);
-                        step_uop(program, dp, &mut core, &mut view, &mut env)
-                    };
-                    if let Some(action) = s.deferred {
-                        let at = cycles + u64::from(s.base_cost);
-                        apply_deferred(
-                            action,
-                            &mut run.caches,
-                            0,
-                            NT_VTAG,
-                            &mut run.monitor,
-                            at,
-                            path,
-                            core.pc,
-                        );
-                    }
-                    let (access, note) = run.interpreted(&mut ex, &s, &mut core.pc);
-                    one(
-                        &mut run,
-                        &mut ex,
-                        &mut cycles,
-                        s.base_cost,
-                        core.pc,
-                        access,
-                        note,
-                    )
-                }
+                Grant::One(step) => one(&mut run, &mut path.ex, &mut cycles, step),
             };
             if let Some(stop) = stop {
                 break stop;
             }
         };
 
-        // Squash: the charged penalty and volatile-line invalidation, then
-        // (for a live path) the sandbox, watch-log and checkpoint rollback.
+        // Squash: the charged penalty and volatile-line invalidation.
         cycles += u64::from(mach.squash_cycles);
-        run.end(ex, stop, Some((0, NT_VTAG)));
-        if let Some(checkpoint) = checkpoint {
-            sandbox.clear();
-            run.watches.rollback();
-            checkpoint.restore(&mut core);
-        }
+        run.end(&mut path, stop, Some((0, NT_VTAG)));
         if stop == NtStop::RunCutShort {
             break 'run RunExit::BudgetExhausted;
         }
@@ -260,23 +192,32 @@ pub(crate) fn run_standard_inner(
 }
 
 /// Applies one non-simple NT step, interpreted or replayed, under the
-/// standard conventions: the step's cycles reach the single clock before
+/// standard conventions: a deferred fault is stamped with the clock plus
+/// the step's base cost, the step's cycles reach the single clock before
 /// its monitor records are stamped, and a step that stops the path on its
 /// own event does not count toward `executed`.
 #[inline(always)]
-fn one(
-    run: &mut Run<'_>,
-    ex: &mut Excursion,
-    cycles: &mut u64,
-    base: u32,
-    next_pc: u32,
-    access: Option<(u32, bool)>,
-    note: MemoNote,
-) -> Option<NtStop> {
-    let (cost, overflow) = run.nt_access(0, NT_VTAG, access);
-    *cycles += u64::from(base) + u64::from(cost);
+fn one(run: &mut Run<'_>, ex: &mut Excursion, cycles: &mut u64, step: OneStep) -> Option<NtStop> {
+    if let Some((action, pc)) = step.deferred {
+        let path = PathKind::NtPath {
+            spawn_pc: ex.spawn_pc,
+        };
+        let at = *cycles + u64::from(step.base);
+        apply_deferred(
+            action,
+            &mut run.caches,
+            0,
+            NT_VTAG,
+            &mut run.monitor,
+            at,
+            path,
+            pc,
+        );
+    }
+    let (cost, overflow) = run.nt_access(0, NT_VTAG, step.access);
+    *cycles += u64::from(step.base) + u64::from(cost);
     run.stats.nt_instructions += 1;
-    let event = run.effects(ex, note, next_pc, *cycles);
+    let event = run.effects(ex, step.note, step.next_pc, *cycles);
     if event.is_none() {
         ex.executed += 1;
     }

@@ -252,10 +252,12 @@ px_prop! {
 /// into a cold store/load body whose only live-in is the constant `r9`,
 /// which is exactly the shape the memo accelerates.
 const NT_HEAVY: &str = r"
+    .data
+    buf: .space 8
     .code
 main:
     li   r1, 64          ; outer iterations
-    li   r9, 2048        ; buffer
+    la   r9, buf         ; buffer
 outer:
     beq  r1, r9, heavy   ; never taken: r1 stays far below r9
     subi r1, r1, 1
@@ -272,8 +274,7 @@ heavy:
 
 /// A cold edge into a ~600-instruction sandboxed sweep that the taken
 /// path re-arms every few iterations, so under CMP a spawn often finds an
-/// earlier path at the same key still running. (`NT_HEAVY`'s body crashes
-/// on its first store, so its paths never overlap.)
+/// earlier path at the same key still running.
 const NT_OVERLAP: &str = r"
     .data
     buf: .word 0
@@ -302,6 +303,17 @@ cont:
     exit
 ";
 
+/// Every NT-path of an `NT_HEAVY` run runs the store/load body: none
+/// crashes, and some get past the first instruction.
+fn assert_paths_run_the_body(r: &PxRunResult) {
+    assert_eq!(r.stats.stops_of("crash"), 0, "{:?}", r.stats.paths);
+    assert!(
+        r.stats.paths.iter().any(|p| p.executed > 1),
+        "{:?}",
+        r.stats.paths
+    );
+}
+
 #[test]
 fn nt_heavy_identical_with_hits_and_path_plan() {
     let program = px_isa::asm::assemble(NT_HEAVY).expect("assembles");
@@ -326,6 +338,7 @@ fn nt_heavy_identical_with_hits_and_path_plan() {
             full_digest(&program, &off),
             "nt-heavy memo on/off diverged (K={k})"
         );
+        assert_paths_run_the_body(&on);
         let c_on = run(
             &program,
             &MachConfig::default(),
@@ -343,6 +356,7 @@ fn nt_heavy_identical_with_hits_and_path_plan() {
             full_digest(&program, &c_off),
             "nt-heavy cmp memo on/off diverged (K={k})"
         );
+        assert_paths_run_the_body(&c_on);
     }
 }
 
@@ -356,6 +370,7 @@ fn explicit_table_hits_and_reuses_across_runs() {
     let first = run_standard_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
     let hits_after_first = table.counters.hits;
     assert!(first.stats.spawns > 4, "nt-heavy must spawn");
+    assert_paths_run_the_body(&first);
     assert!(
         hits_after_first > 0,
         "repeated spawns of the same body must hit: {:?}",
@@ -389,6 +404,7 @@ fn cmp_explicit_table_hits_and_stays_identical() {
     let mut table = cmp_memo_table(&program, &mach, &px);
     let first = run_cmp_memo(&program, &dp, &mach, &px, IoState::default(), &mut table);
     assert!(first.stats.spawns > 4, "nt-heavy must spawn");
+    assert_paths_run_the_body(&first);
     assert!(
         table.counters.hits > 0,
         "repeated spawns of the same body must hit: {:?}",
@@ -458,6 +474,7 @@ fn mismatched_tables_are_ignored() {
         "standard table in a CMP run"
     );
     assert_eq!(full_digest(&program, &r), full_digest(&program, &off));
+    assert_paths_run_the_body(&r);
 
     let other = soup_program(vec![Instruction::Nop; 3]);
     let mach = MachConfig::single_core();

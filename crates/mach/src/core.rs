@@ -1,4 +1,4 @@
-//! Architectural per-core state and checkpoints.
+//! Architectural per-core state.
 
 use px_isa::Reg;
 
@@ -58,32 +58,6 @@ impl CoreState {
     }
 }
 
-/// A checkpoint of one core — "the architectural registers as well as the
-/// program counter" (paper §4.2(2)). Restoring it is the processor half of
-/// an NT-path rollback; the memory half is the sandbox discard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checkpoint(CoreState);
-
-impl Checkpoint {
-    /// Captures the core's current state.
-    #[must_use]
-    pub fn take(core: &CoreState) -> Checkpoint {
-        Checkpoint(*core)
-    }
-
-    /// Restores the captured state into `core`.
-    pub fn restore(&self, core: &mut CoreState) {
-        *core = self.0;
-    }
-
-    /// The captured state (for spawning an NT-path onto another core: the
-    /// CMP option's register copy).
-    #[must_use]
-    pub fn state(&self) -> CoreState {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,19 +69,5 @@ mod tests {
         assert_eq!(regs.get(Reg::ZERO), 0);
         regs.set(Reg::RV, 42);
         assert_eq!(regs.get(Reg::RV), 42);
-    }
-
-    #[test]
-    fn checkpoint_round_trips() {
-        let mut core = CoreState::at_entry(10, 0x10000);
-        assert_eq!(core.regs.get(Reg::SP), 0x10000);
-        let cp = Checkpoint::take(&core);
-        core.regs.set(Reg::RV, 99);
-        core.pc = 55;
-        core.pred = true;
-        cp.restore(&mut core);
-        assert_eq!(core.pc, 10);
-        assert_eq!(core.regs.get(Reg::RV), 0);
-        assert!(!core.pred);
     }
 }

@@ -14,13 +14,15 @@
 //!   constraint (paper §4.2(2));
 //! * a **BTB with per-edge 4-bit exercise counters** ([`btb::Btb`],
 //!   paper §4.1/§4.2(1));
-//! * register/PC **checkpoints** ([`core::Checkpoint`], paper §4.2(2));
+//! * the per-core architectural state ([`core::CoreState`]) an NT-path
+//!   copies at spawn — the paper's register/PC checkpoint, §4.2(2);
 //! * functional memory with NT-path **sandboxes and copy-on-write snapshots**
 //!   ([`memory::Sandbox`]) realizing the CMP option's tree-structured data
 //!   dependences (paper Figure 6(c));
 //! * the **monitor memory area** ([`monitor::MonitorArea`], paper §4.1) where
 //!   checker reports survive squashes;
-//! * iWatcher-style **watch ranges** with NT-rollback ([`watch::WatchTable`]);
+//! * iWatcher-style **watch ranges** ([`watch::WatchTable`]), which each
+//!   NT-path copies so its registrations never reach committed state;
 //! * **branch coverage** tracking ([`coverage::Coverage`], the paper's §2
 //!   metric) and a **baseline runner** ([`runner::run_baseline`]) for the
 //!   paper's no-PathExpander columns, with the program loader
@@ -54,7 +56,7 @@ pub mod watch;
 pub use btb::{Btb, COUNTER_MAX};
 pub use cache::{Access, Cache, Hierarchy, HierarchyStats, Lookup, COMMITTED};
 pub use config::{CacheConfig, CostModel, MachConfig};
-pub use core::{Checkpoint, CoreState, Regs};
+pub use core::{CoreState, Regs};
 pub use coverage::Coverage;
 pub use exec::{DataAccess, Step, StepEnv, StepEvent};
 pub use fault::{

@@ -235,7 +235,7 @@ pub struct MemoEntry {
     /// First pc of the NT path.
     pub target: u32,
     /// Watch table at spawn (multiset of ranges; order is not
-    /// architectural — rollback restores the set, not the order).
+    /// architectural — see [`WatchTable::ranges`]).
     pub watch: Vec<WatchRange>,
     /// Registers read before being written, with the value observed.
     pub reg_reads: Vec<(u8, i32)>,
@@ -489,9 +489,10 @@ impl MemoRecorder {
     }
 }
 
-/// Multiset equality of watch-range sets. `WatchTable::rollback` restores
-/// the *set* of ranges but may reorder them, and order is not architectural
-/// (hits report the minimum overlapping tag), so validation must ignore it.
+/// Multiset equality of watch-range sets. A taken-path `unwatch` followed by
+/// a re-`watch` of the same range leaves the same set in another order, and
+/// order is not architectural (hits report the minimum overlapping tag), so
+/// validation must ignore it.
 fn watch_multiset_eq(recorded: &[WatchRange], live: &[WatchRange]) -> bool {
     if recorded.len() != live.len() {
         return false;

@@ -1,14 +1,13 @@
 //! Property tests on the machine substrate: the sandbox is an exact overlay,
 //! gang invalidation removes exactly the volatile lines, the BTB counters
-//! never exceed saturation, coverage merging is a lattice join, and the
-//! watch table's rollback is an inverse.
+//! never exceed saturation, and coverage merging is a lattice join.
 //!
 //! Runs on the in-tree `px_util` property harness (`px_prop!`).
 
 use px_isa::{Edge, Width, DATA_BASE};
 use px_mach::{
     Btb, Cache, CacheConfig, Coverage, Hierarchy, MachConfig, MemView, Memory, Sandbox,
-    SandboxView, WatchTable, COMMITTED,
+    SandboxView, COMMITTED,
 };
 use px_util::prop::{any_bool, any_i32, vec_of, Strategy};
 use px_util::px_prop;
@@ -17,39 +16,6 @@ const MEM_SIZE: u32 = DATA_BASE + 4096;
 
 fn arb_addr() -> impl Strategy<Value = u32> + Clone + 'static {
     DATA_BASE..(MEM_SIZE - 4)
-}
-
-/// Sets `initial` watch ranges, applies `nt_ops` (set or clear) inside a
-/// rollback log, rolls back, and checks that lookups around `probe` and the
-/// range count are exactly as before the log.
-fn check_watch_rollback(initial: &[(u32, u32, u32)], nt_ops: &[(bool, u32, u32, u32)], probe: u32) {
-    let mut w = WatchTable::new();
-    for &(lo, len, tag) in initial {
-        w.set(lo, len, tag);
-    }
-    let hits_before: Vec<Option<u32>> = (0..8).map(|i| w.hit(probe + i * 97, 4)).collect();
-    w.begin_log();
-    for &(add, lo, len, tag) in nt_ops {
-        if add {
-            w.set(lo, len, tag);
-        } else {
-            w.clear(tag);
-        }
-    }
-    w.rollback();
-    let hits_after: Vec<Option<u32>> = (0..8).map(|i| w.hit(probe + i * 97, 4)).collect();
-    assert_eq!(hits_before, hits_after);
-    assert_eq!(
-        w.len(),
-        initial.iter().filter(|(_, len, _)| *len > 0).count()
-    );
-}
-
-/// A shrunk failure of `watch_rollback_is_an_exact_inverse`: two
-/// overlapping ranges, and a clear of the first one's tag under the log.
-#[test]
-fn watch_rollback_restores_a_cleared_overlapping_range() {
-    check_watch_rollback(&[(853, 61, 6), (857, 57, 1)], &[(false, 0, 1, 6)], 466);
 }
 
 px_prop! {
@@ -206,14 +172,6 @@ px_prop! {
         twice.merge(&cb).unwrap();
         twice.merge(&ca).unwrap();
         assert_eq!(&twice, &merged);
-    }
-
-    fn watch_rollback_is_an_exact_inverse(
-        initial in vec_of((0u32..4096, 1u32..64, 1u32..8), 0..10),
-        nt_ops in vec_of((any_bool(), 0u32..4096, 1u32..64, 1u32..8), 0..20),
-        probe in 0u32..4096,
-    ) {
-        check_watch_rollback(&initial, &nt_ops, probe);
     }
 
     fn hierarchy_latency_is_within_physical_bounds(

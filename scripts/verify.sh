@@ -46,7 +46,8 @@ cargo run --release --offline -q -p px-cli --bin pxc -- campaign --cases fault:1
 # runaway chaos cases is run straight through, killed mid-flight (torn
 # journal tail), and resumed. The resumed aggregate digest must be
 # byte-identical, every case accounted for exactly once, and the
-# quarantine must match chaos ground truth.
+# quarantine must match chaos ground truth. The aggregate digest is pinned
+# (`GATE_DIGEST` in crates/bench/src/experiments/campaign.rs).
 echo "==> campaign-gate: E16 kill+resume digest identity, 512 cases"
 cargo run --release --offline -q -p px-bench --bin campaign_gate -- --check
 
@@ -54,7 +55,8 @@ cargo run --release --offline -q -p px-bench --bin campaign_gate -- --check
 # byte-identically (twice) inside a hard wall-time budget, the
 # zoo-roster:quick campaign must fold its prime-path shards to the same
 # aggregate digest at 1 and 4 workers, and forward/reverse journal
-# re-folds must commute.
+# re-folds must commute. The aggregate digest is pinned (`GATE_DIGEST` in
+# crates/bench/src/experiments/prime.rs).
 echo "==> prime-path-gate: E17 enumeration determinism + shard digest identity"
 cargo run --release --offline -q -p px-bench --bin prime_path_gate -- --check
 
