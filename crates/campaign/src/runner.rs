@@ -140,6 +140,15 @@ fn zoo_subject(spec: &ZooSpec, tool: Tool) -> Arc<ZooSubject> {
 /// spawn's live-ins and is architecturally byte-identical to a cold
 /// simulation, so records stay pure regardless of which earlier cases
 /// warmed the table.
+///
+/// Where each table serves a single case — a roster without `*K` runs each
+/// (spec, tool) once per campaign, and the pool's scoped threads drop the
+/// tables when it ends — the tables still earn their place in memory: a
+/// fresh table per run (`run_standard_decoded`) keeps every digest but
+/// raised perfbench zoo-campaign's `peak_rss_mb` from 105–110 MB to
+/// 119–134 MB (three runs a side, two of them past the benchmark's 20%
+/// bound). That resembles the peak-RSS effect DESIGN.md §13 describes
+/// beside `INITIAL_KEYS`; its cause was not isolated.
 fn with_zoo_memo<R>(
     subject: &ZooSubject,
     mach: &MachConfig,

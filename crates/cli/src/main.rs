@@ -199,7 +199,7 @@ fn execute(
             &MachConfig::single_core(),
             io,
             opts.px.max_instructions,
-            plan.as_mut().map(|p| p as &mut dyn px_mach::FaultHook),
+            plan.as_mut(),
             path_plan.as_deref(),
         );
         report::print_baseline(compiled, &r, tool, opts);
@@ -210,18 +210,12 @@ fn execute(
     }
     let mach = opts.px.mode.machine();
     let px = opts.px.clone().with_path_plan(path_plan);
-    let r = pathexpander::run_with(
-        &compiled.program,
-        &mach,
-        &px,
-        io,
-        plan.as_mut().map(|p| p as &mut dyn px_mach::FaultHook),
-    );
+    let r = pathexpander::run_with(&compiled.program, &mach, &px, io, plan.as_mut());
     report::print_px(compiled, &r, tool, opts);
-    if plan.is_some() {
+    if let Some(plan) = &plan {
         println!(
             "faults:       {} injected into NT-paths (committed state unaffected)",
-            r.stats.faults_injected
+            plan.stats.total()
         );
     }
     Ok(exit_code(matches!(r.exit, px_mach::RunExit::Exited(0))))

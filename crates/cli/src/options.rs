@@ -235,10 +235,11 @@ impl Options {
                 }
                 "--cmp" => opts.px = opts.px.clone().cmp(),
                 "--max-nt-len" => {
-                    opts.px = opts
-                        .px
-                        .clone()
-                        .with_max_nt_path_len(parse_num(&value("--max-nt-len")?)?);
+                    let n: u32 = parse_num(&value("--max-nt-len")?)?;
+                    if n == 0 {
+                        return Err("`--max-nt-len` must be at least 1 instruction".to_owned());
+                    }
+                    opts.px = opts.px.clone().with_max_nt_path_len(n);
                 }
                 "--threshold" => {
                     let n: u32 = parse_num(&value("--threshold")?)?;
@@ -540,6 +541,8 @@ mod tests {
         assert!(parse(&["run", "x", "--threshold"]).is_err());
         assert!(parse(&["run", "x", "--seed", "abc"]).is_err());
         assert!(parse(&["run", "x", "--wat"]).is_err());
+        let e = parse(&["run", "x", "--max-nt-len", "0"]).unwrap_err();
+        assert!(e.contains("--max-nt-len"), "{e}");
     }
 
     #[test]

@@ -24,12 +24,11 @@
 
 use px_isa::{DecodedProgram, Program, Width};
 use px_mach::{
-    run_simple, simple_steps_until, step_uop, CoreState, FaultHook, IoState, MachConfig, MemView,
-    MemoTable, Memory, PathKind, RunExit, SimError, StepEnv, UopProfile, COMMITTED,
+    run_simple, simple_steps_until, step_uop, CoreState, FaultPlan, IoState, MachConfig, MemView,
+    MemoTable, Memory, RunExit, SimError, StepEnv, UopProfile, COMMITTED,
 };
 
 use crate::config::PxConfig;
-use crate::inject::apply_deferred;
 use crate::nt::{self, Grant, OneStep, Path, Run, Taken};
 use crate::stats::{NtStop, PxRunResult};
 
@@ -204,7 +203,7 @@ pub fn run_cmp_profiled(
     (result, profile)
 }
 
-/// The CMP engine. An optional fault hook is consulted only for NT-path
+/// The CMP engine. An optional fault plan is consulted only for NT-path
 /// steps, so every fault lands in some path's sandbox and the primary
 /// core's committed state stays bit-identical to a plain baseline.
 #[allow(clippy::too_many_arguments)]
@@ -214,7 +213,7 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
     mach: &MachConfig,
     px: &PxConfig,
     io: IoState,
-    fault: Option<&mut dyn FaultHook>,
+    fault: Option<&mut FaultPlan>,
     memo: Option<&mut MemoTable>,
     profile: &mut UopProfile,
 ) -> PxRunResult {
@@ -483,20 +482,8 @@ fn one(
     step: OneStep,
 ) -> Option<NtStop> {
     let ex = &mut p.path.ex;
-    if let Some((action, pc)) = step.deferred {
-        let path = PathKind::NtPath {
-            spawn_pc: ex.spawn_pc,
-        };
-        apply_deferred(
-            action,
-            &mut run.caches,
-            core,
-            p.id,
-            &mut run.monitor,
-            *clock,
-            path,
-            pc,
-        );
+    if let Some(deferred) = step.deferred {
+        run.apply_deferred(ex, deferred, core, p.id, *clock);
     }
     let (cost, overflow) = run.nt_access(core, p.id, step.access);
     let event = run.effects(ex, step.note, step.next_pc, *clock);
@@ -892,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn cmp_watchdog_cuts_runaway_paths() {
+    fn cmp_max_length_cuts_runaway_paths() {
         let src = r"
             .code
             main:
@@ -908,13 +895,11 @@ mod tests {
                 li r2, 0
                 exit
             ";
-        let px = PxConfig::default()
-            .cmp()
-            .with_max_nt_path_len(1_000_000)
-            .with_nt_watchdog(40);
+        let px = PxConfig::default().cmp().with_max_nt_path_len(40);
         let r = run(src, &px);
         assert_eq!(r.exit, RunExit::Exited(0));
-        assert!(r.stats.stops_of("watchdog") >= 1);
+        let spin = r.stats.paths.iter().find(|p| p.spawn_pc == 1).unwrap();
+        assert_eq!((spin.stop, spin.executed), (NtStop::MaxLength, 40));
     }
 
     #[test]

@@ -79,12 +79,6 @@ pub struct PxConfig {
     /// Safety valve: stop the whole run after this many retired instructions
     /// (taken + NT).
     pub max_instructions: u64,
-    /// Watchdog: squash any single NT-path spawn cascade after this many
-    /// retired instructions regardless of `max_nt_path_len`. A
-    /// belt-and-braces bound — with fault injection, redirect faults can
-    /// turn a short path into a runaway loop; the watchdog guarantees the
-    /// taken path always regains the core.
-    pub nt_watchdog: u64,
     /// NT-path memoization (the replay cache in `px_mach::memo`): record
     /// each NT path's live-in read set and effect bundle, and replay the
     /// bundle — skipping re-simulation — when a later spawn's live-ins
@@ -118,7 +112,6 @@ impl Default for PxConfig {
             random_factor: None,
             static_nt_filter: None,
             max_instructions: 500_000_000,
-            nt_watchdog: 1_000_000,
             nt_memo: true,
             path_plan: None,
         }
@@ -133,10 +126,10 @@ impl PxConfig {
         self
     }
 
-    /// Sets `MaxNTPathLength`.
+    /// Sets `MaxNTPathLength` (clamped to at least 1).
     #[must_use]
     pub fn with_max_nt_path_len(mut self, len: u32) -> PxConfig {
-        self.max_nt_path_len = len;
+        self.max_nt_path_len = len.max(1);
         self
     }
 
@@ -206,13 +199,6 @@ impl PxConfig {
         self
     }
 
-    /// Sets the per-cascade NT watchdog (clamped to at least 1).
-    #[must_use]
-    pub fn with_nt_watchdog(mut self, n: u64) -> PxConfig {
-        self.nt_watchdog = n.max(1);
-        self
-    }
-
     /// Enables or disables NT-path memoization.
     #[must_use]
     pub fn with_nt_memo(mut self, enable: bool) -> PxConfig {
@@ -274,5 +260,10 @@ mod tests {
             "zero threshold normalises to off"
         );
         assert_eq!(c.max_instructions, 99);
+        assert_eq!(
+            PxConfig::default().with_max_nt_path_len(0).max_nt_path_len,
+            1,
+            "clamped to at least one"
+        );
     }
 }

@@ -22,7 +22,7 @@
 
 use px_isa::Program;
 use px_mach::{
-    run_baseline, FaultHook, IoState, MachConfig, MonitorRecord, RecordKind, RunExit, RunResult,
+    run_baseline, FaultPlan, IoState, MachConfig, MonitorRecord, RecordKind, RunExit, RunResult,
 };
 
 use crate::config::PxConfig;
@@ -219,8 +219,8 @@ pub fn check_containment(
 }
 
 /// Runs `program` under PathExpander (dispatching on `px.mode`) with an
-/// optional fault injector, re-runs it as a plain baseline *without* the
-/// injector, and diffs the two: the sandbox must hide even injected faults
+/// optional fault plan, re-runs it as a plain baseline *without* the plan,
+/// and diffs the two: the sandbox must hide even injected faults
 /// from the committed state.
 #[must_use]
 pub fn differential_run(
@@ -228,7 +228,7 @@ pub fn differential_run(
     mach: &MachConfig,
     px: &PxConfig,
     io: IoState,
-    fault: Option<&mut dyn FaultHook>,
+    fault: Option<&mut FaultPlan>,
 ) -> (PxRunResult, ContainmentReport) {
     let result = crate::run_with(program, mach, px, io.clone(), fault);
     // An engine-level rejection (bad config / malformed program) has no
@@ -304,7 +304,7 @@ mod tests {
         let program = assemble(NT_HEAVY).unwrap();
         for seed in 0..10u64 {
             let mut plan = FaultPlan::new(seed, FaultMix::uniform(), 3);
-            let (result, report) = differential_run(
+            let (_, report) = differential_run(
                 &program,
                 &MachConfig::single_core(),
                 &PxConfig::default(),
@@ -315,7 +315,7 @@ mod tests {
                 report.is_contained(),
                 "standard seed {seed}: {:?} (injected {})",
                 report.violations,
-                result.stats.faults_injected
+                plan.stats.total()
             );
             let mut plan = FaultPlan::new(seed, FaultMix::uniform(), 3);
             let (_, report) = differential_run(

@@ -8,7 +8,7 @@
 //! executed without applying any variable-fixing techniques."
 
 use px_isa::Program;
-use px_mach::{FaultHook, IoState, MachConfig};
+use px_mach::{FaultPlan, IoState, MachConfig};
 
 use crate::config::PxConfig;
 use crate::run_with;
@@ -81,7 +81,7 @@ impl LatencyProfile {
 /// non-taken edge, no variable fixing, `threshold`-instruction NT-paths, on
 /// the standard engine.
 ///
-/// An optional fault injector shows how the latency shapes shift when
+/// An optional fault plan shows how the latency shapes shift when
 /// NT-paths are bombarded with injected faults (they must shift toward
 /// *earlier* stops, never corrupt the profile).
 #[must_use]
@@ -91,7 +91,7 @@ pub fn measure_latency(
     io: IoState,
     threshold: u32,
     max_instructions: u64,
-    fault: Option<&mut dyn FaultHook>,
+    fault: Option<&mut FaultPlan>,
 ) -> LatencyProfile {
     let px = PxConfig::default()
         .with_counter_threshold(1)

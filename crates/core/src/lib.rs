@@ -61,7 +61,6 @@ pub mod cmp;
 pub mod config;
 pub mod contain;
 pub mod feasibility;
-mod inject;
 mod nt;
 pub mod standard;
 pub mod stats;
@@ -70,7 +69,7 @@ pub use cmp::{cmp_memo_table, run_cmp_decoded, run_cmp_memo, run_cmp_profiled};
 pub use config::{Mode, PxConfig};
 pub use contain::{check_containment, differential_run, ContainmentReport, Violation};
 pub use feasibility::{measure_latency, profile_from_stats, LatencyProfile};
-pub use inject::FAULT_WATCH_TAG;
+pub use nt::FAULT_WATCH_TAG;
 pub use standard::{run_standard_decoded, run_standard_memo, standard_memo_table};
 pub use stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
 
@@ -79,7 +78,7 @@ pub use px_mach::MemoTable;
 
 use px_analyze::PrimePathSet;
 use px_isa::{DecodedProgram, Program};
-use px_mach::{FaultHook, IoState, MachConfig, PathPlan, SimError, UopProfile};
+use px_mach::{FaultPlan, IoState, MachConfig, PathPlan, SimError, UopProfile};
 
 /// Converts an enumerated [`PrimePathSet`] into the plain-data
 /// [`PathPlan`] the engines consume (px-mach sits below px-analyze, so
@@ -112,9 +111,9 @@ pub fn run(program: &Program, mach: &MachConfig, px: &PxConfig, io: IoState) -> 
     run_with(program, mach, px, io, None)
 }
 
-/// [`run`] with an optional fault injector.
+/// [`run`] with an optional fault plan.
 ///
-/// The hook is consulted only while an NT-path is stepping, so every
+/// The plan is consulted only while an NT-path is stepping, so every
 /// injected fault lands inside a sandbox: the committed memory, register
 /// file and I/O must still match a plain baseline run (the containment
 /// property [`check_containment`] verifies). Bad configurations and
@@ -126,7 +125,7 @@ pub fn run_with(
     mach: &MachConfig,
     px: &PxConfig,
     io: IoState,
-    fault: Option<&mut dyn FaultHook>,
+    fault: Option<&mut FaultPlan>,
 ) -> PxRunResult {
     let dp = DecodedProgram::decode(program);
     match px.mode {

@@ -8,8 +8,9 @@
 //! result assembly ([`Run`]), spawn admission, the NT-path itself
 //! ([`Path`]: its copy of the spawning core's registers, its sandbox, watch
 //! table and I/O), the memo probe / record / store glue, a step's
-//! interpretation, sandboxed cache traffic and coverage/monitor effects,
-//! stop precedence, and memo replay ([`Run::advance`]).
+//! interpretation, injected cache- and monitor-level faults, sandboxed cache
+//! traffic and coverage/monitor effects, stop precedence, and memo replay
+//! ([`Run::advance`]).
 //!
 //! §4.2's checkpoint-and-rollback and §4.3's register copy onto an idle
 //! core come to the same thing here: a path runs on its own copy of the
@@ -32,15 +33,19 @@ use std::sync::Arc;
 use px_isa::{DecodedProgram, Edge, MicroOp, Program, UOP_KIND_COUNT};
 use px_mach::{
     load_program, memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, step_uop,
-    uop_cost_table, Btb, CoreState, Coverage, FaultAction, FaultHook, Hierarchy, IoState,
+    uop_cost_table, Btb, CoreState, Coverage, FaultAction, FaultPlan, Hierarchy, IoState,
     MachConfig, MemoEntry, MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, Memory,
     MonitorArea, PathCoverage, PathKind, PathPlan, PathTrail, RunExit, Sandbox, SandboxView,
     SimError, Step, StepEnv, StepEvent, WatchTable, COMMITTED,
 };
 
 use crate::config::PxConfig;
-use crate::inject::CountingHook;
 use crate::stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
+
+/// Watch tag used for synthetic monitor-pressure records, far outside the
+/// range any real watchpoint uses, so tests and the containment checker can
+/// tell injected records from organic ones.
+pub const FAULT_WATCH_TAG: u32 = 0xFA01_7FA0;
 
 /// The result of a run that could not start.
 pub(crate) fn engine_fault(program: &Program, e: SimError, io: IoState) -> PxRunResult {
@@ -74,7 +79,6 @@ fn fingerprint(program: &Program, mach: &MachConfig, px: &PxConfig, tag: u8) -> 
     memo_fingerprint(
         &program.code,
         px.max_nt_path_len,
-        px.nt_watchdog,
         px.apply_fixes,
         &mach.costs,
         tag,
@@ -122,7 +126,8 @@ pub(crate) struct Run<'a> {
     pub watches: WatchTable,
     pub monitor: MonitorArea,
     pub stats: PxStats,
-    pub fault: Option<CountingHook<'a>>,
+    /// Consulted on interpreted NT-path steps only.
+    fault: Option<&'a mut FaultPlan>,
     /// Instructions retired on every path, against `px.max_instructions`.
     pub instructions: u64,
     taken_cov: Coverage,
@@ -219,13 +224,13 @@ impl<'a> Run<'a> {
     /// the caller brings none. A mismatched table would replay another
     /// program's bundles, so the run ignores it.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new<'f: 'a>(
+    pub(crate) fn new(
         program: &'a Program,
         dp: &'a DecodedProgram,
         mach: &'a MachConfig,
         px: &'a PxConfig,
         io: IoState,
-        fault: Option<&'a mut (dyn FaultHook + 'f)>,
+        fault: Option<&'a mut FaultPlan>,
         memo: Option<&'a mut MemoTable>,
         memo_tag: u8,
     ) -> Result<Run<'a>, Box<PxRunResult>> {
@@ -239,7 +244,7 @@ impl<'a> Run<'a> {
             Err(e) => return Err(Box::new(engine_fault(program, e, io))),
         };
         // NT-path memoization: only when every NT path is a pure function
-        // of its read set — no fault injector (faults key off absolute
+        // of its read set — no fault plan (faults key off absolute
         // instruction counts), no OS-sandboxed syscalls (they mutate a
         // scratch I/O state), no NT-from-NT exploration (it reads the BTB
         // mid-path).
@@ -276,7 +281,7 @@ impl<'a> Run<'a> {
             watches: WatchTable::new(),
             monitor: MonitorArea::new(),
             stats: PxStats::default(),
-            fault: fault.map(|inner| CountingHook { inner, fired: 0 }),
+            fault,
             instructions: 0,
             taken_cov: Coverage::for_program(program),
             nt_cov: Coverage::for_program(program),
@@ -292,10 +297,6 @@ impl<'a> Run<'a> {
 
     /// Assembles the run's result.
     pub(crate) fn finish(self, exit: RunExit, cycles: u64, core: CoreState) -> PxRunResult {
-        let mut stats = self.stats;
-        if let Some(h) = &self.fault {
-            stats.faults_injected = h.fired;
-        }
         let mut total_coverage = self.taken_cov.clone();
         let exit = match total_coverage.merge(&self.nt_cov) {
             Ok(()) => exit,
@@ -310,7 +311,7 @@ impl<'a> Run<'a> {
             io: self.io,
             memory: self.memory,
             core,
-            stats,
+            stats: self.stats,
             path_coverage: self.tracking.map(|t| t.cov),
         }
     }
@@ -505,7 +506,7 @@ impl<'a> Run<'a> {
     /// path takes its cursor's next step: a recorded batch is re-chunked
     /// against the live caps and `deadline` exactly as the live path would
     /// have been, a recorded single step goes back to the engine. A live
-    /// path batches a simple run when it can (never under a fault hook,
+    /// path batches a simple run when it can (never under a fault plan,
     /// which must see every instruction) and otherwise interprets one
     /// micro-op against its own state, sandbox, watch table and I/O, with
     /// system calls suppressed unless the OS-sandbox extension is on.
@@ -590,7 +591,7 @@ impl<'a> Run<'a> {
                 suppress_syscalls: !self.px.os_sandbox_unsafe,
                 now_cycles: *clock,
                 costs: &self.mach.costs,
-                fault: self.fault.as_mut().map(|h| h as &mut dyn FaultHook),
+                fault: self.fault.as_deref_mut(),
             };
             let mut view = SandboxView::new(&self.memory, &mut p.sandbox);
             step_uop(self.program, self.dp, state, &mut view, &mut env)
@@ -661,6 +662,49 @@ impl<'a> Run<'a> {
             r.push_one(s.base_cost, *pc, access, note);
         }
         (access, note)
+    }
+
+    /// Applies NT-path `ex`'s injected cache- or monitor-level fault
+    /// `(action, pc)`, filing monitor records at `pc` stamped `stamp`.
+    /// `core` is the core whose L1 hosts the path's sandbox and `vtag` the
+    /// path's volatile tag, so injected lines are swept up by the path's own
+    /// gang-invalidation: the fault can degrade the path (early overflow,
+    /// timing noise, monitor pressure) but never the committed state.
+    pub(crate) fn apply_deferred(
+        &mut self,
+        ex: &Excursion,
+        (action, pc): (FaultAction, u32),
+        core: usize,
+        vtag: u8,
+        stamp: u64,
+    ) {
+        match action {
+            FaultAction::FlipL1Vtag { entropy } => {
+                self.caches.inject_vtag_flip(core, entropy, vtag);
+            }
+            FaultAction::ExhaustVolatileSet { entropy } => {
+                self.caches.inject_volatile_fill(core, entropy, vtag);
+            }
+            FaultAction::MonitorPressure { records } => {
+                let path = PathKind::NtPath {
+                    spawn_pc: ex.spawn_pc,
+                };
+                for i in 0..records {
+                    let note = MemoNote::Watch {
+                        tag: FAULT_WATCH_TAG,
+                        addr: u32::from(i),
+                        is_write: true,
+                        pc,
+                    };
+                    self.monitor.file(note, stamp, path);
+                }
+            }
+            // Core-level faults were already applied inside `step_uop`.
+            FaultAction::FlipMemBit { .. }
+            | FaultAction::ForceCrash { .. }
+            | FaultAction::RedirectBack { .. }
+            | FaultAction::FailInput => {}
+        }
     }
 
     /// An NT-path's data access on `core`: writes go to the sandbox under
@@ -738,21 +782,19 @@ impl<'a> Run<'a> {
 }
 
 /// How many micro-ops of a `run`-long simple run an NT-path that has
-/// executed `executed` may batch: the cap keeps the instruction budget,
-/// the watchdog and MaxNTPathLength stops on their exact instruction.
+/// executed `executed` may batch: the cap keeps the instruction budget and
+/// the MaxNTPathLength stop on their exact instruction.
 #[inline]
 pub(crate) fn grant(px: &PxConfig, instructions: u64, executed: u32, run: u32) -> u32 {
     u64::from(run)
         .min(px.max_instructions.saturating_sub(instructions))
-        .min(px.nt_watchdog.saturating_sub(u64::from(executed)))
         .min(u64::from(px.max_nt_path_len.saturating_sub(executed))) as u32
 }
 
 /// Why an NT-path stops after a step, in precedence order: the step's own
-/// `event` stop, sandbox overflow, the watchdog, MaxNTPathLength. The
-/// watchdog outranks MaxLength when configured tighter: redirect faults
-/// can stretch a path's wall time, and the watchdog guarantees the taken
-/// path always regains the core.
+/// `event` stop, sandbox overflow, MaxNTPathLength. The length cap also
+/// bounds the runaway loops that injected redirect faults create, so the
+/// taken path always regains the core.
 #[inline]
 pub(crate) fn stop(
     px: &PxConfig,
@@ -764,8 +806,6 @@ pub(crate) fn stop(
         event
     } else if overflow {
         Some(NtStop::SandboxOverflow)
-    } else if u64::from(executed) >= px.nt_watchdog {
-        Some(NtStop::Watchdog)
     } else if executed >= px.max_nt_path_len {
         Some(NtStop::MaxLength)
     } else {
@@ -813,47 +853,44 @@ pub(crate) fn catch_up_counter_resets(tsr: &mut u64, interval: u64, n: u64) -> u
 mod tests {
     use super::*;
 
-    fn caps(budget: u64, watchdog: u64, max_len: u32) -> PxConfig {
+    fn caps(budget: u64, max_len: u32) -> PxConfig {
         PxConfig::default()
             .with_max_instructions(budget)
-            .with_nt_watchdog(watchdog)
             .with_max_nt_path_len(max_len)
     }
 
     #[test]
     fn stop_precedence_when_several_fire_on_one_step() {
-        // Watchdog and MaxNTPathLength both reached at 10 executed.
-        let px = caps(1000, 10, 10);
+        // MaxNTPathLength reached at 10 executed.
+        let px = caps(1000, 10);
         let event = Some(NtStop::ProgramEnd);
         assert_eq!(stop(&px, event, true, 10), event, "event over overflow");
-        assert_eq!(stop(&px, None, true, 10), Some(NtStop::SandboxOverflow));
-        assert_eq!(stop(&px, None, false, 10), Some(NtStop::Watchdog));
-        let px = caps(1000, 11, 10);
+        assert_eq!(
+            stop(&px, None, true, 10),
+            Some(NtStop::SandboxOverflow),
+            "overflow over max length"
+        );
         assert_eq!(stop(&px, None, false, 10), Some(NtStop::MaxLength));
         assert_eq!(stop(&px, None, false, 9), None);
     }
 
     #[test]
     fn batch_grant_never_crosses_a_cap() {
-        for (budget, watchdog, max_len) in [(0, 5, 5), (7, 5, 9), (1000, 9, 5), (1000, 64, 64)] {
-            let px = caps(budget, watchdog, max_len);
+        for (budget, max_len) in [(0, 5), (7, 9), (1000, 5), (1000, 64)] {
+            let px = caps(budget, max_len);
             for instructions in [0, budget / 2, budget] {
-                for executed in 0..watchdog.min(u64::from(max_len)) as u32 {
+                for executed in 0..max_len {
                     for run in [0, 1, 3, 64] {
                         let n = grant(&px, instructions, executed, run);
                         assert!(n <= run);
                         assert!(instructions + u64::from(n) <= budget);
-                        assert!(u64::from(executed + n) <= watchdog);
                         assert!(executed + n <= max_len);
                         // The grant is the largest that fits: it stops at
                         // the run's end or exactly on a cap, where the cap's
                         // stop (or the budget) then fires.
                         let capped = instructions + u64::from(n) == budget
                             || stop(&px, None, false, executed + n).is_some();
-                        assert!(
-                            n == run || capped,
-                            "{budget} {watchdog} {max_len} {executed}"
-                        );
+                        assert!(n == run || capped, "{budget} {max_len} {executed}");
                     }
                 }
             }

@@ -50,8 +50,6 @@ pub struct PxStats {
     /// System calls executed inside NT-paths under the §3.2 OS-sandbox
     /// extension (they would otherwise have been unsafe-event stops).
     pub nt_syscalls_sandboxed: u64,
-    /// Faults delivered by an injector during this run (zero without one).
-    pub faults_injected: u64,
     /// Every completed NT-path, in completion order.
     pub paths: Vec<NtPathRecord>,
 }

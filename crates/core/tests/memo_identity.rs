@@ -220,7 +220,7 @@ px_prop! {
         code in vec_of(arb_instruction(), 1..32),
         seed in any_u32(),
     ) {
-        // With a fault hook attached, memoization is structurally bypassed:
+        // With a fault plan attached, memoization is structurally bypassed:
         // both runs simulate every NT step for real and stay identical.
         let program = soup_program(code);
         let io = || IoState::new(Vec::new(), 0xD1FF);

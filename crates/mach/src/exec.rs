@@ -9,7 +9,7 @@
 use px_isa::{CheckKind, SyscallCode};
 
 use crate::config::CostModel;
-use crate::fault::{FaultAction, FaultHook};
+use crate::fault::{FaultAction, FaultPlan};
 use crate::io::IoState;
 use crate::memory::CrashKind;
 use crate::watch::WatchTable;
@@ -86,7 +86,7 @@ pub struct Step {
 }
 
 /// Mutable environment a step executes in.
-pub struct StepEnv<'a, 'f> {
+pub struct StepEnv<'a> {
     /// Program I/O and entropy.
     pub io: &'a mut IoState,
     /// Active watch ranges.
@@ -98,14 +98,13 @@ pub struct StepEnv<'a, 'f> {
     pub now_cycles: u64,
     /// Instruction cost model.
     pub costs: &'a CostModel,
-    /// Optional fault injector, consulted once per step. `None` (the
-    /// production configuration) costs one branch per step. A separate
-    /// lifetime: `&mut dyn` is invariant, and tying the hook to `'a` would
-    /// force every other borrow in the environment to match it exactly.
-    pub fault: Option<&'f mut (dyn FaultHook + 'f)>,
+    /// Optional fault plan, consulted once per step before the micro-op
+    /// executes. `None` (the production configuration) costs one branch
+    /// per step.
+    pub fault: Option<&'a mut FaultPlan>,
 }
 
-impl core::fmt::Debug for StepEnv<'_, '_> {
+impl core::fmt::Debug for StepEnv<'_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("StepEnv")
             .field("io", &self.io)

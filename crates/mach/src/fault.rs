@@ -6,12 +6,12 @@
 //! provides the machinery to drive the engines into those corners on
 //! purpose and at scale:
 //!
-//! * [`FaultHook`] — a step-granular injection point threaded through
-//!   [`crate::uexec::step_uop`]. Engines pass `None` for zero-cost
-//!   production runs and a hook during fault campaigns.
-//! * [`FaultPlan`] — a seeded, replayable hook: given the same seed, mix
-//!   and rate it injects the identical fault sequence, so any containment
-//!   violation found by a campaign replays deterministically.
+//! * [`FaultPlan`] — a seeded, replayable injector threaded through
+//!   [`crate::uexec::step_uop`], which consults it once per interpreted
+//!   step. Given the same seed, mix and rate it injects the identical
+//!   fault sequence, so any containment violation found by a campaign
+//!   replays deterministically. Runs pass `None` in production and a plan
+//!   during fault campaigns.
 //! * [`SimError`] — the typed error that replaces engine panics. Invalid
 //!   configurations and malformed programs surface as
 //!   `RunExit::EngineFault` instead of aborting a sweep.
@@ -137,7 +137,7 @@ pub enum FaultKind {
     /// Force an architectural crash of a chosen [`CrashKind`].
     Crash,
     /// Redirect the pc backwards, forcing a runaway loop that must hit
-    /// the `MaxNTPathLength` bound (or the watchdog).
+    /// the `MaxNTPathLength` bound.
     Runaway,
     /// Flip the vtag of a random valid L1 line.
     VtagFlip,
@@ -240,14 +240,6 @@ impl FaultAction {
                 | FaultAction::MonitorPressure { .. }
         )
     }
-}
-
-/// A step-granular fault injector. Called once per executed instruction
-/// with the instruction's pc; returning `Some` injects that fault into the
-/// step. Implementations must be deterministic for replayability.
-pub trait FaultHook {
-    /// Decide whether to inject a fault at this step.
-    fn before_step(&mut self, pc: u32) -> Option<FaultAction>;
 }
 
 /// Relative weights for each [`FaultKind`] when a [`FaultPlan`] draws the
@@ -386,7 +378,7 @@ pub struct FaultPlan {
     rng: Xoshiro256,
     mix: FaultMix,
     period: u32,
-    /// Injection counters, for campaign summaries.
+    /// Faults injected so far, by kind: the count runs and campaigns report.
     pub stats: FaultStats,
 }
 
@@ -444,10 +436,12 @@ impl FaultPlan {
             FaultKind::IoError => FaultAction::FailInput,
         }
     }
-}
 
-impl FaultHook for FaultPlan {
-    fn before_step(&mut self, _pc: u32) -> Option<FaultAction> {
+    /// Decides whether to inject a fault into the step about to execute:
+    /// called once per interpreted instruction, and `Some` injects that
+    /// fault. The decision depends only on the plan's own stream, so a
+    /// replay with the same plan sees the same sequence.
+    pub fn before_step(&mut self) -> Option<FaultAction> {
         if !self.rng.chance(1, u64::from(self.period)) {
             return None;
         }
@@ -465,8 +459,8 @@ mod tests {
     fn plan_is_replayable() {
         let mut a = FaultPlan::uniform(42, 3);
         let mut b = FaultPlan::uniform(42, 3);
-        for pc in 0..2000 {
-            assert_eq!(a.before_step(pc), b.before_step(pc));
+        for _ in 0..2000 {
+            assert_eq!(a.before_step(), b.before_step());
         }
         assert_eq!(a.stats, b.stats);
         assert!(a.stats.total() > 0, "a 1-in-3 plan fires within 2000 steps");
@@ -476,7 +470,7 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = FaultPlan::uniform(1, 2);
         let mut b = FaultPlan::uniform(2, 2);
-        let same = (0..500).all(|pc| a.before_step(pc) == b.before_step(pc));
+        let same = (0..500).all(|_| a.before_step() == b.before_step());
         assert!(!same);
     }
 
@@ -487,8 +481,8 @@ mod tests {
         assert_eq!(mix.weights[FaultKind::Crash.index()], 1);
         assert_eq!(mix.weights[FaultKind::Runaway.index()], 0);
         let mut plan = FaultPlan::new(7, mix, 1);
-        for pc in 0..500 {
-            if let Some(action) = plan.before_step(pc) {
+        for _ in 0..500 {
+            if let Some(action) = plan.before_step() {
                 assert!(matches!(
                     action.kind(),
                     FaultKind::BitFlip | FaultKind::Crash

@@ -60,8 +60,7 @@ pub use core::{CoreState, Regs};
 pub use coverage::Coverage;
 pub use exec::{DataAccess, Step, StepEnv, StepEvent};
 pub use fault::{
-    FaultAction, FaultHook, FaultKind, FaultMix, FaultPlan, FaultStats, SimError, FAULT_KINDS,
-    MAX_MEM_BYTES,
+    FaultAction, FaultKind, FaultMix, FaultPlan, FaultStats, SimError, FAULT_KINDS, MAX_MEM_BYTES,
 };
 pub use io::IoState;
 pub use memo::{

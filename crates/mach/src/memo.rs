@@ -17,7 +17,7 @@
 //! access of the recorded path in the same global order (so cycle charges,
 //! sandbox-overflow squashes and cross-path cache interference are
 //! recomputed live, never trusted from the recording) and re-apply every
-//! budget/watchdog/length cap against their live counters. What replay skips
+//! budget and length cap against their live counters. What replay skips
 //! is the interpreter itself — operand reads, ALU work, sandbox writes,
 //! watch lookups — which is where the wall-clock time goes. Every
 //! architectural digest (taken-path, coverage, timing, campaign aggregate)
@@ -87,9 +87,9 @@ pub enum NtStop {
     ForcedCommit,
     /// Still running when the program (or its budget) finished.
     RunCutShort,
-    /// Squashed by the per-cascade watchdog (`nt_watchdog`): the path's
-    /// spawn cascade exceeded its wall-instruction budget. A belt-and-braces
-    /// bound on runaway NT work (fault injection makes this reachable).
+    /// Produced by nothing: NT-paths end at one length cap,
+    /// MaxNTPathLength ([`NtStop::MaxLength`]). The variant stays so that
+    /// callers naming its `"watchdog"` histogram class keep compiling.
     Watchdog,
 }
 
@@ -204,7 +204,7 @@ impl MemoNote {
 pub enum MemoStep {
     /// A batched run of `n` simple micro-ops starting at `pc`. Costs are
     /// *not* recorded: replay re-walks the static cost table so the grant
-    /// can be re-chunked against live budget/watchdog/length caps without
+    /// can be re-chunked against the live budget and length caps without
     /// drift. Simple ops touch neither memory nor the monitor.
     Run {
         /// First pc of the region.
@@ -651,8 +651,8 @@ impl MemoTable {
 }
 
 /// Fingerprint binding a memo table to everything that shapes recorded
-/// bundles: the program text (step pcs and base costs), the NT caps (they
-/// decide where recorded paths end), the NT-entry predicate, the cost model
+/// bundles: the program text (step pcs and base costs), MaxNTPathLength (it
+/// decides where recorded paths end), the NT-entry predicate, the cost model
 /// (base costs are baked into recorded steps) and the engine family.
 ///
 /// Program *data* and the path plan are deliberately excluded: data live-ins
@@ -662,14 +662,12 @@ impl MemoTable {
 pub fn memo_fingerprint(
     code: &[Instruction],
     max_nt_path_len: u32,
-    nt_watchdog: u64,
     apply_fixes: bool,
     costs: &CostModel,
     engine_tag: u8,
 ) -> u64 {
     let mut h = px_util::fnv1a64(0x4d45_4d4f, &encode_program(code));
     h = px_util::fnv1a64(h, &max_nt_path_len.to_le_bytes());
-    h = px_util::fnv1a64(h, &nt_watchdog.to_le_bytes());
     h = px_util::fnv1a64(h, &[u8::from(apply_fixes), engine_tag]);
     px_util::fnv1a64(h, format!("{costs:?}").as_bytes())
 }
@@ -935,25 +933,13 @@ mod tests {
     fn fingerprint_tracks_config() {
         let code = vec![Instruction::Nop; 4];
         let costs = MachConfig::default().costs;
-        let base = memo_fingerprint(&code, 1000, 1 << 20, true, &costs, 0);
-        assert_eq!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, true, &costs, 0)
-        );
-        assert_ne!(base, memo_fingerprint(&code, 999, 1 << 20, true, &costs, 0));
-        assert_ne!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, false, &costs, 0)
-        );
-        assert_ne!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, true, &costs, 1)
-        );
+        let base = memo_fingerprint(&code, 1000, true, &costs, 0);
+        assert_eq!(base, memo_fingerprint(&code, 1000, true, &costs, 0));
+        assert_ne!(base, memo_fingerprint(&code, 999, true, &costs, 0));
+        assert_ne!(base, memo_fingerprint(&code, 1000, false, &costs, 0));
+        assert_ne!(base, memo_fingerprint(&code, 1000, true, &costs, 1));
         let mut other = costs;
         other.div += 1;
-        assert_ne!(
-            base,
-            memo_fingerprint(&code, 1000, 1 << 20, true, &other, 0)
-        );
+        assert_ne!(base, memo_fingerprint(&code, 1000, true, &other, 0));
     }
 }

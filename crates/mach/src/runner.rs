@@ -11,7 +11,7 @@ use crate::config::MachConfig;
 use crate::core::CoreState;
 use crate::coverage::Coverage;
 use crate::exec::{StepEnv, StepEvent};
-use crate::fault::{FaultHook, SimError, MAX_MEM_BYTES};
+use crate::fault::{FaultPlan, SimError, MAX_MEM_BYTES};
 use crate::io::IoState;
 use crate::memo::MemoNote;
 use crate::memory::{CrashKind, Memory};
@@ -113,8 +113,8 @@ pub fn load_program(program: &Program, cfg: &MachConfig) -> Result<Memory, SimEr
     Ok(memory)
 }
 
-/// [`run_baseline`] with an optional fault injector and an optional
-/// prime-path plan.
+/// [`run_baseline`] with an optional fault plan and an optional prime-path
+/// plan. The fault plan is consulted before every instruction.
 ///
 /// Baseline has no sandbox, so injected core-level faults are
 /// *architectural* — they corrupt the run exactly as a real fault would;
@@ -132,7 +132,7 @@ pub fn run_baseline_with(
     cfg: &MachConfig,
     mut io: IoState,
     max_instructions: u64,
-    mut fault: Option<&mut dyn FaultHook>,
+    mut fault: Option<&mut FaultPlan>,
     plan: Option<&PathPlan>,
 ) -> RunResult {
     let mut memory = match load_program(program, cfg) {
@@ -164,7 +164,7 @@ pub fn run_baseline_with(
 
     let dp = DecodedProgram::decode(program);
     let cost_table = uop_cost_table(&cfg.costs);
-    // Simple runs batch only in the production configuration: a fault hook
+    // Simple runs batch only in the production configuration: a fault plan
     // must be consulted before every instruction.
     let batching = fault.is_none();
 
@@ -193,7 +193,7 @@ pub fn run_baseline_with(
             suppress_syscalls: false,
             now_cycles: cycles,
             costs: &cfg.costs,
-            fault: fault.as_mut().map(|h| &mut **h as &mut dyn FaultHook),
+            fault: fault.as_deref_mut(),
         };
         let s = step_uop(program, &dp, &mut core, &mut memory, &mut env);
         instructions += 1;

@@ -129,7 +129,7 @@ fn access<M: MemView + ?Sized>(
     pc: u32,
     core: &mut CoreState,
     mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
+    env: &mut StepEnv<'_>,
 ) -> Step {
     let addr = effective_addr(core, u);
     let done = if write {
@@ -210,7 +210,7 @@ fn branch(cond: BranchCond, u: MicroOp, pc: u32, core: &mut CoreState, costs: &C
 /// event with the core untouched; `exit` reports the exit code and leaves
 /// the core where it is.
 #[inline(always)]
-fn syscall(code: SyscallCode, pc: u32, core: &mut CoreState, env: &mut StepEnv<'_, '_>) -> Step {
+fn syscall(code: SyscallCode, pc: u32, core: &mut CoreState, env: &mut StepEnv<'_>) -> Step {
     if env.suppress_syscalls {
         return step(StepEvent::UnsafeEvent { code }, env.costs.control, None);
     }
@@ -241,7 +241,7 @@ fn syscall(code: SyscallCode, pc: u32, core: &mut CoreState, env: &mut StepEnv<'
 /// core has advanced.
 ///
 /// Equivalence contract (enforced by `tests/uop_differential.rs`): for every
-/// program, every `(core, mem, env)` state and every fault-hook decision,
+/// program, every `(core, mem, env)` state and every fault-plan decision,
 /// `step_uop` and the reference interpreter there return identical
 /// [`Step`]s and leave identical machine states.
 #[inline]
@@ -250,7 +250,7 @@ pub fn step_uop<M: MemView + ?Sized>(
     dp: &DecodedProgram,
     core: &mut CoreState,
     mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
+    env: &mut StepEnv<'_>,
 ) -> Step {
     let costs = env.costs;
     let pc = core.pc;
@@ -262,8 +262,8 @@ pub fn step_uop<M: MemView + ?Sized>(
     // interpreter.
     let mut deferred: Option<FaultAction> = None;
     let mut redirect: Option<u32> = None;
-    if let Some(hook) = env.fault.as_mut() {
-        if let Some(action) = hook.before_step(pc) {
+    if let Some(plan) = env.fault.as_mut() {
+        if let Some(action) = plan.before_step() {
             match action {
                 FaultAction::ForceCrash { kind } => return crash(kind, pc, costs.control),
                 FaultAction::FlipMemBit { entropy, bit } => {
@@ -461,8 +461,8 @@ pub fn uop_cost_table(costs: &CostModel) -> [u32; UOP_KIND_COUNT] {
 /// batch, returning the summed base cost. The caller must ensure
 /// `n <= dp.simple_run(core.pc)` (checked in debug builds); simple runs
 /// raise no events, touch no memory, cannot crash, never consult the fault
-/// hook and leave the predicate unchanged, so this is observationally
-/// identical to `n` calls of [`step_uop`] with no fault hook installed.
+/// plan and leave the predicate unchanged, so this is observationally
+/// identical to `n` calls of [`step_uop`] with no fault plan installed.
 #[inline]
 pub fn run_simple(
     dp: &DecodedProgram,

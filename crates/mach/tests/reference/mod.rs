@@ -21,7 +21,7 @@ pub fn step<M: MemView + ?Sized>(
     program: &Program,
     core: &mut CoreState,
     mem: &mut M,
-    env: &mut StepEnv<'_, '_>,
+    env: &mut StepEnv<'_>,
 ) -> Step {
     let pc = core.pc;
     let Some(insn) = program.fetch(pc) else {
@@ -41,8 +41,8 @@ pub fn step<M: MemView + ?Sized>(
     // cache-level faults are handed back to the engine via `deferred`.
     let mut deferred: Option<FaultAction> = None;
     let mut redirect: Option<u32> = None;
-    if let Some(hook) = env.fault.as_mut() {
-        if let Some(action) = hook.before_step(pc) {
+    if let Some(plan) = env.fault.as_mut() {
+        if let Some(action) = plan.before_step() {
             match action {
                 FaultAction::ForceCrash { kind } => {
                     return Step {

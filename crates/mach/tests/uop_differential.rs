@@ -32,8 +32,8 @@ use px_isa::{
     Instruction, Program, Reg, SyscallCode, Width,
 };
 use px_mach::{
-    run_baseline, run_simple, step_uop, uop_cost_table, CoreState, CostModel, FaultHook, FaultMix,
-    FaultPlan, IoState, MachConfig, Memory, StepEnv, StepEvent, WatchTable,
+    run_baseline, run_simple, step_uop, uop_cost_table, CoreState, CostModel, FaultMix, FaultPlan,
+    IoState, MachConfig, Memory, StepEnv, StepEvent, WatchTable,
 };
 use px_util::prop::{
     any_bool, any_i32, any_u32, any_u64, any_u8, just, vec_of, BoxedStrategy, Strategy,
@@ -245,7 +245,7 @@ fn lockstep(
             suppress_syscalls: suppress,
             now_cycles: step_no,
             costs: &costs,
-            fault: plan_a.as_mut().map(|p| p as &mut dyn FaultHook),
+            fault: plan_a.as_mut(),
         };
         let a = step(program, &mut core_a, &mut mem_a, &mut env_a);
         let mut env_b = StepEnv {
@@ -254,7 +254,7 @@ fn lockstep(
             suppress_syscalls: suppress,
             now_cycles: step_no,
             costs: &costs,
-            fault: plan_b.as_mut().map(|p| p as &mut dyn FaultHook),
+            fault: plan_b.as_mut(),
         };
         let b = step_uop(program, &dp, &mut core_b, &mut mem_b, &mut env_b);
         assert_eq!(a, b, "step {step_no} diverged");

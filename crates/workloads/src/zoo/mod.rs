@@ -6,7 +6,7 @@
 //! orders of magnitude: a [`ZooSpec`] names a generated program — a shape
 //! family, a structure seed, a size tier and a bug mix — and [`generate`]
 //! renders it into an ordinary [`Workload`], so every engine, detection
-//! tool, fault hook and `pxc analyze` pass works on zoo programs unchanged.
+//! tool, fault plan and `pxc analyze` pass works on zoo programs unchanged.
 //!
 //! ## Shapes
 //!

@@ -113,3 +113,6 @@ echo "==> perfbench self-test"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "verify: OK"
+
+# Informational, not a gate: the non-test line count that change notes quote.
+echo "loc: $(./scripts/loc.sh) non-test lines under crates/*/src"

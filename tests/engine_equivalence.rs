@@ -117,7 +117,7 @@ fn zoo_nt_faults_stay_contained() {
         let compiled = w.compile_for(tool).unwrap();
         let io = IoState::new(w.general_input(999), 999);
         let mut plan = FaultPlan::new(1, FaultMix::uniform(), 4);
-        let (r, report) = pathexpander::differential_run(
+        let (_, report) = pathexpander::differential_run(
             &compiled.program,
             &MachConfig::single_core(),
             &w.px_config(),
@@ -125,7 +125,7 @@ fn zoo_nt_faults_stay_contained() {
             Some(&mut plan),
         );
         assert!(
-            r.stats.faults_injected > 0,
+            plan.stats.total() > 0,
             "{}: the campaign must actually fire",
             w.name
         );
