@@ -7,14 +7,13 @@ pub mod fig3;
 mod memo;
 pub mod overhead;
 pub mod perf;
-pub mod prime;
 pub mod sensitivity;
 pub mod static_filter;
 pub mod tables;
 pub mod zoo;
 
 pub use ablations::{ablation_nt_from_nt, ablation_sandbox};
-pub use campaign::{campaign_gate, CampaignGateReport, GATE_MANIFEST};
+pub use campaign::{campaign_gate, CampaignGateReport};
 pub use coverage::coverage;
 pub use fig3::fig3;
 pub use overhead::overhead;

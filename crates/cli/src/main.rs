@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 use pathexpander::PxConfig;
 use px_detect::Tool;
-use px_lang::{CompileOptions, CompiledProgram};
+use px_lang::CompiledProgram;
 use px_mach::{IoState, MachConfig};
 
 mod analyze;
@@ -174,9 +174,7 @@ fn load(path: &str, opts: &Options) -> Result<CompiledProgram, String> {
         });
     }
     let tool = opts.tool.unwrap_or(Tool::Assertions);
-    let mut copts: CompileOptions = tool.compile_options();
-    copts.insert_fixes = opts.px.apply_fixes || copts.insert_fixes;
-    px_lang::compile(&source, &copts).map_err(|e| format!("compile error: {e}"))
+    px_lang::compile(&source, &tool.compile_options()).map_err(|e| format!("compile error: {e}"))
 }
 
 fn execute(

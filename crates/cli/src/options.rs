@@ -30,7 +30,8 @@ OPTIONS:
     --tool <ccured|iwatcher|assertions>  detector to arm (default: assertions)
     --cmp                                use the CMP option (4 cores)
     --max-nt-len <n>                     MaxNTPathLength (default 1000)
-    --threshold <n>                      NTPathCounterThreshold (default 5)
+    --threshold <n>                      NTPathCounterThreshold, 1–255
+                                         (default 5)
     --max-outstanding <n>                MaxNumNTPaths for --cmp (default 32)
     --no-fixes                           disable §4.4 variable fixing
     --no-memo                            disable the NT-path replay cache
@@ -243,7 +244,11 @@ impl Options {
                 }
                 "--threshold" => {
                     let n: u32 = parse_num(&value("--threshold")?)?;
-                    opts.px = opts.px.clone().with_counter_threshold(n.min(255) as u8);
+                    let n = u8::try_from(n)
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| format!("`--threshold` must be 1–255, got {n}"))?;
+                    opts.px = opts.px.clone().with_counter_threshold(n);
                 }
                 "--max-outstanding" => {
                     opts.px = opts
@@ -543,6 +548,10 @@ mod tests {
         assert!(parse(&["run", "x", "--wat"]).is_err());
         let e = parse(&["run", "x", "--max-nt-len", "0"]).unwrap_err();
         assert!(e.contains("--max-nt-len"), "{e}");
+        for n in ["0", "256"] {
+            let e = parse(&["run", "x", "--threshold", n]).unwrap_err();
+            assert!(e.contains("--threshold") && e.contains(n), "{e}");
+        }
     }
 
     #[test]

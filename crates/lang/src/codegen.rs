@@ -21,6 +21,9 @@ use px_isa::{
 use crate::ast::{BinOp, Expr, ExprKind, FuncDef, Stmt, StmtKind, Type, UnOp, Unit};
 use crate::types::{align_up, cerr, CompileError, TypeTable};
 
+/// Red-zone size after each array when `iwatcher` is on.
+const REDZONE_BYTES: u32 = 16;
+
 /// How fix values are chosen for inequality conditions (ablation D4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FixStrategy {
@@ -44,8 +47,6 @@ pub struct CompileOptions {
     pub ccured: bool,
     /// Insert iWatcher-style red zones and watch registrations.
     pub iwatcher: bool,
-    /// Red-zone size after each array when `iwatcher` is on.
-    pub redzone_bytes: u32,
 }
 
 impl Default for CompileOptions {
@@ -55,7 +56,6 @@ impl Default for CompileOptions {
             fix_strategy: FixStrategy::Boundary,
             ccured: false,
             iwatcher: false,
-            redzone_bytes: 16,
         }
     }
 }
@@ -476,7 +476,7 @@ impl<'a> Cg<'a> {
 
             // iWatcher: red zone after every global array.
             if self.opts.iwatcher && matches!(g.ty, Type::Array(..)) {
-                let zone = vec![0u8; self.opts.redzone_bytes as usize];
+                let zone = vec![0u8; REDZONE_BYTES as usize];
                 let zone_addr = self.push_data(&zone);
                 let tag = self.watches.len() as u32 + 1;
                 self.watches.push(WatchInfo {
@@ -485,8 +485,7 @@ impl<'a> Cg<'a> {
                     line: g.line,
                     func: None,
                 });
-                self.global_watches
-                    .push((zone_addr, self.opts.redzone_bytes, tag));
+                self.global_watches.push((zone_addr, REDZONE_BYTES, tag));
             }
         }
 
@@ -747,7 +746,7 @@ impl<'a> Cg<'a> {
                 let is_array = matches!(ty, Type::Array(..));
                 let mut alloc_size = align_up(size, 4);
                 if is_array && self.opts.iwatcher {
-                    alloc_size += align_up(self.opts.redzone_bytes, 4);
+                    alloc_size += align_up(REDZONE_BYTES, 4);
                 }
                 let f = self.fstate();
                 f.next_local -= alloc_size as i32;
@@ -774,7 +773,7 @@ impl<'a> Cg<'a> {
                         rs1: Reg::FP,
                         imm: zone_off,
                     });
-                    self.li(SCRATCH2, self.opts.redzone_bytes as i32);
+                    self.li(SCRATCH2, REDZONE_BYTES as i32);
                     self.emit(Instruction::SetWatch {
                         base: SCRATCH,
                         len: SCRATCH2,

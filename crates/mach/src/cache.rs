@@ -321,8 +321,6 @@ pub struct Access {
     /// NT-path (or speculative segment) can no longer be contained and must
     /// be squashed.
     pub volatile_evicted: Option<u8>,
-    /// Whether the access missed in L1.
-    pub l1_miss: bool,
 }
 
 /// Per-core L1s over a shared L2, with flat memory behind.
@@ -331,17 +329,6 @@ pub struct Hierarchy {
     l1: Vec<Cache>,
     l2: Cache,
     mem_cycles: u32,
-    /// Cumulative statistics.
-    pub stats: HierarchyStats,
-}
-
-/// Hit/miss counters for the hierarchy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HierarchyStats {
-    pub l1_hits: u64,
-    pub l1_misses: u64,
-    pub l2_hits: u64,
-    pub l2_misses: u64,
 }
 
 impl Hierarchy {
@@ -357,7 +344,6 @@ impl Hierarchy {
             l1: (0..cfg.cores).map(|_| Cache::new(cfg.l1)).collect(),
             l2: Cache::new(cfg.l2),
             mem_cycles: cfg.mem_cycles,
-            stats: HierarchyStats::default(),
         }
     }
 
@@ -377,30 +363,19 @@ impl Hierarchy {
             return Access {
                 cycles: self.mem_cycles,
                 volatile_evicted: None,
-                l1_miss: true,
             };
         };
         let l1_hit_cycles = l1.config().hit_cycles;
         match l1.access(addr, write, vtag) {
-            Lookup::Hit => {
-                self.stats.l1_hits += 1;
-                Access {
-                    cycles: l1_hit_cycles,
-                    volatile_evicted: None,
-                    l1_miss: false,
-                }
-            }
-            Lookup::MissEvictedVolatile(owner) => {
-                self.stats.l1_misses += 1;
-                let cycles = l1_hit_cycles + self.l2_fill(addr);
-                Access {
-                    cycles,
-                    volatile_evicted: Some(owner),
-                    l1_miss: true,
-                }
-            }
+            Lookup::Hit => Access {
+                cycles: l1_hit_cycles,
+                volatile_evicted: None,
+            },
+            Lookup::MissEvictedVolatile(owner) => Access {
+                cycles: l1_hit_cycles + self.l2_fill(addr),
+                volatile_evicted: Some(owner),
+            },
             Lookup::Miss { dirty_writeback } => {
-                self.stats.l1_misses += 1;
                 let mut cycles = l1_hit_cycles + self.l2_fill(addr);
                 if dirty_writeback {
                     cycles += self.l2.config().hit_cycles;
@@ -408,7 +383,6 @@ impl Hierarchy {
                 Access {
                     cycles,
                     volatile_evicted: None,
-                    l1_miss: true,
                 }
             }
         }
@@ -416,14 +390,8 @@ impl Hierarchy {
 
     fn l2_fill(&mut self, addr: u32) -> u32 {
         match self.l2.access(addr, false, COMMITTED) {
-            Lookup::Hit => {
-                self.stats.l2_hits += 1;
-                self.l2.config().hit_cycles
-            }
-            _ => {
-                self.stats.l2_misses += 1;
-                self.l2.config().hit_cycles + self.mem_cycles
-            }
+            Lookup::Hit => self.l2.config().hit_cycles,
+            _ => self.l2.config().hit_cycles + self.mem_cycles,
         }
     }
 
@@ -574,17 +542,12 @@ mod tests {
         // Cold: L1 miss + L2 miss + memory.
         let first = h.access(0, 0x2000, false, COMMITTED);
         assert_eq!(first.cycles, 3 + 10 + 200);
-        assert!(first.l1_miss);
         // Warm L1.
         let second = h.access(0, 0x2000, false, COMMITTED);
         assert_eq!(second.cycles, 3);
         // Another core: misses its own L1, hits shared L2.
         let third = h.access(1, 0x2000, false, COMMITTED);
         assert_eq!(third.cycles, 3 + 10);
-        assert_eq!(h.stats.l1_hits, 1);
-        assert_eq!(h.stats.l1_misses, 2);
-        assert_eq!(h.stats.l2_hits, 1);
-        assert_eq!(h.stats.l2_misses, 1);
     }
 
     #[test]

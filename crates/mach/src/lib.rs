@@ -54,7 +54,7 @@ pub mod uexec;
 pub mod watch;
 
 pub use btb::{Btb, COUNTER_MAX};
-pub use cache::{Access, Cache, Hierarchy, HierarchyStats, Lookup, COMMITTED};
+pub use cache::{Access, Cache, Hierarchy, Lookup, COMMITTED};
 pub use config::{CacheConfig, CostModel, MachConfig};
 pub use core::{CoreState, Regs};
 pub use coverage::Coverage;

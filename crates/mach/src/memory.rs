@@ -214,13 +214,12 @@ impl ShadowPage {
 /// tree-structured data dependence of paper Figure 6(c)).
 ///
 /// Writes and snapshot entries live in generation-stamped shadow pages:
-/// [`Sandbox::clear`] (the squash) is an O(1) generation bump plus counter
-/// reset, and pages are revived lazily the next time a path touches them.
+/// [`Sandbox::clear`] (the squash) is an O(1) generation bump, and pages
+/// are revived lazily the next time a path touches them.
 #[derive(Debug, Clone)]
 pub struct Sandbox {
     pages: Vec<Option<Box<ShadowPage>>>,
     generation: u64,
-    written: usize,
 }
 
 impl Default for Sandbox {
@@ -237,35 +236,22 @@ impl Sandbox {
             pages: Vec::new(),
             // Pages allocate with stamp 0, so the live generation starts at 1.
             generation: 1,
-            written: 0,
         }
-    }
-
-    /// Number of distinct bytes written by the NT-path.
-    #[must_use]
-    pub fn written_bytes(&self) -> usize {
-        self.written
     }
 
     /// Fetches the page covering `addr` for writing, allocating it on first
-    /// touch and lazily resetting its masks when its stamp is stale. A free
-    /// function over the fields so callers can keep updating the sandbox's
-    /// counters while the page is borrowed.
+    /// touch and lazily resetting its masks when its stamp is stale.
     #[inline]
-    fn page_mut(
-        pages: &mut Vec<Option<Box<ShadowPage>>>,
-        generation: u64,
-        addr: u32,
-    ) -> (&mut ShadowPage, usize) {
+    fn page_mut(&mut self, addr: u32) -> (&mut ShadowPage, usize) {
         let idx = (addr >> PAGE_SHIFT) as usize;
-        if idx >= pages.len() {
-            pages.resize_with(idx + 1, || None);
+        if idx >= self.pages.len() {
+            self.pages.resize_with(idx + 1, || None);
         }
-        let page = pages[idx].get_or_insert_with(ShadowPage::new_boxed);
-        if page.stamp != generation {
+        let page = self.pages[idx].get_or_insert_with(ShadowPage::new_boxed);
+        if page.stamp != self.generation {
             page.write_mask = [0; MASK_WORDS];
             page.snap_mask = [0; MASK_WORDS];
-            page.stamp = generation;
+            page.stamp = self.generation;
         }
         (page, (addr & PAGE_MASK) as usize)
     }
@@ -280,12 +266,9 @@ impl Sandbox {
     /// Records an NT-path write of one byte.
     #[inline]
     pub(crate) fn write_byte(&mut self, addr: u32, value: u8) {
-        let (page, off) = Sandbox::page_mut(&mut self.pages, self.generation, addr);
+        let (page, off) = self.page_mut(addr);
         let (w, bit) = ShadowPage::bit(off);
-        if page.write_mask[w] & bit == 0 {
-            page.write_mask[w] |= bit;
-            self.written += 1;
-        }
+        page.write_mask[w] |= bit;
         page.data[off] = value;
     }
 
@@ -294,28 +277,19 @@ impl Sandbox {
     fn write_span(&mut self, addr: u32, bytes: &[u8]) {
         let off = (addr & PAGE_MASK) as usize;
         if off + bytes.len() <= PAGE_SIZE {
-            let (page, off) = Sandbox::page_mut(&mut self.pages, self.generation, addr);
+            let (page, off) = self.page_mut(addr);
             let (w, _) = ShadowPage::bit(off);
             let sh = off & 63;
             if sh + bytes.len() <= 64 {
-                // All presence bits land in one mask word: set them in one
-                // OR and count the fresh ones with a popcount.
-                let bits = ((1u64 << bytes.len()) - 1) << sh;
-                self.written += (!page.write_mask[w] & bits).count_ones() as usize;
-                page.write_mask[w] |= bits;
-                page.data[off..off + bytes.len()].copy_from_slice(bytes);
+                // All presence bits land in one mask word: set them in one OR.
+                page.write_mask[w] |= ((1u64 << bytes.len()) - 1) << sh;
             } else {
-                let mut fresh = 0;
-                for (i, &b) in bytes.iter().enumerate() {
+                for i in 0..bytes.len() {
                     let (w, bit) = ShadowPage::bit(off + i);
-                    if page.write_mask[w] & bit == 0 {
-                        page.write_mask[w] |= bit;
-                        fresh += 1;
-                    }
-                    page.data[off + i] = b;
+                    page.write_mask[w] |= bit;
                 }
-                self.written += fresh;
             }
+            page.data[off..off + bytes.len()].copy_from_slice(bytes);
         } else {
             // The span straddles a page boundary (misaligned word at a page
             // edge): fall back to per-byte writes.
@@ -349,7 +323,7 @@ impl Sandbox {
     /// every live sandbox (copy-on-write snapshot). Only the earliest value
     /// per address sticks.
     pub fn preserve(&mut self, addr: u32, old: u8) {
-        let (page, off) = Sandbox::page_mut(&mut self.pages, self.generation, addr);
+        let (page, off) = self.page_mut(addr);
         let (w, bit) = ShadowPage::bit(off);
         if page.snap_mask[w] & bit == 0 {
             page.snap_mask[w] |= bit;
@@ -363,7 +337,7 @@ impl Sandbox {
     pub fn preserve_span(&mut self, addr: u32, old: &[u8]) {
         let off = (addr & PAGE_MASK) as usize;
         if off + old.len() <= PAGE_SIZE {
-            let (page, off) = Sandbox::page_mut(&mut self.pages, self.generation, addr);
+            let (page, off) = self.page_mut(addr);
             for (i, &b) in old.iter().enumerate() {
                 let (w, bit) = ShadowPage::bit(off + i);
                 if page.snap_mask[w] & bit == 0 {
@@ -382,7 +356,6 @@ impl Sandbox {
     /// too. O(1): pages go stale by generation bump and are lazily revived.
     pub fn clear(&mut self) {
         self.generation += 1;
-        self.written = 0;
     }
 }
 
@@ -538,6 +511,11 @@ mod tests {
         );
     }
 
+    /// The addresses in `range` that hold an NT-path write.
+    fn written(sb: &Sandbox, range: std::ops::Range<u32>) -> Vec<u32> {
+        range.filter(|&a| sb.written_byte(a).is_some()).collect()
+    }
+
     #[test]
     fn sandbox_reads_own_writes_and_rolls_back() {
         let mut m = Memory::new(DATA_BASE + 64);
@@ -558,9 +536,13 @@ mod tests {
             7,
             "committed untouched"
         );
-        assert_eq!(sb.written_bytes(), 4);
+        let all = DATA_BASE..DATA_BASE + 64;
+        assert_eq!(
+            written(&sb, all.clone()),
+            Vec::from_iter(DATA_BASE..DATA_BASE + 4)
+        );
         sb.clear();
-        assert_eq!(sb.written_bytes(), 0);
+        assert_eq!(written(&sb, all), []);
     }
 
     #[test]
@@ -618,9 +600,13 @@ mod tests {
             let mut v = SandboxView::new(&m, &mut sb);
             v.store(DATA_BASE, 0x0A0B_0C0D, Width::Word).unwrap();
         }
-        assert_eq!(sb.written_bytes(), 4);
+        let all = DATA_BASE..DATA_BASE + 64;
+        assert_eq!(
+            written(&sb, all.clone()),
+            Vec::from_iter(DATA_BASE..DATA_BASE + 4)
+        );
         sb.clear();
-        assert_eq!(sb.written_bytes(), 0);
+        assert_eq!(written(&sb, all.clone()), []);
         // The stale page must contribute nothing after the squash...
         {
             let mut v = SandboxView::new(&m, &mut sb);
@@ -629,8 +615,7 @@ mod tests {
             v.store(DATA_BASE + 1, 0x55, Width::Byte).unwrap();
             assert_eq!(v.load(DATA_BASE, Width::Word).unwrap(), 0x5500);
         }
-        assert_eq!(sb.written_bytes(), 1);
-        assert_eq!(sb.written_byte(DATA_BASE), None, "old write stayed dead");
+        assert_eq!(written(&sb, all), [DATA_BASE + 1], "old writes stayed dead");
         m.store(DATA_BASE, 0, Width::Word).unwrap();
     }
 
@@ -642,6 +627,9 @@ mod tests {
         let mut v = SandboxView::new(&m, &mut sb);
         v.store(edge, 0x1122_3344, Width::Word).unwrap();
         assert_eq!(v.load(edge, Width::Word).unwrap(), 0x1122_3344);
-        assert_eq!(sb.written_bytes(), 4);
+        assert_eq!(
+            written(&sb, DATA_BASE..DATA_BASE + 2 * PAGE_SIZE as u32),
+            Vec::from_iter(edge..edge + 4)
+        );
     }
 }

@@ -139,7 +139,21 @@ px_prop! {
                     model.clear();
                 }
             }
-            assert_eq!(sb.written_bytes(), model.writes.len(), "written_bytes after {op:?}");
+            // Presence bits against the model: every 64-byte mask word the
+            // op touched, or the whole range after a clear.
+            let swept = match *op {
+                Op::Store { addr, .. } | Op::Load { addr, .. } | Op::Preserve { addr } => {
+                    (addr & !63)..((addr + 4 + 63) & !63).min(MEM_SIZE)
+                }
+                Op::Clear => DATA_BASE..MEM_SIZE,
+            };
+            for a in swept {
+                assert_eq!(
+                    sb.written_byte(a).is_some(),
+                    model.writes.contains_key(&a),
+                    "written {a:#x} after {op:?}"
+                );
+            }
         }
 
         // Sweep every byte both ways at the end of the trace: per-byte
@@ -169,8 +183,9 @@ px_prop! {
                 v
             );
             sb.clear();
-            assert_eq!(sb.written_bytes(), 0);
-            assert_eq!(sb.written_byte(addr), None);
+            for a in DATA_BASE..MEM_SIZE {
+                assert_eq!(sb.written_byte(a), None, "written {a:#x} after clear");
+            }
             assert_eq!(sb.snapshot_byte(addr), None);
             assert_eq!(
                 SandboxView::new(&mem, &mut sb).load(addr, Width::Word).unwrap(),
