@@ -40,13 +40,14 @@
 //! block order, digests are FNV-1a-64 over little-endian block indices,
 //! and [`PrimePathSet::to_json`] is byte-identical across invocations.
 
-use std::collections::VecDeque;
-
 use px_isa::{encode_program, Edge, Instruction, Program};
 use px_util::{fnv1a64, hex64, Json};
 
 use crate::cfg::{Block, EXIT};
 use crate::Analysis;
+
+/// Parent of a worklist seed: the arena index no node can have.
+const ROOT: usize = usize::MAX;
 
 /// Bounds on prime-path enumeration. All three caps truncate the result
 /// deterministically and set [`PrimePathSet::truncated`]. The kept set is
@@ -142,40 +143,63 @@ impl PrimePathSet {
             .collect();
 
         // Worklist extension: FIFO order makes truncation deterministic.
-        let mut work: VecDeque<Vec<u32>> = (0..nb as u32)
-            .filter(|&b| reachable[b as usize])
-            .map(|b| vec![b])
-            .collect();
+        // The worklist is an arena of `(parent, block)` nodes appended in
+        // push order, so a node's index is its FIFO position and its path
+        // is its parent chain. Only the first `max_work` positions can ever
+        // be popped, so a push past them is counted, not stored.
+        let cap = usize::try_from(limits.max_work).unwrap_or(usize::MAX);
+        let mut work: Vec<(usize, u32)> = Vec::new();
+        let mut dropped = 0u64;
+        let mut push = |work: &mut Vec<(usize, u32)>, parent: usize, b: u32| {
+            if work.len() < cap {
+                work.push((parent, b));
+            } else {
+                dropped += 1;
+            }
+        };
+        for b in (0..nb as u32).filter(|&b| reachable[b as usize]) {
+            push(&mut work, ROOT, b);
+        }
         let mut candidates: Vec<Vec<u32>> = Vec::new();
         let mut truncated = false;
-        let mut budget = limits.max_work;
-        while let Some(p) = work.pop_front() {
-            if budget == 0 || candidates.len() >= limits.max_candidates {
+        let mut path: Vec<u32> = Vec::new();
+        // `on_path[b] == head + 1` iff block `b` is on the popped path.
+        let mut on_path = vec![0usize; nb];
+        let mut head = 0;
+        while head < work.len() {
+            if candidates.len() >= limits.max_candidates {
                 truncated = true;
                 break;
             }
-            budget -= 1;
-            let last = *p.last().expect("worklist paths are non-empty");
+            path.clear();
+            let mut node = head;
+            while node != ROOT {
+                let (parent, b) = work[node];
+                path.push(b);
+                on_path[b as usize] = head + 1;
+                node = parent;
+            }
+            path.reverse();
+            let (first, last) = (path[0], path[path.len() - 1]);
             let mut extended = false;
             for &s in &bsuccs[last as usize] {
-                if s == p[0] {
-                    // Closing the cycle: [p, s] is a terminal candidate and
-                    // p itself is one of its subpaths.
-                    let mut cyc = p.clone();
-                    cyc.push(s);
-                    candidates.push(cyc);
+                if s == first {
+                    // Closing the cycle: [path, s] is a terminal candidate
+                    // and path itself is one of its subpaths.
+                    candidates.push([&path[..], &[s]].concat());
                     extended = true;
-                } else if !p.contains(&s) {
-                    let mut q = p.clone();
-                    q.push(s);
-                    work.push_back(q);
+                } else if on_path[s as usize] != head + 1 {
+                    push(&mut work, head, s);
                     extended = true;
                 }
             }
             if !extended {
-                candidates.push(p);
+                candidates.push(path.clone());
             }
+            head += 1;
         }
+        // A dropped push is an entry the budget never popped.
+        truncated |= dropped > 0;
 
         // Maximality: drop candidates that are contiguous subpaths of a
         // longer candidate. Longest-first makes checking against the kept

@@ -1,6 +1,6 @@
 //! Property tests for prime-path enumeration.
 //!
-//! Two directions of trust, on the in-tree `px_util` property harness:
+//! Four kinds of trust, on the in-tree `px_util` property harness:
 //!
 //! * **Determinism** — enumerating the same program twice (at default and
 //!   at tight limits) yields byte-identical JSON renderings and equal
@@ -12,11 +12,19 @@
 //!   every structural invariant of the resulting [`PrimePathSet`] holds.
 //! * **Truncation** — a run cut short by its caps keeps only contiguous
 //!   subpaths of what the unbounded run keeps.
+//! * **Reference agreement** — under every cap, alone or at its default,
+//!   the enumerator keeps exactly the block sequences and sets exactly
+//!   the truncation flag of the plain one-vector-per-path worklist in
+//!   `reference/`, on soup programs and on every zoo-roster compile.
+
+mod reference;
 
 use px_analyze::{Analysis, PathLimits, PrimePathSet};
+use px_detect::Tool;
 use px_isa::{AluOp, BranchCond, Instruction, Program, ProgramBuilder, Reg, SyscallCode};
 use px_util::prop::{any_u32, vec_of};
 use px_util::px_prop;
+use px_workloads::zoo;
 
 /// Builds one instruction from two raw words. Control-flow targets are
 /// drawn from `0..n + 8`, so backward branches (loops), self-branches and
@@ -123,6 +131,34 @@ fn check_invariants(set: &PrimePathSet) {
     assert!(set.paths().windows(2).all(|w| w[0].blocks < w[1].blocks));
 }
 
+/// Asserts that `enumerate_with` agrees with the reference under `limits`.
+fn assert_matches_reference(program: &Program, analysis: &Analysis, limits: &PathLimits) {
+    let set = PrimePathSet::enumerate_with(program, analysis, limits);
+    let got: Vec<&[u32]> = set.paths().iter().map(|p| p.blocks.as_slice()).collect();
+    let (want, truncated) = reference::enumerate(program, analysis, limits);
+    assert_eq!(got, want, "block sequences under {limits:?}");
+    assert_eq!(
+        set.truncated(),
+        truncated,
+        "truncation flag under {limits:?}"
+    );
+}
+
+#[test]
+fn every_roster_compile_matches_the_reference() {
+    let limits = PathLimits::default();
+    for spec in zoo::roster() {
+        let workload = zoo::generate(&spec);
+        for tool in Tool::ALL {
+            let program = workload
+                .compile_for(tool)
+                .unwrap_or_else(|e| panic!("{spec} ({}): {e}", tool.name()))
+                .program;
+            assert_matches_reference(&program, &Analysis::of(&program), &limits);
+        }
+    }
+}
+
 px_prop! {
     fn enumeration_is_byte_deterministic(
         words in vec_of((any_u32(), any_u32()), 4..48),
@@ -194,6 +230,27 @@ px_prop! {
                 "max_work {max_work}: {:?} is no subpath of a full-set path",
                 p.blocks
             );
+        }
+    }
+
+    fn enumerator_matches_the_reference_under_each_cap(
+        words in vec_of((any_u32(), any_u32()), 1..64),
+        max_work in 0u64..300,
+        max_candidates in 0usize..48,
+        max_paths in 0usize..24,
+    ) {
+        let program = build(&words);
+        let analysis = Analysis::of(&program);
+        let full = PathLimits::default();
+        for limits in [
+            full,
+            PathLimits { max_work: 0, ..full },
+            PathLimits { max_work, ..full },
+            PathLimits { max_candidates, ..full },
+            PathLimits { max_paths, ..full },
+            PathLimits { max_paths, max_candidates, max_work },
+        ] {
+            assert_matches_reference(&program, &analysis, &limits);
         }
     }
 }

@@ -101,19 +101,26 @@ fn prime_path_plan(program: &Program) -> Option<Arc<PathPlan>> {
 /// per tool and per worker resume — every repetition after the first reuses
 /// the same subject instead of rebuilding it.
 ///
-/// Subjects are built one at a time, under the lock: prime-path
-/// enumeration's working set is a cold pass's peak memory, and two workers
-/// enumerating at once would hold two. A build that panics (a failing
-/// compile) inserts nothing, so the poisoned lock is recovered and the
-/// panic reaches only its own case's quarantine record.
+/// The map lock is held only to fetch the key's cell; the build runs
+/// outside it, so workers build different subjects in parallel, and
+/// callers racing on one key wait for a single build and share its
+/// result. Subjects are pure, so which worker builds one never shows in a
+/// record. A build that panics (a failing compile) leaves the cell empty:
+/// the panic reaches only its own case's quarantine record, and the next
+/// caller of that key builds afresh.
 fn zoo_subject(spec: &ZooSpec, tool: Tool) -> Arc<ZooSubject> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<ZooSubject>>>> = OnceLock::new();
+    type Cell = Arc<OnceLock<Arc<ZooSubject>>>;
+    static CACHE: OnceLock<Mutex<HashMap<String, Cell>>> = OnceLock::new();
     let key = format!("{spec}/{}", tool.name());
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let subject = cache.entry(key).or_insert_with_key(|key| {
+    let cell = Arc::clone(
+        CACHE
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key.clone())
+            .or_default(),
+    );
+    let subject = cell.get_or_init(|| {
         let workload = zoo::generate(spec);
         let compiled = workload
             .compile_for(tool)
@@ -121,7 +128,7 @@ fn zoo_subject(spec: &ZooSpec, tool: Tool) -> Arc<ZooSubject> {
         Arc::new(ZooSubject {
             decoded: DecodedProgram::decode(&compiled.program),
             plan: prime_path_plan(&compiled.program),
-            key: key.clone(),
+            key,
             workload,
             compiled,
         })
@@ -143,12 +150,13 @@ fn zoo_subject(spec: &ZooSpec, tool: Tool) -> Arc<ZooSubject> {
 ///
 /// Where each table serves a single case — a roster without `*K` runs each
 /// (spec, tool) once per campaign, and the pool's scoped threads drop the
-/// tables when it ends — the tables still earn their place in memory: a
-/// fresh table per run (`run_standard_decoded`) keeps every digest but
-/// raised perfbench zoo-campaign's `peak_rss_mb` from 105–110 MB to
-/// 119–134 MB (three runs a side, two of them past the benchmark's 20%
-/// bound). That resembles the peak-RSS effect DESIGN.md §13 describes
-/// beside `INITIAL_KEYS`; its cause was not isolated.
+/// tables when it ends — the tables cost memory rather than save it. On
+/// perfbench zoo-campaign (2 workers, three runs a side), a fresh table per
+/// run (`run_standard_decoded`) keeps every digest and reads a
+/// `peak_rss_mb` of 23.0–25.7 MB against 34.5–41.1 MB with these tables.
+/// The opposite result (105–110 MB against 119–134 MB) was measured while
+/// prime-path enumeration's one-vector-per-path worklist set the heap's
+/// peak, and no longer holds.
 fn with_zoo_memo<R>(
     subject: &ZooSubject,
     mach: &MachConfig,
@@ -487,6 +495,28 @@ mod tests {
         let cold = run_case(&m, &Watchdog::default_budget(), 0);
         let hot = run_case(&m, &Watchdog::default_budget(), 0);
         assert_eq!(cold.to_line(), hot.to_line());
+    }
+
+    #[test]
+    fn racing_builds_of_one_key_share_one_subject() {
+        // A key no other test uses, so the racers find its cell empty.
+        let spec = ZooSpec::parse("zoo:interpreter:31:n1:lean").unwrap();
+        let start = std::sync::Barrier::new(3);
+        let subjects: Vec<Arc<ZooSubject>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        zoo_subject(&spec, tool_at(2))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for other in &subjects[1..] {
+            assert!(Arc::ptr_eq(&subjects[0], other), "one build per key");
+        }
+        assert!(Arc::ptr_eq(&subjects[0], &zoo_subject(&spec, tool_at(2))));
     }
 
     #[test]

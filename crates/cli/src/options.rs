@@ -1,8 +1,15 @@
 //! Command-line parsing for `pxc` (no external dependencies).
 
+use std::ops::RangeInclusive;
+
 use pathexpander::PxConfig;
 use px_detect::Tool;
 use px_mach::{FaultMix, FaultPlan, IoState};
+
+/// Largest `pxc campaign --workers` value. Each worker is an OS thread,
+/// and this is far above any core count the pool can use, so a larger
+/// value is a typo, not a request.
+const MAX_WORKERS: u32 = 256;
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -70,7 +77,8 @@ CAMPAIGN OPTIONS (pxc campaign):
                                          journal for the same manifest is
                                          resumed, torn tail healed
     --timeout <n>                        per-case instruction watchdog
-    --workers <n>                        worker threads (default: cores)
+    --workers <n>                        worker threads, at most 256
+                                         (default 0: one per core)
     --max-quarantine <n>                 abort (resumably) past n quarantined
     --only <id>                          replay one case inline, no journal
     --no-resume                          start fresh, overwriting any journal
@@ -236,34 +244,28 @@ impl Options {
                 }
                 "--cmp" => opts.px = opts.px.clone().cmp(),
                 "--max-nt-len" => {
-                    let n: u32 = parse_num(&value("--max-nt-len")?)?;
-                    if n == 0 {
-                        return Err("`--max-nt-len` must be at least 1 instruction".to_owned());
-                    }
+                    let n = parse_num("--max-nt-len", &value("--max-nt-len")?, 1..=u32::MAX)?;
                     opts.px = opts.px.clone().with_max_nt_path_len(n);
                 }
                 "--threshold" => {
-                    let n: u32 = parse_num(&value("--threshold")?)?;
-                    let n = u8::try_from(n)
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("`--threshold` must be 1–255, got {n}"))?;
+                    let n = parse_num("--threshold", &value("--threshold")?, 1..=255)?;
+                    let n = u8::try_from(n).expect("the range check bounds it to u8");
                     opts.px = opts.px.clone().with_counter_threshold(n);
                 }
                 "--max-outstanding" => {
-                    opts.px = opts
-                        .px
-                        .clone()
-                        .with_max_outstanding(parse_num(&value("--max-outstanding")?)?);
+                    let n = parse_num(
+                        "--max-outstanding",
+                        &value("--max-outstanding")?,
+                        1..=u32::MAX,
+                    )?;
+                    opts.px = opts.px.clone().with_max_outstanding(n);
                 }
                 "--no-fixes" => opts.px = opts.px.clone().with_fixes(false),
                 "--no-memo" => opts.px = opts.px.clone().with_nt_memo(false),
                 "--os-sandbox" => opts.px = opts.px.clone().with_os_sandbox(true),
                 "--random-factor" => {
-                    opts.px = opts
-                        .px
-                        .clone()
-                        .with_random_factor(Some(parse_num(&value("--random-factor")?)?));
+                    let n = parse_num("--random-factor", &value("--random-factor")?, 0..=u32::MAX)?;
+                    opts.px = opts.px.clone().with_random_factor(Some(n));
                 }
                 "--input" => opts.input_file = Some(value("--input")?),
                 "--input-text" => opts.input_text = Some(value("--input-text")?),
@@ -284,19 +286,11 @@ impl Options {
                         Some(FaultMix::parse(&spec).map_err(|e| format!("`--fault-mix`: {e}"))?);
                 }
                 "--fault-rate" => {
-                    let n: u32 = parse_num(&value("--fault-rate")?)?;
-                    if n == 0 {
-                        return Err(
-                            "`--fault-rate` must be at least 1 (one fault per NT step)".to_owned()
-                        );
-                    }
-                    opts.fault_rate = n;
+                    opts.fault_rate =
+                        parse_num("--fault-rate", &value("--fault-rate")?, 1..=u32::MAX)?;
                 }
                 "--static-filter" => {
-                    let k: u32 = parse_num(&value("--static-filter")?)?;
-                    if k == 0 {
-                        return Err("`--static-filter` must be at least 1".to_owned());
-                    }
+                    let k = parse_num("--static-filter", &value("--static-filter")?, 1..=u32::MAX)?;
                     opts.px = opts.px.clone().with_static_nt_filter(Some(k));
                 }
                 "--json" => opts.json = true,
@@ -372,7 +366,9 @@ fn parse_campaign(
                 }
                 c.timeout = n;
             }
-            "--workers" => c.workers = parse_num(&value("--workers")?)? as usize,
+            "--workers" => {
+                c.workers = parse_num("--workers", &value("--workers")?, 0..=MAX_WORKERS)? as usize;
+            }
             "--max-quarantine" => {
                 c.max_quarantine =
                     Some(parse_u64("--max-quarantine", &value("--max-quarantine")?)?);
@@ -392,10 +388,20 @@ fn parse_campaign(
     Ok(c)
 }
 
-fn parse_num(s: &str) -> Result<u32, String> {
+/// Parses `s`, the value of `flag`, as an integer in `range`; the error
+/// names the flag and the range.
+fn parse_num(flag: &str, s: &str, range: RangeInclusive<u32>) -> Result<u32, String> {
     s.replace('_', "")
         .parse()
-        .map_err(|_| format!("`{s}` is not a number"))
+        .ok()
+        .filter(|n| range.contains(n))
+        .ok_or_else(|| {
+            format!(
+                "`{flag}` expects an integer in {}–{}, got `{s}`",
+                range.start(),
+                range.end()
+            )
+        })
 }
 
 fn parse_u64(flag: &str, s: &str) -> Result<u64, String> {
@@ -552,6 +558,66 @@ mod tests {
             let e = parse(&["run", "x", "--threshold", n]).unwrap_err();
             assert!(e.contains("--threshold") && e.contains(n), "{e}");
         }
+        // `PxConfig` would clamp 0 to 1; the command line refuses it.
+        let e = parse(&["run", "x", "--cmp", "--max-outstanding", "0"]).unwrap_err();
+        assert!(e.contains("--max-outstanding"), "{e}");
+    }
+
+    #[test]
+    fn numeric_errors_name_the_flag_and_its_range() {
+        let run = |flag: &str, v: &str| parse(&["run", "x", flag, v]).unwrap_err();
+        let campaign = |flag: &str, v: &str| {
+            parse(&["campaign", "--cases", "fault:1:4", flag, v]).unwrap_err()
+        };
+        let pins = [
+            (
+                run("--max-nt-len", "5000000000"),
+                "`--max-nt-len` expects an integer in 1–4294967295, got `5000000000`",
+            ),
+            (
+                run("--threshold", "abc"),
+                "`--threshold` expects an integer in 1–255, got `abc`",
+            ),
+            (
+                run("--max-outstanding", "0"),
+                "`--max-outstanding` expects an integer in 1–4294967295, got `0`",
+            ),
+            (
+                run("--random-factor", "-3"),
+                "`--random-factor` expects an integer in 0–4294967295, got `-3`",
+            ),
+            (
+                run("--fault-rate", "0"),
+                "`--fault-rate` expects an integer in 1–4294967295, got `0`",
+            ),
+            (
+                run("--static-filter", "1e3"),
+                "`--static-filter` expects an integer in 1–4294967295, got `1e3`",
+            ),
+            (
+                campaign("--workers", "257"),
+                "`--workers` expects an integer in 0–256, got `257`",
+            ),
+        ];
+        for (got, want) in pins {
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn campaign_workers_are_bounded() {
+        // Parsing only: no test starts a pool of this size.
+        let workers = |v: &str| -> Result<usize, String> {
+            match parse(&["campaign", "--cases", "fault:1:4", "--workers", v])?.action {
+                Action::Campaign(c) => Ok(c.workers),
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(workers("0"), Ok(0), "0 still means one per core");
+        assert_eq!(workers(&MAX_WORKERS.to_string()), Ok(MAX_WORKERS as usize));
+        assert!(workers(&(MAX_WORKERS + 1).to_string()).is_err());
+        assert!(workers("4294967295").is_err());
+        assert!(USAGE.contains(&format!("at most {MAX_WORKERS}")));
     }
 
     #[test]
