@@ -12,11 +12,10 @@
 //! with a known ground truth ([`chaos_truth`]), which the CI campaign gate
 //! checks the quarantine list against.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use pathexpander::{run_standard_memo, standard_memo_table, MemoTable, PxConfig};
+use pathexpander::{run_standard_decoded, PxConfig};
 use px_detect::{classify, report, Tool};
 use px_isa::asm::assemble;
 use px_isa::{DecodedProgram, Program};
@@ -81,7 +80,7 @@ fn tool_at(local: u64) -> Tool {
 /// feasibility is the costliest set-up step, and every case of the program
 /// must match against the same automaton for shards to merge).
 struct ZooSubject {
-    /// `"{spec}/{tool}"`: the record's program key and the memo-table key.
+    /// `"{spec}/{tool}"`: the record's program key and the cache key.
     key: String,
     workload: Workload,
     compiled: CompiledProgram,
@@ -134,45 +133,6 @@ fn zoo_subject(spec: &ZooSpec, tool: Tool) -> Arc<ZooSubject> {
         })
     });
     Arc::clone(subject)
-}
-
-/// Runs `f` against this worker's NT-path memo table for `subject`,
-/// creating the table on the worker's first case of the subject. `*K`
-/// repetitions of a zoo spec re-simulate the same not-taken excursions
-/// under every input seed; sharing the table across repetitions lets later
-/// cases replay them. Every case of a subject runs one program under one
-/// machine and memo-relevant configuration, and the engine still refuses a
-/// table whose fingerprint does not match. Thread-local so workers never
-/// contend — and safe by construction: a replay is validated against the
-/// spawn's live-ins and is architecturally byte-identical to a cold
-/// simulation, so records stay pure regardless of which earlier cases
-/// warmed the table.
-///
-/// Where each table serves a single case — a roster without `*K` runs each
-/// (spec, tool) once per campaign, and the pool's scoped threads drop the
-/// tables when it ends — the tables cost memory rather than save it. On
-/// perfbench zoo-campaign (2 workers, three runs a side), a fresh table per
-/// run (`run_standard_decoded`) keeps every digest and reads a
-/// `peak_rss_mb` of 23.0–25.7 MB against 34.5–41.1 MB with these tables.
-/// The opposite result (105–110 MB against 119–134 MB) was measured while
-/// prime-path enumeration's one-vector-per-path worklist set the heap's
-/// peak, and no longer holds.
-fn with_zoo_memo<R>(
-    subject: &ZooSubject,
-    mach: &MachConfig,
-    px: &PxConfig,
-    f: impl FnOnce(&mut MemoTable) -> R,
-) -> R {
-    thread_local! {
-        static TABLES: RefCell<HashMap<String, MemoTable>> = RefCell::new(HashMap::new());
-    }
-    TABLES.with(|tables| {
-        let mut map = tables.borrow_mut();
-        let table = map
-            .entry(subject.key.clone())
-            .or_insert_with(|| standard_memo_table(&subject.compiled.program, mach, px));
-        f(table)
-    })
 }
 
 /// Runs one fault case under the watchdog and classifies it: the only
@@ -229,9 +189,7 @@ fn run_zoo(
         .with_path_plan(subject.plan.clone());
     let io = IoState::new(w.general_input(input_seed), input_seed);
     let mach = MachConfig::single_core();
-    let r = with_zoo_memo(&subject, &mach, &px, |memo| {
-        run_standard_memo(&compiled.program, &subject.decoded, &mach, &px, io, memo)
-    });
+    let r = run_standard_decoded(&compiled.program, &subject.decoded, &mach, &px, io);
 
     let all_lines: Vec<u32> = w.bugs.iter().map(|b| w.marker_line(&b.marker)).collect();
     let dets = report(compiled, &r.monitor, tool);
@@ -521,10 +479,10 @@ mod tests {
 
     #[test]
     fn zoo_records_match_a_memo_off_run_at_every_repetition() {
-        // The memo table is warmed across `*K` repetitions of a spec; every
-        // record must still equal what a memo-free simulation of that exact
-        // case produces — the campaign-level face of the replay-identity
-        // guarantee.
+        // Each case runs with a fresh replay cache, which warms within the
+        // run; every record, at each repetition of a `*K` spec, must still
+        // equal what a memo-free simulation of that exact case produces —
+        // the campaign-level face of the replay-identity guarantee.
         let wd = Watchdog::default_budget();
         for k in [1u64, 4, 16] {
             let m = Manifest::parse(&format!("zoo:parser:3*{k}")).unwrap();

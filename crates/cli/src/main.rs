@@ -27,6 +27,7 @@ mod zoo;
 use options::{Action, Options, ZooCmd};
 
 fn main() -> ExitCode {
+    default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match Options::parse(&args) {
         Ok(opts) => opts,
@@ -41,6 +42,28 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("pxc: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Restores the default `SIGPIPE` action, which the Rust runtime sets to
+/// "ignore": a reader that hangs up early (`pxc analyze bc --json | head`)
+/// then ends pxc quietly, as it ends `cat`, instead of making `println!`
+/// panic with "failed printing to stdout". The raw `signal(2)` binding is
+/// declared here because the workspace is zero-dependency by policy.
+fn default_sigpipe() {
+    #[cfg(unix)]
+    {
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        // SAFETY: the declaration matches `signal(2)` (an `int` and a
+        // pointer-sized handler), and `SIG_DFL` installs no handler code:
+        // the call only resets `SIGPIPE`, which nothing else in pxc sets.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
         }
     }
 }

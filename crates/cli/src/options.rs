@@ -26,7 +26,8 @@ USAGE:
     pxc zoo generate <spec>       [options]   print a generated program
     pxc zoo run <spec>            [options]   run a generated program
     pxc campaign --cases <manifest> [opts]    crash-safe case campaign
-    pxc help                                  this text
+    pxc help                                  this text (also `--help`
+                                              or `-h` after any command)
 
     Zoo specs name generated programs: zoo:<shape>:<seed>[:n<size>][:<mix>]
     with shapes state-machine|parser|interpreter|recursive, sizes n1..n4 and
@@ -167,9 +168,14 @@ impl Options {
     ///
     /// Returns a user-facing message for unknown flags or missing values.
     pub fn parse(args: &[String]) -> Result<Options, String> {
+        // `--help`/`-h` anywhere, after any command, asks for the usage
+        // text, as no argument at all does.
+        if args.iter().any(|a| matches!(a.as_str(), "--help" | "-h")) {
+            return Options::parse(&[]);
+        }
         let mut it = args.iter().peekable();
         let action = match it.next().map(String::as_str) {
-            None | Some("help" | "--help" | "-h") => Action::Help,
+            None | Some("help") => Action::Help,
             Some("list") => Action::List,
             Some(verb @ ("run" | "base" | "build" | "bench" | "analyze")) => {
                 let target = it
@@ -417,6 +423,24 @@ mod tests {
     fn parse(args: &[&str]) -> Result<Options, String> {
         let owned: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
         Options::parse(&owned)
+    }
+
+    #[test]
+    fn help_after_any_command_asks_for_usage() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["run", "--help"],
+            &["run", "x.pxc", "-h"],
+            &["analyze", "--help"],
+            &["zoo", "--help"],
+            &["zoo", "run", "-h"],
+            &["campaign", "--help"],
+            &["campaign", "--cases", "chaos:1:4", "-h"],
+            &["run", "x.pxc", "--budget", "0", "--help"],
+        ] {
+            assert_eq!(parse(args).unwrap().action, Action::Help, "{args:?}");
+        }
     }
 
     #[test]

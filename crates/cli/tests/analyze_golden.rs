@@ -1,9 +1,10 @@
 //! Golden test for `pxc analyze --json`: the emitted JSON is a stable,
 //! deterministic interface (scripts parse it), so its exact bytes are
 //! pinned against a committed fixture — and re-verified to be identical
-//! across process invocations for several bundled workloads.
+//! across process invocations for several bundled workloads — and a
+//! reader that hangs up early must end the command quietly.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn pxc(args: &[&str]) -> (String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_pxc"))
@@ -71,4 +72,23 @@ fn analyze_json_is_byte_identical_across_invocations() {
             "{workload}: analyze --json must be deterministic across runs"
         );
     }
+}
+
+#[test]
+fn closed_stdout_ends_analyze_quietly() {
+    // The reader hangs up before pxc writes its first byte, so the write
+    // meets a closed pipe whatever the output's size: pxc must end
+    // without a panic (Rust's runtime ignores SIGPIPE, so `println!`
+    // would panic with "failed printing to stdout: Broken pipe").
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pxc"))
+        .args(["analyze", "bc", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pxc");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("pxc ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "pxc panicked:\n{stderr}");
+    assert_ne!(out.status.code(), Some(101), "panic exit status");
 }

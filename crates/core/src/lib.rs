@@ -73,7 +73,7 @@ pub use nt::FAULT_WATCH_TAG;
 pub use standard::{run_standard_decoded, run_standard_memo, standard_memo_table};
 pub use stats::{NtPathRecord, NtStop, PxRunResult, PxStats};
 
-// The NT-path memo table engines and campaigns share across runs.
+// The NT-path memo table a caller can share across runs of one program.
 pub use px_mach::MemoTable;
 
 use px_analyze::PrimePathSet;

@@ -59,8 +59,7 @@ pub fn run_standard_decoded(
 }
 
 /// [`run_standard_decoded`] with a caller-held NT-path memo table, so
-/// repeated runs of the same program (campaign repetitions) replay each
-/// other's NT paths. The table must come from [`standard_memo_table`] for
+/// repeated runs of the same program replay each other's NT paths. The table must come from [`standard_memo_table`] for
 /// the same program and configuration — a mismatched fingerprint makes the
 /// run ignore the table.
 #[must_use]

@@ -5,8 +5,8 @@
 //! layering rule keeps px-mach below px-analyze, so everything here is
 //! plain data handed down by px-core:
 //!
-//! * [`PathPlan`] — the immutable lookup side: the sorted block-start
-//!   table (pc → block index) and an Aho–Corasick automaton over the
+//! * [`PathPlan`] — the immutable lookup side: a dense per-pc block rank
+//!   (pc → block index) and an Aho–Corasick automaton over the
 //!   block sequences of the *feasible* enumerated paths only. Covered ⊆
 //!   feasible holds by construction — an NT-path can physically traverse
 //!   a statically-infeasible path, but it can never be *counted*,
@@ -46,7 +46,13 @@ const NONE: u32 = u32::MAX;
 /// stream of pcs onto enumerated prime paths. Built by px-core from a
 /// `PrimePathSet` (px-mach cannot see that type). The automaton's trie
 /// is numbered breadth-first, so each node's children are one run of ids
-/// sorted by block and `label` itself is the child table.
+/// sorted by block and `label` itself is the child table. The lookups
+/// the engines make at run time are O(1) but one: a pc maps to a block
+/// through `rank`, the root steps through `root_row`, and entering the
+/// block after a node's own (`label[v] + 1`, the next instruction on
+/// compiled code, where every instruction is a block) is one load of
+/// `next_seq`. Only entering any other block from inside a match walks
+/// fail links.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathPlan {
     /// Digest of the full enumeration (paths + feasibility + truncation):
@@ -56,8 +62,11 @@ pub struct PathPlan {
     pub n_paths: u32,
     /// Statically-feasible prime paths — the coverage denominator.
     pub feasible_total: u32,
-    block_starts: Vec<u32>,
-    /// Per node: the block on the trie edge into it (unused for the root).
+    /// Per pc up to the last block start: how many blocks start at or
+    /// before it. A pc past the table has rank `n_blocks`. Block `i`
+    /// starts where the rank steps up to `i + 1`.
+    rank: Vec<u32>,
+    /// Per node: the block on the trie edge into it (0 for the root).
     label: Vec<u32>,
     /// Per node, plus a sentinel: its children are ids
     /// `first_child[v]..first_child[v + 1]`.
@@ -66,10 +75,15 @@ pub struct PathPlan {
     root_row: Vec<u32>,
     /// Per node: the node of its longest proper suffix in the trie.
     fail: Vec<u32>,
+    /// Per node `v`: `step(v, label[v] + 1)`, the state after entering
+    /// the block that follows `v`'s own ([`ROOT`] where no block does).
+    /// Unread for the root, whose transitions are `root_row`.
+    next_seq: Vec<u32>,
     /// Per node: the index of the path ending there, or [`NONE`].
     terminal: Vec<u32>,
-    /// Per node: the nearest node on its fail chain where a path ends
-    /// (the dictionary link), or [`NONE`].
+    /// Per node: the nearest node on its fail chain, itself included,
+    /// where a path ends (the dictionary link), or [`NONE`]: entering a
+    /// node with no path to credit costs one load.
     output: Vec<u32>,
 }
 
@@ -166,16 +180,23 @@ impl PathPlan {
         for c in first_child[0]..first_child[1] {
             root_row[label[c as usize] as usize] = c;
         }
+        // The pcs before start `i` have rank `i`; the start itself `i + 1`.
+        let mut rank = Vec::with_capacity(block_starts.last().map_or(0, |&s| s as usize + 1));
+        for (i, &s) in block_starts.iter().enumerate() {
+            rank.resize(s as usize, i as u32);
+            rank.push(i as u32 + 1);
+        }
 
         let mut plan = PathPlan {
             set_digest,
             n_paths,
             feasible_total,
-            block_starts,
+            rank,
             label,
             first_child,
             root_row,
             fail: vec![ROOT; n_nodes],
+            next_seq: Vec::new(),
             terminal,
             output: vec![NONE; n_nodes],
         };
@@ -185,40 +206,60 @@ impl PathPlan {
         for v in 1..n_nodes {
             let v = v as u32;
             for c in plan.children(v) {
-                let f = plan.step(plan.fail[v as usize], plan.label[c as usize]);
-                plan.fail[c as usize] = f;
-                plan.output[c as usize] = if plan.terminal[f as usize] == NONE {
-                    plan.output[f as usize]
-                } else {
-                    f
-                };
+                plan.fail[c as usize] = plan.step(plan.fail[v as usize], plan.label[c as usize]);
             }
+            let f = plan.fail[v as usize] as usize;
+            plan.output[v as usize] = if plan.terminal[v as usize] == NONE {
+                plan.output[f]
+            } else {
+                v
+            };
         }
+        // The fall-through step reads the final fail links.
+        plan.next_seq = (0..n_nodes)
+            .map(|v| {
+                let next = plan.label[v] + 1;
+                if (next as usize) < n_blocks {
+                    plan.step(v as u32, next)
+                } else {
+                    ROOT
+                }
+            })
+            .collect();
         Ok(plan)
     }
 
     /// Number of basic blocks.
     #[must_use]
     pub fn n_blocks(&self) -> usize {
-        self.block_starts.len()
+        self.root_row.len()
+    }
+
+    /// How many blocks start at or before `pc`.
+    #[inline]
+    fn rank(&self, pc: u64) -> usize {
+        usize::try_from(pc)
+            .ok()
+            .and_then(|i| self.rank.get(i))
+            .map_or(self.n_blocks(), |&r| r as usize)
     }
 
     /// Block index of `pc` if `pc` is a block's first instruction.
     #[must_use]
+    #[inline]
     pub fn block_at(&self, pc: u32) -> Option<u32> {
-        self.block_starts.binary_search(&pc).ok().map(|i| i as u32)
+        let r = *self.rank.get(pc as usize)?;
+        let below = pc.checked_sub(1).map_or(0, |p| self.rank[p as usize]);
+        (r > below).then(|| r - 1)
     }
 
     /// Indices of the blocks whose first instruction lies in
     /// `(pc0, pc0 + n]` — exactly the blocks a straight-line batch of `n`
     /// instructions starting at `pc0` enters.
     #[must_use]
+    #[inline]
     pub fn blocks_in_range(&self, pc0: u32, n: u32) -> std::ops::Range<usize> {
-        let lo = self.block_starts.partition_point(|&s| s <= pc0);
-        let hi = self
-            .block_starts
-            .partition_point(|&s| u64::from(s) <= u64::from(pc0) + u64::from(n));
-        lo..hi
+        self.rank(u64::from(pc0))..self.rank(u64::from(pc0) + u64::from(n))
     }
 
     /// A fresh, empty coverage tracker for this plan.
@@ -237,8 +278,11 @@ impl PathPlan {
     }
 
     /// The automaton transition: the state after entering `block` from
-    /// state `v`. `block` must be below [`PathPlan::n_blocks`].
-    #[inline]
+    /// state `v`. `block` must be below [`PathPlan::n_blocks`]. Out of
+    /// line: the engines' hot loops inline [`PathTrail::enter_block`], which
+    /// takes this walk only when neither the root row nor the fall-through
+    /// step applies.
+    #[inline(never)]
     fn step(&self, mut v: u32, block: u32) -> u32 {
         loop {
             if v == ROOT {
@@ -250,6 +294,18 @@ impl PathPlan {
                 return kids.start + i as u32;
             }
             v = self.fail[v as usize];
+        }
+    }
+
+    /// Credits every feasible path ending at state `v` to `cov`. Out of
+    /// line: few block entries end a path.
+    #[cold]
+    #[inline(never)]
+    fn credit(&self, cov: &mut PathCoverage, v: u32) {
+        let mut v = self.output[v as usize];
+        while v != NONE {
+            cov.record(self.terminal[v as usize]);
+            v = self.output[self.fail[v as usize] as usize];
         }
     }
 }
@@ -274,14 +330,18 @@ impl PathTrail {
         if block as usize >= plan.n_blocks() {
             return;
         }
-        self.state = plan.step(self.state, block);
-        let mut v = self.state;
-        if plan.terminal[v as usize] == NONE {
-            v = plan.output[v as usize];
-        }
-        while v != NONE {
-            cov.record(plan.terminal[v as usize]);
-            v = plan.output[v as usize];
+        let s = self.state as usize;
+        self.state = if self.state == ROOT {
+            plan.root_row[block as usize]
+        } else if block == plan.label[s] + 1 {
+            plan.next_seq[s]
+        } else {
+            plan.step(self.state, block)
+        };
+        // The root ends no path: most entries on a truncated plan stay
+        // there and need no further load.
+        if self.state != ROOT && plan.output[self.state as usize] != NONE {
+            plan.credit(cov, self.state);
         }
     }
 
@@ -437,9 +497,14 @@ mod tests {
     /// starts `0..n_blocks`): path `i` is `paths[i]`, feasible when
     /// `feasible[i]`.
     fn plan_with(n_blocks: usize, paths: &[Vec<u32>], feasible: &[bool]) -> PathPlan {
+        plan_on((0..n_blocks as u32).collect(), paths, feasible)
+    }
+
+    /// [`plan_with`] over the given block starts.
+    fn plan_on(starts: Vec<u32>, paths: &[Vec<u32>], feasible: &[bool]) -> PathPlan {
         PathPlan::new(
             0x5678,
-            (0..n_blocks as u32).collect(),
+            starts,
             paths.len() as u32,
             feasible.iter().filter(|&&f| f).count() as u32,
             paths
@@ -464,6 +529,20 @@ mod tests {
         paths
             .iter()
             .map(|p| !p.is_empty() && trace.windows(p.len()).any(|w| w == p.as_slice()))
+            .collect()
+    }
+
+    /// Linear-scan reference for [`PathPlan::block_at`].
+    fn scan_block_at(starts: &[u32], pc: u32) -> Option<u32> {
+        starts.iter().position(|&s| s == pc).map(|i| i as u32)
+    }
+
+    /// Linear-scan reference for [`PathPlan::blocks_in_range`]: the blocks
+    /// starting in `(pc0, pc0 + n]`.
+    fn scan_range(starts: &[u32], pc0: u32, n: u32) -> Vec<u32> {
+        let (lo, hi) = (u64::from(pc0), u64::from(pc0) + u64::from(n));
+        (0..starts.len() as u32)
+            .filter(|&i| (lo + 1..=hi).contains(&u64::from(starts[i as usize])))
             .collect()
     }
 
@@ -633,6 +712,134 @@ mod tests {
                     "path {i} {p:?} (feasible {}) over graph {succs:?}",
                     feasible[i],
                 );
+            }
+        }
+
+        /// The pc lookups on sparse block starts (gaps between starts, the
+        /// first past pc 0), as the engines drive them: jumps through
+        /// `enter_pc` and straight-line batches through `enter_range` that
+        /// cross no start, one or several, and run past the last. After
+        /// every event the trail equals a second trail fed block by block
+        /// from a linear scan of the starts, and the coverage equals the
+        /// brute-force oracle over the scanned block stream. Paths favour
+        /// consecutive blocks, the fall-through step's case.
+        fn pc_walks_on_sparse_starts_agree_with_a_linear_scan(
+            n in 1usize..7,
+            seed in px_util::prop::any_u64(),
+            events in 0usize..400,
+        ) {
+            let mut rng = Xoshiro256::seeded(seed);
+            let mut starts = Vec::with_capacity(n);
+            let mut pc = 0u32;
+            for _ in 0..n {
+                pc += 1 + rng.below(4) as u32;
+                starts.push(pc);
+            }
+            let last = pc;
+            let mut paths: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..1 + rng.below(12) {
+                let mut b = rng.below(n as u64) as u32;
+                let mut q = vec![b];
+                for _ in 0..rng.below(4) {
+                    b = if rng.chance(1, 2) && (b as usize) + 1 < n {
+                        b + 1
+                    } else {
+                        rng.below(n as u64) as u32
+                    };
+                    q.push(b);
+                }
+                if !paths.contains(&q) {
+                    paths.push(q);
+                }
+            }
+            let feasible: Vec<bool> = paths.iter().map(|_| rng.chance(3, 4)).collect();
+            let plan = plan_on(starts.clone(), &paths, &feasible);
+            let (mut cov, mut ref_cov) = (plan.new_coverage(), plan.new_coverage());
+            let (mut trail, mut reference) = (PathTrail::default(), PathTrail::default());
+            let mut seen: Vec<u32> = Vec::new();
+            let mut want = vec![false; paths.len()];
+            let settle = |seen: &[u32], want: &mut Vec<bool>| {
+                for (w, o) in want.iter_mut().zip(oracle(&paths, seen)) {
+                    *w |= o;
+                }
+            };
+            let mut at = 0u32;
+            for e in 0..events {
+                let entered = match rng.below(8) {
+                    0 | 1 => {
+                        at = rng.below(u64::from(last) + 4) as u32;
+                        trail.enter_pc(&plan, &mut cov, at);
+                        scan_block_at(&starts, at).into_iter().collect()
+                    }
+                    2..=6 => {
+                        let len = rng.below(13) as u32;
+                        trail.enter_range(&plan, &mut cov, at, len);
+                        let blocks = scan_range(&starts, at, len);
+                        at += len;
+                        blocks
+                    }
+                    _ => {
+                        settle(&seen, &mut want);
+                        seen.clear();
+                        (trail, reference) = (PathTrail::default(), PathTrail::default());
+                        Vec::new()
+                    }
+                };
+                for b in entered {
+                    reference.enter_block(&plan, &mut ref_cov, b);
+                    seen.push(b);
+                }
+                assert_eq!(trail, reference, "event {e} at pc {at}, starts {starts:?}");
+            }
+            settle(&seen, &mut want);
+            for (i, p) in paths.iter().enumerate() {
+                assert_eq!(
+                    cov.is_covered(i as u32),
+                    want[i] && feasible[i],
+                    "path {i} {p:?} (feasible {}) over starts {starts:?}",
+                    feasible[i],
+                );
+            }
+            assert_eq!(cov, ref_cov);
+        }
+    }
+
+    #[test]
+    fn pc_lookups_match_a_linear_scan() {
+        let cases: [&[u32]; 6] = [
+            &[],
+            &[0],
+            &[3],
+            &[0, 1, 2],
+            &[2, 3, 7, 8, 12],
+            &[1, 5, 6, 20],
+        ];
+        for starts in cases {
+            let plan = plan_on(starts.to_vec(), &[], &[]);
+            let last = starts.last().copied().unwrap_or(0);
+            // `pc0 + n` past `u32::MAX` is computed without wrapping.
+            let lens = (0..=5).chain([u32::MAX - 1, u32::MAX]);
+            for pc in 0..=last + 3 {
+                assert_eq!(
+                    plan.block_at(pc),
+                    scan_block_at(starts, pc),
+                    "{starts:?} pc {pc}"
+                );
+                for n in lens.clone() {
+                    let got: Vec<u32> = plan.blocks_in_range(pc, n).map(|i| i as u32).collect();
+                    assert_eq!(got, scan_range(starts, pc, n), "{starts:?} pc {pc} n {n}");
+                }
+            }
+            let end = starts.len();
+            for pc in [u32::MAX - 5, u32::MAX - 1, u32::MAX] {
+                assert_eq!(plan.block_at(pc), None);
+                for n in lens.clone() {
+                    assert_eq!(
+                        plan.blocks_in_range(pc, n),
+                        end..end,
+                        "{starts:?} pc {pc} n {n}"
+                    );
+                }
             }
         }
     }

@@ -61,10 +61,13 @@ cargo run --release --offline -q -p px-bench --bin campaign_gate -- --check
 # Matcher oracle: the prime-path automaton must credit exactly what a
 # brute-force substring oracle finds, over random block graphs whose
 # walks interleave NT spawns (trail copies that diverge) and squashes
-# (resets), at 5000 cases rather than the default 96.
+# (resets), and the plan's O(1) pc lookups must match a linear scan of
+# sparse block starts under pc-driven walks (jumps and straight-line
+# batches), each at 5000 cases rather than the default 96.
 echo "==> matcher-oracle: prime-path automaton vs brute force, 5000 cases"
-PX_PROP_CASES=5000 cargo test --release --offline -q -p px-mach --lib \
-    paths::tests::matcher_agrees_with_brute_force_on_random_walks
+PX_PROP_CASES=5000 cargo test --release --offline -q -p px-mach --lib -- \
+    paths::tests::matcher_agrees_with_brute_force_on_random_walks \
+    paths::tests::pc_walks_on_sparse_starts_agree_with_a_linear_scan
 
 # Interpreter oracle: step_uop must match the byte-decode reference
 # interpreter step for step on random byte-soup programs, plainly and under
