@@ -74,7 +74,7 @@ impl ToJson for StaticFilterRow {
 /// output, and the taken-path coverage bitmap. Cycles and NT statistics are
 /// deliberately excluded — those are what the filter is allowed to change.
 fn taken_digest(r: &PxRunResult, code_len: usize) -> u64 {
-    let mut h = px_util::fnv1a64(0, format!("{:?}", r.exit).as_bytes());
+    let mut h = px_util::fnv1a64(0, &r.exit.digest_bytes());
     h = px_util::fnv1a64(h, r.io.output());
     for pc in 0..code_len as u32 {
         let bits = u8::from(r.taken_coverage.covered(pc, Edge::Taken))

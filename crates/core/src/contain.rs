@@ -154,9 +154,7 @@ pub fn check_containment(
                 base: base.memory.size(),
                 px: px.memory.size(),
             });
-        } else if let Some(addr) =
-            (0..base.memory.size()).find(|&a| base.memory.byte(a) != px.memory.byte(a))
-        {
+        } else if let Some(addr) = base.memory.first_difference(&px.memory) {
             report.violations.push(Violation::MemoryDiffers {
                 addr,
                 base: base.memory.byte(addr),
@@ -257,7 +255,8 @@ pub fn differential_run(
 mod tests {
     use super::*;
     use px_isa::asm::assemble;
-    use px_mach::{FaultMix, FaultPlan};
+    use px_isa::Width;
+    use px_mach::{FaultMix, FaultPlan, MemView as _};
 
     const NT_HEAVY: &str = r"
         .data
@@ -333,6 +332,17 @@ mod tests {
         }
     }
 
+    /// The memory violation a byte-by-byte scan of both whole images
+    /// reports.
+    fn full_scan(base: &px_mach::Memory, px: &px_mach::Memory) -> Option<Violation> {
+        let addr = (0..base.size()).find(|&a| base.byte(a) != px.byte(a))?;
+        Some(Violation::MemoryDiffers {
+            addr,
+            base: base.byte(addr),
+            px: px.byte(addr),
+        })
+    }
+
     #[test]
     fn a_leak_is_detected() {
         // Sanity-check the checker itself: tamper with a contained result
@@ -344,12 +354,15 @@ mod tests {
             IoState::default(),
             1_000_000,
         );
-        let mut px = crate::run(
-            &program,
-            &MachConfig::single_core(),
-            &PxConfig::default(),
-            IoState::default(),
-        );
+        let run = || {
+            crate::run(
+                &program,
+                &MachConfig::single_core(),
+                &PxConfig::default(),
+                IoState::default(),
+            )
+        };
+        let mut px = run();
         px.memory.set_byte(0x2000, 0xAB);
         px.io.put_char(b'!');
         px.core.regs.set(px_isa::Reg::A1, -123);
@@ -358,6 +371,33 @@ mod tests {
         assert!(classes.contains(&"memory"), "{classes:?}");
         assert!(classes.contains(&"output"), "{classes:?}");
         assert!(classes.contains(&"registers"), "{classes:?}");
+
+        // Memory leaks only the PathExpander image wrote: a word that
+        // straddles two pages neither run touched, its bytes on the lower
+        // page equal to the baseline's so the first difference lies on the
+        // upper one; and a byte on a page only the PathExpander image wrote.
+        // Each reports the first address and bytes a full scan finds.
+        type Leak = fn(&mut px_mach::Memory);
+        let leaks: [(Leak, u32, u8); 2] = [
+            (
+                |m| m.store(0x8_0000 - 2, 0x5A00_0000, Width::Word).unwrap(),
+                0x8_0001,
+                0x5A,
+            ),
+            (|m| m.set_byte(0x9_0123, 0xC3), 0x9_0123, 0xC3),
+        ];
+        for (leak, addr, byte) in leaks {
+            let mut px = run();
+            leak(&mut px.memory);
+            let report = check_containment(&program, &base, &px);
+            let want = Violation::MemoryDiffers {
+                addr,
+                base: 0,
+                px: byte,
+            };
+            assert_eq!(full_scan(&base.memory, &px.memory), Some(want.clone()));
+            assert_eq!(report.violations, [want]);
+        }
     }
 
     #[test]

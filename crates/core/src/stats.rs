@@ -102,7 +102,7 @@ impl PxRunResult {
     /// that agree architecturally produce the same digest.
     #[must_use]
     pub fn taken_path_digest(&self, program: &Program) -> u64 {
-        let mut h = px_util::fnv1a64(0, format!("{:?}", self.exit).as_bytes());
+        let mut h = px_util::fnv1a64(0, &self.exit.digest_bytes());
         h = px_util::fnv1a64(h, self.io.output());
         self.taken_coverage.digest(program, h)
     }

@@ -59,19 +59,6 @@ pub const MEMO_MAX_STEPS: usize = 4096;
 /// more than re-simulating the path). Not part of the memo fingerprint.
 pub const MEMO_MAX_READS: usize = 1024;
 
-/// Keys a table's map has room for when the table is made. The map grows
-/// past this and never evicts. The room was meant to keep a long-lived
-/// table from being re-allocated mid-run, but no table outlives one run
-/// any more: the campaign gives every case a fresh one, as the engine
-/// entry points without a caller-held table do. It was sized when
-/// prime-path enumeration's transient allocations dominated the
-/// campaign's heap: grown from empty, the tables then raised perfbench
-/// zoo-campaign's peak RSS from about 105 MB to 136 MB. Since enumeration
-/// uses an arena, tables grown from empty read 31.0–38.1 MB against
-/// 34.5–41.1 MB pre-sized (three runs a side, 2-vCPU x86-64 Linux host),
-/// so the room no longer lowers peak RSS.
-const INITIAL_KEYS: usize = 512;
-
 /// Why an NT-path terminated (paper §4.2(3), plus the implicit sandbox
 /// capacity limit of buffering in L1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -560,7 +547,7 @@ impl MemoTable {
     #[must_use]
     pub fn new(fingerprint: u64) -> MemoTable {
         MemoTable {
-            map: HashMap::with_capacity(INITIAL_KEYS),
+            map: HashMap::new(),
             fingerprint,
             counters: MemoCounters::default(),
         }

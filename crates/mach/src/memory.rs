@@ -1,5 +1,6 @@
-//! Functional data memory: a flat byte array with a null guard page, plus the
-//! sandbox views PathExpander uses to contain NT-path side effects.
+//! Functional data memory: a flat byte array with a null guard page and a
+//! bitmap of the pages it has written, plus the sandbox views PathExpander
+//! uses to contain NT-path side effects.
 //!
 //! The sandbox is the simulation's hottest data structure: every NT-path
 //! load and store resolves through it, and every squash empties it. It is
@@ -7,6 +8,8 @@
 //! generation stamps (see [`Sandbox`]): a squash is an O(1) generation
 //! bump, and a byte lookup is one page-index load plus two bit tests —
 //! no hashing anywhere on the hot path.
+
+use core::cell::RefCell;
 
 use px_isa::{Width, NULL_GUARD_END};
 
@@ -57,18 +60,66 @@ pub trait MemView {
     fn store(&mut self, addr: u32, value: i32, width: Width) -> Result<(), CrashKind>;
 }
 
-/// The committed (architectural) data memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Page geometry: 4 KiB pages, for the committed image's written-page
+/// bitmap and the sandbox's shadow pages alike.
+const PAGE_SHIFT: u32 = 12;
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
+
+/// Zeroed image buffers a thread keeps for reuse by [`Memory::new`]: a
+/// differential run holds two images at once, its own and its baseline's.
+const FREE_IMAGES: usize = 2;
+
+thread_local! {
+    /// Buffers of dropped images, zeroed, waiting for a [`Memory::new`] of
+    /// the same length.
+    static FREE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The committed (architectural) data memory: a flat byte image plus one
+/// bit per 4 KiB page the image has ever written.
+///
+/// A page whose bit is clear holds only zeros. So comparing two images
+/// ([`Memory::first_difference`], `==`) reads only the pages either one
+/// wrote, and a dropped image zeroes only its written pages before its
+/// buffer goes to a small per-thread free list, where the next
+/// [`Memory::new`] of that size finds it: the campaign's fault cases, which
+/// build and diff two 1 MiB images to check a handful of written pages,
+/// cost what they write, not what they could address.
+#[derive(Debug, Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
+    /// Bit `p % 64` of word `p / 64` set ⇔ page `p` has been written.
+    written: Vec<u64>,
+}
+
+/// The pages whose bits are set in `words`, ascending.
+fn set_pages(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut bits)| {
+        core::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let page = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                page
+            })
+        })
+    })
 }
 
 impl Memory {
-    /// Creates a zeroed memory of `size` bytes.
+    /// Creates a zeroed memory of `size` bytes, reusing a dropped image's
+    /// buffer of that size when this thread holds one.
     #[must_use]
     pub fn new(size: u32) -> Memory {
+        let size = size as usize;
+        let reused = FREE.try_with(|free| {
+            let mut free = free.borrow_mut();
+            let i = free.iter().position(|b| b.len() == size)?;
+            Some(free.swap_remove(i))
+        });
         Memory {
-            bytes: vec![0; size as usize],
+            bytes: reused.ok().flatten().unwrap_or_else(|| vec![0; size]),
+            written: vec![0; size.div_ceil(PAGE_SIZE).div_ceil(64)],
         }
     }
 
@@ -76,6 +127,43 @@ impl Memory {
     #[must_use]
     pub fn size(&self) -> u32 {
         self.bytes.len() as u32
+    }
+
+    /// Marks the page holding `addr` written.
+    #[inline]
+    fn mark(&mut self, addr: u32) {
+        let page = addr >> PAGE_SHIFT;
+        self.written[(page / 64) as usize] |= 1 << (page % 64);
+    }
+
+    /// The byte range of `page`, cut at the end of the image.
+    fn page_span(&self, page: usize) -> core::ops::Range<usize> {
+        let start = page << PAGE_SHIFT;
+        start..(start + PAGE_SIZE).min(self.bytes.len())
+    }
+
+    /// The lowest address at which the two images hold different bytes,
+    /// over the addresses both have. Reads only the pages either image
+    /// wrote, and byte by byte only the first page that differs.
+    #[must_use]
+    pub fn first_difference(&self, other: &Memory) -> Option<u32> {
+        let (short, long) = if self.bytes.len() <= other.bytes.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let union = (0..short.written.len()).map(|w| short.written[w] | long.written[w]);
+        set_pages(union)
+            .take_while(|&page| page << PAGE_SHIFT < short.bytes.len())
+            .find_map(|page| {
+                let span = short.page_span(page);
+                let (a, b) = (&short.bytes[span.clone()], &long.bytes[span.clone()]);
+                if a == b {
+                    return None;
+                }
+                let off = a.iter().zip(b).position(|(x, y)| x != y)?;
+                Some((span.start + off) as u32)
+            })
     }
 
     /// Validates an access of `len` bytes at `addr`.
@@ -103,6 +191,7 @@ impl Memory {
     /// Writes one byte without bounds diagnostics (caller must have checked).
     pub fn set_byte(&mut self, addr: u32, value: u8) {
         self.bytes[addr as usize] = value;
+        self.mark(addr);
     }
 
     /// Copies a blob into memory (program loading), rejecting blobs that do
@@ -118,6 +207,9 @@ impl Memory {
         match end {
             Some(end) if end <= self.bytes.len() => {
                 self.bytes[start..end].copy_from_slice(blob);
+                for page in start >> PAGE_SHIFT..end.div_ceil(PAGE_SIZE) {
+                    self.mark((page << PAGE_SHIFT) as u32);
+                }
                 Ok(())
             }
             _ => Err(SimError::BlobOutOfBounds {
@@ -159,16 +251,46 @@ impl MemView for Memory {
         let i = addr as usize;
         match width {
             Width::Byte => self.bytes[i] = value as u8,
-            Width::Word => self.bytes[i..i + 4].copy_from_slice(&value.to_le_bytes()),
+            Width::Word => {
+                self.bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
+                // A word that straddles a page boundary writes both pages.
+                self.mark(addr + 3);
+            }
         }
+        self.mark(addr);
         Ok(())
     }
 }
 
-/// Shadow-page geometry: 4 KiB pages, presence tracked by one bit per byte.
-const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        self.bytes.len() == other.bytes.len() && self.first_difference(other).is_none()
+    }
+}
+
+impl Eq for Memory {}
+
+impl Drop for Memory {
+    /// Zeroes the written pages and hands the buffer to this thread's free
+    /// list, unless the list is full (or already torn down at thread exit).
+    fn drop(&mut self) {
+        if self.bytes.is_empty() {
+            return;
+        }
+        let _ = FREE.try_with(|free| {
+            let mut free = free.borrow_mut();
+            if free.len() < FREE_IMAGES {
+                for page in set_pages(self.written.iter().copied()) {
+                    let span = self.page_span(page);
+                    self.bytes[span].fill(0);
+                }
+                free.push(core::mem::take(&mut self.bytes));
+            }
+        });
+    }
+}
+
+/// Shadow-page presence is tracked by one bit per byte.
 const MASK_WORDS: usize = PAGE_SIZE / 64;
 
 /// One lazily-allocated shadow page of a [`Sandbox`].
@@ -474,6 +596,7 @@ impl MemView for SandboxView<'_> {
 mod tests {
     use super::*;
     use px_isa::DATA_BASE;
+    use px_util::{Rng as _, Xoshiro256};
 
     #[test]
     fn little_endian_word_round_trip() {
@@ -617,6 +740,86 @@ mod tests {
         }
         assert_eq!(written(&sb, all), [DATA_BASE + 1], "old writes stayed dead");
         m.store(DATA_BASE, 0, Width::Word).unwrap();
+    }
+
+    /// A byte that is zero half the time, so a write often leaves what an
+    /// image already holds on some of its bytes (and a straddling word on
+    /// one of its pages).
+    fn sparse_byte(rng: &mut Xoshiro256) -> u8 {
+        if rng.chance(1, 2) {
+            0
+        } else {
+            rng.next_u32() as u8
+        }
+    }
+
+    /// The lowest address where the two images' bytes differ, read one
+    /// byte at a time.
+    fn oracle_difference(a: &Memory, b: &Memory) -> Option<u32> {
+        (0..a.size().min(b.size())).find(|&i| a.byte(i) != b.byte(i))
+    }
+
+    px_util::px_prop! {
+        /// Equality and `first_difference` read only written pages, yet
+        /// agree with a byte-by-byte scan after any mix of the three
+        /// mutators on two images (the same write to both, or one image
+        /// only), on sizes that end mid-page too. Addresses favour page
+        /// edges, so words straddle pages. A dropped image's buffer, reused
+        /// by the next image of its size, reads all zero.
+        fn written_pages_agree_with_a_byte_scan(
+            seed in px_util::prop::any_u64(),
+            pick in 0usize..5,
+            ops in 0usize..60,
+        ) {
+            let mut rng = Xoshiro256::seeded(seed);
+            let page = PAGE_SIZE as u32;
+            let size = [
+                DATA_BASE + 3 * page,
+                DATA_BASE + 16 * page + 5,
+                DATA_BASE + 2 * page + 5,
+                DATA_BASE + page - 1,
+                DATA_BASE + 6,
+            ][pick];
+            let mut images = [Memory::new(size), Memory::new(size)];
+            for _ in 0..ops {
+                let edge = (rng.below(u64::from(size >> PAGE_SHIFT)) as u32 + 1) << PAGE_SHIFT;
+                let addr = match rng.below(3) {
+                    0 => edge.saturating_sub(1 + rng.below(4) as u32),
+                    1 => edge + rng.below(4) as u32,
+                    _ => DATA_BASE + rng.below(u64::from(size - DATA_BASE)) as u32,
+                }
+                .clamp(DATA_BASE, size - 1);
+                let value = i32::from_le_bytes([0; 4].map(|_: u8| sparse_byte(&mut rng)));
+                let blob: Vec<u8> = (0..rng.below(10)).map(|_| sparse_byte(&mut rng)).collect();
+                let (kind, target) = (rng.below(4), rng.below(4));
+                for (i, m) in images.iter_mut().enumerate() {
+                    if target == 2 + i as u64 {
+                        continue;
+                    }
+                    match kind {
+                        0 => _ = m.store(addr, value, Width::Byte),
+                        1 => _ = m.store(addr, value, Width::Word),
+                        2 => m.set_byte(addr, value as u8),
+                        _ => _ = m.try_load_blob(addr, &blob),
+                    }
+                }
+                let [a, b] = &images;
+                let want = oracle_difference(a, b);
+                assert_eq!(a.first_difference(b), want);
+                assert_eq!(b.first_difference(a), want);
+                assert_eq!(a == b, want.is_none());
+            }
+            // Drop one image onto an empty free list: the next image of
+            // its size gets its buffer back, zeroed.
+            FREE.with(|free| free.borrow_mut().clear());
+            let [a, b] = images;
+            let buffer = a.bytes.as_ptr();
+            drop(a);
+            let fresh = Memory::new(size);
+            assert_eq!(fresh.bytes.as_ptr(), buffer, "the buffer was reused");
+            assert_eq!(fresh.slice(0, size).iter().position(|&x| x != 0), None);
+            assert_ne!(b, Memory::new(size + 1), "sizes differ");
+        }
     }
 
     #[test]

@@ -51,6 +51,67 @@ impl RunExit {
             RunExit::EngineFault(_) => "engine-fault",
         }
     }
+
+    /// The bytes run digests hash for this exit. They spell what the
+    /// derived `Debug` printed when digests were first pinned, but are
+    /// written out here, so renaming a variant or a field of `RunExit`,
+    /// [`CrashKind`] or [`SimError`] cannot move a digest.
+    #[must_use]
+    pub fn digest_bytes(&self) -> Vec<u8> {
+        match self {
+            RunExit::Exited(code) => format!("Exited({code})"),
+            RunExit::Crashed(kind) => format!("Crashed({})", crash_text(*kind)),
+            RunExit::BudgetExhausted => "BudgetExhausted".to_owned(),
+            RunExit::EngineFault(e) => format!("EngineFault({})", sim_error_text(*e)),
+        }
+        .into_bytes()
+    }
+}
+
+/// [`RunExit::digest_bytes`] of a crash payload.
+fn crash_text(kind: CrashKind) -> String {
+    match kind {
+        CrashKind::NullDeref { addr } => format!("NullDeref {{ addr: {addr} }}"),
+        CrashKind::OutOfBounds { addr } => format!("OutOfBounds {{ addr: {addr} }}"),
+        CrashKind::DivByZero => "DivByZero".to_owned(),
+        CrashKind::BadPc { pc } => format!("BadPc {{ pc: {pc} }}"),
+    }
+}
+
+/// [`RunExit::digest_bytes`] of an engine-fault payload. Messages are
+/// quoted and escaped as string literals.
+fn sim_error_text(e: SimError) -> String {
+    match e {
+        SimError::NoCores => "NoCores".to_owned(),
+        SimError::NeedsTwoCores => "NeedsTwoCores".to_owned(),
+        SimError::BadCacheGeometry(m) => format!("BadCacheGeometry({m:?})"),
+        SimError::BadBtbGeometry(m) => format!("BadBtbGeometry({m:?})"),
+        SimError::ProgramTooLarge { mem_size } => {
+            format!("ProgramTooLarge {{ mem_size: {mem_size} }}")
+        }
+        SimError::BlobOutOfBounds { addr, len } => {
+            format!("BlobOutOfBounds {{ addr: {addr}, len: {len} }}")
+        }
+        SimError::CoverageSizeMismatch { left, right } => {
+            format!("CoverageSizeMismatch {{ left: {left}, right: {right} }}")
+        }
+        SimError::PathSetMismatch { left, right } => {
+            format!("PathSetMismatch {{ left: {left}, right: {right} }}")
+        }
+        SimError::NonZeroPadding { last } => format!("NonZeroPadding {{ last: {last} }}"),
+        SimError::EmptyPrimePath { path } => format!("EmptyPrimePath {{ path: {path} }}"),
+        SimError::PrimePathBlockOutOfRange {
+            path,
+            block,
+            n_blocks,
+        } => format!(
+            "PrimePathBlockOutOfRange {{ path: {path}, block: {block}, n_blocks: {n_blocks} }}"
+        ),
+        SimError::DuplicatePrimePath { first, second } => {
+            format!("DuplicatePrimePath {{ first: {first}, second: {second} }}")
+        }
+        SimError::Invariant(m) => format!("Invariant({m:?})"),
+    }
 }
 
 /// Result of a baseline run.
@@ -240,6 +301,62 @@ pub fn run_baseline_with(
 mod tests {
     use super::*;
     use px_isa::asm::assemble;
+
+    #[test]
+    fn exit_digest_bytes_spell_the_debug_text() {
+        let crashes = [
+            CrashKind::NullDeref { addr: 0 },
+            CrashKind::OutOfBounds { addr: u32::MAX },
+            CrashKind::DivByZero,
+            CrashKind::BadPc { pc: 17 },
+        ];
+        let faults = [
+            SimError::NoCores,
+            SimError::NeedsTwoCores,
+            SimError::BadCacheGeometry("line size must be a power of two"),
+            SimError::BadBtbGeometry("a \"quoted\" \\ message\n"),
+            SimError::ProgramTooLarge { mem_size: 1 << 30 },
+            SimError::BlobOutOfBounds {
+                addr: 0x1000,
+                len: 8,
+            },
+            SimError::CoverageSizeMismatch {
+                left: 3,
+                right: usize::MAX,
+            },
+            SimError::PathSetMismatch {
+                left: 0,
+                right: u64::MAX,
+            },
+            SimError::NonZeroPadding { last: 0xFF },
+            SimError::EmptyPrimePath { path: 2 },
+            SimError::PrimePathBlockOutOfRange {
+                path: 1,
+                block: 9,
+                n_blocks: 4,
+            },
+            SimError::DuplicatePrimePath {
+                first: 5,
+                second: 6,
+            },
+            SimError::Invariant("unicode \u{e9} and tab\t"),
+        ];
+        let exits = [
+            RunExit::Exited(0),
+            RunExit::Exited(-7),
+            RunExit::Exited(i32::MIN),
+            RunExit::BudgetExhausted,
+        ]
+        .into_iter()
+        .chain(crashes.map(RunExit::Crashed))
+        .chain(faults.map(RunExit::EngineFault));
+        for exit in exits {
+            assert_eq!(
+                String::from_utf8(exit.digest_bytes()).unwrap(),
+                format!("{exit:?}")
+            );
+        }
+    }
 
     #[test]
     fn baseline_runs_to_exit_with_coverage() {

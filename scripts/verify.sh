@@ -35,8 +35,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Fault smoke (E12): inject faults into NT-paths across all four engines
 # through the campaign driver. --max-quarantine 0 exits 1 on any
-# violated (sandbox escape), panicked or timed-out case.
-echo "==> fault-smoke: 64-case fault-injection campaign"
+# violated (sandbox escape), panicked or timed-out case, and the aggregate
+# digest must equal its pin. Case i draws only from (seed, i), so the 256
+# cases include fault:1:64's.
+echo "==> fault-smoke: 256-case fault-injection campaign"
 tmp=$(mktemp -d)
 # perfbench/Cargo.lock still lists dependency edges the crates no longer
 # have, so the perfbench self-test below rewrites it (ROADMAP item 4). It is
@@ -44,8 +46,17 @@ tmp=$(mktemp -d)
 # leaves the tree as it found it.
 cp perfbench/Cargo.lock "$tmp/perfbench.Cargo.lock"
 trap 'cp "$tmp/perfbench.Cargo.lock" perfbench/Cargo.lock; rm -rf "$tmp"' EXIT
-cargo run --release --offline -q -p px-cli --bin pxc -- campaign --cases fault:1:64 \
-    --max-quarantine 0 --no-resume --journal "$tmp/fault-smoke.ndjson"
+fault_report=$(cargo run --release --offline -q -p px-cli --bin pxc -- campaign \
+    --cases fault:1:256 --max-quarantine 0 --no-resume \
+    --journal "$tmp/fault-smoke.ndjson" --json)
+case "$fault_report" in
+    *'"digest":"2aac22e426a11ffe"'*) ;;
+    *)
+        echo "fault-smoke FAILED: fault:1:256 digest is not 2aac22e426a11ffe" >&2
+        echo "$fault_report" >&2
+        exit 1
+        ;;
+esac
 
 # Campaign gate (E16/E17): the zoo roster's prime-path sets must enumerate
 # byte-identically (twice) inside a hard wall-time budget; then both pinned
