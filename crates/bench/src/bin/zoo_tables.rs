@@ -18,11 +18,27 @@ use px_bench::experiments::zoo::zoo_report;
 use px_bench::fmt::render_table;
 use px_util::ToJson;
 
+const USAGE: &str = "usage: zoo_tables [--quick] [--json] [--check]";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
+    let (mut quick, mut json, mut check) = (false, false, false);
+    // Every argument is read before the roster runs, so a mistyped flag
+    // fails at once instead of running a roster that checks nothing.
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--json" => json = true,
+            "--check" => check = true,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            other => {
+                eprintln!("error: unknown argument {other:?}\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        }
+    }
 
     let report = zoo_report(quick);
 

@@ -33,7 +33,7 @@ fn main() -> ExitCode {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("pxc: {msg}");
-            eprintln!("{}", options::USAGE);
+            eprintln!("{}", options::usage());
             return ExitCode::from(2);
         }
     };
@@ -71,7 +71,7 @@ fn default_sigpipe() {
 fn run(opts: &Options) -> Result<ExitCode, String> {
     match &opts.action {
         Action::Help => {
-            println!("{}", options::USAGE);
+            println!("{}", options::usage());
             Ok(ExitCode::SUCCESS)
         }
         Action::List => {

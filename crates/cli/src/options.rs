@@ -1,18 +1,105 @@
 //! Command-line parsing for `pxc` (no external dependencies).
+//!
+//! Every flag is one row of [`FLAGS`]: the command line that accepts it,
+//! the kind of value it takes (an integer's inclusive range included) and
+//! its help text. One loop parses both command lines against the table,
+//! and the option blocks of [`usage`] are rendered from it.
 
-use std::ops::RangeInclusive;
+use std::fmt::Write as _;
 
 use pathexpander::PxConfig;
 use px_detect::Tool;
 use px_mach::{FaultMix, FaultPlan, IoState};
+
+use Kind::{Int, Switch, Text};
+use Line::{Campaign, Run};
 
 /// Largest `pxc campaign --workers` value. Each worker is an OS thread,
 /// and this is far above any core count the pool can use, so a larger
 /// value is a typo, not a request.
 const MAX_WORKERS: u32 = 256;
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// The largest `u32`, as the upper bound of a row whose value is a `u32`.
+const U32_MAX: u64 = u32::MAX as u64;
+
+/// Which command line accepts a flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Line {
+    /// `run`, `base`, `build`, `bench`, `analyze` and `zoo`.
+    Run,
+    /// `campaign`.
+    Campaign,
+}
+
+/// What follows a flag on the command line.
+enum Kind {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// A text value, shown in the help as this metavar.
+    Text(&'static str),
+    /// An integer in `min..=max` (`_` separators allowed), shown in the
+    /// help as the metavar.
+    Int(&'static str, u64, u64),
+}
+
+/// One row of the flag table: the command line that accepts the flag,
+/// its name, what follows it, and its help text, one entry per printed
+/// line.
+struct Flag(Line, &'static str, Kind, &'static [&'static str]);
+
+/// Every flag of both command lines, in the order the usage text lists
+/// them. `--json` has a row on each.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag(Run, "--tool", Text("<ccured|iwatcher|assertions>"), &["detector to arm (default: assertions)"]),
+    Flag(Run, "--cmp", Switch, &["use the CMP option (4 cores)"]),
+    Flag(Run, "--max-nt-len", Int("<n>", 1, U32_MAX), &["MaxNTPathLength (default 1000)"]),
+    Flag(Run, "--threshold", Int("<n>", 1, 255), &["NTPathCounterThreshold, 1–255", "(default 5)"]),
+    Flag(Run, "--max-outstanding", Int("<n>", 1, U32_MAX), &["MaxNumNTPaths for --cmp (default 32)"]),
+    Flag(Run, "--no-fixes", Switch, &["disable §4.4 variable fixing"]),
+    Flag(Run, "--no-memo", Switch, &["disable the NT-path replay cache",
+                                     "(architecturally identical, slower)"]),
+    Flag(Run, "--os-sandbox", Switch, &["sandbox unsafe events (§3.2 extension)"]),
+    Flag(Run, "--random-factor", Int("<n>", 1, U32_MAX), &["1-in-n spawns from hot edges (§7.1(2))"]),
+    Flag(Run, "--refit", Switch, &["profile-guided fix refitting (§4.4",
+                                   "value-invariants extension): profile",
+                                   "on the run's input, then refit"]),
+    Flag(Run, "--input", Text("<file>"), &["program stdin from a file"]),
+    Flag(Run, "--input-text", Text("<string>"), &["program stdin from the argument"]),
+    Flag(Run, "--seed", Int("<n>", 0, u64::MAX), &["input/rand seed (default 1)"]),
+    Flag(Run, "--budget", Int("<n>", 1, u64::MAX), &["instruction budget (default 100M)"]),
+    Flag(Run, "--fault-seed", Int("<n>", 0, u64::MAX), &["inject NT-path faults from this seed"]),
+    Flag(Run, "--fault-mix", Text("<spec>"), &["fault kinds to inject, e.g.",
+                                               "bitflip,crash=3 (implies injection)"]),
+    Flag(Run, "--fault-rate", Int("<n>", 1, U32_MAX), &["inject roughly 1-in-n NT steps", "(default 4)"]),
+    Flag(Run, "--static-filter", Int("<k>", 1, U32_MAX), &["(run/bench) veto NT spawns that must",
+                                                           "hit an unsafe event within k insns"]),
+    Flag(Run, "--json", Switch, &["(analyze) machine-readable output"]),
+    Flag(Run, "--path-cover", Switch, &["(analyze) emit a minimal edge cover",
+                                        "of the feasible prime paths"]),
+    Flag(Run, "--disasm", Switch, &["(build) print the disassembly"]),
+    Flag(Run, "--annotate", Switch, &["(run) print coverage-annotated",
+                                      "disassembly: [T./N] per branch edge"]),
+    Flag(Run, "--verbose", Switch, &["print NT-path stop breakdown"]),
+    Flag(Campaign, "--cases", Text("<manifest>"), &["case manifest: `+`-joined generators",
+                                                    "fault:<seed>:<n>[:<mix>],",
+                                                    "zoo:<spec>[*K], zoo-roster[:quick],",
+                                                    "chaos:<seed>:<n>"]),
+    Flag(Campaign, "--journal", Text("<path>"), &["NDJSON journal (default",
+                                                  "px-campaign.ndjson); an existing",
+                                                  "journal for the same manifest is",
+                                                  "resumed, torn tail healed"]),
+    Flag(Campaign, "--timeout", Int("<n>", 1, u64::MAX), &["per-case instruction watchdog"]),
+    Flag(Campaign, "--workers", Int("<n>", 0, MAX_WORKERS as u64), &["worker threads, at most 256",
+                                                                     "(default 0: one per core)"]),
+    Flag(Campaign, "--max-quarantine", Int("<n>", 0, u64::MAX), &["abort (resumably) past n quarantined"]),
+    Flag(Campaign, "--only", Int("<id>", 0, u64::MAX), &["replay one case inline, no journal"]),
+    Flag(Campaign, "--no-resume", Switch, &["start fresh, overwriting any journal"]),
+    Flag(Campaign, "--json", Switch, &["machine-readable report"]),
+];
+
+/// The usage text above the option blocks.
+const COMMANDS: &str = "\
 pxc — PathExpander command-line driver
 
 USAGE:
@@ -33,58 +120,30 @@ USAGE:
     with shapes state-machine|parser|interpreter|recursive, sizes n1..n4 and
     bug mixes full|cold|lean|none (e.g. `zoo:parser:3:n3:lean`). Zoo names
     are also accepted by `pxc bench` and `pxc analyze`.
-
-OPTIONS:
-    --tool <ccured|iwatcher|assertions>  detector to arm (default: assertions)
-    --cmp                                use the CMP option (4 cores)
-    --max-nt-len <n>                     MaxNTPathLength (default 1000)
-    --threshold <n>                      NTPathCounterThreshold, 1–255
-                                         (default 5)
-    --max-outstanding <n>                MaxNumNTPaths for --cmp (default 32)
-    --no-fixes                           disable §4.4 variable fixing
-    --no-memo                            disable the NT-path replay cache
-                                         (architecturally identical, slower)
-    --os-sandbox                         sandbox unsafe events (§3.2 extension)
-    --random-factor <n>                  1-in-n spawns from hot edges (§7.1(2))
-    --refit                              profile-guided fix refitting (§4.4
-                                         value-invariants extension): profile
-                                         on the run's input, then refit
-    --input <file>                       program stdin from a file
-    --input-text <string>                program stdin from the argument
-    --seed <n>                           input/rand seed (default 1)
-    --budget <n>                         instruction budget (default 100M)
-    --fault-seed <n>                     inject NT-path faults from this seed
-    --fault-mix <spec>                   fault kinds to inject, e.g.
-                                         bitflip,crash=3 (implies injection)
-    --fault-rate <n>                     inject roughly 1-in-n NT steps
-                                         (default 4)
-    --static-filter <k>                  (run/bench) veto NT spawns that must
-                                         hit an unsafe event within k insns
-    --json                               (analyze) machine-readable output
-    --path-cover                         (analyze) emit a minimal edge cover
-                                         of the feasible prime paths
-    --disasm                             (build) print the disassembly
-    --annotate                           (run) print coverage-annotated
-                                         disassembly: [T./N] per branch edge
-    --verbose                            print NT-path stop breakdown
-
-CAMPAIGN OPTIONS (pxc campaign):
-    --cases <manifest>                   case manifest: `+`-joined generators
-                                         fault:<seed>:<n>[:<mix>],
-                                         zoo:<spec>[*K], zoo-roster[:quick],
-                                         chaos:<seed>:<n>
-    --journal <path>                     NDJSON journal (default
-                                         px-campaign.ndjson); an existing
-                                         journal for the same manifest is
-                                         resumed, torn tail healed
-    --timeout <n>                        per-case instruction watchdog
-    --workers <n>                        worker threads, at most 256
-                                         (default 0: one per core)
-    --max-quarantine <n>                 abort (resumably) past n quarantined
-    --only <id>                          replay one case inline, no journal
-    --no-resume                          start fresh, overwriting any journal
-    --json                               machine-readable report
 ";
+
+/// The usage text: the command list, then the option block of each
+/// command line, rendered from [`FLAGS`].
+#[must_use]
+pub fn usage() -> String {
+    let mut text = COMMANDS.to_owned();
+    for (title, line) in [
+        ("OPTIONS:", Run),
+        ("CAMPAIGN OPTIONS (pxc campaign):", Campaign),
+    ] {
+        let _ = writeln!(text, "\n{title}");
+        for Flag(_, name, kind, help) in FLAGS.iter().filter(|f| f.0 == line) {
+            let head = match kind {
+                Switch => (*name).to_owned(),
+                Text(metavar) | Int(metavar, ..) => format!("{name} {metavar}"),
+            };
+            // The help text starts in column 41, on every line.
+            let help = help.join(&format!("\n{:41}", ""));
+            let _ = writeln!(text, "    {head:<36} {help}");
+        }
+    }
+    text
+}
 
 /// What to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +159,7 @@ pub enum Action {
     Help,
 }
 
-/// Options for `pxc campaign` (parsed by a dedicated loop — campaign flags
+/// Options for `pxc campaign` (its own rows of [`FLAGS`]: campaign flags
 /// describe a whole fleet of runs, not one).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOpts {
@@ -120,6 +179,22 @@ pub struct CampaignOpts {
     pub no_resume: bool,
     /// Emit the report as JSON.
     pub json: bool,
+}
+
+impl Default for CampaignOpts {
+    /// No cases yet; every other field at its flag's default.
+    fn default() -> CampaignOpts {
+        CampaignOpts {
+            cases: String::new(),
+            journal: "px-campaign.ndjson".to_owned(),
+            timeout: px_campaign::Watchdog::DEFAULT_TIMEOUT,
+            workers: 0,
+            max_quarantine: None,
+            only: None,
+            no_resume: false,
+            json: false,
+        }
+    }
 }
 
 /// `pxc zoo` subcommands.
@@ -166,14 +241,15 @@ impl Options {
     ///
     /// # Errors
     ///
-    /// Returns a user-facing message for unknown flags or missing values.
+    /// Returns a user-facing message for an unknown command or flag, a
+    /// missing value, or a value its flag does not accept.
     pub fn parse(args: &[String]) -> Result<Options, String> {
         // `--help`/`-h` anywhere, after any command, asks for the usage
         // text, as no argument at all does.
         if args.iter().any(|a| matches!(a.as_str(), "--help" | "-h")) {
             return Options::parse(&[]);
         }
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         let action = match it.next().map(String::as_str) {
             None | Some("help") => Action::Help,
             Some("list") => Action::List,
@@ -210,8 +286,12 @@ impl Options {
                 }
                 None => return Err("`zoo` needs a subcommand: list, generate or run".to_owned()),
             },
-            Some("campaign") => Action::Campaign(parse_campaign(&mut it)?),
+            Some("campaign") => Action::Campaign(CampaignOpts::default()),
             Some(other) => return Err(format!("unknown command `{other}`")),
+        };
+        let line = match action {
+            Action::Campaign(_) => Campaign,
+            _ => Run,
         };
 
         let mut opts = Options {
@@ -232,81 +312,79 @@ impl Options {
             fault_rate: 4,
             bug_lines: Vec::new(),
         };
+        let mut c = CampaignOpts::default();
 
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("`{name}` needs a value"))
+        while let Some(arg) = it.next() {
+            let Flag(_, name, kind, _) = FLAGS
+                .iter()
+                .find(|Flag(l, name, ..)| *l == line && name == arg)
+                .ok_or_else(|| match line {
+                    Run => format!("unknown option `{arg}`"),
+                    Campaign => format!("unknown campaign option `{arg}`"),
+                })?;
+            let text: &str = match kind {
+                Switch => "",
+                Text(_) | Int(..) => it.next().ok_or_else(|| format!("`{name}` needs a value"))?,
             };
-            match flag.as_str() {
+            let n = match *kind {
+                Int(_, min, max) => parse_int(name, text, min, max)?,
+                Switch | Text(_) => 0,
+            };
+            // `n` lies in the row's range, which bounds each narrowing here.
+            match *name {
                 "--tool" => {
-                    opts.tool = Some(match value("--tool")?.as_str() {
-                        "ccured" => Tool::Ccured,
-                        "iwatcher" => Tool::Iwatcher,
-                        "assertions" => Tool::Assertions,
-                        other => return Err(format!("unknown tool `{other}`")),
-                    });
+                    let tool = Tool::ALL
+                        .into_iter()
+                        .find(|t| t.name().to_lowercase() == text);
+                    opts.tool = Some(tool.ok_or_else(|| format!("unknown tool `{text}`"))?);
                 }
                 "--cmp" => opts.px = opts.px.clone().cmp(),
-                "--max-nt-len" => {
-                    let n = parse_num("--max-nt-len", &value("--max-nt-len")?, 1..=u32::MAX)?;
-                    opts.px = opts.px.clone().with_max_nt_path_len(n);
-                }
-                "--threshold" => {
-                    let n = parse_num("--threshold", &value("--threshold")?, 1..=255)?;
-                    let n = u8::try_from(n).expect("the range check bounds it to u8");
-                    opts.px = opts.px.clone().with_counter_threshold(n);
-                }
-                "--max-outstanding" => {
-                    let n = parse_num(
-                        "--max-outstanding",
-                        &value("--max-outstanding")?,
-                        1..=u32::MAX,
-                    )?;
-                    opts.px = opts.px.clone().with_max_outstanding(n);
-                }
+                "--max-nt-len" => opts.px = opts.px.clone().with_max_nt_path_len(n as u32),
+                "--threshold" => opts.px = opts.px.clone().with_counter_threshold(n as u8),
+                "--max-outstanding" => opts.px = opts.px.clone().with_max_outstanding(n as u32),
                 "--no-fixes" => opts.px = opts.px.clone().with_fixes(false),
                 "--no-memo" => opts.px = opts.px.clone().with_nt_memo(false),
                 "--os-sandbox" => opts.px = opts.px.clone().with_os_sandbox(true),
-                "--random-factor" => {
-                    let n = parse_num("--random-factor", &value("--random-factor")?, 0..=u32::MAX)?;
-                    opts.px = opts.px.clone().with_random_factor(Some(n));
-                }
-                "--input" => opts.input_file = Some(value("--input")?),
-                "--input-text" => opts.input_text = Some(value("--input-text")?),
-                "--seed" => opts.seed = parse_u64("--seed", &value("--seed")?)?,
-                "--budget" => {
-                    let n = parse_u64("--budget", &value("--budget")?)?;
-                    if n == 0 {
-                        return Err("`--budget` must be at least 1 instruction".to_owned());
-                    }
-                    opts.px = opts.px.clone().with_max_instructions(n);
-                }
-                "--fault-seed" => {
-                    opts.fault_seed = Some(parse_u64("--fault-seed", &value("--fault-seed")?)?);
-                }
+                "--random-factor" => opts.px = opts.px.clone().with_random_factor(Some(n as u32)),
+                "--refit" => opts.refit = true,
+                "--input" => opts.input_file = Some(text.to_owned()),
+                "--input-text" => opts.input_text = Some(text.to_owned()),
+                "--seed" => opts.seed = n,
+                "--budget" => opts.px = opts.px.clone().with_max_instructions(n),
+                "--fault-seed" => opts.fault_seed = Some(n),
                 "--fault-mix" => {
-                    let spec = value("--fault-mix")?;
                     opts.fault_mix =
-                        Some(FaultMix::parse(&spec).map_err(|e| format!("`--fault-mix`: {e}"))?);
+                        Some(FaultMix::parse(text).map_err(|e| format!("`--fault-mix`: {e}"))?);
                 }
-                "--fault-rate" => {
-                    opts.fault_rate =
-                        parse_num("--fault-rate", &value("--fault-rate")?, 1..=u32::MAX)?;
-                }
+                "--fault-rate" => opts.fault_rate = n as u32,
                 "--static-filter" => {
-                    let k = parse_num("--static-filter", &value("--static-filter")?, 1..=u32::MAX)?;
-                    opts.px = opts.px.clone().with_static_nt_filter(Some(k));
+                    opts.px = opts.px.clone().with_static_nt_filter(Some(n as u32));
                 }
                 "--json" => opts.json = true,
                 "--path-cover" => opts.path_cover = true,
                 "--disasm" => opts.disasm = true,
-                "--verbose" => opts.verbose = true,
-                "--refit" => opts.refit = true,
                 "--annotate" => opts.annotate = true,
-                other => return Err(format!("unknown option `{other}`")),
+                "--verbose" => opts.verbose = true,
+                "--cases" => c.cases = text.to_owned(),
+                "--journal" => c.journal = text.to_owned(),
+                "--timeout" => c.timeout = n,
+                "--workers" => c.workers = n as usize,
+                "--max-quarantine" => c.max_quarantine = Some(n),
+                "--only" => c.only = Some(n),
+                "--no-resume" => c.no_resume = true,
+                _ => unreachable!("`{name}` has a FLAGS row but no arm here"),
             }
+        }
+
+        if let Action::Campaign(campaign) = &mut opts.action {
+            if c.cases.is_empty() {
+                return Err(
+                    "`campaign` needs `--cases <manifest>` (e.g. --cases chaos:1:64+zoo:parser:3)"
+                        .to_owned(),
+                );
+            }
+            c.json = opts.json;
+            *campaign = c;
         }
         Ok(opts)
     }
@@ -342,78 +420,14 @@ impl Options {
     }
 }
 
-/// Drains the remaining arguments as `pxc campaign` flags.
-fn parse_campaign(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<CampaignOpts, String> {
-    let mut c = CampaignOpts {
-        cases: String::new(),
-        journal: "px-campaign.ndjson".to_owned(),
-        timeout: px_campaign::Watchdog::DEFAULT_TIMEOUT,
-        workers: 0,
-        max_quarantine: None,
-        only: None,
-        no_resume: false,
-        json: false,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{name}` needs a value"))
-        };
-        match flag.as_str() {
-            "--cases" => c.cases = value("--cases")?,
-            "--journal" => c.journal = value("--journal")?,
-            "--timeout" => {
-                let n = parse_u64("--timeout", &value("--timeout")?)?;
-                if n == 0 {
-                    return Err("`--timeout` must be at least 1 instruction".to_owned());
-                }
-                c.timeout = n;
-            }
-            "--workers" => {
-                c.workers = parse_num("--workers", &value("--workers")?, 0..=MAX_WORKERS)? as usize;
-            }
-            "--max-quarantine" => {
-                c.max_quarantine =
-                    Some(parse_u64("--max-quarantine", &value("--max-quarantine")?)?);
-            }
-            "--only" => c.only = Some(parse_u64("--only", &value("--only")?)?),
-            "--no-resume" => c.no_resume = true,
-            "--json" => c.json = true,
-            other => return Err(format!("unknown campaign option `{other}`")),
-        }
-    }
-    if c.cases.is_empty() {
-        return Err(
-            "`campaign` needs `--cases <manifest>` (e.g. --cases chaos:1:64+zoo:parser:3)"
-                .to_owned(),
-        );
-    }
-    Ok(c)
-}
-
-/// Parses `s`, the value of `flag`, as an integer in `range`; the error
-/// names the flag and the range.
-fn parse_num(flag: &str, s: &str, range: RangeInclusive<u32>) -> Result<u32, String> {
-    s.replace('_', "")
+/// Parses `text`, the value of `flag`, as an integer in `min..=max`; the
+/// error names the flag and the range.
+fn parse_int(flag: &str, text: &str, min: u64, max: u64) -> Result<u64, String> {
+    text.replace('_', "")
         .parse()
         .ok()
-        .filter(|n| range.contains(n))
-        .ok_or_else(|| {
-            format!(
-                "`{flag}` expects an integer in {}–{}, got `{s}`",
-                range.start(),
-                range.end()
-            )
-        })
-}
-
-fn parse_u64(flag: &str, s: &str) -> Result<u64, String> {
-    s.replace('_', "")
-        .parse()
-        .map_err(|_| format!("`{flag}` expects an unsigned integer, got `{s}`"))
+        .filter(|n| (min..=max).contains(n))
+        .ok_or_else(|| format!("`{flag}` expects an integer in {min}–{max}, got `{text}`"))
 }
 
 #[cfg(test)]
@@ -585,6 +599,57 @@ mod tests {
         // `PxConfig` would clamp 0 to 1; the command line refuses it.
         let e = parse(&["run", "x", "--cmp", "--max-outstanding", "0"]).unwrap_err();
         assert!(e.contains("--max-outstanding"), "{e}");
+
+        // Every integer row, so a new flag is covered without a new line
+        // here: one below its range, one above it, and one non-number.
+        for Flag(line, name, kind, _) in FLAGS {
+            let Int(_, min, max) = *kind else { continue };
+            let mut bad = vec![(u128::from(max) + 1).to_string(), "ten".to_owned()];
+            if min > 0 {
+                bad.push((min - 1).to_string());
+            }
+            let range = format!("{min}–{max}");
+            for v in bad {
+                let e = parse_flag(*line, name, Some(&v)).unwrap_err();
+                assert!(
+                    e.contains(&format!("`{name}`")) && e.contains(&range) && e.contains(&v),
+                    "{name} {v}: {e}"
+                );
+            }
+        }
+    }
+
+    /// Parses `name` (with `value`, if any) on the command line `line`.
+    fn parse_flag(line: Line, name: &str, value: Option<&str>) -> Result<Options, String> {
+        let mut args = match line {
+            Run => vec!["run", "x"],
+            Campaign => vec!["campaign", "--cases", "fault:1:4"],
+        };
+        args.push(name);
+        args.extend(value);
+        parse(&args)
+    }
+
+    #[test]
+    fn every_row_parses_and_is_unique_on_its_line() {
+        for (i, Flag(line, name, kind, _)) in FLAGS.iter().enumerate() {
+            assert!(
+                FLAGS[..i].iter().all(|f| (f.0, f.1) != (*line, *name)),
+                "{name} has two rows on one command line"
+            );
+            // In range for every row, so each reaches its arm of the match;
+            // parse-only, so `--workers` starts no threads.
+            let value = match *kind {
+                Switch => None,
+                Int(_, min, _) => Some(min.to_string()),
+                Text(_) if *name == "--tool" => Some("iwatcher".to_owned()),
+                Text(_) if *name == "--fault-mix" => Some("crash".to_owned()),
+                Text(_) => Some("x".to_owned()),
+            };
+            let parsed = parse_flag(*line, name, value.as_deref());
+            assert!(parsed.is_ok(), "{name} {value:?}: {parsed:?}");
+            assert!(usage().contains(name), "{name} is missing from the usage");
+        }
     }
 
     #[test]
@@ -608,7 +673,7 @@ mod tests {
             ),
             (
                 run("--random-factor", "-3"),
-                "`--random-factor` expects an integer in 0–4294967295, got `-3`",
+                "`--random-factor` expects an integer in 1–4294967295, got `-3`",
             ),
             (
                 run("--fault-rate", "0"),
@@ -641,7 +706,7 @@ mod tests {
         assert_eq!(workers(&MAX_WORKERS.to_string()), Ok(MAX_WORKERS as usize));
         assert!(workers(&(MAX_WORKERS + 1).to_string()).is_err());
         assert!(workers("4294967295").is_err());
-        assert!(USAGE.contains(&format!("at most {MAX_WORKERS}")));
+        assert!(usage().contains(&format!("at most {MAX_WORKERS}")));
     }
 
     #[test]
