@@ -12,29 +12,31 @@
 //! `--check` exits non-zero unless every acceptance criterion holds — the
 //! form scripts/verify.sh and CI run.
 
+use std::process::ExitCode;
+
 use px_bench::experiments::campaign::{campaign_gate, ENUM_BUDGET_MS};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: campaign_gate [--json] [--check]\n\
-         \n\
-         --json   print the gate report as JSON\n\
-         --check  exit non-zero unless the gate passes"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: campaign_gate [--json] [--check]\n\
+                     \n\
+                     --json   print the gate report as JSON\n\
+                     --check  exit non-zero unless the gate passes";
 
-fn main() {
+fn main() -> ExitCode {
     let mut json = false;
     let mut check = false;
+    // Every argument is read before any gate leg runs: `--help` prints the
+    // usage on stdout and exits 0, a mistyped flag fails at once.
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--check" => check = true,
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             other => {
-                eprintln!("error: unknown argument {other:?}");
-                usage();
+                eprintln!("error: unknown argument {other:?}\n{USAGE}");
+                return ExitCode::from(2);
             }
         }
     }
@@ -98,6 +100,7 @@ fn main() {
         println!("  gate: {}", if passed { "PASS" } else { "FAIL" });
     }
     if check && !passed {
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -19,6 +19,8 @@
 //! replayable alone (`pxc campaign --cases … --only <id>`), because each
 //! derives its own RNG from `seed` and its index.
 
+use std::sync::OnceLock;
+
 use pathexpander::{differential_run, measure_latency, PxConfig};
 use px_isa::asm::assemble;
 use px_isa::Program;
@@ -184,10 +186,21 @@ pub struct FaultCase {
     pub violations: Vec<String>,
 }
 
-fn assemble_template(idx: usize) -> (&'static str, Program, IoState) {
-    let (name, src, input) = PROGRAMS[idx % PROGRAMS.len()];
-    let program = assemble(src).unwrap_or_else(|e| panic!("campaign template {name}: {e}"));
-    (name, program, IoState::new(input.to_vec(), 0xC0FFEE))
+/// Template `idx` (modulo the pool): its name, its program — assembled
+/// once per process, on first use — and a fresh I/O state.
+fn template(idx: usize) -> (&'static str, &'static Program, IoState) {
+    static ASSEMBLED: OnceLock<Vec<Program>> = OnceLock::new();
+    let programs = ASSEMBLED.get_or_init(|| {
+        PROGRAMS
+            .iter()
+            .map(|(name, src, _)| {
+                assemble(src).unwrap_or_else(|e| panic!("campaign template {name}: {e}"))
+            })
+            .collect()
+    });
+    let i = idx % PROGRAMS.len();
+    let (name, _, input) = PROGRAMS[i];
+    (name, &programs[i], IoState::new(input.to_vec(), 0xC0FFEE))
 }
 
 /// Draws the per-case machine configuration: mostly the paper's Table 2,
@@ -246,7 +259,7 @@ pub fn run_case(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> FaultCase {
     let fault_seed = rng.next_u64();
     let period = rng.range_u64(2, 9) as u32;
     let engine = ENGINES[(id % 4) as usize];
-    let (program_name, program, io) = assemble_template(rng.next_u64() as usize);
+    let (program_name, program, io) = template(rng.next_u64() as usize);
     let mut plan = FaultPlan::new(fault_seed, *mix, period);
 
     let (exit, faults, nt_paths, violations) = match engine {
@@ -255,7 +268,7 @@ pub fn run_case(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> FaultCase {
             // diverge; the property under test is that the *simulator*
             // never panics and never reports an engine fault.
             let mach = draw_mach(&mut rng, 1);
-            let r = run_baseline_with(&program, &mach, io, budget, Some(&mut plan), None);
+            let r = run_baseline_with(program, &mach, io, budget, Some(&mut plan), None);
             let violations = match r.exit {
                 RunExit::EngineFault(e) => vec![format!("baseline engine fault: {e}")],
                 _ => Vec::new(),
@@ -264,7 +277,7 @@ pub fn run_case(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> FaultCase {
         }
         "feasibility" => {
             let mach = draw_mach(&mut rng, 1);
-            let profile = measure_latency(&program, &mach, io, 200, budget, Some(&mut plan));
+            let profile = measure_latency(program, &mach, io, 200, budget, Some(&mut plan));
             (
                 "exited".to_owned(),
                 plan.stats.total(),
@@ -280,7 +293,7 @@ pub fn run_case(seed: u64, id: u64, mix: &FaultMix, budget: u64) -> FaultCase {
             }
             .with_max_instructions(budget);
             let mach = draw_mach(&mut rng, if name == "cmp" { 4 } else { 1 });
-            let (result, report) = differential_run(&program, &mach, &px, io, Some(&mut plan));
+            let (result, report) = differential_run(program, &mach, &px, io, Some(&mut plan));
             (
                 result.exit.class().to_owned(),
                 plan.stats.total(),

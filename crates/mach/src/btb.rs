@@ -2,9 +2,20 @@
 //! counters (paper §4.1: "extending the BTB with 2 four-bit exercise
 //! counters, one for each edge").
 
+use core::cell::RefCell;
+
 use px_isa::Edge;
 
 use crate::fault::SimError;
+use crate::shelf::{mark, Shelf};
+
+thread_local! {
+    static FREE: RefCell<Vec<Vec<BtbEntry>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Entry arrays of dropped BTBs, zeroed, waiting for a [`Btb::try_new`] of
+/// the same length: one array of at most the paper's 2048 entries (48 KiB).
+static ENTRIES: Shelf<BtbEntry> = Shelf::new(&FREE, 1, 2048);
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BtbEntry {
@@ -32,9 +43,17 @@ pub const COUNTER_MAX: u8 = 15;
 /// epoch read as zero. With the paper's interval of tens of instructions a
 /// physical walk of all 2048 entries would dominate taken-path simulation
 /// cost.
+///
+/// Like a [`crate::Cache`], a BTB costs what a run touches: an entry is
+/// written only in a set marked first (on allocation), and a dropped BTB
+/// zeroes only its marked sets before its array goes to a per-thread
+/// shelf, where the next [`Btb::try_new`] of that size finds it.
 #[derive(Debug, Clone)]
 pub struct Btb {
     entries: Vec<BtbEntry>,
+    /// Bit `s % 64` of word `s / 64` set ⇔ set `s` may hold an entry that
+    /// is not `BtbEntry::default()`.
+    touched: Vec<u64>,
     assoc: usize,
     set_bits: u32,
     clock: u64,
@@ -54,7 +73,9 @@ impl Btb {
         Btb::try_new(entries, assoc).expect("BTB sets must be a power of two")
     }
 
-    /// Creates a BTB, rejecting inconsistent geometry without panicking.
+    /// Creates a BTB, rejecting inconsistent geometry without panicking,
+    /// and reusing a dropped BTB's entry array of that size when this
+    /// thread holds one.
     ///
     /// # Errors
     ///
@@ -70,8 +91,12 @@ impl Btb {
                 "sets must be a nonzero power of two",
             ));
         }
+        let len = (sets * assoc) as usize;
         Ok(Btb {
-            entries: vec![BtbEntry::default(); (sets * assoc) as usize],
+            entries: ENTRIES
+                .take(len)
+                .unwrap_or_else(|| vec![BtbEntry::default(); len]),
+            touched: vec![0; (sets as usize).div_ceil(64)],
             assoc: assoc as usize,
             set_bits: sets.trailing_zeros(),
             clock: 0,
@@ -111,8 +136,8 @@ impl Btb {
         self.clock += 1;
         let clock = self.clock;
         let epoch = self.epoch;
-        let (set, tag) = self.index(pc);
-        let base = set * self.assoc;
+        let (set_idx, tag) = self.index(pc);
+        let base = set_idx * self.assoc;
         let set = &mut self.entries[base..base + self.assoc];
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == tag) {
             e.lru = clock;
@@ -142,6 +167,7 @@ impl Btb {
             epoch,
         };
         entry.counters[edge.slot()] = 1;
+        mark(&mut self.touched, set_idx);
         set[victim] = entry;
     }
 
@@ -156,9 +182,19 @@ impl Btb {
     }
 }
 
+impl Drop for Btb {
+    /// Zeroes the marked sets and parks the entry array on this thread's
+    /// shelf, unless the shelf has no room for it (or is already torn down
+    /// at thread exit).
+    fn drop(&mut self) {
+        ENTRIES.park(&mut self.entries, &self.touched, self.assoc);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use px_util::{Rng as _, Xoshiro256};
 
     #[test]
     fn miss_reads_zero_and_counts_saturate() {
@@ -221,5 +257,75 @@ mod tests {
         assert_eq!(Edge::Taken.other(), Edge::NotTaken);
         assert_eq!(Edge::from_taken(true), Edge::Taken);
         assert_eq!(Edge::from_taken(false), Edge::NotTaken);
+    }
+
+    #[test]
+    fn the_table2_array_survives_a_small_btb() {
+        // A quarter of the fault campaign's cases draw a 64-entry BTB: it
+        // must not push the 2048-entry array off the shelf.
+        ENTRIES.clear();
+        let big = Btb::new(2048, 2).entries.as_ptr();
+        for (entries, assoc) in [(64, 2), (2048, 2), (64, 2), (2048, 2)] {
+            let btb = Btb::new(entries, assoc);
+            assert_eq!(btb.entries.as_ptr() == big, entries == 2048);
+        }
+    }
+
+    /// Runs `n` seeded exercises, counter resets and count reads on `btb`
+    /// and returns every count read, then the count of both edges at every
+    /// pc the sequence could touch.
+    fn drive(btb: &mut Btb, seed: u64, n: usize) -> Vec<u8> {
+        let mut rng = Xoshiro256::seeded(seed);
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pc = rng.below(512) as u32;
+            let edge = Edge::from_taken(rng.next_bool());
+            match rng.below(8) {
+                0..=4 => btb.exercise(pc, edge),
+                5 => btb.reset_counters(),
+                _ => out.push(btb.edge_count(pc, edge)),
+            }
+        }
+        for pc in 0..512 {
+            out.extend([Edge::Taken, Edge::NotTaken].map(|e| btb.edge_count(pc, e)));
+        }
+        out
+    }
+
+    px_util::px_prop! {
+        /// A BTB built from the array a dropped one parked reads exactly
+        /// the counts of one built on a fresh thread, whose shelf is
+        /// empty, over the paper's 2048 entries, the fault campaign's 64
+        /// and random small geometries. The array must really be the
+        /// dropped one, so the property cannot pass by allocating fresh.
+        fn a_recycled_btb_reads_like_a_fresh_one(
+            seed in px_util::prop::any_u64(),
+            first in 0usize..400,
+            second in 0usize..400,
+        ) {
+            let mut rng = Xoshiro256::seeded(seed);
+            let (entries, assoc) = match rng.below(3) {
+                0 => (2048, 2),
+                1 => (64, 2),
+                _ => {
+                    let assoc = 1 << rng.below(3);
+                    (assoc << rng.below(9), assoc)
+                }
+            };
+            ENTRIES.clear();
+            let mut used = Btb::new(entries, assoc);
+            drive(&mut used, seed ^ 1, first);
+            let parked = used.entries.as_ptr();
+            drop(used);
+            let mut recycled = Btb::new(entries, assoc);
+            assert_eq!(recycled.entries.as_ptr(), parked, "the entry array was reused");
+            let got = drive(&mut recycled, seed ^ 2, second);
+            let want = std::thread::spawn(move || {
+                drive(&mut Btb::new(entries, assoc), seed ^ 2, second)
+            })
+            .join()
+            .expect("the fresh twin runs");
+            assert_eq!(got, want);
+        }
     }
 }

@@ -13,7 +13,10 @@
 //! Vtag of the standard configuration and the 8-bit version tag of the CMP
 //! option with one mechanism.
 
+use core::cell::RefCell;
+
 use crate::config::{CacheConfig, MachConfig};
+use crate::shelf::{mark, Shelf};
 
 /// Volatile tag value for committed (non-speculative) data.
 pub const COMMITTED: u8 = 0;
@@ -26,6 +29,21 @@ struct Line {
     vtag: u8,
     lru: u64,
 }
+
+/// Lines of the paper's Table 2 hierarchy: four 16 KiB L1s and a 1 MiB
+/// L2, all of 32 B lines.
+const TABLE2_LINES: usize = 4 * 512 + 32 * 1024;
+
+thread_local! {
+    static FREE: RefCell<Vec<Vec<Line>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Line arrays of dropped caches, zeroed, waiting for a [`Cache::new`] of
+/// the same length: at most one Table 2 hierarchy's five (544 KiB). A
+/// hierarchy drops its L1s before its L2, and the shelf drops smaller
+/// arrays to make room, so whatever L1s a run parked, the L2 it drops last
+/// stays.
+static LINES: Shelf<Line> = Shelf::new(&FREE, 5, TABLE2_LINES);
 
 /// What one cache-level lookup did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +64,19 @@ pub enum Lookup {
 /// instead of a vector-of-vectors: one contiguous allocation, no
 /// double-indirection on the per-access lookup, and the set shift is
 /// precomputed once in [`Cache::new`].
+///
+/// A cache costs what a run touches, not what it could address: every
+/// line a run writes sits in a set it marked first (on a fill or a
+/// poisoned set), so a dropped cache zeroes only its marked sets before its
+/// array goes to a per-thread shelf, where the next [`Cache::new`] of that
+/// size finds it.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
+    /// Bit `s % 64` of word `s / 64` set ⇔ set `s` may hold a line that is
+    /// not `Line::default()`.
+    touched: Vec<u64>,
     assoc: usize,
     line_shift: u32,
     set_mask: u32,
@@ -72,14 +99,19 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry, reusing a dropped
+    /// cache's line array of that size when this thread holds one.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets().max(1);
         let assoc = cfg.assoc as usize;
+        let len = sets as usize * assoc;
         Cache {
             cfg,
-            lines: vec![Line::default(); sets as usize * assoc],
+            lines: LINES
+                .take(len)
+                .unwrap_or_else(|| vec![Line::default(); len]),
+            touched: vec![0; (sets as usize).div_ceil(64)],
             assoc,
             line_shift: cfg.line_bytes.max(1).trailing_zeros(),
             set_mask: sets - 1,
@@ -182,6 +214,7 @@ impl Cache {
             best.map_or(0, |(way, _, _)| way)
         };
 
+        mark(&mut self.touched, set_idx);
         let evicted = set[victim];
         set[victim] = Line {
             tag,
@@ -299,6 +332,7 @@ impl Cache {
         let set_idx = (entropy % (u64::from(self.set_mask) + 1)) as usize;
         let clock = self.clock;
         let base = set_idx * self.assoc;
+        mark(&mut self.touched, set_idx);
         let mut n = 0;
         for (way, line) in self.lines[base..base + self.assoc].iter_mut().enumerate() {
             line.valid = true;
@@ -309,6 +343,15 @@ impl Cache {
             n += 1;
         }
         n
+    }
+}
+
+impl Drop for Cache {
+    /// Zeroes the marked sets and parks the line array on this thread's
+    /// shelf, unless the shelf has no room for it (or is already torn down
+    /// at thread exit).
+    fn drop(&mut self) {
+        LINES.park(&mut self.lines, &self.touched, self.assoc);
     }
 }
 
@@ -434,6 +477,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::fault::SimError;
+    use px_util::{Rng as _, Xoshiro256};
 
     fn small_cache() -> Cache {
         // 4 lines of 32B, 2-way => 2 sets.
@@ -612,5 +656,159 @@ mod tests {
         c.access(0x1040, false, COMMITTED);
         assert!(c.flip_vtag(1, 9));
         assert_eq!(c.volatile_lines(), 1);
+    }
+
+    #[test]
+    fn the_shelf_holds_one_table2_hierarchy() {
+        let cfg = MachConfig::default();
+        let lines = cfg.cores * cfg.l1.lines() as usize + cfg.l2.lines() as usize;
+        assert_eq!(lines, TABLE2_LINES);
+    }
+
+    /// The line arrays of `h`, L1s then the L2.
+    fn arrays(h: &Hierarchy) -> Vec<*const Line> {
+        let l1s = h.l1.iter().map(|c| c.lines.as_ptr());
+        l1s.chain([h.l2.lines.as_ptr()]).collect()
+    }
+
+    #[test]
+    fn the_l2_array_survives_every_fault_mix_draw() {
+        // The campaign's fault cases build 1- and 4-core hierarchies, a
+        // third of them over 2-line L1s, in any order: after a thread's
+        // first, every one gets the L2 array back, whatever L1s came
+        // before it.
+        LINES.clear();
+        let tiny = CacheConfig {
+            size_bytes: 64,
+            assoc: 2,
+            line_bytes: 32,
+            hit_cycles: 3,
+        };
+        let mut l2 = None;
+        for draw in [0, 3, 1, 2, 2, 0, 3, 3, 1, 0] {
+            let mut cfg = if draw & 1 == 0 {
+                MachConfig::default()
+            } else {
+                MachConfig::single_core()
+            };
+            if draw & 2 != 0 {
+                cfg.l1 = tiny;
+            }
+            let mut h = Hierarchy::new(&cfg);
+            h.access(0, 0x4000, true, 1);
+            let got = h.l2.lines.as_ptr();
+            assert_eq!(*l2.get_or_insert(got), got, "draw {draw}");
+        }
+    }
+
+    /// One answer of a [`drive`] sequence.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Access(Access),
+        Count(u32),
+        Flag(bool),
+    }
+
+    /// A machine whose hierarchy fits the shelf: 1–4 cores, each L1 the
+    /// Table 2 one, the fault campaign's 2-line one or a random small one,
+    /// over the Table 2 L2 or a random small one.
+    fn random_machine(rng: &mut Xoshiro256) -> MachConfig {
+        fn random(rng: &mut Xoshiro256, max_sets: u64, hit_cycles: u32) -> CacheConfig {
+            let line_bytes = 16 << rng.below(3);
+            let assoc = 1 << rng.below(4);
+            let sets = 1 << rng.below(max_sets.ilog2() as u64 + 1);
+            CacheConfig {
+                size_bytes: line_bytes * assoc * sets,
+                assoc,
+                line_bytes,
+                hit_cycles,
+            }
+        }
+        let table2 = MachConfig::default();
+        let l1 = match rng.below(3) {
+            0 => table2.l1,
+            1 => CacheConfig {
+                size_bytes: 64,
+                assoc: 2,
+                line_bytes: 32,
+                hit_cycles: 3,
+            },
+            _ => random(rng, 64, 3),
+        };
+        let l2 = if rng.next_bool() {
+            table2.l2
+        } else {
+            random(rng, 512, 10)
+        };
+        MachConfig {
+            cores: 1 + rng.below(4) as usize,
+            l1,
+            l2,
+            ..table2
+        }
+    }
+
+    /// Runs `n` seeded operations on `h` — reads, writes under random
+    /// vtags, squashes, commits, vtag flips and poisoned sets, on every
+    /// core and one past the last — and returns every answer, then each
+    /// core's volatile line count.
+    fn drive(h: &mut Hierarchy, seed: u64, n: usize) -> Vec<Answer> {
+        let mut rng = Xoshiro256::seeded(seed);
+        let cores = h.cores() as u64;
+        let mut out = Vec::with_capacity(n + h.cores());
+        for _ in 0..n {
+            let core = rng.below(cores + 1) as usize;
+            let vtag = 1 + rng.below(4) as u8;
+            out.push(match rng.below(12) {
+                // Sixteen 8 KiB windows 128 KiB apart: every geometry,
+                // the Table 2 L2 included, sees hits, fills and evictions.
+                0..=5 => {
+                    let addr = ((rng.below(16) as u32) << 17) | rng.below(1 << 13) as u32;
+                    let write = rng.next_bool();
+                    let vtag = if rng.chance(1, 3) { COMMITTED } else { vtag };
+                    Answer::Access(h.access(core, addr, write, vtag))
+                }
+                6 => Answer::Count(h.squash_path(core, vtag)),
+                7 => Answer::Count(h.commit_path(core, vtag)),
+                8 => Answer::Flag(h.inject_vtag_flip(core, rng.next_u64(), vtag)),
+                9 => Answer::Count(h.inject_volatile_fill(core, rng.next_u64(), vtag)),
+                _ => Answer::Count(h.volatile_lines(core)),
+            });
+        }
+        out.extend((0..h.cores()).map(|c| Answer::Count(h.volatile_lines(c))));
+        out
+    }
+
+    px_util::px_prop! {
+        /// A hierarchy built from arrays a dropped one parked answers
+        /// exactly like one built on a fresh thread, whose shelf is empty:
+        /// every access latency and volatile eviction, squash, commit,
+        /// flip, poisoned set and volatile line count. The arrays must
+        /// really be the dropped ones, so the property cannot pass by
+        /// allocating fresh.
+        fn a_recycled_hierarchy_answers_like_a_fresh_one(
+            seed in px_util::prop::any_u64(),
+            first in 0usize..400,
+            second in 0usize..400,
+        ) {
+            let cfg = random_machine(&mut Xoshiro256::seeded(seed));
+            LINES.clear();
+            let mut used = Hierarchy::new(&cfg);
+            drive(&mut used, seed ^ 1, first);
+            let mut parked = arrays(&used);
+            drop(used);
+            let mut recycled = Hierarchy::new(&cfg);
+            let mut reused = arrays(&recycled);
+            parked.sort();
+            reused.sort();
+            assert_eq!(reused, parked, "every line array was reused");
+            let got = drive(&mut recycled, seed ^ 2, second);
+            let want = std::thread::spawn(move || {
+                drive(&mut Hierarchy::new(&cfg), seed ^ 2, second)
+            })
+            .join()
+            .expect("the fresh twin runs");
+            assert_eq!(got, want);
+        }
     }
 }

@@ -50,6 +50,7 @@ pub mod memory;
 pub mod monitor;
 pub mod paths;
 pub mod runner;
+mod shelf;
 pub mod uexec;
 pub mod watch;
 

@@ -14,6 +14,7 @@ use core::cell::RefCell;
 use px_isa::{Width, NULL_GUARD_END};
 
 use crate::fault::SimError;
+use crate::shelf::{mark, set_bits, Shelf};
 
 /// Why an access (or instruction) crashed. Inside an NT-path a crash squashes
 /// the path silently ("the exception that caused the crash is not delivered
@@ -66,15 +67,14 @@ const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
 
-/// Zeroed image buffers a thread keeps for reuse by [`Memory::new`]: a
-/// differential run holds two images at once, its own and its baseline's.
-const FREE_IMAGES: usize = 2;
-
 thread_local! {
-    /// Buffers of dropped images, zeroed, waiting for a [`Memory::new`] of
-    /// the same length.
     static FREE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Buffers of dropped images, zeroed, waiting for a [`Memory::new`] of the
+/// same length: two of any length, since a differential run holds two
+/// images at once, its own and its baseline's.
+static IMAGES: Shelf<u8> = Shelf::new(&FREE, 2, usize::MAX);
 
 /// The committed (architectural) data memory: a flat byte image plus one
 /// bit per 4 KiB page the image has ever written.
@@ -93,17 +93,10 @@ pub struct Memory {
     written: Vec<u64>,
 }
 
-/// The pages whose bits are set in `words`, ascending.
-fn set_pages(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
-    words.enumerate().flat_map(|(w, mut bits)| {
-        core::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let page = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                page
-            })
-        })
-    })
+/// The byte range of `page` in an image of `len` bytes, cut at its end.
+fn page_span(page: usize, len: usize) -> core::ops::Range<usize> {
+    let start = page << PAGE_SHIFT;
+    start..(start + PAGE_SIZE).min(len)
 }
 
 impl Memory {
@@ -112,13 +105,8 @@ impl Memory {
     #[must_use]
     pub fn new(size: u32) -> Memory {
         let size = size as usize;
-        let reused = FREE.try_with(|free| {
-            let mut free = free.borrow_mut();
-            let i = free.iter().position(|b| b.len() == size)?;
-            Some(free.swap_remove(i))
-        });
         Memory {
-            bytes: reused.ok().flatten().unwrap_or_else(|| vec![0; size]),
+            bytes: IMAGES.take(size).unwrap_or_else(|| vec![0; size]),
             written: vec![0; size.div_ceil(PAGE_SIZE).div_ceil(64)],
         }
     }
@@ -132,14 +120,7 @@ impl Memory {
     /// Marks the page holding `addr` written.
     #[inline]
     fn mark(&mut self, addr: u32) {
-        let page = addr >> PAGE_SHIFT;
-        self.written[(page / 64) as usize] |= 1 << (page % 64);
-    }
-
-    /// The byte range of `page`, cut at the end of the image.
-    fn page_span(&self, page: usize) -> core::ops::Range<usize> {
-        let start = page << PAGE_SHIFT;
-        start..(start + PAGE_SIZE).min(self.bytes.len())
+        mark(&mut self.written, (addr >> PAGE_SHIFT) as usize);
     }
 
     /// The lowest address at which the two images hold different bytes,
@@ -153,10 +134,10 @@ impl Memory {
             (other, self)
         };
         let union = (0..short.written.len()).map(|w| short.written[w] | long.written[w]);
-        set_pages(union)
+        set_bits(union)
             .take_while(|&page| page << PAGE_SHIFT < short.bytes.len())
             .find_map(|page| {
-                let span = short.page_span(page);
+                let span = page_span(page, short.bytes.len());
                 let (a, b) = (&short.bytes[span.clone()], &long.bytes[span.clone()]);
                 if a == b {
                     return None;
@@ -271,22 +252,11 @@ impl PartialEq for Memory {
 impl Eq for Memory {}
 
 impl Drop for Memory {
-    /// Zeroes the written pages and hands the buffer to this thread's free
-    /// list, unless the list is full (or already torn down at thread exit).
+    /// Zeroes the written pages and parks the buffer on this thread's
+    /// shelf, unless the shelf is full (or already torn down at thread
+    /// exit).
     fn drop(&mut self) {
-        if self.bytes.is_empty() {
-            return;
-        }
-        let _ = FREE.try_with(|free| {
-            let mut free = free.borrow_mut();
-            if free.len() < FREE_IMAGES {
-                for page in set_pages(self.written.iter().copied()) {
-                    let span = self.page_span(page);
-                    self.bytes[span].fill(0);
-                }
-                free.push(core::mem::take(&mut self.bytes));
-            }
-        });
+        IMAGES.park(&mut self.bytes, &self.written, PAGE_SIZE);
     }
 }
 
@@ -811,7 +781,7 @@ mod tests {
             }
             // Drop one image onto an empty free list: the next image of
             // its size gets its buffer back, zeroed.
-            FREE.with(|free| free.borrow_mut().clear());
+            IMAGES.clear();
             let [a, b] = images;
             let buffer = a.bytes.as_ptr();
             drop(a);

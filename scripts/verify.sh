@@ -80,6 +80,17 @@ PX_PROP_CASES=5000 cargo test --release --offline -q -p px-mach --lib -- \
     paths::tests::matcher_agrees_with_brute_force_on_random_walks \
     paths::tests::pc_walks_on_sparse_starts_agree_with_a_linear_scan
 
+# Recycle oracle: a cache hierarchy or BTB built from the arrays a dropped
+# one parked on its thread's shelf must answer exactly like one built on a
+# fresh thread (every access latency, volatile eviction, squash, commit,
+# injected fault and exercise count), and must really reuse the parked
+# arrays, over random geometries including the fault campaign's 2-line L1
+# and 64-entry BTB, at 2000 cases rather than the default 96.
+echo "==> recycle-oracle: recycled cache/BTB arrays vs fresh ones, 2000 cases"
+PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --lib -- \
+    cache::tests::a_recycled_hierarchy_answers_like_a_fresh_one \
+    btb::tests::a_recycled_btb_reads_like_a_fresh_one
+
 # Interpreter oracle: step_uop must match the byte-decode reference
 # interpreter step for step on random byte-soup programs, plainly and under
 # identically seeded fault plans (every fault kind, suppressed system calls
