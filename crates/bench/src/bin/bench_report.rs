@@ -17,16 +17,17 @@ use px_bench::experiments::perf::{profile_report, throughput_report, MIN_NT_HEAV
 use px_bench::fmt::render_table;
 use px_util::ToJson;
 
+const USAGE: &str = "usage: bench_report [--json] [--out PATH] [--verify PATH]\n\
+     \x20      bench_report --profile [--out PATH]\n\
+     \n\
+     --json         print the report as JSON to stdout\n\
+     --out PATH     write the report to PATH\n\
+     --verify PATH  gate: require PATH to equal this run's report byte for byte\n\
+     --profile      emit the CMP engine's micro-op histogram (deterministic JSON)";
+
+/// A usage error: the usage on stderr, exit 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_report [--json] [--out PATH] [--verify PATH]\n\
-         \x20      bench_report --profile [--out PATH]\n\
-         \n\
-         --json         print the report as JSON to stdout\n\
-         --out PATH     write the report to PATH\n\
-         --verify PATH  gate: require PATH to equal this run's report byte for byte\n\
-         --profile      emit the CMP engine's micro-op histogram (deterministic JSON)"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -62,7 +63,10 @@ fn main() {
                 }
                 i += 1;
             }
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             other => {
                 eprintln!("error: unknown argument {other:?}");
                 usage();

@@ -22,24 +22,7 @@ const USAGE: &str = "usage: campaign_gate [--json] [--check]\n\
                      --check  exit non-zero unless the gate passes";
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut check = false;
-    // Every argument is read before any gate leg runs: `--help` prints the
-    // usage on stdout and exits 0, a mistyped flag fails at once.
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--check" => check = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let [json, check] = px_bench::read_flags(USAGE, ["--json", "--check"]);
 
     let report = campaign_gate();
     if json {

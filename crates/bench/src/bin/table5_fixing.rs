@@ -1,11 +1,21 @@
 //! Regenerates the consistency-fixing results (paper Table 5). With
 //! `--strategies`, also runs the fix-strategy ablation (design decision D4).
+//!
+//! ```text
+//! table5_fixing [--strategies]
+//! ```
 
 use px_bench::experiments::ablations::ablation_fix_strategy;
 use px_bench::experiments::tables::{table5, table5_averages};
 use px_bench::fmt::render_table;
 
+const USAGE: &str = "usage: table5_fixing [--strategies]\n\
+     \n\
+     --strategies  also run the fix-strategy ablation (bc, CCured)";
+
 fn main() {
+    let [strategies] = px_bench::read_flags(USAGE, ["--strategies"]);
+
     let rows = table5();
     let cells: Vec<Vec<String>> = rows
         .iter()
@@ -38,7 +48,7 @@ fn main() {
     let (before, after) = table5_averages(&rows);
     println!("Average false positives: {before:.1} -> {after:.1} (paper: 13 -> 4)");
 
-    if std::env::args().any(|a| a == "--strategies") {
+    if strategies {
         println!("\nFix-strategy ablation (bc, CCured):");
         let cells: Vec<Vec<String>> = ablation_fix_strategy()
             .iter()

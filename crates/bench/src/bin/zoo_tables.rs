@@ -21,24 +21,7 @@ use px_util::ToJson;
 const USAGE: &str = "usage: zoo_tables [--quick] [--json] [--check]";
 
 fn main() -> ExitCode {
-    let (mut quick, mut json, mut check) = (false, false, false);
-    // Every argument is read before the roster runs, so a mistyped flag
-    // fails at once instead of running a roster that checks nothing.
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--check" => check = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown argument {other:?}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let [quick, json, check] = px_bench::read_flags(USAGE, ["--quick", "--json", "--check"]);
 
     let report = zoo_report(quick);
 

@@ -24,12 +24,12 @@
 
 use px_isa::{DecodedProgram, Program, Width};
 use px_mach::{
-    run_simple, simple_steps_until, step_uop, CoreState, FaultPlan, IoState, MachConfig, MemView,
-    MemoTable, Memory, RunExit, SimError, StepEnv, UopProfile, COMMITTED,
+    step_uop, FaultPlan, Halt, IoState, MachConfig, MemView, MemoTable, Memory, RunExit, SimError,
+    StepEnv, UopProfile, COMMITTED,
 };
 
 use crate::config::PxConfig;
-use crate::nt::{self, Grant, OneStep, Path, Run, Taken};
+use crate::nt::{self, Grant, OneStep, Path, Run};
 use crate::stats::{NtStop, PxRunResult};
 
 /// Version tag for the primary core's speculative taken-path segment lines.
@@ -224,7 +224,6 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
         Ok(run) => run,
         Err(failed) => return *failed,
     };
-    let mut primary = CoreState::at_entry(program.entry, run.memory.size());
     // Whether any primary L1 line may carry `SEGMENT_VTAG`: set on tagged
     // stores, cleared by every `commit_path(0, SEGMENT_VTAG)`. Skipping the
     // commit scan while clean is exact — committing a clean cache retags
@@ -247,7 +246,7 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
     let mut primary_done: Option<RunExit> = None;
 
     let exit = loop {
-        if run.instructions >= px.max_instructions && primary_done.is_none() {
+        if run.taken.instructions >= px.max_instructions && primary_done.is_none() {
             primary_done = Some(RunExit::BudgetExhausted);
         }
         if let Some(exit) = primary_done {
@@ -295,42 +294,32 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
                 // the batch covers only steps the scheduler would have
                 // granted to the primary anyway; `simple_steps_until` cuts
                 // the batch at the deadline.
-                let run_len = dp.simple_run(primary.pc);
-                if run_len > 0 {
+                let pc0 = run.taken.core.pc;
+                let n = run.taken.batch(&mut cores.ready[0], deadline);
+                if n > 0 {
                     // A commit left pending by the last NT-path's death must
                     // land here, exactly where the per-step epilogue would
-                    // have placed it: before the next cache access.
+                    // have placed it: before the next cache access (the
+                    // batch made none).
                     if segment_dirty && cores.paths.is_empty() {
-                        run.caches.commit_path(0, SEGMENT_VTAG);
+                        run.taken.caches.commit_path(0, SEGMENT_VTAG);
                         segment_dirty = false;
                     }
-                    let max_n =
-                        u64::from(run_len).min(px.max_instructions - run.instructions) as u32;
-                    let pc0 = primary.pc;
-                    let clock = cores.ready[0];
-                    let n = simple_steps_until(dp, pc0, max_n, &run.cost_table, clock, deadline);
                     if PROFILE {
-                        profile.record_batch(dp, pc0, n, &run.cost_table);
+                        profile.record_batch(dp, pc0, n, &run.taken.cost_table);
                     }
-                    cores.ready[0] += run_simple(dp, &mut primary, n, &run.cost_table);
-                    run.taken_ran(pc0, n);
-                    if run.instructions >= px.max_instructions || cores.ready[0] > deadline {
+                    if run.taken.instructions >= px.max_instructions || cores.ready[0] > deadline {
                         break;
                     }
                     continue;
                 }
 
                 // ---- Primary core step ----
-                run.taken_tick();
-                let profiled_kind = if PROFILE {
-                    dp.op(primary.pc).map(|u| u.kind)
-                } else {
-                    None
-                };
                 let s = {
+                    let taken = &mut run.taken;
                     let mut env = StepEnv {
-                        io: &mut run.io,
-                        watches: &mut run.watches,
+                        io: &mut taken.io,
+                        watches: &mut taken.watches,
                         suppress_syscalls: false,
                         now_cycles: cores.ready[0],
                         costs: &mach.costs,
@@ -339,15 +328,17 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
                         fault: None,
                     };
                     let mut view = PrimaryView {
-                        memory: &mut run.memory,
+                        memory: &mut taken.memory,
                         live: &mut cores.paths,
                         cow_memo: &mut cow_memo,
                         spawn_epoch: cores.spawn_epoch,
                     };
-                    step_uop(program, dp, &mut primary, &mut view, &mut env)
+                    step_uop(program, dp, &mut taken.core, &mut view, &mut env)
                 };
-                if let Some(kind) = profiled_kind {
-                    profile.record(kind, s.base_cost);
+                if PROFILE {
+                    if let Some(u) = dp.op(pc0) {
+                        profile.record(u.kind, s.base_cost);
+                    }
                 }
                 cores.ready[0] += u64::from(s.base_cost);
 
@@ -364,7 +355,7 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
                     } else {
                         COMMITTED
                     };
-                    let a = run.caches.access(0, access.addr, access.write, vtag);
+                    let a = run.taken.caches.access(0, access.addr, access.write, vtag);
                     cores.ready[0] += u64::from(a.cycles);
                     if a.volatile_evicted == Some(SEGMENT_VTAG) {
                         // Forced commit: squash the oldest live NT-path,
@@ -373,36 +364,38 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
                         if let Some(idx) = oldest_live(&cores.paths) {
                             cores.retire(&mut run, idx, NtStop::ForcedCommit);
                         }
-                        run.caches.commit_path(0, SEGMENT_VTAG);
+                        run.taken.caches.commit_path(0, SEGMENT_VTAG);
                         segment_dirty = false;
                     }
                 }
 
-                let full = cores.paths.len() as u32 >= px.max_outstanding;
-                match run.taken_event(s.event, &mut cores.ready[0], full) {
-                    Taken::Go => {}
-                    Taken::Exit(exit) => primary_done = Some(exit),
-                    Taken::Spawn { pc, target } => {
-                        structural = true;
-                        cores.admit(&mut run, pc, target, &primary);
+                match run.taken.settle(s.event, cores.ready[0]) {
+                    None => run.taken.enter(),
+                    Some(Halt::Branch(br)) => {
+                        let full = cores.paths.len() as u32 >= px.max_outstanding;
+                        let clock = &mut cores.ready[0];
+                        if run
+                            .sel
+                            .branch(&mut run.stats, run.taken.retired, &br, full, clock)
+                        {
+                            structural = true;
+                            cores.admit(&mut run, br.pc, br.other_target());
+                        }
+                        run.taken.enter();
                     }
-                }
-                // Control arrived at the primary's new pc, unless this very
-                // step ended the program.
-                if primary_done.is_none() {
-                    run.taken_enter(primary.pc);
+                    Some(Halt::Exit(exit)) => primary_done = Some(exit),
                 }
 
                 // When the last NT-path died earlier, the segment lines are
                 // no longer speculative. The scan runs only when segment
                 // lines can exist at all.
                 if segment_dirty && cores.paths.is_empty() {
-                    run.caches.commit_path(0, SEGMENT_VTAG);
+                    run.taken.caches.commit_path(0, SEGMENT_VTAG);
                     segment_dirty = false;
                 }
                 if structural
                     || primary_done.is_some()
-                    || run.instructions >= px.max_instructions
+                    || run.taken.instructions >= px.max_instructions
                     || cores.ready[0] > deadline
                 {
                     break;
@@ -440,7 +433,7 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
             let stop = match run.advance(&mut p.path, clock, deadline) {
                 Grant::Ran { pc, n, stop } => {
                     if PROFILE {
-                        profile.record_batch(dp, pc, n, &run.cost_table);
+                        profile.record_batch(dp, pc, n, &run.taken.cost_table);
                     }
                     stop
                 }
@@ -460,12 +453,12 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
                 cores.retire(&mut run, idx, stop);
                 break;
             }
-            if run.instructions >= px.max_instructions || cores.ready[who] > deadline {
+            if run.taken.instructions >= px.max_instructions || cores.ready[who] > deadline {
                 break;
             }
         }
     };
-    run.finish(exit, cores.ready[0], primary)
+    run.finish(exit, cores.ready[0])
 }
 
 /// Applies one non-simple NT step of path `p` on core `core`, interpreted
@@ -501,9 +494,9 @@ impl Cores {
     /// inflate the loop's register pressure; spawns are rare relative to
     /// steps.
     #[inline(never)]
-    fn admit(&mut self, run: &mut Run<'_>, pc: u32, target: u32, primary: &CoreState) {
+    fn admit(&mut self, run: &mut Run<'_>, pc: u32, target: u32) {
         let mut path = self.pool.pop().unwrap_or_default();
-        run.spawn(&mut path, pc, target, primary);
+        run.spawn(&mut path, pc, target);
         let id = self.next_id;
         self.next_id = if id >= SEGMENT_VTAG - 1 { 1 } else { id + 1 };
         let hosted = &self.hosted;

@@ -5,7 +5,8 @@
 //! is the same — exercise-counter selection, sandboxed execution, stop on
 //! MaxNTPathLength, crash, unsafe event or overflow, squash — and this
 //! module owns every part of it the engines do identically: run set-up and
-//! result assembly ([`Run`]), spawn admission, the NT-path itself
+//! result assembly ([`Run`], around the committed path every caller shares,
+//! [`TakenPath`]), the spawn decision ([`Selection`]), the NT-path itself
 //! ([`Path`]: its copy of the spawning core's registers, its sandbox, watch
 //! table and I/O), the memo probe / record / store glue, a step's
 //! interpretation, injected cache- and monitor-level faults, sandboxed cache
@@ -30,13 +31,13 @@
 
 use std::sync::Arc;
 
-use px_isa::{DecodedProgram, Edge, MicroOp, Program, UOP_KIND_COUNT};
+use px_isa::{DecodedProgram, Edge, MicroOp, Program};
 use px_mach::{
-    load_program, memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, step_uop,
-    uop_cost_table, Btb, CoreState, Coverage, FaultAction, FaultPlan, Hierarchy, IoState,
-    MachConfig, MemoEntry, MemoNote, MemoProbe, MemoRecorder, MemoStep, MemoTable, Memory,
-    MonitorArea, PathCoverage, PathKind, PathPlan, PathTrail, RunExit, Sandbox, SandboxView,
-    SimError, Step, StepEnv, StepEvent, WatchTable, COMMITTED,
+    memo_fingerprint, run_simple, simple_cost_until, simple_steps_until, step_uop, Branch, Btb,
+    CoreState, Coverage, FaultAction, FaultPlan, IoState, MachConfig, MemoEntry, MemoNote,
+    MemoProbe, MemoRecorder, MemoStep, MemoTable, Memory, MonitorArea, PathKind, PathTrail,
+    RunExit, Sandbox, SandboxView, SimError, Step, StepEnv, StepEvent, TakenPath, WatchTable,
+    COMMITTED,
 };
 
 use crate::config::PxConfig;
@@ -102,55 +103,42 @@ impl Memo<'_> {
     }
 }
 
-/// Prime-path tracking (opt-in, purely observational): the taken trail,
-/// plus the coverage every trail records into. Each NT-path carries its own
-/// trail, a copy of the taken trail at spawn.
-struct Tracking<'a> {
-    plan: &'a PathPlan,
-    cov: PathCoverage,
-    taken: PathTrail,
-}
-
 /// Everything a run owns apart from the engine's cores and schedule.
 pub(crate) struct Run<'a> {
     program: &'a Program,
     pub dp: &'a DecodedProgram,
     pub mach: &'a MachConfig,
     pub px: &'a PxConfig,
-    pub cost_table: [u32; UOP_KIND_COUNT],
-    pub memory: Memory,
-    pub io: IoState,
-    pub caches: Hierarchy,
-    pub btb: Btb,
-    /// The committed watch table.
-    pub watches: WatchTable,
-    pub monitor: MonitorArea,
+    /// The committed path. Its instruction count is the budget every path
+    /// retires against, and its monitor area and prime-path coverage
+    /// collect NT-path records too.
+    pub taken: TakenPath<'a>,
+    pub sel: Selection<'a>,
     pub stats: PxStats,
     /// Consulted on interpreted NT-path steps only.
     fault: Option<&'a mut FaultPlan>,
-    /// Instructions retired on every path, against `px.max_instructions`.
-    pub instructions: u64,
-    taken_cov: Coverage,
-    nt_cov: Coverage,
-    tracking: Option<Tracking<'a>>,
-    taken_since_reset: u64,
     memo: Memo<'a>,
+}
+
+/// The spawn decision's state (§4.2(1)): the BTB's exercise counters and
+/// their periodic reset, the NT coverage, the static veto mask and the
+/// random factor's generator. It lives apart from the [`TakenPath`] so a
+/// branch hook can borrow it while the taken path runs.
+pub(crate) struct Selection<'a> {
+    px: &'a PxConfig,
+    dp: &'a DecodedProgram,
+    spawn_cycles: u64,
+    btb: Btb,
+    nt_cov: Coverage,
     /// Static NT-spawn veto mask, precomputed once per run (the analysis
     /// is pure; `None` keeps the paper's dynamic-only selection).
     static_veto: Option<Vec<[bool; 2]>>,
     /// Deterministic source for the §7.1(2) random spawn factor.
     spawn_rng: u64,
-}
-
-/// What one interpreted taken-path step asks of the engine.
-pub(crate) enum Taken {
-    Go,
-    /// An NT-path was admitted at the branch at `pc`; it starts at `target`.
-    Spawn {
-        pc: u32,
-        target: u32,
-    },
-    Exit(RunExit),
+    /// Taken instructions since the last counter reset, as of `synced`
+    /// retired taken instructions.
+    since_reset: u64,
+    synced: u64,
 }
 
 /// One NT-path's lifecycle state.
@@ -234,14 +222,10 @@ impl<'a> Run<'a> {
         memo: Option<&'a mut MemoTable>,
         memo_tag: u8,
     ) -> Result<Run<'a>, Box<PxRunResult>> {
-        debug_assert_eq!(
-            dp.len(),
-            program.code.len(),
-            "decode of a different program"
-        );
-        let memory = match load_program(program, mach) {
-            Ok(memory) => memory,
-            Err(e) => return Err(Box::new(engine_fault(program, e, io))),
+        let plan = px.path_plan.as_deref();
+        let taken = match TakenPath::new(program, dp, mach, io, px.max_instructions, None, plan) {
+            Ok(taken) => taken,
+            Err((e, io)) => return Err(Box::new(engine_fault(program, e, io))),
         };
         // NT-path memoization: only when every NT path is a pure function
         // of its read set — no fault plan (faults key off absolute
@@ -259,207 +243,67 @@ impl<'a> Run<'a> {
             } else {
                 Memo::Off
             };
-        let tracking = px.path_plan.as_deref().map(|plan| {
-            let mut t = Tracking {
-                plan,
-                cov: plan.new_coverage(),
-                taken: PathTrail::default(),
-            };
-            t.taken.enter_pc(plan, &mut t.cov, program.entry);
-            t
-        });
         Ok(Run {
             program,
             dp,
             mach,
             px,
-            cost_table: uop_cost_table(&mach.costs),
-            memory,
-            io,
-            caches: Hierarchy::new(mach),
-            btb: Btb::new(mach.btb_entries, mach.btb_assoc),
-            watches: WatchTable::new(),
-            monitor: MonitorArea::new(),
+            taken,
+            sel: Selection {
+                px,
+                dp,
+                spawn_cycles: u64::from(mach.spawn_cycles),
+                btb: Btb::new(mach.btb_entries, mach.btb_assoc),
+                nt_cov: Coverage::for_program(program),
+                static_veto: px
+                    .static_nt_filter
+                    .map(|k| px_analyze::Analysis::of(program).veto_mask(program, k)),
+                spawn_rng: 0x9E37_79B9_7F4A_7C15 ^ (program.code.len() as u64 + 1),
+                since_reset: 0,
+                synced: 0,
+            },
             stats: PxStats::default(),
             fault,
-            instructions: 0,
-            taken_cov: Coverage::for_program(program),
-            nt_cov: Coverage::for_program(program),
-            tracking,
-            taken_since_reset: 0,
             memo,
-            static_veto: px
-                .static_nt_filter
-                .map(|k| px_analyze::Analysis::of(program).veto_mask(program, k)),
-            spawn_rng: 0x9E37_79B9_7F4A_7C15 ^ (program.code.len() as u64 + 1),
         })
     }
 
     /// Assembles the run's result.
-    pub(crate) fn finish(self, exit: RunExit, cycles: u64, core: CoreState) -> PxRunResult {
-        let mut total_coverage = self.taken_cov.clone();
-        let exit = match total_coverage.merge(&self.nt_cov) {
+    pub(crate) fn finish(mut self, exit: RunExit, cycles: u64) -> PxRunResult {
+        self.sel.sync(&mut self.stats, self.taken.retired);
+        self.stats.taken_instructions = self.taken.retired;
+        let taken = self.taken;
+        let mut total_coverage = taken.coverage.clone();
+        let exit = match total_coverage.merge(&self.sel.nt_cov) {
             Ok(()) => exit,
             Err(e) => RunExit::EngineFault(e),
         };
         PxRunResult {
             exit,
             cycles,
-            taken_coverage: self.taken_cov,
+            taken_coverage: taken.coverage,
             total_coverage,
-            monitor: self.monitor,
-            io: self.io,
-            memory: self.memory,
-            core,
+            monitor: taken.monitor,
+            io: taken.io,
+            memory: taken.memory,
+            core: taken.core,
             stats: self.stats,
-            path_coverage: self.tracking.map(|t| t.cov),
+            path_coverage: taken.tracking.map(|t| t.cov),
         }
     }
 
-    /// Counts one interpreted taken-path instruction, first applying the
-    /// periodic exercise-counter reset (per CounterResetInterval taken-path
-    /// instructions, §4.2(1)).
-    #[inline]
-    pub(crate) fn taken_tick(&mut self) {
-        if self.taken_since_reset >= self.px.counter_reset_interval {
-            self.btb.reset_counters();
-            self.stats.counter_resets += 1;
-            self.taken_since_reset = 0;
-        }
-        self.taken_since_reset += 1;
-        self.instructions += 1;
-        self.stats.taken_instructions += 1;
-    }
-
-    /// Counts `n` simple taken-path micro-ops batched from `pc0`, replaying
-    /// the per-instruction counter-reset protocol in closed form (simple
-    /// runs hold no branch, so no exercise can fall between the resets).
-    #[inline]
-    pub(crate) fn taken_ran(&mut self, pc0: u32, n: u32) {
-        let resets = catch_up_counter_resets(
-            &mut self.taken_since_reset,
-            self.px.counter_reset_interval,
-            u64::from(n),
-        );
-        for _ in 0..resets {
-            self.btb.reset_counters();
-        }
-        self.stats.counter_resets += resets;
-        if let Some(t) = &mut self.tracking {
-            t.taken.enter_range(t.plan, &mut t.cov, pc0, n);
-        }
-        self.instructions += u64::from(n);
-        self.stats.taken_instructions += u64::from(n);
-    }
-
-    /// Control arrived at `pc` on the taken path.
-    #[inline]
-    pub(crate) fn taken_enter(&mut self, pc: u32) {
-        if let Some(t) = &mut self.tracking {
-            t.taken.enter_pc(t.plan, &mut t.cov, pc);
-        }
-    }
-
-    /// Taken-path bookkeeping for one interpreted step's event, with
-    /// `clock` the taken path's clock after the step: branch coverage and
-    /// the spawn decision (charging the spawn to `clock`), monitor records,
-    /// and the events that end the run. `full` says no further NT-path fits.
-    #[inline(always)]
-    pub(crate) fn taken_event(&mut self, event: StepEvent, clock: &mut u64, full: bool) -> Taken {
-        match event {
-            StepEvent::Branch {
-                pc,
-                taken,
-                taken_target,
-                not_taken_target,
-                ..
-            } => {
-                self.stats.dyn_branches += 1;
-                let edge = Edge::from_taken(taken);
-                self.btb.exercise(pc, edge);
-                self.taken_cov.record(pc, edge);
-                if !self.admit(pc, edge.other(), full) {
-                    return Taken::Go;
-                }
-                *clock += u64::from(self.mach.spawn_cycles);
-                let target = if taken {
-                    not_taken_target
-                } else {
-                    taken_target
-                };
-                Taken::Spawn { pc, target }
-            }
-            StepEvent::CheckFailed { .. } | StepEvent::WatchHit { .. } => {
-                self.monitor
-                    .file(MemoNote::of(&event), *clock, PathKind::Taken);
-                Taken::Go
-            }
-            StepEvent::UnsafeEvent { .. } => Taken::Exit(RunExit::EngineFault(
-                SimError::Invariant("the taken path never suppresses system calls"),
-            )),
-            StepEvent::Crash { kind, .. } => Taken::Exit(RunExit::Crashed(kind)),
-            StepEvent::Exit { code } => Taken::Exit(RunExit::Exited(code)),
-            StepEvent::Syscall { .. } | StepEvent::None => Taken::Go,
-        }
-    }
-
-    fn in_checker(&self, pc: u32) -> bool {
-        self.dp
-            .op(pc)
-            .is_some_and(|u| u.a & MicroOp::BR_IN_CHECKER != 0)
-    }
-
-    fn vetoed(&self, pc: u32, edge: Edge) -> bool {
-        self.static_veto
-            .as_ref()
-            .is_some_and(|m| m.get(pc as usize).is_some_and(|e| e[edge.slot()]))
-    }
-
-    /// The spawn decision for edge `nt_edge` of the branch at `pc`. Vetoes
-    /// apply in order: checker code, the static filter, a hot exercise
-    /// counter (unless the §7.1(2) random factor re-admits it), then no room
-    /// for another path. An admitted spawn bumps the edge's counter at NT
-    /// entry (§4.2(1)) and covers the edge.
-    fn admit(&mut self, pc: u32, nt_edge: Edge, full: bool) -> bool {
-        let hot = self.btb.edge_count(pc, nt_edge) >= self.px.counter_threshold;
-        let random_admit = hot
-            && self.px.random_factor.is_some_and(|n| {
-                self.spawn_rng ^= self.spawn_rng << 13;
-                self.spawn_rng ^= self.spawn_rng >> 7;
-                self.spawn_rng ^= self.spawn_rng << 17;
-                self.spawn_rng.is_multiple_of(u64::from(n))
-            });
-        if self.in_checker(pc) {
-            self.stats.skipped_checker += 1;
-        } else if self.vetoed(pc, nt_edge) {
-            self.stats.skipped_static += 1;
-        } else if hot && !random_admit {
-            self.stats.skipped_hot += 1;
-        } else if full {
-            self.stats.skipped_outstanding += 1;
-        } else {
-            if random_admit {
-                self.stats.random_spawns += 1;
-            }
-            self.btb.exercise(pc, nt_edge);
-            self.nt_cov.record(pc, nt_edge);
-            self.stats.spawns += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Arms `p` as an admitted NT-path from the branch at `pc` toward
-    /// `target`, with `taken` the taken path's core at the branch. A memo
-    /// hit sets the replay cursor; otherwise (arming a recorder when the
-    /// key is unknown) the path copies the core with its pc redirected to
-    /// `target` and the NT-entry predicate set, clears its sandbox, copies
-    /// the watch table, and under the OS-sandbox extension snapshots the
-    /// I/O. The path's trail forks from the taken trail *at the branch*,
-    /// before either successor block is entered.
-    pub(crate) fn spawn(&mut self, p: &mut Path, pc: u32, target: u32, taken: &CoreState) {
-        let trail = self.tracking.as_mut().map(|t| {
-            let mut trail = t.taken;
+    /// Arms `p` as an admitted NT-path from the taken path's branch at `pc`
+    /// toward `target`. A memo hit sets the replay cursor; otherwise
+    /// (arming a recorder when the key is unknown) the path copies the
+    /// taken core with its pc redirected to `target` and the NT-entry
+    /// predicate set, clears its sandbox, copies the watch table, and under
+    /// the OS-sandbox extension snapshots the I/O. The path's trail forks
+    /// from the taken trail *at the branch*, before either successor block
+    /// is entered.
+    pub(crate) fn spawn(&mut self, p: &mut Path, pc: u32, target: u32) {
+        let taken = &mut self.taken;
+        let trail = taken.tracking.as_mut().map(|t| {
+            let mut trail = t.trail;
             trail.enter_pc(t.plan, &mut t.cov, target);
             trail
         });
@@ -470,7 +314,7 @@ impl<'a> Run<'a> {
             trail,
         };
         if let Some(t) = self.memo.table() {
-            match t.probe(pc, target, &self.watches, &taken.regs, &self.memory) {
+            match t.probe(pc, target, &taken.watches, &taken.core.regs, &taken.memory) {
                 MemoProbe::Hit(entry) => {
                     p.replay = Some(Replay {
                         entry,
@@ -483,7 +327,7 @@ impl<'a> Run<'a> {
                     p.ex.rec = Some(MemoRecorder::new(
                         pc,
                         target,
-                        &self.watches,
+                        &taken.watches,
                         self.px.apply_fixes,
                     ));
                 }
@@ -493,12 +337,12 @@ impl<'a> Run<'a> {
         p.state = CoreState {
             pc: target,
             pred: self.px.apply_fixes,
-            ..*taken
+            ..taken.core
         };
         p.sandbox.clear();
-        p.watches.copy_from(&self.watches);
+        p.watches.copy_from(&taken.watches);
         if self.px.os_sandbox_unsafe {
-            p.io.clone_from(&self.io);
+            p.io.clone_from(&taken.io);
         }
     }
 
@@ -518,9 +362,14 @@ impl<'a> Run<'a> {
             match r.entry.steps.get(r.step).copied() {
                 Some(MemoStep::Run { pc, n: total }) => {
                     let pc = pc + r.run_off;
-                    let max_n = grant(self.px, self.instructions, p.ex.executed, total - r.run_off);
-                    let (n, cost) =
-                        simple_cost_until(self.dp, pc, max_n, &self.cost_table, *clock, deadline);
+                    let max_n = grant(
+                        self.px,
+                        self.taken.instructions,
+                        p.ex.executed,
+                        total - r.run_off,
+                    );
+                    let table = &self.taken.cost_table;
+                    let (n, cost) = simple_cost_until(self.dp, pc, max_n, table, *clock, deadline);
                     *clock += cost;
                     r.run_off += n;
                     if r.run_off == total {
@@ -537,7 +386,7 @@ impl<'a> Run<'a> {
                     note,
                 }) => {
                     r.step += 1;
-                    self.instructions += 1;
+                    self.taken.instructions += 1;
                     return Grant::One(OneStep {
                         base,
                         next_pc,
@@ -562,27 +411,28 @@ impl<'a> Run<'a> {
             let pc = state.pc;
             let max_n = grant(
                 self.px,
-                self.instructions,
+                self.taken.instructions,
                 p.ex.executed,
                 self.dp.simple_run(pc),
             );
             if max_n > 0 {
-                let n = simple_steps_until(self.dp, pc, max_n, &self.cost_table, *clock, deadline);
+                let table = &self.taken.cost_table;
+                let n = simple_steps_until(self.dp, pc, max_n, table, *clock, deadline);
                 if let Some(r) = p.ex.rec.as_mut() {
                     r.note_run(self.dp, pc, n, &state.regs);
                 }
-                *clock += run_simple(self.dp, state, n, &self.cost_table);
+                *clock += run_simple(self.dp, state, n, table);
                 let stop = self.ran(&mut p.ex, pc, n);
                 return Grant::Ran { pc, n, stop };
             }
         }
-        self.instructions += 1;
+        self.taken.instructions += 1;
         // The memo's pre-step live-ins: an unwritten register still holds
         // its spawn value, so the current file supplies exact live-ins;
         // loads record the committed bytes they are about to read (none if
         // the access will crash).
         if let (Some(r), Some(u)) = (p.ex.rec.as_mut(), self.dp.op(state.pc)) {
-            r.note_uop(u, &state.regs, &p.sandbox, &self.memory);
+            r.note_uop(u, &state.regs, &p.sandbox, &self.taken.memory);
         }
         let s = {
             let mut env = StepEnv {
@@ -593,7 +443,7 @@ impl<'a> Run<'a> {
                 costs: &self.mach.costs,
                 fault: self.fault.as_deref_mut(),
             };
-            let mut view = SandboxView::new(&self.memory, &mut p.sandbox);
+            let mut view = SandboxView::new(&self.taken.memory, &mut p.sandbox);
             step_uop(self.program, self.dp, state, &mut view, &mut env)
         };
         let filed_at = state.pc;
@@ -610,10 +460,10 @@ impl<'a> Run<'a> {
     /// Bookkeeping for `n` simple micro-ops NT-path `ex` retired from `pc`.
     #[inline(always)]
     fn ran(&mut self, ex: &mut Excursion, pc: u32, n: u32) -> Option<NtStop> {
-        if let (Some(t), Some(trail)) = (&mut self.tracking, &mut ex.trail) {
+        if let (Some(t), Some(trail)) = (&mut self.taken.tracking, &mut ex.trail) {
             trail.enter_range(t.plan, &mut t.cov, pc, n);
         }
-        self.instructions += u64::from(n);
+        self.taken.instructions += u64::from(n);
         self.stats.nt_instructions += u64::from(n);
         ex.executed += n;
         stop(self.px, None, false, ex.executed)
@@ -632,25 +482,17 @@ impl<'a> Run<'a> {
         pc: &mut u32,
     ) -> (Option<(u32, bool)>, MemoNote) {
         match s.event {
-            StepEvent::Branch {
-                pc: at,
-                taken,
-                taken_target,
-                not_taken_target,
-                ..
-            } if self.px.explore_nt_from_nt => {
-                let other = Edge::from_taken(taken).other();
-                if self.btb.edge_count(at, other) < self.px.counter_threshold
-                    && !self.in_checker(at)
-                    && !self.vetoed(at, other)
+            StepEvent::Branch(br) if self.px.explore_nt_from_nt => {
+                let sel = &mut self.sel;
+                sel.sync(&mut self.stats, self.taken.retired);
+                let other = Edge::from_taken(br.taken).other();
+                if sel.btb.edge_count(br.pc, other) < self.px.counter_threshold
+                    && !sel.in_checker(br.pc)
+                    && !sel.vetoed(br.pc, other)
                 {
-                    self.btb.exercise(at, other);
-                    self.nt_cov.record(at, other);
-                    *pc = if taken {
-                        not_taken_target
-                    } else {
-                        taken_target
-                    };
+                    sel.btb.exercise(br.pc, other);
+                    sel.nt_cov.record(br.pc, other);
+                    *pc = br.other_target();
                 }
             }
             StepEvent::Syscall { .. } => self.stats.nt_syscalls_sandboxed += 1,
@@ -680,10 +522,10 @@ impl<'a> Run<'a> {
     ) {
         match action {
             FaultAction::FlipL1Vtag { entropy } => {
-                self.caches.inject_vtag_flip(core, entropy, vtag);
+                self.taken.caches.inject_vtag_flip(core, entropy, vtag);
             }
             FaultAction::ExhaustVolatileSet { entropy } => {
-                self.caches.inject_volatile_fill(core, entropy, vtag);
+                self.taken.caches.inject_volatile_fill(core, entropy, vtag);
             }
             FaultAction::MonitorPressure { records } => {
                 let path = PathKind::NtPath {
@@ -696,7 +538,7 @@ impl<'a> Run<'a> {
                         is_write: true,
                         pc,
                     };
-                    self.monitor.file(note, stamp, path);
+                    self.taken.monitor.file(note, stamp, path);
                 }
             }
             // Core-level faults were already applied inside `step_uop`.
@@ -723,9 +565,11 @@ impl<'a> Run<'a> {
         if write {
             self.stats.nt_writes += 1;
         }
+        let vtag_or_committed = if write { vtag } else { COMMITTED };
         let a = self
+            .taken
             .caches
-            .access(core, addr, write, if write { vtag } else { COMMITTED });
+            .access(core, addr, write, vtag_or_committed);
         (a.cycles, a.volatile_evicted == Some(vtag))
     }
 
@@ -745,17 +589,17 @@ impl<'a> Run<'a> {
             MemoNote::None => {}
             MemoNote::Branch { pc, taken } => {
                 self.stats.dyn_branches += 1;
-                self.nt_cov.record(pc, Edge::from_taken(taken));
+                self.sel.nt_cov.record(pc, Edge::from_taken(taken));
             }
             MemoNote::Check { .. } | MemoNote::Watch { .. } => {
                 let path = PathKind::NtPath {
                     spawn_pc: ex.spawn_pc,
                 };
-                self.monitor.file(note, stamp, path);
+                self.taken.monitor.file(note, stamp, path);
             }
             MemoNote::Stop(stop) => return Some(stop),
         }
-        if let (Some(t), Some(trail)) = (&mut self.tracking, &mut ex.trail) {
+        if let (Some(t), Some(trail)) = (&mut self.taken.tracking, &mut ex.trail) {
             trail.enter_pc(t.plan, &mut t.cov, next_pc);
         }
         None
@@ -767,7 +611,7 @@ impl<'a> Run<'a> {
     /// logs the path.
     pub(crate) fn end(&mut self, p: &mut Path, stop: NtStop, core: Option<(usize, u8)>) {
         if let Some((c, vtag)) = core {
-            self.caches.squash_path(c, vtag);
+            self.taken.caches.squash_path(c, vtag);
         }
         if let (Some(rec), Some(t)) = (p.ex.rec.take(), self.memo.table()) {
             t.finish(rec, stop);
@@ -778,6 +622,93 @@ impl<'a> Run<'a> {
             executed: p.ex.executed,
             stop,
         });
+    }
+}
+
+impl Selection<'_> {
+    /// Applies the exercise-counter resets (one per CounterResetInterval
+    /// taken-path instructions, §4.2(1)) that fell due by `retired` taken
+    /// instructions, in closed form. Counters are read only at branches, so
+    /// catching up there is the per-instruction protocol exactly.
+    pub(crate) fn sync(&mut self, stats: &mut PxStats, retired: u64) {
+        let n = retired - self.synced;
+        self.synced = retired;
+        let resets =
+            catch_up_counter_resets(&mut self.since_reset, self.px.counter_reset_interval, n);
+        if resets > 0 {
+            self.btb.reset_counters();
+            stats.counter_resets += resets;
+        }
+    }
+
+    /// The taken path's branch `br`, resolved after `retired` taken
+    /// instructions: exercises its edge, then decides whether an NT-path
+    /// spawns down the other one, charging the spawn to `clock`. `full`
+    /// says no further NT-path fits.
+    #[inline(always)]
+    pub(crate) fn branch(
+        &mut self,
+        stats: &mut PxStats,
+        retired: u64,
+        br: &Branch,
+        full: bool,
+        clock: &mut u64,
+    ) -> bool {
+        self.sync(stats, retired);
+        stats.dyn_branches += 1;
+        let edge = Edge::from_taken(br.taken);
+        self.btb.exercise(br.pc, edge);
+        let spawn = self.admit(stats, br.pc, edge.other(), full);
+        if spawn {
+            *clock += self.spawn_cycles;
+        }
+        spawn
+    }
+
+    fn in_checker(&self, pc: u32) -> bool {
+        self.dp
+            .op(pc)
+            .is_some_and(|u| u.a & MicroOp::BR_IN_CHECKER != 0)
+    }
+
+    fn vetoed(&self, pc: u32, edge: Edge) -> bool {
+        self.static_veto
+            .as_ref()
+            .is_some_and(|m| m.get(pc as usize).is_some_and(|e| e[edge.slot()]))
+    }
+
+    /// The spawn decision for edge `nt_edge` of the branch at `pc`. Vetoes
+    /// apply in order: checker code, the static filter, a hot exercise
+    /// counter (unless the §7.1(2) random factor re-admits it), then no room
+    /// for another path. An admitted spawn bumps the edge's counter at NT
+    /// entry (§4.2(1)) and covers the edge.
+    fn admit(&mut self, stats: &mut PxStats, pc: u32, nt_edge: Edge, full: bool) -> bool {
+        let hot = self.btb.edge_count(pc, nt_edge) >= self.px.counter_threshold;
+        let random_admit = hot
+            && self.px.random_factor.is_some_and(|n| {
+                self.spawn_rng ^= self.spawn_rng << 13;
+                self.spawn_rng ^= self.spawn_rng >> 7;
+                self.spawn_rng ^= self.spawn_rng << 17;
+                self.spawn_rng.is_multiple_of(u64::from(n))
+            });
+        if self.in_checker(pc) {
+            stats.skipped_checker += 1;
+        } else if self.vetoed(pc, nt_edge) {
+            stats.skipped_static += 1;
+        } else if hot && !random_admit {
+            stats.skipped_hot += 1;
+        } else if full {
+            stats.skipped_outstanding += 1;
+        } else {
+            if random_admit {
+                stats.random_spawns += 1;
+            }
+            self.btb.exercise(pc, nt_edge);
+            self.nt_cov.record(pc, nt_edge);
+            stats.spawns += 1;
+            return true;
+        }
+        false
     }
 }
 

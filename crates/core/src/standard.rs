@@ -23,13 +23,10 @@
 //! standard conventions.
 
 use px_isa::{DecodedProgram, Program};
-use px_mach::{
-    run_simple, step_uop, CoreState, FaultPlan, IoState, MachConfig, MemoTable, RunExit, StepEnv,
-    COMMITTED,
-};
+use px_mach::{FaultPlan, Halt, IoState, MachConfig, MemoTable, RunExit};
 
 use crate::config::PxConfig;
-use crate::nt::{self, Excursion, Grant, OneStep, Path, Run, Taken};
+use crate::nt::{self, Excursion, Grant, OneStep, Path, Run};
 use crate::stats::{NtStop, PxRunResult};
 
 /// Volatile tag used for NT-path lines in the standard configuration — the
@@ -101,70 +98,33 @@ pub(crate) fn run_standard_inner(
         Ok(run) => run,
         Err(failed) => return *failed,
     };
-    let mut core = CoreState::at_entry(program.entry, run.memory.size());
     // The one NT-path, re-armed at every spawn.
     let mut path = Path::default();
     let mut cycles: u64 = 0;
 
-    // The run alternates between two modal inner loops — taken-path and
-    // NT-path — instead of re-deciding the mode on every instruction. Each
-    // inner loop hoists everything its mode never needs (the taken loop has
-    // no sandbox, overflow or length checks; the NT loop skips the
-    // counter-reset check), which is worth a double-digit percentage of the
-    // simulation's wall time.
+    // The run alternates between two modal loops — the taken path, which
+    // the spawn hook stops at an admitted branch, and the NT-path — instead
+    // of re-deciding the mode on every instruction. Each hoists everything
+    // its mode never needs (the taken loop has no sandbox, overflow or
+    // length checks; the NT loop never touches the taken core), which is
+    // worth a double-digit percentage of the simulation's wall time. The
+    // taken path never sees the fault plan: it is the reference the
+    // containment checker diffs against.
     let exit = 'run: loop {
-        // ---- Taken-path mode (no NT-path live). ----
-        'taken: loop {
-            if run.instructions >= px.max_instructions {
-                break 'run RunExit::BudgetExhausted;
-            }
-
-            // Batch a simple straight-line run (no events, no memory, no
-            // branches) in one tight loop. The taken path never sees the
-            // fault plan, so this is always safe.
-            let n = u64::from(dp.simple_run(core.pc)).min(px.max_instructions - run.instructions);
-            if n > 0 {
-                let pc0 = core.pc;
-                cycles += run_simple(dp, &mut core, n as u32, &run.cost_table);
-                run.taken_ran(pc0, n as u32);
-                continue;
-            }
-
-            run.taken_tick();
-            let s = {
-                let mut env = StepEnv {
-                    io: &mut run.io,
-                    watches: &mut run.watches,
-                    suppress_syscalls: false,
-                    now_cycles: cycles,
-                    costs: &mach.costs,
-                    // Faults are injected only into NT-paths: the taken path
-                    // is the reference the containment checker diffs against.
-                    fault: None,
-                };
-                step_uop(program, dp, &mut core, &mut run.memory, &mut env)
-            };
-            cycles += u64::from(s.base_cost);
-            if let Some(a) = s.access {
-                cycles += u64::from(run.caches.access(0, a.addr, a.write, COMMITTED).cycles);
-            }
-            let spawned = match run.taken_event(s.event, &mut cycles, false) {
-                Taken::Go => false,
-                Taken::Exit(exit) => break 'run exit,
-                Taken::Spawn { pc, target } => {
-                    run.spawn(&mut path, pc, target, &core);
-                    true
-                }
-            };
-            run.taken_enter(core.pc);
-            if spawned {
-                break 'taken;
-            }
-        }
+        let spawn = run.taken.follow(&mut cycles, |taken, clock, br| {
+            run.sel
+                .branch(&mut run.stats, taken.retired, br, false, clock)
+        });
+        let br = match spawn {
+            Halt::Branch(br) => br,
+            Halt::Exit(exit) => break 'run exit,
+        };
+        run.spawn(&mut path, br.pc, br.other_target());
+        run.taken.enter();
 
         // ---- NT-path mode: one excursion per spawned path. ----
         let stop = loop {
-            if run.instructions >= px.max_instructions {
+            if run.taken.instructions >= px.max_instructions {
                 // A budget hit mid-NT-path must not leave speculative
                 // state behind: squash so the committed state is the
                 // same one a shorter, NT-free run would have reached.
@@ -186,7 +146,7 @@ pub(crate) fn run_standard_inner(
             break 'run RunExit::BudgetExhausted;
         }
     };
-    run.finish(exit, cycles, core)
+    run.finish(exit, cycles)
 }
 
 /// Applies one non-simple NT step, interpreted or replayed, under the

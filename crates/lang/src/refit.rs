@@ -16,9 +16,7 @@
 use std::collections::HashMap;
 
 use px_isa::{DecodedProgram, Instruction, Program};
-use px_mach::{
-    load_program, step_uop, CoreState, IoState, MachConfig, StepEnv, StepEvent, WatchTable,
-};
+use px_mach::{IoState, MachConfig, TakenPath};
 
 use crate::ast::BinOp;
 use crate::codegen::{boundary_delta, satisfying_direction, CompiledProgram, OperandSide};
@@ -48,11 +46,16 @@ fn widen(r: &mut OperandRanges, a: i32, b: i32) {
 }
 
 /// Runs `program` once (no PathExpander) and records per-branch,
-/// per-outcome operand value ranges.
+/// per-outcome operand value ranges: a baseline [`TakenPath`] whose branch
+/// hook widens the ranges and never stops it.
 ///
 /// The profiling input should be a *general* input — the point is to learn
 /// normal value ranges, exactly like the invariant-inference tools the
 /// paper cites. A program the machine cannot load yields an empty profile.
+///
+/// The run charges the cache model like the baseline does, so the `time`
+/// system call reads simulated cycles. No bundled workload or zoo program
+/// calls it, so their profiles do not depend on the cache model.
 #[must_use]
 pub fn collect_branch_profile(
     program: &Program,
@@ -60,53 +63,28 @@ pub fn collect_branch_profile(
     io: IoState,
     max_instructions: u64,
 ) -> BranchRanges {
-    let Ok(mut memory) = load_program(program, mach) else {
-        return BranchRanges::new();
-    };
     let dp = DecodedProgram::decode(program);
-    let mut core = CoreState::at_entry(program.entry, memory.size());
-    let mut watches = WatchTable::new();
-    let mut io = io;
     let mut ranges = BranchRanges::new();
-
-    for _ in 0..max_instructions {
-        let mut env = StepEnv {
-            io: &mut io,
-            watches: &mut watches,
-            suppress_syscalls: false,
-            now_cycles: 0,
-            costs: &mach.costs,
-            fault: None,
+    let Ok(mut taken) = TakenPath::new(program, &dp, mach, io, max_instructions, None, None) else {
+        return ranges;
+    };
+    taken.follow(&mut 0, |_, _, br| {
+        let (a, b) = br.operands;
+        let fresh = ((a, a), (b, b));
+        let obs = ranges.entry(br.pc).or_insert(BranchObservation {
+            any: fresh,
+            taken: None,
+            not_taken: None,
+        });
+        let side = if br.taken {
+            &mut obs.taken
+        } else {
+            &mut obs.not_taken
         };
-        let s = step_uop(program, &dp, &mut core, &mut memory, &mut env);
-        match s.event {
-            StepEvent::Branch {
-                pc,
-                taken,
-                operands: (a, b),
-                ..
-            } => {
-                let fresh = ((a, a), (b, b));
-                let obs = ranges.entry(pc).or_insert(BranchObservation {
-                    any: fresh,
-                    taken: None,
-                    not_taken: None,
-                });
-                widen(&mut obs.any, a, b);
-                let side = if taken {
-                    &mut obs.taken
-                } else {
-                    &mut obs.not_taken
-                };
-                match side {
-                    Some(r) => widen(r, a, b),
-                    None => *side = Some(fresh),
-                }
-            }
-            StepEvent::Exit { .. } | StepEvent::Crash { .. } => break,
-            _ => {}
-        }
-    }
+        widen(&mut obs.any, a, b);
+        widen(side.get_or_insert(fresh), a, b);
+        false
+    });
     ranges
 }
 

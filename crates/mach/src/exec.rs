@@ -3,8 +3,17 @@
 //! [`DataAccess`]). The interpreter itself is [`crate::uexec::step_uop`].
 //!
 //! A step is *pure* with respect to timing — it reports the instruction's
-//! base cost and any data access, and the caller (the baseline runner or a
-//! PathExpander engine) charges the memory hierarchy.
+//! base cost and any data access, and the caller charges the memory
+//! hierarchy. There are two callers. The committed path is one
+//! [`crate::taken::TakenPath`] for every caller: the baseline runner, the
+//! standard engine, the branch profiler and, through its own copy-on-write
+//! store view and segment-tagged cache charge, the CMP primary. It charges
+//! core 0's committed lines, files monitor records at the taken clock and
+//! sees a fault plan only on the baseline. An NT-path is stepped by the
+//! engines' shared excursion (`pathexpander`'s `nt` module), where the
+//! conventions that stay per engine live: which clock stamps a record or a
+//! deferred fault, and whether a stopping step counts toward the path's
+//! length.
 
 use px_isa::{CheckKind, SyscallCode};
 
@@ -23,21 +32,42 @@ pub struct DataAccess {
     pub write: bool,
 }
 
+/// A conditional branch a step resolved. `operands` are the compared
+/// values — the raw material for value-profile collection (profile-guided
+/// fix refitting).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Branch {
+    /// The branch's own index.
+    pub pc: u32,
+    /// Whether the branch went to `taken_target`.
+    pub taken: bool,
+    /// Where the taken edge leads.
+    pub taken_target: u32,
+    /// Where the fall-through edge leads.
+    pub not_taken_target: u32,
+    /// The compared values.
+    pub operands: (i32, i32),
+}
+
+impl Branch {
+    /// Where the edge the branch did *not* follow leads: an NT-path's entry.
+    #[must_use]
+    pub fn other_target(&self) -> u32 {
+        if self.taken {
+            self.not_taken_target
+        } else {
+            self.taken_target
+        }
+    }
+}
+
 /// What a step observed, beyond plain register updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
     /// Nothing notable.
     None,
-    /// A conditional branch resolved. `pc` is the branch's own index.
-    /// `operands` are the compared values — the raw material for
-    /// value-profile collection (profile-guided fix refitting).
-    Branch {
-        pc: u32,
-        taken: bool,
-        taken_target: u32,
-        not_taken_target: u32,
-        operands: (i32, i32),
-    },
+    /// A conditional branch resolved.
+    Branch(Branch),
     /// A system call executed (taken path).
     Syscall { code: SyscallCode },
     /// A system call was *suppressed* because the step ran in an NT-path
@@ -434,13 +464,13 @@ mod tests {
         let s = step_uop(&program, &dp, &mut core, &mut mem, &mut env);
         assert_eq!(
             s.event,
-            StepEvent::Branch {
+            StepEvent::Branch(Branch {
                 pc: 0,
                 taken: true,
                 taken_target: 2,
                 not_taken_target: 1,
                 operands: (0, 0),
-            }
+            })
         );
         assert_eq!(core.pc, 2);
     }

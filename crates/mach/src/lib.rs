@@ -24,9 +24,12 @@
 //! * iWatcher-style **watch ranges** ([`watch::WatchTable`]), which each
 //!   NT-path copies so its registrations never reach committed state;
 //! * **branch coverage** tracking ([`coverage::Coverage`], the paper's §2
-//!   metric) and a **baseline runner** ([`runner::run_baseline`]) for the
-//!   paper's no-PathExpander columns, with the program loader
-//!   ([`runner::load_program`]) every engine shares.
+//!   metric);
+//! * the **committed path** ([`taken::TakenPath`]): the loaded program,
+//!   core, caches, watch table, coverage, monitor area and prime-path trail
+//!   that the baseline, both engines and the branch profiler step, and the
+//!   **baseline runner** ([`runner::run_baseline`]) for the paper's
+//!   no-PathExpander columns, which is that path with nothing added.
 //!
 //! The default [`MachConfig`] reproduces the paper's Table 2 parameters.
 //!
@@ -51,6 +54,7 @@ pub mod monitor;
 pub mod paths;
 pub mod runner;
 mod shelf;
+pub mod taken;
 pub mod uexec;
 pub mod watch;
 
@@ -59,7 +63,7 @@ pub use cache::{Access, Cache, Hierarchy, Lookup, COMMITTED};
 pub use config::{CacheConfig, CostModel, MachConfig};
 pub use core::{CoreState, Regs};
 pub use coverage::Coverage;
-pub use exec::{DataAccess, Step, StepEnv, StepEvent};
+pub use exec::{Branch, DataAccess, Step, StepEnv, StepEvent};
 pub use fault::{
     FaultAction, FaultKind, FaultMix, FaultPlan, FaultStats, SimError, FAULT_KINDS, MAX_MEM_BYTES,
 };
@@ -72,6 +76,7 @@ pub use memory::{CrashKind, MemView, Memory, Sandbox, SandboxView};
 pub use monitor::{MonitorArea, MonitorRecord, PathKind, RecordKind};
 pub use paths::{PathCoverage, PathPlan, PathTrail};
 pub use runner::{load_program, run_baseline, run_baseline_with, RunExit, RunResult};
+pub use taken::{Halt, TakenPath, Tracking};
 pub use uexec::{
     run_simple, simple_cost_until, simple_steps_until, step_uop, uop_cost_table, UopProfile,
 };

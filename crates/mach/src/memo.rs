@@ -44,7 +44,7 @@ use px_util::memo::MemoCounters;
 
 use crate::config::CostModel;
 use crate::core::Regs;
-use crate::exec::StepEvent;
+use crate::exec::{Branch, StepEvent};
 use crate::memory::{CrashKind, Memory, Sandbox};
 use crate::watch::{WatchRange, WatchTable};
 
@@ -166,7 +166,7 @@ impl MemoNote {
     #[inline]
     pub fn of(event: &StepEvent) -> MemoNote {
         match *event {
-            StepEvent::Branch { pc, taken, .. } => MemoNote::Branch { pc, taken },
+            StepEvent::Branch(Branch { pc, taken, .. }) => MemoNote::Branch { pc, taken },
             StepEvent::CheckFailed { kind, site, pc } => MemoNote::Check { kind, site, pc },
             StepEvent::WatchHit {
                 tag,

@@ -2,23 +2,19 @@
 //!
 //! This is the paper's "Baseline" column — the program executes once on one
 //! core with full timing, coverage tracking and checker monitoring, but no
-//! NT-path exploration.
+//! NT-path exploration: the [`TakenPath`] alone.
 
-use px_isa::{DecodedProgram, Edge, Program};
+use px_isa::{DecodedProgram, Program};
 
-use crate::cache::{Hierarchy, COMMITTED};
 use crate::config::MachConfig;
 use crate::core::CoreState;
 use crate::coverage::Coverage;
-use crate::exec::{StepEnv, StepEvent};
 use crate::fault::{FaultPlan, SimError, MAX_MEM_BYTES};
 use crate::io::IoState;
-use crate::memo::MemoNote;
 use crate::memory::{CrashKind, Memory};
-use crate::monitor::{MonitorArea, PathKind};
-use crate::paths::{PathCoverage, PathPlan, PathTrail};
-use crate::uexec::{run_simple, step_uop, uop_cost_table};
-use crate::watch::WatchTable;
+use crate::monitor::MonitorArea;
+use crate::paths::{PathCoverage, PathPlan};
+use crate::taken::{Halt, TakenPath};
 
 /// How a run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +171,8 @@ pub fn load_program(program: &Program, cfg: &MachConfig) -> Result<Memory, SimEr
 }
 
 /// [`run_baseline`] with an optional fault plan and an optional prime-path
-/// plan. The fault plan is consulted before every instruction.
+/// plan: a [`TakenPath`] whose branch hook never stops it. The fault plan
+/// is consulted before every instruction, so nothing is batched under one.
 ///
 /// Baseline has no sandbox, so injected core-level faults are
 /// *architectural* — they corrupt the run exactly as a real fault would;
@@ -191,14 +188,15 @@ pub fn load_program(program: &Program, cfg: &MachConfig) -> Result<Memory, SimEr
 pub fn run_baseline_with(
     program: &Program,
     cfg: &MachConfig,
-    mut io: IoState,
+    io: IoState,
     max_instructions: u64,
-    mut fault: Option<&mut FaultPlan>,
+    fault: Option<&mut FaultPlan>,
     plan: Option<&PathPlan>,
 ) -> RunResult {
-    let mut memory = match load_program(program, cfg) {
-        Ok(memory) => memory,
-        Err(e) => {
+    let dp = DecodedProgram::decode(program);
+    let mut taken = match TakenPath::new(program, &dp, cfg, io, max_instructions, fault, plan) {
+        Ok(taken) => taken,
+        Err((e, io)) => {
             return RunResult {
                 exit: RunExit::EngineFault(e),
                 instructions: 0,
@@ -212,94 +210,27 @@ pub fn run_baseline_with(
             }
         }
     };
-    let mut core = CoreState::at_entry(program.entry, memory.size());
-    let mut caches = Hierarchy::new(cfg);
-    let mut watches = WatchTable::new();
-    let mut coverage = Coverage::for_program(program);
-    let mut monitor = MonitorArea::new();
-    let mut tracking: Option<(&PathPlan, PathTrail, PathCoverage)> =
-        plan.map(|p| (p, PathTrail::default(), p.new_coverage()));
-    if let Some((p, trail, cov)) = &mut tracking {
-        trail.enter_pc(p, cov, program.entry);
-    }
-
-    let dp = DecodedProgram::decode(program);
-    let cost_table = uop_cost_table(&cfg.costs);
-    // Simple runs batch only in the production configuration: a fault plan
-    // must be consulted before every instruction.
-    let batching = fault.is_none();
-
-    let mut cycles: u64 = 0;
-    let mut instructions: u64 = 0;
-    let exit = loop {
-        if instructions >= max_instructions {
-            break RunExit::BudgetExhausted;
-        }
-        if batching {
-            let run = dp.simple_run(core.pc);
-            if run > 0 {
-                let pc0 = core.pc;
-                let n = u64::from(run).min(max_instructions - instructions) as u32;
-                cycles += run_simple(&dp, &mut core, n, &cost_table);
-                instructions += u64::from(n);
-                if let Some((p, trail, cov)) = &mut tracking {
-                    trail.enter_range(p, cov, pc0, n);
-                }
-                continue;
-            }
-        }
-        let mut env = StepEnv {
-            io: &mut io,
-            watches: &mut watches,
-            suppress_syscalls: false,
-            now_cycles: cycles,
-            costs: &cfg.costs,
-            fault: fault.as_deref_mut(),
-        };
-        let s = step_uop(program, &dp, &mut core, &mut memory, &mut env);
-        instructions += 1;
-        cycles += u64::from(s.base_cost);
-        if let Some(access) = s.access {
-            let a = caches.access(0, access.addr, access.write, COMMITTED);
-            cycles += u64::from(a.cycles);
-        }
-        match s.event {
-            StepEvent::Branch { pc, taken, .. } => coverage.record(pc, Edge::from_taken(taken)),
-            StepEvent::CheckFailed { .. } | StepEvent::WatchHit { .. } => {
-                monitor.file(MemoNote::of(&s.event), cycles, PathKind::Taken);
-            }
-            StepEvent::Exit { code } => break RunExit::Exited(code),
-            StepEvent::Crash { kind, .. } => break RunExit::Crashed(kind),
-            StepEvent::Syscall { .. } | StepEvent::None => {}
-            StepEvent::UnsafeEvent { .. } => {
-                break RunExit::EngineFault(SimError::Invariant(
-                    "baseline never suppresses system calls",
-                ));
-            }
-        }
-        // Control arrived at the new pc (surviving events fall through to
-        // here; exits and crashes broke out above).
-        if let Some((p, trail, cov)) = &mut tracking {
-            trail.enter_pc(p, cov, core.pc);
-        }
+    let mut cycles = 0;
+    let Halt::Exit(exit) = taken.follow(&mut cycles, |_, _, _| false) else {
+        unreachable!("the baseline's hook never stops the taken path")
     };
-
     RunResult {
         exit,
-        instructions,
+        instructions: taken.instructions,
         cycles,
-        coverage,
-        monitor,
-        io,
-        memory,
-        core,
-        path_coverage: tracking.map(|(_, _, cov)| cov),
+        coverage: taken.coverage,
+        monitor: taken.monitor,
+        io: taken.io,
+        memory: taken.memory,
+        core: taken.core,
+        path_coverage: taken.tracking.map(|t| t.cov),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::PathKind;
     use px_isa::asm::assemble;
 
     #[test]

@@ -29,7 +29,7 @@ use px_isa::{
 
 use crate::config::CostModel;
 use crate::core::CoreState;
-use crate::exec::{DataAccess, Step, StepEnv, StepEvent};
+use crate::exec::{Branch, DataAccess, Step, StepEnv, StepEvent};
 use crate::fault::FaultAction;
 use crate::memory::{CrashKind, MemView};
 
@@ -196,13 +196,13 @@ fn branch(cond: BranchCond, u: MicroOp, pc: u32, core: &mut CoreState, costs: &C
     let not_taken_target = pc + 1;
     core.pc = if taken { u.ext } else { not_taken_target };
     core.pred = false;
-    let event = StepEvent::Branch {
+    let event = StepEvent::Branch(Branch {
         pc,
         taken,
         taken_target: u.ext,
         not_taken_target,
         operands,
-    };
+    });
     step(event, costs.control, None)
 }
 

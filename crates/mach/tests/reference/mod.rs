@@ -4,11 +4,14 @@
 //! It fetches and matches the architectural [`Instruction`] enum on every
 //! step instead of dispatching a pre-decoded micro-op, so the two share no
 //! decoding or dispatch code. Only the test suites use it; the simulator
-//! ships `step_uop` alone.
+//! ships `step_uop` alone. [`baseline`] drives it as a whole baseline run.
+
+pub mod baseline;
 
 use px_isa::{Instruction, Program, Reg, SyscallCode, Width, DATA_BASE};
 use px_mach::{
-    CoreState, CostModel, CrashKind, DataAccess, FaultAction, MemView, Step, StepEnv, StepEvent,
+    Branch, CoreState, CostModel, CrashKind, DataAccess, FaultAction, MemView, Step, StepEnv,
+    StepEvent,
 };
 
 /// Executes one instruction of `core` against `mem`, re-deriving it from
@@ -174,13 +177,13 @@ pub fn step<M: MemView + ?Sized>(
                 }
                 next_pc = target;
             }
-            event = StepEvent::Branch {
+            event = StepEvent::Branch(Branch {
                 pc,
                 taken,
                 taken_target: target,
                 not_taken_target,
                 operands: (a, b),
-            };
+            });
         }
         Instruction::Jump { target } => {
             base_cost = costs.control;

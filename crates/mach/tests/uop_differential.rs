@@ -16,6 +16,11 @@
 //!   *mutated* and *truncated* encoded streams (the PR-4 robustness
 //!   surface): whenever `decode_program` accepts the bytes, the decoded
 //!   program must execute identically under both interpreters;
+//! * **run level** — `run_baseline_with` against the reference baseline
+//!   run (`tests/reference/baseline.rs`, the runner's own loop over the
+//!   reference interpreter) on byte soup, plainly and under identically
+//!   seeded fault plans: exit, instruction count, cycles, coverage,
+//!   monitor records, I/O, registers and memory;
 //! * **engine level** — all three engines (baseline, standard, CMP)
 //!   produce bit-identical architectural results on a program
 //!   and on its encode→decode round-trip, and the `*_decoded` entry
@@ -32,8 +37,8 @@ use px_isa::{
     Instruction, Program, Reg, SyscallCode, Width,
 };
 use px_mach::{
-    run_baseline, run_simple, step_uop, uop_cost_table, CoreState, CostModel, FaultMix, FaultPlan,
-    IoState, MachConfig, Memory, StepEnv, StepEvent, WatchTable,
+    run_baseline, run_baseline_with, run_simple, step_uop, uop_cost_table, CoreState, CostModel,
+    FaultMix, FaultPlan, IoState, MachConfig, Memory, StepEnv, StepEvent, WatchTable,
 };
 use px_util::prop::{
     any_bool, any_i32, any_u32, any_u64, any_u8, just, vec_of, BoxedStrategy, Strategy,
@@ -278,6 +283,30 @@ fn lockstep(
     ended
 }
 
+/// Runs `program` through `run_baseline_with` and the reference baseline
+/// run, each with its own copy of `faults`, and asserts that they agree on
+/// every field: exit, instruction count, cycles, coverage, monitor records,
+/// I/O, registers and memory.
+fn baselines_agree(program: &Program, input: &[u8], faults: Option<FaultPlan>) {
+    let cfg = MachConfig {
+        costs: distinct_costs(),
+        ..MachConfig::single_core()
+    };
+    let io = || IoState::new(input.to_vec(), 7);
+    let (mut plan_a, mut plan_b) = (faults.clone(), faults);
+    let a = reference::baseline::run(program, &cfg, io(), 2_000, plan_a.as_mut());
+    let b = run_baseline_with(program, &cfg, io(), 2_000, plan_b.as_mut(), None);
+    assert_eq!(a.exit, b.exit, "exit");
+    assert_eq!(a.instructions, b.instructions, "instructions");
+    assert_eq!(a.cycles, b.cycles, "cycles");
+    assert_eq!(a.coverage, b.coverage, "coverage");
+    assert_eq!(a.monitor.records(), b.monitor.records(), "monitor records");
+    assert_eq!(a.io.output(), b.io.output(), "output");
+    assert_eq!(a.io.input_failed(), b.io.input_failed(), "input fault");
+    assert_eq!(a.core, b.core, "registers");
+    assert!(a.memory == b.memory, "memory");
+}
+
 /// Architectural summary of a PathExpander run — every field two identical
 /// runs must agree on.
 fn arch(program: &Program, r: &PxRunResult) -> (String, u64, u64, u64, u64, Vec<u8>, usize, u32) {
@@ -389,6 +418,29 @@ px_prop! {
         program.mem_size = 2 * px_isa::DATA_BASE;
         let plan = FaultPlan::new(seed, FaultMix::uniform(), period);
         lockstep(&program, &input, 2_000, suppress, Some(plan));
+    }
+
+    fn baseline_matches_reference_run_on_byte_soup(
+        code in vec_of(arb_instruction(), 1..48),
+        input in vec_of(any_u8(), 0..8),
+        checker in px_oneof![
+            just(None),
+            (any_u32(), any_u32()).prop_map(Some).boxed()
+        ],
+    ) {
+        baselines_agree(&soup_program(code, checker), &input, None);
+    }
+
+    fn baseline_matches_reference_run_under_faults(
+        code in vec_of(arb_instruction(), 1..48),
+        input in vec_of(any_u8(), 0..8),
+        fault in (any_u64(), 2u32..9),
+    ) {
+        let (seed, period) = fault;
+        let mut program = soup_program(code, None);
+        program.mem_size = 2 * px_isa::DATA_BASE;
+        let plan = FaultPlan::new(seed, FaultMix::uniform(), period);
+        baselines_agree(&program, &input, Some(plan));
     }
 
     fn decoded_program_reencodes_exactly(code in vec_of(arb_instruction(), 0..48)) {

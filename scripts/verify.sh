@@ -94,10 +94,13 @@ PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --lib -- \
 # Interpreter oracle: step_uop must match the byte-decode reference
 # interpreter step for step on random byte-soup programs, plainly and under
 # identically seeded fault plans (every fault kind, suppressed system calls
-# on and off), at 2000 cases rather than the default 96.
-echo "==> uop-oracle: step_uop vs reference interpreter, 2000 cases"
-PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --test uop_differential \
-    step_uop_matches_reference
+# on and off), and run_baseline_with must match the reference baseline run
+# (the runner's own loop over that interpreter) on exit, instructions,
+# cycles, coverage, monitor records, I/O, registers and memory, plainly and
+# under seeded fault plans, each at 2000 cases rather than the default 96.
+echo "==> uop-oracle: step_uop and the baseline vs the reference, 2000 cases"
+PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --test uop_differential -- \
+    step_uop_matches_reference baseline_matches_reference_run
 
 # Replay-cache oracle: the standard and CMP engines must compute
 # byte-identical results with the NT-path replay cache on and off over

@@ -4,8 +4,8 @@
 //! final behaviour must be bit-identical to a plain run — NT-path side
 //! effects never leak (paper §3.1: "silently, without side effects").
 
-use pathexpander::{run, PxConfig};
-use px_mach::{run_baseline, IoState, MachConfig, RunExit};
+use pathexpander::{run, PxConfig, PxRunResult};
+use px_mach::{run_baseline, IoState, MachConfig, RunExit, RunResult};
 
 const BUDGET: u64 = 30_000_000;
 
@@ -130,39 +130,54 @@ fn taken_coverage_equals_baseline_coverage() {
     }
 }
 
+/// Asserts that spawn-free engine run `r` is baseline run `base` on the
+/// same machine, field by field, cycles and memory included.
+fn assert_is_the_baseline(r: &PxRunResult, base: &RunResult, at: &str) {
+    assert_eq!(r.stats.spawns, 0, "{at}: spawned");
+    assert_eq!(r.exit, base.exit, "{at}: exit");
+    assert_eq!(format!("{:?}", r.io), format!("{:?}", base.io), "{at}: I/O");
+    assert_eq!(r.taken_coverage, base.coverage, "{at}: taken coverage");
+    assert_eq!(r.total_coverage, base.coverage, "{at}: total coverage");
+    assert_eq!(
+        r.monitor.records(),
+        base.monitor.records(),
+        "{at}: monitor records"
+    );
+    assert_eq!(r.core, base.core, "{at}: register file");
+    assert!(r.memory == base.memory, "{at}: memory");
+    assert_eq!(r.cycles, base.cycles, "{at}: cycles");
+    assert_eq!(
+        r.stats.taken_instructions, base.instructions,
+        "{at}: taken instructions"
+    );
+    assert_eq!(r.stats.nt_instructions, 0, "{at}: NT instructions");
+}
+
 #[test]
 fn spawn_free_standard_run_is_the_baseline() {
     // With every exercise counter hot from the start (threshold 0, no
-    // random factor) no NT-path is ever spawned, so the standard engine
-    // must be the baseline machine, down to the simulated cycle.
+    // random factor) no NT-path is ever spawned, so the standard engine on
+    // one core and the CMP engine on the default CMP must each be the
+    // baseline machine they run on, down to the simulated cycle and the
+    // final memory image.
     for w in px_workloads::all() {
         for &tool in &w.tools {
             let compiled = w.compile_for(tool).expect("compiles");
             for seed in [3u64, 99] {
                 let io = || IoState::new(w.general_input(seed), seed);
-                let base =
-                    run_baseline(&compiled.program, &MachConfig::single_core(), io(), BUDGET);
                 let cfg = w
                     .px_config()
                     .with_counter_threshold(0)
                     .with_max_instructions(BUDGET);
-                let r = run(&compiled.program, &MachConfig::single_core(), &cfg, io());
-                let at = format!("{} ({}) seed {seed}", w.name, tool.name());
-                assert_eq!(r.stats.spawns, 0, "{at}: spawned");
-                assert_eq!(r.exit, base.exit, "{at}: exit");
-                assert_eq!(r.io.output(), base.io.output(), "{at}: output");
-                assert_eq!(r.taken_coverage, base.coverage, "{at}: taken coverage");
-                assert_eq!(
-                    r.monitor.records(),
-                    base.monitor.records(),
-                    "{at}: monitor records"
-                );
-                assert_eq!(r.core, base.core, "{at}: register file");
-                assert_eq!(r.cycles, base.cycles, "{at}: cycles");
-                assert_eq!(
-                    r.stats.taken_instructions, base.instructions,
-                    "{at}: taken instructions"
-                );
+                for (engine, mach, px) in [
+                    ("standard", MachConfig::single_core(), cfg.clone()),
+                    ("cmp", MachConfig::default(), cfg.clone().cmp()),
+                ] {
+                    let base = run_baseline(&compiled.program, &mach, io(), BUDGET);
+                    let r = run(&compiled.program, &mach, &px, io());
+                    let at = format!("{engine}: {} ({}) seed {seed}", w.name, tool.name());
+                    assert_is_the_baseline(&r, &base, &at);
+                }
             }
         }
     }
