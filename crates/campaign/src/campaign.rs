@@ -19,7 +19,7 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
 
 use px_util::{hex64, Json, ToJson};
@@ -215,11 +215,28 @@ pub fn run_with_shutdown(
 
     let pending: Vec<u64> = (0..total).filter(|id| !done.contains(id)).collect();
     let stop = AtomicBool::new(false);
-    let work = |i: usize| run_only(&cfg.manifest, cfg.timeout, pending[i]);
+    let mut quarantine_count = records.iter().filter(|r| r.outcome.quarantines()).count() as u64;
+    // The workers raise `stop` themselves, on the shutdown flag and past the
+    // quarantine limit, so a drain does not wait for the sink's thread to be
+    // scheduled: a drained run finishes at most one case per worker. The
+    // sink still decides what the report says.
+    let quarantined = AtomicU64::new(quarantine_count);
+    let work = |i: usize| {
+        if shutdown.load(Ordering::SeqCst) {
+            stop.store(true, Ordering::SeqCst);
+        }
+        let rec = run_only(&cfg.manifest, cfg.timeout, pending[i]);
+        if rec.outcome.quarantines() {
+            let count = quarantined.fetch_add(1, Ordering::SeqCst) + 1;
+            if cfg.max_quarantine.is_some_and(|limit| count > limit) {
+                stop.store(true, Ordering::SeqCst);
+            }
+        }
+        rec
+    };
 
     let mut ran = 0u64;
     let mut since_ckpt = 0u64;
-    let mut quarantine_count = records.iter().filter(|r| r.outcome.quarantines()).count() as u64;
     let mut killed = false;
     let mut torn_written = false;
     let mut quarantine_limit_hit = false;

@@ -78,12 +78,17 @@ fn killed_campaigns_resume_to_an_identical_digest() {
 fn shutdown_flag_drains_gracefully_and_resumes() {
     let want = uninterrupted_digest();
     let c = cfg("sigint");
-    // The flag is already high: the run stops at the first drained result,
-    // writes a final checkpoint, and stays resumable.
+    // The flag is already high: every worker stops after the case it is
+    // on, the run writes a final checkpoint, and stays resumable.
     let flag = AtomicBool::new(true);
     let partial = run_with_shutdown(&c, &flag).unwrap();
     assert!(partial.interrupted);
     assert!(!partial.complete());
+    assert!(
+        partial.ran <= c.workers as u64,
+        "a drain runs at most one case per worker, ran {}",
+        partial.ran
+    );
 
     let state = px_campaign::journal::load(&c.journal).unwrap();
     assert!(!state.torn, "graceful shutdown leaves no torn tail");

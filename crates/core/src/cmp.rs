@@ -293,9 +293,20 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
                 // batching them is invisible to every other core — provided
                 // the batch covers only steps the scheduler would have
                 // granted to the primary anyway; `simple_steps_until` cuts
-                // the batch at the deadline.
+                // the batch at the deadline. While no NT-path is live the
+                // primary is alone: the deadline is `u64::MAX`, a store needs
+                // no copy-on-write and its line is `COMMITTED`, so plain
+                // loads and stores join the batch too. Not while a commit
+                // left pending by the last NT-path's death is due: a step
+                // lands it after its own access, and a wide batch would
+                // have to land it before.
                 let pc0 = run.taken.core.pc;
-                let n = run.taken.batch(&mut cores.ready[0], deadline);
+                let n = if cores.paths.is_empty() && !segment_dirty {
+                    debug_assert_eq!(deadline, u64::MAX, "no path, no competing core");
+                    run.taken.wide_batch(&mut cores.ready[0])
+                } else {
+                    run.taken.batch(&mut cores.ready[0], deadline)
+                };
                 if n > 0 {
                     // A commit left pending by the last NT-path's death must
                     // land here, exactly where the per-step epilogue would

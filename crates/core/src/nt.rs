@@ -272,6 +272,7 @@ impl<'a> Run<'a> {
     pub(crate) fn finish(mut self, exit: RunExit, cycles: u64) -> PxRunResult {
         self.sel.sync(&mut self.stats, self.taken.retired);
         self.stats.taken_instructions = self.taken.retired;
+        self.stats.taken_batched = self.taken.batched;
         let taken = self.taken;
         let mut total_coverage = taken.coverage.clone();
         let exit = match total_coverage.merge(&self.sel.nt_cov) {

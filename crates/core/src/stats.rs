@@ -34,6 +34,9 @@ pub struct PxStats {
     pub skipped_static: u64,
     /// Instructions retired on the taken path.
     pub taken_instructions: u64,
+    /// Of `taken_instructions`, those retired in batches rather than
+    /// stepped one at a time (a deterministic dispatch counter).
+    pub taken_batched: u64,
     /// Instructions retired on NT-paths.
     pub nt_instructions: u64,
     /// Dynamic conditional branches, taken path and NT-paths combined (the

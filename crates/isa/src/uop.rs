@@ -18,7 +18,9 @@
 //!   run of *simple* micro-ops (straight-line register arithmetic that can
 //!   neither crash, trap, touch memory, nor observe the cycle counter), so
 //!   engines can retire whole runs in a tight batch loop and charge their
-//!   cycles in one add.
+//!   cycles in one add; [`DecodedProgram::wide_run`] gives the same for
+//!   runs that may also hold plain loads and stores, which the taken path
+//!   batches when nothing can observe its accesses.
 //!
 //! The representation is proven faithful two ways: [`DecodedProgram::reencode`]
 //! reconstructs the original instruction stream exactly (property-tested),
@@ -346,6 +348,17 @@ impl MicroOp {
         }
     }
 
+    /// Whether this micro-op is a plain load or store (`LoadByte`,
+    /// `LoadWord`, `StoreByte`, `StoreWord`): straight-line, with no event
+    /// but a watch hit or a crash on a bad address. A *wide* run holds
+    /// simple and plain-access micro-ops.
+    fn is_plain_access(&self) -> bool {
+        matches!(
+            self.kind,
+            UopKind::LoadByte | UopKind::LoadWord | UopKind::StoreByte | UopKind::StoreWord
+        )
+    }
+
     /// Reconstructs the architectural instruction this micro-op was decoded
     /// from. Exact: `DecodedProgram::decode(p).reencode() == p.code`.
     #[must_use]
@@ -613,9 +626,17 @@ fn uop_of(program: &Program, pc: u32, insn: Instruction) -> MicroOp {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DecodedProgram {
     ops: Vec<MicroOp>,
-    /// `simple_len[pc]`: length of the maximal run of simple micro-ops
-    /// starting at `pc` (0 when `ops[pc]` itself is not simple).
-    simple_len: Vec<u32>,
+    /// `run_len[pc]`: the lengths of the maximal simple run and the maximal
+    /// wide run starting at `pc` (0 when `ops[pc]` itself does not qualify).
+    /// One table, so both lengths of a pc share a cache line.
+    run_len: Vec<RunLen>,
+}
+
+/// The batchable run lengths at one pc (see [`DecodedProgram`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RunLen {
+    simple: u32,
+    wide: u32,
 }
 
 impl DecodedProgram {
@@ -630,13 +651,19 @@ impl DecodedProgram {
             .enumerate()
             .map(|(pc, &insn)| uop_of(program, pc as u32, insn))
             .collect();
-        let mut simple_len = vec![0u32; ops.len()];
-        let mut run = 0u32;
+        let mut run_len = vec![RunLen::default(); ops.len()];
+        let mut run = RunLen::default();
         for (i, op) in ops.iter().enumerate().rev() {
-            run = if op.is_simple() { run + 1 } else { 0 };
-            simple_len[i] = run;
+            let simple = op.is_simple();
+            run.simple = if simple { run.simple + 1 } else { 0 };
+            run.wide = if simple || op.is_plain_access() {
+                run.wide + 1
+            } else {
+                0
+            };
+            run_len[i] = run;
         }
-        DecodedProgram { ops, simple_len }
+        DecodedProgram { ops, run_len }
     }
 
     /// Number of micro-ops (equals `Program::code.len()`).
@@ -669,7 +696,16 @@ impl DecodedProgram {
     #[must_use]
     #[inline]
     pub fn simple_run(&self, pc: u32) -> u32 {
-        self.simple_len.get(pc as usize).copied().unwrap_or(0)
+        self.run_len.get(pc as usize).map_or(0, |r| r.simple)
+    }
+
+    /// Length of the maximal *wide* run starting at `pc`: simple micro-ops
+    /// and plain loads and stores (0 when the micro-op at `pc` is neither
+    /// or `pc` is out of range). Never shorter than [`simple_run`](Self::simple_run).
+    #[must_use]
+    #[inline]
+    pub fn wide_run(&self, pc: u32) -> u32 {
+        self.run_len.get(pc as usize).map_or(0, |r| r.wide)
     }
 
     /// Reconstructs the original instruction stream — the round-trip proof
@@ -807,6 +843,33 @@ mod tests {
         let dp = DecodedProgram::decode(&p);
         assert_eq!(dp.simple_run(0), 3, "pli/pmov/paddi batch");
         assert_eq!(dp.simple_run(3), 0, "pmuli cost depends on the predicate");
+    }
+
+    #[test]
+    fn wide_runs_take_plain_loads_and_stores() {
+        let p = assemble(
+            r"
+            .code
+            main:
+                li r1, 7
+                lw r2, 0x2000(r1)
+                sb r2, 0x2004(r1)
+                addi r2, r2, 1
+                psw r2, 0(sp)
+                lb r3, 0(sp)
+                beq r3, zero, main
+                exit
+            ",
+        )
+        .unwrap();
+        let dp = DecodedProgram::decode(&p);
+        assert_eq!((dp.simple_run(0), dp.wide_run(0)), (1, 4));
+        assert_eq!((dp.simple_run(1), dp.wide_run(1)), (0, 3), "lw starts one");
+        assert_eq!((dp.simple_run(3), dp.wide_run(3)), (1, 1));
+        assert_eq!(dp.wide_run(4), 0, "a predicated store is not plain");
+        assert_eq!(dp.wide_run(5), 1, "lb before a branch");
+        assert_eq!(dp.wide_run(6), 0, "branches end runs");
+        assert_eq!(dp.wide_run(99), 0, "out of range");
     }
 
     #[test]

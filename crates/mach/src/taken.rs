@@ -14,6 +14,13 @@
 //! other cores' and store through a copy-on-write view — retires
 //! [`TakenPath::batch`]es, interprets the rest itself and settles each step
 //! with [`TakenPath::settle`] and [`TakenPath::enter`].
+//!
+//! [`TakenPath::wide_batch`] also retires plain loads and stores in its
+//! batches, when no fault plan is installed and the watch table is empty:
+//! then no access can raise an event, so a batch is observationally one
+//! step per op. `follow` always takes it; the CMP primary takes it while no
+//! NT-path is live, when its stores need no copy-on-write and its clock no
+//! deadline.
 
 use px_isa::{DecodedProgram, Edge, Program, UOP_KIND_COUNT};
 
@@ -29,7 +36,7 @@ use crate::memory::Memory;
 use crate::monitor::{MonitorArea, PathKind};
 use crate::paths::{PathCoverage, PathPlan, PathTrail};
 use crate::runner::{load_program, RunExit};
-use crate::uexec::{run_simple, simple_steps_until, step_uop, uop_cost_table};
+use crate::uexec::{retire_wide, run_simple, simple_steps_until, step_uop, uop_cost_table};
 use crate::watch::WatchTable;
 
 /// Why the taken path handed control back to its caller.
@@ -90,6 +97,8 @@ pub struct TakenPath<'a> {
     pub instructions: u64,
     /// Instructions the taken path itself retired.
     pub retired: u64,
+    /// Of `retired`, those retired in batches rather than stepped.
+    pub batched: u64,
 }
 
 impl<'a> TakenPath<'a> {
@@ -139,6 +148,7 @@ impl<'a> TakenPath<'a> {
             budget,
             instructions: 0,
             retired: 0,
+            batched: 0,
         })
     }
 
@@ -154,15 +164,68 @@ impl<'a> TakenPath<'a> {
         if run == 0 || self.fault.is_some() {
             return 0;
         }
-        let max_n = u64::from(run).min(self.budget.saturating_sub(self.instructions)) as u32;
-        let n = simple_steps_until(self.dp, pc, max_n, &self.cost_table, *clock, deadline);
+        let n = simple_steps_until(
+            self.dp,
+            pc,
+            self.cap(run),
+            &self.cost_table,
+            *clock,
+            deadline,
+        );
         *clock += run_simple(self.dp, &mut self.core, n, &self.cost_table);
+        self.batched_from(pc, n);
+        n
+    }
+
+    /// [`batch`](Self::batch) with no deadline, widened to the wide run at
+    /// the pc (see [`DecodedProgram::wide_run`]) when the watch table is
+    /// empty: plain loads and stores retire in the batch too, each access
+    /// charged to core 0's committed lines in program order. The batch
+    /// stops before an access that would crash, which the caller then
+    /// steps. Under a fault plan this returns 0 at once; with watches set
+    /// it is `batch(clock, u64::MAX)`.
+    #[inline(always)]
+    pub fn wide_batch(&mut self, clock: &mut u64) -> u32 {
+        if self.fault.is_some() {
+            return 0;
+        }
+        if !self.watches.is_empty() {
+            return self.batch(clock, u64::MAX);
+        }
+        let pc = self.core.pc;
+        let run = self.dp.wide_run(pc);
+        if run == 0 {
+            return 0;
+        }
+        let cap = self.cap(run);
+        let (n, cost) = retire_wide(
+            self.dp,
+            &mut self.core,
+            cap,
+            &self.cost_table,
+            &mut self.memory,
+            &mut self.caches,
+        );
+        *clock += cost;
+        self.batched_from(pc, n);
+        n
+    }
+
+    /// `run` cut at the instruction budget.
+    #[inline(always)]
+    fn cap(&self, run: u32) -> u32 {
+        u64::from(run).min(self.budget.saturating_sub(self.instructions)) as u32
+    }
+
+    /// Counts a batch of `n` ops from `pc` and walks the trail over them.
+    #[inline(always)]
+    fn batched_from(&mut self, pc: u32, n: u32) {
         self.instructions += u64::from(n);
         self.retired += u64::from(n);
+        self.batched += u64::from(n);
         if let Some(t) = &mut self.tracking {
             t.trail.enter_range(t.plan, &mut t.cov, pc, n);
         }
-        n
     }
 
     /// The bookkeeping of one interpreted taken step whose `event` left
@@ -203,7 +266,8 @@ impl<'a> TakenPath<'a> {
     }
 
     /// Runs the taken path until the run ends or `hook` asks to stop at a
-    /// resolved branch. Simple runs are batched; every other micro-op is
+    /// resolved branch. Wide runs are batched
+    /// ([`wide_batch`](Self::wide_batch)); every other micro-op is
     /// interpreted, its base cost and its access to core 0's committed
     /// lines charged to `clock`, and settled. A deferred (cache-level) fault
     /// is PathExpander-specific and ignored here. The hook sees the path,
@@ -219,7 +283,7 @@ impl<'a> TakenPath<'a> {
             if self.instructions >= self.budget {
                 return Halt::Exit(RunExit::BudgetExhausted);
             }
-            if self.batch(clock, u64::MAX) > 0 {
+            if self.wide_batch(clock) > 0 {
                 continue;
             }
             let s = {

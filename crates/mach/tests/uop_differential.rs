@@ -20,12 +20,27 @@
 //!   run (`tests/reference/baseline.rs`, the runner's own loop over the
 //!   reference interpreter) on byte soup, plainly and under identically
 //!   seeded fault plans: exit, instruction count, cycles, coverage,
-//!   monitor records, I/O, registers and memory;
+//!   monitor records, I/O, registers and memory, and the recycled images
+//!   must come back zeroed;
 //! * **engine level** — all three engines (baseline, standard, CMP)
 //!   produce bit-identical architectural results on a program
 //!   and on its encode→decode round-trip, and the `*_decoded` entry
 //!   points match the decode-per-run `pathexpander::run`, across spawn
 //!   thresholds K∈{1,4,16}.
+//!
+//! Byte soup mostly crashes within a few instructions: its image ends at
+//! `DATA_BASE` or its registers start near zero, so nearly every access
+//! faults. The *loop soup* ([`arb_loop_program`]) runs the step, run and
+//! engine levels on counted loops over a data segment instead: base
+//! pointers into it, a body of ALU ops, loads, stores, pointer bumps, watch
+//! ops, predicated fixes and forward branches, and a backward branch. Most
+//! of its accesses succeed, so the taken path's wide batches (loads and
+//! stores retired in one batch) meet long runs, in-bounds, crashing,
+//! page-straddling and watched accesses, fault plans and L1s of four and
+//! two lines. Both engines must match the reference baseline run exactly
+//! when no NT-path spawns and on committed state when they do, and must
+//! match themselves held to register-only batches by a watch that nothing
+//! hits, with NT-paths spawning around both.
 //!
 //! Runs on the in-tree `px_util` property harness (`px_prop!`).
 
@@ -33,8 +48,8 @@ mod reference;
 
 use pathexpander::{run, run_cmp_decoded, run_standard_decoded, PxConfig, PxRunResult};
 use px_isa::{
-    asm::assemble, decode_program, encode_program, AluOp, BranchCond, CheckKind, DecodedProgram,
-    Instruction, Program, Reg, SyscallCode, Width,
+    asm::assemble, decode_program, encode_program, AluOp, BranchCond, CheckKind, DataItem,
+    DecodedProgram, Instruction, Program, Reg, SyscallCode, Width, DATA_BASE,
 };
 use px_mach::{
     run_baseline, run_baseline_with, run_simple, step_uop, uop_cost_table, CoreState, CostModel,
@@ -194,6 +209,225 @@ fn soup_program(code: Vec<Instruction>, checker: Option<(u32, u32)>) -> Program 
     }
 }
 
+/// Loop-soup registers: r1–r15 take ALU and load results, r16–r19 point
+/// into the data segment, r20 holds a watch length and r21 counts the
+/// loop's iterations down.
+const DATA_REGS: core::ops::Range<u8> = 1..16;
+const FIRST_BASE: u8 = 16;
+const LEN_REG: u8 = 20;
+const COUNT_REG: u8 = 21;
+
+fn arb_data_reg() -> impl Strategy<Value = Reg> {
+    DATA_REGS.prop_map(Reg::new)
+}
+
+fn arb_base_reg() -> impl Strategy<Value = Reg> {
+    (FIRST_BASE..FIRST_BASE + 4).prop_map(Reg::new)
+}
+
+fn arb_src_reg() -> impl Strategy<Value = Reg> {
+    (0..COUNT_REG + 1).prop_map(Reg::new)
+}
+
+/// Offsets within a few cache lines of the base, and about one in forty
+/// wild, so that access crashes.
+fn arb_loop_offset() -> impl Strategy<Value = i32> {
+    (any_u8(), -8i32..72, any_i32())
+        .prop_map(|(pick, near, wild)| if pick < 6 { wild } else { near })
+}
+
+/// One op of a loop body: ALU, loads and stores through the base pointers
+/// (weighted up), pointer bumps, watch ops, predicated fixes and a forward
+/// branch whose target field holds a skip distance until
+/// [`loop_program`] places it.
+fn arb_loop_op() -> BoxedStrategy<Instruction> {
+    let load = || {
+        (
+            arb_width(),
+            arb_data_reg(),
+            arb_base_reg(),
+            arb_loop_offset(),
+        )
+            .prop_map(|(width, rd, base, offset)| Instruction::Load {
+                width,
+                rd,
+                base,
+                offset,
+            })
+    };
+    let store = || {
+        (
+            arb_width(),
+            arb_src_reg(),
+            arb_base_reg(),
+            arb_loop_offset(),
+        )
+            .prop_map(|(width, rs, base, offset)| Instruction::Store {
+                width,
+                rs,
+                base,
+                offset,
+            })
+    };
+    px_oneof![
+        (arb_alu_op(), arb_data_reg(), arb_src_reg(), arb_src_reg())
+            .prop_map(|(op, rd, rs1, rs2)| Instruction::Alu { op, rd, rs1, rs2 }),
+        (arb_alu_op(), arb_data_reg(), arb_src_reg(), -64i32..64)
+            .prop_map(|(op, rd, rs1, imm)| Instruction::AluI { op, rd, rs1, imm }),
+        load(),
+        load(),
+        load(),
+        store(),
+        store(),
+        store(),
+        (arb_base_reg(), -16i32..48).prop_map(|(base, imm)| Instruction::AluI {
+            op: AluOp::Add,
+            rd: base,
+            rs1: base,
+            imm,
+        }),
+        (arb_base_reg(), 0u32..4).prop_map(|(base, tag)| Instruction::SetWatch {
+            base,
+            len: Reg::new(LEN_REG),
+            tag,
+        }),
+        (0u32..4).prop_map(|tag| Instruction::ClearWatch { tag }),
+        (arb_data_reg(), any_i32()).prop_map(|(rd, imm)| Instruction::PMovI { rd, imm }),
+        (arb_data_reg(), arb_src_reg()).prop_map(|(rd, rs)| Instruction::PMov { rd, rs }),
+        (arb_alu_op(), arb_data_reg(), arb_src_reg(), -64i32..64)
+            .prop_map(|(op, rd, rs1, imm)| Instruction::PAluI { op, rd, rs1, imm }),
+        (
+            arb_width(),
+            arb_src_reg(),
+            arb_base_reg(),
+            arb_loop_offset()
+        )
+            .prop_map(|(width, rs, base, offset)| Instruction::PStore {
+                width,
+                rs,
+                base,
+                offset,
+            }),
+        (arb_cond(), arb_src_reg(), arb_src_reg(), 0u32..4).prop_map(|(cond, rs1, rs2, skip)| {
+            Instruction::Branch {
+                cond,
+                rs1,
+                rs2,
+                target: skip,
+            }
+        }),
+    ]
+    .boxed()
+}
+
+/// Where a loop-soup base pointer starts, as an offset from `DATA_BASE`:
+/// inside the data blob, or astride the boundary of the next 4 KiB page,
+/// so that word accesses straddle two pages.
+fn arb_base_start() -> BoxedStrategy<u32> {
+    px_oneof![
+        (0u32..512).boxed(),
+        (DATA_BASE - 16..DATA_BASE + 16).boxed()
+    ]
+    .boxed()
+}
+
+/// `rd := imm`.
+fn li(rd: u8, imm: u32) -> Instruction {
+    Instruction::AluI {
+        op: AluOp::Add,
+        rd: Reg::new(rd),
+        rs1: Reg::ZERO,
+        imm: imm as i32,
+    }
+}
+
+/// The pc of the loop soup's `nop` before the loop (see
+/// [`wide_and_register_only_batches_agree`]).
+const SENTINEL_PC: usize = 6;
+
+/// A loop-soup [`Program`]: a data segment at `DATA_BASE`, base pointers
+/// set into it and a `nop`, then `body` run `iters` times by a counted
+/// backward branch before `exit`. Each body branch skips forward by its
+/// target field, at most to the loop's decrement. The image ends two pages
+/// past the data segment's start, so a drifting pointer can run out of it.
+fn loop_program(
+    bases: (u32, u32, u32, u32),
+    (watch_len, iters): (u32, u32),
+    body: Vec<Instruction>,
+    data: Vec<u8>,
+) -> Program {
+    let mut code = vec![
+        li(FIRST_BASE, DATA_BASE + bases.0),
+        li(FIRST_BASE + 1, DATA_BASE + bases.1),
+        li(FIRST_BASE + 2, DATA_BASE + bases.2),
+        li(FIRST_BASE + 3, DATA_BASE + bases.3),
+        li(LEN_REG, watch_len),
+        li(COUNT_REG, iters),
+        Instruction::Nop,
+    ];
+    let top = code.len() as u32;
+    let decrement = top + body.len() as u32;
+    for (pc, op) in (top..).zip(body) {
+        code.push(match op {
+            Instruction::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } => Instruction::Branch {
+                cond,
+                rs1,
+                rs2,
+                target: (pc + 1 + target).min(decrement),
+            },
+            op => op,
+        });
+    }
+    let count = Reg::new(COUNT_REG);
+    code.extend([
+        Instruction::AluI {
+            op: AluOp::Sub,
+            rd: count,
+            rs1: count,
+            imm: 1,
+        },
+        Instruction::Branch {
+            cond: BranchCond::Gt,
+            rs1: count,
+            rs2: Reg::ZERO,
+            target: top,
+        },
+        Instruction::Syscall {
+            code: SyscallCode::Exit,
+        },
+    ]);
+    Program {
+        code,
+        entry: 0,
+        data: vec![DataItem {
+            addr: DATA_BASE,
+            bytes: data,
+        }],
+        mem_size: 3 * DATA_BASE,
+        ..Program::default()
+    }
+}
+
+fn arb_loop_program() -> impl Strategy<Value = Program> {
+    (
+        (
+            arb_base_start(),
+            arb_base_start(),
+            arb_base_start(),
+            arb_base_start(),
+        ),
+        (1u32..64, 1u32..96),
+        vec_of(arb_loop_op(), 1..24),
+        vec_of(any_u8(), 0..256),
+    )
+        .prop_map(|(bases, counts, body, data)| loop_program(bases, counts, body, data))
+}
+
 /// Steps `program` under the reference interpreter and the micro-op
 /// interpreter in lockstep, asserting identical [`Step`]s, register files
 /// and I/O after every instruction and identical memory and input-fault
@@ -283,19 +517,37 @@ fn lockstep(
     ended
 }
 
-/// Runs `program` through `run_baseline_with` and the reference baseline
-/// run, each with its own copy of `faults`, and asserts that they agree on
-/// every field: exit, instruction count, cycles, coverage, monitor records,
-/// I/O, registers and memory.
-fn baselines_agree(program: &Program, input: &[u8], faults: Option<FaultPlan>) {
-    let cfg = MachConfig {
+/// The baseline machine of the run-level properties: one core, the
+/// [`distinct_costs`] model.
+fn soup_cfg() -> MachConfig {
+    MachConfig {
         costs: distinct_costs(),
         ..MachConfig::single_core()
-    };
+    }
+}
+
+/// [`soup_cfg`] with a four-line L1 and a 32-line L2, so a loop's accesses
+/// evict each other and charge differently in a different order.
+fn tiny_cache_cfg() -> MachConfig {
+    let mut cfg = soup_cfg();
+    cfg.l1.size_bytes = 4 * cfg.l1.line_bytes;
+    cfg.l1.assoc = 2;
+    cfg.l2.size_bytes = 32 * cfg.l2.line_bytes;
+    cfg.l2.assoc = 2;
+    cfg
+}
+
+/// Runs `program` through `run_baseline_with` and the reference baseline
+/// run on `cfg`, each with its own copy of `faults`, and asserts that they
+/// agree on every field: exit, instruction count, cycles, coverage, monitor
+/// records, I/O, registers and memory. Then both images are dropped, and
+/// the buffers they leave for the next images of their size must read
+/// zero: a page written but not marked written would keep its bytes.
+fn baselines_agree(program: &Program, input: &[u8], faults: Option<FaultPlan>, cfg: &MachConfig) {
     let io = || IoState::new(input.to_vec(), 7);
     let (mut plan_a, mut plan_b) = (faults.clone(), faults);
-    let a = reference::baseline::run(program, &cfg, io(), 2_000, plan_a.as_mut());
-    let b = run_baseline_with(program, &cfg, io(), 2_000, plan_b.as_mut(), None);
+    let a = reference::baseline::run(program, cfg, io(), 2_000, plan_a.as_mut());
+    let b = run_baseline_with(program, cfg, io(), 2_000, plan_b.as_mut(), None);
     assert_eq!(a.exit, b.exit, "exit");
     assert_eq!(a.instructions, b.instructions, "instructions");
     assert_eq!(a.cycles, b.cycles, "cycles");
@@ -305,6 +557,15 @@ fn baselines_agree(program: &Program, input: &[u8], faults: Option<FaultPlan>) {
     assert_eq!(a.io.input_failed(), b.io.input_failed(), "input fault");
     assert_eq!(a.core, b.core, "registers");
     assert!(a.memory == b.memory, "memory");
+    let size = b.memory.size();
+    drop((a, b));
+    let fresh = [Memory::new(size), Memory::new(size)];
+    for m in &fresh {
+        assert!(
+            m.slice(0, size).iter().all(|&byte| byte == 0),
+            "a recycled image kept bytes of an unmarked page"
+        );
+    }
 }
 
 /// Architectural summary of a PathExpander run — every field two identical
@@ -428,7 +689,7 @@ px_prop! {
             (any_u32(), any_u32()).prop_map(Some).boxed()
         ],
     ) {
-        baselines_agree(&soup_program(code, checker), &input, None);
+        baselines_agree(&soup_program(code, checker), &input, None, &soup_cfg());
     }
 
     fn baseline_matches_reference_run_under_faults(
@@ -440,7 +701,7 @@ px_prop! {
         let mut program = soup_program(code, None);
         program.mem_size = 2 * px_isa::DATA_BASE;
         let plan = FaultPlan::new(seed, FaultMix::uniform(), period);
-        baselines_agree(&program, &input, Some(plan));
+        baselines_agree(&program, &input, Some(plan), &soup_cfg());
     }
 
     fn decoded_program_reencodes_exactly(code in vec_of(arb_instruction(), 0..48)) {
@@ -480,6 +741,171 @@ px_prop! {
         let prefix = decode_program(&bytes[..cut]).unwrap();
         if !prefix.is_empty() {
             lockstep(&soup_program(prefix, None), &input, 1_000, false, None);
+        }
+    }
+}
+
+/// Runs both engines on `program` at spawn threshold 0, where no NT-path
+/// ever spawns, and asserts each equals the reference baseline run on the
+/// same machine in every field: the CMP primary then retires the whole run
+/// through its wide batches. At threshold 1, where NT-paths spawn and the
+/// CMP primary interleaves with them, each engine's committed state must
+/// still match the reference run's (the containment check).
+fn engines_follow_the_reference(program: &Program, input: &[u8]) {
+    let io = || IoState::new(input.to_vec(), 0xD1FF);
+    for mut mach in [tiny_cache_cfg(), soup_cfg()] {
+        mach.cores = 4;
+        let reference = reference::baseline::run(program, &mach, io(), 2_000, None);
+        for k in [0u8, 1] {
+            let px = engine_px(k).with_max_instructions(2_000);
+            for (name, r) in [
+                ("standard", run(program, &mach, &px, io())),
+                ("cmp", run(program, &mach, &px.clone().cmp(), io())),
+            ] {
+                let report = pathexpander::check_containment(program, &reference, &r);
+                assert!(report.is_contained(), "{name} (K={k}): {report:?}");
+                if k > 0 {
+                    continue;
+                }
+                assert_eq!(r.stats.spawns, 0, "{name}: threshold 0 spawns nothing");
+                assert_eq!(r.exit, reference.exit, "{name} exit");
+                assert_eq!(
+                    r.stats.taken_instructions, reference.instructions,
+                    "{name} instructions"
+                );
+                assert_eq!(r.cycles, reference.cycles, "{name} cycles");
+                assert_eq!(r.taken_coverage, reference.coverage, "{name} coverage");
+                assert_eq!(
+                    r.monitor.records(),
+                    reference.monitor.records(),
+                    "{name} monitor records"
+                );
+                assert_eq!(r.core, reference.core, "{name} registers");
+                assert!(r.memory == reference.memory, "{name} memory");
+            }
+        }
+    }
+}
+
+/// Runs both engines at spawn thresholds 1 and 4 on `program` and on a
+/// copy whose `nop` at [`SENTINEL_PC`] is a watch on the null guard page:
+/// no access that succeeds can hit it, but a taken path with a watch set
+/// batches register-only runs, so the copy runs the CMP primary and the
+/// standard taken path on simple batches and steps where the original
+/// retires loads and stores in wide batches, NT-paths spawning around
+/// both. The watch costs `watch_op` where the `nop` cost `alu`, and the
+/// prologue has no branch, so every clock of the copy runs exactly that
+/// far ahead (the CMP schedule shifts as a whole); everything else must
+/// be equal. Both run on [`tiny_cache_cfg`] and on a two-line
+/// direct-mapped L1, where nearly every access evicts a line, so a batch
+/// soon after an NT-path's death meets the lines its stores tagged.
+fn wide_and_register_only_batches_agree(program: &Program, input: &[u8]) {
+    assert_eq!(program.code[SENTINEL_PC], Instruction::Nop);
+    let mut narrow = program.clone();
+    narrow.code[SENTINEL_PC] = Instruction::SetWatch {
+        base: Reg::ZERO,
+        len: Reg::new(LEN_REG),
+        tag: u32::MAX,
+    };
+    let tiny = MachConfig {
+        cores: 4,
+        ..tiny_cache_cfg()
+    };
+    let mut two_lines = tiny.clone();
+    two_lines.l1.size_bytes = 2 * two_lines.l1.line_bytes;
+    two_lines.l1.assoc = 1;
+    let io = || IoState::new(input.to_vec(), 0xD1FF);
+    let records = |r: &PxRunResult, by: u64| -> Vec<_> {
+        r.monitor
+            .records()
+            .iter()
+            .map(|m| (m.kind, m.site, m.pc, m.path, m.cycle - by))
+            .collect()
+    };
+    for (mach, k) in [(&tiny, 1u8), (&tiny, 4), (&two_lines, 1), (&two_lines, 4)] {
+        let shift = u64::from(mach.costs.watch_op - mach.costs.alu);
+        let px = engine_px(k);
+        for (name, px) in [("standard", px.clone()), ("cmp", px.cmp())] {
+            let wide = run(program, mach, &px, io());
+            let simple = run(&narrow, mach, &px, io());
+            let what = format!("{name} (K={k}, L1 {} B)", mach.l1.size_bytes);
+            assert_eq!(wide.exit, simple.exit, "{what} exit");
+            assert_eq!(wide.cycles + shift, simple.cycles, "{what} cycles");
+            assert_eq!(records(&wide, 0), records(&simple, shift), "{what} records");
+            assert_eq!(wide.stats.paths, simple.stats.paths, "{what} NT-paths");
+            assert_eq!(
+                (wide.stats.taken_instructions, wide.stats.nt_instructions),
+                (
+                    simple.stats.taken_instructions,
+                    simple.stats.nt_instructions
+                ),
+                "{what} instructions"
+            );
+            assert!(
+                wide.stats.taken_batched >= simple.stats.taken_batched,
+                "{what} batched"
+            );
+            assert_eq!(
+                wide.total_coverage, simple.total_coverage,
+                "{what} coverage"
+            );
+            assert_eq!(wide.core, simple.core, "{what} registers");
+            assert!(wide.memory == simple.memory, "{what} memory");
+        }
+    }
+}
+
+px_prop! {
+    fn step_uop_matches_reference_on_loop_soup(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+    ) {
+        lockstep(&program, &input, 2_000, false, None);
+    }
+
+    fn baseline_matches_reference_run_on_loop_soup(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+    ) {
+        baselines_agree(&program, &input, None, &soup_cfg());
+        baselines_agree(&program, &input, None, &tiny_cache_cfg());
+    }
+
+    fn baseline_matches_reference_run_on_loop_soup_under_faults(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+        fault in (any_u64(), 2u32..9),
+    ) {
+        let (seed, period) = fault;
+        let plan = FaultPlan::new(seed, FaultMix::uniform(), period);
+        baselines_agree(&program, &input, Some(plan), &tiny_cache_cfg());
+    }
+
+    fn engines_follow_the_reference_on_loop_soup(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+    ) {
+        engines_follow_the_reference(&program, &input);
+    }
+
+    fn wide_batches_match_register_only_ones_on_loop_soup(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+    ) {
+        wide_and_register_only_batches_agree(&program, &input);
+    }
+}
+
+px_prop! {
+    cases = 24;
+    fn engines_match_on_round_tripped_loop_soup(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+    ) {
+        let mut round = program.clone();
+        round.code = decode_program(&encode_program(&program.code)).unwrap();
+        for k in [1u8, 4, 16] {
+            engines_agree(&program, &round, &input, k);
         }
     }
 }
@@ -581,6 +1007,26 @@ fn lockstep_io_paths() {
         b"A42 ",
         false,
     );
+}
+
+#[test]
+fn a_batched_store_straddling_two_pages_marks_both() {
+    // `li`, `li`, `sw` form one wide batch; the word lands on the last two
+    // bytes of one 4 KiB page and the first two of the next, which nothing
+    // else writes. Unmarked, those two bytes would outlive the image.
+    let program = assemble(
+        r"
+        .code
+        main:
+            li r1, 8190
+            li r2, -1
+            sw r2, 0(r1)
+            exit
+        ",
+    )
+    .unwrap();
+    assert_eq!(DecodedProgram::decode(&program).wide_run(0), 3);
+    baselines_agree(&program, b"", None, &soup_cfg());
 }
 
 #[test]

@@ -97,10 +97,18 @@ PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --lib -- \
 # on and off), and run_baseline_with must match the reference baseline run
 # (the runner's own loop over that interpreter) on exit, instructions,
 # cycles, coverage, monitor records, I/O, registers and memory, plainly and
-# under seeded fault plans, each at 2000 cases rather than the default 96.
-echo "==> uop-oracle: step_uop and the baseline vs the reference, 2000 cases"
+# under seeded fault plans. The loop-soup properties do the same on counted
+# loops over a data segment, whose loads and stores mostly succeed, so the
+# taken path's wide batches (loads and stores retired in a batch) meet
+# in-bounds, crashing, page-straddling and watched accesses and L1s of four
+# and two lines; there both engines must also match the reference run
+# (exactly when no NT-path spawns, on committed state when they do), their
+# encode/decode round trip, and themselves held to register-only batches by
+# a watch nothing hits (every clock shifted by the watch's extra cost).
+# Each runs at 2000 cases rather than the default.
+echo "==> uop-oracle: step_uop, the baseline and the taken paths vs the reference, 2000 cases"
 PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --test uop_differential -- \
-    step_uop_matches_reference baseline_matches_reference_run
+    step_uop_matches_reference baseline_matches_reference_run loop_soup
 
 # Replay-cache oracle: the standard and CMP engines must compute
 # byte-identical results with the NT-path replay cache on and off over
