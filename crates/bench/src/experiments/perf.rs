@@ -477,6 +477,34 @@ mod tests {
         assert!(a.nt_paths > 0, "nt-heavy must actually spawn NT-paths");
     }
 
+    /// The CMP profile counts every micro-op the run retires, whether the
+    /// primary batched it or stepped it and whether an NT-path did.
+    #[test]
+    fn the_cmp_profile_counts_every_retired_micro_op() {
+        let nt_heavy = (
+            "nt-heavy",
+            assemble(NT_HEAVY).unwrap(),
+            Vec::new(),
+            px_config().cmp(),
+        );
+        let paper =
+            [("bc", Tool::Iwatcher), ("print_tokens2", Tool::Ccured)].map(|(name, tool)| {
+                let w = px_workloads::by_name(name).unwrap();
+                let program = w.compile_for(tool).unwrap().program;
+                (name, program, w.general_input(1), w.px_config().cmp())
+            });
+        for (name, program, input, px) in std::iter::once(nt_heavy).chain(paper) {
+            let io = IoState::new(input, 1);
+            let (r, prof) = run_cmp_profiled(&program, &MachConfig::default(), &px, io);
+            assert!(r.stats.spawns > 0, "{name}: NT-paths must spawn");
+            assert_eq!(
+                prof.total_count(),
+                r.stats.taken_instructions + r.stats.nt_instructions,
+                "{name}: profiled micro-ops"
+            );
+        }
+    }
+
     #[test]
     fn nt_heavy_spends_most_instructions_in_nt_paths() {
         let program = assemble(NT_HEAVY).unwrap();

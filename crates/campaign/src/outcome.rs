@@ -107,14 +107,16 @@ pub struct CaseRecord {
 }
 
 impl CaseRecord {
-    /// A record for a case whose closure panicked.
+    /// A record of case `id` (`case`) that ended with `outcome` and `exit`,
+    /// every count zero and every key, bitmap and detail empty: a case
+    /// fills in the fields it measured with struct-update syntax.
     #[must_use]
-    pub fn panicked(id: u64, case: String, message: String) -> CaseRecord {
+    pub fn blank(id: u64, case: String, outcome: CaseOutcome, exit: String) -> CaseRecord {
         CaseRecord {
             id,
             case,
-            outcome: CaseOutcome::Panicked,
-            exit: "-".to_owned(),
+            outcome,
+            exit,
             faults: 0,
             nt_paths: 0,
             detections: 0,
@@ -126,7 +128,16 @@ impl CaseRecord {
             path_feasible: 0,
             path_n: 0,
             path_bits: Vec::new(),
+            detail: String::new(),
+        }
+    }
+
+    /// A record for a case whose closure panicked.
+    #[must_use]
+    pub fn panicked(id: u64, case: String, message: String) -> CaseRecord {
+        CaseRecord {
             detail: message,
+            ..CaseRecord::blank(id, case, CaseOutcome::Panicked, "-".to_owned())
         }
     }
 

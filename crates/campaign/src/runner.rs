@@ -154,22 +154,10 @@ fn run_fault(
         (CaseOutcome::Done, String::new())
     };
     CaseRecord {
-        id,
-        case,
-        outcome,
-        exit: fc.exit,
         faults: fc.faults,
         nt_paths: fc.nt_paths,
-        detections: 0,
-        covered_edges: 0,
-        program_key: String::new(),
-        code_len: 0,
-        cov_bits: Vec::new(),
-        path_set: 0,
-        path_feasible: 0,
-        path_n: 0,
-        path_bits: Vec::new(),
         detail,
+        ..CaseRecord::blank(id, case, outcome, fc.exit)
     }
 }
 
@@ -201,11 +189,6 @@ fn run_zoo(
         CaseOutcome::Done
     };
     CaseRecord {
-        id,
-        case,
-        outcome,
-        exit,
-        faults: 0,
         nt_paths: r.stats.spawns,
         detections: c.true_positive_lines.len() as u64,
         covered_edges: u64::from(r.total_coverage.covered_edges(&compiled.program)),
@@ -225,7 +208,7 @@ fn run_zoo(
             .path_coverage
             .as_ref()
             .map_or_else(Vec::new, px_mach::PathCoverage::pack_bits),
-        detail: String::new(),
+        ..CaseRecord::blank(id, case, outcome, exit)
     }
 }
 
@@ -302,24 +285,7 @@ fn run_chaos(id: u64, case: String, seed: u64, local: u64, wd: &Watchdog) -> Cas
     } else {
         CaseOutcome::Done
     };
-    CaseRecord {
-        id,
-        case,
-        outcome,
-        exit,
-        faults: 0,
-        nt_paths: 0,
-        detections: 0,
-        covered_edges: 0,
-        program_key: String::new(),
-        code_len: 0,
-        cov_bits: Vec::new(),
-        path_set: 0,
-        path_feasible: 0,
-        path_n: 0,
-        path_bits: Vec::new(),
-        detail: String::new(),
-    }
+    CaseRecord::blank(id, case, outcome, exit)
 }
 
 #[cfg(test)]

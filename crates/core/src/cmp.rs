@@ -18,14 +18,20 @@
 //! squash-token is claimed early, paper §4.3), and the segment's lines are
 //! lazily retagged as committed.
 //!
+//! The primary core runs the committed path exactly as the baseline does:
+//! it drives the one [`px_mach::TakenPath`] through its `batch` and `step`,
+//! adding only what §4.3 adds — a store hook that feeds the copy-on-write
+//! snapshots, the segment tag while any NT-path is live, the schedule's
+//! deadline, and the forced commit when a segment line is displaced.
+//!
 //! The run's cost is the primary core's finish time: NT-path work overlaps
 //! with it, so the overhead the paper reports (< 9.9%) is spawn costs plus
 //! cache interference.
 
 use px_isa::{DecodedProgram, Program, Width};
 use px_mach::{
-    step_uop, FaultPlan, Halt, IoState, MachConfig, MemView, MemoTable, Memory, RunExit, SimError,
-    StepEnv, UopProfile, COMMITTED,
+    FaultPlan, Halt, IoState, MachConfig, MemoTable, Memory, RunExit, SimError, UopProfile,
+    COMMITTED,
 };
 
 use crate::config::PxConfig;
@@ -68,11 +74,11 @@ struct Cores {
     pool: Vec<Path>,
     next_id: u8,
     next_seq: u64,
-    /// Counts spawns; versions the copy-on-write memo (see [`PrimaryView`]).
+    /// Counts spawns; versions the copy-on-write memo (see [`preserve`]).
     spawn_epoch: u64,
 }
 
-/// One slot of the copy-on-write memo (see [`PrimaryView`]).
+/// One slot of the copy-on-write memo (see [`preserve`]).
 #[derive(Clone, Copy)]
 struct CowEntry {
     addr: u32,
@@ -83,59 +89,45 @@ struct CowEntry {
 /// Direct-mapped slots in the copy-on-write memo.
 const COW_SLOTS: usize = 64;
 
-/// A [`MemView`] for the primary core that preserves overwritten bytes into
-/// every live NT-path's snapshot before committing the store (the
-/// copy-on-write realization of the tree data dependence).
+/// The primary core's store hook: preserves the bytes a store of `width`
+/// at `addr` is about to overwrite in `memory` into every live NT-path's
+/// snapshot (the copy-on-write realization of the tree data dependence).
 ///
-/// Borrows the path table directly — building a `Vec<&mut Sandbox>` here per
-/// primary step used to dominate the CMP engine's dispatch cost.
-///
-/// The memo skips the preserve sweep entirely for a store that already swept
-/// the same address and width with no spawn in between (`epoch` counts
-/// spawns): `preserve` keeps only the earliest value per byte, so re-sweeping
-/// the same path set is a no-op — and path *removals* cannot invalidate a
+/// The memo skips the sweep entirely for a store that already swept the
+/// same address and width with no spawn in between (`epoch` counts spawns):
+/// `preserve` keeps only the earliest value per byte, so re-sweeping the
+/// same path set is a no-op — and path *removals* cannot invalidate a
 /// covered entry. Exact, not heuristic.
-struct PrimaryView<'a> {
-    memory: &'a mut Memory,
-    live: &'a mut [NtPath],
-    cow_memo: &'a mut [CowEntry; COW_SLOTS],
-    spawn_epoch: u64,
-}
-
-impl MemView for PrimaryView<'_> {
-    fn load(&mut self, addr: u32, width: Width) -> Result<i32, px_mach::CrashKind> {
-        self.memory.load(addr, width)
+fn preserve(
+    live: &mut [NtPath],
+    cow_memo: &mut [CowEntry; COW_SLOTS],
+    epoch: u64,
+    memory: &Memory,
+    addr: u32,
+    width: Width,
+) {
+    let slot = ((addr >> 2) as usize) % COW_SLOTS;
+    let e = cow_memo[slot];
+    if e.addr == addr && u32::from(e.bytes) == width.bytes() && e.epoch == epoch {
+        return;
     }
-
-    fn store(&mut self, addr: u32, value: i32, width: Width) -> Result<(), px_mach::CrashKind> {
-        self.memory.check(addr, width.bytes())?;
-        if !self.live.is_empty() {
-            let slot = ((addr >> 2) as usize) % COW_SLOTS;
-            let e = self.cow_memo[slot];
-            if e.addr != addr || u32::from(e.bytes) != width.bytes() || e.epoch != self.spawn_epoch
-            {
-                let n = width.bytes() as usize;
-                let mut old = [0u8; 4];
-                for (i, b) in old.iter_mut().enumerate().take(n) {
-                    *b = self.memory.byte(addr + i as u32);
-                }
-                for p in self.live.iter_mut() {
-                    // Replaying paths never read their sandbox (their reads
-                    // were validated at spawn), so the preserve sweep skips
-                    // them.
-                    if p.path.replay.is_none() {
-                        p.path.sandbox.preserve_span(addr, &old[..n]);
-                    }
-                }
-                self.cow_memo[slot] = CowEntry {
-                    addr,
-                    bytes: width.bytes() as u8,
-                    epoch: self.spawn_epoch,
-                };
-            }
+    let n = width.bytes() as usize;
+    let mut old = [0u8; 4];
+    for (i, b) in old.iter_mut().enumerate().take(n) {
+        *b = memory.byte(addr + i as u32);
+    }
+    for p in live.iter_mut() {
+        // Replaying paths never read their sandbox (their reads were
+        // validated at spawn), so the preserve sweep skips them.
+        if p.path.replay.is_none() {
+            p.path.sandbox.preserve_span(addr, &old[..n]);
         }
-        self.memory.store(addr, value, width)
     }
+    cow_memo[slot] = CowEntry {
+        addr,
+        bytes: width.bytes() as u8,
+        epoch,
+    };
 }
 
 /// Runs `program` under the CMP-optimized PathExpander against a
@@ -288,113 +280,84 @@ pub(crate) fn run_cmp_inner<const PROFILE: bool>(
                 deadline = deadline.min(ready[c]);
             }
             loop {
-                // Simple micro-ops are register-only: they raise no events,
-                // touch no memory or caches and contain no branches, so
-                // batching them is invisible to every other core — provided
-                // the batch covers only steps the scheduler would have
-                // granted to the primary anyway; `simple_steps_until` cuts
-                // the batch at the deadline. While no NT-path is live the
-                // primary is alone: the deadline is `u64::MAX`, a store needs
-                // no copy-on-write and its line is `COMMITTED`, so plain
-                // loads and stores join the batch too. Not while a commit
-                // left pending by the last NT-path's death is due: a step
-                // lands it after its own access, and a wide batch would
-                // have to land it before.
+                // The primary runs the committed path exactly as the
+                // baseline does, batching wide runs and stepping the rest,
+                // with three additions. Its stores preserve the bytes they
+                // overwrite into every live NT-path's snapshot and, while
+                // any NT-path is live, tag their lines as speculative
+                // segment data (they still need their sibling's squash
+                // token). A batch ends at `deadline`, covering only steps
+                // the scheduler would have granted the primary anyway. And
+                // displacing a segment line forces a commit. While a commit
+                // left pending by the last NT-path's death is due, the
+                // primary steps: the commit lands after the step's own
+                // access, where a batch would have to land it before.
                 let pc0 = run.taken.core.pc;
-                let n = if cores.paths.is_empty() && !segment_dirty {
-                    debug_assert_eq!(deadline, u64::MAX, "no path, no competing core");
-                    run.taken.wide_batch(&mut cores.ready[0])
+                let pending = segment_dirty && cores.paths.is_empty();
+                let vtag = if cores.paths.is_empty() {
+                    COMMITTED
                 } else {
-                    run.taken.batch(&mut cores.ready[0], deadline)
+                    SEGMENT_VTAG
                 };
-                if n > 0 {
-                    // A commit left pending by the last NT-path's death must
-                    // land here, exactly where the per-step epilogue would
-                    // have placed it: before the next cache access (the
-                    // batch made none).
-                    if segment_dirty && cores.paths.is_empty() {
-                        run.taken.caches.commit_path(0, SEGMENT_VTAG);
-                        segment_dirty = false;
+                let mut store = |memory: &Memory, addr: u32, width: Width| {
+                    if !cores.paths.is_empty() {
+                        segment_dirty = true;
+                        let epoch = cores.spawn_epoch;
+                        preserve(&mut cores.paths, &mut cow_memo, epoch, memory, addr, width);
                     }
+                };
+                let clock = &mut cores.ready[0];
+                let (n, evicted) = if pending {
+                    (0, None)
+                } else {
+                    run.taken.batch(clock, deadline, vtag, &mut store)
+                };
+                let (event, evicted) = if n > 0 {
                     if PROFILE {
                         profile.record_batch(dp, pc0, n, &run.taken.cost_table);
                     }
-                    if run.taken.instructions >= px.max_instructions || cores.ready[0] > deadline {
-                        break;
+                    (None, evicted)
+                } else {
+                    let (event, base, access) = run.taken.step(clock, vtag, &mut store);
+                    if PROFILE {
+                        if let Some(u) = dp.op(pc0) {
+                            profile.record(u.kind, base);
+                        }
                     }
-                    continue;
-                }
-
-                // ---- Primary core step ----
-                let s = {
-                    let taken = &mut run.taken;
-                    let mut env = StepEnv {
-                        io: &mut taken.io,
-                        watches: &mut taken.watches,
-                        suppress_syscalls: false,
-                        now_cycles: cores.ready[0],
-                        costs: &mach.costs,
-                        // The primary core is the containment reference:
-                        // never inject into it.
-                        fault: None,
-                    };
-                    let mut view = PrimaryView {
-                        memory: &mut taken.memory,
-                        live: &mut cores.paths,
-                        cow_memo: &mut cow_memo,
-                        spawn_epoch: cores.spawn_epoch,
-                    };
-                    step_uop(program, dp, &mut taken.core, &mut view, &mut env)
+                    (Some(event), access.and_then(|a| a.volatile_evicted))
                 };
-                if PROFILE {
-                    if let Some(u) = dp.op(pc0) {
-                        profile.record(u.kind, s.base_cost);
-                    }
-                }
-                cores.ready[0] += u64::from(s.base_cost);
 
                 // Set when this step edits the hosted set (spawn, forced
                 // commit): the inner loop's deadline is stale then.
                 let mut structural = false;
-                if let Some(access) = s.access {
-                    // Primary stores made while NT-paths are live are
-                    // speculative segment data (they still need their
-                    // sibling's squash token).
-                    let vtag = if access.write && !cores.paths.is_empty() {
-                        segment_dirty = true;
-                        SEGMENT_VTAG
-                    } else {
-                        COMMITTED
-                    };
-                    let a = run.taken.caches.access(0, access.addr, access.write, vtag);
-                    cores.ready[0] += u64::from(a.cycles);
-                    if a.volatile_evicted == Some(SEGMENT_VTAG) {
-                        // Forced commit: squash the oldest live NT-path,
-                        // commit the segment's lines.
-                        structural = true;
-                        if let Some(idx) = oldest_live(&cores.paths) {
-                            cores.retire(&mut run, idx, NtStop::ForcedCommit);
-                        }
-                        run.taken.caches.commit_path(0, SEGMENT_VTAG);
-                        segment_dirty = false;
+                if evicted == Some(SEGMENT_VTAG) {
+                    // Forced commit: squash the oldest live NT-path, commit
+                    // the segment's lines.
+                    structural = true;
+                    if let Some(idx) = oldest_live(&cores.paths) {
+                        cores.retire(&mut run, idx, NtStop::ForcedCommit);
                     }
+                    run.taken.caches.commit_path(0, SEGMENT_VTAG);
+                    segment_dirty = false;
                 }
 
-                match run.taken.settle(s.event, cores.ready[0]) {
-                    None => run.taken.enter(),
-                    Some(Halt::Branch(br)) => {
-                        let full = cores.paths.len() as u32 >= px.max_outstanding;
-                        let clock = &mut cores.ready[0];
-                        if run
-                            .sel
-                            .branch(&mut run.stats, run.taken.retired, &br, full, clock)
-                        {
-                            structural = true;
-                            cores.admit(&mut run, br.pc, br.other_target());
+                if let Some(event) = event {
+                    match run.taken.settle(event, cores.ready[0]) {
+                        None => run.taken.enter(),
+                        Some(Halt::Branch(br)) => {
+                            let full = cores.paths.len() as u32 >= px.max_outstanding;
+                            let clock = &mut cores.ready[0];
+                            if run
+                                .sel
+                                .branch(&mut run.stats, run.taken.retired, &br, full, clock)
+                            {
+                                structural = true;
+                                cores.admit(&mut run, br.pc, br.other_target());
+                            }
+                            run.taken.enter();
                         }
-                        run.taken.enter();
+                        Some(Halt::Exit(exit)) => primary_done = Some(exit),
                     }
-                    Some(Halt::Exit(exit)) => primary_done = Some(exit),
                 }
 
                 // When the last NT-path died earlier, the segment lines are

@@ -666,6 +666,16 @@ impl DecodedProgram {
         DecodedProgram { ops, run_len }
     }
 
+    /// This decode with every run length zero, so no driver batches and
+    /// every micro-op is stepped. Batching is invisible to the simulated
+    /// machine, so a run on it is the reference a test holds a run on the
+    /// decode itself against.
+    #[must_use]
+    pub fn without_runs(mut self) -> DecodedProgram {
+        self.run_len.fill(RunLen::default());
+        self
+    }
+
     /// Number of micro-ops (equals `Program::code.len()`).
     #[must_use]
     pub fn len(&self) -> usize {

@@ -5,11 +5,12 @@
 //! A step is *pure* with respect to timing — it reports the instruction's
 //! base cost and any data access, and the caller charges the memory
 //! hierarchy. There are two callers. The committed path is one
-//! [`crate::taken::TakenPath`] for every caller: the baseline runner, the
-//! standard engine, the branch profiler and, through its own copy-on-write
-//! store view and segment-tagged cache charge, the CMP primary. It charges
-//! core 0's committed lines, files monitor records at the taken clock and
-//! sees a fault plan only on the baseline. An NT-path is stepped by the
+//! [`crate::taken::TakenPath`] for every driver: the baseline runner, the
+//! standard engine, the branch profiler and the CMP primary, which hands
+//! it a copy-on-write store hook and the segment tag. It steps through
+//! [`crate::taken::TakenPath::step`], charges core 0's lines under the
+//! driver's store tag, files monitor records at the taken clock and sees a
+//! fault plan only on the baseline. An NT-path is stepped by the
 //! engines' shared excursion (`pathexpander`'s `nt` module), where the
 //! conventions that stay per engine live: which clock stamps a record or a
 //! deferred fault, and whether a stopping step counts toward the path's

@@ -3,28 +3,33 @@
 //!
 //! In the paper's standard configuration (§4.2, Figure 4(a)) the taken path
 //! runs exactly as on the baseline processor; PathExpander only adds a
-//! spawn decision at each conditional branch. [`TakenPath`] is that
+//! spawn decision at each conditional branch, and the CMP option (§4.3)
+//! adds segment-tagged stores and forced commits. [`TakenPath`] is that
 //! processor: the loaded memory image, the core, the cache hierarchy, the
 //! watch table, the taken branch coverage, the monitor area and the
 //! prime-path trail, with the per-step bookkeeping every caller shares.
 //!
+//! The committed path advances two ways. [`TakenPath::batch`] retires the
+//! wide run at the pc (register-only ops and plain loads and stores) in one
+//! loop, and [`TakenPath::step`] interprets one micro-op; the caller then
+//! settles it with [`TakenPath::settle`] and [`TakenPath::enter`]. Both
+//! charge core 0's caches under the caller's store tag and show each store
+//! to the caller's hook before it lands. A batch stops before any access
+//! that could raise an event (a crash or a watch hit) and right after one
+//! that displaced a volatile line, so it is observationally one step per
+//! op.
+//!
 //! A caller either hands [`TakenPath::follow`] a branch hook (the baseline
 //! never stops, the standard engine stops to spawn an NT-path, the profiler
-//! widens operand ranges), or — the CMP primary, whose steps interleave with
-//! other cores' and store through a copy-on-write view — retires
-//! [`TakenPath::batch`]es, interprets the rest itself and settles each step
-//! with [`TakenPath::settle`] and [`TakenPath::enter`].
-//!
-//! [`TakenPath::wide_batch`] also retires plain loads and stores in its
-//! batches, when no fault plan is installed and the watch table is empty:
-//! then no access can raise an event, so a batch is observationally one
-//! step per op. `follow` always takes it; the CMP primary takes it while no
-//! NT-path is live, when its stores need no copy-on-write and its clock no
-//! deadline.
+//! widens operand ranges), which batches and steps on committed lines with
+//! no hook and no deadline, or — the CMP primary, whose steps interleave
+//! with other cores' — calls `batch` and `step` itself: with its
+//! copy-on-write preserve sweep as the store hook, the segment tag while
+//! NT-paths are live, and the schedule's deadline.
 
-use px_isa::{DecodedProgram, Edge, Program, UOP_KIND_COUNT};
+use px_isa::{DecodedProgram, Edge, Program, Width, UOP_KIND_COUNT};
 
-use crate::cache::{Hierarchy, COMMITTED};
+use crate::cache::{Access, Hierarchy, COMMITTED};
 use crate::config::{CostModel, MachConfig};
 use crate::core::CoreState;
 use crate::coverage::Coverage;
@@ -32,11 +37,11 @@ use crate::exec::{Branch, StepEnv, StepEvent};
 use crate::fault::{FaultPlan, SimError};
 use crate::io::IoState;
 use crate::memo::MemoNote;
-use crate::memory::Memory;
+use crate::memory::{CrashKind, MemView, Memory};
 use crate::monitor::{MonitorArea, PathKind};
 use crate::paths::{PathCoverage, PathPlan, PathTrail};
 use crate::runner::{load_program, RunExit};
-use crate::uexec::{retire_wide, run_simple, simple_steps_until, step_uop, uop_cost_table};
+use crate::uexec::{plain_access, plain_access_kind, simple, step_uop, uop_cost_table};
 use crate::watch::WatchTable;
 
 /// Why the taken path handed control back to its caller.
@@ -68,7 +73,7 @@ pub struct TakenPath<'a> {
     program: &'a Program,
     dp: &'a DecodedProgram,
     costs: &'a CostModel,
-    /// Base cycles per micro-op kind, for batched simple runs.
+    /// Base cycles per micro-op kind, for batched runs.
     pub cost_table: [u32; UOP_KIND_COUNT],
     /// The committed registers and pc.
     pub core: CoreState,
@@ -152,63 +157,114 @@ impl<'a> TakenPath<'a> {
         })
     }
 
-    /// Retires the simple run at the pc in one batch, charging `clock`, and
-    /// returns its length: 0 when the pc starts no simple run, under a fault
-    /// plan, or at the budget. The batch stops at the budget and at
-    /// `deadline`, the last clock at which the core still holds the schedule
-    /// (`u64::MAX` when nothing competes for it).
+    /// Retires the wide run at the pc (see [`DecodedProgram::wide_run`]) in
+    /// one batch, charging `clock`, and returns its length with the volatile
+    /// tag of a line one of its accesses displaced from core 0's L1. Each
+    /// load and store is charged to core 0 in program order, a store's line
+    /// tagged `vtag`; `store` sees the committed image just before each
+    /// store lands, as [`step`](Self::step) shows it. The batch stops at the
+    /// budget; at `deadline`, the last clock at which the core still holds
+    /// the schedule (`u64::MAX` when nothing competes for it), by the grant
+    /// rule of [`crate::simple_steps_until`] with access cycles counted;
+    /// before an access that would crash or that the watch table reports;
+    /// and after an access that displaced a volatile line. Under a fault
+    /// plan it returns 0 at once. The ops it stops before are the caller's
+    /// to step; stopping is all it does at an eviction.
     #[inline(always)]
-    pub fn batch(&mut self, clock: &mut u64, deadline: u64) -> u32 {
-        let pc = self.core.pc;
-        let run = self.dp.simple_run(pc);
-        if run == 0 || self.fault.is_some() {
-            return 0;
-        }
-        let n = simple_steps_until(
-            self.dp,
-            pc,
-            self.cap(run),
-            &self.cost_table,
-            *clock,
-            deadline,
-        );
-        *clock += run_simple(self.dp, &mut self.core, n, &self.cost_table);
-        self.batched_from(pc, n);
-        n
-    }
-
-    /// [`batch`](Self::batch) with no deadline, widened to the wide run at
-    /// the pc (see [`DecodedProgram::wide_run`]) when the watch table is
-    /// empty: plain loads and stores retire in the batch too, each access
-    /// charged to core 0's committed lines in program order. The batch
-    /// stops before an access that would crash, which the caller then
-    /// steps. Under a fault plan this returns 0 at once; with watches set
-    /// it is `batch(clock, u64::MAX)`.
-    #[inline(always)]
-    pub fn wide_batch(&mut self, clock: &mut u64) -> u32 {
-        if self.fault.is_some() {
-            return 0;
-        }
-        if !self.watches.is_empty() {
-            return self.batch(clock, u64::MAX);
-        }
+    pub fn batch<S>(
+        &mut self,
+        clock: &mut u64,
+        deadline: u64,
+        vtag: u8,
+        mut store: S,
+    ) -> (u32, Option<u8>)
+    where
+        S: FnMut(&Memory, u32, Width),
+    {
         let pc = self.core.pc;
         let run = self.dp.wide_run(pc);
-        if run == 0 {
-            return 0;
+        if run == 0 || self.fault.is_some() {
+            return (0, None);
         }
-        let cap = self.cap(run);
-        let (n, cost) = retire_wide(
-            self.dp,
-            &mut self.core,
-            cap,
-            &self.cost_table,
-            &mut self.memory,
-            &mut self.caches,
-        );
-        *clock += cost;
+        let dp = self.dp;
+        let mut now = *clock;
+        let mut n = 0u32;
+        let mut evicted = None;
+        for &u in &dp.ops()[pc as usize..(pc + self.cap(run)) as usize] {
+            if n > 0 && now > deadline {
+                break;
+            }
+            let cost = u64::from(self.cost_table[u.kind as usize]);
+            if let Some((width, write)) = plain_access_kind(u.kind) {
+                let Some(addr) = plain_access(
+                    width,
+                    write,
+                    u,
+                    &mut self.core,
+                    &mut self.memory,
+                    &self.watches,
+                    &mut store,
+                ) else {
+                    break;
+                };
+                let a = self.caches.access(0, addr, write, vtag);
+                now += cost + u64::from(a.cycles);
+                n += 1;
+                if a.volatile_evicted.is_some() {
+                    evicted = a.volatile_evicted;
+                    break;
+                }
+            } else {
+                simple(&mut self.core, u);
+                now += cost;
+                n += 1;
+            }
+        }
+        *clock = now;
+        self.core.pc = pc + n;
         self.batched_from(pc, n);
-        n
+        (n, evicted)
+    }
+
+    /// Interprets the micro-op at the pc, charging `clock` its base cost
+    /// and its access to core 0, a store's line tagged `vtag`. `store` sees
+    /// the committed image just before a store lands (a crashing store
+    /// lands nothing). Returns the step's event, its base cost and the
+    /// cache's answer, for the caller to act on before it calls
+    /// [`settle`](Self::settle). A deferred (cache-level) fault is
+    /// PathExpander-specific and ignored here.
+    #[inline(always)]
+    pub fn step<S>(
+        &mut self,
+        clock: &mut u64,
+        vtag: u8,
+        store: S,
+    ) -> (StepEvent, u32, Option<Access>)
+    where
+        S: FnMut(&Memory, u32, Width),
+    {
+        let s = {
+            let mut env = StepEnv {
+                io: &mut self.io,
+                watches: &mut self.watches,
+                suppress_syscalls: false,
+                now_cycles: *clock,
+                costs: self.costs,
+                fault: self.fault.as_deref_mut(),
+            };
+            let mut view = Hooked {
+                memory: &mut self.memory,
+                store,
+            };
+            step_uop(self.program, self.dp, &mut self.core, &mut view, &mut env)
+        };
+        *clock += u64::from(s.base_cost);
+        let access = s.access.map(|a| {
+            let a = self.caches.access(0, a.addr, a.write, vtag);
+            *clock += u64::from(a.cycles);
+            a
+        });
+        (s.event, s.base_cost, access)
     }
 
     /// `run` cut at the instruction budget.
@@ -266,14 +322,12 @@ impl<'a> TakenPath<'a> {
     }
 
     /// Runs the taken path until the run ends or `hook` asks to stop at a
-    /// resolved branch. Wide runs are batched
-    /// ([`wide_batch`](Self::wide_batch)); every other micro-op is
-    /// interpreted, its base cost and its access to core 0's committed
-    /// lines charged to `clock`, and settled. A deferred (cache-level) fault
-    /// is PathExpander-specific and ignored here. The hook sees the path,
-    /// the clock (to charge a spawn) and the branch. At a stop the branch's
-    /// successor block is not yet entered, so the caller can fork the trail
-    /// there; it calls [`enter`](Self::enter) before following again.
+    /// resolved branch: [`batch`](Self::batch)es with no deadline, and a
+    /// [`step`](Self::step) and [`settle`](Self::settle) for every other
+    /// micro-op, all on committed lines. The hook sees the path, the clock
+    /// (to charge a spawn) and the branch. At a stop the branch's successor
+    /// block is not yet entered, so the caller can fork the trail there; it
+    /// calls [`enter`](Self::enter) before following again.
     #[inline(always)]
     pub fn follow<H>(&mut self, clock: &mut u64, mut hook: H) -> Halt
     where
@@ -283,31 +337,37 @@ impl<'a> TakenPath<'a> {
             if self.instructions >= self.budget {
                 return Halt::Exit(RunExit::BudgetExhausted);
             }
-            if self.wide_batch(clock) > 0 {
+            if self.batch(clock, u64::MAX, COMMITTED, |_, _, _| {}).0 > 0 {
                 continue;
             }
-            let s = {
-                let mut env = StepEnv {
-                    io: &mut self.io,
-                    watches: &mut self.watches,
-                    suppress_syscalls: false,
-                    now_cycles: *clock,
-                    costs: self.costs,
-                    fault: self.fault.as_deref_mut(),
-                };
-                let (program, dp) = (self.program, self.dp);
-                step_uop(program, dp, &mut self.core, &mut self.memory, &mut env)
-            };
-            *clock += u64::from(s.base_cost);
-            if let Some(a) = s.access {
-                *clock += u64::from(self.caches.access(0, a.addr, a.write, COMMITTED).cycles);
-            }
-            match self.settle(s.event, *clock) {
+            let (event, _, _) = self.step(clock, COMMITTED, |_, _, _| {});
+            match self.settle(event, *clock) {
                 Some(Halt::Branch(br)) if hook(self, clock, &br) => return Halt::Branch(br),
                 Some(Halt::Branch(_)) | None => {}
                 Some(exit) => return exit,
             }
             self.enter();
         }
+    }
+}
+
+/// The committed image as [`TakenPath::step`] stores through it: a store
+/// that will land first shows the caller's hook the image it overwrites.
+struct Hooked<'m, S> {
+    memory: &'m mut Memory,
+    store: S,
+}
+
+impl<S: FnMut(&Memory, u32, Width)> MemView for Hooked<'_, S> {
+    #[inline(always)]
+    fn load(&mut self, addr: u32, width: Width) -> Result<i32, CrashKind> {
+        self.memory.load(addr, width)
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u32, value: i32, width: Width) -> Result<(), CrashKind> {
+        self.memory.check(addr, width.bytes())?;
+        (self.store)(self.memory, addr, width);
+        self.memory.store(addr, value, width)
     }
 }

@@ -15,15 +15,15 @@
 //! ALU and predicated-fix helpers, summing their base costs from a
 //! [`uop_cost_table`]. Simple runs raise no events, touch no memory, cannot
 //! crash and never read the cycle counter, so batching is observationally
-//! identical to stepping. Every engine batches them, NT-paths included.
+//! identical to stepping. NT-paths batch them.
 //!
-//! `retire_wide` widens the batch for the committed path alone
-//! ([`crate::TakenPath`]): a *wide* run (see [`DecodedProgram::wide_run`])
-//! also holds plain loads and stores, which it performs on the committed
-//! image and charges to core 0's committed cache lines in program order.
-//! It stops before an access that would crash, so [`step_uop`] takes that
-//! op. Its caller guarantees nothing else can observe an access: no fault
-//! plan and an empty watch table, so no access raises an event.
+//! The committed path widens the batch ([`crate::TakenPath::batch`]): a
+//! *wide* run (see [`DecodedProgram::wide_run`]) also holds plain loads and
+//! stores, which the batch performs on the committed image through
+//! `plain_access` and charges to core 0's caches in program order. It
+//! stops before an access that would crash or that the watch table reports,
+//! so [`step_uop`] takes that op and raises its event. NT-paths batch
+//! simple runs only: the replay cache records and replays those alone.
 //!
 //! `tests/uop_differential.rs` holds an independent byte-decode reference
 //! interpreter and checks that this module agrees with it on every program,
@@ -35,12 +35,12 @@ use px_isa::{
     DATA_BASE, UOP_KIND_COUNT,
 };
 
-use crate::cache::{Hierarchy, COMMITTED};
 use crate::config::CostModel;
 use crate::core::CoreState;
 use crate::exec::{Branch, DataAccess, Step, StepEnv, StepEvent};
 use crate::fault::FaultAction;
 use crate::memory::{CrashKind, MemView, Memory};
+use crate::watch::WatchTable;
 
 use self::Rhs::{Imm, Rs2};
 
@@ -492,7 +492,7 @@ pub fn run_simple(
 
 /// Executes one simple micro-op (see [`MicroOp::is_simple`]).
 #[inline(always)]
-fn simple(core: &mut CoreState, u: MicroOp) {
+pub(crate) fn simple(core: &mut CoreState, u: MicroOp) {
     let total = match u.kind {
         UopKind::Nop => true,
         UopKind::PMovI | UopKind::PMov | UopKind::PAluI => pfix(core, u),
@@ -504,69 +504,48 @@ fn simple(core: &mut CoreState, u: MicroOp) {
     assert!(total, "simple ops never divide by zero");
 }
 
-/// A plain load or store of `width` on the committed image. Returns the
-/// address, or `None`, with nothing changed, when the access would crash.
+/// The width and direction of a plain load or store (the memory ops of a
+/// wide run, see [`DecodedProgram::wide_run`]); `None` for any other kind.
 #[inline(always)]
-fn plain_access(
+pub(crate) fn plain_access_kind(kind: UopKind) -> Option<(Width, bool)> {
+    match kind {
+        UopKind::LoadByte => Some((Width::Byte, false)),
+        UopKind::LoadWord => Some((Width::Word, false)),
+        UopKind::StoreByte => Some((Width::Byte, true)),
+        UopKind::StoreWord => Some((Width::Word, true)),
+        _ => None,
+    }
+}
+
+/// A plain load or store of `width` on the committed image, as a batch
+/// retires it: a store first shows `store` the image it overwrites.
+/// Returns the address, or `None`, with nothing changed, when `watches`
+/// report the access or it would crash: then only a step can take it.
+#[inline(always)]
+pub(crate) fn plain_access<S: FnMut(&Memory, u32, Width)>(
     width: Width,
     write: bool,
     u: MicroOp,
     core: &mut CoreState,
     memory: &mut Memory,
+    watches: &WatchTable,
+    store: &mut S,
 ) -> Option<u32> {
     let addr = effective_addr(core, u);
+    if watches.hit(addr, width.bytes()).is_some() {
+        return None;
+    }
     let done = if write {
-        memory.store(addr, core.regs.get(Reg::new(u.a)), width)
+        memory.check(addr, width.bytes()).and_then(|()| {
+            store(memory, addr, width);
+            memory.store(addr, core.regs.get(Reg::new(u.a)), width)
+        })
     } else {
         memory
             .load(addr, width)
             .map(|v| core.regs.set(Reg::new(u.a), v))
     };
     done.ok().map(|()| addr)
-}
-
-/// Retires up to `n` micro-ops of the wide run at `core.pc` (see the module
-/// documentation) against the committed `memory`, charging each access to
-/// core 0's committed lines of `caches` in program order. Stops before an
-/// access that would crash. Returns the micro-ops retired and their summed
-/// cost: table costs plus access cycles. The caller must ensure
-/// `n <= dp.wide_run(core.pc)`, no fault plan and an empty watch table;
-/// then this is observationally identical to that many calls of
-/// [`step_uop`], each followed by the access's charge.
-#[inline]
-pub(crate) fn retire_wide(
-    dp: &DecodedProgram,
-    core: &mut CoreState,
-    n: u32,
-    cost_table: &[u32; UOP_KIND_COUNT],
-    memory: &mut Memory,
-    caches: &mut Hierarchy,
-) -> (u32, u64) {
-    debug_assert!(n <= dp.wide_run(core.pc), "batch exceeds the wide run");
-    let start = core.pc as usize;
-    let mut cost = 0u64;
-    let mut done = 0u32;
-    for &u in &dp.ops()[start..start + n as usize] {
-        let access = match u.kind {
-            UopKind::LoadByte => Some((Width::Byte, false)),
-            UopKind::LoadWord => Some((Width::Word, false)),
-            UopKind::StoreByte => Some((Width::Byte, true)),
-            UopKind::StoreWord => Some((Width::Word, true)),
-            _ => None,
-        };
-        if let Some((width, write)) = access {
-            let Some(addr) = plain_access(width, write, u, core, memory) else {
-                break;
-            };
-            cost += u64::from(caches.access(0, addr, write, COMMITTED).cycles);
-        } else {
-            simple(core, u);
-        }
-        cost += u64::from(cost_table[u.kind as usize]);
-        done += 1;
-    }
-    core.pc += done;
-    (done, cost)
 }
 
 /// How many leading micro-ops of the simple run at `pc` a core can retire
@@ -650,7 +629,10 @@ impl UopProfile {
         self.cycles[kind as usize] += u64::from(base_cost);
     }
 
-    /// Records a batched simple run (costs from a [`uop_cost_table`]).
+    /// Records a batch of `n` micro-ops from `start` — an NT-path's simple
+    /// run or a taken path's wide run — at their [`uop_cost_table`] costs.
+    /// Those are the base costs a step charges them: a batch holds no
+    /// watched access, so no load or store in it pays `watch_hit`.
     pub fn record_batch(
         &mut self,
         dp: &DecodedProgram,

@@ -38,9 +38,12 @@
 //! stores retired in one batch) meet long runs, in-bounds, crashing,
 //! page-straddling and watched accesses, fault plans and L1s of four and
 //! two lines. Both engines must match the reference baseline run exactly
-//! when no NT-path spawns and on committed state when they do, and must
-//! match themselves held to register-only batches by a watch that nothing
-//! hits, with NT-paths spawning around both.
+//! when no NT-path spawns and on committed state when they do, must match
+//! themselves stepping every micro-op and themselves with a watch that
+//! nothing hits, with NT-paths spawning around all three. One layer down,
+//! `a_batch_is_its_steps_on_loop_soup` holds one [`TakenPath::batch`]
+//! against the steps its rules allow, with volatile lines, watch ranges, a
+//! deadline, a store tag and a store hook drawn per case.
 //!
 //! Runs on the in-tree `px_util` property harness (`px_prop!`).
 
@@ -49,11 +52,12 @@ mod reference;
 use pathexpander::{run, run_cmp_decoded, run_standard_decoded, PxConfig, PxRunResult};
 use px_isa::{
     asm::assemble, decode_program, encode_program, AluOp, BranchCond, CheckKind, DataItem,
-    DecodedProgram, Instruction, Program, Reg, SyscallCode, Width, DATA_BASE,
+    DecodedProgram, Instruction, Program, Reg, SyscallCode, UopKind, Width, DATA_BASE,
 };
 use px_mach::{
     run_baseline, run_baseline_with, run_simple, step_uop, uop_cost_table, CoreState, CostModel,
-    FaultMix, FaultPlan, IoState, MachConfig, Memory, StepEnv, StepEvent, WatchTable,
+    FaultMix, FaultPlan, Halt, IoState, MachConfig, Memory, PathPlan, StepEnv, StepEvent,
+    TakenPath, WatchTable, COMMITTED,
 };
 use px_util::prop::{
     any_bool, any_i32, any_u32, any_u64, any_u8, just, vec_of, BoxedStrategy, Strategy,
@@ -788,17 +792,18 @@ fn engines_follow_the_reference(program: &Program, input: &[u8]) {
 }
 
 /// Runs both engines at spawn thresholds 1 and 4 on `program` and on a
-/// copy whose `nop` at [`SENTINEL_PC`] is a watch on the null guard page:
-/// no access that succeeds can hit it, but a taken path with a watch set
-/// batches register-only runs, so the copy runs the CMP primary and the
-/// standard taken path on simple batches and steps where the original
-/// retires loads and stores in wide batches, NT-paths spawning around
-/// both. The watch costs `watch_op` where the `nop` cost `alu`, and the
-/// prologue has no branch, so every clock of the copy runs exactly that
-/// far ahead (the CMP schedule shifts as a whole); everything else must
-/// be equal. Both run on [`tiny_cache_cfg`] and on a two-line
-/// direct-mapped L1, where nearly every access evicts a line, so a batch
-/// soon after an NT-path's death meets the lines its stores tagged.
+/// copy whose `nop` at [`SENTINEL_PC`] is a watch on the null guard page,
+/// which no access that succeeds can hit. Every batch and step of the copy
+/// then looks its accesses up in a watch table that is not empty and never
+/// answers, NT-paths spawning around both, so the copy checks that a watch
+/// lookup changes nothing but the watch op's own cost: it costs `watch_op`
+/// where the `nop` cost `alu`, and the prologue has no branch, so every
+/// clock of the copy runs exactly that far ahead (the CMP schedule shifts
+/// as a whole); everything else must be equal. (The name dates from when a
+/// watch table kept the taken path's batches register-only.) Both run on
+/// [`tiny_cache_cfg`] and on a two-line direct-mapped L1, where nearly
+/// every access evicts a line, so a batch soon after an NT-path's death
+/// meets the lines its stores tagged.
 fn wide_and_register_only_batches_agree(program: &Program, input: &[u8]) {
     assert_eq!(program.code[SENTINEL_PC], Instruction::Nop);
     let mut narrow = program.clone();
@@ -841,8 +846,10 @@ fn wide_and_register_only_batches_agree(program: &Program, input: &[u8]) {
                 ),
                 "{what} instructions"
             );
-            assert!(
-                wide.stats.taken_batched >= simple.stats.taken_batched,
+            // Only the `nop` the watch replaced leaves the batches.
+            assert_eq!(
+                wide.stats.taken_batched,
+                simple.stats.taken_batched + 1,
                 "{what} batched"
             );
             assert_eq!(
@@ -851,6 +858,227 @@ fn wide_and_register_only_batches_agree(program: &Program, input: &[u8]) {
             );
             assert_eq!(wide.core, simple.core, "{what} registers");
             assert!(wide.memory == simple.memory, "{what} memory");
+        }
+    }
+}
+
+/// A prime-path plan on `program` whose every pc starts a block and whose
+/// paths are all runs of two and three consecutive blocks, so a trail
+/// moves at every op a batch retires.
+fn every_pc_plan(program: &Program) -> PathPlan {
+    let len = program.code.len() as u32;
+    let blocks: Vec<Vec<u32>> = (2..=3)
+        .flat_map(|k| (0..len.saturating_sub(k - 1)).map(move |b| (b..b + k).collect()))
+        .collect();
+    let n = blocks.len() as u32;
+    PathPlan::new(
+        0x5EED,
+        (0..len).collect(),
+        n,
+        n,
+        blocks.iter().map(Vec::as_slice).zip(0..),
+    )
+    .unwrap()
+}
+
+/// Steps `t` once with no store hook on committed lines and settles the
+/// step; `false` once the run has ended.
+fn step_committed(t: &mut TakenPath<'_>, clock: &mut u64) -> bool {
+    let (event, _, _) = t.step(clock, COMMITTED, |_, _, _| {});
+    match t.settle(event, *clock) {
+        Some(Halt::Exit(_)) => false,
+        _ => {
+            t.enter();
+            true
+        }
+    }
+}
+
+/// What one side of [`a_batch_is_its_steps`] logs from its store hook:
+/// each store's address, width and the bytes it is about to overwrite.
+type StoreLog = Vec<(u32, u32, Vec<u8>)>;
+
+/// A store hook that appends to `log`.
+fn logger(log: &mut StoreLog) -> impl FnMut(&Memory, u32, Width) + '_ {
+    |m: &Memory, addr: u32, width: Width| {
+        log.push((addr, width.bytes(), m.slice(addr, width.bytes()).to_vec()));
+    }
+}
+
+/// Two taken paths on `program` step identically for `pre` steps. Then
+/// each core 0 gets the same lines tagged 255 (`lines`, offsets from
+/// `DATA_BASE`) and the same watch ranges (`watches`: offset, length, tag),
+/// and one takes a [`TakenPath::batch`] while the other steps where the
+/// batch rules say a batch may go: within the wide run at the pc and the
+/// budget, the first op always and each later one while the clock is at
+/// or below the deadline, no access that would crash or that the watch
+/// table reports, and nothing after an access that displaced a volatile
+/// line. Both store under `vtag` with a hook that logs each store. They
+/// must agree on the count and the eviction reported, the core, memory,
+/// clock, store log, counters, coverage, monitor records and prime-path
+/// trail, and on every later cache answer.
+#[allow(clippy::too_many_arguments)]
+fn a_batch_is_its_steps(
+    program: &Program,
+    mach: &MachConfig,
+    input: &[u8],
+    pre: u32,
+    budget: u64,
+    lines: &[i32],
+    watches: &[(i32, u32, u32)],
+    slack: Option<u64>,
+    vtag: u8,
+) {
+    let dp = DecodedProgram::decode(program);
+    let plan = every_pc_plan(program);
+    let new = || {
+        let io = IoState::new(input.to_vec(), 0xD1FF);
+        TakenPath::new(program, &dp, mach, io, budget, None, Some(&plan)).unwrap()
+    };
+    let (mut a, mut b) = (new(), new());
+    let (mut clock_a, mut clock_b) = (0u64, 0u64);
+    for _ in 0..pre {
+        if a.instructions >= budget || !step_committed(&mut a, &mut clock_a) {
+            return;
+        }
+        assert!(step_committed(&mut b, &mut clock_b));
+    }
+    let at = |off: i32| DATA_BASE.wrapping_add_signed(off);
+    for t in [&mut a, &mut b] {
+        for &off in lines {
+            t.caches.access(0, at(off), true, 255);
+        }
+        for &(off, len, tag) in watches {
+            t.watches.set(at(off), len, tag);
+        }
+    }
+    let deadline = slack.map_or(u64::MAX, |s| clock_a + s);
+    let (mut log_a, mut log_b) = (StoreLog::new(), StoreLog::new());
+    let pc = a.core.pc;
+    let (n, evicted) = a.batch(&mut clock_a, deadline, vtag, logger(&mut log_a));
+
+    let run = dp.wide_run(pc);
+    let (mut steps, mut stepped_evicted) = (0u32, None);
+    while steps < run && b.instructions < budget && (steps == 0 || clock_b <= deadline) {
+        let u = *dp.op(b.core.pc).unwrap();
+        let width = match u.kind {
+            UopKind::LoadByte | UopKind::StoreByte => Some(Width::Byte),
+            UopKind::LoadWord | UopKind::StoreWord => Some(Width::Word),
+            _ => None,
+        };
+        if let Some(width) = width {
+            let addr = (b.core.regs.get(Reg::new(u.b)) as u32).wrapping_add(u.imm as u32);
+            if b.memory.check(addr, width.bytes()).is_err()
+                || b.watches.hit(addr, width.bytes()).is_some()
+            {
+                break;
+            }
+        }
+        let (event, _, access) = b.step(&mut clock_b, vtag, logger(&mut log_b));
+        assert_eq!(event, StepEvent::None, "a wide-run op raised an event");
+        assert_eq!(b.settle(event, clock_b), None);
+        b.enter();
+        steps += 1;
+        stepped_evicted = access.and_then(|x| x.volatile_evicted);
+        if stepped_evicted.is_some() {
+            break;
+        }
+    }
+
+    assert_eq!((n, evicted), (steps, stepped_evicted), "count and eviction");
+    assert_eq!(a.core, b.core, "core");
+    assert!(a.memory == b.memory, "memory");
+    assert_eq!(clock_a, clock_b, "clock");
+    assert_eq!(log_a, log_b, "store hook log");
+    assert_eq!(
+        (a.instructions, a.retired, a.batched),
+        (b.instructions, b.retired, b.batched + u64::from(n)),
+        "counters"
+    );
+    assert_eq!(a.coverage, b.coverage, "coverage");
+    assert_eq!(a.monitor.records(), b.monitor.records(), "monitor records");
+    let trail = |t: &TakenPath<'_>| t.tracking.as_ref().map(|k| (k.trail, k.cov.clone()));
+    assert_eq!(trail(&a), trail(&b), "prime-path trail");
+    assert_eq!(
+        a.caches.volatile_lines(0),
+        b.caches.volatile_lines(0),
+        "volatile lines"
+    );
+    for off in (-64..704).step_by(8) {
+        assert_eq!(
+            a.caches.access(0, at(off), false, COMMITTED),
+            b.caches.access(0, at(off), false, COMMITTED),
+            "a later read at DATA_BASE{off:+}"
+        );
+    }
+}
+
+/// Runs both engines at spawn thresholds 1 and 4 on `program` twice: on
+/// its decode and on the same decode with every run length zero
+/// ([`DecodedProgram::without_runs`]), where the taken path and every
+/// NT-path step each micro-op. Batching is invisible to the simulated
+/// machine, so the two runs must agree on every field: the CMP primary's
+/// batches under the schedule's deadline, its segment-tagged stores and
+/// forced commits, and the step it takes while a segment commit is
+/// pending, against one step at a time. Both run on [`tiny_cache_cfg`] and
+/// on a two-line direct-mapped L1, where nearly every access evicts a line.
+fn batching_is_invisible_to_the_engines(program: &Program, input: &[u8]) {
+    let dp = DecodedProgram::decode(program);
+    let stepped = dp.clone().without_runs();
+    let tiny = MachConfig {
+        cores: 4,
+        ..tiny_cache_cfg()
+    };
+    let mut two_lines = tiny.clone();
+    two_lines.l1.size_bytes = 2 * two_lines.l1.line_bytes;
+    two_lines.l1.assoc = 1;
+    let io = || IoState::new(input.to_vec(), 0xD1FF);
+    for (mach, k) in [(&tiny, 1u8), (&tiny, 4), (&two_lines, 1), (&two_lines, 4)] {
+        let px = engine_px(k);
+        let cpx = px.clone().cmp();
+        for (name, batched, one_by_one) in [
+            (
+                "standard",
+                run_standard_decoded(program, &dp, mach, &px, io()),
+                run_standard_decoded(program, &stepped, mach, &px, io()),
+            ),
+            (
+                "cmp",
+                run_cmp_decoded(program, &dp, mach, &cpx, io()),
+                run_cmp_decoded(program, &stepped, mach, &cpx, io()),
+            ),
+        ] {
+            let what = format!("{name} (K={k}, L1 {} B)", mach.l1.size_bytes);
+            assert_eq!(one_by_one.stats.taken_batched, 0, "{what} stepped only");
+            assert_eq!(batched.exit, one_by_one.exit, "{what} exit");
+            assert_eq!(batched.cycles, one_by_one.cycles, "{what} cycles");
+            assert_eq!(
+                batched.monitor.records(),
+                one_by_one.monitor.records(),
+                "{what} records"
+            );
+            assert_eq!(
+                batched.stats.paths, one_by_one.stats.paths,
+                "{what} NT-paths"
+            );
+            assert_eq!(
+                (
+                    batched.stats.taken_instructions,
+                    batched.stats.nt_instructions
+                ),
+                (
+                    one_by_one.stats.taken_instructions,
+                    one_by_one.stats.nt_instructions
+                ),
+                "{what} instructions"
+            );
+            assert_eq!(
+                batched.total_coverage, one_by_one.total_coverage,
+                "{what} coverage"
+            );
+            assert_eq!(batched.core, one_by_one.core, "{what} registers");
+            assert!(batched.memory == one_by_one.memory, "{what} memory");
+            assert_eq!(batched.io.output(), one_by_one.io.output(), "{what} output");
         }
     }
 }
@@ -886,6 +1114,41 @@ px_prop! {
         input in vec_of(any_u8(), 0..8),
     ) {
         engines_follow_the_reference(&program, &input);
+    }
+
+    fn a_batch_is_its_steps_on_loop_soup(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+        point in (0u32..400, 0u64..64, any_bool()),
+        marks in (
+            vec_of(-64i32..640, 0..6),
+            vec_of((-64i32..640, 1u32..16, 0u32..4), 0..3),
+        ),
+        grant in (
+            px_oneof![just(None), (0u64..48).prop_map(Some).boxed()],
+            any_bool(),
+        ),
+    ) {
+        let (pre, budget_slack, two_lines) = point;
+        let (slack, segment) = grant;
+        let (lines, watches) = marks;
+        let mut mach = tiny_cache_cfg();
+        if two_lines {
+            mach.l1.size_bytes = 2 * mach.l1.line_bytes;
+            mach.l1.assoc = 1;
+        }
+        let vtag = if segment { 255 } else { COMMITTED };
+        let budget = u64::from(pre) + budget_slack;
+        a_batch_is_its_steps(
+            &program, &mach, &input, pre, budget, &lines, &watches, slack, vtag,
+        );
+    }
+
+    fn engines_batch_as_they_step_on_loop_soup(
+        program in arb_loop_program(),
+        input in vec_of(any_u8(), 0..8),
+    ) {
+        batching_is_invisible_to_the_engines(&program, &input);
     }
 
     fn wide_batches_match_register_only_ones_on_loop_soup(

@@ -103,8 +103,12 @@ PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --lib -- \
 # in-bounds, crashing, page-straddling and watched accesses and L1s of four
 # and two lines; there both engines must also match the reference run
 # (exactly when no NT-path spawns, on committed state when they do), their
-# encode/decode round trip, and themselves held to register-only batches by
-# a watch nothing hits (every clock shifted by the watch's extra cost).
+# encode/decode round trip, themselves stepping every micro-op, and
+# themselves with a watch nothing hits (every clock shifted by the watch's
+# extra cost, nothing else changed); and
+# a_batch_is_its_steps_on_loop_soup checks one TakenPath::batch against
+# the steps its rules allow, with volatile lines, watch ranges, a deadline,
+# a store tag and a logging store hook drawn per case.
 # Each runs at 2000 cases rather than the default.
 echo "==> uop-oracle: step_uop, the baseline and the taken paths vs the reference, 2000 cases"
 PX_PROP_CASES=2000 cargo test --release --offline -q -p px-mach --test uop_differential -- \
